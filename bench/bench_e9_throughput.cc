@@ -9,7 +9,8 @@
 // dLRU-EDF over 10M-round lazy sources (no materialization; override the
 // round count with RRS_STREAMING_ROUNDS), then sweeps the sharded runner
 // over shard counts 1/2/4/#workers, and emits a BENCH_streaming.json
-// baseline with per-configuration rounds/sec and peak RSS.
+// baseline with per-configuration rounds/sec and peak RSS.  Compare two
+// such files with scripts/bench_diff.py.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,7 +19,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -206,86 +206,6 @@ struct StreamingCell {
   /// cells; empty otherwise.  Lets a regression be pinned to one phase.
   std::vector<std::pair<std::string, double>> phase_seconds;
 };
-
-/// Extracts (family, rounds_per_sec) pairs from the BENCH_streaming.json
-/// format this bench itself emits (good enough for the fixed key order we
-/// write; not a general JSON parser).
-std::vector<std::pair<std::string, double>> parse_streaming_json(
-    const std::string& text) {
-  std::vector<std::pair<std::string, double>> out;
-  const std::string family_key = "\"family\": \"";
-  const std::string rps_key = "\"rounds_per_sec\": ";
-  std::size_t pos = 0;
-  while ((pos = text.find(family_key, pos)) != std::string::npos) {
-    pos += family_key.size();
-    const std::size_t end = text.find('"', pos);
-    if (end == std::string::npos) break;
-    const std::string family = text.substr(pos, end - pos);
-    const std::size_t rps_pos = text.find(rps_key, end);
-    if (rps_pos == std::string::npos) break;
-    const double rps =
-        std::strtod(text.c_str() + rps_pos + rps_key.size(), nullptr);
-    out.emplace_back(family, rps);
-    pos = rps_pos;
-  }
-  return out;
-}
-
-/// Compares measured per-family rounds/sec against the committed baseline
-/// (RRS_STREAMING_BASELINE points at the baseline json; unset skips the
-/// gate).  Returns false when any family regresses by more than
-/// RRS_STREAMING_REGRESSION_PCT percent (default 30).
-bool check_against_baseline(const std::vector<StreamingCell>& named) {
-  const char* baseline_path = std::getenv("RRS_STREAMING_BASELINE");
-  if (baseline_path == nullptr || *baseline_path == '\0') {
-    std::cout << "  (no RRS_STREAMING_BASELINE set; regression gate "
-                 "skipped)\n";
-    return true;
-  }
-  std::ifstream in(baseline_path);
-  if (!in) {
-    std::cout << "  baseline " << baseline_path << " unreadable; FAIL\n";
-    return false;
-  }
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const auto baseline = parse_streaming_json(text);
-  if (baseline.empty()) {
-    std::cout << "  baseline " << baseline_path << " has no runs; FAIL\n";
-    return false;
-  }
-
-  double tolerance_pct = 30.0;
-  if (const char* env = std::getenv("RRS_STREAMING_REGRESSION_PCT");
-      env != nullptr && *env != '\0') {
-    tolerance_pct = std::strtod(env, nullptr);
-  }
-
-  bool ok = true;
-  for (const StreamingCell& cell : named) {
-    const double rps =
-        cell.record.seconds > 0
-            ? static_cast<double>(cell.record.rounds) / cell.record.seconds
-            : 0.0;
-    double base = 0.0;
-    for (const auto& [family, value] : baseline) {
-      if (family == cell.family) base = value;
-    }
-    if (base <= 0.0) {
-      std::cout << "  " << cell.family << ": no baseline entry; skipped\n";
-      continue;
-    }
-    const double ratio = rps / base;
-    const bool regressed = ratio < 1.0 - tolerance_pct / 100.0;
-    std::cout << "  " << cell.family << ": " << static_cast<std::int64_t>(rps)
-              << " vs baseline " << static_cast<std::int64_t>(base)
-              << " rounds/s  (" << ratio << "x"
-              << (regressed ? ", REGRESSION beyond " : ", within ")
-              << tolerance_pct << "% budget)\n";
-    ok = ok && !regressed;
-  }
-  return ok;
-}
 
 void append_json_record(std::string& json, const StreamingCell& cell) {
   const double rounds_per_sec =
@@ -583,8 +503,6 @@ bool run_streaming_section() {
   out << json;
   out.close();
   std::cout << "(json: " << path << ")\n";
-
-  ok = check_against_baseline(named) && ok;
 
   return bench::verdict(ok, "streaming engine sustained " +
                                 std::to_string(rounds) +

@@ -18,10 +18,10 @@ Two cell kinds are supported, distinguished per run record:
     or when the candidate interval is wider than baseline's by more than
     the budget (a bracket that silently loosened).
 
-Exits nonzero on any regression — the same verdict the streaming bench
-applies internally via RRS_STREAMING_BASELINE, usable standalone on two
-saved artifacts (e.g. the JSON uploaded by two CI runs, or a before/after
-pair measured locally).
+Exits nonzero on any regression.  This is the repository's one bench
+comparator: CI's perf-smoke gate runs it on the streaming bench's output,
+and it works standalone on any two saved artifacts (e.g. the JSON
+uploaded by two CI runs, or a before/after pair measured locally).
 
 Families present in only one file also fail the verdict: a benchmark that
 silently stopped running (or a baseline missing a committed cell) must

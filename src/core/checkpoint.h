@@ -35,7 +35,9 @@
 namespace rrs {
 
 inline constexpr std::uint32_t kCheckpointMajor = 1;
-inline constexpr std::uint32_t kCheckpointMinor = 0;
+/// Minor 1 appends every color's delay bound, drop cost and length to the
+/// engine's options section.
+inline constexpr std::uint32_t kCheckpointMinor = 1;
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) of `size` bytes.
 [[nodiscard]] std::uint32_t crc32(const unsigned char* data,

@@ -608,6 +608,14 @@ void Engine::checkpoint(std::ostream& out, const ArrivalSource* source) const {
                                        : options_.fault_plan->events.size());
   w.boolean(options_.observer != nullptr);
   w.boolean(source != nullptr);
+  // Minor 1: per-color metadata.  Two sources with equal color counts may
+  // still disagree on every bound, and resuming across them would corrupt
+  // the pending calendar instead of failing.
+  for (ColorId c = 0; c < meta_->num_colors(); ++c) {
+    w.i64(meta_->delay_bound(c));
+    w.i64(meta_->drop_cost(c));
+    w.i64(meta_->length(c));
+  }
   w.end_section();
 
   w.begin_section(kTagEngine);
@@ -710,6 +718,14 @@ void Engine::restore(std::istream& in, ArrivalSource* source) {
   const bool has_source = r.boolean();
   RRS_REQUIRE(source == nullptr || has_source,
               "checkpoint carries no source state");
+  if (r.minor_version() >= 1) {
+    for (ColorId c = 0; c < meta_->num_colors(); ++c) {
+      RRS_REQUIRE(r.i64() == meta_->delay_bound(c) &&
+                      r.i64() == meta_->drop_cost(c) &&
+                      r.i64() == meta_->length(c),
+                  "checkpoint per-color metadata mismatch at color " << c);
+    }
+  }
   r.close_section();
 
   r.open_section(kTagEngine);

@@ -105,6 +105,15 @@ struct DegradedStats {
   Round degraded_rounds = 0;  ///< rounds run with >= 1 location down
   Cost drops_while_degraded = 0;  ///< drop cost incurred in degraded rounds
 
+  DegradedStats& operator+=(const DegradedStats& other) {
+    fault_events += other.fault_events;
+    repair_events += other.repair_events;
+    churn_evictions += other.churn_evictions;
+    degraded_rounds += other.degraded_rounds;
+    drops_while_degraded += other.drops_while_degraded;
+    return *this;
+  }
+
   friend bool operator==(const DegradedStats&, const DegradedStats&) = default;
 };
 

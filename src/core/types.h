@@ -48,6 +48,14 @@ struct CostBreakdown {
 
   [[nodiscard]] Cost total() const { return reconfig_cost + drops; }
 
+  CostBreakdown& operator+=(const CostBreakdown& other) {
+    reconfig_events += other.reconfig_events;
+    reconfig_cost += other.reconfig_cost;
+    drops += other.drops;
+    churn_reconfigs += other.churn_reconfigs;
+    return *this;
+  }
+
   friend bool operator==(const CostBreakdown&, const CostBreakdown&) = default;
 };
 

@@ -1,10 +1,14 @@
 #include "sim/runner.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <sstream>
 #include <typeinfo>
 #include <utility>
 
@@ -35,6 +39,54 @@ namespace {
 
 /// Manifest section tag for sharded checkpoint sets.
 constexpr std::uint32_t kTagManifest = 1;
+
+/// Segment length between stop-flag checks when no cadence bounds it.
+constexpr Round kStopCheckRounds = 1024;
+
+using PolicyStats = std::vector<std::pair<std::string, std::int64_t>>;
+
+/// Folds `part` (one engine generation's result, or one shard's record)
+/// into `into`: counters sum, rounds and peak_pending take the max, policy
+/// stats sum per key.
+template <typename Part>
+void fold(StreamRunRecord& into, const Part& part, const PolicyStats& stats) {
+  into.cost += part.cost;
+  into.degraded += part.degraded;
+  into.executed += part.executed;
+  into.work_units += part.work_units;
+  into.arrived += part.arrived;
+  into.admission_rejected += part.admission_rejected;
+  into.rounds = std::max(into.rounds, part.rounds);
+  into.peak_pending = std::max(into.peak_pending, part.peak_pending);
+  for (const auto& [key, value] : stats) {
+    auto it = std::find_if(into.stats.begin(), into.stats.end(),
+                           [&key](const auto& kv) { return kv.first == key; });
+    if (it == into.stats.end()) {
+      into.stats.emplace_back(key, value);
+    } else {
+      it->second += value;
+    }
+  }
+}
+
+/// Writes `path` through a temp file renamed into place, so readers only
+/// ever see complete files.
+template <typename Write>
+void write_atomically(const std::filesystem::path& path, const Write& write) {
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    RRS_REQUIRE(out.good(), "cannot write checkpoint file " << tmp.string());
+    write(out);
+  }
+  std::filesystem::rename(tmp, path);
+}
+
+std::ifstream open_checkpoint(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  RRS_REQUIRE(in.good(), "cannot open checkpoint file " << path.string());
+  return in;
+}
 
 /// One engine generation's observers: resharding rebuilds engines (and
 /// their observers) per era, each with its own local -> global color maps.
@@ -97,56 +149,572 @@ void merge_shard_observers(Observer& merged,
   }
 }
 
-StreamRunRecord to_stream_record(const std::string& name, int n,
-                                 EngineResult&& result, double seconds) {
-  StreamRunRecord record;
-  record.seconds = seconds;
-  record.algorithm = name;
-  record.n = n;
-  record.cost = result.cost;
-  record.executed = result.executed;
-  record.work_units = result.work_units;
-  record.arrived = result.arrived;
-  record.rounds = result.rounds;
-  record.peak_pending = result.peak_pending;
-  record.admission_rejected = result.admission_rejected;
-  record.degraded = result.degraded;
-  record.stats = std::move(result.policy_stats);
-  return record;
-}
+/// The segment loop behind every run driver.  K engines (one per shard)
+/// run to the next boundary; there the loop checkpoints, re-shards or
+/// stops.  One engine runs on the calling thread over the caller's source
+/// and observer; K engines run on the pool over shard-native generator
+/// views or, for any other source, the demux fabric.
+class SegmentLoop {
+ public:
+  SegmentLoop(ArrivalSource& source, const std::string& name, int n,
+              int num_shards, Round max_rounds,
+              const ShardedRunOptions& options)
+      : source_(source),
+        name_(name),
+        n_(n),
+        shards_(static_cast<std::size_t>(std::max(num_shards, 1))),
+        options_(options) {
+    RRS_REQUIRE(num_shards >= 1,
+                "num_shards must be >= 1, got " << num_shards);
+    RRS_REQUIRE(options.reshard_every >= 0,
+                "reshard_every must be >= 0, got " << options.reshard_every);
+    RRS_REQUIRE(options.checkpoint_every >= 0,
+                "checkpoint_every must be >= 0, got "
+                    << options.checkpoint_every);
+    RRS_REQUIRE(options.checkpoint_keep >= 1,
+                "checkpoint_keep must be >= 1, got "
+                    << options.checkpoint_keep);
+    const bool checkpoints = options.checkpoint_every > 0 ||
+                             options.resume || options.stop_flag != nullptr;
+    RRS_REQUIRE(!checkpoints || !options.checkpoint_dir.empty(),
+                "checkpoint_every, resume and stop_flag need checkpoint_dir");
+    if (options.reshard_every > 0) {
+      RRS_REQUIRE(
+          options.fault_plan == nullptr || options.fault_plan->empty(),
+          "adaptive re-sharding cannot run under a fault plan: migration "
+          "would have to move per-location churn state");
+      RRS_REQUIRE(options.shard_observers.empty(),
+                  "caller shard_observers assume one engine generation per "
+                  "shard; use the merged observer with re-sharding");
+      RRS_REQUIRE(options.observer == nullptr ||
+                      options.observer->config.snapshot_every == 0,
+                  "periodic snapshot series cannot span engine generations; "
+                  "set ObsConfig::snapshot_every = 0 with re-sharding");
+      RRS_REQUIRE(!checkpoints,
+                  "adaptive re-sharding cannot checkpoint or stop: a "
+                  "checkpoint assumes one engine generation per shard");
+    }
+    RRS_REQUIRE(options.shard_observers.empty() ||
+                    options.shard_observers.size() == shards_,
+                "shard_observers must have one entry per shard: got "
+                    << options.shard_observers.size() << " for "
+                    << num_shards << " shards");
 
-/// Folds one engine generation's result into the per-slot record `into`
-/// (slots persist across re-shard eras): costs and counters sum, rounds
-/// and peak_pending take the max, policy stats sum per key.
-void accumulate_slot(StreamRunRecord& into, const std::string& name, int n,
-                     EngineResult&& result) {
-  into.algorithm = name;
-  into.n = n;  // the latest era's slice
-  into.cost.reconfig_events += result.cost.reconfig_events;
-  into.cost.reconfig_cost += result.cost.reconfig_cost;
-  into.cost.drops += result.cost.drops;
-  into.cost.churn_reconfigs += result.cost.churn_reconfigs;
-  into.degraded.fault_events += result.degraded.fault_events;
-  into.degraded.repair_events += result.degraded.repair_events;
-  into.degraded.churn_evictions += result.degraded.churn_evictions;
-  into.degraded.degraded_rounds += result.degraded.degraded_rounds;
-  into.degraded.drops_while_degraded += result.degraded.drops_while_degraded;
-  into.executed += result.executed;
-  into.work_units += result.work_units;
-  into.arrived += result.arrived;
-  into.rounds = std::max(into.rounds, result.rounds);
-  into.peak_pending = std::max(into.peak_pending, result.peak_pending);
-  into.admission_rejected += result.admission_rejected;
-  for (const auto& [key, value] : result.policy_stats) {
-    auto it = std::find_if(into.stats.begin(), into.stats.end(),
-                           [&key](const auto& kv) { return kv.first == key; });
-    if (it == into.stats.end()) {
-      into.stats.emplace_back(key, value);
+    // Resolve the arrival horizon up front (the engine's own resolution,
+    // hoisted): every engine and the fabric must agree on it.
+    arrival_end_ = max_rounds;
+    if (arrival_end_ == kInfiniteHorizon) {
+      arrival_end_ = source.horizon();
+      RRS_REQUIRE(arrival_end_ != kInfiniteHorizon,
+                  "running an infinite source needs max_rounds; got "
+                      << source.summary());
+    } else if (source.finite()) {
+      arrival_end_ = std::min(arrival_end_, source.horizon());
+    }
+    RRS_REQUIRE(arrival_end_ >= 0,
+                "max_rounds must be >= 0, resolved to " << arrival_end_);
+
+    // The policy's resource granularity (e.g. 4 for dLRU-EDF's two
+    // replicated halves) fixes the units the plan may split n into.
+    EngineOptions proto;
+    granularity_ = make_stream_policy(name, proto)->resource_granularity(
+        proto.replication);
+    if (shards_ == 1) {
+      // One engine needs no partition: the identity plan, which admits
+      // whatever the engine admits (a colorless source, say).
+      ShardPlan& plan = record_.plan;
+      plan.resource_unit = granularity_;
+      plan.shard_of_color.assign(
+          static_cast<std::size_t>(source.num_colors()), 0);
+      plan.shard_colors.assign(
+          1, std::vector<ColorId>(plan.shard_of_color.size()));
+      std::iota(plan.shard_colors[0].begin(), plan.shard_colors[0].end(), 0);
+      plan.shard_resources = {n};
     } else {
-      it->second += value;
+      record_.plan = make_shard_plan(source.num_colors(), num_shards, n,
+                                     granularity_, options.color_weights);
+      // Shard-native views when the source is a generator whose clone()
+      // is its own: the typeid guard rejects subclasses that inherit a
+      // base clone(), which would synthesize the base arrival process.
+      gen_ = dynamic_cast<GeneratorSource*>(&source);
+      if (gen_ != nullptr) {
+        const std::unique_ptr<GeneratorSource> probe = gen_->clone();
+        if (probe == nullptr || typeid(*probe) != typeid(*gen_)) {
+          gen_ = nullptr;
+        }
+      }
+      RRS_REQUIRE(gen_ != nullptr || !checkpoints,
+                  "checkpoints and the stop flag with "
+                      << num_shards
+                      << " shards need a source with a shard-native "
+                         "clone(): the demux fabric's run-ahead is not "
+                         "repositionable");
+      // Map the global fault plan onto the shards' contiguous resource
+      // blocks (validated against the global pool first, so errors name
+      // global indices).  Hottest-resource events reach every shard.
+      if (options.fault_plan != nullptr && !options.fault_plan->empty()) {
+        validate_fault_plan(*options.fault_plan, n);
+        shard_faults_ = split_fault_plan(*options.fault_plan,
+                                         record_.plan.shard_resources);
+      }
+      if (options.reshard_every > 0) {
+        cadences_.push_back(options.reshard_every);
+      }
+    }
+    if (options.checkpoint_every > 0) {
+      cadences_.push_back(options.checkpoint_every);
+    } else if (options.stop_flag != nullptr) {
+      cadences_.push_back(kStopCheckRounds);
+    }
+    direct_observer_ = shards_ == 1 && options.shard_observers.empty();
+    record_.native_sources = shards_ == 1 || gen_ != nullptr;
+    record_.splitter_peak_chunks.assign(shards_, 0);
+    record_.shards.resize(shards_);
+    policies_.resize(shards_);
+    engines_.resize(shards_);
+
+    // Backpressure only helps when every shard consumer actually runs
+    // concurrently; with fewer workers than shards (or when already
+    // inside a pool worker) the engines run serially and waiting on a
+    // consumer that has not started would only burn the timeout per chunk.
+    fabric_options_.chunk_rounds = options.chunk_rounds;
+    fabric_options_.max_buffered_chunks = options.max_buffered_chunks;
+    fabric_options_.backpressure =
+        !ThreadPool::in_worker() && global_pool().size() >= shards_;
+  }
+
+  ShardedRunRecord run() {
+    Stopwatch watch;
+    if (options_.resume) {
+      recover();
+    } else if (gen_ != nullptr) {
+      make_views();
+    }
+    Round round = std::max<Round>(record_.recovered_from, 0);
+    bool stopped = false;
+    do {
+      const Round until = next_boundary(round);
+      // The fabric is rebuilt per segment so a plan change never has to
+      // rewind the sequential parent source: each fabric pulls exactly
+      // its segment and is joined before the next one starts.
+      if (shards_ > 1 && gen_ == nullptr) {
+        fabric_.emplace(source_, record_.plan, until, fabric_options_,
+                        round, arrival_end_);
+      }
+      if (rebuild_) build_era(round);
+      if (round < arrival_end_ && options_.stop_flag != nullptr &&
+          *options_.stop_flag != 0) {
+        stopped = true;
+        break;
+      }
+      run_segment(until);
+      round = until;
+      if (round < arrival_end_ && options_.checkpoint_every > 0 &&
+          round % options_.checkpoint_every == 0) {
+        write_checkpoint(round);
+      }
+      if (round < arrival_end_ && shards_ > 1 &&
+          options_.reshard_every > 0 && round % options_.reshard_every == 0) {
+        reshard(round);
+      }
+      if (fabric_) close_fabric();
+    } while (round < arrival_end_);
+
+    // Stop-and-checkpoint commits the exact stop point, then surrenders
+    // the counters without the drain: a resumed run completes the job
+    // from here.
+    if (stopped) write_checkpoint(round);
+    end_engines(stopped);
+    merge(stopped, watch.seconds());
+    return std::move(record_);
+  }
+
+ private:
+  ArrivalSource& slot_source(std::size_t s) {
+    if (fabric_) return fabric_->stream(static_cast<int>(s));
+    if (!views_.empty()) return *views_[s];
+    return source_;
+  }
+
+  [[nodiscard]] Observer* slot_observer(std::size_t s) const {
+    const std::vector<Observer*>& obs = eras_.back().obs;
+    return obs.empty() ? nullptr : obs[s];
+  }
+
+  [[nodiscard]] Round next_boundary(Round round) const {
+    Round until = arrival_end_;
+    for (const Round every : cadences_) {
+      until = std::min(until, (round / every + 1) * every);
+    }
+    return until;
+  }
+
+  /// Runs body(s) for every shard: inline for one engine, so the run
+  /// stays on the calling thread (and its CPU pin), across the pool
+  /// otherwise.
+  void for_each_shard(const std::function<void(std::size_t)>& body) const {
+    if (shards_ == 1) {
+      body(0);
+    } else {
+      global_pool().parallel_for(shards_, body);
     }
   }
-}
+
+  /// Runs `fn` for slot `s`; if the engine dies on an InvariantError the
+  /// slot's trace ring is dumped first (the flight recorder a crash report
+  /// needs and cannot reconstruct post mortem).
+  void guarded(std::size_t s, const std::function<void()>& fn) const {
+    try {
+      fn();
+    } catch (const InvariantError&) {
+      if (Observer* const obs = slot_observer(s)) obs->dump_trace();
+      throw;
+    }
+  }
+
+  void make_views() {
+    views_.clear();
+    for (std::size_t s = 0; s < shards_; ++s) {
+      views_.push_back(gen_->clone());
+      views_.back()->restrict_to(record_.plan.shard_colors[s]);
+    }
+  }
+
+  /// Builds one era's observers, policies and engines at `start_round`,
+  /// importing any state a migration exported.
+  void build_era(Round start_round) {
+    EraObservers era;
+    era.color_maps = record_.plan.shard_colors;
+    if (direct_observer_) {
+      if (options_.observer != nullptr) era.obs = {options_.observer};
+    } else if (!options_.shard_observers.empty()) {
+      era.obs = options_.shard_observers;
+    } else if (options_.observer != nullptr) {
+      for (std::size_t s = 0; s < shards_; ++s) {
+        era.owned.push_back(
+            std::make_unique<Observer>(options_.observer->config));
+        era.obs.push_back(era.owned.back().get());
+      }
+    }
+    eras_.push_back(std::move(era));
+    for (std::size_t s = 0; s < shards_; ++s) {
+      const int resources = record_.plan.shard_resources[s];
+      EngineOptions engine_options;
+      engines_[s].reset();
+      policies_[s] = make_stream_policy(name_, engine_options);
+      engine_options.num_resources = resources;
+      engine_options.record_schedule = false;
+      engine_options.max_rounds = arrival_end_;
+      // Let in-flight jobs execute or expire after arrivals end, matching
+      // a materialized run whose horizon extends to the last deadline.
+      engine_options.drain_pending = true;
+      engine_options.fault_plan =
+          shard_faults_.empty() ? options_.fault_plan : &shard_faults_[s];
+      engine_options.charge_repair = options_.charge_repair;
+      engine_options.observer = slot_observer(s);
+      engine_options.fast_forward = options_.fast_forward;
+      // 0 means unlimited, so a positive budget's share is at least 1.
+      engine_options.pending_budget =
+          options_.pending_budget <= 0
+              ? options_.pending_budget
+              : std::max<std::int64_t>(
+                    1, options_.pending_budget * resources / n_);
+      engines_[s] = std::make_unique<Engine>(slot_source(s), *policies_[s],
+                                             engine_options, start_round);
+      if (imports_.empty()) continue;
+      const std::vector<ColorId>& colors = record_.plan.shard_colors[s];
+      for (std::size_t l = 0; l < colors.size(); ++l) {
+        engines_[s]->import_color(
+            static_cast<ColorId>(l),
+            imports_[static_cast<std::size_t>(colors[l])]);
+      }
+    }
+    imports_.clear();
+    rebuild_ = false;
+  }
+
+  void run_segment(Round until) {
+    for_each_shard([&](std::size_t s) {
+      Stopwatch watch;
+      guarded(s, [&] { engines_[s]->run_rounds(slot_source(s), until); });
+      record_.shards[s].seconds += watch.seconds();
+    });
+  }
+
+  /// Finishes (drain + terminal sweep) every engine, or abandons them on
+  /// a stop, folding each result into its slot.
+  void end_engines(bool stopped) {
+    for_each_shard([&](std::size_t s) {
+      Stopwatch watch;
+      guarded(s, [&] {
+        fold_slot(s, stopped ? engines_[s]->abandon()
+                             : engines_[s]->finish());
+      });
+      record_.shards[s].seconds += watch.seconds();
+    });
+  }
+
+  /// The color partition makes shard costs exactly additive; the merged
+  /// peak is the sum of per-shard peaks.
+  void merge(bool stopped, double seconds) {
+    StreamRunRecord& merged = record_.merged;
+    merged.algorithm = name_;
+    merged.n = n_;
+    std::int64_t peak_sum = 0;
+    for (const StreamRunRecord& shard : record_.shards) {
+      fold(merged, shard, shard.stats);
+      peak_sum += shard.peak_pending;
+    }
+    merged.peak_pending = peak_sum;
+    merged.seconds = seconds;
+    record_.finished = !stopped;
+    if (options_.observer != nullptr && !direct_observer_) {
+      merge_shard_observers(*options_.observer, eras_, source_, record_);
+    }
+  }
+
+  void fold_slot(std::size_t s, EngineResult&& result) {
+    StreamRunRecord& slot = record_.shards[s];
+    slot.algorithm = name_;
+    slot.n = record_.plan.shard_resources[s];  // the latest era's slice
+    fold(slot, result, result.policy_stats);
+  }
+
+  /// Epoch boundary: re-derives the plan from the rates each shard's
+  /// consumer observed this epoch (counts + 1, so idle colors keep a
+  /// positive weight; counting is consumer-side, so fabric run-ahead never
+  /// inflates a rate) and, if it changed, migrates every color.
+  void reshard(Round boundary) {
+    const ColorId num_colors = source_.num_colors();
+    std::vector<double> weights(static_cast<std::size_t>(num_colors), 1.0);
+    for (std::size_t s = 0; s < shards_; ++s) {
+      const std::vector<std::int64_t> counts =
+          fabric_ ? fabric_->take_observed_counts(static_cast<int>(s))
+                  : views_[s]->take_observed_counts();
+      const std::vector<ColorId>& colors = record_.plan.shard_colors[s];
+      for (std::size_t l = 0; l < colors.size(); ++l) {
+        weights[static_cast<std::size_t>(colors[l])] =
+            static_cast<double>(counts[l]) + 1.0;
+      }
+    }
+    ShardPlan next = make_shard_plan(num_colors, static_cast<int>(shards_),
+                                     n_, granularity_, weights);
+    // A plan is "changed" when either the color partition or the resource
+    // split moved — the latter alone still needs new engines (a shard's n
+    // is fixed at construction).
+    if (next.shard_of_color == record_.plan.shard_of_color &&
+        next.shard_resources == record_.plan.shard_resources) {
+      return;
+    }
+    int moved = 0;
+    for (std::size_t c = 0; c < next.shard_of_color.size(); ++c) {
+      if (next.shard_of_color[c] != record_.plan.shard_of_color[c]) ++moved;
+    }
+    // Exact cost handoff: every color's pending jobs and policy scratch
+    // leave through the engine export surface, keyed by global color for
+    // the next era's engines.
+    imports_.assign(static_cast<std::size_t>(num_colors), EngineColorState{});
+    for (std::size_t s = 0; s < shards_; ++s) {
+      const std::vector<ColorId>& colors = record_.plan.shard_colors[s];
+      for (std::size_t l = 0; l < colors.size(); ++l) {
+        imports_[static_cast<std::size_t>(colors[l])] =
+            engines_[s]->export_color(static_cast<ColorId>(l));
+      }
+      fold_slot(s, engines_[s]->abandon());
+      engines_[s].reset();
+      policies_[s].reset();
+    }
+    // The abandoned era's "pending at finish" gauge counts jobs that just
+    // migrated and live on — zero it so the merged final snapshot reports
+    // only jobs actually pending at run end.
+    for (Observer* obs : eras_.back().obs) obs->final_snapshot.pending = 0;
+    for (std::size_t s = 0; s < views_.size(); ++s) {
+      views_[s]->reassign(next.shard_colors[s]);
+    }
+    record_.reshard_rounds.push_back(boundary);
+    record_.reshard_moved_colors.push_back(moved);
+    record_.plan = std::move(next);
+    rebuild_ = true;
+  }
+
+  void close_fabric() {
+    for (std::size_t s = 0; s < shards_; ++s) {
+      const int shard = static_cast<int>(s);
+      record_.splitter_peak_chunks[s] =
+          std::max(record_.splitter_peak_chunks[s],
+                   fabric_->peak_buffered_chunks(shard));
+      record_.fabric_ring_occupancy += fabric_->ring_occupancy(shard);
+    }
+    record_.splitter_chunks_produced += fabric_->chunks_produced();
+    fabric_.reset();
+  }
+
+  // --- checkpoints: one engine commits `ckpt-<round>.rrsckpt` with the
+  // source embedded; K engines commit a sidecar per shard, then the
+  // manifest as the commit point.
+
+  [[nodiscard]] std::string commit_suffix() const {
+    return shards_ == 1 ? ".rrsckpt" : ".manifest";
+  }
+
+  [[nodiscard]] std::filesystem::path sidecar(Round round,
+                                              std::size_t s) const {
+    return std::filesystem::path(options_.checkpoint_dir) /
+           ("ckpt-" + std::to_string(round) + ".shard" + std::to_string(s));
+  }
+
+  /// Restores the newest valid checkpoint; a corrupt or mismatched one is
+  /// skipped to the next-oldest.  Every attempt starts from fresh views
+  /// and engines: a failed partial restore may have mutated them.
+  void recover() {
+    const std::vector<CheckpointFile> files =
+        list_checkpoints(options_.checkpoint_dir, commit_suffix());
+    std::string last_error;
+    for (const CheckpointFile& file : files) {
+      if (gen_ != nullptr) make_views();
+      build_era(0);
+      try {
+        if (shards_ == 1) {
+          std::ifstream in = open_checkpoint(file.path);
+          engines_[0]->restore(in, &source_);
+        } else {
+          std::ifstream in = open_checkpoint(file.path);
+          check_manifest(in, file.round);
+          for (std::size_t s = 0; s < shards_; ++s) {
+            std::ifstream side = open_checkpoint(sidecar(file.round, s));
+            engines_[s]->restore(side, views_[s].get());
+          }
+        }
+        record_.recovered_from = file.round;
+        for (auto it = files.rbegin(); it != files.rend(); ++it) {
+          if (it->round <= file.round) lineage_.push_back(it->round);
+        }
+        return;
+      } catch (const InputError& e) {
+        last_error = e.what();
+        eras_.pop_back();
+      }
+    }
+    RRS_REQUIRE(false, "no usable checkpoint in "
+                           << options_.checkpoint_dir
+                           << (last_error.empty() ? "" : "; last failure: ")
+                           << last_error);
+  }
+
+  /// The manifest binds a checkpoint set to this run's identity and plan.
+  void write_manifest(std::ostream& out, Round round) const {
+    CheckpointWriter w;
+    w.begin_section(kTagManifest);
+    w.str(name_);
+    w.i64(n_);
+    w.i64(static_cast<std::int64_t>(shards_));
+    w.i64(arrival_end_);
+    w.i64(round);
+    w.boolean(options_.charge_repair);
+    w.boolean(options_.fast_forward);
+    w.u64(options_.fault_plan == nullptr
+              ? 0
+              : options_.fault_plan->events.size());
+    w.u64(record_.plan.shard_of_color.size());
+    for (const int shard : record_.plan.shard_of_color) w.i64(shard);
+    w.u64(record_.plan.shard_resources.size());
+    for (const int res : record_.plan.shard_resources) w.i64(res);
+    w.end_section();
+    w.finish(out);
+  }
+
+  /// Accepts a manifest only when its section holds exactly what this run
+  /// would write at `round` (a newer writer may append tail fields): the
+  /// set must come from this algorithm, resource count, horizon, options
+  /// and plan.
+  void check_manifest(std::istream& in, Round round) const {
+    std::stringstream bytes;
+    write_manifest(bytes, round);
+    CheckpointReader want(bytes);
+    CheckpointReader got(in);
+    want.open_section(kTagManifest);
+    got.open_section(kTagManifest);
+    RRS_REQUIRE(got.remaining() >= want.remaining(),
+                "checkpoint manifest truncated");
+    while (want.remaining() > 0) {
+      RRS_REQUIRE(got.u8() == want.u8(), "checkpoint manifest of round "
+                                              << round
+                                              << " does not match this run");
+    }
+  }
+
+  /// Commits a checkpoint at `round` (the run itself is unperturbed), then
+  /// rotates.
+  void write_checkpoint(Round round) {
+    const std::filesystem::path dir(options_.checkpoint_dir);
+    std::filesystem::create_directories(dir);
+    const std::filesystem::path commit =
+        dir / ("ckpt-" + std::to_string(round) + commit_suffix());
+    if (shards_ == 1) {
+      write_atomically(commit, [&](std::ostream& out) {
+        engines_[0]->checkpoint(out, &source_);
+      });
+    } else {
+      for (std::size_t s = 0; s < shards_; ++s) {
+        write_atomically(sidecar(round, s), [&](std::ostream& out) {
+          engines_[s]->checkpoint(out, views_[s].get());
+        });
+      }
+      write_atomically(commit,
+                       [&](std::ostream& out) { write_manifest(out, round); });
+    }
+    ++record_.checkpoints_written;
+    record_.final_checkpoint = commit.string();
+    if (lineage_.empty() || lineage_.back() != round) {
+      lineage_.push_back(round);
+    }
+    // Keep the newest checkpoint_keep of this run's own lineage and delete
+    // every other checkpoint here: ranked by round alone, another run's
+    // newer files would evict this run's and win a later resume.
+    const std::size_t keep = std::min(
+        lineage_.size(), static_cast<std::size_t>(options_.checkpoint_keep));
+    const auto kept = lineage_.end() - static_cast<std::ptrdiff_t>(keep);
+    for (const CheckpointFile& file : list_checkpoints(dir, commit_suffix())) {
+      if (std::find(kept, lineage_.end(), file.round) != lineage_.end()) {
+        continue;
+      }
+      std::filesystem::remove(file.path);  // the commit point goes first
+      std::size_t s = 0;
+      while (shards_ > 1 && std::filesystem::remove(sidecar(file.round, s))) {
+        ++s;
+      }
+    }
+  }
+
+  ArrivalSource& source_;
+  const std::string& name_;
+  const int n_;
+  const std::size_t shards_;
+  const ShardedRunOptions& options_;
+  Round arrival_end_ = 0;
+  int granularity_ = 1;
+  /// One engine with no caller shard observers drives options_.observer
+  /// itself; otherwise every slot gets its own and they merge at the end.
+  bool direct_observer_ = false;
+  std::vector<Round> cadences_;     ///< boundaries fall on their multiples
+  GeneratorSource* gen_ = nullptr;  ///< parent of the shard-native views
+  ShardedSourceOptions fabric_options_;
+  std::vector<FaultPlan> shard_faults_;
+
+  ShardedRunRecord record_;
+  std::vector<std::unique_ptr<GeneratorSource>> views_;
+  std::optional<ShardedSource> fabric_;  ///< the current segment's fabric
+  std::vector<EraObservers> eras_;
+  std::vector<std::unique_ptr<Policy>> policies_;
+  std::vector<std::unique_ptr<Engine>> engines_;
+  /// Exported state awaiting import into the next era's engines, indexed
+  /// by GLOBAL color; empty when no migration is pending.
+  std::vector<EngineColorState> imports_;
+  bool rebuild_ = true;
+  /// Rounds of this run's own checkpoints, oldest first: the one it
+  /// resumed from (and the older ones beside it), then each it wrote.
+  std::vector<Round> lineage_;
+};
 
 }  // namespace
 
@@ -171,490 +739,20 @@ StreamRunRecord run_streaming(ArrivalSource& source, const std::string& name,
                               const FaultPlan* fault_plan,
                               bool charge_repair, Observer* observer,
                               bool fast_forward) {
-  EngineOptions options;
-  options.num_resources = n;
-  options.record_schedule = false;
-  options.max_rounds = max_rounds;
-  // Let in-flight jobs execute or expire after arrivals end, matching a
-  // materialized run whose horizon extends to the last deadline.
-  options.drain_pending = true;
+  ShardedRunOptions options;
   options.fault_plan = fault_plan;
   options.charge_repair = charge_repair;
   options.observer = observer;
   options.fast_forward = fast_forward;
-  std::unique_ptr<Policy> policy = make_stream_policy(name, options);
-
-  Stopwatch watch;
-  EngineResult result = run_policy(source, *policy, options);
-  return to_stream_record(name, n, std::move(result), watch.seconds());
+  return std::move(
+      run_streaming_sharded(source, name, n, 1, max_rounds, options).merged);
 }
 
 ShardedRunRecord run_streaming_sharded(ArrivalSource& source,
                                        const std::string& name, int n,
                                        int num_shards, Round max_rounds,
                                        const ShardedRunOptions& options) {
-  RRS_REQUIRE(num_shards >= 1, "num_shards must be >= 1, got " << num_shards);
-  RRS_REQUIRE(options.reshard_every >= 0,
-              "reshard_every must be >= 0, got " << options.reshard_every);
-  if (options.reshard_every > 0) {
-    RRS_REQUIRE(options.fault_plan == nullptr || options.fault_plan->empty(),
-                "adaptive re-sharding cannot run under a fault plan: "
-                "migration would have to move per-location churn state");
-    RRS_REQUIRE(options.shard_observers.empty(),
-                "caller shard_observers assume one engine generation per "
-                "shard; use the merged observer with re-sharding");
-    RRS_REQUIRE(options.observer == nullptr ||
-                    options.observer->config.snapshot_every == 0,
-                "periodic snapshot series cannot span engine generations; "
-                "set ObsConfig::snapshot_every = 0 with re-sharding");
-  }
-  const bool ckpt_requested = options.checkpoint_at > 0 || options.resume;
-  if (ckpt_requested) {
-    RRS_REQUIRE(!options.checkpoint_dir.empty(),
-                "sharded checkpointing needs checkpoint_dir");
-    RRS_REQUIRE(options.reshard_every == 0,
-                "sharded checkpointing requires reshard_every == 0");
-    RRS_REQUIRE(options.checkpoint_at >= 0,
-                "checkpoint_at must be >= 0, got " << options.checkpoint_at);
-  }
-
-  // Resolve the arrival horizon up front (the engine's own resolution,
-  // hoisted): every shard engine and the fabric must agree on it.
-  Round arrival_end = max_rounds;
-  if (arrival_end == kInfiniteHorizon) {
-    arrival_end = source.horizon();
-    RRS_REQUIRE(arrival_end != kInfiniteHorizon,
-                "sharding an infinite source needs max_rounds; got "
-                    << source.summary());
-  } else if (source.finite()) {
-    arrival_end = std::min(arrival_end, source.horizon());
-  }
-  RRS_REQUIRE(arrival_end >= 0, "max_rounds must be >= 0, resolved to "
-                                    << arrival_end);
-
-  // The policy's resource granularity (e.g. 4 for dLRU-EDF's two
-  // replicated halves) fixes the units the plan may split n into; the
-  // engine itself only needs divisibility by the replication, which the
-  // granularity is a multiple of.
-  EngineOptions proto;
-  const int granularity =
-      make_stream_policy(name, proto)->resource_granularity(
-          proto.replication);
-
-  Stopwatch watch;
-  ShardedRunRecord record;
-  record.plan = make_shard_plan(source.num_colors(), num_shards, n,
-                                granularity, options.color_weights);
-  const auto shard_count = static_cast<std::size_t>(num_shards);
-
-  // Shard-native fast path: a cloneable generator gives every shard an
-  // independent restricted clone with its own per-color RNG streams — the
-  // demux fabric (and its thread) is skipped entirely.  The typeid guard
-  // rejects subclasses that inherit a base clone(): such a clone would
-  // synthesize the base arrival process, not the subclass's.
-  auto* const gen = dynamic_cast<GeneratorSource*>(&source);
-  bool native = options.use_native_sources && gen != nullptr;
-  if (native) {
-    const std::unique_ptr<GeneratorSource> probe = gen->clone();
-    native = probe != nullptr && typeid(*probe) == typeid(*gen);
-  }
-  std::vector<std::unique_ptr<GeneratorSource>> views;
-  if (native) {
-    views.reserve(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      views.push_back(gen->clone());
-      views.back()->restrict_to(record.plan.shard_colors[s]);
-    }
-  }
-  record.native_sources = native;
-  RRS_REQUIRE(!ckpt_requested || native,
-              "sharded checkpointing requires shard-native sources: the "
-              "demux fabric's parent run-ahead is not repositionable");
-  record.splitter_peak_chunks.assign(shard_count, 0);
-
-  ThreadPool& pool = global_pool();
-  // Backpressure only helps when every shard consumer actually runs
-  // concurrently; with fewer workers than shards (or when already inside
-  // a pool worker) the engines run serially and waiting on a consumer
-  // that has not started would only burn the timeout per chunk.
-  const bool concurrent = !ThreadPool::in_worker() &&
-                          pool.size() >= shard_count;
-  ShardedSourceOptions split_options;
-  split_options.chunk_rounds = options.chunk_rounds;
-  split_options.max_buffered_chunks = options.max_buffered_chunks;
-  split_options.backpressure = concurrent;
-
-  // Map the global fault plan onto the shards' contiguous resource blocks
-  // (validated against the global pool first, so errors name global
-  // indices).  Hottest-resource events are copied to every shard.
-  std::vector<FaultPlan> shard_faults;
-  if (options.fault_plan != nullptr && !options.fault_plan->empty()) {
-    validate_fault_plan(*options.fault_plan, n);
-    shard_faults = split_fault_plan(*options.fault_plan,
-                                    record.plan.shard_resources);
-  }
-
-  if (!options.shard_observers.empty()) {
-    RRS_REQUIRE(options.shard_observers.size() == shard_count,
-                "shard_observers must have one entry per shard: got "
-                    << options.shard_observers.size() << " for "
-                    << num_shards << " shards");
-  }
-
-  record.shards.resize(shard_count);
-  std::vector<EraObservers> eras;
-  std::vector<std::unique_ptr<Policy>> policies(shard_count);
-  std::vector<std::unique_ptr<Engine>> engines(shard_count);
-  // Exported state awaiting import into the next era's engines, indexed by
-  // GLOBAL color; empty when no migration is pending.
-  std::vector<EngineColorState> imports;
-  bool rebuild = true;
-
-  // Builds one era's observers, policies, and engines; `src_of` maps a
-  // slot to the ArrivalSource its engine is constructed over.
-  const auto build_era = [&](Round start_round, auto&& src_of) {
-    EraObservers era;
-    era.color_maps = record.plan.shard_colors;
-    if (!options.shard_observers.empty()) {
-      era.obs = options.shard_observers;
-    } else if (options.observer != nullptr) {
-      era.owned.reserve(shard_count);
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        era.owned.push_back(
-            std::make_unique<Observer>(options.observer->config));
-        era.obs.push_back(era.owned.back().get());
-      }
-    }
-    eras.push_back(std::move(era));
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      EngineOptions engine_options;
-      policies[s] = make_stream_policy(name, engine_options);
-      engine_options.num_resources = record.plan.shard_resources[s];
-      engine_options.record_schedule = false;
-      engine_options.max_rounds = arrival_end;
-      engine_options.drain_pending = true;
-      engine_options.fast_forward = options.fast_forward;
-      if (!shard_faults.empty()) {
-        engine_options.fault_plan = &shard_faults[s];
-        engine_options.charge_repair = options.charge_repair;
-      }
-      if (!eras.back().obs.empty()) {
-        engine_options.observer = eras.back().obs[s];
-      }
-      engines[s] = std::make_unique<Engine>(src_of(s), *policies[s],
-                                            engine_options, start_round);
-    }
-  };
-
-  Round seg_begin = 0;
-  if (options.resume) {
-    // Newest valid checkpoint set wins; a set whose manifest or any
-    // sidecar fails validation is skipped to the next-oldest.  Every
-    // attempt starts from fresh views and engines: a failed partial
-    // restore may have mutated them.
-    const std::filesystem::path dir(options.checkpoint_dir);
-    bool restored = false;
-    std::string last_error;
-    for (const CheckpointFile& m : list_checkpoints(dir, ".manifest")) {
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        views[s] = gen->clone();
-        views[s]->restrict_to(record.plan.shard_colors[s]);
-      }
-      build_era(0, [&](std::size_t s) -> ArrivalSource& { return *views[s]; });
-      try {
-        std::ifstream min(m.path, std::ios::binary);
-        RRS_REQUIRE(min.good(), "cannot open checkpoint manifest "
-                                    << m.path.string());
-        CheckpointReader r(min);
-        r.open_section(kTagManifest);
-        RRS_REQUIRE(r.str() == name, "manifest algorithm mismatch");
-        RRS_REQUIRE(r.i64() == n, "manifest resource count mismatch");
-        RRS_REQUIRE(r.i64() == num_shards, "manifest shard count mismatch");
-        RRS_REQUIRE(r.i64() == arrival_end, "manifest arrival_end mismatch");
-        const Round round = r.i64();
-        RRS_REQUIRE(round == m.round && round > 0 && round <= arrival_end,
-                    "manifest round out of range");
-        RRS_REQUIRE(r.boolean() == options.charge_repair,
-                    "manifest charge_repair mismatch");
-        RRS_REQUIRE(r.boolean() == options.fast_forward,
-                    "manifest fast_forward mismatch");
-        const std::uint64_t plan_events =
-            options.fault_plan == nullptr ? 0
-                                          : options.fault_plan->events.size();
-        RRS_REQUIRE(r.u64() == plan_events, "manifest fault-plan mismatch");
-        RRS_REQUIRE(r.u64() == record.plan.shard_of_color.size(),
-                    "manifest color count mismatch");
-        for (const int shard : record.plan.shard_of_color) {
-          RRS_REQUIRE(r.i64() == shard, "manifest shard plan mismatch");
-        }
-        RRS_REQUIRE(r.u64() == record.plan.shard_resources.size(),
-                    "manifest shard count mismatch");
-        for (const int res : record.plan.shard_resources) {
-          RRS_REQUIRE(r.i64() == res, "manifest resource split mismatch");
-        }
-        r.close_section();
-        for (std::size_t s = 0; s < shard_count; ++s) {
-          const std::filesystem::path side =
-              dir / ("ckpt-" + std::to_string(round) + ".shard" +
-                     std::to_string(s));
-          std::ifstream sin(side, std::ios::binary);
-          RRS_REQUIRE(sin.good(),
-                      "cannot open checkpoint sidecar " << side.string());
-          engines[s]->restore(sin, views[s].get());
-        }
-        seg_begin = round;
-        restored = true;
-        break;
-      } catch (const InputError& e) {
-        last_error = e.what();
-        eras.pop_back();
-        for (auto& eng : engines) eng.reset();
-        for (auto& p : policies) p.reset();
-      }
-    }
-    RRS_REQUIRE(restored, "no usable checkpoint set in "
-                              << options.checkpoint_dir
-                              << (last_error.empty() ? ""
-                                                     : "; last failure: ")
-                              << last_error);
-    rebuild = false;
-  }
-
-  // The era/segment loop.  Each iteration runs rounds
-  // [seg_begin, seg_end); with reshard_every == 0 there is exactly one
-  // segment covering the whole arrival range.  The fabric (when not
-  // native) is rebuilt per segment so a plan change never has to rewind
-  // the sequential parent source: each fabric pulls exactly its segment
-  // and is joined before the next one starts.
-  do {
-    const Round seg_end =
-        options.reshard_every > 0
-            ? std::min(seg_begin + options.reshard_every, arrival_end)
-            : arrival_end;
-    std::optional<ShardedSource> sharded;
-    if (!native) {
-      sharded.emplace(source, record.plan, seg_end, split_options, seg_begin,
-                      arrival_end);
-    }
-    const auto slot_source = [&](std::size_t s) -> ArrivalSource& {
-      if (native) return *views[s];
-      return sharded->stream(static_cast<int>(s));
-    };
-
-    if (rebuild) {
-      rebuild = false;
-      build_era(seg_begin, slot_source);
-      if (!imports.empty()) {
-        for (std::size_t s = 0; s < shard_count; ++s) {
-          const std::vector<ColorId>& colors = record.plan.shard_colors[s];
-          for (std::size_t l = 0; l < colors.size(); ++l) {
-            engines[s]->import_color(
-                static_cast<ColorId>(l),
-                imports[static_cast<std::size_t>(colors[l])]);
-          }
-        }
-        imports.clear();
-      }
-    }
-
-    const auto run_segment = [&](Round until) {
-      pool.parallel_for(shard_count, [&](std::size_t s) {
-        Observer* const slot_obs =
-            eras.back().obs.empty() ? nullptr : eras.back().obs[s];
-        Stopwatch shard_watch;
-        try {
-          engines[s]->run_rounds(slot_source(s), until);
-        } catch (const InvariantError&) {
-          if (slot_obs != nullptr) slot_obs->dump_trace();
-          throw;
-        }
-        record.shards[s].seconds += shard_watch.seconds();
-      });
-    };
-
-    // With a checkpoint round inside this segment, run to it, write the
-    // coordinated set (sidecars first, manifest renamed into place last as
-    // the commit point), then continue — the run itself is unperturbed.
-    const Round ckpt_round =
-        options.checkpoint_at > seg_begin && options.checkpoint_at < seg_end
-            ? options.checkpoint_at
-            : 0;
-    if (ckpt_round > 0) {
-      run_segment(ckpt_round);
-      const std::filesystem::path dir(options.checkpoint_dir);
-      std::filesystem::create_directories(dir);
-      const std::string stem = "ckpt-" + std::to_string(ckpt_round);
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        const std::filesystem::path side =
-            dir / (stem + ".shard" + std::to_string(s));
-        const std::filesystem::path tmp = side.string() + ".tmp";
-        {
-          std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-          RRS_REQUIRE(out.good(),
-                      "cannot write checkpoint sidecar " << tmp.string());
-          engines[s]->checkpoint(out, views[s].get());
-        }
-        std::filesystem::rename(tmp, side);
-      }
-      const std::filesystem::path manifest = dir / (stem + ".manifest");
-      const std::filesystem::path mtmp = manifest.string() + ".tmp";
-      {
-        std::ofstream out(mtmp, std::ios::binary | std::ios::trunc);
-        RRS_REQUIRE(out.good(),
-                    "cannot write checkpoint manifest " << mtmp.string());
-        CheckpointWriter w;
-        w.begin_section(kTagManifest);
-        w.str(name);
-        w.i64(n);
-        w.i64(num_shards);
-        w.i64(arrival_end);
-        w.i64(ckpt_round);
-        w.boolean(options.charge_repair);
-        w.boolean(options.fast_forward);
-        w.u64(options.fault_plan == nullptr
-                  ? 0
-                  : options.fault_plan->events.size());
-        w.u64(record.plan.shard_of_color.size());
-        for (const int shard : record.plan.shard_of_color) w.i64(shard);
-        w.u64(record.plan.shard_resources.size());
-        for (const int res : record.plan.shard_resources) w.i64(res);
-        w.end_section();
-        w.finish(out);
-      }
-      std::filesystem::rename(mtmp, manifest);
-    }
-    run_segment(seg_end);
-
-    if (!native) {
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        record.splitter_peak_chunks[s] =
-            std::max(record.splitter_peak_chunks[s],
-                     sharded->peak_buffered_chunks(static_cast<int>(s)));
-        record.fabric_ring_occupancy +=
-            sharded->ring_occupancy(static_cast<int>(s));
-      }
-      record.splitter_chunks_produced += sharded->chunks_produced();
-    }
-
-    if (seg_end < arrival_end) {
-      // Epoch boundary: re-derive the plan from the rates each shard's
-      // consumer observed this epoch (counts + 1, so idle colors keep a
-      // positive weight).  Counting is consumer-side, so fabric run-ahead
-      // never inflates a rate.
-      std::vector<double> weights(
-          static_cast<std::size_t>(source.num_colors()), 1.0);
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        const std::vector<std::int64_t> counts =
-            native ? views[s]->take_observed_counts()
-                   : sharded->take_observed_counts(static_cast<int>(s));
-        const std::vector<ColorId>& colors = record.plan.shard_colors[s];
-        for (std::size_t l = 0; l < colors.size(); ++l) {
-          weights[static_cast<std::size_t>(colors[l])] =
-              static_cast<double>(counts[l]) + 1.0;
-        }
-      }
-      ShardPlan next = make_shard_plan(source.num_colors(), num_shards, n,
-                                       granularity, weights);
-      // A plan is "changed" when either the color partition or the
-      // resource split moved — the latter alone still needs new engines
-      // (a shard's n is fixed at construction).
-      if (next.shard_of_color != record.plan.shard_of_color ||
-          next.shard_resources != record.plan.shard_resources) {
-        int moved = 0;
-        for (std::size_t c = 0; c < next.shard_of_color.size(); ++c) {
-          if (next.shard_of_color[c] != record.plan.shard_of_color[c]) {
-            ++moved;
-          }
-        }
-        // Exact cost handoff: every color's pending jobs and policy
-        // scratch leave through the engine export surface, keyed by
-        // global color for the next era's engines.
-        imports.assign(static_cast<std::size_t>(source.num_colors()),
-                       EngineColorState{});
-        for (std::size_t s = 0; s < shard_count; ++s) {
-          const std::vector<ColorId>& colors = record.plan.shard_colors[s];
-          for (std::size_t l = 0; l < colors.size(); ++l) {
-            imports[static_cast<std::size_t>(colors[l])] =
-                engines[s]->export_color(static_cast<ColorId>(l));
-          }
-          accumulate_slot(record.shards[s], name,
-                          record.plan.shard_resources[s],
-                          engines[s]->abandon());
-          engines[s].reset();
-          policies[s].reset();
-        }
-        // The abandoned era's "pending at finish" gauge counts jobs that
-        // just migrated and live on — zero it so the merged final
-        // snapshot reports only jobs actually pending at run end.
-        for (Observer* obs : eras.back().obs) {
-          obs->final_snapshot.pending = 0;
-        }
-        if (native) {
-          for (std::size_t s = 0; s < shard_count; ++s) {
-            views[s]->reassign(next.shard_colors[s]);
-          }
-        }
-        record.reshard_rounds.push_back(seg_end);
-        record.reshard_moved_colors.push_back(moved);
-        record.plan = std::move(next);
-        rebuild = true;
-      }
-    }
-    seg_begin = seg_end;
-  } while (seg_begin < arrival_end);
-
-  // Finish (drain + terminal sweep) the final era's engines.
-  pool.parallel_for(shard_count, [&](std::size_t s) {
-    Observer* const slot_obs =
-        eras.back().obs.empty() ? nullptr : eras.back().obs[s];
-    Stopwatch shard_watch;
-    try {
-      accumulate_slot(record.shards[s], name, record.plan.shard_resources[s],
-                      engines[s]->finish());
-    } catch (const InvariantError&) {
-      if (slot_obs != nullptr) slot_obs->dump_trace();
-      throw;
-    }
-    record.shards[s].seconds += shard_watch.seconds();
-  });
-
-  // Merge: the color partition makes shard costs exactly additive.
-  record.merged.algorithm = name;
-  record.merged.n = n;
-  for (const StreamRunRecord& shard : record.shards) {
-    record.merged.cost.reconfig_events += shard.cost.reconfig_events;
-    record.merged.cost.reconfig_cost += shard.cost.reconfig_cost;
-    record.merged.cost.drops += shard.cost.drops;
-    record.merged.cost.churn_reconfigs += shard.cost.churn_reconfigs;
-    record.merged.degraded.fault_events += shard.degraded.fault_events;
-    record.merged.degraded.repair_events += shard.degraded.repair_events;
-    record.merged.degraded.churn_evictions += shard.degraded.churn_evictions;
-    record.merged.degraded.degraded_rounds += shard.degraded.degraded_rounds;
-    record.merged.degraded.drops_while_degraded +=
-        shard.degraded.drops_while_degraded;
-    record.merged.executed += shard.executed;
-    record.merged.work_units += shard.work_units;
-    record.merged.arrived += shard.arrived;
-    record.merged.rounds = std::max(record.merged.rounds, shard.rounds);
-    record.merged.peak_pending += shard.peak_pending;
-    record.merged.admission_rejected += shard.admission_rejected;
-    for (const auto& [key, value] : shard.stats) {
-      auto it =
-          std::find_if(record.merged.stats.begin(), record.merged.stats.end(),
-                       [&key](const auto& kv) { return kv.first == key; });
-      if (it == record.merged.stats.end()) {
-        record.merged.stats.emplace_back(key, value);
-      } else {
-        it->second += value;
-      }
-    }
-  }
-  record.merged.seconds = watch.seconds();
-
-  if (options.observer != nullptr) {
-    merge_shard_observers(*options.observer, eras, source, record);
-  }
-  return record;
+  return SegmentLoop(source, name, n, num_shards, max_rounds, options).run();
 }
 
 }  // namespace rrs

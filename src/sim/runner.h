@@ -1,8 +1,9 @@
 // One-call experiment runner: algorithm name + instance -> measured record.
 #pragma once
 
-#include <optional>
+#include <csignal>
 #include <string>
+#include <vector>
 
 #include "algs/registry.h"
 #include "core/arrival_source.h"
@@ -55,13 +56,73 @@ struct StreamRunRecord {
 [[nodiscard]] std::unique_ptr<Policy> make_stream_policy(
     const std::string& name, EngineOptions& options);
 
+/// Knobs every run driver shares (run_streaming takes the first four as
+/// arguments; ServiceOptions and ShardedRunOptions extend this).
+struct RunOptions {
+  /// Optional capacity-churn schedule over the GLOBAL resource indices
+  /// [0, n) (not owned); a sharded run splits it by resource block.
+  const FaultPlan* fault_plan = nullptr;
+  /// Charge each repair as one reconfiguration (see EngineOptions).
+  bool charge_repair = false;
+  /// Optional observability sink (not owned; see EngineOptions::observer).
+  /// One engine drives it directly; its state rides inside checkpoints
+  /// (restore requires the same ObsConfig).  K engines each get a fresh
+  /// Observer (same ObsConfig, no snapshot stream), and after the run this
+  /// one is rebuilt as their exact additive merge: per-color counters
+  /// relabeled to global ColorIds, histograms merged, timers summed,
+  /// snapshot series merged point-wise with carry-forward (then written to
+  /// snapshot_out), final snapshots merged.
+  Observer* observer = nullptr;
+  /// Sparse-round fast-forward (see EngineOptions::fast_forward).
+  /// Bit-identical either way; disable only to measure the skip.
+  bool fast_forward = true;
+  /// Pending-budget admission control (see EngineOptions::pending_budget);
+  /// 0 = unlimited.  Shard s of a sharded run gets
+  /// budget * shard_resources[s] / n, rounded down but at least 1.
+  std::int64_t pending_budget = 0;
+  /// Checkpoint directory, required by checkpoint_every, resume and
+  /// stop_flag.  One engine writes `ckpt-<round>.rrsckpt` (source
+  /// embedded); K engines write a `ckpt-<round>.shard<s>` sidecar per
+  /// shard, then `ckpt-<round>.manifest` as the commit point.
+  std::string checkpoint_dir;
+  /// Checkpoint at every multiple of this many rounds inside the arrival
+  /// range; 0 = none.  Checkpointing never perturbs results.
+  Round checkpoint_every = 0;
+  /// Checkpoints retained on disk after each write: the newest of this
+  /// run's own lineage (the one it resumed from and those it wrote).
+  /// Every other checkpoint in the directory is deleted.  Must be >= 1.
+  int checkpoint_keep = 3;
+  /// Before running, restore from the newest valid checkpoint in
+  /// checkpoint_dir (corrupt or mismatched ones are skipped to the
+  /// next-oldest; InputError when none is usable).  The resumed run's
+  /// record is bit-identical to the uninterrupted run's.
+  bool resume = false;
+  /// Cooperative shutdown: when non-null and set non-zero (e.g. by
+  /// install_signal_stop's handler), the run stops at the next segment
+  /// boundary, checkpoints there, and returns unfinished.
+  volatile std::sig_atomic_t* stop_flag = nullptr;
+};
+
+/// How a run ended.
+struct RunStatus {
+  /// True when the run reached its natural end (arrivals exhausted and
+  /// drained); false when the stop flag ended it early.
+  bool finished = false;
+  /// Round of the checkpoint the run resumed from; -1 for a fresh start.
+  Round recovered_from = -1;
+  int checkpoints_written = 0;  ///< checkpoints committed by this call
+  /// Path of the newest checkpoint this call committed (the manifest for
+  /// K engines); empty when none was written.
+  std::string final_checkpoint;
+};
+
 /// Runs the engine-driven algorithm `name` ("dlru", "edf", "dlru-edf",
 /// "adaptive", "seq-edf", "ds-seq-edf") with `n` resources against
 /// `source`, pulling rounds lazily: no schedule recording, no
 /// materialization, memory O(pending + colors).  `max_rounds` caps the
 /// pull (required for infinite sources).  The reduction pipelines
 /// ("distribute", "varbatch") are whole-instance transforms and are not
-/// available here.
+/// available here.  The one-engine case of run_streaming_sharded.
 [[nodiscard]] StreamRunRecord run_streaming(
     ArrivalSource& source, const std::string& name, int n,
     Round max_rounds = kInfiniteHorizon,
@@ -69,7 +130,7 @@ struct StreamRunRecord {
     Observer* observer = nullptr, bool fast_forward = true);
 
 /// Knobs for a sharded streaming run.
-struct ShardedRunOptions {
+struct ShardedRunOptions : RunOptions {
   /// Per-color load weights for the plan (see make_shard_plan); empty
   /// means uniform.  Use observe_color_weights on a probe source to
   /// balance shards by observed rate.
@@ -78,31 +139,10 @@ struct ShardedRunOptions {
   Round chunk_rounds = 256;
   /// Buffered chunks per shard before the splitter applies backpressure.
   std::size_t max_buffered_chunks = 64;
-  /// Optional capacity-churn schedule over the GLOBAL resource indices
-  /// [0, n); split_fault_plan maps it onto the shards' contiguous resource
-  /// blocks (kHottestResource events reach every shard).  Not owned.
-  const FaultPlan* fault_plan = nullptr;
-  /// Charge each repair as one reconfiguration (see EngineOptions).
-  bool charge_repair = false;
-  /// Sparse-round fast-forward on every shard engine (see
-  /// EngineOptions::fast_forward).  Bit-identical either way; disable
-  /// only to measure the skip.
-  bool fast_forward = true;
-  /// Optional merged observability sink (not owned).  When set, the runner
-  /// attaches a fresh Observer (same ObsConfig, no snapshot stream) to
-  /// every shard engine and, after the run, rebuilds this observer as the
-  /// exact additive merge: per-color counters relabeled to global
-  /// ColorIds, histograms merged elementwise, phase timers summed,
-  /// per-shard snapshot series merged point-wise with carry-forward, and
-  /// the final snapshots merged.  If snapshot_out is set on this observer
-  /// the merged series is written there (as JSON lines) after the run.
-  Observer* observer = nullptr;
   /// Optional caller-provided per-shard observers (size == num_shards; not
   /// owned); takes precedence over the runner-created ones so tests can
   /// inspect raw per-shard state.  Entries must not share snapshot
-  /// streams: shards run concurrently.  Incompatible with reshard_every:
-  /// engines are rebuilt at migration boundaries, so per-slot observers
-  /// would silently lose earlier eras.
+  /// streams: shards run concurrently.
   std::vector<Observer*> shard_observers;
   /// Adaptive re-sharding epoch: every this many rounds the runner takes
   /// the per-color arrival counts each shard consumer observed since the
@@ -110,37 +150,8 @@ struct ShardedRunOptions {
   /// counts + 1), and — if the plan changed — migrates every color's
   /// state (pending jobs, policy scratch) into freshly built engines
   /// under the new plan.  0 (default) disables: one plan for the whole
-  /// run.  Requires no fault plan, no caller shard_observers, and no
-  /// periodic snapshot series (ObsConfig::snapshot_every == 0) — those
-  /// features assume one engine generation per shard.
+  /// run.  A single shard never migrates.
   Round reshard_every = 0;
-  /// Serve generated workloads shard-natively: when the source is a
-  /// GeneratorSource whose clone() is implemented, each shard gets its own
-  /// restricted clone (independent per-color RNG streams) and synthesizes
-  /// exactly its colors' jobs locally — no demux thread, no rings, no
-  /// cross-thread handoff.  Costs are bit-identical to the demuxed fabric
-  /// (job ids differ: they are locally dense).  Sources that don't support
-  /// cloning fall back to the fabric silently.
-  bool use_native_sources = true;
-  /// Crash-safe checkpoint/resume.  Requires reshard_every == 0 (one
-  /// engine generation per shard) and shard-native sources (each shard's
-  /// restricted generator view carries its own checkpointable cursor; the
-  /// demux fabric's parent run-ahead is not repositionable).  Directory
-  /// for `ckpt-<round>.manifest` + `ckpt-<round>.shard<k>` sets; empty
-  /// disables both knobs below.
-  std::string checkpoint_dir;
-  /// Write one coordinated checkpoint set (a sidecar per shard engine,
-  /// then the manifest — renamed into place last, as the commit point)
-  /// when every shard reaches this round, then keep running.  0 = never.
-  /// Checkpointing never perturbs results: the run stays bit-identical to
-  /// one without it.
-  Round checkpoint_at = 0;
-  /// Before running, restore every shard from the newest valid checkpoint
-  /// set in checkpoint_dir (corrupt or incomplete sets are skipped to the
-  /// next-oldest; InputError when none is usable).  The resumed run's
-  /// merged record is bit-identical to the uninterrupted run's
-  /// (diagnostics-only splitter gauges aside).
-  bool resume = false;
 };
 
 /// Outcome of one sharded streaming run: the per-shard records plus their
@@ -150,7 +161,7 @@ struct ShardedRunOptions {
 /// (shards run asynchronously, so the true global peak is unobservable —
 /// the sum is a deterministic upper bound).  Merged policy stats sum
 /// per-key over shards.
-struct ShardedRunRecord {
+struct ShardedRunRecord : RunStatus {
   StreamRunRecord merged;                ///< n = total budget
   std::vector<StreamRunRecord> shards;   ///< per-shard, n = shard slice
   ShardPlan plan;                        ///< the partition that was run
@@ -163,8 +174,8 @@ struct ShardedRunRecord {
   /// Residual chunks left in the rings when each segment's fabric shut
   /// down, summed (0 on a clean run — consumers drain their segments).
   std::int64_t fabric_ring_occupancy = 0;
-  /// True when the run served arrivals shard-natively (no demux fabric);
-  /// the splitter gauges are then all zero.
+  /// True when no demux fabric served the run (one engine, or shard-native
+  /// generator views); the splitter gauges are then all zero.
   bool native_sources = false;
   /// Re-sharding log, one entry per boundary where the plan CHANGED: the
   /// boundary round and how many colors moved shards there.  With
@@ -177,12 +188,19 @@ struct ShardedRunRecord {
 
 /// Runs `name` against `source` split into `num_shards` independent
 /// engines (own PendingJobs, CacheAssignment, and policy instance per
-/// shard) over the shared global_pool().  The color partition mirrors the
-/// paper's Distribute reduction, so shards never contend: results are
-/// run-to-run deterministic for a fixed (source seed, num_shards), and
-/// num_shards == 1 is bit-identical to run_streaming.  When the pool has
-/// fewer workers than shards the engines run serially (same results; the
-/// splitter then buffers the full spread between shards in memory).
+/// shard).  The color partition mirrors the paper's Distribute reduction,
+/// so shards never contend: results are deterministic for a fixed (source
+/// seed, num_shards), and num_shards == 1 is run_streaming itself.  Every
+/// engine runs to the next boundary (a multiple of checkpoint_every or
+/// reshard_every, or of 1024 rounds when only a stop flag needs checking),
+/// where the runner checkpoints, re-shards or stops.  One engine runs on
+/// the calling thread over `source`; K engines run on global_pool() over
+/// restricted clones when `source` is a generator with its own
+/// shard-native clone(), otherwise over the demux fabric (ShardedSource).
+/// Rejected with InputError: K > 1 checkpoints or stop flag without
+/// shard-native clones (the fabric's run-ahead is not repositionable), and
+/// re-sharding with a fault plan, shard_observers, a snapshot series or
+/// checkpoints (each assumes one engine generation per shard).
 [[nodiscard]] ShardedRunRecord run_streaming_sharded(
     ArrivalSource& source, const std::string& name, int n, int num_shards,
     Round max_rounds = kInfiniteHorizon,

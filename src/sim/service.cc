@@ -4,16 +4,12 @@
 #include <charconv>
 #include <csignal>
 #include <filesystem>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <utility>
 
-#include "core/engine.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 
 namespace rrs {
 
@@ -74,132 +70,14 @@ ServiceResult run_service(ArrivalSource& source, const std::string& name,
                           int n, const ServiceOptions& options) {
   RRS_REQUIRE(!options.checkpoint_dir.empty(),
               "run_service needs checkpoint_dir");
-  RRS_REQUIRE(options.checkpoint_keep >= 1,
-              "checkpoint_keep must be >= 1, got " << options.checkpoint_keep);
-  RRS_REQUIRE(options.checkpoint_every >= 0,
-              "checkpoint_every must be >= 0, got "
-                  << options.checkpoint_every);
-
-  Stopwatch watch;
-  const std::filesystem::path dir(options.checkpoint_dir);
-  const std::string suffix = ".rrsckpt";
-
-  const auto build = [&](std::unique_ptr<Policy>& policy) {
-    EngineOptions engine_options;
-    policy = make_stream_policy(name, engine_options);
-    engine_options.num_resources = n;
-    engine_options.record_schedule = false;
-    engine_options.max_rounds = options.max_rounds;
-    engine_options.drain_pending = true;
-    engine_options.fault_plan = options.fault_plan;
-    engine_options.charge_repair = options.charge_repair;
-    engine_options.observer = options.observer;
-    engine_options.fast_forward = options.fast_forward;
-    engine_options.pending_budget = options.pending_budget;
-    return std::make_unique<Engine>(source, *policy, engine_options, 0);
-  };
-
+  ShardedRunOptions one_engine;
+  static_cast<RunOptions&>(one_engine) = options;
+  ShardedRunRecord run = run_streaming_sharded(source, name, n, 1,
+                                               options.max_rounds, one_engine);
   ServiceResult result;
-  std::unique_ptr<Policy> policy;
-  std::unique_ptr<Engine> engine = build(policy);
-
-  if (options.resume) {
-    // Newest valid checkpoint wins; a corrupt or mismatched one is
-    // skipped to the next-oldest.  Every attempt starts from a fresh
-    // engine: a failed partial restore may have mutated the previous one.
-    bool restored = false;
-    for (const CheckpointFile& c : list_checkpoints(dir, suffix)) {
-      try {
-        std::ifstream in(c.path, std::ios::binary);
-        RRS_REQUIRE(in.good(), "cannot open checkpoint " << c.path.string());
-        engine->restore(in, &source);
-        result.recovered_from = c.round;
-        restored = true;
-        break;
-      } catch (const InputError&) {
-        engine.reset();
-        engine = build(policy);
-      }
-    }
-    RRS_REQUIRE(restored,
-                "no usable checkpoint in " << options.checkpoint_dir);
-  }
-
-  const Round arrival_end = engine->arrival_end();
-  // Segment length between stop-flag checks: the checkpoint cadence, or a
-  // bounded sweep when only cooperative shutdown needs responsiveness.
-  const Round seg = options.checkpoint_every > 0
-                        ? options.checkpoint_every
-                        : (options.stop_flag != nullptr ? 1024 : 0);
-
-  const auto write_checkpoint = [&](Round round) {
-    std::filesystem::create_directories(dir);
-    const std::filesystem::path file =
-        dir / ("ckpt-" + std::to_string(round) + suffix);
-    const std::filesystem::path tmp(file.string() + ".tmp");
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      RRS_REQUIRE(out.good(), "cannot write checkpoint " << tmp.string());
-      engine->checkpoint(out, &source);
-    }
-    // Atomic commit: readers only ever see complete files.
-    std::filesystem::rename(tmp, file);
-    ++result.checkpoints_written;
-    result.final_checkpoint = file.string();
-    const std::vector<CheckpointFile> all = list_checkpoints(dir, suffix);
-    for (std::size_t i = static_cast<std::size_t>(options.checkpoint_keep);
-         i < all.size(); ++i) {
-      std::filesystem::remove(all[i].path);
-    }
-  };
-
-  bool stopped = false;
-  while (engine->round() < arrival_end) {
-    if (options.stop_flag != nullptr && *options.stop_flag != 0) {
-      stopped = true;
-      break;
-    }
-    Round until = arrival_end;
-    if (seg > 0) {
-      // Boundaries stay aligned to multiples of the cadence from round 0,
-      // so a resumed run checkpoints at the same rounds as an
-      // uninterrupted one.
-      until = std::min(arrival_end, (engine->round() / seg + 1) * seg);
-    }
-    engine->run_rounds(source, until);
-    if (options.checkpoint_every > 0 && engine->round() < arrival_end) {
-      write_checkpoint(engine->round());
-    }
-  }
-
-  const auto fill_record = [&](EngineResult&& er) {
-    result.record.algorithm = name;
-    result.record.n = n;
-    result.record.cost = er.cost;
-    result.record.executed = er.executed;
-    result.record.work_units = er.work_units;
-    result.record.arrived = er.arrived;
-    result.record.rounds = er.rounds;
-    result.record.peak_pending = er.peak_pending;
-    result.record.admission_rejected = er.admission_rejected;
-    result.record.degraded = er.degraded;
-    result.record.stats = std::move(er.policy_stats);
-  };
-
-  if (stopped) {
-    // Stop-and-checkpoint: commit the exact stop point before ending the
-    // run, then surrender the counters without the drain — a resumed run
-    // completes the job from here.
-    write_checkpoint(engine->round());
-    result.stopped_at = engine->round();
-    fill_record(engine->abandon());
-    result.finished = false;
-  } else {
-    fill_record(engine->finish());
-    result.stopped_at = engine->round();
-    result.finished = true;
-  }
-  result.record.seconds = watch.seconds();
+  static_cast<RunStatus&>(result) = run;
+  result.record = std::move(run.merged);
+  result.stopped_at = result.record.rounds;
   return result;
 }
 

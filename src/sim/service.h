@@ -1,14 +1,15 @@
-// Crash-safe supervised streaming: run_service wraps the round engine in
-// a checkpoint/restore loop so a killed process resumes from its newest
+// Crash-safe supervised streaming: run_service runs the round engine
+// under checkpoint/restore so a killed process resumes from its newest
 // valid checkpoint with bit-identical results.
 //
 // Protocol per checkpoint: serialize the engine (source embedded) into
 // `ckpt-<round>.rrsckpt.tmp`, fsync-free atomic rename into place, then
-// rotate old files down to `checkpoint_keep`.  Recovery scans the
-// directory newest-first and restores the first checkpoint that passes
-// full validation (framing, CRC, options fingerprint); corrupt or
-// truncated files are skipped to the next-oldest.  A run that checkpoints
-// and resumes is bit-identical to one that never stopped.
+// rotate: keep the newest `checkpoint_keep` of this run's own
+// checkpoints and delete every other one in the directory.  Recovery
+// scans the directory newest-first and restores the first checkpoint that
+// passes full validation (framing, CRC, options fingerprint); corrupt,
+// truncated or mismatched files are skipped to the next-oldest.  A run
+// that checkpoints and resumes is bit-identical to one that never stopped.
 #pragma once
 
 #include <csignal>
@@ -16,65 +17,23 @@
 #include <string>
 #include <vector>
 
-#include "core/arrival_source.h"
-#include "core/fault_plan.h"
-#include "obs/observer.h"
 #include "sim/runner.h"
 
 namespace rrs {
 
-/// Knobs for one supervised service run.
-struct ServiceOptions {
+/// Knobs for one supervised service run: the shared run knobs (see
+/// RunOptions; checkpoint_dir is required here) plus the pull cap.
+struct ServiceOptions : RunOptions {
   /// Cap on rounds pulled from the source (required for infinite ones).
   Round max_rounds = kInfiniteHorizon;
-  /// Write a checkpoint every this many rounds; 0 checkpoints only on a
-  /// stop-flag shutdown.
-  Round checkpoint_every = 0;
-  /// Directory for `ckpt-<round>.rrsckpt` files (required; created on
-  /// first write).
-  std::string checkpoint_dir;
-  /// Checkpoints retained on disk; older ones are deleted after each
-  /// successful write.  Must be >= 1.
-  int checkpoint_keep = 3;
-  /// Cooperative shutdown: when non-null and set non-zero (e.g. by a
-  /// SIGTERM handler installed via install_signal_stop), the run stops at
-  /// the next segment boundary, writes a final checkpoint, and returns
-  /// with finished == false.  Checked between segments, so segments are
-  /// bounded to 1024 rounds when checkpoint_every == 0.
-  volatile std::sig_atomic_t* stop_flag = nullptr;
-  /// Optional observability sink (see EngineOptions::observer); its state
-  /// rides inside every checkpoint.  Restore requires the same ObsConfig.
-  Observer* observer = nullptr;
-  /// Sparse-round fast-forward (see EngineOptions::fast_forward).
-  bool fast_forward = true;
-  /// Pending-budget admission control (see EngineOptions::pending_budget).
-  std::int64_t pending_budget = 0;
-  /// Optional capacity-churn schedule (not owned; must outlive the run).
-  const FaultPlan* fault_plan = nullptr;
-  /// Charge each repair as one reconfiguration (see EngineOptions).
-  bool charge_repair = false;
-  /// Resume from the newest valid checkpoint in checkpoint_dir before
-  /// running; InputError when the directory holds none that validates.
-  /// With resume == false any existing checkpoints are ignored (and
-  /// rotated away as new ones are written).
-  bool resume = false;
 };
 
 /// Outcome of one run_service call.
-struct ServiceResult {
+struct ServiceResult : RunStatus {
   StreamRunRecord record;  ///< the run's measured record (see runner.h)
-  /// True when the run reached its natural end (arrivals exhausted and
-  /// drained); false when the stop flag ended it early.
-  bool finished = false;
   /// Next round the engine would have run when the service returned (==
   /// record.rounds when finished).
   Round stopped_at = 0;
-  /// Round of the checkpoint the run resumed from; -1 for a fresh start.
-  Round recovered_from = -1;
-  int checkpoints_written = 0;  ///< files successfully committed this call
-  /// Path of the newest checkpoint on disk when the call returned; empty
-  /// when none was written or retained.
-  std::string final_checkpoint;
 };
 
 /// One discovered checkpoint file.
@@ -90,7 +49,8 @@ struct CheckpointFile {
     const std::filesystem::path& dir, const std::string& suffix);
 
 /// Runs the streaming algorithm `name` with `n` resources against
-/// `source` under checkpoint supervision.  The source must support
+/// `source` under checkpoint supervision: the one-engine case of
+/// run_streaming_sharded with checkpoints.  The source must support
 /// checkpointing (GeneratorSource or MaterializedSource); its cursor is
 /// embedded in every checkpoint so recovery repositions it exactly.
 /// Results are bit-identical to run_streaming with the same knobs.

@@ -39,7 +39,7 @@ struct FlashCrowdParams {
 /// color 0; background colors follow.  Per-color decomposable (each
 /// color's rate is a pure function of the round), so it supports
 /// shard-native views via clone()/restrict_to().
-class FlashCrowdSource final : public GeneratorSource {
+class FlashCrowdSource : public GeneratorSource {
  public:
   explicit FlashCrowdSource(const FlashCrowdParams& params);
 

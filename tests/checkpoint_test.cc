@@ -3,10 +3,12 @@
 // restoring into a fresh engine (and fresh source) must finish with
 // results bit-identical to the uninterrupted run — costs, schedules,
 // observer stats, snapshot series — serial and sharded (K=2), with and
-// without fast-forward.  Plus pending-budget admission-control semantics
-// on the flash-crowd family.
+// without fast-forward, including a sharded stop-and-resume under the
+// checkpoint cadence.  Plus pending-budget admission-control semantics
+// on the flash-crowd family, serial and sharded.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -18,6 +20,7 @@
 #include "core/engine.h"
 #include "obs/observer.h"
 #include "sim/runner.h"
+#include "sim/service.h"
 #include "workload/datacenter.h"
 #include "workload/flash_crowd.h"
 #include "workload/generator_source.h"
@@ -180,8 +183,8 @@ TEST_P(CheckpointRoundTrip, ShardedBitIdentical) {
   // round is picked inside the horizon itself.
   ShardedRunOptions writing = base;
   writing.checkpoint_dir = dir.string();
-  writing.checkpoint_at = ref_source->horizon() / 2;
-  ASSERT_GT(writing.checkpoint_at, 0);
+  writing.checkpoint_every = ref_source->horizon() / 2;
+  ASSERT_GT(writing.checkpoint_every, 0);
   const auto ckpt_source = make_source(family, seed);
   const ShardedRunRecord checkpointed = run_streaming_sharded(
       *ckpt_source, algorithm, 8, 2, kInfiniteHorizon, writing);
@@ -226,6 +229,97 @@ std::string cell_name(const ::testing::TestParamInfo<Cell>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Matrix, CheckpointRoundTrip,
                          ::testing::ValuesIn(all_cells()), cell_name);
+
+/// A cloneable per-color generator (so K > 1 runs serve it shard-natively)
+/// that raises `*trip` when color 0 synthesizes round `trip_round`: a
+/// deterministic mid-run stop.  Only the shard owning color 0 writes the
+/// flag, and the runner reads it after the segment's engines joined.
+class TripwireSource final : public GeneratorSource {
+ public:
+  TripwireSource(std::uint64_t seed, volatile std::sig_atomic_t* trip,
+                 Round trip_round)
+      : GeneratorSource(/*delta=*/4, /*horizon=*/512),
+        seed_(seed),
+        trip_(trip),
+        trip_round_(trip_round) {
+    for (ColorId c = 0; c < 8; ++c) {
+      add_color(Round{4} << (c % 3));
+      streams_.push_back(derive_rng(seed, static_cast<std::uint64_t>(c)));
+    }
+  }
+
+  [[nodiscard]] std::unique_ptr<GeneratorSource> clone() const override {
+    return std::make_unique<TripwireSource>(seed_, trip_, trip_round_);
+  }
+
+ private:
+  void synthesize_color(ColorId color, Round k) override {
+    if (color == 0 && k == trip_round_ && trip_ != nullptr) *trip_ = 1;
+    Rng& rng = streams_[static_cast<std::size_t>(color)];
+    if (rng.bernoulli(0.6)) emit(color, k, rng.uniform(1, 3));
+  }
+  void checkpoint_extra(CheckpointWriter& w) const override {
+    for (const Rng& rng : streams_) checkpoint_rng(w, rng);
+  }
+  void restore_extra(CheckpointReader& r) override {
+    for (Rng& rng : streams_) restore_rng(r, rng);
+  }
+
+  std::uint64_t seed_;
+  volatile std::sig_atomic_t* trip_;
+  Round trip_round_;
+  std::vector<Rng> streams_;
+};
+
+// Sharded stop-and-resume (K=2): the stop flag ends the run at the next
+// cadence boundary with a checkpoint set, the resumed run finishes
+// bit-identical to the uninterrupted one, and rotation leaves exactly
+// checkpoint_keep complete sets.
+TEST(CheckpointStop, ShardedStopResumesBitIdenticalAndKeepsKSets) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "ckpt_sharded_stop";
+  std::filesystem::remove_all(dir);
+
+  TripwireSource plain(5, nullptr, 0);
+  const ShardedRunRecord reference =
+      run_streaming_sharded(plain, "dlru-edf", 8, 2);
+
+  volatile std::sig_atomic_t flag = 0;
+  ShardedRunOptions options;
+  options.checkpoint_dir = dir.string();
+  options.checkpoint_every = 32;
+  options.checkpoint_keep = 2;
+  options.stop_flag = &flag;
+  TripwireSource tripped(5, &flag, 100);
+  const ShardedRunRecord stopped = run_streaming_sharded(
+      tripped, "dlru-edf", 8, 2, kInfiniteHorizon, options);
+  EXPECT_FALSE(stopped.finished);
+  EXPECT_EQ(stopped.merged.rounds, 128);
+  EXPECT_EQ(list_checkpoints(dir, ".manifest").size(), 2u);
+
+  flag = 0;
+  options.resume = true;
+  TripwireSource again(5, nullptr, 0);
+  const ShardedRunRecord resumed = run_streaming_sharded(
+      again, "dlru-edf", 8, 2, kInfiniteHorizon, options);
+  EXPECT_TRUE(resumed.finished);
+  EXPECT_EQ(resumed.recovered_from, 128);
+  expect_identical(reference.merged, resumed.merged, "sharded stop/resume");
+  ASSERT_EQ(reference.shards.size(), resumed.shards.size());
+  for (std::size_t s = 0; s < reference.shards.size(); ++s) {
+    expect_identical(reference.shards[s], resumed.shards[s],
+                     "shard " + std::to_string(s));
+  }
+  // Two sets of one manifest and two sidecars each; nothing else.
+  EXPECT_EQ(list_checkpoints(dir, ".manifest").size(), 2u);
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++files;
+  }
+  EXPECT_EQ(files, 6u);
+  std::filesystem::remove_all(dir);
+}
 
 // Observer state rides inside the checkpoint: the restored run's stats and
 // snapshot series equal the uninterrupted run's.
@@ -319,6 +413,66 @@ TEST(CheckpointMismatch, RejectsDifferentOptionsOrPolicy) {
   }
 }
 
+// Two sources with equal color counts, Delta and horizon but different
+// per-color delay bounds: a checkpoint of one must not restore onto the
+// other (the resumed run would corrupt the pending calendar).
+TEST(CheckpointMismatch, RejectsDifferentPerColorMetadata) {
+  const auto poisson = [](std::uint64_t seed) {
+    PoissonParams params;
+    params.seed = seed;
+    return std::make_unique<PoissonSource>(params);
+  };
+  const auto source = poisson(1);
+  std::unique_ptr<Policy> policy;
+  const EngineOptions options = stream_options("dlru-edf", true, policy);
+  Engine engine(*source, *policy, options);
+  engine.run_rounds(*source, 300);
+  std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
+  engine.checkpoint(bytes, source.get());
+
+  const auto other = poisson(2);
+  ASSERT_EQ(other->num_colors(), source->num_colors());
+  ASSERT_EQ(other->delta(), source->delta());
+  ASSERT_EQ(other->horizon(), source->horizon());
+  ASSERT_NE(other->delay_bound(0), source->delay_bound(0));
+  std::unique_ptr<Policy> other_policy;
+  const EngineOptions other_options =
+      stream_options("dlru-edf", true, other_policy);
+  Engine restored(*other, *other_policy, other_options);
+  EXPECT_THROW(restored.restore(bytes, other.get()), InputError);
+}
+
+// The manifest binds a set to its round: a set copied under a newer round
+// is skipped, although its sidecars alone would restore (to the older
+// round).
+TEST(CheckpointMismatch, ShardedSetUnderAnotherRoundIsSkipped) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "ckpt_sharded_renamed";
+  std::filesystem::remove_all(dir);
+  ShardedRunOptions options;
+  options.checkpoint_dir = dir.string();
+  options.checkpoint_every = 64;
+  options.checkpoint_keep = 1;
+  const auto source = make_source("random-batched", 4);
+  (void)run_streaming_sharded(*source, "dlru-edf", 8, 2, kInfiniteHorizon,
+                              options);
+  const auto sets = list_checkpoints(dir, ".manifest");
+  ASSERT_EQ(sets.size(), 1u);
+  const std::string from = "ckpt-" + std::to_string(sets[0].round);
+  const std::string to = "ckpt-" + std::to_string(sets[0].round + 1);
+  for (const char* suffix : {".manifest", ".shard0", ".shard1"}) {
+    std::filesystem::copy_file(dir / (from + suffix), dir / (to + suffix));
+  }
+
+  options.checkpoint_every = 0;
+  options.resume = true;
+  const auto again = make_source("random-batched", 4);
+  const ShardedRunRecord resumed = run_streaming_sharded(
+      *again, "dlru-edf", 8, 2, kInfiniteHorizon, options);
+  EXPECT_EQ(resumed.recovered_from, sets[0].round);
+  std::filesystem::remove_all(dir);
+}
+
 // --- pending-budget admission control --------------------------------------
 
 StreamRunRecord run_with_budget(std::int64_t budget, std::int64_t* peak,
@@ -406,6 +560,56 @@ TEST(AdmissionControl, BudgetStateSurvivesCheckpoint) {
   const EngineResult resumed = run(true);
   ASSERT_GT(straight.admission_rejected, 0);
   expect_identical(straight, resumed, "budgeted round trip");
+}
+
+TEST(AdmissionControl, ShardedBudgetSplitsByResourceShare) {
+  // K=2: shard s holds budget * shard_resources[s] / n, and the merged
+  // rejection count is the sum over shards.
+  constexpr std::int64_t kBudget = 32;
+  constexpr int kResources = 8;
+  const auto source = make_source("flash-crowd", 7);
+  ShardedRunOptions options;
+  options.pending_budget = kBudget;
+  const ShardedRunRecord record = run_streaming_sharded(
+      *source, "dlru-edf", kResources, 2, kInfiniteHorizon, options);
+  std::int64_t rejected = 0;
+  for (std::size_t s = 0; s < record.shards.size(); ++s) {
+    const std::int64_t share =
+        kBudget * record.plan.shard_resources[s] / kResources;
+    EXPECT_LE(record.shards[s].peak_pending, share) << "shard " << s;
+    rejected += record.shards[s].admission_rejected;
+  }
+  EXPECT_GT(rejected, 0) << "spike too small to exercise the budget";
+  EXPECT_EQ(record.merged.admission_rejected, rejected);
+}
+
+TEST(AdmissionControl, SingleShardBudgetMatchesServiceAndStreaming) {
+  // The budgeted engine run exactly as run_streaming builds it (which has
+  // no budget argument), K=1 sharded, and the service all agree.
+  constexpr std::int64_t kBudget = 32;
+  const StreamRunRecord streaming = run_with_budget(kBudget, nullptr);
+  ASSERT_GT(streaming.admission_rejected, 0);
+
+  ShardedRunOptions sharded_options;
+  sharded_options.pending_budget = kBudget;
+  const auto sharded_source = make_source("flash-crowd", 7);
+  const ShardedRunRecord sharded = run_streaming_sharded(
+      *sharded_source, "dlru-edf", 4, 1, kInfiniteHorizon, sharded_options);
+  expect_identical(streaming, sharded.merged, "K=1 sharded");
+
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "ckpt_budget_service";
+  std::filesystem::remove_all(dir);
+  ServiceOptions service_options;
+  service_options.checkpoint_dir = dir.string();
+  service_options.checkpoint_every = 64;
+  service_options.pending_budget = kBudget;
+  const auto service_source = make_source("flash-crowd", 7);
+  const ServiceResult served =
+      run_service(*service_source, "dlru-edf", 4, service_options);
+  EXPECT_TRUE(served.finished);
+  expect_identical(streaming, served.record, "service");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -45,6 +45,37 @@ Instance two_color_instance() {
   return builder.build();
 }
 
+TEST(Engine, CostAndDegradedPlusEqualsSumEveryField) {
+  CostBreakdown cost{.reconfig_events = 1,
+                     .reconfig_cost = 20,
+                     .drops = 300,
+                     .churn_reconfigs = 4000};
+  cost += CostBreakdown{.reconfig_events = 5,
+                        .reconfig_cost = 60,
+                        .drops = 700,
+                        .churn_reconfigs = 8000};
+  EXPECT_EQ(cost, (CostBreakdown{.reconfig_events = 6,
+                                 .reconfig_cost = 80,
+                                 .drops = 1000,
+                                 .churn_reconfigs = 12000}));
+
+  DegradedStats degraded{.fault_events = 1,
+                         .repair_events = 20,
+                         .churn_evictions = 300,
+                         .degraded_rounds = 4000,
+                         .drops_while_degraded = 50000};
+  degraded += DegradedStats{.fault_events = 2,
+                            .repair_events = 30,
+                            .churn_evictions = 400,
+                            .degraded_rounds = 5000,
+                            .drops_while_degraded = 60000};
+  EXPECT_EQ(degraded, (DegradedStats{.fault_events = 3,
+                                     .repair_events = 50,
+                                     .churn_evictions = 700,
+                                     .degraded_rounds = 9000,
+                                     .drops_while_degraded = 110000}));
+}
+
 TEST(Engine, IdlePolicyDropsEverything) {
   const Instance inst = two_color_instance();
   IdlePolicy policy;

@@ -1,7 +1,8 @@
-// Supervised service mode: checkpoint cadence + rotation, recovery from
-// the newest valid checkpoint (corrupt files skipped to the next-oldest),
-// stop-and-checkpoint, and the kill-and-resume integration test (SIGKILL
-// mid-run via fork, recover, bit-identical totals).
+// Supervised service mode: checkpoint cadence + rotation (within the
+// run's own lineage), recovery from the newest valid checkpoint (corrupt
+// files skipped to the next-oldest), stop-and-checkpoint, the trace dump
+// on an engine invariant failure, and the kill-and-resume integration
+// test (SIGKILL mid-run via fork, recover, bit-identical totals).
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -9,9 +10,12 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/observer.h"
 #include "sim/runner.h"
 #include "sim/service.h"
 #include "workload/flash_crowd.h"
@@ -184,6 +188,78 @@ TEST(ServiceRun, StopFlagCheckpointsAndResumeCompletes) {
   EXPECT_TRUE(resumed.finished);
   EXPECT_EQ(resumed.recovered_from, 0);
   expect_identical(reference, resumed.record);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceRun, FreshRunInReusedDirectoryKeepsItsOwnLineage) {
+  // Another run's checkpoints sit in the directory at higher rounds.  A
+  // fresh run stopped at round 0 must keep its own checkpoint (rotation
+  // ranks only this run's lineage) and a resume must restore it, not the
+  // other run's newer file.
+  const auto dir = test_dir("reused");
+  ServiceOptions options;
+  options.checkpoint_dir = dir.string();
+  options.checkpoint_every = 64;
+  options.checkpoint_keep = 3;
+  const auto other = make_source(1);
+  ASSERT_TRUE(run_service(*other, "dlru-edf", 8, options).finished);
+  ASSERT_EQ(list_checkpoints(dir, ".rrsckpt").size(), 3u);
+
+  const auto plain = make_source(2);
+  const StreamRunRecord reference = run_streaming(*plain, "dlru-edf", 8);
+
+  volatile std::sig_atomic_t flag = 1;
+  ServiceOptions stopping = options;
+  stopping.stop_flag = &flag;
+  const auto source = make_source(2);
+  const ServiceResult stopped = run_service(*source, "dlru-edf", 8, stopping);
+  EXPECT_FALSE(stopped.finished);
+  EXPECT_EQ(stopped.checkpoints_written, 1);
+  EXPECT_TRUE(std::filesystem::exists(stopped.final_checkpoint));
+  const auto files = list_checkpoints(dir, ".rrsckpt");
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files.front().round, 0);
+
+  ServiceOptions resume = options;
+  resume.resume = true;
+  const auto again = make_source(2);
+  const ServiceResult resumed = run_service(*again, "dlru-edf", 8, resume);
+  EXPECT_TRUE(resumed.finished);
+  EXPECT_EQ(resumed.recovered_from, 0);
+  expect_identical(reference, resumed.record);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceRun, DumpsTraceOnInvariantError) {
+  // A source whose fast-forward hint overshoots its limit breaks the
+  // engine's contract on the first skip; the service must dump the
+  // observer's flight recorder before rethrowing, like every driver.
+  class OvershootSource final : public ArrivalSource {
+   public:
+    [[nodiscard]] Cost delta() const override { return 2; }
+    [[nodiscard]] ColorId num_colors() const override { return 1; }
+    [[nodiscard]] Round delay_bound(ColorId) const override { return 4; }
+    [[nodiscard]] Cost drop_cost(ColorId) const override { return 1; }
+    [[nodiscard]] Round horizon() const override { return 64; }
+    [[nodiscard]] std::span<const Job> arrivals_in_round(Round) override {
+      return {};
+    }
+    [[nodiscard]] Round next_event_round(Round, Round limit) override {
+      return limit + 1;
+    }
+  };
+
+  const auto dir = test_dir("invariant");
+  Observer observer;
+  std::ostringstream dump;
+  observer.trace_dump_out = &dump;
+  ServiceOptions options;
+  options.checkpoint_dir = dir.string();
+  options.observer = &observer;
+  OvershootSource source;
+  EXPECT_THROW((void)run_service(source, "dlru-edf", 4, options),
+               InvariantError);
+  EXPECT_NE(dump.str().find("trace-ring dump"), std::string::npos);
   std::filesystem::remove_all(dir);
 }
 

@@ -10,6 +10,8 @@
 // deterministic across repetitions with exactly additive costs.
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -610,6 +612,35 @@ TEST(ShardedRunTest, RejectsMismatchedShardObserverCount) {
   EXPECT_THROW((void)run_streaming_sharded(*source, "dlru-edf", 8, 2,
                                            kInfiniteHorizon, options),
                InputError);
+}
+
+TEST(ShardedRunTest, RejectsCheckpointsAndStopOverTheFabric) {
+  // With K > 1 every shard's source position must be checkpointable; the
+  // demux fabric's run-ahead is not, so any knob that checkpoints is
+  // rejected up front.  One engine checkpoints the same source fine.
+  const Instance instance = materialize(*make_source("poisson", 1));
+  const std::string dir = ::testing::TempDir() + "/fabric_ckpt";
+  volatile std::sig_atomic_t flag = 0;
+  for (int knob = 0; knob < 3; ++knob) {
+    MaterializedSource source(instance);
+    ShardedRunOptions options;
+    options.checkpoint_dir = dir;
+    if (knob == 0) options.checkpoint_every = 64;
+    if (knob == 1) options.resume = true;
+    if (knob == 2) options.stop_flag = &flag;
+    EXPECT_THROW((void)run_streaming_sharded(source, "dlru-edf", 8, 2,
+                                             kInfiniteHorizon, options),
+                 InputError)
+        << "knob " << knob;
+  }
+  MaterializedSource source(instance);
+  ShardedRunOptions options;
+  options.checkpoint_dir = dir;
+  options.checkpoint_every = 64;
+  const ShardedRunRecord one = run_streaming_sharded(
+      source, "dlru-edf", 8, 1, kInfiniteHorizon, options);
+  EXPECT_GT(one.checkpoints_written, 0);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedRunTest, RejectsUnknownAlgorithmAndBadShardCounts) {
