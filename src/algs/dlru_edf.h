@@ -56,7 +56,7 @@ class DLruEdfPolicy : public Policy {
   [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> stats()
       const override;
 
-  /// Migration hooks: the portable per-color state is exactly the
+  /// Per-color export/import (see PolicyColorState): the state is the
   /// tracker's Section 3.1 state machine (all round-level scratch is
   /// rebuilt each round).
   [[nodiscard]] bool export_color_state(ColorId color,

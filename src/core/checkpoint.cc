@@ -136,8 +136,9 @@ CheckpointReader::CheckpointReader(std::istream& in) {
               "checkpoint truncated inside the header");
   RRS_REQUIRE(std::memcmp(head.data(), kMagic, 8) == 0,
               "not a checkpoint: bad magic");
+  // Bytes 12..15 hold the minor version, which readers accept whatever
+  // it is (additive fields are skipped by close_section()).
   const std::uint32_t major = get_u32(head.data() + 8);
-  minor_ = get_u32(head.data() + 12);
   RRS_REQUIRE(major == kCheckpointMajor,
               "checkpoint layout version " << major << " unsupported (this "
                                            << "build reads major "

@@ -34,10 +34,11 @@
 
 namespace rrs {
 
-inline constexpr std::uint32_t kCheckpointMajor = 1;
-/// Minor 1 appends every color's delay bound, drop cost and length to the
-/// engine's options section.
-inline constexpr std::uint32_t kCheckpointMinor = 1;
+/// Major 2 dropped the generator section's re-sharding sync table and
+/// observed-count table; every checkpoint carries each color's delay
+/// bound, drop cost and length in the engine's options section.
+inline constexpr std::uint32_t kCheckpointMajor = 2;
+inline constexpr std::uint32_t kCheckpointMinor = 0;
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) of `size` bytes.
 [[nodiscard]] std::uint32_t crc32(const unsigned char* data,
@@ -96,15 +97,12 @@ class CheckpointReader {
   /// none is open).
   [[nodiscard]] std::uint64_t remaining() const;
 
-  [[nodiscard]] std::uint32_t minor_version() const { return minor_; }
-
  private:
   void need(std::size_t bytes) const;
 
   std::vector<unsigned char> payload_;
   std::size_t pos_ = 0;
   std::vector<std::size_t> ends_;  ///< stack of section end offsets
-  std::uint32_t minor_ = 0;
 };
 
 }  // namespace rrs

@@ -100,7 +100,7 @@ class EligibilityTracker {
   // even when nothing changed; the index below maintains both orders
   // persistently so a round's query is a scan and mutations are charged
   // to the events that caused them (wraps, epoch ends, deadline-block
-  // boundaries, migration).
+  // boundaries, imports).
   //
   //   * EDF: eligible colors live in a calendar ring of ceil_pow2(max D_l)
   //     buckets keyed by color deadline (at query time every eligible dd
@@ -139,7 +139,7 @@ class EligibilityTracker {
   /// call.
   [[nodiscard]] const std::vector<ColorId>& lru_order(std::size_t max_count);
 
-  // --- shard migration (engine export/import surface) ---
+  // --- per-color export/import (see PolicyColorState) ---
 
   /// Snapshot of one color's portable Section 3.1 state.
   [[nodiscard]] PolicyColorState export_color(ColorId color) const;

@@ -76,9 +76,9 @@ void Policy::restore_state(CheckpointReader& r) {
 }
 
 /// Owned snapshot of a source's problem metadata: the cost model by value
-/// plus per-color delay bounds.  Lets the engine outlive per-segment
-/// sources — the final-sweep RoundContext and the FaultCursor's pricing
-/// reference this, never a dead segment stream.
+/// plus per-color delay bounds.  Lets the engine outlive the sources that
+/// fed it — the final-sweep RoundContext and the FaultCursor's pricing
+/// reference this, never a dead fabric stream.
 class Engine::MetaSource final : public ArrivalSource {
  public:
   explicit MetaSource(const ArrivalSource& source)
@@ -211,7 +211,7 @@ struct Engine::FaultCursor {
 };
 
 Engine::Engine(ArrivalSource& source, Policy& policy,
-               const EngineOptions& options, Round start_round)
+               const EngineOptions& options)
     : options_(validate_options(options)),
       policy_(&policy),
       cache_(options_.num_resources, options_.replication) {
@@ -228,17 +228,13 @@ Engine::Engine(ArrivalSource& source, Policy& policy,
   RRS_REQUIRE(arrival_end_ >= 0,
               "EngineOptions::max_rounds must be >= 0, resolved to "
                   << arrival_end_);
-  RRS_REQUIRE(start_round >= 0 && start_round <= arrival_end_,
-              "start_round " << start_round << " outside [0, " << arrival_end_
-                             << "]");
-  k_ = start_round;
 
   pending_.reset(source.num_colors());
   cache_.ensure_colors(source.num_colors());
 
   // The cost model is snapshotted once (by value, inside the metadata
   // copy): every drop and reconfiguration charge routes through it, and it
-  // stays valid after per-segment sources die.
+  // stays valid after the feeding source dies.
   meta_ = std::make_unique<MetaSource>(source);
   const CostModel& model = meta_->cost_model();
   unit_lengths_ = model.unit_lengths();
@@ -566,24 +562,6 @@ EngineResult Engine::abandon() {
   return std::move(result_);
 }
 
-EngineColorState Engine::export_color(ColorId color) const {
-  EngineColorState state;
-  pending_.export_color(color, state.jobs);
-  state.has_policy = policy_->export_color_state(color, state.policy);
-  return state;
-}
-
-void Engine::import_color(ColorId color, const EngineColorState& state) {
-  RRS_REQUIRE(result_.arrived == 0 && result_.rounds == 0,
-              "import_color only on a fresh engine");
-  for (const PendingJobs::ExportedJob& job : state.jobs) {
-    pending_.restore(color, job);
-    max_deadline_ = std::max(max_deadline_, job.deadline);
-  }
-  result_.peak_pending = std::max(result_.peak_pending, pending_.total());
-  if (state.has_policy) policy_->import_color_state(color, state.policy);
-}
-
 void Engine::checkpoint(std::ostream& out, const ArrivalSource* source) const {
   RRS_CHECK_MSG(!ended_, "checkpoint after finish/abandon");
   CheckpointWriter w;
@@ -608,9 +586,9 @@ void Engine::checkpoint(std::ostream& out, const ArrivalSource* source) const {
                                        : options_.fault_plan->events.size());
   w.boolean(options_.observer != nullptr);
   w.boolean(source != nullptr);
-  // Minor 1: per-color metadata.  Two sources with equal color counts may
-  // still disagree on every bound, and resuming across them would corrupt
-  // the pending calendar instead of failing.
+  // Per-color metadata: two sources with equal color counts may still
+  // disagree on every bound, and resuming across them would corrupt the
+  // pending calendar instead of failing.
   for (ColorId c = 0; c < meta_->num_colors(); ++c) {
     w.i64(meta_->delay_bound(c));
     w.i64(meta_->drop_cost(c));
@@ -718,13 +696,11 @@ void Engine::restore(std::istream& in, ArrivalSource* source) {
   const bool has_source = r.boolean();
   RRS_REQUIRE(source == nullptr || has_source,
               "checkpoint carries no source state");
-  if (r.minor_version() >= 1) {
-    for (ColorId c = 0; c < meta_->num_colors(); ++c) {
-      RRS_REQUIRE(r.i64() == meta_->delay_bound(c) &&
-                      r.i64() == meta_->drop_cost(c) &&
-                      r.i64() == meta_->length(c),
-                  "checkpoint per-color metadata mismatch at color " << c);
-    }
+  for (ColorId c = 0; c < meta_->num_colors(); ++c) {
+    RRS_REQUIRE(r.i64() == meta_->delay_bound(c) &&
+                    r.i64() == meta_->drop_cost(c) &&
+                    r.i64() == meta_->length(c),
+                "checkpoint per-color metadata mismatch at color " << c);
   }
   r.close_section();
 

@@ -136,26 +136,15 @@ struct EngineResult {
   std::vector<std::pair<std::string, std::int64_t>> policy_stats;
 };
 
-/// Everything that travels with one color when it migrates between shard
-/// engines: the pending jobs (FIFO order, partial progress preserved) and
-/// the policy's portable per-color scratch.  Color ids here are LOCAL to
-/// the exporting / importing engine; the caller relabels through the
-/// global color space.
-struct EngineColorState {
-  std::vector<PendingJobs::ExportedJob> jobs;
-  PolicyColorState policy;
-  bool has_policy = false;  ///< policy exported portable state for the color
-};
-
 /// The round engine as a resumable object: construct, run segments of
 /// rounds, then finish (drain + terminal expiry sweep) or abandon
-/// (counters only — the run continues elsewhere after a migration).
+/// (counters only — a stopped run resumes from its checkpoint).
 ///
 /// The constructor snapshots the problem metadata (cost model, per-color
-/// delay bounds / drop costs / lengths) out of `source`, so the engine
-/// outlives any per-segment source: each run_rounds() call may use a
-/// different ArrivalSource object, as long as together they deliver the
-/// same global round sequence ([start_round, arrival_end) in order).
+/// delay bounds / drop costs / lengths) out of `source`, so the drain and
+/// the terminal sweep never call back into a source: each run_rounds()
+/// call may use a different ArrivalSource object, as long as together
+/// they deliver the global round sequence in order.
 ///
 /// `policy.begin` is called from the constructor with the REAL `source`
 /// (offline policies need source.materialized(); the internal metadata
@@ -163,11 +152,8 @@ struct EngineColorState {
 class Engine {
  public:
   /// Validates `options`, resolves the arrival horizon from `source`
-  /// (clipped by options.max_rounds), and starts the run at
-  /// `start_round` (rounds before it are assumed to belong to another
-  /// engine; the expiry calendar starts empty).
-  Engine(ArrivalSource& source, Policy& policy, const EngineOptions& options,
-         Round start_round = 0);
+  /// (clipped by options.max_rounds), and starts the run at round 0.
+  Engine(ArrivalSource& source, Policy& policy, const EngineOptions& options);
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -190,19 +176,9 @@ class Engine {
   [[nodiscard]] EngineResult finish();
 
   /// Ends the run WITHOUT the drain/terminal sweep: returns the counters
-  /// accumulated so far.  Used when a re-shard hands this engine's state
-  /// to successors — the pending jobs live on via export_color().
+  /// accumulated so far.  Used when the stop flag ends a run whose pending
+  /// jobs live on in its checkpoint.
   [[nodiscard]] EngineResult abandon();
-
-  /// Copies `color`'s migratable state (pending jobs + policy scratch)
-  /// out of the engine.  `color` is local to this engine.
-  [[nodiscard]] EngineColorState export_color(ColorId color) const;
-
-  /// Installs exported state under local id `color`.  Call after
-  /// construction, before the first run_rounds().  Restored jobs update
-  /// the deadline high-water mark and peak_pending but are NOT counted as
-  /// arrivals again (they were counted by the exporting engine).
-  void import_color(ColorId color, const EngineColorState& state);
 
   /// Serializes the complete mutable run state — options fingerprint,
   /// round cursor, accumulated result (schedule included when recorded),

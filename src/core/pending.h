@@ -111,7 +111,7 @@ class PendingJobs {
   /// no-op.
   void drop_expired(Round round, DropResult& out);
 
-  // --- shard migration (engine export/import surface) ---
+  // --- per-color export/restore (checkpoints use these) ---
 
   /// One exported pending job: identity, absolute deadline, remaining
   /// execution units.

@@ -110,11 +110,12 @@ class RoundContext {
   Observer* observer_;
 };
 
-/// Portable per-color policy scratch for shard migration: the Section 3.1
-/// state machine fields every ranked-cache-family policy keeps per color.
-/// When a color moves between shard engines (adaptive re-sharding), this
-/// is what travels with it so the receiving policy ranks it exactly as the
-/// sending one would have.
+/// Portable per-color policy scratch: the Section 3.1 state machine fields
+/// every ranked-cache-family policy keeps per color, enough for another
+/// policy instance to rank the color exactly as this one would.  No engine
+/// path moves colors between policies any more; the type and the
+/// export/import hooks below remain only because perfbench's timing
+/// decorator forwards them, and they go with its next revision.
 struct PolicyColorState {
   Cost cnt = 0;            ///< arrivals counted modulo the threshold
   Round dd = 0;            ///< color deadline l.dd
@@ -190,11 +191,9 @@ class Policy {
     return kInfiniteHorizon;
   }
 
-  /// Migration hook: copies the policy's per-color scratch for `color`
-  /// (a local id of this policy's engine) into `out` and returns true.
-  /// Policies without portable per-color state return false (the default);
-  /// such a color then restarts cold on the receiving shard, exactly as a
-  /// from-scratch run under the new plan would.
+  /// Copies the policy's per-color scratch for `color` into `out` and
+  /// returns true.  Policies without portable per-color state return false
+  /// (the default).  See PolicyColorState for why this hook remains.
   [[nodiscard]] virtual bool export_color_state(ColorId color,
                                                 PolicyColorState& out) const {
     (void)color;
@@ -202,9 +201,9 @@ class Policy {
     return false;
   }
 
-  /// Migration hook: installs exported per-color scratch for `color` (a
-  /// local id of this policy's engine).  Called after begin(), before any
-  /// round, only on freshly constructed policies.  The default ignores it.
+  /// Installs exported per-color scratch for `color`.  Call after begin(),
+  /// before any round, only on freshly constructed policies.  The default
+  /// ignores it.
   virtual void import_color_state(ColorId color,
                                   const PolicyColorState& state) {
     (void)color;

@@ -1,6 +1,7 @@
 #include "core/shard_plan.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "util/check.h"
@@ -13,7 +14,7 @@ int ShardPlan::total_resources() const {
 
 ShardPlan make_shard_plan(ColorId num_colors, int num_shards,
                           int num_resources, int resource_unit,
-                          std::span<const double> weights) {
+                          std::span<const double> weights, int replication) {
   RRS_REQUIRE(num_colors >= 1, "a plan needs at least one color, got "
                                    << num_colors);
   RRS_REQUIRE(num_shards >= 1, "num_shards must be >= 1, got " << num_shards);
@@ -40,6 +41,13 @@ ShardPlan make_shard_plan(ColorId num_colors, int num_shards,
   for (const double w : weights) {
     RRS_REQUIRE(w > 0.0, "per-color weights must be positive, got " << w);
   }
+  RRS_REQUIRE(replication >= 0 &&
+                  (replication == 0 || resource_unit % replication == 0),
+              "replication " << replication << " must be 0 or divide the "
+                             << "resource unit " << resource_unit);
+  // Capacity applies only when every color fits.
+  const std::int64_t demand = std::int64_t{num_colors} * replication;
+  const bool all_fit = replication > 0 && demand <= num_resources;
 
   ShardPlan plan;
   plan.num_shards = num_shards;
@@ -61,28 +69,48 @@ ShardPlan make_shard_plan(ColorId num_colors, int num_shards,
                    });
 
   std::vector<double> load(static_cast<std::size_t>(num_shards), 0.0);
+  // Colors each shard may still take: unbounded unless every color fits,
+  // then what its share of an even block split caches.  Those shares sum
+  // to num_resources / replication >= num_colors, so some shard always
+  // has room.
+  std::vector<int> room(static_cast<std::size_t>(num_shards), num_colors);
+  if (all_fit) {
+    for (int s = 0; s < num_shards; ++s) {
+      const int blocks = units / num_shards + (s < units % num_shards ? 1 : 0);
+      room[static_cast<std::size_t>(s)] = blocks * resource_unit / replication;
+    }
+  }
   for (const ColorId color : order) {
-    int lightest = 0;
-    for (int s = 1; s < num_shards; ++s) {
-      if (load[static_cast<std::size_t>(s)] <
-          load[static_cast<std::size_t>(lightest)]) {
+    int lightest = -1;
+    for (int s = 0; s < num_shards; ++s) {
+      const auto i = static_cast<std::size_t>(s);
+      if (room[i] == 0) continue;
+      if (lightest < 0 || load[i] < load[static_cast<std::size_t>(lightest)]) {
         lightest = s;
       }
     }
     plan.shard_of_color[static_cast<std::size_t>(color)] = lightest;
     load[static_cast<std::size_t>(lightest)] += weight_of(color);
+    --room[static_cast<std::size_t>(lightest)];
   }
   for (ColorId c = 0; c < num_colors; ++c) {
     const int s = plan.shard_of_color[static_cast<std::size_t>(c)];
     plan.shard_colors[static_cast<std::size_t>(s)].push_back(c);
   }
 
-  // Resource split: one resource block per shard up front (the engine
-  // needs >= 1), the rest proportional to shard load with
-  // largest-remainder rounding (ties toward the lower shard index).
-  plan.shard_resources.assign(static_cast<std::size_t>(num_shards),
-                              resource_unit);
-  int spare = units - num_shards;
+  // Resource split: each shard first gets the blocks its colors need (one
+  // block when capacity does not apply; the engine needs >= 1), then the
+  // rest proportional to shard load with largest-remainder rounding (ties
+  // toward the lower shard index).
+  plan.shard_resources.assign(static_cast<std::size_t>(num_shards), 0);
+  int spare = units;
+  for (std::size_t s = 0; s < plan.shard_resources.size(); ++s) {
+    const auto held = static_cast<int>(plan.shard_colors[s].size());
+    const int blocks =
+        all_fit ? (held * replication + resource_unit - 1) / resource_unit : 1;
+    plan.shard_resources[s] = blocks * resource_unit;
+    spare -= blocks;
+  }
   const double total_load = std::accumulate(load.begin(), load.end(), 0.0);
   if (spare > 0 && total_load > 0.0) {
     std::vector<double> ideal(static_cast<std::size_t>(num_shards), 0.0);

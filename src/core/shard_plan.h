@@ -1,19 +1,23 @@
 // Color partitioning for sharded streaming execution.
 //
-// The paper's Distribute reduction (Theorem 2) splits the color set across
-// resource groups that are then scheduled independently — a data-parallel
-// decomposition: because a job can only run on a resource configured to
-// its color, partitioning colors partitions the whole problem, with no
-// cross-shard coupling in pending sets, caches, or costs.  A ShardPlan is
-// that partition made explicit: K shards, each owning a disjoint set of
-// colors and a slice of the resource budget n proportional to the shard's
-// expected load.
+// Partitioning colors partitions the whole problem: a job can only run on
+// a resource configured to its color, so K shards that each own a
+// disjoint color set and a slice of the resource budget share no pending
+// jobs, caches or costs.  A ShardPlan is that partition made explicit.
+// It is a decomposition, not the paper's Distribute reduction: Distribute
+// (Theorem 2) splits colors into virtual colors served by ONE dLRU-EDF
+// over all n resources and never splits resources.  Under the paper's
+// scalar Delta the optimum restricted to one shard's colors costs no more
+// than that shard's share of OPT(m), so the shards keep Theorem 1's
+// guarantee only when each slice alone carries the augmentation
+// (n_s = O(m)): sharding trades augmentation for cores.
 //
 // Plans are pure data and deterministic: make_shard_plan is a function of
-// (num_colors, num_shards, num_resources, replication, weights) only, so a
-// fixed seed + fixed K reproduce the identical sharded run.  With K = 1
-// the plan is the identity (all colors, all resources, in order), which
-// run_streaming_sharded relies on for bit-identity with run_streaming.
+// (num_colors, num_shards, num_resources, resource_unit, weights,
+// replication) only, so a fixed seed + fixed K reproduce the identical
+// sharded run.  With K = 1 the plan is the identity (all colors, all
+// resources, in order), which run_streaming_sharded relies on for
+// bit-identity with run_streaming.
 #pragma once
 
 #include <span>
@@ -55,11 +59,20 @@ struct ShardPlan {
 /// shard getting at least one block).
 ///
 /// `weights` holds one positive per-color rate (declared, or observed via
-/// observe_color_weights); empty means uniform.  Requires
-/// 1 <= num_shards <= num_colors and num_shards resource blocks.
+/// observe_color_weights); empty means uniform.  `replication` is the
+/// policy's locations per cached color (a divisor of `resource_unit`).
+/// When the whole color set fits the budget (num_colors * replication <=
+/// num_resources) the plan also respects cache capacity: the greedy skips
+/// a shard once it holds as many colors as its share of an even block
+/// split can cache, and the split first gives each shard the blocks its
+/// colors need before spreading the rest by load, so no shard holds more
+/// than shard_resources[s] / replication colors.  0 (the default) plans by
+/// load alone, as does any shape where the colors cannot all fit.
+/// Requires 1 <= num_shards <= num_colors and num_shards resource blocks.
 [[nodiscard]] ShardPlan make_shard_plan(ColorId num_colors, int num_shards,
                                         int num_resources, int resource_unit,
-                                        std::span<const double> weights = {});
+                                        std::span<const double> weights = {},
+                                        int replication = 0);
 
 /// Observes per-color arrival rates by pulling `sample_rounds` rounds from
 /// `probe` and counting jobs per color (plus one, so unseen colors keep a

@@ -22,8 +22,6 @@ const char* trace_kind_name(TraceKind kind) {
       return "adaptation";
     case TraceKind::kSnapshot:
       return "snapshot";
-    case TraceKind::kReshard:
-      return "reshard";
     case TraceKind::kFabricStall:
       return "fabric-stall";
   }

@@ -17,7 +17,6 @@ enum class TraceKind : std::uint8_t {
   kEpochTurnover,  // detail = 0, value = new epoch count
   kAdaptation,     // detail = new cache-share percent, value = #adaptations
   kSnapshot,       // detail = 0, value = pending-job gauge
-  kReshard,        // detail = #colors migrated, value = era index
   kFabricStall,    // detail = ring index, value = ring occupancy at stall
 };
 

@@ -45,9 +45,9 @@ constexpr Round kStopCheckRounds = 1024;
 
 using PolicyStats = std::vector<std::pair<std::string, std::int64_t>>;
 
-/// Folds `part` (one engine generation's result, or one shard's record)
-/// into `into`: counters sum, rounds and peak_pending take the max, policy
-/// stats sum per key.
+/// Folds `part` (one engine's result, or one shard's record) into `into`:
+/// counters sum, rounds and peak_pending take the max, policy stats sum
+/// per key.
 template <typename Part>
 void fold(StreamRunRecord& into, const Part& part, const PolicyStats& stats) {
   into.cost += part.cost;
@@ -88,22 +88,13 @@ std::ifstream open_checkpoint(const std::filesystem::path& path) {
   return in;
 }
 
-/// One engine generation's observers: resharding rebuilds engines (and
-/// their observers) per era, each with its own local -> global color maps.
-struct EraObservers {
-  std::vector<Observer*> obs;                  // one per slot (may be empty)
-  std::vector<std::unique_ptr<Observer>> owned;  // runner-created lifetime
-  std::vector<std::vector<ColorId>> color_maps;  // slot -> local -> global
-};
-
-/// Rebuilds `merged` as the exact additive merge of every era's per-shard
-/// observers: stats relabeled through each era's local -> global color
+/// Rebuilds `merged` as the exact additive merge of the per-shard
+/// observers: stats relabeled through the plan's local -> global color
 /// maps, timers summed, snapshot series merged point-wise with
-/// carry-forward (resharded runs have no series — snapshot_every must be
-/// 0 there), final snapshots merged, fabric gauges and kReshard trace
-/// events stamped from the run record.
+/// carry-forward, final snapshots merged, fabric gauges stamped from the
+/// run record.
 void merge_shard_observers(Observer& merged,
-                           const std::vector<EraObservers>& eras,
+                           const std::vector<Observer*>& shard_observers,
                            const ArrivalSource& source,
                            const ShardedRunRecord& record) {
   std::vector<Round> delay_bounds(
@@ -119,13 +110,12 @@ void merge_shard_observers(Observer& merged,
 
   std::vector<std::vector<Snapshot>> series;
   merged.final_snapshot = Snapshot{};
-  for (const EraObservers& era : eras) {
-    for (std::size_t s = 0; s < era.obs.size(); ++s) {
-      merged.stats.merge_mapped(era.obs[s]->stats, era.color_maps[s]);
-      merged.timers.merge(era.obs[s]->timers);
-      series.push_back(era.obs[s]->snapshots);
-      merge_into(merged.final_snapshot, era.obs[s]->final_snapshot);
-    }
+  for (std::size_t s = 0; s < shard_observers.size(); ++s) {
+    const Observer& shard = *shard_observers[s];
+    merged.stats.merge_mapped(shard.stats, record.plan.shard_colors[s]);
+    merged.timers.merge(shard.timers);
+    series.push_back(shard.snapshots);
+    merge_into(merged.final_snapshot, shard.final_snapshot);
   }
   merged.snapshots = merge_snapshot_series(series);
   merged.final_snapshot.fabric_chunks_produced =
@@ -135,25 +125,18 @@ void merge_shard_observers(Observer& merged,
         std::max(merged.final_snapshot.fabric_peak_chunks, peak);
   }
   merged.final_snapshot.fabric_ring_occupancy = record.fabric_ring_occupancy;
-  // Reshard events go in AFTER begin_run (which clears the ring).
-  if (merged.config.trace) {
-    for (std::size_t i = 0; i < record.reshard_rounds.size(); ++i) {
-      merged.trace.push({record.reshard_rounds[i], TraceKind::kReshard,
-                         record.reshard_moved_colors[i],
-                         static_cast<std::int64_t>(i + 1)});
-    }
-  }
   if (merged.snapshot_out != nullptr) {
     write_snapshots(*merged.snapshot_out, merged.snapshots);
     *merged.snapshot_out << to_json_line(merged.final_snapshot) << '\n';
   }
 }
 
-/// The segment loop behind every run driver.  K engines (one per shard)
-/// run to the next boundary; there the loop checkpoints, re-shards or
-/// stops.  One engine runs on the calling thread over the caller's source
-/// and observer; K engines run on the pool over shard-native generator
-/// views or, for any other source, the demux fabric.
+/// The segment loop behind run_streaming, run_service and
+/// run_streaming_sharded.  K engines (one per shard, under one plan) run
+/// to the next boundary; there the loop checkpoints or stops.  One engine runs on the calling thread over the caller's
+/// source and observer; K engines run on the pool over shard-native
+/// generator views or, for any other source, one demux fabric spanning
+/// the run.
 class SegmentLoop {
  public:
   SegmentLoop(ArrivalSource& source, const std::string& name, int n,
@@ -166,8 +149,6 @@ class SegmentLoop {
         options_(options) {
     RRS_REQUIRE(num_shards >= 1,
                 "num_shards must be >= 1, got " << num_shards);
-    RRS_REQUIRE(options.reshard_every >= 0,
-                "reshard_every must be >= 0, got " << options.reshard_every);
     RRS_REQUIRE(options.checkpoint_every >= 0,
                 "checkpoint_every must be >= 0, got "
                     << options.checkpoint_every);
@@ -178,22 +159,6 @@ class SegmentLoop {
                              options.resume || options.stop_flag != nullptr;
     RRS_REQUIRE(!checkpoints || !options.checkpoint_dir.empty(),
                 "checkpoint_every, resume and stop_flag need checkpoint_dir");
-    if (options.reshard_every > 0) {
-      RRS_REQUIRE(
-          options.fault_plan == nullptr || options.fault_plan->empty(),
-          "adaptive re-sharding cannot run under a fault plan: migration "
-          "would have to move per-location churn state");
-      RRS_REQUIRE(options.shard_observers.empty(),
-                  "caller shard_observers assume one engine generation per "
-                  "shard; use the merged observer with re-sharding");
-      RRS_REQUIRE(options.observer == nullptr ||
-                      options.observer->config.snapshot_every == 0,
-                  "periodic snapshot series cannot span engine generations; "
-                  "set ObsConfig::snapshot_every = 0 with re-sharding");
-      RRS_REQUIRE(!checkpoints,
-                  "adaptive re-sharding cannot checkpoint or stop: a "
-                  "checkpoint assumes one engine generation per shard");
-    }
     RRS_REQUIRE(options.shard_observers.empty() ||
                     options.shard_observers.size() == shards_,
                 "shard_observers must have one entry per shard: got "
@@ -215,15 +180,16 @@ class SegmentLoop {
                 "max_rounds must be >= 0, resolved to " << arrival_end_);
 
     // The policy's resource granularity (e.g. 4 for dLRU-EDF's two
-    // replicated halves) fixes the units the plan may split n into.
+    // replicated halves) fixes the units the plan may split n into, and
+    // its replication how many colors a slice can cache.
     EngineOptions proto;
-    granularity_ = make_stream_policy(name, proto)->resource_granularity(
-        proto.replication);
+    const std::unique_ptr<Policy> policy = make_stream_policy(name, proto);
+    const int granularity = policy->resource_granularity(proto.replication);
     if (shards_ == 1) {
       // One engine needs no partition: the identity plan, which admits
       // whatever the engine admits (a colorless source, say).
       ShardPlan& plan = record_.plan;
-      plan.resource_unit = granularity_;
+      plan.resource_unit = granularity;
       plan.shard_of_color.assign(
           static_cast<std::size_t>(source.num_colors()), 0);
       plan.shard_colors.assign(
@@ -232,7 +198,8 @@ class SegmentLoop {
       plan.shard_resources = {n};
     } else {
       record_.plan = make_shard_plan(source.num_colors(), num_shards, n,
-                                     granularity_, options.color_weights);
+                                     granularity, options.color_weights,
+                                     proto.replication);
       // Shard-native views when the source is a generator whose clone()
       // is its own: the typeid guard rejects subclasses that inherit a
       // base clone(), which would synthesize the base arrival process.
@@ -257,14 +224,11 @@ class SegmentLoop {
         shard_faults_ = split_fault_plan(*options.fault_plan,
                                          record_.plan.shard_resources);
       }
-      if (options.reshard_every > 0) {
-        cadences_.push_back(options.reshard_every);
-      }
     }
     if (options.checkpoint_every > 0) {
-      cadences_.push_back(options.checkpoint_every);
+      cadence_ = options.checkpoint_every;
     } else if (options.stop_flag != nullptr) {
-      cadences_.push_back(kStopCheckRounds);
+      cadence_ = kStopCheckRounds;
     }
     direct_observer_ = shards_ == 1 && options.shard_observers.empty();
     record_.native_sources = shards_ == 1 || gen_ != nullptr;
@@ -272,53 +236,47 @@ class SegmentLoop {
     record_.shards.resize(shards_);
     policies_.resize(shards_);
     engines_.resize(shards_);
-
-    // Backpressure only helps when every shard consumer actually runs
-    // concurrently; with fewer workers than shards (or when already
-    // inside a pool worker) the engines run serially and waiting on a
-    // consumer that has not started would only burn the timeout per chunk.
-    fabric_options_.chunk_rounds = options.chunk_rounds;
-    fabric_options_.max_buffered_chunks = options.max_buffered_chunks;
-    fabric_options_.backpressure =
-        !ThreadPool::in_worker() && global_pool().size() >= shards_;
   }
 
   ShardedRunRecord run() {
     Stopwatch watch;
+    if (shards_ > 1 && gen_ == nullptr) {
+      // One fabric spans the whole run.  Checkpoints and the stop flag are
+      // rejected over it, so a fabric run is a single segment.
+      ShardedSourceOptions fabric_options;
+      fabric_options.chunk_rounds = options_.chunk_rounds;
+      fabric_options.max_buffered_chunks = options_.max_buffered_chunks;
+      // Backpressure only helps when every shard consumer actually runs
+      // concurrently; with fewer workers than shards (or when already
+      // inside a pool worker) the engines run serially and waiting on a
+      // consumer that has not started would only burn the timeout per
+      // chunk.
+      fabric_options.backpressure =
+          !ThreadPool::in_worker() && global_pool().size() >= shards_;
+      fabric_.emplace(source_, record_.plan, arrival_end_, fabric_options);
+    }
     if (options_.resume) {
       recover();
-    } else if (gen_ != nullptr) {
-      make_views();
+    } else {
+      if (gen_ != nullptr) make_views();
+      build_engines();
     }
     Round round = std::max<Round>(record_.recovered_from, 0);
     bool stopped = false;
-    do {
-      const Round until = next_boundary(round);
-      // The fabric is rebuilt per segment so a plan change never has to
-      // rewind the sequential parent source: each fabric pulls exactly
-      // its segment and is joined before the next one starts.
-      if (shards_ > 1 && gen_ == nullptr) {
-        fabric_.emplace(source_, record_.plan, until, fabric_options_,
-                        round, arrival_end_);
-      }
-      if (rebuild_) build_era(round);
-      if (round < arrival_end_ && options_.stop_flag != nullptr &&
-          *options_.stop_flag != 0) {
+    while (round < arrival_end_) {
+      if (options_.stop_flag != nullptr && *options_.stop_flag != 0) {
         stopped = true;
         break;
       }
+      const Round until = next_boundary(round);
       run_segment(until);
       round = until;
       if (round < arrival_end_ && options_.checkpoint_every > 0 &&
           round % options_.checkpoint_every == 0) {
         write_checkpoint(round);
       }
-      if (round < arrival_end_ && shards_ > 1 &&
-          options_.reshard_every > 0 && round % options_.reshard_every == 0) {
-        reshard(round);
-      }
-      if (fabric_) close_fabric();
-    } while (round < arrival_end_);
+    }
+    if (fabric_) close_fabric();
 
     // Stop-and-checkpoint commits the exact stop point, then surrenders
     // the counters without the drain: a resumed run completes the job
@@ -337,16 +295,12 @@ class SegmentLoop {
   }
 
   [[nodiscard]] Observer* slot_observer(std::size_t s) const {
-    const std::vector<Observer*>& obs = eras_.back().obs;
-    return obs.empty() ? nullptr : obs[s];
+    return slot_observers_.empty() ? nullptr : slot_observers_[s];
   }
 
   [[nodiscard]] Round next_boundary(Round round) const {
-    Round until = arrival_end_;
-    for (const Round every : cadences_) {
-      until = std::min(until, (round / every + 1) * every);
-    }
-    return until;
+    if (cadence_ == 0) return arrival_end_;
+    return std::min(arrival_end_, (round / cadence_ + 1) * cadence_);
   }
 
   /// Runs body(s) for every shard: inline for one engine, so the run
@@ -380,23 +334,21 @@ class SegmentLoop {
     }
   }
 
-  /// Builds one era's observers, policies and engines at `start_round`,
-  /// importing any state a migration exported.
-  void build_era(Round start_round) {
-    EraObservers era;
-    era.color_maps = record_.plan.shard_colors;
+  /// Builds fresh observers, policies and engines for every slot.
+  void build_engines() {
+    owned_observers_.clear();
     if (direct_observer_) {
-      if (options_.observer != nullptr) era.obs = {options_.observer};
+      if (options_.observer != nullptr) slot_observers_ = {options_.observer};
     } else if (!options_.shard_observers.empty()) {
-      era.obs = options_.shard_observers;
+      slot_observers_ = options_.shard_observers;
     } else if (options_.observer != nullptr) {
+      slot_observers_.clear();
       for (std::size_t s = 0; s < shards_; ++s) {
-        era.owned.push_back(
+        owned_observers_.push_back(
             std::make_unique<Observer>(options_.observer->config));
-        era.obs.push_back(era.owned.back().get());
+        slot_observers_.push_back(owned_observers_.back().get());
       }
     }
-    eras_.push_back(std::move(era));
     for (std::size_t s = 0; s < shards_; ++s) {
       const int resources = record_.plan.shard_resources[s];
       EngineOptions engine_options;
@@ -420,17 +372,8 @@ class SegmentLoop {
               : std::max<std::int64_t>(
                     1, options_.pending_budget * resources / n_);
       engines_[s] = std::make_unique<Engine>(slot_source(s), *policies_[s],
-                                             engine_options, start_round);
-      if (imports_.empty()) continue;
-      const std::vector<ColorId>& colors = record_.plan.shard_colors[s];
-      for (std::size_t l = 0; l < colors.size(); ++l) {
-        engines_[s]->import_color(
-            static_cast<ColorId>(l),
-            imports_[static_cast<std::size_t>(colors[l])]);
-      }
+                                             engine_options);
     }
-    imports_.clear();
-    rebuild_ = false;
   }
 
   void run_segment(Round until) {
@@ -469,83 +412,25 @@ class SegmentLoop {
     merged.seconds = seconds;
     record_.finished = !stopped;
     if (options_.observer != nullptr && !direct_observer_) {
-      merge_shard_observers(*options_.observer, eras_, source_, record_);
+      merge_shard_observers(*options_.observer, slot_observers_, source_,
+                            record_);
     }
   }
 
   void fold_slot(std::size_t s, EngineResult&& result) {
     StreamRunRecord& slot = record_.shards[s];
     slot.algorithm = name_;
-    slot.n = record_.plan.shard_resources[s];  // the latest era's slice
+    slot.n = record_.plan.shard_resources[s];
     fold(slot, result, result.policy_stats);
-  }
-
-  /// Epoch boundary: re-derives the plan from the rates each shard's
-  /// consumer observed this epoch (counts + 1, so idle colors keep a
-  /// positive weight; counting is consumer-side, so fabric run-ahead never
-  /// inflates a rate) and, if it changed, migrates every color.
-  void reshard(Round boundary) {
-    const ColorId num_colors = source_.num_colors();
-    std::vector<double> weights(static_cast<std::size_t>(num_colors), 1.0);
-    for (std::size_t s = 0; s < shards_; ++s) {
-      const std::vector<std::int64_t> counts =
-          fabric_ ? fabric_->take_observed_counts(static_cast<int>(s))
-                  : views_[s]->take_observed_counts();
-      const std::vector<ColorId>& colors = record_.plan.shard_colors[s];
-      for (std::size_t l = 0; l < colors.size(); ++l) {
-        weights[static_cast<std::size_t>(colors[l])] =
-            static_cast<double>(counts[l]) + 1.0;
-      }
-    }
-    ShardPlan next = make_shard_plan(num_colors, static_cast<int>(shards_),
-                                     n_, granularity_, weights);
-    // A plan is "changed" when either the color partition or the resource
-    // split moved — the latter alone still needs new engines (a shard's n
-    // is fixed at construction).
-    if (next.shard_of_color == record_.plan.shard_of_color &&
-        next.shard_resources == record_.plan.shard_resources) {
-      return;
-    }
-    int moved = 0;
-    for (std::size_t c = 0; c < next.shard_of_color.size(); ++c) {
-      if (next.shard_of_color[c] != record_.plan.shard_of_color[c]) ++moved;
-    }
-    // Exact cost handoff: every color's pending jobs and policy scratch
-    // leave through the engine export surface, keyed by global color for
-    // the next era's engines.
-    imports_.assign(static_cast<std::size_t>(num_colors), EngineColorState{});
-    for (std::size_t s = 0; s < shards_; ++s) {
-      const std::vector<ColorId>& colors = record_.plan.shard_colors[s];
-      for (std::size_t l = 0; l < colors.size(); ++l) {
-        imports_[static_cast<std::size_t>(colors[l])] =
-            engines_[s]->export_color(static_cast<ColorId>(l));
-      }
-      fold_slot(s, engines_[s]->abandon());
-      engines_[s].reset();
-      policies_[s].reset();
-    }
-    // The abandoned era's "pending at finish" gauge counts jobs that just
-    // migrated and live on — zero it so the merged final snapshot reports
-    // only jobs actually pending at run end.
-    for (Observer* obs : eras_.back().obs) obs->final_snapshot.pending = 0;
-    for (std::size_t s = 0; s < views_.size(); ++s) {
-      views_[s]->reassign(next.shard_colors[s]);
-    }
-    record_.reshard_rounds.push_back(boundary);
-    record_.reshard_moved_colors.push_back(moved);
-    record_.plan = std::move(next);
-    rebuild_ = true;
   }
 
   void close_fabric() {
     for (std::size_t s = 0; s < shards_; ++s) {
       const int shard = static_cast<int>(s);
-      record_.splitter_peak_chunks[s] =
-          std::max(record_.splitter_peak_chunks[s],
-                   fabric_->peak_buffered_chunks(shard));
+      record_.splitter_peak_chunks[s] = fabric_->peak_buffered_chunks(shard);
       record_.fabric_ring_occupancy += fabric_->ring_occupancy(shard);
     }
-    record_.splitter_chunks_produced += fabric_->chunks_produced();
+    record_.splitter_chunks_produced = fabric_->chunks_produced();
     fabric_.reset();
   }
 
@@ -572,7 +457,7 @@ class SegmentLoop {
     std::string last_error;
     for (const CheckpointFile& file : files) {
       if (gen_ != nullptr) make_views();
-      build_era(0);
+      build_engines();
       try {
         if (shards_ == 1) {
           std::ifstream in = open_checkpoint(file.path);
@@ -592,7 +477,6 @@ class SegmentLoop {
         return;
       } catch (const InputError& e) {
         last_error = e.what();
-        eras_.pop_back();
       }
     }
     RRS_REQUIRE(false, "no usable checkpoint in "
@@ -692,25 +576,20 @@ class SegmentLoop {
   const std::size_t shards_;
   const ShardedRunOptions& options_;
   Round arrival_end_ = 0;
-  int granularity_ = 1;
   /// One engine with no caller shard observers drives options_.observer
   /// itself; otherwise every slot gets its own and they merge at the end.
   bool direct_observer_ = false;
-  std::vector<Round> cadences_;     ///< boundaries fall on their multiples
+  Round cadence_ = 0;               ///< boundaries fall on its multiples
   GeneratorSource* gen_ = nullptr;  ///< parent of the shard-native views
-  ShardedSourceOptions fabric_options_;
   std::vector<FaultPlan> shard_faults_;
 
   ShardedRunRecord record_;
   std::vector<std::unique_ptr<GeneratorSource>> views_;
-  std::optional<ShardedSource> fabric_;  ///< the current segment's fabric
-  std::vector<EraObservers> eras_;
+  std::optional<ShardedSource> fabric_;  ///< the run's fabric, if any
+  std::vector<Observer*> slot_observers_;  ///< one per slot (may be empty)
+  std::vector<std::unique_ptr<Observer>> owned_observers_;
   std::vector<std::unique_ptr<Policy>> policies_;
   std::vector<std::unique_ptr<Engine>> engines_;
-  /// Exported state awaiting import into the next era's engines, indexed
-  /// by GLOBAL color; empty when no migration is pending.
-  std::vector<EngineColorState> imports_;
-  bool rebuild_ = true;
   /// Rounds of this run's own checkpoints, oldest first: the one it
   /// resumed from (and the older ones beside it), then each it wrote.
   std::vector<Round> lineage_;

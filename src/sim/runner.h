@@ -133,7 +133,9 @@ struct RunStatus {
 struct ShardedRunOptions : RunOptions {
   /// Per-color load weights for the plan (see make_shard_plan); empty
   /// means uniform.  Use observe_color_weights on a probe source to
-  /// balance shards by observed rate.
+  /// balance shards by observed rate.  The plan is built with the
+  /// policy's replication, so whenever every color fits in n no shard
+  /// gets more colors than its slice can cache.
   std::vector<double> color_weights;
   /// Rounds demultiplexed per produced fabric chunk.
   Round chunk_rounds = 256;
@@ -144,14 +146,6 @@ struct ShardedRunOptions : RunOptions {
   /// inspect raw per-shard state.  Entries must not share snapshot
   /// streams: shards run concurrently.
   std::vector<Observer*> shard_observers;
-  /// Adaptive re-sharding epoch: every this many rounds the runner takes
-  /// the per-color arrival counts each shard consumer observed since the
-  /// last boundary, recomputes the LPT plan from them (weights =
-  /// counts + 1), and — if the plan changed — migrates every color's
-  /// state (pending jobs, policy scratch) into freshly built engines
-  /// under the new plan.  0 (default) disables: one plan for the whole
-  /// run.  A single shard never migrates.
-  Round reshard_every = 0;
 };
 
 /// Outcome of one sharded streaming run: the per-shard records plus their
@@ -171,36 +165,31 @@ struct ShardedRunRecord : RunStatus {
   /// of `merged`/`shards`, whose fields are deterministic.
   std::vector<std::int64_t> splitter_peak_chunks;
   std::int64_t splitter_chunks_produced = 0;
-  /// Residual chunks left in the rings when each segment's fabric shut
-  /// down, summed (0 on a clean run — consumers drain their segments).
+  /// Residual chunks left in the rings when the fabric shut down (0 on a
+  /// clean run — consumers drain the whole run).
   std::int64_t fabric_ring_occupancy = 0;
   /// True when no demux fabric served the run (one engine, or shard-native
   /// generator views); the splitter gauges are then all zero.
   bool native_sources = false;
-  /// Re-sharding log, one entry per boundary where the plan CHANGED: the
-  /// boundary round and how many colors moved shards there.  With
-  /// reshard_every == 0 (or when every boundary kept the plan) both stay
-  /// empty and `plan` is the run's single plan; otherwise `plan` is the
-  /// final era's.
-  std::vector<Round> reshard_rounds;
-  std::vector<int> reshard_moved_colors;
 };
 
 /// Runs `name` against `source` split into `num_shards` independent
 /// engines (own PendingJobs, CacheAssignment, and policy instance per
-/// shard).  The color partition mirrors the paper's Distribute reduction,
-/// so shards never contend: results are deterministic for a fixed (source
-/// seed, num_shards), and num_shards == 1 is run_streaming itself.  Every
-/// engine runs to the next boundary (a multiple of checkpoint_every or
-/// reshard_every, or of 1024 rounds when only a stop flag needs checking),
-/// where the runner checkpoints, re-shards or stops.  One engine runs on
-/// the calling thread over `source`; K engines run on global_pool() over
-/// restricted clones when `source` is a generator with its own
-/// shard-native clone(), otherwise over the demux fabric (ShardedSource).
-/// Rejected with InputError: K > 1 checkpoints or stop flag without
-/// shard-native clones (the fabric's run-ahead is not repositionable), and
-/// re-sharding with a fault plan, shard_observers, a snapshot series or
-/// checkpoints (each assumes one engine generation per shard).
+/// shard) under one ShardPlan for the whole run.  Partitioning colors
+/// partitions the problem, so shards never contend: results are
+/// deterministic for a fixed (source seed, num_shards), and num_shards == 1
+/// is run_streaming itself.  This is not the paper's Distribute reduction,
+/// which serves virtual colors with one dLRU-EDF and does not split
+/// resources: the shards keep Theorem 1's guarantee only when each slice
+/// alone carries the augmentation (n_s = O(m)).  Every engine runs to the
+/// next boundary (a multiple of checkpoint_every, or of 1024 rounds when
+/// only a stop flag needs checking), where the runner checkpoints or
+/// stops.  One engine runs on the calling thread over `source`; K engines
+/// run on global_pool() over restricted clones when `source` is a
+/// generator with its own shard-native clone(), otherwise over one demux
+/// fabric (ShardedSource) spanning the run.  Rejected with InputError:
+/// K > 1 checkpoints or stop flag without shard-native clones (the
+/// fabric's run-ahead is not repositionable).
 [[nodiscard]] ShardedRunRecord run_streaming_sharded(
     ArrivalSource& source, const std::string& name, int n, int num_shards,
     Round max_rounds = kInfiniteHorizon,

@@ -3,7 +3,7 @@
 // The motivating systems (shared data centers, routers) fear exactly this
 // shape: a stable mix, then one service's demand multiplies for a stretch
 // (breaking news, a viral object, a DDoS) and the allocator must decide
-// how much capacity to reassign — and how fast — before the spike ends.
+// how much capacity to move — and how fast — before the spike ends.
 // The generator produces steady Poisson baselines plus one spike color
 // whose rate jumps by `spike_factor` during [spike_start, spike_end).
 //

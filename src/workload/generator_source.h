@@ -19,11 +19,7 @@
 // bit-identical to what the demux fabric would deliver, modulo job ids
 // being locally dense).  Subclasses opt in by implementing clone() and
 // synthesize_color(); the default synthesize() then iterates the active
-// colors in ascending global order.  reassign() changes a live view's
-// color set mid-stream (adaptive re-sharding): newly acquired colors are
-// fast-forwarded by replaying their draws in discard mode up to the view's
-// current round, so ownership can move between views without ever
-// rewinding a stream.
+// colors in ascending global order.
 #pragma once
 
 #include <array>
@@ -91,8 +87,7 @@ class GeneratorSource : public ArrivalSource {
     return model_;
   }
 
-  /// Delay index over the (possibly restricted) color set; rebuilt after
-  /// every reassign().
+  /// Delay index over the (possibly restricted) color set.
   [[nodiscard]] const std::map<Round, std::vector<ColorId>>& colors_by_delay()
       const override {
     if (!delay_index_ready_) {
@@ -187,51 +182,28 @@ class GeneratorSource : public ArrivalSource {
     RRS_REQUIRE(next_round_ == 0,
                 "restrict_to must precede the first pull, not follow round "
                     << next_round_ - 1);
-    install_active(colors);
-    synced_to_.assign(delay_bounds_.size(), 0);
-  }
-
-  /// Changes a live view's color set at its current round.  Colors the
-  /// view did not previously own are fast-forwarded: their per-color draws
-  /// from the round where some view last held them (or 0) up to this
-  /// view's current round are replayed in discard mode, so the color's
-  /// stream position is exactly as if this view had owned it all along.
-  void reassign(std::span<const ColorId> colors) {
-    RRS_REQUIRE(restricted_,
-                "reassign needs a restricted view; call restrict_to first");
-    // A peek would hold jobs labeled in the outgoing color set; segment
-    // boundaries are stop rounds, so no scan ever crosses one.
-    RRS_CHECK(peek_round_ < 0);
-    for (const ColorId c : active_) {
-      synced_to_[static_cast<std::size_t>(c)] = next_round_;
+    RRS_REQUIRE(!colors.empty(), "a view needs at least one color");
+    for (std::size_t i = 0; i < colors.size(); ++i) {
+      (void)checked_global(colors[i]);
+      RRS_REQUIRE(i == 0 || colors[i] > colors[i - 1],
+                  "view colors must be sorted and unique");
     }
-    install_active(colors);
-    discard_ = true;
-    for (const ColorId c : active_) {
-      auto& synced = synced_to_[static_cast<std::size_t>(c)];
-      for (Round k = synced; k < next_round_; ++k) synthesize_color(c, k);
-      synced = next_round_;
+    restricted_ = true;
+    active_.assign(colors.begin(), colors.end());
+    local_of_global_.assign(delay_bounds_.size(), kBlack);
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      local_of_global_[static_cast<std::size_t>(active_[i])] =
+          static_cast<ColorId>(i);
     }
-    discard_ = false;
+    model_ready_ = false;
+    delay_index_ready_ = false;
   }
-
-  /// Per-local-color arrival counts emitted since the last call; resets.
-  [[nodiscard]] std::vector<std::int64_t> take_observed_counts() {
-    std::vector<std::int64_t> counts = std::move(observed_);
-    observed_.assign(counts.size(), 0);
-    return counts;
-  }
-
-  /// The next round this source will synthesize.  With fast-forward scans
-  /// this can run ahead of the pull cursor (scanned rounds are remembered
-  /// as empty and served without re-synthesis).
-  [[nodiscard]] Round next_round() const { return next_round_; }
 
   // --- checkpoint/restore (crash-safe service mode) ---
 
   /// Serializes the full stream position: cursors, the scanned-ahead
-  /// (peeked) buffer, observed counts, restriction bookkeeping, and —
-  /// via checkpoint_extra() — the subclass's RNG streams.
+  /// (peeked) buffer, restriction bookkeeping, and — via
+  /// checkpoint_extra() — the subclass's RNG streams.
   void checkpoint(CheckpointWriter& w) const final {
     w.str("generator");
     w.i64(delta_);
@@ -240,8 +212,6 @@ class GeneratorSource : public ArrivalSource {
     w.boolean(restricted_);
     w.u64(active_.size());
     for (const ColorId c : active_) w.i64(c);
-    w.u64(synced_to_.size());
-    for (const Round s : synced_to_) w.i64(s);
     w.i64(next_round_);
     w.i64(served_);
     w.i64(peek_round_);
@@ -255,8 +225,6 @@ class GeneratorSource : public ArrivalSource {
       w.i64(job.drop_cost);
       w.i64(job.length);
     }
-    w.u64(observed_.size());
-    for (const std::int64_t v : observed_) w.i64(v);
     checkpoint_extra(w);
   }
 
@@ -280,10 +248,6 @@ class GeneratorSource : public ArrivalSource {
     for (const ColorId c : active_) {
       RRS_REQUIRE(r.i64() == c, "checkpoint generator view colors differ");
     }
-    const std::uint64_t synced = r.u64();
-    RRS_REQUIRE(synced == synced_to_.size(),
-                "checkpoint generator sync table size mismatch");
-    for (auto& s : synced_to_) s = r.i64();
     next_round_ = r.i64();
     served_ = r.i64();
     peek_round_ = r.i64();
@@ -303,10 +267,6 @@ class GeneratorSource : public ArrivalSource {
       job.length = r.i64();
       buffer_.push_back(job);
     }
-    const std::uint64_t observed = r.u64();
-    RRS_REQUIRE(observed == observed_.size(),
-                "checkpoint generator observed-count table size mismatch");
-    for (auto& v : observed_) v = r.i64();
     restore_extra(r);
   }
 
@@ -330,7 +290,6 @@ class GeneratorSource : public ArrivalSource {
     delay_bounds_.push_back(delay);
     drop_costs_.push_back(drop_cost);
     lengths_.push_back(length);
-    observed_.push_back(0);
     return static_cast<ColorId>(delay_bounds_.size() - 1);
   }
 
@@ -339,14 +298,12 @@ class GeneratorSource : public ArrivalSource {
   /// Call in ascending color order within one synthesize().
   void emit(ColorId color, Round k, std::int64_t count) {
     const std::size_t c = checked_global(color);
-    if (discard_) return;  // fast-forward replay: advance RNG only
     ColorId out = color;
     if (restricted_) {
       out = local_of_global_[c];
       RRS_CHECK_MSG(out >= 0, "emit for color " << color
                                                 << " not in this view");
     }
-    observed_[static_cast<std::size_t>(out)] += count;
     for (std::int64_t i = 0; i < count; ++i) {
       buffer_.push_back(Job{next_id_++, out, k, delay_bounds_[c],
                             drop_costs_[c], lengths_[c]});
@@ -422,25 +379,6 @@ class GeneratorSource : public ArrivalSource {
     return static_cast<std::size_t>(active_[static_cast<std::size_t>(color)]);
   }
 
-  void install_active(std::span<const ColorId> colors) {
-    RRS_REQUIRE(!colors.empty(), "a view needs at least one color");
-    for (std::size_t i = 0; i < colors.size(); ++i) {
-      (void)checked_global(colors[i]);
-      RRS_REQUIRE(i == 0 || colors[i] > colors[i - 1],
-                  "view colors must be sorted and unique");
-    }
-    restricted_ = true;
-    active_.assign(colors.begin(), colors.end());
-    local_of_global_.assign(delay_bounds_.size(), kBlack);
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      local_of_global_[static_cast<std::size_t>(active_[i])] =
-          static_cast<ColorId>(i);
-    }
-    observed_.assign(active_.size(), 0);
-    model_ready_ = false;
-    delay_index_ready_ = false;
-  }
-
   Cost delta_;
   Round horizon_;
   // Global metadata: indexed by global color id even on restricted views.
@@ -449,17 +387,14 @@ class GeneratorSource : public ArrivalSource {
   std::vector<Round> lengths_;
   // Restriction state.
   bool restricted_ = false;
-  bool discard_ = false;                  // reassign fast-forward in flight
   std::vector<ColorId> active_;           // global ids, ascending
   std::vector<ColorId> local_of_global_;  // kBlack when not in this view
-  std::vector<Round> synced_to_;          // per-global-color replay position
   // Round state.  next_round_ is the SYNTHESIS position (first round whose
   // draws have not happened); served_ is the pull cursor, which lags it
   // when next_event_round() has scanned ahead.  Rounds in
   // [served_ + 1, next_round_) are synthesized-and-empty except
   // peek_round_, whose jobs wait in buffer_.
   std::vector<Job> buffer_;
-  std::vector<std::int64_t> observed_;  // per-local-color arrivals emitted
   Round next_round_ = 0;
   Round served_ = -1;
   Round peek_round_ = -1;

@@ -32,12 +32,11 @@ struct Chunk {
 /// source sequentially and fans them out into per-shard SPSC rings.
 class ShardedSource::Fabric {
  public:
-  Fabric(ArrivalSource& source, const ShardPlan& plan, Round begin_round,
-         Round arrival_end, const ShardedSourceOptions& options)
+  Fabric(ArrivalSource& source, const ShardPlan& plan, Round arrival_end,
+         const ShardedSourceOptions& options)
       : source_(&source),
         shard_of_color_(plan.shard_of_color),
         local_of_color_(plan.shard_of_color.size()),
-        begin_round_(begin_round),
         arrival_end_(arrival_end),
         chunk_rounds_(options.chunk_rounds),
         backpressure_(options.backpressure),
@@ -54,9 +53,8 @@ class ShardedSource::Fabric {
             static_cast<ColorId>(i);
       }
     }
-    const Round span = arrival_end_ - begin_round_;
     total_chunks_ = static_cast<std::size_t>(
-        (span + chunk_rounds_ - 1) / chunk_rounds_);
+        (arrival_end_ + chunk_rounds_ - 1) / chunk_rounds_);
     // Without backpressure the consumers run serially (one may drain its
     // whole range before another starts), so the ring must hold the whole
     // spread — exactly what the old deque-based splitter buffered.
@@ -110,12 +108,11 @@ class ShardedSource::Fabric {
         std::rethrow_exception(error_);
       }
       if (done_.load(std::memory_order_acquire) && ring.size() == 0) {
-        // The producer pushed every chunk in [begin_round, arrival_end);
-        // an empty ring here means this consumer pulled past the horizon.
+        // The producer pushed every chunk in [0, arrival_end); an empty
+        // ring here means this consumer pulled past the horizon.
         RRS_CHECK_MSG(false, "shard " << shard << " pulled round " << first
-                                      << " past the produced range ["
-                                      << begin_round_ << ", " << arrival_end_
-                                      << ")");
+                                      << " past the produced range [0, "
+                                      << arrival_end_ << ")");
       }
       std::this_thread::yield();
       std::this_thread::sleep_for(nap);
@@ -130,7 +127,7 @@ class ShardedSource::Fabric {
   /// error_ for the consumers to rethrow.
   void produce_all() {
     try {
-      for (Round cursor = begin_round_; cursor < arrival_end_;) {
+      for (Round cursor = 0; cursor < arrival_end_;) {
         if (stop_.load(std::memory_order_acquire)) return;
         const Round rounds = std::min(chunk_rounds_, arrival_end_ - cursor);
         std::vector<Chunk> staged(rings_.size());
@@ -218,7 +215,6 @@ class ShardedSource::Fabric {
   ArrivalSource* source_;
   std::vector<int> shard_of_color_;
   std::vector<ColorId> local_of_color_;  // global color -> id in its shard
-  Round begin_round_;
   Round arrival_end_;
   Round chunk_rounds_;
   bool backpressure_;
@@ -241,14 +237,10 @@ class ShardedSource::Fabric {
 class ShardedSource::Stream final : public ArrivalSource {
  public:
   Stream(std::shared_ptr<Fabric> fabric, const ArrivalSource& parent,
-         const ShardPlan& plan, int shard, Round begin_round,
-         Round arrival_end, Round advertised_horizon)
+         const ShardPlan& plan, int shard, Round arrival_end)
       : fabric_(std::move(fabric)),
         shard_(shard),
         arrival_end_(arrival_end),
-        horizon_(advertised_horizon),
-        next_round_(begin_round),
-        known_empty_until_(begin_round),
         delta_(parent.delta()) {
     const auto& colors = plan.shard_colors[static_cast<std::size_t>(shard)];
     delay_bounds_.reserve(colors.size());
@@ -263,7 +255,6 @@ class ShardedSource::Stream final : public ArrivalSource {
     // the parent's drop/length/Delta entries to the shard's id space, so
     // every shard charges exactly what the serial run would.
     model_ = parent.cost_model().restricted(colors);
-    observed_.assign(colors.size(), 0);
   }
 
   [[nodiscard]] Cost delta() const override { return delta_; }
@@ -282,7 +273,7 @@ class ShardedSource::Stream final : public ArrivalSource {
   [[nodiscard]] const CostModel& cost_model() const override {
     return model_;
   }
-  [[nodiscard]] Round horizon() const override { return horizon_; }
+  [[nodiscard]] Round horizon() const override { return arrival_end_; }
 
   [[nodiscard]] std::span<const Job> arrivals_in_round(Round k) override {
     RRS_REQUIRE(k == next_round_ ||
@@ -299,13 +290,8 @@ class ShardedSource::Stream final : public ArrivalSource {
       chunk_ = fabric_->take_chunk(shard_, k);
     }
     const auto r = static_cast<std::size_t>(k - chunk_.first_round);
-    const auto span =
-        std::span<const Job>(chunk_.jobs)
-            .subspan(chunk_.begin[r], chunk_.begin[r + 1] - chunk_.begin[r]);
-    for (const Job& job : span) {
-      observed_[static_cast<std::size_t>(job.color)] += 1;
-    }
-    return span;
+    return std::span<const Job>(chunk_.jobs)
+        .subspan(chunk_.begin[r], chunk_.begin[r + 1] - chunk_.begin[r]);
   }
 
   /// Walks the chunk stream forward looking for the first round in
@@ -335,12 +321,6 @@ class ShardedSource::Stream final : public ArrivalSource {
     return std::min(j, limit);
   }
 
-  [[nodiscard]] std::vector<std::int64_t> take_observed_counts() {
-    std::vector<std::int64_t> counts = std::move(observed_);
-    observed_.assign(counts.size(), 0);
-    return counts;
-  }
-
   [[nodiscard]] std::string summary() const override {
     std::ostringstream os;
     os << "shard " << shard_ << ": " << num_colors() << " colors, "
@@ -359,49 +339,35 @@ class ShardedSource::Stream final : public ArrivalSource {
 
   std::shared_ptr<Fabric> fabric_;
   int shard_;
-  Round arrival_end_;  ///< end of the range this fabric actually serves
-  Round horizon_;      ///< run-level horizon reported to engines
-  Round next_round_;
-  Round known_empty_until_;  ///< scan frontier: rounds below are empty
+  Round arrival_end_;
+  Round next_round_ = 0;
+  Round known_empty_until_ = 0;  ///< scan frontier: rounds below are empty
   Cost delta_;
   std::vector<Round> delay_bounds_;
   std::vector<Cost> drop_costs_;
   std::vector<Round> lengths_;
   CostModel model_;  // parent model restricted to this shard's colors
-  std::vector<std::int64_t> observed_;  // per-local-color arrivals seen
   Chunk chunk_;
 };
 
 ShardedSource::ShardedSource(ArrivalSource& source, const ShardPlan& plan,
-                             Round arrival_end, ShardedSourceOptions options,
-                             Round begin_round, Round advertised_horizon) {
+                             Round arrival_end, ShardedSourceOptions options) {
   RRS_REQUIRE(arrival_end >= 0 && arrival_end != kInfiniteHorizon,
               "a sharded split needs a finite arrival_end, got "
                   << arrival_end);
-  if (advertised_horizon == kInfiniteHorizon) {
-    advertised_horizon = arrival_end;
-  }
-  RRS_REQUIRE(advertised_horizon >= arrival_end,
-              "advertised_horizon " << advertised_horizon
-                                    << " below arrival_end " << arrival_end);
-  RRS_REQUIRE(begin_round >= 0 && begin_round <= arrival_end,
-              "begin_round " << begin_round << " outside [0, " << arrival_end
-                             << "]");
   RRS_REQUIRE(!source.finite() || arrival_end <= source.horizon(),
               "arrival_end " << arrival_end << " exceeds the source horizon "
                              << source.horizon());
   RRS_REQUIRE(plan.num_colors() == source.num_colors(),
               "plan covers " << plan.num_colors() << " colors but the source "
                              << "has " << source.num_colors());
-  fabric_ = std::make_shared<Fabric>(source, plan, begin_round, arrival_end,
-                                     options);
+  fabric_ = std::make_shared<Fabric>(source, plan, arrival_end, options);
   // Streams snapshot the parent's metadata (delay bounds, cost model);
   // only after that does the demux thread start pulling the parent.
   streams_.reserve(static_cast<std::size_t>(plan.num_shards));
   for (int s = 0; s < plan.num_shards; ++s) {
-    streams_.push_back(std::make_unique<Stream>(fabric_, source, plan, s,
-                                                begin_round, arrival_end,
-                                                advertised_horizon));
+    streams_.push_back(
+        std::make_unique<Stream>(fabric_, source, plan, s, arrival_end));
   }
   fabric_->start();
 }
@@ -435,13 +401,6 @@ std::int64_t ShardedSource::ring_occupancy(int shard) const {
               "shard " << shard << " out of range [0, " << num_shards()
                        << ")");
   return fabric_->occupancy(static_cast<std::size_t>(shard));
-}
-
-std::vector<std::int64_t> ShardedSource::take_observed_counts(int shard) {
-  RRS_REQUIRE(shard >= 0 && shard < num_shards(),
-              "shard " << shard << " out of range [0, " << num_shards()
-                       << ")");
-  return streams_[static_cast<std::size_t>(shard)]->take_observed_counts();
 }
 
 }  // namespace rrs

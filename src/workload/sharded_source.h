@@ -69,23 +69,13 @@ struct ShardedSourceOptions {
 /// K single-consumer shard views over one underlying ArrivalSource.
 class ShardedSource {
  public:
-  /// Splits `source` (pulled for rounds [begin_round, arrival_end)) per
-  /// `plan`.  `source` must already be positioned at `begin_round`, must
-  /// outlive this object, and must not be pulled by anyone else while the
-  /// fabric is alive (the demux thread owns it).  `arrival_end` must be
-  /// finite and within the source's horizon.
-  ///
-  /// `advertised_horizon` is what the shard streams report as horizon():
-  /// when this fabric covers only a segment of a longer logical run (the
-  /// re-sharding era loop builds one fabric per segment), pass the run's
-  /// full arrival horizon so engines constructed from a segment stream
-  /// resolve the run-level arrival end, not the segment end.  The default
-  /// (kInfiniteHorizon) means `arrival_end` itself.  Streams still serve
-  /// only [begin_round, arrival_end); pulling beyond that fails.
+  /// Splits `source` (pulled for rounds [0, arrival_end)) per `plan`.
+  /// `source` must be unpulled, must outlive this object, and must not be
+  /// pulled by anyone else while the fabric is alive (the demux thread
+  /// owns it).  `arrival_end` must be finite and within the source's
+  /// horizon.
   ShardedSource(ArrivalSource& source, const ShardPlan& plan,
-                Round arrival_end, ShardedSourceOptions options = {},
-                Round begin_round = 0,
-                Round advertised_horizon = kInfiniteHorizon);
+                Round arrival_end, ShardedSourceOptions options = {});
   /// Stops and joins the demux thread.
   ~ShardedSource();
 
@@ -97,7 +87,7 @@ class ShardedSource {
   /// The shard-`shard` view: a finite ArrivalSource with horizon
   /// `arrival_end`, the shard's colors relabeled densely, and the global
   /// metadata (delta) passed through.  Single consumer, sequential pull
-  /// starting at `begin_round`.
+  /// starting at round 0.
   [[nodiscard]] ArrivalSource& stream(int shard);
 
   /// Queue-depth gauge: the most chunks ever buffered in `shard`'s ring at
@@ -111,12 +101,6 @@ class ShardedSource {
 
   /// Current (approximate) chunks buffered in `shard`'s ring.
   [[nodiscard]] std::int64_t ring_occupancy(int shard) const;
-
-  /// Per-local-color arrival counts observed by `shard`'s consumer since
-  /// the last call, and resets them.  Counted on the consumer side, so the
-  /// producer's run-ahead past a segment boundary never leaks in.  Only
-  /// call while the shard's consumer is quiescent.
-  [[nodiscard]] std::vector<std::int64_t> take_observed_counts(int shard);
 
  private:
   class Fabric;

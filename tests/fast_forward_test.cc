@@ -3,7 +3,7 @@
 // reconfigurations, rounds, degraded accounting, policy stats, snapshot
 // series — to the same run with it off, across every engine-driven
 // algorithm, workload family, and seed, with and without fault plans,
-// and through the sharded runner (± adaptive re-sharding).
+// and through the sharded runner.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -173,30 +173,23 @@ TEST(FastForwardSnapshots, SnapshotSeriesIsByteIdentical) {
 }
 
 TEST(FastForwardSharded, IdenticalAcrossShards) {
-  for (const Round reshard_every : {Round{0}, Round{128}}) {
-    ShardedRunOptions on_options;
-    on_options.reshard_every = reshard_every;
-    on_options.fast_forward = true;
-    ShardedRunOptions off_options = on_options;
-    off_options.fast_forward = false;
+  ShardedRunOptions on_options;
+  on_options.fast_forward = true;
+  ShardedRunOptions off_options = on_options;
+  off_options.fast_forward = false;
 
-    const auto on_source = make_source("poisson", 11);
-    const ShardedRunRecord on = run_streaming_sharded(
-        *on_source, "dlru-edf", 16, 2, kInfiniteHorizon, on_options);
-    const auto off_source = make_source("poisson", 11);
-    const ShardedRunRecord off = run_streaming_sharded(
-        *off_source, "dlru-edf", 16, 2, kInfiniteHorizon, off_options);
+  const auto on_source = make_source("poisson", 11);
+  const ShardedRunRecord on = run_streaming_sharded(
+      *on_source, "dlru-edf", 16, 2, kInfiniteHorizon, on_options);
+  const auto off_source = make_source("poisson", 11);
+  const ShardedRunRecord off = run_streaming_sharded(
+      *off_source, "dlru-edf", 16, 2, kInfiniteHorizon, off_options);
 
-    const std::string what =
-        "reshard_every=" + std::to_string(reshard_every);
-    expect_identical(on.merged, off.merged, what);
-    ASSERT_EQ(on.shards.size(), off.shards.size());
-    for (std::size_t s = 0; s < on.shards.size(); ++s) {
-      expect_identical(on.shards[s], off.shards[s],
-                       what + " shard " + std::to_string(s));
-    }
-    EXPECT_EQ(on.reshard_rounds, off.reshard_rounds) << what;
-    EXPECT_EQ(on.reshard_moved_colors, off.reshard_moved_colors) << what;
+  expect_identical(on.merged, off.merged, "sharded");
+  ASSERT_EQ(on.shards.size(), off.shards.size());
+  for (std::size_t s = 0; s < on.shards.size(); ++s) {
+    expect_identical(on.shards[s], off.shards[s],
+                     "shard " + std::to_string(s));
   }
 }
 

@@ -1,13 +1,15 @@
 // Sharded streaming execution: the color-partitioned multi-engine path.
 //
 // Three layers are covered.  ShardPlan: the partition covers every color
-// exactly once, resources split proportionally in replication units, and
-// plans are deterministic.  ShardedSource: the union of the per-shard
+// exactly once, resources split proportionally in replication units, no
+// shard gets more colors than its slice caches whenever all colors fit,
+// and plans are deterministic.  ShardedSource: the union of the per-shard
 // streams is exactly the underlying stream (ids preserved, colors
 // relabeled densely per shard).  run_streaming_sharded: with K = 1 the
 // merged record is bit-identical to run_streaming for every engine
-// algorithm x workload family x seed, and fixed (seed, K > 1) runs are
-// deterministic across repetitions with exactly additive costs.
+// algorithm x workload family x seed, fixed (seed, K > 1) runs are
+// deterministic across repetitions with exactly additive costs, and the
+// demux fabric agrees bit for bit with the shard-native generator views.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -15,8 +17,10 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/shard_plan.h"
@@ -141,6 +145,111 @@ TEST(ShardPlanTest, DeterministicAcrossRepetitions) {
   EXPECT_EQ(a.shard_of_color, b.shard_of_color);
   EXPECT_EQ(a.shard_resources, b.shard_resources);
   EXPECT_EQ(a.shard_colors, b.shard_colors);
+}
+
+TEST(ShardPlanOddGranularity, LargestRemainderSplitsIndivisibleUnits) {
+  // n = 20 with unit 4 gives 5 units over 3 shards: no proportional split
+  // is exact, so the largest-remainder rule decides who gets the extras.
+  const std::vector<double> weights = {5.0, 1.0, 1.0, 1.0, 1.0, 1.0};
+  const ShardPlan plan = make_shard_plan(6, 3, 20, 4, weights);
+  int total = 0;
+  for (const int r : plan.shard_resources) {
+    EXPECT_GE(r, 4);       // every shard keeps at least one unit
+    EXPECT_EQ(r % 4, 0);   // and only whole units
+    total += r;
+  }
+  EXPECT_EQ(total, 20);  // nothing lost, nothing invented
+  // The weight-5 color dominates its shard, which must get the most units.
+  const int heavy_shard = plan.shard_of_color[0];
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_GE(plan.shard_resources[static_cast<std::size_t>(heavy_shard)],
+              plan.shard_resources[static_cast<std::size_t>(s)]);
+  }
+}
+
+TEST(ShardPlanOddGranularity, RebalanceIsDeterministic) {
+  // Observed rates are fractional; identical weights at an odd granularity
+  // (5 blocks of 4 over 3 shards) must always yield the identical plan, or
+  // a fixed seed would not reproduce its sharded run.
+  const std::vector<double> weights = {7.5, 3.25, 3.25, 1.0, 1.0, 0.5, 0.5};
+  const ShardPlan first = make_shard_plan(7, 3, 20, 4, weights);
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    const ShardPlan again = make_shard_plan(7, 3, 20, 4, weights);
+    EXPECT_EQ(again.shard_of_color, first.shard_of_color);
+    EXPECT_EQ(again.shard_colors, first.shard_colors);
+    EXPECT_EQ(again.shard_resources, first.shard_resources);
+  }
+}
+
+/// Checks the invariants every plan keeps, plus the capacity rule: no
+/// shard holds more colors than its slice caches at `replication`.
+void expect_plan_fits(const ShardPlan& plan, int num_resources,
+                      int replication) {
+  EXPECT_EQ(plan.total_resources(), num_resources);
+  for (std::size_t s = 0; s < plan.shard_colors.size(); ++s) {
+    const auto held = static_cast<int>(plan.shard_colors[s].size());
+    const int resources = plan.shard_resources[s];
+    EXPECT_GE(held, 1) << "shard " << s;
+    EXPECT_GE(resources, plan.resource_unit) << "shard " << s;
+    EXPECT_EQ(resources % plan.resource_unit, 0) << "shard " << s;
+    EXPECT_LE(held * replication, resources)
+        << "shard " << s << " holds " << held << " colors";
+  }
+}
+
+/// "C=<colors> K=<shards> n=<n> unit=<unit> r=<r>", for failure traces.
+std::string shape_label(ColorId colors, int shards, int n, int unit, int r) {
+  std::ostringstream os;
+  os << "C=" << colors << " K=" << shards << " n=" << n;
+  os << " unit=" << unit << " r=" << r;
+  return os.str();
+}
+
+TEST(ShardPlanTest, NoShardExceedsItsSliceWheneverAllColorsFit) {
+  // Every small shape with C * r <= n, under uniform weights and under
+  // one heavy color, which once left the light ones packed onto a shard
+  // too small to cache them.
+  const std::pair<int, int> unit_and_replication[] = {
+      {1, 1}, {2, 1}, {2, 2}, {4, 2}, {4, 4}};
+  for (const auto& [unit, replication] : unit_and_replication) {
+    for (int shards = 1; shards <= 4; ++shards) {
+      for (int n = shards * unit; n <= 8 * unit; n += unit) {
+        for (ColorId colors = shards; colors * replication <= n; ++colors) {
+          SCOPED_TRACE(shape_label(colors, shards, n, unit, replication));
+          std::vector<double> skewed(static_cast<std::size_t>(colors), 1.0);
+          skewed[0] = 100.0;
+          const ShardPlan uniform =
+              make_shard_plan(colors, shards, n, unit, {}, replication);
+          expect_plan_fits(uniform, n, replication);
+          const ShardPlan heavy =
+              make_shard_plan(colors, shards, n, unit, skewed, replication);
+          expect_plan_fits(heavy, n, replication);
+        }
+      }
+    }
+  }
+  // Unit rounding alone overloaded a shard: 5 blocks of 4 over 3 shards
+  // left one 4-resource shard with 3 colors.
+  expect_plan_fits(make_shard_plan(9, 3, 20, 4, {}, 2), 20, 2);
+}
+
+TEST(ShardPlanTest, ShapesThatCannotFitIgnoreReplication) {
+  // When C * r > n no plan fits every cache, and the plan is the
+  // load-only one, byte for byte (matrix-sharded's 32 colors on 16, say).
+  std::vector<double> skewed(32, 1.0);
+  skewed[3] = 40.0;
+  for (const std::vector<double>& weights : {std::vector<double>{}, skewed}) {
+    const ShardPlan load_only = make_shard_plan(32, 2, 16, 4, weights);
+    const ShardPlan with_r = make_shard_plan(32, 2, 16, 4, weights, 2);
+    EXPECT_EQ(with_r.shard_of_color, load_only.shard_of_color);
+    EXPECT_EQ(with_r.shard_colors, load_only.shard_colors);
+    EXPECT_EQ(with_r.shard_resources, load_only.shard_resources);
+  }
+}
+
+TEST(ShardPlanTest, RejectsReplicationThatDoesNotDivideTheUnit) {
+  EXPECT_THROW((void)make_shard_plan(4, 2, 16, 4, {}, 3), InputError);
+  EXPECT_THROW((void)make_shard_plan(4, 2, 16, 2, {}, -1), InputError);
 }
 
 TEST(ShardPlanTest, RejectsInvalidShapes) {
@@ -292,6 +401,7 @@ INSTANTIATE_TEST_SUITE_P(Matrix, SingleShardBitIdentity,
 struct Reproducible {
   CostBreakdown cost;
   std::int64_t executed;
+  std::int64_t work_units;
   std::int64_t arrived;
   Round rounds;
   std::int64_t peak_pending;
@@ -301,8 +411,9 @@ struct Reproducible {
 };
 
 Reproducible reproducible(const StreamRunRecord& record) {
-  return {record.cost,   record.executed,     record.arrived,
-          record.rounds, record.peak_pending, record.stats};
+  return {record.cost,    record.executed,     record.work_units,
+          record.arrived, record.rounds,       record.peak_pending,
+          record.stats};
 }
 
 TEST(ShardedRunTest, FixedSeedAndShardCountIsDeterministic) {
@@ -387,6 +498,90 @@ TEST(ShardedRunTest, WeightedPlanRunsAndConserves) {
   EXPECT_EQ(record.merged.executed + record.merged.cost.drops,
             record.merged.arrived);
   EXPECT_GT(record.merged.arrived, 0);
+}
+
+/// The flash crowd whose observed rates once made the planner overload a
+/// shard's cache: 15 background colors plus the spike color, so dLRU-EDF
+/// on n = 32 (replication 2) holds every color exactly.
+FlashCrowdParams capacity_crowd_params() {
+  FlashCrowdParams params;
+  params.background_colors = 15;
+  params.spike_start = 30'000;
+  params.spike_end = 70'000;
+  params.horizon = 100'000;
+  params.seed = 1;
+  return params;
+}
+
+TEST(ShardedRunTest, ObservedRatePlanFitsEveryShardCache) {
+  // Balancing observed load alone packed the quiet background colors onto
+  // one shard (12 colors on a 16-resource shard that caches 8 at K = 2),
+  // and the run cost ~7x the uniform plan.  Each shard must keep its
+  // colors within its slice, and the run must cost at most 1.1x the
+  // uniform plan.
+  constexpr int kResources = 32;
+  constexpr int kReplication = 2;  // dLRU-EDF caches a color twice
+  std::vector<double> weights;
+  {
+    FlashCrowdSource probe(capacity_crowd_params());
+    weights = observe_color_weights(probe, probe.horizon());
+  }
+  for (const int shards : {2, 4}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    FlashCrowdSource uniform_source(capacity_crowd_params());
+    const ShardedRunRecord uniform =
+        run_streaming_sharded(uniform_source, "dlru-edf", kResources, shards);
+
+    ShardedRunOptions options;
+    options.color_weights = weights;
+    FlashCrowdSource source(capacity_crowd_params());
+    const ShardedRunRecord observed = run_streaming_sharded(
+        source, "dlru-edf", kResources, shards, kInfiniteHorizon, options);
+    expect_plan_fits(observed.plan, kResources, kReplication);
+    EXPECT_LE(static_cast<double>(observed.merged.cost.total()),
+              1.1 * static_cast<double>(uniform.merged.cost.total()));
+  }
+}
+
+/// A flash crowd that inherits its clone(): the runner's typeid guard
+/// cannot vouch that the clone synthesizes this class's arrivals, so runs
+/// over it go through the demux fabric.
+class FabricFlashCrowd : public FlashCrowdSource {
+ public:
+  using FlashCrowdSource::FlashCrowdSource;
+};
+
+TEST(ShardedRunTest, NativeVsFabricPin) {
+  // The demuxed fabric and the shard-native clone path are entirely
+  // different data paths (threads + rings vs per-shard RNG streams) and
+  // must agree bit-identically, shard by shard.
+  FlashCrowdParams params;
+  params.spike_start = 96;
+  params.spike_end = 256;
+  params.horizon = 320;
+  params.seed = 21;
+
+  FlashCrowdSource native_source(params);
+  const ShardedRunRecord native =
+      run_streaming_sharded(native_source, "dlru-edf", 16, 2);
+  EXPECT_TRUE(native.native_sources);
+  EXPECT_EQ(native.splitter_chunks_produced, 0);
+
+  FabricFlashCrowd fabric_source(params);
+  const ShardedRunRecord fabric =
+      run_streaming_sharded(fabric_source, "dlru-edf", 16, 2);
+  EXPECT_FALSE(fabric.native_sources);
+  EXPECT_GT(fabric.splitter_chunks_produced, 0);
+
+  EXPECT_EQ(native.plan.shard_of_color, fabric.plan.shard_of_color);
+  EXPECT_EQ(reproducible(native.merged), reproducible(fabric.merged));
+  ASSERT_EQ(native.shards.size(), fabric.shards.size());
+  for (std::size_t s = 0; s < native.shards.size(); ++s) {
+    EXPECT_EQ(reproducible(native.shards[s]), reproducible(fabric.shards[s]))
+        << "shard " << s;
+  }
+  EXPECT_EQ(native.merged.executed + native.merged.cost.drops,
+            native.merged.arrived);
 }
 
 TEST(ShardedRunTest, InfiniteSourceNeedsMaxRounds) {
