@@ -29,6 +29,7 @@
 #include "core/pending.h"
 #include "core/policy.h"
 #include "core/schedule.h"
+#include "core/types.h"
 
 namespace rrs {
 
@@ -89,49 +90,16 @@ struct EngineOptions {
   /// sheds the cheapest-weight arrivals of that round at ingest — lowest
   /// drop cost first, later arrivals shed before earlier ones on ties —
   /// until the budget holds.  Shed jobs count as arrivals and are charged
-  /// as drops (EngineResult::admission_rejected and
-  /// StreamStats::admission_rejected isolate them from deadline expiries)
-  /// but never enter the pending set and are invisible to the policy.  A
-  /// budget the run never exceeds leaves every result bit-identical to
-  /// budget-off.
+  /// as drops (RunCounters::admission_rejected isolates them from deadline
+  /// expiries) but never enter the pending set and are invisible to the
+  /// policy.  A budget the run never exceeds leaves every result
+  /// bit-identical to budget-off.
   std::int64_t pending_budget = 0;
 };
 
-/// Capacity-churn counters for one run; all zero without a fault plan.
-struct DegradedStats {
-  std::int64_t fault_events = 0;     ///< failures applied
-  std::int64_t repair_events = 0;    ///< repairs applied
-  std::int64_t churn_evictions = 0;  ///< cached colors evicted by failures
-  Round degraded_rounds = 0;  ///< rounds run with >= 1 location down
-  Cost drops_while_degraded = 0;  ///< drop cost incurred in degraded rounds
-
-  DegradedStats& operator+=(const DegradedStats& other) {
-    fault_events += other.fault_events;
-    repair_events += other.repair_events;
-    churn_evictions += other.churn_evictions;
-    degraded_rounds += other.degraded_rounds;
-    drops_while_degraded += other.drops_while_degraded;
-    return *this;
-  }
-
-  friend bool operator==(const DegradedStats&, const DegradedStats&) = default;
-};
-
-/// Result of one engine run.
-struct EngineResult {
-  CostBreakdown cost;
-  std::int64_t executed = 0;  ///< jobs completed
-  /// Execution units applied (== executed for unit lengths; partially
-  /// executed jobs contribute units but never count as executed).
-  std::int64_t work_units = 0;
-  std::int64_t arrived = 0;   ///< jobs pulled from the source
-  Round rounds = 0;           ///< rounds actually run
-  std::int64_t peak_pending = 0;  ///< max pending-set size observed
-  /// Arrivals shed by pending-budget admission control (already counted in
-  /// arrived and charged in cost.drops).
-  std::int64_t admission_rejected = 0;
-  DegradedStats degraded;     ///< capacity-churn counters
-  Schedule schedule;          ///< events iff options.record_schedule
+/// Result of one engine run: its counters plus what only the engine holds.
+struct EngineResult : RunCounters {
+  Schedule schedule;  ///< events iff options.record_schedule
   /// Policy-specific counters captured after the run.
   std::vector<std::pair<std::string, std::int64_t>> policy_stats;
 };
@@ -206,6 +174,10 @@ class Engine {
   /// speed mini-rounds of policy + execution, periodic snapshot.
   void run_round(ArrivalSource* pull);
 
+  /// Drop phase at k_: expires the pending jobs whose deadline is k_ and
+  /// charges their weight (also to drops_while_degraded when `degraded`).
+  void drop_phase(bool degraded);
+
   /// Pending-budget admission: sheds the over-budget suffix of `arrivals`
   /// (cheapest drop cost first, later index first on ties), charges the
   /// shed jobs as drops, and returns the admitted jobs (a view into
@@ -245,6 +217,10 @@ class Engine {
   std::vector<Round> ff_delays_;   ///< distinct delay bounds (stop rounds)
   Round ff_snapshot_every_ = 0;    ///< observer snapshot cadence (0 = none)
 };
+
+/// Resets `observer` for a run over `source`'s color space, caching each
+/// color's delay bound, drop cost and length for the hot-path hooks.
+void begin_observed_run(Observer& observer, const ArrivalSource& source);
 
 /// Runs `policy` against `source` under `options`, pulling rounds
 /// sequentially.  For infinite sources options.max_rounds must be set.

@@ -17,26 +17,22 @@ void Observer::begin_run(std::span<const Round> delay_bounds,
   final_snapshot = Snapshot{};
 }
 
-void Observer::emit_snapshot(Round round, std::int64_t pending) {
-  snapshots.push_back(make_snapshot(stats, round, pending));
+void Observer::emit_snapshot(const RunCounters& counters, Round round,
+                             std::int64_t pending) {
+  snapshots.push_back(make_snapshot(stats, counters, round, pending));
   if (config.trace) {
     trace.push({round, TraceKind::kSnapshot, 0, pending});
   }
   if (snapshot_out != nullptr) {
-    *snapshot_out << to_json_line(snapshots.back()) << '\n';
-    snapshot_out->flush();
-    RRS_REQUIRE(snapshot_out->good(),
-                "snapshot sink write failed (stream error after flush)");
+    write_snapshots(*snapshot_out, {&snapshots.back(), 1});
   }
 }
 
-void Observer::finish_run(Round round, std::int64_t pending) {
-  final_snapshot = make_snapshot(stats, round, pending);
+void Observer::finish_run(const RunCounters& counters, Round round,
+                          std::int64_t pending) {
+  final_snapshot = make_snapshot(stats, counters, round, pending);
   if (snapshot_out != nullptr) {
-    *snapshot_out << to_json_line(final_snapshot) << '\n';
-    snapshot_out->flush();
-    RRS_REQUIRE(snapshot_out->good(),
-                "snapshot sink write failed (stream error after flush)");
+    write_snapshots(*snapshot_out, {&final_snapshot, 1});
   }
 }
 

@@ -33,7 +33,9 @@ struct ObsConfig {
 
 /// Per-engine observability bundle threaded through a run.  Not
 /// thread-safe: each engine (each shard) gets its own Observer; sharded
-/// runs merge them additively afterwards.
+/// runs merge them additively afterwards.  The run's totals are not
+/// counted here: the engine keeps them in RunCounters and hands them to
+/// each snapshot.
 struct Observer {
   explicit Observer(const ObsConfig& c = {})
       : config(c), trace(c.trace_capacity) {}
@@ -56,11 +58,14 @@ struct Observer {
                  std::span<const Cost> drop_costs,
                  std::span<const Round> lengths = {});
 
-  /// Takes a periodic snapshot (and writes it to snapshot_out, if set).
-  void emit_snapshot(Round round, std::int64_t pending);
+  /// Takes a periodic snapshot of `counters` and stats (and writes it to
+  /// snapshot_out, if set).
+  void emit_snapshot(const RunCounters& counters, Round round,
+                     std::int64_t pending);
 
   /// Captures the final snapshot (and writes it to snapshot_out, if set).
-  void finish_run(Round round, std::int64_t pending);
+  void finish_run(const RunCounters& counters, Round round,
+                  std::int64_t pending);
 
   /// Dumps the trace ring: to `os` if given, else to trace_dump_out, else
   /// to stderr.  The engine calls this when a run dies on InvariantError.

@@ -15,13 +15,13 @@ namespace rrs {
 
 namespace {
 
-void append_int(std::string& out, std::int64_t v) {
+void append(std::string& out, std::int64_t v) {
   char buf[24];
   const auto res = std::to_chars(buf, buf + sizeof buf, v);
   out.append(buf, res.ptr);
 }
 
-void append_double(std::string& out, double v) {
+void append(std::string& out, double v) {
   // %.17g round-trips any finite double exactly through the strict
   // from_chars parser below.
   char buf[40];
@@ -29,15 +29,15 @@ void append_double(std::string& out, double v) {
   out.append(buf, static_cast<std::size_t>(n));
 }
 
-void append_histogram(std::string& out, const Histogram& h) {
+void append(std::string& out, const Histogram& h) {
   out += "{\"count\":";
-  append_int(out, h.count());
+  append(out, h.count());
   out += ",\"sum\":";
-  append_int(out, h.sum());
+  append(out, h.sum());
   out += ",\"min\":";
-  append_int(out, h.min());
+  append(out, h.min());
   out += ",\"max\":";
-  append_int(out, h.max());
+  append(out, h.max());
   out += ",\"buckets\":[";
   bool first = true;
   for (int i = 0; i < Histogram::kNumBuckets; ++i) {
@@ -45,9 +45,9 @@ void append_histogram(std::string& out, const Histogram& h) {
     if (!first) out += ',';
     first = false;
     out += '[';
-    append_int(out, i);
+    append(out, std::int64_t{i});
     out += ',';
-    append_int(out, h.bucket(i));
+    append(out, h.bucket(i));
     out += ']';
   }
   out += "]}";
@@ -112,7 +112,15 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-Histogram parse_histogram(Cursor& c) {
+/// Every top-level integer key is a counter or gauge, never negative.
+void parse(Cursor& c, std::int64_t& v) {
+  v = c.parse_int();
+  RRS_REQUIRE(v >= 0, "snapshot: negative counter");
+}
+
+void parse(Cursor& c, double& v) { v = c.parse_double(); }
+
+void parse(Cursor& c, Histogram& h) {
   c.expect("{\"count\":");
   const std::int64_t count = c.parse_int();
   c.expect(",\"sum\":");
@@ -138,27 +146,28 @@ Histogram parse_histogram(Cursor& c) {
     }
   }
   c.expect("]}");
-  return Histogram::from_parts(count, sum, min, max, buckets);
+  h = Histogram::from_parts(count, sum, min, max, buckets);
 }
 
 }  // namespace
 
-Snapshot make_snapshot(const StreamStats& stats, Round round,
-                       std::int64_t pending) {
+Snapshot make_snapshot(const StreamStats& stats, const RunCounters& counters,
+                       Round round, std::int64_t pending) {
   Snapshot s;
   s.round = round;
-  s.arrived = stats.arrived();
-  s.executed = stats.executed();
+  s.arrived = counters.arrived;
+  s.executed = counters.executed;
   s.drop_count = stats.drop_count();
-  s.drop_weight = stats.drop_weight();
+  s.drop_weight = counters.cost.drops;
   s.completed_weight = stats.completed_weight();
-  s.work_units = stats.work_units();
-  s.reconfig_events = stats.reconfig_events();
-  s.churn_failures = stats.churn_failures();
-  s.churn_repairs = stats.churn_repairs();
-  s.churn_evictions = stats.churn_evictions();
+  s.work_units = counters.work_units;
+  s.reconfig_events =
+      counters.cost.reconfig_events - counters.cost.churn_reconfigs;
+  s.churn_failures = counters.degraded.fault_events;
+  s.churn_repairs = counters.degraded.repair_events;
+  s.churn_evictions = counters.degraded.churn_evictions;
   s.pending = pending;
-  s.admission_rejected = stats.admission_rejected();
+  s.admission_rejected = counters.admission_rejected;
   s.wait = stats.wait();
   s.slack = stats.slack();
   s.service = stats.service();
@@ -169,27 +178,7 @@ Snapshot make_snapshot(const StreamStats& stats, Round round,
 }
 
 void merge_into(Snapshot& into, const Snapshot& from) {
-  into.round = std::max(into.round, from.round);
-  into.arrived += from.arrived;
-  into.executed += from.executed;
-  into.drop_count += from.drop_count;
-  into.drop_weight += from.drop_weight;
-  into.completed_weight += from.completed_weight;
-  into.work_units += from.work_units;
-  into.reconfig_events += from.reconfig_events;
-  into.churn_failures += from.churn_failures;
-  into.churn_repairs += from.churn_repairs;
-  into.churn_evictions += from.churn_evictions;
-  into.pending += from.pending;
-  into.admission_rejected += from.admission_rejected;
-  into.fabric_chunks_produced += from.fabric_chunks_produced;
-  into.fabric_peak_chunks =
-      std::max(into.fabric_peak_chunks, from.fabric_peak_chunks);
-  into.fabric_ring_occupancy += from.fabric_ring_occupancy;
-  into.wait.merge(from.wait);
-  into.slack.merge(from.slack);
-  into.service.merge(from.service);
-  into.reconfig_gap.merge(from.reconfig_gap);
+  merge_fields(into, from);
   into.mean_wait = into.wait.mean();
   into.mean_slack = into.slack.mean();
 }
@@ -197,50 +186,17 @@ void merge_into(Snapshot& into, const Snapshot& from) {
 std::string to_json_line(const Snapshot& snapshot) {
   std::string out;
   out.reserve(512);
-  out += "{\"round\":";
-  append_int(out, snapshot.round);
-  out += ",\"arrived\":";
-  append_int(out, snapshot.arrived);
-  out += ",\"executed\":";
-  append_int(out, snapshot.executed);
-  out += ",\"drop_count\":";
-  append_int(out, snapshot.drop_count);
-  out += ",\"drop_weight\":";
-  append_int(out, snapshot.drop_weight);
-  out += ",\"completed_weight\":";
-  append_int(out, snapshot.completed_weight);
-  out += ",\"work_units\":";
-  append_int(out, snapshot.work_units);
-  out += ",\"reconfig_events\":";
-  append_int(out, snapshot.reconfig_events);
-  out += ",\"churn_failures\":";
-  append_int(out, snapshot.churn_failures);
-  out += ",\"churn_repairs\":";
-  append_int(out, snapshot.churn_repairs);
-  out += ",\"churn_evictions\":";
-  append_int(out, snapshot.churn_evictions);
-  out += ",\"pending\":";
-  append_int(out, snapshot.pending);
-  out += ",\"admission_rejected\":";
-  append_int(out, snapshot.admission_rejected);
-  out += ",\"fabric_chunks_produced\":";
-  append_int(out, snapshot.fabric_chunks_produced);
-  out += ",\"fabric_peak_chunks\":";
-  append_int(out, snapshot.fabric_peak_chunks);
-  out += ",\"fabric_ring_occupancy\":";
-  append_int(out, snapshot.fabric_ring_occupancy);
-  out += ",\"mean_wait\":";
-  append_double(out, snapshot.mean_wait);
-  out += ",\"mean_slack\":";
-  append_double(out, snapshot.mean_slack);
-  out += ",\"wait\":";
-  append_histogram(out, snapshot.wait);
-  out += ",\"slack\":";
-  append_histogram(out, snapshot.slack);
-  out += ",\"service\":";
-  append_histogram(out, snapshot.service);
-  out += ",\"reconfig_gap\":";
-  append_histogram(out, snapshot.reconfig_gap);
+  char separator = '{';
+  for_each_field(
+      [&](const auto& field, const auto& value) {
+        out += separator;
+        out += '"';
+        out += field.name;
+        out += "\":";
+        append(out, value);
+        separator = ',';
+      },
+      snapshot);
   out += '}';
   return out;
 }
@@ -248,64 +204,22 @@ std::string to_json_line(const Snapshot& snapshot) {
 Snapshot parse_snapshot_line(std::string_view line) {
   Cursor c(line);
   Snapshot s;
-  c.expect("{\"round\":");
-  s.round = c.parse_int();
-  c.expect(",\"arrived\":");
-  s.arrived = c.parse_int();
-  c.expect(",\"executed\":");
-  s.executed = c.parse_int();
-  c.expect(",\"drop_count\":");
-  s.drop_count = c.parse_int();
-  c.expect(",\"drop_weight\":");
-  s.drop_weight = c.parse_int();
-  c.expect(",\"completed_weight\":");
-  s.completed_weight = c.parse_int();
-  c.expect(",\"work_units\":");
-  s.work_units = c.parse_int();
-  c.expect(",\"reconfig_events\":");
-  s.reconfig_events = c.parse_int();
-  c.expect(",\"churn_failures\":");
-  s.churn_failures = c.parse_int();
-  c.expect(",\"churn_repairs\":");
-  s.churn_repairs = c.parse_int();
-  c.expect(",\"churn_evictions\":");
-  s.churn_evictions = c.parse_int();
-  c.expect(",\"pending\":");
-  s.pending = c.parse_int();
-  c.expect(",\"admission_rejected\":");
-  s.admission_rejected = c.parse_int();
-  c.expect(",\"fabric_chunks_produced\":");
-  s.fabric_chunks_produced = c.parse_int();
-  c.expect(",\"fabric_peak_chunks\":");
-  s.fabric_peak_chunks = c.parse_int();
-  c.expect(",\"fabric_ring_occupancy\":");
-  s.fabric_ring_occupancy = c.parse_int();
-  c.expect(",\"mean_wait\":");
-  s.mean_wait = c.parse_double();
-  c.expect(",\"mean_slack\":");
-  s.mean_slack = c.parse_double();
-  c.expect(",\"wait\":");
-  s.wait = parse_histogram(c);
-  c.expect(",\"slack\":");
-  s.slack = parse_histogram(c);
-  c.expect(",\"service\":");
-  s.service = parse_histogram(c);
-  c.expect(",\"reconfig_gap\":");
-  s.reconfig_gap = parse_histogram(c);
+  char separator = '{';
+  for_each_field(
+      [&](const auto& field, auto& value) {
+        c.skip(separator);
+        c.skip('"');
+        c.expect(field.name);
+        c.expect("\":");
+        parse(c, value);
+        separator = ',';
+      },
+      s);
   c.expect("}");
   c.expect_end();
 
   // Cross-field consistency: a well-formed snapshot cannot violate these,
   // so a violation means corrupt input.
-  RRS_REQUIRE(s.round >= 0 && s.arrived >= 0 && s.drop_count >= 0 &&
-                  s.drop_weight >= 0 && s.completed_weight >= 0 &&
-                  s.work_units >= 0 && s.reconfig_events >= 0 &&
-                  s.churn_failures >= 0 && s.churn_repairs >= 0 &&
-                  s.churn_evictions >= 0 && s.pending >= 0 &&
-                  s.admission_rejected >= 0 &&
-                  s.fabric_chunks_produced >= 0 && s.fabric_peak_chunks >= 0 &&
-                  s.fabric_ring_occupancy >= 0,
-              "snapshot: negative counter");
   RRS_REQUIRE(s.admission_rejected <= s.drop_count,
               "snapshot: admission rejections exceed drop count");
   RRS_REQUIRE(s.executed == s.wait.count() && s.executed == s.slack.count(),

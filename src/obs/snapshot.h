@@ -5,22 +5,25 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/types.h"
 #include "obs/histogram.h"
+#include "util/field_list.h"
 
 namespace rrs {
 
 class StreamStats;
 
-/// A cumulative point-in-time export of a run's StreamStats: every field is
-/// a run total as of `round` (not a delta since the previous snapshot).
+/// A cumulative point-in-time export of a run's counters: every field is a
+/// run total as of `round` (not a delta since the previous snapshot).
 /// Integer counters and integer-backed histograms make merge_into() exact,
 /// commutative, and associative; mean_wait / mean_slack are derived doubles
 /// recomputed from the merged histograms, so merged snapshots stay
-/// internally consistent.  Deliberately holds no wall-clock data: two runs
-/// of the same workload produce byte-identical snapshot streams.
+/// internally consistent.  Deliberately holds no wall-clock or
+/// timing-dependent data: two runs of the same workload produce
+/// byte-identical snapshot streams, whatever the worker count.
 struct Snapshot {
   Round round = 0;
   std::int64_t arrived = 0;
@@ -31,6 +34,7 @@ struct Snapshot {
   Cost completed_weight = 0;
   /// Execution units applied (== executed under unit lengths).
   std::int64_t work_units = 0;
+  /// Policy recolorings (charged repairs excluded).
   std::int64_t reconfig_events = 0;
   std::int64_t churn_failures = 0;
   std::int64_t churn_repairs = 0;
@@ -39,14 +43,6 @@ struct Snapshot {
   /// Arrivals shed by pending-budget admission control (cumulative; a
   /// subset of drop_count — shed jobs are charged as drops).
   std::int64_t admission_rejected = 0;
-  /// Shard-fabric gauges, stamped by the sharded runner on merged final
-  /// snapshots: chunks the demux thread produced, the peak number buffered
-  /// across all rings at once, and residual ring occupancy at run end
-  /// (nonzero only on abnormal exits).  All zero for serial runs and for
-  /// shard-native (demux-free) runs.
-  std::int64_t fabric_chunks_produced = 0;
-  std::int64_t fabric_peak_chunks = 0;  ///< merge takes the max, not the sum
-  std::int64_t fabric_ring_occupancy = 0;
   double mean_wait = 0.0;
   double mean_slack = 0.0;
   Histogram wait;
@@ -54,12 +50,37 @@ struct Snapshot {
   Histogram service;  ///< per-completion job lengths
   Histogram reconfig_gap;
 
+  /// The JSON keys, in line order.
+  static constexpr std::tuple kFields{
+      Field{"round", &Snapshot::round, Merge::kMax},
+      Field{"arrived", &Snapshot::arrived},
+      Field{"executed", &Snapshot::executed},
+      Field{"drop_count", &Snapshot::drop_count},
+      Field{"drop_weight", &Snapshot::drop_weight},
+      Field{"completed_weight", &Snapshot::completed_weight},
+      Field{"work_units", &Snapshot::work_units},
+      Field{"reconfig_events", &Snapshot::reconfig_events},
+      Field{"churn_failures", &Snapshot::churn_failures},
+      Field{"churn_repairs", &Snapshot::churn_repairs},
+      Field{"churn_evictions", &Snapshot::churn_evictions},
+      Field{"pending", &Snapshot::pending},
+      Field{"admission_rejected", &Snapshot::admission_rejected},
+      Field{"mean_wait", &Snapshot::mean_wait},
+      Field{"mean_slack", &Snapshot::mean_slack},
+      Field{"wait", &Snapshot::wait},
+      Field{"slack", &Snapshot::slack},
+      Field{"service", &Snapshot::service},
+      Field{"reconfig_gap", &Snapshot::reconfig_gap},
+  };
+
   friend bool operator==(const Snapshot&, const Snapshot&) = default;
 };
 
-/// Captures the current totals of `stats` at `round` with a live pending
-/// gauge.
-[[nodiscard]] Snapshot make_snapshot(const StreamStats& stats, Round round,
+/// Captures a run at `round`: its totals from the engine's `counters`, its
+/// distributions and observer-only totals from `stats`, and a live pending
+/// gauge.  The one place engine counter names map onto snapshot keys.
+[[nodiscard]] Snapshot make_snapshot(const StreamStats& stats,
+                                     const RunCounters& counters, Round round,
                                      std::int64_t pending);
 
 /// Additive merge: counters and histograms add, round takes the max,

@@ -10,10 +10,14 @@ namespace rrs {
 
 namespace {
 
+void put(CheckpointWriter& w, std::int64_t v) { w.i64(v); }
+
+void get(CheckpointReader& r, std::int64_t& v) { v = r.i64(); }
+
 /// Histograms serialize as exact aggregates plus a sparse bucket list; the
 /// reader round-trips through Histogram::from_parts so every internal
 /// consistency check applies to checkpointed data too.
-void checkpoint_histogram(CheckpointWriter& w, const Histogram& h) {
+void put(CheckpointWriter& w, const Histogram& h) {
   w.i64(h.count());
   w.i64(h.sum());
   w.i64(h.min());
@@ -31,7 +35,7 @@ void checkpoint_histogram(CheckpointWriter& w, const Histogram& h) {
   }
 }
 
-Histogram restore_histogram(CheckpointReader& r) {
+void get(CheckpointReader& r, Histogram& h) {
   const std::int64_t count = r.i64();
   const std::int64_t sum = r.i64();
   const Round min = r.i64();
@@ -47,70 +51,28 @@ Histogram restore_histogram(CheckpointReader& r) {
                 "checkpoint histogram bucket index out of range");
     buckets.emplace_back(static_cast<int>(index), r.i64());
   }
-  return Histogram::from_parts(count, sum, min, max, buckets);
+  h = Histogram::from_parts(count, sum, min, max, buckets);
 }
 
 }  // namespace
 
 void StreamStats::checkpoint(CheckpointWriter& w) const {
-  w.i64(arrived_);
-  w.i64(executed_);
-  w.i64(work_units_);
-  w.i64(completed_weight_);
-  w.i64(drop_count_);
-  w.i64(drop_weight_);
-  w.i64(reconfig_events_);
-  w.i64(reconfig_rounds_);
+  const auto write = [&w](const auto&, const auto& value) { put(w, value); };
   w.i64(last_reconfig_round_);
-  w.i64(churn_failures_);
-  w.i64(churn_repairs_);
-  w.i64(churn_evictions_);
-  w.i64(admission_rejected_);
-  checkpoint_histogram(w, wait_);
-  checkpoint_histogram(w, slack_);
-  checkpoint_histogram(w, service_);
-  checkpoint_histogram(w, reconfig_gap_);
+  for_each_field(write, *this);
   w.u64(per_color_.size());
-  for (const ColorObs& obs : per_color_) {
-    w.i64(obs.arrived);
-    w.i64(obs.executed);
-    w.i64(obs.dropped);
-    w.i64(obs.dropped_weight);
-    w.i64(obs.wait_sum);
-    w.i64(obs.work_units);
-  }
+  for (const ColorObs& obs : per_color_) for_each_field(write, obs);
 }
 
 void StreamStats::restore_checkpoint(CheckpointReader& r) {
-  arrived_ = r.i64();
-  executed_ = r.i64();
-  work_units_ = r.i64();
-  completed_weight_ = r.i64();
-  drop_count_ = r.i64();
-  drop_weight_ = r.i64();
-  reconfig_events_ = r.i64();
-  reconfig_rounds_ = r.i64();
+  const auto read = [&r](const auto&, auto& value) { get(r, value); };
   last_reconfig_round_ = r.i64();
   RRS_REQUIRE(last_reconfig_round_ >= -1,
               "checkpoint reconfig cursor out of range");
-  churn_failures_ = r.i64();
-  churn_repairs_ = r.i64();
-  churn_evictions_ = r.i64();
-  admission_rejected_ = r.i64();
-  wait_ = restore_histogram(r);
-  slack_ = restore_histogram(r);
-  service_ = restore_histogram(r);
-  reconfig_gap_ = restore_histogram(r);
+  for_each_field(read, *this);
   RRS_REQUIRE(r.u64() == per_color_.size(),
               "checkpoint stream-stats color count mismatch");
-  for (ColorObs& obs : per_color_) {
-    obs.arrived = r.i64();
-    obs.executed = r.i64();
-    obs.dropped = r.i64();
-    obs.dropped_weight = r.i64();
-    obs.wait_sum = r.i64();
-    obs.work_units = r.i64();
-  }
+  for (ColorObs& obs : per_color_) for_each_field(read, obs);
 }
 
 }  // namespace rrs

@@ -46,18 +46,10 @@ constexpr Round kStopCheckRounds = 1024;
 using PolicyStats = std::vector<std::pair<std::string, std::int64_t>>;
 
 /// Folds `part` (one engine's result, or one shard's record) into `into`:
-/// counters sum, rounds and peak_pending take the max, policy stats sum
-/// per key.
-template <typename Part>
-void fold(StreamRunRecord& into, const Part& part, const PolicyStats& stats) {
-  into.cost += part.cost;
-  into.degraded += part.degraded;
-  into.executed += part.executed;
-  into.work_units += part.work_units;
-  into.arrived += part.arrived;
-  into.admission_rejected += part.admission_rejected;
-  into.rounds = std::max(into.rounds, part.rounds);
-  into.peak_pending = std::max(into.peak_pending, part.peak_pending);
+/// counters merge per RunCounters' field list, policy stats sum per key.
+void fold(StreamRunRecord& into, const RunCounters& part,
+          const PolicyStats& stats) {
+  into += part;
   for (const auto& [key, value] : stats) {
     auto it = std::find_if(into.stats.begin(), into.stats.end(),
                            [&key](const auto& kv) { return kv.first == key; });
@@ -91,52 +83,33 @@ std::ifstream open_checkpoint(const std::filesystem::path& path) {
 /// Rebuilds `merged` as the exact additive merge of the per-shard
 /// observers: stats relabeled through the plan's local -> global color
 /// maps, timers summed, snapshot series merged point-wise with
-/// carry-forward, final snapshots merged, fabric gauges stamped from the
-/// run record.
+/// carry-forward, final snapshots merged.
 void merge_shard_observers(Observer& merged,
                            const std::vector<Observer*>& shard_observers,
                            const ArrivalSource& source,
-                           const ShardedRunRecord& record) {
-  std::vector<Round> delay_bounds(
-      static_cast<std::size_t>(source.num_colors()));
-  std::vector<Cost> drop_costs(delay_bounds.size());
-  std::vector<Round> lengths(delay_bounds.size());
-  for (ColorId c = 0; c < source.num_colors(); ++c) {
-    delay_bounds[static_cast<std::size_t>(c)] = source.delay_bound(c);
-    drop_costs[static_cast<std::size_t>(c)] = source.drop_cost(c);
-    lengths[static_cast<std::size_t>(c)] = source.length(c);
-  }
-  merged.begin_run(delay_bounds, drop_costs, lengths);
-
+                           const ShardPlan& plan) {
+  begin_observed_run(merged, source);
   std::vector<std::vector<Snapshot>> series;
-  merged.final_snapshot = Snapshot{};
   for (std::size_t s = 0; s < shard_observers.size(); ++s) {
     const Observer& shard = *shard_observers[s];
-    merged.stats.merge_mapped(shard.stats, record.plan.shard_colors[s]);
+    merged.stats.merge_mapped(shard.stats, plan.shard_colors[s]);
     merged.timers.merge(shard.timers);
     series.push_back(shard.snapshots);
     merge_into(merged.final_snapshot, shard.final_snapshot);
   }
   merged.snapshots = merge_snapshot_series(series);
-  merged.final_snapshot.fabric_chunks_produced =
-      record.splitter_chunks_produced;
-  for (const std::int64_t peak : record.splitter_peak_chunks) {
-    merged.final_snapshot.fabric_peak_chunks =
-        std::max(merged.final_snapshot.fabric_peak_chunks, peak);
-  }
-  merged.final_snapshot.fabric_ring_occupancy = record.fabric_ring_occupancy;
   if (merged.snapshot_out != nullptr) {
     write_snapshots(*merged.snapshot_out, merged.snapshots);
-    *merged.snapshot_out << to_json_line(merged.final_snapshot) << '\n';
+    write_snapshots(*merged.snapshot_out, {&merged.final_snapshot, 1});
   }
 }
 
 /// The segment loop behind run_streaming, run_service and
 /// run_streaming_sharded.  K engines (one per shard, under one plan) run
-/// to the next boundary; there the loop checkpoints or stops.  One engine runs on the calling thread over the caller's
-/// source and observer; K engines run on the pool over shard-native
-/// generator views or, for any other source, one demux fabric spanning
-/// the run.
+/// to the next boundary; there the loop checkpoints or stops.  One engine
+/// runs on the calling thread over the caller's source and observer; K
+/// engines run on the pool over shard-native generator views or, for any
+/// other source, one demux fabric spanning the run.
 class SegmentLoop {
  public:
   SegmentLoop(ArrivalSource& source, const std::string& name, int n,
@@ -159,11 +132,6 @@ class SegmentLoop {
                              options.resume || options.stop_flag != nullptr;
     RRS_REQUIRE(!checkpoints || !options.checkpoint_dir.empty(),
                 "checkpoint_every, resume and stop_flag need checkpoint_dir");
-    RRS_REQUIRE(options.shard_observers.empty() ||
-                    options.shard_observers.size() == shards_,
-                "shard_observers must have one entry per shard: got "
-                    << options.shard_observers.size() << " for "
-                    << num_shards << " shards");
 
     // Resolve the arrival horizon up front (the engine's own resolution,
     // hoisted): every engine and the fabric must agree on it.
@@ -230,7 +198,6 @@ class SegmentLoop {
     } else if (options.stop_flag != nullptr) {
       cadence_ = kStopCheckRounds;
     }
-    direct_observer_ = shards_ == 1 && options.shard_observers.empty();
     record_.native_sources = shards_ == 1 || gen_ != nullptr;
     record_.splitter_peak_chunks.assign(shards_, 0);
     record_.shards.resize(shards_);
@@ -337,10 +304,8 @@ class SegmentLoop {
   /// Builds fresh observers, policies and engines for every slot.
   void build_engines() {
     owned_observers_.clear();
-    if (direct_observer_) {
+    if (shards_ == 1) {
       if (options_.observer != nullptr) slot_observers_ = {options_.observer};
-    } else if (!options_.shard_observers.empty()) {
-      slot_observers_ = options_.shard_observers;
     } else if (options_.observer != nullptr) {
       slot_observers_.clear();
       for (std::size_t s = 0; s < shards_; ++s) {
@@ -397,23 +362,19 @@ class SegmentLoop {
     });
   }
 
-  /// The color partition makes shard costs exactly additive; the merged
-  /// peak is the sum of per-shard peaks.
+  /// The color partition makes shard counters exactly additive.
   void merge(bool stopped, double seconds) {
     StreamRunRecord& merged = record_.merged;
     merged.algorithm = name_;
     merged.n = n_;
-    std::int64_t peak_sum = 0;
     for (const StreamRunRecord& shard : record_.shards) {
       fold(merged, shard, shard.stats);
-      peak_sum += shard.peak_pending;
     }
-    merged.peak_pending = peak_sum;
     merged.seconds = seconds;
     record_.finished = !stopped;
-    if (options_.observer != nullptr && !direct_observer_) {
+    if (options_.observer != nullptr && shards_ > 1) {
       merge_shard_observers(*options_.observer, slot_observers_, source_,
-                            record_);
+                            record_.plan);
     }
   }
 
@@ -426,9 +387,8 @@ class SegmentLoop {
 
   void close_fabric() {
     for (std::size_t s = 0; s < shards_; ++s) {
-      const int shard = static_cast<int>(s);
-      record_.splitter_peak_chunks[s] = fabric_->peak_buffered_chunks(shard);
-      record_.fabric_ring_occupancy += fabric_->ring_occupancy(shard);
+      record_.splitter_peak_chunks[s] =
+          fabric_->peak_buffered_chunks(static_cast<int>(s));
     }
     record_.splitter_chunks_produced = fabric_->chunks_produced();
     fabric_.reset();
@@ -576,9 +536,6 @@ class SegmentLoop {
   const std::size_t shards_;
   const ShardedRunOptions& options_;
   Round arrival_end_ = 0;
-  /// One engine with no caller shard observers drives options_.observer
-  /// itself; otherwise every slot gets its own and they merge at the end.
-  bool direct_observer_ = false;
   Round cadence_ = 0;               ///< boundaries fall on its multiples
   GeneratorSource* gen_ = nullptr;  ///< parent of the shard-native views
   std::vector<FaultPlan> shard_faults_;

@@ -30,22 +30,12 @@ struct RunRecord {
                                       const std::string& name, int n,
                                       Schedule* schedule_out = nullptr);
 
-/// Outcome of one streaming run.
-struct StreamRunRecord {
+/// Outcome of one streaming run: the engine's counters plus its identity,
+/// wall clock and policy stats.
+struct StreamRunRecord : RunCounters {
   std::string algorithm;
   int n = 0;
-  CostBreakdown cost;
-  std::int64_t executed = 0;      ///< jobs completed
-  std::int64_t work_units = 0;    ///< execution units applied (== executed
-                                  ///< under unit lengths)
-  std::int64_t arrived = 0;       ///< jobs pulled from the source
-  Round rounds = 0;               ///< rounds actually run
-  std::int64_t peak_pending = 0;  ///< max pending-set size observed
-  /// Arrivals shed by pending-budget admission control (already counted in
-  /// arrived and charged in cost.drops).
-  std::int64_t admission_rejected = 0;
-  DegradedStats degraded;         ///< capacity-churn counters
-  double seconds = 0.0;           ///< wall-clock of the run
+  double seconds = 0.0;  ///< wall-clock of the run
   std::vector<std::pair<std::string, std::int64_t>> stats;
 };
 
@@ -71,7 +61,9 @@ struct RunOptions {
   /// one is rebuilt as their exact additive merge: per-color counters
   /// relabeled to global ColorIds, histograms merged, timers summed,
   /// snapshot series merged point-wise with carry-forward (then written to
-  /// snapshot_out), final snapshots merged.
+  /// snapshot_out), final snapshots merged.  The merge holds only
+  /// deterministic data, so the snapshot bytes do not depend on whether
+  /// the shards ran over shard-native views or the demux fabric.
   Observer* observer = nullptr;
   /// Sparse-round fast-forward (see EngineOptions::fast_forward).
   /// Bit-identical either way; disable only to measure the skip.
@@ -141,20 +133,12 @@ struct ShardedRunOptions : RunOptions {
   Round chunk_rounds = 256;
   /// Buffered chunks per shard before the splitter applies backpressure.
   std::size_t max_buffered_chunks = 64;
-  /// Optional caller-provided per-shard observers (size == num_shards; not
-  /// owned); takes precedence over the runner-created ones so tests can
-  /// inspect raw per-shard state.  Entries must not share snapshot
-  /// streams: shards run concurrently.
-  std::vector<Observer*> shard_observers;
 };
 
 /// Outcome of one sharded streaming run: the per-shard records plus their
-/// merge.  The merged CostBreakdown/executed/arrived are exact sums (the
-/// color partition makes shards independent); merged rounds is the
-/// maximum over shards and merged peak_pending the sum of per-shard peaks
-/// (shards run asynchronously, so the true global peak is unobservable —
-/// the sum is a deterministic upper bound).  Merged policy stats sum
-/// per-key over shards.
+/// merge.  The merged counters follow RunCounters' field list: exact sums
+/// (the color partition makes shards independent), except rounds, the
+/// maximum over shards.  Merged policy stats sum per-key over shards.
 struct ShardedRunRecord : RunStatus {
   StreamRunRecord merged;                ///< n = total budget
   std::vector<StreamRunRecord> shards;   ///< per-shard, n = shard slice
@@ -165,9 +149,6 @@ struct ShardedRunRecord : RunStatus {
   /// of `merged`/`shards`, whose fields are deterministic.
   std::vector<std::int64_t> splitter_peak_chunks;
   std::int64_t splitter_chunks_produced = 0;
-  /// Residual chunks left in the rings when the fabric shut down (0 on a
-  /// clean run — consumers drain the whole run).
-  std::int64_t fabric_ring_occupancy = 0;
   /// True when no demux fabric served the run (one engine, or shard-native
   /// generator views); the splitter gauges are then all zero.
   bool native_sources = false;

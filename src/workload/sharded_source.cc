@@ -87,10 +87,6 @@ class ShardedSource::Fabric {
     return chunks_produced_.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] std::int64_t occupancy(std::size_t shard) const {
-    return static_cast<std::int64_t>(rings_[shard]->size());
-  }
-
   /// Hands shard `shard` its next chunk, which must start at `first`.
   /// Blocks (lock-free spin with short sleeps) until the demux thread has
   /// pushed it; rethrows the producer's exception if the fabric failed.
@@ -394,13 +390,6 @@ std::int64_t ShardedSource::peak_buffered_chunks(int shard) const {
 
 std::int64_t ShardedSource::chunks_produced() const {
   return fabric_->chunks_produced();
-}
-
-std::int64_t ShardedSource::ring_occupancy(int shard) const {
-  RRS_REQUIRE(shard >= 0 && shard < num_shards(),
-              "shard " << shard << " out of range [0, " << num_shards()
-                       << ")");
-  return fabric_->occupancy(static_cast<std::size_t>(shard));
 }
 
 }  // namespace rrs

@@ -99,9 +99,6 @@ class ShardedSource {
   /// for a fixed (source, plan, chunk_rounds) once the run completes.
   [[nodiscard]] std::int64_t chunks_produced() const;
 
-  /// Current (approximate) chunks buffered in `shard`'s ring.
-  [[nodiscard]] std::int64_t ring_occupancy(int shard) const;
-
  private:
   class Fabric;
   class Stream;

@@ -18,6 +18,7 @@
 #include "core/validator.h"
 #include "obs/observer.h"
 #include "sim/runner.h"
+#include "test_util.h"
 #include "util/rng.h"
 #include "workload/poisson.h"
 #include "workload/random_batched.h"
@@ -273,25 +274,8 @@ void expect_snapshot_parses_or_rejects(const std::string& text,
   // anything else escapes and fails the test
 }
 
-/// A realistic snapshot stream: periodic + final snapshots of an observed
-/// streaming run, as run_streaming writes them.
-std::string valid_snapshot_stream(std::uint64_t seed) {
-  ObsConfig config;
-  config.snapshot_every = 32;
-  Observer observer(config);
-  std::ostringstream out;
-  observer.snapshot_out = &out;
-  RandomBatchedParams params;
-  params.seed = seed;
-  params.horizon = 128;
-  RandomBatchedSource source(params);
-  (void)run_streaming(source, "dlru-edf", 8, kInfiniteHorizon, nullptr,
-                      false, &observer);
-  return out.str();
-}
-
 TEST(SnapshotFuzz, RoundTripIsExact) {
-  const std::string valid = valid_snapshot_stream(21);
+  const std::string valid = testing::golden_snapshot_stream();
   std::istringstream in(valid);
   const std::vector<Snapshot> parsed = read_snapshots(in);
   ASSERT_GE(parsed.size(), 3u);
@@ -301,7 +285,7 @@ TEST(SnapshotFuzz, RoundTripIsExact) {
 }
 
 TEST(SnapshotFuzz, TruncationCorpusParsesOrRejects) {
-  const std::string valid = valid_snapshot_stream(22);
+  const std::string valid = testing::golden_snapshot_stream();
   for (std::size_t len = 0; len < valid.size(); len += 7) {
     expect_snapshot_parses_or_rejects(valid.substr(0, len), "truncation");
   }
@@ -312,7 +296,7 @@ TEST(SnapshotFuzz, TruncationCorpusParsesOrRejects) {
 }
 
 TEST(SnapshotFuzz, ByteCorruptionCorpusParsesOrRejects) {
-  const std::string valid = valid_snapshot_stream(23);
+  const std::string valid = testing::golden_snapshot_stream();
   const char kReplacements[] = {'x', '\n', ',', '-', '9', '\0', ' ', '"'};
   for (std::size_t pos = 0; pos < valid.size(); pos += 5) {
     for (const char replacement : kReplacements) {
@@ -324,7 +308,7 @@ TEST(SnapshotFuzz, ByteCorruptionCorpusParsesOrRejects) {
 }
 
 TEST(SnapshotFuzz, JunkLineCorpusParsesOrRejects) {
-  const std::string valid = valid_snapshot_stream(24);
+  const std::string valid = testing::golden_snapshot_stream();
   const char* const kJunkLines[] = {
       "{\"round\":0}\n",
       "{}\n",
@@ -348,7 +332,7 @@ TEST(SnapshotFuzz, JunkLineCorpusParsesOrRejects) {
 }
 
 TEST(SnapshotFuzz, RejectsNonFiniteNumbers) {
-  const std::string valid = valid_snapshot_stream(25);
+  const std::string valid = testing::golden_snapshot_stream();
   const std::string first_line = valid.substr(0, valid.find('\n'));
   const std::size_t at = first_line.find("\"mean_wait\":");
   ASSERT_NE(at, std::string::npos);
@@ -370,13 +354,13 @@ TEST(SnapshotFuzz, RejectsInternallyInconsistentSnapshots) {
     const std::vector<Round> delays = {4};
     const std::vector<Cost> costs = {2};
     stats.begin(delays, costs);
-    for (int i = 0; i < 6; ++i) stats.on_arrival(0);
-    for (int i = 0; i < 3; ++i) {
-      stats.on_work_unit(0);
-      stats.on_execution(0, i, i + 4);
-    }
+    for (int i = 0; i < 3; ++i) stats.on_execution(0, i, i + 4);
     stats.on_drop(0, 2);
-    return make_snapshot(stats, 40, 1);
+    RunCounters counters;
+    counters.arrived = 6;
+    counters.executed = counters.work_units = 3;
+    counters.cost.drops = 4;
+    return make_snapshot(stats, counters, 40, 1);
   }();
   EXPECT_EQ(parse_snapshot_line(to_json_line(s)), s) << "baseline is valid";
 

@@ -49,14 +49,7 @@ std::filesystem::path test_dir(const std::string& name) {
 }
 
 void expect_identical(const StreamRunRecord& a, const StreamRunRecord& b) {
-  EXPECT_EQ(a.cost, b.cost);
-  EXPECT_EQ(a.executed, b.executed);
-  EXPECT_EQ(a.work_units, b.work_units);
-  EXPECT_EQ(a.arrived, b.arrived);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.peak_pending, b.peak_pending);
-  EXPECT_EQ(a.admission_rejected, b.admission_rejected);
-  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(RunCounters(a), RunCounters(b));
   EXPECT_EQ(a.stats, b.stats);
 }
 
