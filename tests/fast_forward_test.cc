@@ -69,13 +69,7 @@ std::unique_ptr<ArrivalSource> make_source(const std::string& family,
 
 void expect_identical(const StreamRunRecord& on, const StreamRunRecord& off,
                       const std::string& what) {
-  EXPECT_EQ(on.cost, off.cost) << what;
-  EXPECT_EQ(on.executed, off.executed) << what;
-  EXPECT_EQ(on.work_units, off.work_units) << what;
-  EXPECT_EQ(on.arrived, off.arrived) << what;
-  EXPECT_EQ(on.rounds, off.rounds) << what;
-  EXPECT_EQ(on.peak_pending, off.peak_pending) << what;
-  EXPECT_EQ(on.degraded, off.degraded) << what;
+  EXPECT_EQ(RunCounters(on), RunCounters(off)) << what;
   EXPECT_EQ(on.stats, off.stats) << what;
 }
 
