@@ -55,7 +55,7 @@ int main() {
     if (batched) algorithms.emplace_back("distribute");
     algorithms.emplace_back("varbatch");
     for (const std::string& name : algorithms) {
-      const RunRecord r = run_algorithm(inst, name, n);
+      const StreamRunRecord r = run_algorithm(inst, name, n);
       std::string versus = "-";
       if (name == "dlru-edf") {
         direct_cost = r.cost.total();

@@ -41,7 +41,7 @@ int main() {
   double pipeline_spike = 0.0, pipeline_background = 0.0;
   for (const std::string name : {"varbatch", "edf", "dlru"}) {
     Schedule schedule;
-    const RunRecord r = run_algorithm(inst, name, n, &schedule);
+    const StreamRunRecord r = run_algorithm(inst, name, n, &schedule);
     const ScheduleMetrics m = compute_metrics(inst, schedule);
 
     const auto& spike = m.per_color[static_cast<std::size_t>(

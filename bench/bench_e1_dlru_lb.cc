@@ -37,8 +37,8 @@ int main() {
 
     const Cost off =
         validate_or_throw(adv.instance, appendix_a_off_schedule(adv)).total();
-    const RunRecord dlru = run_algorithm(adv.instance, "dlru", n);
-    const RunRecord combo = run_algorithm(adv.instance, "dlru-edf", n);
+    const StreamRunRecord dlru = run_algorithm(adv.instance, "dlru", n);
+    const StreamRunRecord combo = run_algorithm(adv.instance, "dlru-edf", n);
 
     const double dlru_ratio =
         static_cast<double>(dlru.cost.total()) / static_cast<double>(off);

@@ -38,8 +38,8 @@ int main() {
 
     const Cost off =
         validate_or_throw(adv.instance, appendix_b_off_schedule(adv)).total();
-    const RunRecord edf = run_algorithm(adv.instance, "edf", n);
-    const RunRecord combo = run_algorithm(adv.instance, "dlru-edf", n);
+    const StreamRunRecord edf = run_algorithm(adv.instance, "edf", n);
+    const StreamRunRecord combo = run_algorithm(adv.instance, "dlru-edf", n);
 
     const double edf_ratio =
         static_cast<double>(edf.cost.total()) / static_cast<double>(off);

@@ -72,8 +72,8 @@ int main() {
       p.seed = 42;
       const Instance inst = make_random_batched(p);
       const RatioReport combo = measure_ratio(inst, "dlru-edf", n, m);
-      const RunRecord dlru = run_algorithm(inst, "dlru", n);
-      const RunRecord edf = run_algorithm(inst, "edf", n);
+      const StreamRunRecord dlru = run_algorithm(inst, "dlru", n);
+      const StreamRunRecord edf = run_algorithm(inst, "edf", n);
       return std::vector<std::string>{
           config.label,
           std::to_string(p.delta),

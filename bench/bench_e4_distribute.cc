@@ -43,7 +43,7 @@ int main() {
 
     const DistributeResult dist = run_distribute(inst, n);
     (void)validate_or_throw(inst, dist.schedule);
-    const RunRecord direct = run_algorithm(inst, "dlru-edf", n);
+    const StreamRunRecord direct = run_algorithm(inst, "dlru-edf", n);
     const Cost lb = offline_lower_bound(inst, m).best();
     const Cost ub = best_offline_heuristic_cost(inst, m);
 

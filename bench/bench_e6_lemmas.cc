@@ -12,7 +12,7 @@
 
 #include "algs/dlru_edf.h"
 #include "algs/par_edf.h"
-#include "algs/seq_edf.h"
+#include "algs/registry.h"
 #include "bench_common.h"
 #include "workload/random_batched.h"
 
@@ -77,7 +77,8 @@ int main() {
     options.replication = 2;
     options.record_schedule = false;
     (void)run_policy(inst, policy, options);
-    const Cost ds = run_ds_seq_edf(inst, m).cost.drops;
+    const Cost ds =
+        find_algorithm("ds-seq-edf").run(inst, m, false).cost.drops;
     const std::int64_t par = run_par_edf(inst, m).drops;
     const bool ok =
         policy.tracker().eligible_drops() <= ds && ds <= par;

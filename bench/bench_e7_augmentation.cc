@@ -53,7 +53,7 @@ int main() {
     const Cost lb = offline_lower_bound(w.instance, m).best();
     Cost previous = -1;
     for (const int n : {4, 8, 16, 32}) {
-      const RunRecord r = run_algorithm(w.instance, "dlru-edf", n);
+      const StreamRunRecord r = run_algorithm(w.instance, "dlru-edf", n);
       const double ratio =
           lb > 0 ? static_cast<double>(r.cost.total()) /
                        static_cast<double>(lb)

@@ -54,7 +54,7 @@ int main() {
   Cost dlru_reconfig = 0, dlru_drops = 0;
   double combo_ratio = 0.0;
   for (const std::string name : {"edf", "dlru", "dlru-edf"}) {
-    const RunRecord r = run_algorithm(inst, name, n);
+    const StreamRunRecord r = run_algorithm(inst, name, n);
     const double ratio = static_cast<double>(r.cost.total()) /
                          static_cast<double>(ub);
     std::string mode = "balanced (bounded ratio)";

@@ -58,10 +58,9 @@ void BM_DLruEdfEngine(benchmark::State& state) {
   const int n = static_cast<int>(state.range(1));
   const Instance inst = bench_instance(colors, 4096);
   for (auto _ : state) {
-    auto policy = make_policy("dlru-edf");
     EngineOptions options;
+    const auto policy = make_stream_policy("dlru-edf", options);
     options.num_resources = n;
-    options.replication = 2;
     options.record_schedule = false;
     benchmark::DoNotOptimize(run_policy(inst, *policy, options));
   }

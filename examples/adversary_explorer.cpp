@@ -31,7 +31,7 @@ void run_all(const rrs::Instance& inst, int n, rrs::Cost off_cost) {
       {"algorithm", "reconfig", "drops", "total", "ratio vs OFF"});
   for (const std::string name : {"dlru", "edf", "dlru-edf"}) {
     Schedule schedule;
-    const RunRecord r = run_algorithm(inst, name, n, &schedule);
+    const StreamRunRecord r = run_algorithm(inst, name, n, &schedule);
     (void)validate_or_throw(inst, schedule);
     table.add_row({r.algorithm, std::to_string(r.cost.reconfig_cost),
                    std::to_string(r.cost.drops),

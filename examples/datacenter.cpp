@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   std::cout << "--- cluster-size sweep (varbatch pipeline) ---\n";
   TextTable sweep({"processors", "reconfig", "drops", "served %", "total"});
   for (const int n : {4, 8, 16, 32}) {
-    const RunRecord r = run_algorithm(inst, "varbatch", n);
+    const StreamRunRecord r = run_algorithm(inst, "varbatch", n);
     const double served =
         100.0 * static_cast<double>(r.executed) /
         static_cast<double>(inst.jobs().size());
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   std::map<std::string, Schedule> schedules;
   for (const std::string name : {"varbatch", "edf", "dlru"}) {
     Schedule schedule;
-    const RunRecord r = run_algorithm(inst, name, n, &schedule);
+    const StreamRunRecord r = run_algorithm(inst, name, n, &schedule);
     (void)validate_or_throw(inst, schedule);
     comparison.add_row({r.algorithm, std::to_string(r.cost.reconfig_cost),
                         std::to_string(r.cost.drops),

@@ -43,7 +43,7 @@ int main() {
   TextTable table({"algorithm", "reconfig", "drops", "total", "valid"});
   for (const std::string name : {"varbatch", "dlru", "edf"}) {
     Schedule schedule;
-    const RunRecord record = run_algorithm(instance, name, n, &schedule);
+    const StreamRunRecord record = run_algorithm(instance, name, n, &schedule);
     const ValidationResult check = validate(instance, schedule);
     table.add_row({record.algorithm,
                    std::to_string(record.cost.reconfig_cost),

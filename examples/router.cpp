@@ -87,7 +87,8 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{std::to_string(cores)};
     for (const std::string algorithm : {"varbatch", "edf", "dlru"}) {
       Schedule schedule;
-      const RunRecord r = run_algorithm(inst, algorithm, cores, &schedule);
+      const StreamRunRecord r =
+          run_algorithm(inst, algorithm, cores, &schedule);
       (void)validate_or_throw(inst, schedule);
       row.push_back(std::to_string(r.cost.total()) + " (" +
                     std::to_string(r.cost.drops) + " lost)");

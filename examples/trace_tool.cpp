@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
       const Instance inst = read_trace_file(argv[2]);
       const int n = std::atoi(argv[4]);
       Schedule schedule;
-      const RunRecord r = run_algorithm(inst, argv[3], n, &schedule);
+      const StreamRunRecord r = run_algorithm(inst, argv[3], n, &schedule);
       const CostBreakdown cost = validate_or_throw(inst, schedule);
       std::cout << r.algorithm << " on " << inst.summary() << " with " << n
                 << " resources:\n"

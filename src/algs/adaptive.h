@@ -53,7 +53,9 @@ class AdaptiveSplitPolicy : public DLruEdfPolicy {
   [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> stats()
       const override;
 
-  /// Base checkpoint plus the adaptation-window accumulators.
+  /// Base checkpoint plus the live LRU split and the adaptation-window
+  /// accumulators.  Restore rejects a split outside [min_fraction,
+  /// max_fraction] with InputError.
   void checkpoint_state(CheckpointWriter& w) const override;
   void restore_state(CheckpointReader& r) override;
 

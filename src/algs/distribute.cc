@@ -3,7 +3,7 @@
 #include <map>
 #include <utility>
 
-#include "algs/dlru_edf.h"
+#include "algs/registry.h"
 #include "util/check.h"
 
 namespace rrs {
@@ -118,13 +118,11 @@ DistributeResult run_distribute(const Instance& instance, int n) {
   DistributeResult result;
   DistributeTransform transform = distribute_transform(instance);
 
-  DLruEdfPolicy policy;
   EngineOptions options;
+  const auto policy = make_stream_policy("dlru-edf", options);
   options.num_resources = n;
-  options.speed = 1;
-  options.replication = 2;
   options.record_schedule = true;
-  result.virtual_run = run_policy(transform.rate_limited, policy, options);
+  result.virtual_run = run_policy(transform.rate_limited, *policy, options);
 
   result.schedule =
       distribute_map_back(transform, result.virtual_run.schedule);

@@ -2,46 +2,23 @@
 
 #include <algorithm>
 
-#include "core/checkpoint.h"
-#include "obs/observer.h"
 #include "util/check.h"
 
 namespace rrs {
 
 void DLruEdfPolicy::begin(const ArrivalSource& source, int num_resources,
                           int speed) {
-  (void)speed;
   RRS_REQUIRE(lru_fraction_ >= 0.0 && lru_fraction_ < 1.0,
               "lru_fraction must be in [0, 1), got " << lru_fraction_);
   RRS_REQUIRE(num_resources % 4 == 0,
               "dLRU-EDF needs n divisible by 4 (n/4 LRU colors + n/4 EDF "
               "colors, each in 2 locations); got n="
                   << num_resources);
-  tracker_.enable_rank_index();
-  tracker_.begin(source);
-  observed_epochs_ = 0;
+  RankedCachePolicy::begin(source, num_resources, speed);
   const auto colors = static_cast<std::size_t>(source.num_colors());
   is_lru_.ensure_size(colors);
   is_protected_.ensure_size(colors);
   rank_pos_.ensure_size(colors);
-}
-
-void DLruEdfPolicy::on_round(RoundContext& ctx) {
-  if (ctx.first_mini()) {
-    tracker_.drop_phase(ctx.round(), ctx.dropped(), ctx.cache());
-    if (!ctx.final_sweep()) {
-      tracker_.arrival_phase(ctx.round(), ctx.arrivals());
-    }
-    if (Observer* o = ctx.obs(); o != nullptr && o->config.trace) {
-      const std::int64_t epochs = tracker_.num_epochs();
-      if (epochs != observed_epochs_) {
-        o->trace.push({ctx.round(), TraceKind::kEpochTurnover, 0, epochs});
-        observed_epochs_ = epochs;
-      }
-    }
-    if (ctx.final_sweep()) return;
-  }
-  reconfigure(ctx);
 }
 
 void DLruEdfPolicy::evict_worst_non_lru(CacheAssignment& cache) {
@@ -62,7 +39,8 @@ void DLruEdfPolicy::evict_worst_non_lru(CacheAssignment& cache) {
   cache.erase(victim);
 }
 
-void DLruEdfPolicy::reconfigure(RoundContext& ctx) {
+void DLruEdfPolicy::on_round(RoundContext& ctx) {
+  if (!ingest(ctx)) return;
   CacheAssignment& cache = ctx.cache();
   const PendingJobs& pending = ctx.pending();
   const auto max_distinct = static_cast<std::size_t>(cache.max_distinct());
@@ -113,43 +91,6 @@ void DLruEdfPolicy::reconfigure(RoundContext& ctx) {
     cache.insert(color);
     is_protected_.set(color, 1);
   }
-}
-
-void DLruEdfPolicy::on_capacity_change(Round round, int up, int total,
-                                       std::span<const ColorId> evicted) {
-  (void)round;
-  (void)up;
-  (void)total;
-  (void)evicted;
-  // Both halves recompute their targets against the live max_distinct()
-  // every round; only the cross-round stamped scratch needs invalidating.
-  // AdaptiveSplitPolicy inherits this (its split stays valid at any n).
-  is_lru_.clear();
-  is_protected_.clear();
-  rank_pos_.clear();
-  ++capacity_changes_;
-}
-
-std::vector<std::pair<std::string, std::int64_t>> DLruEdfPolicy::stats()
-    const {
-  return {{"epochs", tracker_.num_epochs()},
-          {"eligible_drops", tracker_.eligible_drops()},
-          {"ineligible_drops", tracker_.ineligible_drops()},
-          {"capacity_changes", capacity_changes_}};
-}
-
-void DLruEdfPolicy::checkpoint_state(CheckpointWriter& w) const {
-  tracker_.checkpoint(w);
-  w.f64(lru_fraction_);
-  w.i64(capacity_changes_);
-  w.i64(observed_epochs_);
-}
-
-void DLruEdfPolicy::restore_state(CheckpointReader& r) {
-  tracker_.restore_checkpoint(r);
-  lru_fraction_ = r.f64();
-  capacity_changes_ = r.i64();
-  observed_epochs_ = r.i64();
 }
 
 }  // namespace rrs

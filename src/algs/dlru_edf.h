@@ -15,8 +15,6 @@
 #pragma once
 
 #include "algs/ranked_cache.h"
-#include "core/color_state.h"
-#include "core/policy.h"
 #include "util/stamped_map.h"
 
 namespace rrs {
@@ -30,7 +28,7 @@ namespace rrs {
 /// the EDF half targets the remaining capacity.  The paper's algorithm is
 /// lru_fraction = 0.5; 0.0 degenerates toward EDF and values near 1.0
 /// toward dLRU.
-class DLruEdfPolicy : public Policy {
+class DLruEdfPolicy : public RankedCachePolicy {
  public:
   explicit DLruEdfPolicy(double lru_fraction = 0.5)
       : lru_fraction_(lru_fraction) {}
@@ -40,38 +38,11 @@ class DLruEdfPolicy : public Policy {
   void begin(const ArrivalSource& source, int num_resources,
              int speed) override;
   void on_round(RoundContext& ctx) override;
-  void on_capacity_change(Round round, int up, int total,
-                          std::span<const ColorId> evicted) override;
 
   /// n must split into the LRU and EDF halves, each of replicated colors.
   [[nodiscard]] int resource_granularity(int replication) const override {
     return 2 * replication;
   }
-
-  /// Both halves are pure functions of tracker/pending/cache state, all
-  /// of which are provably frozen across an event-free span, so the
-  /// engine may skip such spans wholesale.
-  [[nodiscard]] bool supports_fast_forward() const override { return true; }
-
-  [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> stats()
-      const override;
-
-  /// Per-color export/import (see PolicyColorState): the state is the
-  /// tracker's Section 3.1 state machine (all round-level scratch is
-  /// rebuilt each round).
-  [[nodiscard]] bool export_color_state(ColorId color,
-                                        PolicyColorState& out) const override {
-    out = tracker_.export_color(color);
-    return true;
-  }
-  void import_color_state(ColorId color,
-                          const PolicyColorState& state) override {
-    tracker_.import_color(color, state);
-  }
-
-  /// The tracker is exposed read-only so experiments can check the
-  /// Section 3.2 lemmas (epoch counts, drop classification) directly.
-  [[nodiscard]] const EligibilityTracker& tracker() const { return tracker_; }
 
   /// Turns on Section 3.4 super-epoch accounting (Lemma 3.15 /
   /// Corollary 3.2 quantities) for offline resource count `m`.  Call
@@ -84,23 +55,11 @@ class DLruEdfPolicy : public Policy {
   /// construction).  Off by default — the id list grows with the run.
   void enable_drop_id_recording() { tracker_.enable_drop_id_recording(); }
 
-  /// Checkpoint = the tracker, the live capacity split (adaptive
-  /// derivatives retune it mid-run), and the two run counters; round
-  /// scratch is rebuilt on the next on_round().  Derivatives extend by
-  /// calling these and appending their own state.
-  void checkpoint_state(CheckpointWriter& w) const override;
-  void restore_state(CheckpointReader& r) override;
-
  protected:
   /// For adaptive derivatives (see algs/adaptive.h): retune the capacity
   /// split between rounds.  Must stay in [0, 1).
   void set_lru_fraction(double fraction) { lru_fraction_ = fraction; }
   [[nodiscard]] double lru_fraction() const { return lru_fraction_; }
-
-  /// The reconfiguration decision alone (no tracker updates): recompute
-  /// the LRU/EDF targets and mutate the cache.  Exposed so derivatives
-  /// can wrap it; on_round() calls it every non-final mini-round.
-  void reconfigure(RoundContext& ctx);
 
  private:
   /// Evicts the worst-EDF-ranked cached color that is not an LRU color and
@@ -108,13 +67,10 @@ class DLruEdfPolicy : public Policy {
   void evict_worst_non_lru(CacheAssignment& cache);
 
   double lru_fraction_;
-  EligibilityTracker tracker_;
   std::vector<ColorId> edf_ranked_;
   StampedMap<char> is_lru_;        // member of this round's LRU target set
   StampedMap<char> is_protected_;  // inserted by the EDF half this phase
   StampedMap<std::int32_t> rank_pos_;
-  std::int64_t capacity_changes_ = 0;
-  std::int64_t observed_epochs_ = 0;  // last epoch count traced to the obs
 };
 
 }  // namespace rrs

@@ -1,4 +1,4 @@
-// Shared ranking machinery for the Section 3 reconfiguration schemes.
+// Shared machinery for the Section 3 reconfiguration schemes.
 //
 // Two orders recur throughout the paper and are centralized here:
 //   * the EDF color ranking (Section 3.1.2 / 3.3): eligible colors ranked
@@ -9,18 +9,18 @@
 //   * the dLRU recency ranking (Section 3.1.1): descending timestamp,
 //     ties broken by the same consistent order.
 //
-// The hot-path overloads precompute each color's key once into a
-// caller-held scratch buffer and sort the flat key array — no per
-// comparison key construction, timestamp division, or virtual metadata
-// lookup.  The source-taking overloads remain for callers that have not
-// begun a tracker of their own.
+// The policies read both orders from the tracker's incremental rank index
+// (EligibilityTracker::edf_order / lru_order); edf_sort and lru_sort below
+// rebuild them from scratch and are the reference the tests hold the index
+// to.  RankedCachePolicy is the Section 3.1 state machine the three schemes
+// share, so each supplies only its reconfiguration rule.
 #pragma once
 
 #include <vector>
 
-#include "core/arrival_source.h"
 #include "core/color_state.h"
 #include "core/pending.h"
+#include "core/policy.h"
 #include "core/types.h"
 
 namespace rrs {
@@ -62,35 +62,71 @@ struct LruKey {
   }
 };
 
-/// Builds the EDF key of `color` from tracker + pending state.
-[[nodiscard]] inline EdfKey edf_key(ColorId color, const ArrivalSource& source,
-                                    const EligibilityTracker& tracker,
-                                    const PendingJobs& pending) {
-  return EdfKey{pending.idle(color),    tracker.color_deadline(color),
-                tracker.drop_cost(color), tracker.length(color),
-                source.delay_bound(color), color};
-}
-
-/// Sorts `colors` best-rank-first by the EDF color ranking, building each
-/// color's key once into `scratch` (cleared; capacity reused).
-void edf_sort(std::vector<ColorId>& colors, std::vector<EdfKey>& scratch,
-              const EligibilityTracker& tracker, const PendingJobs& pending);
-
-/// Convenience overload with its own scratch buffer (allocates; tests and
-/// cold paths only).  `source` is unused beyond the historical signature —
-/// the tracker caches the same delay bounds.
-void edf_sort(std::vector<ColorId>& colors, const ArrivalSource& source,
-              const EligibilityTracker& tracker, const PendingJobs& pending);
+/// Sorts `colors` best-rank-first by the EDF color ranking.
+void edf_sort(std::vector<ColorId>& colors, const EligibilityTracker& tracker,
+              const PendingJobs& pending);
 
 /// Sorts `colors` most-recent-timestamp-first (dLRU order) as of round
-/// `now`, ties by ascending ColorId, evaluating each timestamp once into
-/// `scratch` (cleared; capacity reused).
-void lru_sort(std::vector<ColorId>& colors, std::vector<LruKey>& scratch,
-              const EligibilityTracker& tracker, Round now);
-
-/// Convenience overload with its own scratch buffer (allocates; tests and
-/// cold paths only).
+/// `now`, ties by ascending ColorId.
 void lru_sort(std::vector<ColorId>& colors, const EligibilityTracker& tracker,
               Round now);
+
+/// Base of dLRU, EDF and dLRU-EDF: owns the Section 3.1 per-color state
+/// machine and everything around it that does not depend on which colors
+/// the scheme caches — the tracker phases, the epoch-turnover trace, the
+/// capacity-change count, stats, per-color export/import and checkpoints.
+/// A derived policy's on_round() is `if (ingest(ctx)) <rule>`.
+class RankedCachePolicy : public Policy {
+ public:
+  void begin(const ArrivalSource& source, int num_resources,
+             int speed) override;
+
+  /// Every rule recomputes its targets against the live max_distinct()
+  /// each round, so a capacity change only needs counting.
+  void on_capacity_change(Round round, int up, int total,
+                          std::span<const ColorId> evicted) override;
+
+  /// Each rule is a pure function of tracker/pending/cache state, all of
+  /// which are provably frozen across an event-free span, so the engine
+  /// may skip such spans wholesale.
+  [[nodiscard]] bool supports_fast_forward() const override { return true; }
+
+  [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> stats()
+      const override;
+
+  /// Per-color export/import (see PolicyColorState): the state is the
+  /// tracker's Section 3.1 state machine (ranking scratch is per-round).
+  [[nodiscard]] bool export_color_state(ColorId color,
+                                        PolicyColorState& out) const override {
+    out = tracker_.export_color(color);
+    return true;
+  }
+  void import_color_state(ColorId color,
+                          const PolicyColorState& state) override {
+    tracker_.import_color(color, state);
+  }
+
+  /// Checkpoint = the tracker plus the two run counters; ranking scratch
+  /// is per-round and rebuilt on the next on_round().  Derivatives extend
+  /// by calling these and appending their own state.
+  void checkpoint_state(CheckpointWriter& w) const override;
+  void restore_state(CheckpointReader& r) override;
+
+  /// The tracker is exposed read-only so experiments can check the
+  /// Section 3.2 lemmas (epoch counts, drop classification) directly.
+  [[nodiscard]] const EligibilityTracker& tracker() const { return tracker_; }
+
+ protected:
+  /// On the first mini-round, runs the tracker's drop and arrival phases
+  /// and traces an epoch turnover.  Returns false on the final sweep,
+  /// where the cache is read-only and no rule may run.
+  bool ingest(RoundContext& ctx);
+
+  EligibilityTracker tracker_;
+
+ private:
+  std::int64_t capacity_changes_ = 0;
+  std::int64_t observed_epochs_ = 0;  // last epoch count traced to the obs
+};
 
 }  // namespace rrs

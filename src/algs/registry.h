@@ -12,23 +12,15 @@
 
 namespace rrs {
 
-/// Uniform outcome of running any algorithm (policy or reduction pipeline)
-/// on an instance with n resources.
-struct RunOutcome {
-  std::string algorithm;
-  CostBreakdown cost;
-  std::int64_t executed = 0;
-  Schedule schedule;  ///< recorded iff requested
-  std::vector<std::pair<std::string, std::int64_t>> stats;
-};
-
 /// An entry in the algorithm registry.
 struct AlgorithmInfo {
   std::string name;
   std::string description;
-  /// Runs the algorithm.  `record` controls schedule recording (pipelines
-  /// always record internally but only return the schedule if asked).
-  std::function<RunOutcome(const Instance&, int n, bool record)> run;
+  /// Runs the algorithm on an instance with n resources.  `record`
+  /// controls schedule recording.  A reduction pipeline returns its inner
+  /// dLRU-EDF run with `cost` and `schedule` replaced by the ones mapped
+  /// back onto the instance.
+  std::function<EngineResult(const Instance&, int n, bool record)> run;
 };
 
 /// All registered algorithms: dlru, edf, dlru-edf, adaptive, seq-edf,
@@ -38,9 +30,12 @@ struct AlgorithmInfo {
 /// Looks up an algorithm by name; throws InputError if unknown.
 [[nodiscard]] const AlgorithmInfo& find_algorithm(const std::string& name);
 
-/// Creates a fresh policy instance for the Section 3 schemes ("dlru",
-/// "edf", "dlru-edf") and the "adaptive" extension; throws InputError
-/// otherwise.
-[[nodiscard]] std::unique_ptr<Policy> make_policy(const std::string& name);
+/// Creates a fresh policy for the engine-driven algorithm `name` ("dlru",
+/// "edf", "dlru-edf", "adaptive", "seq-edf", "ds-seq-edf") and sets the
+/// replication and speed it runs with in `options`: the Section 3 schemes
+/// replicate each color twice, Seq-EDF runs EDF unreplicated, and
+/// DS-Seq-EDF does so at speed 2.  Throws InputError on other names.
+[[nodiscard]] std::unique_ptr<Policy> make_stream_policy(
+    const std::string& name, EngineOptions& options);
 
 }  // namespace rrs

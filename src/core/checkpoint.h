@@ -34,12 +34,12 @@
 
 namespace rrs {
 
-/// Major 3 writes the engine's counters in RunCounters' field-list order
-/// (rounds included) and drops the observer section's copies of them;
-/// snapshot lines lost the three fabric gauges.  Every checkpoint carries
-/// each color's delay bound, drop cost and length in the engine's options
-/// section.
-inline constexpr std::uint32_t kCheckpointMajor = 3;
+/// Major 4 moves dLRU-EDF's LRU split out of the shared Section 3 policy
+/// fields into the adaptive policy's section, after them.  Since major 3
+/// the engine's counters follow RunCounters' field-list order (rounds
+/// included), and every checkpoint carries each color's delay bound, drop
+/// cost and length in the engine's options section.
+inline constexpr std::uint32_t kCheckpointMajor = 4;
 inline constexpr std::uint32_t kCheckpointMinor = 0;
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) of `size` bytes.

@@ -42,16 +42,14 @@ void EligibilityTracker::begin(const ArrivalSource& source) {
   eligible_drop_weight_ = 0;
   ineligible_drop_weight_ = 0;
   ineligible_drop_ids_.clear();
-  if (index_enabled_) build_rank_index();
+  build_rank_index();
 }
 
 void EligibilityTracker::drop_phase(Round k,
                                     const PendingJobs::DropResult& dropped,
                                     const CacheAssignment& cache) {
-  if (index_enabled_) {
-    now_ = k;
-    if (!dirty_imports_.empty()) flush_dirty_imports(k);
-  }
+  now_ = k;
+  if (!dirty_imports_.empty()) flush_dirty_imports(k);
   // Classify drops with the pre-reset eligibility status: the algorithm
   // drops jobs first, then flips eligibility, so boundary drops of a
   // still-eligible color count as eligible drops (Section 3.2).
@@ -90,10 +88,8 @@ void EligibilityTracker::drop_phase(Round k,
 
 void EligibilityTracker::arrival_phase(Round k,
                                        std::span<const Job> arrivals) {
-  if (index_enabled_) {
-    now_ = k;
-    if (!dirty_imports_.empty()) flush_dirty_imports(k);
-  }
+  now_ = k;
+  if (!dirty_imports_.empty()) flush_dirty_imports(k);
   // Advance color deadlines at block boundaries (requests exist — possibly
   // empty — at every multiple of D_l).  With super-epoch analysis on,
   // block boundaries are also where timestamps become visible, so detect
@@ -102,7 +98,7 @@ void EligibilityTracker::arrival_phase(Round k,
     if (k % delay != 0) continue;
     for (const ColorId color : colors) {
       ColorState& s = state_[idx(color)];
-      if (index_enabled_ && s.eligible) {
+      if (s.eligible) {
         // An eligible color changes calendar bucket at its own block
         // boundary, and its effective timestamp may surface the block's
         // wraps here.
@@ -143,7 +139,7 @@ void EligibilityTracker::arrival_phase(Round k,
       s.last_wrap = k;
       if (!s.eligible) {
         make_eligible(color);
-      } else if (index_enabled_) {
+      } else {
         // A second wrap within one block surfaces the first wrap as the
         // new effective timestamp.
         lru_refresh(color, k);
@@ -225,15 +221,13 @@ void EligibilityTracker::make_eligible(ColorId color) {
   s.eligible = true;
   s.eligible_pos = static_cast<std::int32_t>(eligible_colors_.size());
   eligible_colors_.push_back(color);
-  if (index_enabled_) {
-    cal_insert(color);
-    if (now_ >= 0) {
-      lru_insert(color, timestamp(color, now_));
-    } else {
-      // Imported before any phase: the effective timestamp needs a round,
-      // so defer the list link to the first phase call.
-      dirty_imports_.push_back(color);
-    }
+  cal_insert(color);
+  if (now_ >= 0) {
+    lru_insert(color, timestamp(color, now_));
+  } else {
+    // Imported before any phase: the effective timestamp needs a round, so
+    // defer the list link to the first phase call.
+    dirty_imports_.push_back(color);
   }
 }
 
@@ -247,10 +241,8 @@ void EligibilityTracker::make_ineligible(ColorId color) {
   eligible_colors_.pop_back();
   s.eligible = false;
   s.eligible_pos = -1;
-  if (index_enabled_) {
-    cal_remove(color);
-    if (lru_linked_[idx(color)] != 0) lru_remove(color);
-  }
+  cal_remove(color);
+  if (lru_linked_[idx(color)] != 0) lru_remove(color);
 }
 
 void EligibilityTracker::checkpoint(CheckpointWriter& w) const {
@@ -479,9 +471,8 @@ void EligibilityTracker::scan_calendar(std::size_t lo, std::size_t hi,
 
 const std::vector<ColorId>& EligibilityTracker::edf_order(
     const PendingJobs& pending) {
-  RRS_CHECK_MSG(index_enabled_ && now_ >= 0,
-                "edf_order needs enable_rank_index() before begin() and a "
-                "phase call before the first query");
+  RRS_CHECK_MSG(now_ >= 0,
+                "edf_order needs a phase call before the first query");
   edf_scratch_.clear();
   idle_scratch_.clear();
   // Walk buckets in deadline-ascending order: the window (now, now+ring]
@@ -550,9 +541,8 @@ void EligibilityTracker::flush_dirty_imports(Round k) {
 
 const std::vector<ColorId>& EligibilityTracker::lru_order(
     std::size_t max_count) {
-  RRS_CHECK_MSG(index_enabled_ && now_ >= 0,
-                "lru_order needs enable_rank_index() before begin() and a "
-                "phase call before the first query");
+  RRS_CHECK_MSG(now_ >= 0,
+                "lru_order needs a phase call before the first query");
   RRS_CHECK(dirty_imports_.empty());
   lru_scratch_.clear();
   for (ColorId c = lru_head_;

@@ -117,12 +117,9 @@ class EligibilityTracker {
   //     timestamps change only at counter wraps and own-block boundaries,
   //     both of which pass through arrival_phase, so repositions are
   //     charged to churn.
-
-  /// Opts into the incremental rank index.  Call before begin() (begin()
-  /// builds the structures); sticky across begins, idempotent.
-  void enable_rank_index() { index_enabled_ = true; }
-
-  [[nodiscard]] bool rank_index_enabled() const { return index_enabled_; }
+  //
+  // begin() builds the index; edf_sort / lru_sort (algs/ranked_cache.h)
+  // are the from-scratch references the tests hold it to.
 
   /// Eligible colors in exact EDF rank order (EdfKey in
   /// algs/ranked_cache.h): nonidle before idle, then ascending color
@@ -257,8 +254,7 @@ class EligibilityTracker {
   void note_timestamp_update(ColorId color);
   void note_epoch_end(ColorId color);
 
-  // Rank-index internals (no-ops unless enable_rank_index() preceded
-  // begin()).
+  // Rank-index internals.
   void build_rank_index();
   void cal_insert(ColorId color);
   void cal_remove(ColorId color);
@@ -292,8 +288,7 @@ class EligibilityTracker {
   std::vector<ColorState> state_;
   std::vector<ColorId> eligible_colors_;
 
-  // --- incremental rank index state (built by begin() when enabled) ---
-  bool index_enabled_ = false;
+  // --- incremental rank index state (built by begin()) ---
   Round now_ = -1;  ///< round of the most recent phase call (-1 = none)
   /// Color -> rank under the static EdfKey tiebreak (drop cost desc,
   /// length asc, delay bound asc, color asc); constant per begin().

@@ -277,7 +277,7 @@ void Engine::run_round(ArrivalSource* pull) {
   if (timers_ != nullptr) timers_->note(EnginePhase::kChurn);
 
   // Phase 1: drop.
-  drop_phase(degraded_round);
+  drop_phase(k_, degraded_round);
   if (timers_ != nullptr) timers_->note(EnginePhase::kDrop);
 
   // Phase 2: arrival (none in drain rounds past the arrival horizon).
@@ -364,10 +364,10 @@ void Engine::run_round(ArrivalSource* pull) {
   ++k_;
 }
 
-void Engine::drop_phase(bool degraded) {
+void Engine::drop_phase(Round through, bool degraded) {
   const CostModel& model = meta_->cost_model();
   Observer* const obs = options_.observer;
-  pending_.drop_expired(k_, dropped_);
+  pending_.drop_expired(through, dropped_);
   Cost drop_cost = 0;
   for (const auto& [color, count] : dropped_.by_color) {
     drop_cost += static_cast<Cost>(count) * model.drop_cost(color);
@@ -498,13 +498,13 @@ EngineResult Engine::finish() {
     run_round(nullptr);
   }
 
-  // Final drop phase at round `k`: without draining every remaining pending
-  // job has deadline exactly arrival_end == k; with draining the loop exits
-  // once all deadlines are <= k.  Either way they expire now, and policies
-  // see this sweep (final_sweep() == true, cache read-only) so their drop
-  // accounting matches the engine's.
+  // Final drop phase at round `k`: every job still pending expires now,
+  // including those due past k (a finite generator's last arrivals, or a
+  // max_rounds clip, without draining).  Policies see this sweep
+  // (final_sweep() == true, cache read-only) so their drop accounting
+  // matches the engine's.
   Observer* const obs = options_.observer;
-  drop_phase(cache_.num_down() > 0);
+  drop_phase(std::max(k_, max_deadline_), cache_.num_down() > 0);
   RoundContext final_ctx(k_, 0, /*final_sweep=*/true, dropped_, {}, *meta_,
                          pending_, cache_, obs);
   policy_->on_round(final_ctx);

@@ -50,9 +50,10 @@ struct EngineOptions {
   /// source is infinite; kInfiniteHorizon means "the source's horizon".
   Round max_rounds = kInfiniteHorizon;
   /// After arrivals end, keep running rounds until the pending set empties
-  /// (every job executes or expires).  Off by default: the materialized
-  /// wrapper preserves the historical contract of exactly horizon() rounds
-  /// plus one final expiry sweep.
+  /// (every job executes or expires).  Off by default: the run is exactly
+  /// the arrival rounds plus one final expiry sweep, which drops every job
+  /// still pending — including those whose deadline lies past the last
+  /// round (a finite generator's last arrivals, or a max_rounds clip).
   bool drain_pending = false;
   /// Optional capacity-churn schedule (not owned; must outlive the run).
   /// Events at round k apply at the start of round k, before the drop and
@@ -139,8 +140,9 @@ class Engine {
   void run_rounds(ArrivalSource& source, Round until);
 
   /// Optional drain (EngineOptions::drain_pending) plus the terminal
-  /// expiry sweep; returns the run's result.  Call at most once, after
-  /// the last run_rounds().
+  /// expiry sweep, which charges every job still pending as a drop;
+  /// returns the run's result.  Call at most once, after the last
+  /// run_rounds().
   [[nodiscard]] EngineResult finish();
 
   /// Ends the run WITHOUT the drain/terminal sweep: returns the counters
@@ -174,9 +176,10 @@ class Engine {
   /// speed mini-rounds of policy + execution, periodic snapshot.
   void run_round(ArrivalSource* pull);
 
-  /// Drop phase at k_: expires the pending jobs whose deadline is k_ and
-  /// charges their weight (also to drops_while_degraded when `degraded`).
-  void drop_phase(bool degraded);
+  /// Drop phase at k_: expires the pending jobs whose deadline is at most
+  /// `through` and charges their weight (also to drops_while_degraded
+  /// when `degraded`).
+  void drop_phase(Round through, bool degraded);
 
   /// Pending-budget admission: sheds the over-budget suffix of `arrivals`
   /// (cheapest drop cost first, later index first on ties), charges the

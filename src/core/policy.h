@@ -153,8 +153,8 @@ class Policy {
   /// remain in service and `evicted` lists the cached colors the failures
   /// evicted (already removed from the cache).  The ranked-cache policies
   /// rebuild their targets from the live max_distinct() every round, so
-  /// their overrides invalidate cross-round scratch and count the event;
-  /// the default is a no-op.
+  /// their one override (RankedCachePolicy) only counts the event; the
+  /// default is a no-op.
   virtual void on_capacity_change(Round round, int up, int total,
                                   std::span<const ColorId> evicted) {
     (void)round;

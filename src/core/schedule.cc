@@ -4,17 +4,6 @@
 
 namespace rrs {
 
-CostBreakdown Schedule::cost(Cost delta, std::int64_t total_jobs) const {
-  RRS_REQUIRE(delta >= 1, "Delta must be positive");
-  RRS_REQUIRE(total_jobs >= static_cast<std::int64_t>(execs.size()),
-              "schedule executes more jobs than exist");
-  CostBreakdown c;
-  c.reconfig_events = static_cast<Cost>(reconfigs.size());
-  c.reconfig_cost = c.reconfig_events * delta;
-  c.drops = total_jobs - static_cast<std::int64_t>(execs.size());
-  return c;
-}
-
 CostBreakdown Schedule::cost(const Instance& instance) const {
   const CostModel& model = instance.cost_model();
   CostBreakdown c;

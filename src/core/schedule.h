@@ -48,11 +48,6 @@ struct Schedule {
   /// Executions, in nondecreasing (round, mini) order.
   std::vector<ExecEvent> execs;
 
-  /// Cost given the instance's Delta and total job count.  Drop cost is the
-  /// number of jobs never executed.  Only valid for unit drop costs; use
-  /// cost(const Instance&) for the weighted extension.
-  [[nodiscard]] CostBreakdown cost(Cost delta, std::int64_t total_jobs) const;
-
   /// Cost against `instance` under its full cost model: the summed
   /// Delta(from -> to) of every recoloring (replaying per-resource
   /// configurations when the matrix tier needs the previous occupant) plus

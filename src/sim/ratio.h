@@ -28,7 +28,7 @@ namespace rrs {
 
 /// A bracketed competitive-ratio measurement.
 struct RatioReport {
-  RunRecord online;        ///< the online algorithm's run (n resources)
+  StreamRunRecord online;  ///< the online algorithm's run (n resources)
   int m = 0;               ///< offline resource count
   Cost lower_bound = 0;    ///< certified LB on OPT(m)
   Cost heuristic_ub = 0;   ///< best demand-greedy cost with m resources

@@ -12,7 +12,6 @@
 #include <typeinfo>
 #include <utility>
 
-#include "algs/edf.h"
 #include "core/checkpoint.h"
 #include "sim/service.h"
 #include "util/check.h"
@@ -22,19 +21,6 @@
 #include "workload/sharded_source.h"
 
 namespace rrs {
-
-std::unique_ptr<Policy> make_stream_policy(const std::string& name,
-                                           EngineOptions& options) {
-  if (name == "seq-edf" || name == "ds-seq-edf") {
-    options.replication = 1;
-    options.speed = name == "ds-seq-edf" ? 2 : 1;
-    return std::make_unique<EdfPolicy>();
-  }
-  options.replication = 2;
-  options.speed = 1;
-  return make_policy(name);  // throws InputError on unknown names
-}
-
 namespace {
 
 /// Manifest section tag for sharded checkpoint sets.
@@ -554,19 +540,18 @@ class SegmentLoop {
 
 }  // namespace
 
-RunRecord run_algorithm(const Instance& instance, const std::string& name,
-                        int n, Schedule* schedule_out) {
+StreamRunRecord run_algorithm(const Instance& instance,
+                              const std::string& name, int n,
+                              Schedule* schedule_out) {
   const AlgorithmInfo& info = find_algorithm(name);
   Stopwatch watch;
-  RunOutcome outcome = info.run(instance, n, schedule_out != nullptr);
-  RunRecord record;
+  EngineResult result = info.run(instance, n, schedule_out != nullptr);
+  StreamRunRecord record;
   record.seconds = watch.seconds();
-  record.algorithm = outcome.algorithm;
+  record.algorithm = name;
   record.n = n;
-  record.cost = outcome.cost;
-  record.executed = outcome.executed;
-  record.stats = std::move(outcome.stats);
-  if (schedule_out != nullptr) *schedule_out = std::move(outcome.schedule);
+  fold(record, result, result.policy_stats);
+  if (schedule_out != nullptr) *schedule_out = std::move(result.schedule);
   return record;
 }
 

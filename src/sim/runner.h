@@ -14,24 +14,8 @@
 
 namespace rrs {
 
-/// Outcome of one (algorithm, instance, n) cell.
-struct RunRecord {
-  std::string algorithm;
-  int n = 0;
-  CostBreakdown cost;
-  std::int64_t executed = 0;
-  double seconds = 0.0;  ///< wall-clock of the run
-  std::vector<std::pair<std::string, std::int64_t>> stats;
-};
-
-/// Runs the registered algorithm `name` with `n` resources on `instance`.
-/// If `schedule_out` is non-null the event schedule is recorded there.
-[[nodiscard]] RunRecord run_algorithm(const Instance& instance,
-                                      const std::string& name, int n,
-                                      Schedule* schedule_out = nullptr);
-
-/// Outcome of one streaming run: the engine's counters plus its identity,
-/// wall clock and policy stats.
+/// Outcome of one run, on an instance or a stream: the engine's counters
+/// plus its identity, wall clock and policy stats.
 struct StreamRunRecord : RunCounters {
   std::string algorithm;
   int n = 0;
@@ -39,12 +23,11 @@ struct StreamRunRecord : RunCounters {
   std::vector<std::pair<std::string, std::int64_t>> stats;
 };
 
-/// Builds the engine options + fresh policy for the streaming algorithm
-/// `name` ("seq-edf"/"ds-seq-edf" run EDF unreplicated at speed 1/2;
-/// everything else goes through the registry with the Section 3
-/// replication of 2).  Throws InputError on unknown names.
-[[nodiscard]] std::unique_ptr<Policy> make_stream_policy(
-    const std::string& name, EngineOptions& options);
+/// Runs the registered algorithm `name` with `n` resources on `instance`.
+/// If `schedule_out` is non-null the event schedule is recorded there.
+[[nodiscard]] StreamRunRecord run_algorithm(const Instance& instance,
+                                            const std::string& name, int n,
+                                            Schedule* schedule_out = nullptr);
 
 /// Knobs every run driver shares (run_streaming takes the first four as
 /// arguments; ServiceOptions and ShardedRunOptions extend this).

@@ -33,7 +33,7 @@ TEST(Adaptive, SchedulesAreValid) {
   params.horizon = 512;
   const Instance inst = make_random_batched(params);
   Schedule schedule;
-  const RunRecord r = run_algorithm(inst, "adaptive", 8, &schedule);
+  const StreamRunRecord r = run_algorithm(inst, "adaptive", 8, &schedule);
   EXPECT_EQ(validate_or_throw(inst, schedule), r.cost);
 }
 
@@ -42,7 +42,7 @@ TEST(Adaptive, RegisteredWithStats) {
   params.seed = 5;
   params.horizon = 512;
   const Instance inst = make_random_batched(params);
-  const RunRecord r = run_algorithm(inst, "adaptive", 8);
+  const StreamRunRecord r = run_algorithm(inst, "adaptive", 8);
   bool saw_adaptations = false, saw_fraction = false;
   for (const auto& [key, value] : r.stats) {
     if (key == "adaptations") saw_adaptations = value >= 0;

@@ -21,6 +21,7 @@
 #include "obs/observer.h"
 #include "sim/runner.h"
 #include "sim/service.h"
+#include "test_util.h"
 #include "workload/datacenter.h"
 #include "workload/flash_crowd.h"
 #include "workload/generator_source.h"
@@ -85,16 +86,9 @@ EngineOptions stream_options(const std::string& algorithm, bool fast_forward,
 
 void expect_identical(const EngineResult& a, const EngineResult& b,
                       const std::string& label) {
-  EXPECT_EQ(RunCounters(a), RunCounters(b)) << label;
+  testing::expect_same_run(a, b, label);
   EXPECT_EQ(a.schedule.reconfigs, b.schedule.reconfigs) << label;
   EXPECT_EQ(a.schedule.execs, b.schedule.execs) << label;
-  EXPECT_EQ(a.policy_stats, b.policy_stats) << label;
-}
-
-void expect_identical(const StreamRunRecord& a, const StreamRunRecord& b,
-                      const std::string& label) {
-  EXPECT_EQ(RunCounters(a), RunCounters(b)) << label;
-  EXPECT_EQ(a.stats, b.stats) << label;
 }
 
 using Cell = std::tuple<std::string, std::string, bool>;
@@ -174,7 +168,7 @@ TEST_P(CheckpointRoundTrip, ShardedBitIdentical) {
   const auto ckpt_source = make_source(family, seed);
   const ShardedRunRecord checkpointed = run_streaming_sharded(
       *ckpt_source, algorithm, 8, 2, kInfiniteHorizon, writing);
-  expect_identical(reference.merged, checkpointed.merged, label);
+  testing::expect_same_run(reference.merged, checkpointed.merged, label);
 
   // Resume from the set and finish: still bit-identical.
   ShardedRunOptions resuming = base;
@@ -183,11 +177,11 @@ TEST_P(CheckpointRoundTrip, ShardedBitIdentical) {
   const auto res_source = make_source(family, seed);
   const ShardedRunRecord resumed = run_streaming_sharded(
       *res_source, algorithm, 8, 2, kInfiniteHorizon, resuming);
-  expect_identical(reference.merged, resumed.merged, label);
+  testing::expect_same_run(reference.merged, resumed.merged, label);
   ASSERT_EQ(reference.shards.size(), resumed.shards.size());
   for (std::size_t s = 0; s < reference.shards.size(); ++s) {
-    expect_identical(reference.shards[s], resumed.shards[s],
-                     label + " shard " + std::to_string(s));
+    testing::expect_same_run(reference.shards[s], resumed.shards[s],
+                             label + " shard " + std::to_string(s));
   }
   std::filesystem::remove_all(dir);
 }
@@ -290,11 +284,12 @@ TEST(CheckpointStop, ShardedStopResumesBitIdenticalAndKeepsKSets) {
       again, "dlru-edf", 8, 2, kInfiniteHorizon, options);
   EXPECT_TRUE(resumed.finished);
   EXPECT_EQ(resumed.recovered_from, 128);
-  expect_identical(reference.merged, resumed.merged, "sharded stop/resume");
+  testing::expect_same_run(reference.merged, resumed.merged,
+                           "sharded stop/resume");
   ASSERT_EQ(reference.shards.size(), resumed.shards.size());
   for (std::size_t s = 0; s < reference.shards.size(); ++s) {
-    expect_identical(reference.shards[s], resumed.shards[s],
-                     "shard " + std::to_string(s));
+    testing::expect_same_run(reference.shards[s], resumed.shards[s],
+                             "shard " + std::to_string(s));
   }
   // Two sets of one manifest and two sidecars each; nothing else.
   EXPECT_EQ(list_checkpoints(dir, ".manifest").size(), 2u);
@@ -498,7 +493,7 @@ TEST(AdmissionControl, UnhitBudgetIsBitIdenticalToOff) {
   std::int64_t peak = 0;
   const StreamRunRecord off = run_with_budget(0, &peak);
   const StreamRunRecord unhit = run_with_budget(peak + 1, nullptr);
-  expect_identical(off, unhit, "unhit budget");
+  testing::expect_same_run(off, unhit, "unhit budget");
   EXPECT_EQ(unhit.admission_rejected, 0);
 }
 
@@ -571,7 +566,7 @@ TEST(AdmissionControl, SingleShardBudgetMatchesServiceAndStreaming) {
   const auto sharded_source = make_source("flash-crowd", 7);
   const ShardedRunRecord sharded = run_streaming_sharded(
       *sharded_source, "dlru-edf", 4, 1, kInfiniteHorizon, sharded_options);
-  expect_identical(streaming, sharded.merged, "K=1 sharded");
+  testing::expect_same_run(streaming, sharded.merged, "K=1 sharded");
 
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) / "ckpt_budget_service";
@@ -584,7 +579,7 @@ TEST(AdmissionControl, SingleShardBudgetMatchesServiceAndStreaming) {
   const ServiceResult served =
       run_service(*service_source, "dlru-edf", 4, service_options);
   EXPECT_TRUE(served.finished);
-  expect_identical(streaming, served.record, "service");
+  testing::expect_same_run(streaming, served.record, "service");
   std::filesystem::remove_all(dir);
 }
 

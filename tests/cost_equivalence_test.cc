@@ -27,6 +27,7 @@
 #include "core/validator.h"
 #include "obs/observer.h"
 #include "sim/runner.h"
+#include "test_util.h"
 #include "workload/datacenter.h"
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
@@ -106,13 +107,6 @@ Instance with_all_equal_tier(const Instance& base, CostModel::Tier tier) {
   return builder.build();
 }
 
-void expect_same_stream_record(const StreamRunRecord& got,
-                               const StreamRunRecord& want,
-                               const std::string& label) {
-  EXPECT_EQ(RunCounters(got), RunCounters(want)) << label;
-  EXPECT_EQ(got.stats, want.stats) << label;
-}
-
 using Cell = std::tuple<const char*, const char*, std::uint64_t>;
 
 class TierEquivalenceMatrix : public ::testing::TestWithParam<Cell> {};
@@ -138,8 +132,8 @@ TEST_P(TierEquivalenceMatrix, StreamingAndShardedAreBitIdentical) {
        {std::pair<const char*, const Instance*>{"vector", &vector},
         std::pair<const char*, const Instance*>{"matrix", &matrix}}) {
     MaterializedSource source(*instance);
-    expect_same_stream_record(run_streaming(source, algorithm, n), want,
-                              std::string("streaming/") + label);
+    testing::expect_same_run(run_streaming(source, algorithm, n), want,
+                             std::string("streaming/") + label);
   }
 
   // The sharded phase needs a shape every algorithm's replication
@@ -156,12 +150,12 @@ TEST_P(TierEquivalenceMatrix, StreamingAndShardedAreBitIdentical) {
     MaterializedSource source(*instance);
     const ShardedRunRecord got =
         run_streaming_sharded(source, algorithm, sharded_n, num_shards);
-    expect_same_stream_record(got.merged, sharded_want.merged,
-                              std::string("sharded-merged/") + label);
+    testing::expect_same_run(got.merged, sharded_want.merged,
+                             std::string("sharded-merged/") + label);
     ASSERT_EQ(got.shards.size(), sharded_want.shards.size());
     for (std::size_t s = 0; s < got.shards.size(); ++s) {
-      expect_same_stream_record(got.shards[s], sharded_want.shards[s],
-                                std::string("shard/") + label);
+      testing::expect_same_run(got.shards[s], sharded_want.shards[s],
+                               std::string("shard/") + label);
     }
   }
 }
@@ -218,7 +212,8 @@ TEST(WeightedDropParity, EngineValidatorScheduleAndObsAgree) {
   for (const char* const algorithm : kStreamingAlgorithms) {
     SCOPED_TRACE(algorithm);
     Schedule schedule;
-    const RunRecord record = run_algorithm(instance, algorithm, 4, &schedule);
+    const StreamRunRecord record =
+        run_algorithm(instance, algorithm, 4, &schedule);
     EXPECT_GT(record.cost.drops, 0) << "parity needs actual drops";
 
     // The validator's independent replay recomputes the same breakdown...

@@ -42,7 +42,7 @@ TEST(DLruEdf, SchedulesAreValidOnRandomBatched) {
     params.horizon = 256;
     const Instance inst = make_random_batched(params);
     Schedule schedule;
-    const RunRecord record =
+    const StreamRunRecord record =
         run_algorithm(inst, "dlru-edf", 8, &schedule);
     const CostBreakdown validated = validate_or_throw(inst, schedule);
     EXPECT_EQ(validated, record.cost) << "seed " << seed;
@@ -56,8 +56,7 @@ TEST(DLruEdf, ServesSingleSteadyColor) {
   for (Round t = 0; t <= 64; t += 4) builder.add_jobs(c, t, 4);
   const Instance inst = builder.build();
 
-  auto policy = make_policy("dlru-edf");
-  const EngineResult r = run_policy(inst, *policy, section3_options(4));
+  const EngineResult r = find_algorithm("dlru-edf").run(inst, 4, false);
   EXPECT_EQ(r.cost.drops, 0);
   EXPECT_EQ(r.cost.reconfig_events, 2);  // cached once in two locations
 }
@@ -67,9 +66,8 @@ TEST(DLruEdf, HandlesAppendixA) {
   // picks the (nonidle) long-term color up and drains it.
   const AdversaryAInstance adv =
       make_adversary_a({.n = 8, .delta = 2, .j = 5, .k = 7});
-  auto policy = make_policy("dlru-edf");
   const EngineResult online =
-      run_policy(adv.instance, *policy, section3_options(adv.params.n));
+      find_algorithm("dlru-edf").run(adv.instance, adv.params.n, false);
   const Schedule off = appendix_a_off_schedule(adv);
   const Cost off_cost = validate_or_throw(adv.instance, off).total();
   const double ratio = static_cast<double>(online.cost.total()) /
@@ -80,9 +78,8 @@ TEST(DLruEdf, HandlesAppendixA) {
 TEST(DLruEdf, HandlesAppendixB) {
   // Where EDF thrashes, dLRU-EDF's LRU half keeps the short color pinned.
   const AdversaryBInstance adv = make_adversary_b({.n = 8, .j = 4, .k = 7});
-  auto policy = make_policy("dlru-edf");
   const EngineResult online =
-      run_policy(adv.instance, *policy, section3_options(adv.params.n));
+      find_algorithm("dlru-edf").run(adv.instance, adv.params.n, false);
   const Schedule off = appendix_b_off_schedule(adv);
   const Cost off_cost = validate_or_throw(adv.instance, off).total();
   const double ratio = static_cast<double>(online.cost.total()) /
@@ -96,9 +93,8 @@ TEST(DLruEdf, RatioStaysFlatAsAppendixAScales) {
   for (int j = 5; j <= 7; ++j) {
     const AdversaryAInstance adv =
         make_adversary_a({.n = 8, .delta = 2, .j = j, .k = j + 2});
-    auto policy = make_policy("dlru-edf");
     const EngineResult online =
-        run_policy(adv.instance, *policy, section3_options(adv.params.n));
+        find_algorithm("dlru-edf").run(adv.instance, adv.params.n, false);
     const Schedule off = appendix_a_off_schedule(adv);
     const Cost off_cost = validate_or_throw(adv.instance, off).total();
     ratios.push_back(static_cast<double>(online.cost.total()) /
@@ -111,9 +107,8 @@ TEST(DLruEdf, RatioStaysFlatAsAppendixBScales) {
   for (int bump = 2; bump <= 4; ++bump) {
     const AdversaryBInstance adv =
         make_adversary_b({.n = 8, .j = 4, .k = 4 + bump});
-    auto policy = make_policy("dlru-edf");
     const EngineResult online =
-        run_policy(adv.instance, *policy, section3_options(adv.params.n));
+        find_algorithm("dlru-edf").run(adv.instance, adv.params.n, false);
     const Schedule off = appendix_b_off_schedule(adv);
     const Cost off_cost = validate_or_throw(adv.instance, off).total();
     const double ratio = static_cast<double>(online.cost.total()) /
@@ -148,8 +143,7 @@ TEST(DLruEdf, Lemma31_FewJobsPerColorCostsAtMostOff) {
   }
   const Instance inst = builder.build();
 
-  auto policy = make_policy("dlru-edf");
-  const EngineResult r = run_policy(inst, *policy, section3_options(8));
+  const EngineResult r = find_algorithm("dlru-edf").run(inst, 8, false);
   EXPECT_EQ(r.cost.reconfig_cost, 0);
   EXPECT_EQ(r.cost.drops, 90);
   // OFF (m = 1) must pay at least min(Delta, J_l) per color = 15 each.

@@ -10,18 +10,10 @@
 namespace rrs {
 namespace {
 
-EngineOptions section3_options(int n, bool record = false) {
-  EngineOptions options;
-  options.num_resources = n;
-  options.replication = 2;
-  options.record_schedule = record;
-  return options;
-}
-
 TEST(DLru, SchedulesAreValid) {
   const AdversaryAInstance adv = make_adversary_a({.n = 4, .delta = 2});
   Schedule schedule;
-  const RunRecord record =
+  const StreamRunRecord record =
       run_algorithm(adv.instance, "dlru", 4, &schedule);
   const CostBreakdown validated = validate_or_throw(adv.instance, schedule);
   EXPECT_EQ(validated, record.cost);
@@ -36,8 +28,7 @@ TEST(DLru, IneligibleColorsNeverCached) {
   builder.add_jobs(c, 0, 3);
   const Instance inst = builder.build();
 
-  auto policy = make_policy("dlru");
-  const EngineResult r = run_policy(inst, *policy, section3_options(4));
+  const EngineResult r = find_algorithm("dlru").run(inst, 4, false);
   EXPECT_EQ(r.cost.reconfig_cost, 0);
   EXPECT_EQ(r.cost.drops, 3);
 }
@@ -52,17 +43,15 @@ TEST(DLru, ServesSteadySingleColor) {
   for (Round t = 0; t <= 32; t += 4) builder.add_jobs(c, t, 4);
   const Instance inst = builder.build();
 
-  auto policy = make_policy("dlru");
-  const EngineResult r = run_policy(inst, *policy, section3_options(4));
+  const EngineResult r = find_algorithm("dlru").run(inst, 4, false);
   EXPECT_EQ(r.cost.drops, 0);
   EXPECT_EQ(r.cost.reconfig_events, 2);  // cached once, in two locations
 }
 
 TEST(DLru, AppendixA_DropsLongTermBacklog) {
   const AdversaryAInstance adv = make_adversary_a({.n = 8, .delta = 2});
-  auto policy = make_policy("dlru");
   const EngineResult r =
-      run_policy(adv.instance, *policy, section3_options(adv.params.n));
+      find_algorithm("dlru").run(adv.instance, adv.params.n, false);
 
   // dLRU keeps the n/2 short-term colors cached (their timestamps are
   // always at least as recent) and never serves the long-term color: all
@@ -87,9 +76,8 @@ TEST(DLru, AppendixA_RatioGrowsWithJ) {
     params.k = j + 2;
     const AdversaryAInstance adv = make_adversary_a(params);
 
-    auto policy = make_policy("dlru");
     const EngineResult online =
-        run_policy(adv.instance, *policy, section3_options(params.n));
+        find_algorithm("dlru").run(adv.instance, params.n, false);
     const Schedule off = appendix_a_off_schedule(adv);
     const Cost off_cost = validate_or_throw(adv.instance, off).total();
     const double ratio = static_cast<double>(online.cost.total()) /
@@ -102,7 +90,7 @@ TEST(DLru, AppendixA_RatioGrowsWithJ) {
 
 TEST(DLru, StatsExposeEpochCounters) {
   const AdversaryAInstance adv = make_adversary_a({.n = 4, .delta = 2});
-  const RunRecord record = run_algorithm(adv.instance, "dlru", 4);
+  const StreamRunRecord record = run_algorithm(adv.instance, "dlru", 4);
   bool saw_epochs = false;
   for (const auto& [key, value] : record.stats) {
     if (key == "epochs") {

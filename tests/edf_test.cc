@@ -10,18 +10,11 @@
 namespace rrs {
 namespace {
 
-EngineOptions section3_options(int n, bool record = false) {
-  EngineOptions options;
-  options.num_resources = n;
-  options.replication = 2;
-  options.record_schedule = record;
-  return options;
-}
-
 TEST(Edf, SchedulesAreValid) {
   const AdversaryBInstance adv = make_adversary_b({.n = 4});
   Schedule schedule;
-  const RunRecord record = run_algorithm(adv.instance, "edf", 4, &schedule);
+  const StreamRunRecord record =
+      run_algorithm(adv.instance, "edf", 4, &schedule);
   const CostBreakdown validated = validate_or_throw(adv.instance, schedule);
   EXPECT_EQ(validated, record.cost);
 }
@@ -37,9 +30,7 @@ TEST(Edf, PrefersEarlierColorDeadlines) {
   builder.add_jobs(urgent, 0, 2);
   const Instance inst = builder.build();
 
-  auto policy = make_policy("edf");
-  EngineOptions options = section3_options(2, /*record=*/true);
-  const EngineResult r = run_policy(inst, *policy, options);
+  const EngineResult r = find_algorithm("edf").run(inst, 2, /*record=*/true);
   ASSERT_FALSE(r.schedule.execs.empty());
   // Round 0 executions are the urgent color's jobs.
   for (const ExecEvent& e : r.schedule.execs) {
@@ -62,17 +53,15 @@ TEST(Edf, IdleEligibleColorsRankLast) {
   for (Round t = 0; t <= 16; t += 4) builder.add_jobs(steady, t, 4);
   const Instance inst = builder.build();
 
-  auto policy = make_policy("edf");
-  const EngineResult r = run_policy(inst, *policy, section3_options(2));
+  const EngineResult r = find_algorithm("edf").run(inst, 2, false);
   // Steady work never drops: once flash is idle, steady takes the slot.
   EXPECT_LE(r.cost.drops, 1);
 }
 
 TEST(Edf, AppendixB_Thrashes) {
   const AdversaryBInstance adv = make_adversary_b({.n = 4});
-  auto policy = make_policy("edf");
   const EngineResult online =
-      run_policy(adv.instance, *policy, section3_options(adv.params.n));
+      find_algorithm("edf").run(adv.instance, adv.params.n, false);
   const Schedule off = appendix_b_off_schedule(adv);
   const Cost off_cost = validate_or_throw(adv.instance, off).total();
   // OFF pays exactly (n/2 + 1) * Delta and drops nothing.
@@ -93,9 +82,8 @@ TEST(Edf, AppendixB_RatioGrowsWithKMinusJ) {
     params.k = params.j + bump;
     const AdversaryBInstance adv = make_adversary_b(params);
 
-    auto policy = make_policy("edf");
     const EngineResult online =
-        run_policy(adv.instance, *policy, section3_options(params.n));
+        find_algorithm("edf").run(adv.instance, params.n, false);
     const Schedule off = appendix_b_off_schedule(adv);
     const Cost off_cost = validate_or_throw(adv.instance, off).total();
     const double ratio = static_cast<double>(online.cost.total()) /
@@ -110,9 +98,8 @@ TEST(Edf, ReconfigurationDominatesOnAppendixB) {
   // The damage EDF takes on Appendix B is thrashing (reconfigurations),
   // not drops.
   const AdversaryBInstance adv = make_adversary_b({.n = 4, .j = 3, .k = 6});
-  auto policy = make_policy("edf");
   const EngineResult r =
-      run_policy(adv.instance, *policy, section3_options(adv.params.n));
+      find_algorithm("edf").run(adv.instance, adv.params.n, false);
   EXPECT_GT(r.cost.reconfig_cost, r.cost.drops);
 }
 

@@ -5,7 +5,6 @@
 #include "algs/adaptive.h"
 #include "algs/distribute.h"
 #include "algs/par_edf.h"
-#include "algs/seq_edf.h"
 #include "algs/registry.h"
 #include "algs/varbatch.h"
 #include "core/validator.h"
@@ -30,7 +29,7 @@ TEST(EdgeCases, EveryAlgorithmHandlesEmptyInstance) {
   const Instance inst = empty_instance();
   for (const AlgorithmInfo& info : algorithm_registry()) {
     Schedule schedule;
-    const RunRecord r = run_algorithm(inst, info.name, 8, &schedule);
+    const StreamRunRecord r = run_algorithm(inst, info.name, 8, &schedule);
     EXPECT_EQ(r.cost.total(), 0) << info.name;
     EXPECT_TRUE(validate(inst, schedule).ok) << info.name;
   }
@@ -54,7 +53,7 @@ TEST(EdgeCases, SingleJobSingleRound) {
 
   for (const std::string name : {"dlru-edf", "varbatch", "edf"}) {
     Schedule schedule;
-    const RunRecord r = run_algorithm(inst, name, 8, &schedule);
+    const StreamRunRecord r = run_algorithm(inst, name, 8, &schedule);
     EXPECT_TRUE(validate(inst, schedule).ok) << name;
     // With Delta = 1 the single job wraps its counter instantly; the
     // winner either serves it (Delta + 0) or drops it (1).
@@ -73,9 +72,9 @@ TEST(EdgeCases, DelayBoundOnePassesEverywhere) {
   ASSERT_TRUE(inst.is_batched());
   ASSERT_TRUE(inst.is_rate_limited());
 
-  const RunRecord direct = run_algorithm(inst, "dlru-edf", 4);
+  const StreamRunRecord direct = run_algorithm(inst, "dlru-edf", 4);
   EXPECT_EQ(direct.cost.drops, 0);
-  const RunRecord pipeline = run_algorithm(inst, "varbatch", 4);
+  const StreamRunRecord pipeline = run_algorithm(inst, "varbatch", 4);
   EXPECT_EQ(pipeline.cost.drops, 0) << "D=1 passes through untouched";
 }
 
@@ -86,7 +85,7 @@ TEST(EdgeCases, HugeDeltaMakesDropsOptimal) {
   builder.add_jobs(c, 0, 100);
   const Instance inst = builder.build();
   EXPECT_EQ(optimal_offline_cost(inst, 1), 100);
-  const RunRecord r = run_algorithm(inst, "dlru-edf", 8);
+  const StreamRunRecord r = run_algorithm(inst, "dlru-edf", 8);
   EXPECT_EQ(r.cost.total(), 100);  // never configures (Lemma 3.1 regime)
 }
 
@@ -101,7 +100,7 @@ TEST(EdgeCases, DeltaOneDegeneratesToPagingLikeBehaviour) {
     builder.add_jobs(colors[static_cast<std::size_t>((t / 4) % 6)], t, 2);
   }
   const Instance inst = builder.build();
-  const RunRecord r = run_algorithm(inst, "dlru-edf", 8);
+  const StreamRunRecord r = run_algorithm(inst, "dlru-edf", 8);
   EXPECT_EQ(r.cost.drops, 0);
 }
 
@@ -114,7 +113,7 @@ TEST(EdgeCases, ManyColorsFewResources) {
   }
   const Instance inst = builder.build();
   Schedule schedule;
-  const RunRecord r = run_algorithm(inst, "dlru-edf", 4, &schedule);
+  const StreamRunRecord r = run_algorithm(inst, "dlru-edf", 4, &schedule);
   EXPECT_TRUE(validate(inst, schedule).ok);
   // Capacity is 2 colors x 2 slots x 8 rounds = 32 executions max.
   EXPECT_LE(r.executed, 32);
@@ -131,7 +130,7 @@ TEST(EdgeCases, GapsBetweenArrivalsSpanBoundaries) {
   builder.add_jobs(c, 800, 4);
   const Instance inst = builder.build();
   Schedule schedule;
-  const RunRecord r = run_algorithm(inst, "dlru-edf", 4, &schedule);
+  const StreamRunRecord r = run_algorithm(inst, "dlru-edf", 4, &schedule);
   EXPECT_TRUE(validate(inst, schedule).ok);
   EXPECT_EQ(r.executed + r.cost.drops, 12);
 }
@@ -160,7 +159,8 @@ TEST(EdgeCases, MetricsAndTimelineOnDoubleSpeedSchedules) {
   builder.add_jobs(c, 0, 4);
   const Instance inst = builder.build();
 
-  const EngineResult r = run_ds_seq_edf(inst, 1, /*record_schedule=*/true);
+  const EngineResult r =
+      find_algorithm("ds-seq-edf").run(inst, 1, /*record=*/true);
   ASSERT_EQ(r.schedule.speed, 2);
   const ScheduleMetrics m = compute_metrics(inst, r.schedule);
   EXPECT_EQ(m.wait.count, r.executed);
@@ -196,7 +196,7 @@ TEST(EdgeCases, SeqEdfWithOneResource) {
   const ColorId b = builder.add_color(4);
   builder.add_jobs(a, 0, 2).add_jobs(b, 0, 2);
   const Instance inst = builder.build();
-  const EngineResult r = run_seq_edf(inst, 1, true);
+  const EngineResult r = find_algorithm("seq-edf").run(inst, 1, true);
   EXPECT_TRUE(validate(inst, r.schedule).ok);
   EXPECT_GE(r.executed, 2);  // at least one color fully served
 }

@@ -3,9 +3,11 @@
 
 #include <algorithm>
 
+#include "algs/registry.h"
 #include "core/engine.h"
 #include "core/validator.h"
 #include "util/check.h"
+#include "workload/random_batched.h"
 
 namespace rrs {
 namespace {
@@ -376,6 +378,26 @@ TEST(Engine, PolicyStatsSurfaced) {
   ASSERT_EQ(r.policy_stats.size(), 1u);
   EXPECT_EQ(r.policy_stats[0].first, "touched");
   EXPECT_EQ(r.policy_stats[0].second, 7);
+}
+
+TEST(EngineFinish, UndrainedRunChargesEveryJobStillPending) {
+  // A finite generator's last arrivals are due past its horizon, and a
+  // max_rounds clip leaves jobs due past the last round.  Without draining,
+  // the terminal sweep must still charge each of them as a drop.
+  for (const Round horizon : {Round{1000}, kInfiniteHorizon}) {
+    RandomBatchedParams params;
+    params.num_colors = 8;
+    params.horizon = horizon;
+    params.seed = 3;
+    RandomBatchedSource source(params);
+    EngineOptions options;
+    const auto policy = make_stream_policy("dlru-edf", options);
+    options.num_resources = 8;
+    options.record_schedule = false;
+    if (horizon == kInfiniteHorizon) options.max_rounds = 1000;
+    const EngineResult r = run_policy(source, *policy, options);
+    EXPECT_EQ(r.arrived, r.executed + r.cost.drops) << "horizon " << horizon;
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "core/fault_plan.h"
 #include "obs/observer.h"
 #include "sim/runner.h"
+#include "test_util.h"
 #include "workload/datacenter.h"
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
@@ -67,12 +68,6 @@ std::unique_ptr<ArrivalSource> make_source(const std::string& family,
   return nullptr;
 }
 
-void expect_identical(const StreamRunRecord& on, const StreamRunRecord& off,
-                      const std::string& what) {
-  EXPECT_EQ(RunCounters(on), RunCounters(off)) << what;
-  EXPECT_EQ(on.stats, off.stats) << what;
-}
-
 using Cell = std::tuple<std::string, std::string, std::uint64_t>;
 
 class FastForwardMatrix : public ::testing::TestWithParam<Cell> {};
@@ -90,7 +85,7 @@ TEST_P(FastForwardMatrix, BitIdenticalToSequentialRun) {
       run_streaming(*fast_source, algorithm, 8, kInfiniteHorizon, nullptr,
                     false, nullptr, /*fast_forward=*/true);
 
-  expect_identical(on, off, algorithm + "/" + family);
+  testing::expect_same_run(on, off, algorithm + "/" + family);
 }
 
 std::vector<Cell> all_cells() {
@@ -135,7 +130,7 @@ TEST(FastForwardFaults, IdenticalUnderCapacityChurn) {
     const StreamRunRecord on =
         run_streaming(*fast_source, algorithm, 8, kInfiniteHorizon, &plan,
                       true, nullptr, /*fast_forward=*/true);
-    expect_identical(on, off, std::string(algorithm) + " under faults");
+    testing::expect_same_run(on, off, std::string(algorithm) + " under faults");
     EXPECT_GT(on.degraded.fault_events, 0) << "plan must actually fire";
   }
 }
@@ -159,7 +154,7 @@ TEST(FastForwardSnapshots, SnapshotSeriesIsByteIdentical) {
   std::string off_json;
   const StreamRunRecord on = run(true, &on_json);
   const StreamRunRecord off = run(false, &off_json);
-  expect_identical(on, off, "observed run");
+  testing::expect_same_run(on, off, "observed run");
   EXPECT_FALSE(on_json.empty());
   // Snapshots fire at the same rounds with the same cumulative counters:
   // the JSON-lines series must match byte for byte.
@@ -179,11 +174,11 @@ TEST(FastForwardSharded, IdenticalAcrossShards) {
   const ShardedRunRecord off = run_streaming_sharded(
       *off_source, "dlru-edf", 16, 2, kInfiniteHorizon, off_options);
 
-  expect_identical(on.merged, off.merged, "sharded");
+  testing::expect_same_run(on.merged, off.merged, "sharded");
   ASSERT_EQ(on.shards.size(), off.shards.size());
   for (std::size_t s = 0; s < on.shards.size(); ++s) {
-    expect_identical(on.shards[s], off.shards[s],
-                     "shard " + std::to_string(s));
+    testing::expect_same_run(on.shards[s], off.shards[s],
+                             "shard " + std::to_string(s));
   }
 }
 
@@ -203,7 +198,7 @@ TEST(FastForwardSkips, LongGapIsActuallyJumped) {
       off_source, "edf", 4, kInfiniteHorizon, nullptr, false, nullptr,
       /*fast_forward=*/false);
 
-  expect_identical(on, off, "two-burst gap");
+  testing::expect_same_run(on, off, "two-burst gap");
   EXPECT_EQ(on.arrived, 8);
   EXPECT_GT(on.rounds, 100000);
 }
@@ -246,7 +241,7 @@ TEST(FastForwardContract, DefaultSourceHintNeverSkips) {
   const StreamRunRecord through = run_streaming(opaque, "edf", 4);
   MaterializedSource plain(instance);
   const StreamRunRecord reference = run_streaming(plain, "edf", 4);
-  expect_identical(through, reference, "opaque source");
+  testing::expect_same_run(through, reference, "opaque source");
   // Every arrival-range round was pulled individually.
   EXPECT_GE(opaque.pulls(), 500);
 }

@@ -25,6 +25,7 @@
 #include "core/shard_plan.h"
 #include "core/validator.h"
 #include "sim/runner.h"
+#include "test_util.h"
 #include "workload/datacenter.h"
 #include "workload/poisson.h"
 #include "workload/random_batched.h"
@@ -325,15 +326,6 @@ TEST(CacheChurn, ChurnCallsOutsidePhasesOnly) {
 
 // --- engine: empty plan is the identity ------------------------------------
 
-/// Everything a run must reproduce: every counter plus the policy stats
-/// (seconds is wall clock).
-using Reproducible =
-    std::pair<RunCounters, std::vector<std::pair<std::string, std::int64_t>>>;
-
-Reproducible reproducible(const StreamRunRecord& record) {
-  return {record, record.stats};
-}
-
 using Cell = std::tuple<std::string, std::string, std::uint64_t>;
 
 class EmptyPlanBitIdentity : public ::testing::TestWithParam<Cell> {};
@@ -351,8 +343,8 @@ TEST_P(EmptyPlanBitIdentity, StreamingAndShardedMatchFaultFreeRuns) {
   const StreamRunRecord with_empty =
       run_streaming(*faulty_source, algorithm, 8, kInfiniteHorizon, &empty,
                     /*charge_repair=*/true);
-  EXPECT_EQ(reproducible(plain), reproducible(with_empty))
-      << family << " seed " << seed;
+  const std::string label = family + " seed " + std::to_string(seed);
+  testing::expect_same_run(plain, with_empty, label);
   EXPECT_EQ(with_empty.degraded, DegradedStats{});
 
   const auto plain_sharded = make_source(family, seed);
@@ -365,12 +357,11 @@ TEST_P(EmptyPlanBitIdentity, StreamingAndShardedMatchFaultFreeRuns) {
   options.charge_repair = true;
   const ShardedRunRecord sharded_empty = run_streaming_sharded(
       *faulty_sharded, algorithm, 8, 2, kInfiniteHorizon, options);
-  EXPECT_EQ(reproducible(sharded.merged), reproducible(sharded_empty.merged));
+  testing::expect_same_run(sharded.merged, sharded_empty.merged, label);
   ASSERT_EQ(sharded.shards.size(), sharded_empty.shards.size());
   for (std::size_t s = 0; s < sharded.shards.size(); ++s) {
-    EXPECT_EQ(reproducible(sharded.shards[s]),
-              reproducible(sharded_empty.shards[s]))
-        << "shard " << s;
+    testing::expect_same_run(sharded.shards[s], sharded_empty.shards[s],
+                             label + " shard " + std::to_string(s));
   }
 }
 
@@ -412,15 +403,15 @@ FaultPlan aggressive_mtbf(int num_resources, Round horizon) {
 
 TEST(FaultRunTest, FaultRunsAreDeterministic) {
   const FaultPlan plan = aggressive_mtbf(8, 256);
-  std::vector<Reproducible> runs;
+  std::vector<StreamRunRecord> runs;
   for (int repeat = 0; repeat < 2; ++repeat) {
     const auto source = make_source("random-batched", 5);
-    runs.push_back(reproducible(
-        run_streaming(*source, "dlru-edf", 8, kInfiniteHorizon, &plan)));
+    runs.push_back(
+        run_streaming(*source, "dlru-edf", 8, kInfiniteHorizon, &plan));
   }
-  EXPECT_EQ(runs[0], runs[1]);
-  EXPECT_GT(runs[0].first.degraded.fault_events, 0);
-  EXPECT_GT(runs[0].first.degraded.degraded_rounds, 0);
+  testing::expect_same_run(runs[0], runs[1], "repeat");
+  EXPECT_GT(runs[0].degraded.fault_events, 0);
+  EXPECT_GT(runs[0].degraded.degraded_rounds, 0);
 }
 
 TEST(FaultRunTest, DegradedCountersAreConsistent) {
@@ -552,16 +543,15 @@ TEST(FaultRunTest, AdversarialChurnRunsAreDeterministic) {
   params.first = 8;
   params.outage = 8;
   const FaultPlan plan = make_adversarial_plan(params);
-  std::vector<Reproducible> runs;
+  std::vector<StreamRunRecord> runs;
   for (int repeat = 0; repeat < 2; ++repeat) {
     const auto source = make_source("poisson", 6);
-    runs.push_back(reproducible(
-        run_streaming(*source, "dlru-edf", 8, kInfiniteHorizon, &plan)));
+    runs.push_back(
+        run_streaming(*source, "dlru-edf", 8, kInfiniteHorizon, &plan));
   }
-  EXPECT_EQ(runs[0], runs[1]);
-  EXPECT_GT(runs[0].first.degraded.fault_events, 0);
-  EXPECT_EQ(runs[0].first.degraded.fault_events,
-            runs[0].first.degraded.repair_events);
+  testing::expect_same_run(runs[0], runs[1], "repeat");
+  EXPECT_GT(runs[0].degraded.fault_events, 0);
+  EXPECT_EQ(runs[0].degraded.fault_events, runs[0].degraded.repair_events);
 }
 
 /// Policy that pins colors 0 and 1 and records every capacity notification.
@@ -670,7 +660,7 @@ TEST(ShardedFaultTest, CostsRemainExactlyAdditiveUnderChurn) {
   const auto source2 = make_source("datacenter", 5);
   const ShardedRunRecord again = run_streaming_sharded(
       *source2, "dlru-edf", 16, 4, kInfiniteHorizon, options);
-  EXPECT_EQ(reproducible(record.merged), reproducible(again.merged));
+  testing::expect_same_run(record.merged, again.merged, "repeat");
 }
 
 TEST(ShardedFaultTest, SplitPlanUnderMatrixDeltaStaysExactAndAdditive) {

@@ -9,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "algs/adaptive.h"
 #include "core/checkpoint.h"
 #include "core/engine.h"
 #include "core/validator.h"
@@ -521,6 +524,38 @@ TEST(CheckpointFuzz, CrcAndTrailerCorruptionRejects) {
     mutated[pos] = static_cast<char>(
         static_cast<unsigned char>(mutated[pos]) ^ 0xff);
     EXPECT_FALSE(restore_attempt(mutated)) << "pos " << pos;
+  }
+}
+
+TEST(CheckpointFuzz, AdaptiveSplitOutsideItsRangeRejects) {
+  // The CRC rejects flipped bytes before any section is parsed, so a
+  // well-framed section with a bad LRU split is built by hand: a begun
+  // dLRU-EDF's shared fields, the split, then the four window fields.
+  PoissonParams params;
+  params.horizon = 64;
+  params.seed = 9;
+  const PoissonSource source(params);
+  const auto restore = [&source](double split) {
+    DLruEdfPolicy shared;
+    shared.begin(source, 8, 1);
+    CheckpointWriter w;
+    w.begin_section(1);
+    shared.checkpoint_state(w);
+    w.f64(split);
+    for (int i = 0; i < 4; ++i) w.i64(0);
+    w.end_section();
+    std::stringstream bytes;
+    w.finish(bytes);
+    CheckpointReader r(bytes);
+    r.open_section(1);
+    AdaptiveSplitPolicy adaptive;
+    adaptive.begin(source, 8, 1);
+    adaptive.restore_state(r);
+  };
+  EXPECT_NO_THROW(restore(0.5));
+  for (const double bad : {std::nan(""), -1.0, 7.5, 0.95,
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(restore(bad), InputError) << "split " << bad;
   }
 }
 

@@ -96,7 +96,7 @@ TEST_P(AlgorithmWorkloadMatrix, ScheduleValidCostConsistent) {
   // unbatched input is mechanically fine (and must still be valid), but
   // the end-to-end pipelines are the meaningful algorithms there.
   Schedule schedule;
-  const RunRecord record = run_algorithm(inst, algorithm, 8, &schedule);
+  const StreamRunRecord record = run_algorithm(inst, algorithm, 8, &schedule);
   const CostBreakdown validated = validate_or_throw(inst, schedule);
   EXPECT_EQ(validated, record.cost);
   EXPECT_EQ(record.executed,
@@ -135,7 +135,7 @@ class PipelineFamilies : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(PipelineFamilies, DistributeOnBurstyBatched) {
   const Instance inst = make_family_instance("bursty-batched", GetParam());
   Schedule schedule;
-  const RunRecord record =
+  const StreamRunRecord record =
       run_algorithm(inst, "distribute", 8, &schedule);
   EXPECT_EQ(validate_or_throw(inst, schedule), record.cost);
 }
@@ -144,7 +144,7 @@ TEST_P(PipelineFamilies, VarBatchOnArbitraryDelays) {
   const Instance inst =
       make_family_instance("poisson-arbitrary", GetParam());
   Schedule schedule;
-  const RunRecord record = run_algorithm(inst, "varbatch", 8, &schedule);
+  const StreamRunRecord record = run_algorithm(inst, "varbatch", 8, &schedule);
   EXPECT_EQ(validate_or_throw(inst, schedule), record.cost);
 }
 
@@ -164,7 +164,7 @@ TEST_P(AugmentationMonotonicity, DropsShrinkWithResources) {
   const Instance inst = make_random_batched(params);
   Cost previous = -1;
   for (const int n : {4, 8, 16, 32}) {
-    const RunRecord record = run_algorithm(inst, "dlru-edf", n);
+    const StreamRunRecord record = run_algorithm(inst, "dlru-edf", n);
     if (previous >= 0) {
       EXPECT_LE(record.cost.drops, previous) << "n = " << n;
     }

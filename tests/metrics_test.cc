@@ -154,7 +154,7 @@ TEST(ComputeMetrics, RealRunIsConsistent) {
   params.horizon = 256;
   const Instance inst = make_random_batched(params);
   Schedule schedule;
-  const RunRecord r = run_algorithm(inst, "dlru-edf", 8, &schedule);
+  const StreamRunRecord r = run_algorithm(inst, "dlru-edf", 8, &schedule);
   const ScheduleMetrics m = compute_metrics(inst, schedule);
 
   EXPECT_EQ(m.wait.count, r.executed);

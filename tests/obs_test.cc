@@ -652,7 +652,7 @@ TEST_P(StreamingVsPostHoc, StreamStatsEqualComputeMetricsBitForBit) {
   const auto to_materialize = make_source(family, seed);
   const Instance instance = materialize(*to_materialize);
   Schedule schedule;
-  const RunRecord reference =
+  const StreamRunRecord reference =
       run_algorithm(instance, algorithm, 8, &schedule);
   const ScheduleMetrics metrics = compute_metrics(instance, schedule);
 
@@ -795,10 +795,9 @@ TEST_P(FaultedVsPostHoc, StreamStatsMatchRecordedScheduleUnderChurn) {
   // schedule for the offline instrument.
   const auto to_materialize = make_source("random-batched", 6);
   const Instance instance = materialize(*to_materialize);
-  auto policy = make_policy(algorithm);
   EngineOptions engine_options;
+  const auto policy = make_stream_policy(algorithm, engine_options);
   engine_options.num_resources = 8;
-  engine_options.replication = 2;
   engine_options.record_schedule = true;
   engine_options.fault_plan = &plan;
   const EngineResult reference =

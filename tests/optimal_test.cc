@@ -110,7 +110,7 @@ TEST(Optimal, NeverWorseThanOnlineWithSameResources) {
     params.delta = 2;
     const Instance inst = make_random_batched(params);
     const Cost opt = optimal_offline_cost(inst, 2);
-    const RunRecord online = run_algorithm(inst, "seq-edf", 2);
+    const StreamRunRecord online = run_algorithm(inst, "seq-edf", 2);
     EXPECT_LE(opt, online.cost.total()) << "seed " << seed;
   }
 }

@@ -202,8 +202,8 @@ TEST_P(SeededProperty, Lemma315_AtMostTwoEpochEndingsPerSuperEpoch) {
 
 TEST_P(SeededProperty, EngineDeterminism) {
   const Instance inst = rate_limited_instance(256);
-  const RunRecord a = run_algorithm(inst, "dlru-edf", 8);
-  const RunRecord b = run_algorithm(inst, "dlru-edf", 8);
+  const StreamRunRecord a = run_algorithm(inst, "dlru-edf", 8);
+  const StreamRunRecord b = run_algorithm(inst, "dlru-edf", 8);
   EXPECT_EQ(a.cost, b.cost);
   EXPECT_EQ(a.executed, b.executed);
 }

@@ -1,10 +1,11 @@
 // The incremental rank index (EligibilityTracker::edf_order / lru_order)
 // must reproduce the sort-based reference rankings exactly, round for
 // round: the deadline-bucket calendar against edf_sort, the intrusive
-// recency list against lru_sort.  Differential tests drive an indexed
-// tracker and a plain twin through identical phase sequences — arrivals,
-// drops, executions, cache churn, counter wraps, ring wrap-around,
-// migration handoff — and compare orders after every round.
+// recency list against lru_sort, both sorts run over the tracker's own
+// eligible set and per-color state.  Differential tests drive a tracker
+// through phase sequences — arrivals, drops, executions, cache churn,
+// counter wraps, ring wrap-around, migration handoff — and compare orders
+// after every round.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,32 +22,27 @@
 namespace rrs {
 namespace {
 
-/// Drives an indexed tracker and a plain twin through identical rounds
-/// against one shared PendingJobs / CacheAssignment, the way the engine
-/// would, and checks both rankings after each round.
-class DualHarness {
+/// Drives a tracker through rounds against a PendingJobs /
+/// CacheAssignment, the way the engine would, and checks both rankings
+/// after each round.
+class Harness {
  public:
-  explicit DualHarness(Instance instance, int resources = 4,
-                       int replication = 2)
+  explicit Harness(Instance instance, int resources = 4, int replication = 2)
       : instance_(std::move(instance)),
         source_(instance_),
         cache_(resources, replication) {
     cache_.ensure_colors(instance_.num_colors());
     pending_.reset(instance_.num_colors());
-    indexed_.enable_rank_index();
-    indexed_.begin(source_);
-    plain_.begin(source_);
+    tracker_.begin(source_);
   }
 
   /// One engine round: expiry sweep, drop phase, arrivals, arrival phase.
   void step() {
     pending_.drop_expired(k_, dropped_);
-    indexed_.drop_phase(k_, dropped_, cache_);
-    plain_.drop_phase(k_, dropped_, cache_);
+    tracker_.drop_phase(k_, dropped_, cache_);
     const auto arrivals = instance_.arrivals_in_round(k_);
     for (const Job& job : arrivals) pending_.add(job);
-    indexed_.arrival_phase(k_, arrivals);
-    plain_.arrival_phase(k_, arrivals);
+    tracker_.arrival_phase(k_, arrivals);
     ++k_;
   }
 
@@ -54,19 +50,19 @@ class DualHarness {
   /// lru_order prefixes (the capacity-capped walk a policy issues).
   void check_orders() {
     const Round now = k_ - 1;
-    std::vector<ColorId> edf_ref = plain_.eligible_colors();
-    edf_sort(edf_ref, source_, plain_, pending_);
-    EXPECT_EQ(indexed_.edf_order(pending_), edf_ref) << "round " << now;
+    std::vector<ColorId> edf_ref = tracker_.eligible_colors();
+    edf_sort(edf_ref, tracker_, pending_);
+    EXPECT_EQ(tracker_.edf_order(pending_), edf_ref) << "round " << now;
 
-    std::vector<ColorId> lru_ref = plain_.eligible_colors();
-    lru_sort(lru_ref, plain_, now);
+    std::vector<ColorId> lru_ref = tracker_.eligible_colors();
+    lru_sort(lru_ref, tracker_, now);
     for (const std::size_t cap :
          {std::size_t{0}, std::size_t{1}, std::size_t{2}, lru_ref.size()}) {
       const auto take = std::min(cap, lru_ref.size());
       const std::vector<ColorId> want(lru_ref.begin(),
                                       lru_ref.begin() +
                                           static_cast<std::ptrdiff_t>(take));
-      EXPECT_EQ(indexed_.lru_order(cap), want)
+      EXPECT_EQ(tracker_.lru_order(cap), want)
           << "round " << now << " cap " << cap;
     }
   }
@@ -94,16 +90,14 @@ class DualHarness {
 
   [[nodiscard]] Round round() const { return k_; }
   [[nodiscard]] Instance& instance() { return instance_; }
-  [[nodiscard]] EligibilityTracker& indexed() { return indexed_; }
-  [[nodiscard]] EligibilityTracker& plain() { return plain_; }
+  [[nodiscard]] EligibilityTracker& tracker() { return tracker_; }
 
  private:
   Instance instance_;
   MaterializedSource source_;
   CacheAssignment cache_;
   PendingJobs pending_;
-  EligibilityTracker indexed_;
-  EligibilityTracker plain_;
+  EligibilityTracker tracker_;
   PendingJobs::DropResult dropped_;
   Round k_ = 0;
 };
@@ -136,7 +130,7 @@ Instance random_instance(std::uint64_t seed, bool pow2_only) {
 
 TEST(RankIndexDifferential, MatchesSortsEveryRoundPow2Delays) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
-    DualHarness h(random_instance(seed, /*pow2_only=*/true));
+    Harness h(random_instance(seed, /*pow2_only=*/true));
     Rng rng(seed * 977 + 5);
     const Round until = h.instance().horizon() + 32;
     for (Round k = 0; k < until; ++k) {
@@ -150,7 +144,7 @@ TEST(RankIndexDifferential, MatchesSortsEveryRoundPow2Delays) {
 
 TEST(RankIndexDifferential, MatchesSortsEveryRoundArbitraryDelays) {
   for (const std::uint64_t seed : {6ULL, 7ULL, 8ULL}) {
-    DualHarness h(random_instance(seed, /*pow2_only=*/false));
+    Harness h(random_instance(seed, /*pow2_only=*/false));
     Rng rng(seed * 977 + 5);
     const Round until = h.instance().horizon() + 32;
     for (Round k = 0; k < until; ++k) {
@@ -174,7 +168,7 @@ TEST(RankIndexCalendar, SurvivesManyRingWraps) {
     builder.add_jobs(a, k, 1);
     if (k % 8 == 0) builder.add_jobs(b, k, 1);
   }
-  DualHarness h(builder.build());
+  Harness h(builder.build());
   Rng rng(17);
   for (Round k = 0; k < 220; ++k) {
     h.step();
@@ -192,13 +186,13 @@ TEST(RankIndexChurn, EpochEndEvictsFromBothOrders) {
   const ColorId c = builder.add_color(4);
   builder.add_jobs(c, 1, 1);
   builder.min_horizon(16);
-  DualHarness h(builder.build());
+  Harness h(builder.build());
   for (Round k = 0; k < 16; ++k) {
     h.step();
     h.check_orders();
   }
-  EXPECT_FALSE(h.indexed().eligible(c)) << "epoch must have ended";
-  EXPECT_TRUE(h.indexed().lru_order(4).empty());
+  EXPECT_FALSE(h.tracker().eligible(c)) << "epoch must have ended";
+  EXPECT_TRUE(h.tracker().lru_order(4).empty());
 }
 
 TEST(RankIndexWraps, SecondWrapInBlockReordersRecency) {
@@ -215,7 +209,7 @@ TEST(RankIndexWraps, SecondWrapInBlockReordersRecency) {
   builder.add_jobs(a, 8, 1);
   builder.add_jobs(b, 9, 1);
   builder.min_horizon(32);
-  DualHarness h(builder.build());
+  Harness h(builder.build());
   for (Round k = 0; k < 32; ++k) {
     h.step();
     h.check_orders();
@@ -223,10 +217,10 @@ TEST(RankIndexWraps, SecondWrapInBlockReordersRecency) {
 }
 
 TEST(RankIndexMigration, ImportHandoffPreservesOrders) {
-  // Export every color from a mid-run indexed tracker into a fresh pair
-  // (indexed + plain twin), then keep driving: the dirty-import protocol
-  // must link the imported colors with the timestamps the plain twin
-  // computes, and every later round must still match the sorts.
+  // Export every color from a mid-run tracker into a fresh one, then keep
+  // driving: the dirty-import protocol must link the imported colors with
+  // the timestamps lru_sort computes, and every later round must still
+  // match the sorts.
   const Instance instance = random_instance(42, /*pow2_only=*/true);
   MaterializedSource source(instance);
   CacheAssignment cache(4, 2);
@@ -236,7 +230,6 @@ TEST(RankIndexMigration, ImportHandoffPreservesOrders) {
   PendingJobs::DropResult dropped;
 
   EligibilityTracker original;
-  original.enable_rank_index();
   original.begin(source);
   const Round handoff = 48;
   for (Round k = 0; k < handoff; ++k) {
@@ -247,33 +240,25 @@ TEST(RankIndexMigration, ImportHandoffPreservesOrders) {
     original.arrival_phase(k, arrivals);
   }
 
-  EligibilityTracker indexed;
-  indexed.enable_rank_index();
-  indexed.begin(source);
-  EligibilityTracker plain;
-  plain.begin(source);
+  EligibilityTracker imported;
+  imported.begin(source);
   for (ColorId c = 0; c < instance.num_colors(); ++c) {
-    const PolicyColorState state = original.export_color(c);
-    indexed.import_color(c, state);
-    plain.import_color(c, state);
+    imported.import_color(c, original.export_color(c));
   }
 
-  Rng rng(99);
   for (Round k = handoff; k < instance.horizon() + 16; ++k) {
     pending.drop_expired(k, dropped);
-    indexed.drop_phase(k, dropped, cache);
-    plain.drop_phase(k, dropped, cache);
+    imported.drop_phase(k, dropped, cache);
     const auto arrivals = instance.arrivals_in_round(k);
     for (const Job& job : arrivals) pending.add(job);
-    indexed.arrival_phase(k, arrivals);
-    plain.arrival_phase(k, arrivals);
+    imported.arrival_phase(k, arrivals);
 
-    std::vector<ColorId> edf_ref = plain.eligible_colors();
-    edf_sort(edf_ref, source, plain, pending);
-    EXPECT_EQ(indexed.edf_order(pending), edf_ref) << "round " << k;
-    std::vector<ColorId> lru_ref = plain.eligible_colors();
-    lru_sort(lru_ref, plain, k);
-    EXPECT_EQ(indexed.lru_order(lru_ref.size()), lru_ref) << "round " << k;
+    std::vector<ColorId> edf_ref = imported.eligible_colors();
+    edf_sort(edf_ref, imported, pending);
+    EXPECT_EQ(imported.edf_order(pending), edf_ref) << "round " << k;
+    std::vector<ColorId> lru_ref = imported.eligible_colors();
+    lru_sort(lru_ref, imported, k);
+    EXPECT_EQ(imported.lru_order(lru_ref.size()), lru_ref) << "round " << k;
   }
 }
 
@@ -283,12 +268,12 @@ TEST(RankIndexContract, EmptyEligibleSetYieldsEmptyOrders) {
   const ColorId c = builder.add_color(4);
   builder.add_jobs(c, 0, 1);
   builder.min_horizon(8);
-  DualHarness h(builder.build());
+  Harness h(builder.build());
   for (Round k = 0; k < 8; ++k) {
     h.step();
     h.check_orders();
   }
-  EXPECT_TRUE(h.indexed().lru_order(4).empty());
+  EXPECT_TRUE(h.tracker().lru_order(4).empty());
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ TEST_F(RankingFixture, EdfSortFollowsColorDeadlines) {
   // slow's 8.  fast re-batched at 2 -> deadline 4; medium still 4 but
   // larger delay bound; slow latest.
   std::vector<ColorId> colors{slow_, medium_, fast_};
-  edf_sort(colors, *source_, tracker_, pending_);
+  edf_sort(colors, tracker_, pending_);
   EXPECT_EQ(colors[0], fast_);   // deadline 4, delay 2
   EXPECT_EQ(colors[1], medium_); // deadline 4, delay 4
   EXPECT_EQ(colors[2], slow_);   // deadline 8
@@ -100,7 +100,7 @@ TEST_F(RankingFixture, IdleColorsSinkToTheBottom) {
   // Drain fast's pending jobs: it becomes idle and must rank last.
   while (!pending_.idle(fast_)) (void)pending_.pop_earliest(fast_);
   std::vector<ColorId> colors{fast_, medium_, slow_};
-  edf_sort(colors, *source_, tracker_, pending_);
+  edf_sort(colors, tracker_, pending_);
   EXPECT_EQ(colors.back(), fast_);
 }
 

@@ -29,27 +29,6 @@ Schedule valid_schedule() {
   return s;
 }
 
-TEST(ScheduleCost, CountsReconfigsAndDrops) {
-  const Schedule s = valid_schedule();
-  const CostBreakdown cost = s.cost(/*delta=*/3, /*total_jobs=*/3);
-  EXPECT_EQ(cost.reconfig_events, 2);
-  EXPECT_EQ(cost.reconfig_cost, 6);
-  EXPECT_EQ(cost.drops, 0);
-  EXPECT_EQ(cost.total(), 6);
-}
-
-TEST(ScheduleCost, DropsAreUnexecutedJobs) {
-  Schedule s = valid_schedule();
-  s.execs.pop_back();
-  EXPECT_EQ(s.cost(3, 3).drops, 1);
-}
-
-TEST(ScheduleCost, RejectsImpossibleExecutionCount) {
-  const Schedule s = valid_schedule();
-  EXPECT_THROW((void)s.cost(3, 2), InputError);
-  EXPECT_THROW((void)s.cost(0, 3), InputError);
-}
-
 TEST(Validator, AcceptsValidSchedule) {
   const Instance inst = small_instance();
   const ValidationResult r = validate(inst, valid_schedule());

@@ -1,10 +1,11 @@
-// Tests for algs/seq_edf: Seq-EDF / DS-Seq-EDF and the Section 3.3 drop
-// chain  EligibleDrop(dLRU-EDF) <= Drop(DS-Seq-EDF) <= Drop(Par-EDF).
+// Tests for Seq-EDF / DS-Seq-EDF (EDF run unreplicated, at speed 1 or 2)
+// and the Section 3.3 drop chain
+//   EligibleDrop(dLRU-EDF) <= Drop(DS-Seq-EDF) <= Drop(Par-EDF).
 #include <gtest/gtest.h>
 
 #include "algs/dlru_edf.h"
 #include "algs/par_edf.h"
-#include "algs/seq_edf.h"
+#include "algs/registry.h"
 #include "core/validator.h"
 #include "test_util.h"
 #include "workload/random_batched.h"
@@ -20,7 +21,7 @@ TEST(SeqEdf, UsesFullCapacityUnreplicated) {
     builder.add_jobs(builder.add_color(4), 0, 4);
   }
   const Instance inst = builder.build();
-  const EngineResult r = run_seq_edf(inst, 3);
+  const EngineResult r = find_algorithm("seq-edf").run(inst, 3, false);
   EXPECT_EQ(r.cost.drops, 0);
   EXPECT_EQ(r.cost.reconfig_events, 3);
 }
@@ -30,7 +31,8 @@ TEST(SeqEdf, RecordedScheduleValidates) {
   params.seed = 21;
   params.horizon = 128;
   const Instance inst = make_random_batched(params);
-  const EngineResult r = run_seq_edf(inst, 4, /*record_schedule=*/true);
+  const EngineResult r =
+      find_algorithm("seq-edf").run(inst, 4, /*record=*/true);
   EXPECT_EQ(validate_or_throw(inst, r.schedule), r.cost);
 }
 
@@ -39,7 +41,8 @@ TEST(DsSeqEdf, DoubleSpeedScheduleValidates) {
   params.seed = 22;
   params.horizon = 128;
   const Instance inst = make_random_batched(params);
-  const EngineResult r = run_ds_seq_edf(inst, 4, /*record_schedule=*/true);
+  const EngineResult r =
+      find_algorithm("ds-seq-edf").run(inst, 4, /*record=*/true);
   EXPECT_EQ(r.schedule.speed, 2);
   EXPECT_EQ(validate_or_throw(inst, r.schedule), r.cost);
 }
@@ -50,8 +53,9 @@ TEST(DsSeqEdf, NeverDropsMoreThanUniSpeed) {
     params.seed = seed;
     params.horizon = 256;
     const Instance inst = make_random_batched(params);
-    const Cost uni = run_seq_edf(inst, 4).cost.drops;
-    const Cost twice = run_ds_seq_edf(inst, 4).cost.drops;
+    const Cost uni = find_algorithm("seq-edf").run(inst, 4, false).cost.drops;
+    const Cost twice =
+        find_algorithm("ds-seq-edf").run(inst, 4, false).cost.drops;
     EXPECT_LE(twice, uni) << "seed " << seed;
   }
 }
@@ -70,7 +74,8 @@ TEST(DropChain, Corollary31_DsSeqEdfAtMostParEdf) {
     params.num_colors = 12;
     const Instance inst = make_random_batched(params);
     for (const int m : {1, 2, 4}) {
-      const Cost ds = run_ds_seq_edf(inst, m).cost.drops;
+      const Cost ds =
+          find_algorithm("ds-seq-edf").run(inst, m, false).cost.drops;
       const std::int64_t par = run_par_edf(inst, m).drops;
       EXPECT_LE(ds, par) << "seed " << seed << " m " << m;
     }
@@ -108,7 +113,8 @@ TEST(DropChain, Lemma32_EligibleDropsAtMostParEdfOnAlpha) {
 
     const Instance alpha = rrs::testing::remove_jobs(
         inst, policy.tracker().ineligible_drop_ids());
-    const Cost ds = run_ds_seq_edf(alpha, m).cost.drops;
+    const Cost ds =
+        find_algorithm("ds-seq-edf").run(alpha, m, false).cost.drops;
     const std::int64_t par = run_par_edf(alpha, m).drops;
     EXPECT_LE(policy.tracker().eligible_drops(), ds) << "seed " << seed;
     EXPECT_LE(ds, par) << "seed " << seed;

@@ -18,6 +18,7 @@
 #include "obs/observer.h"
 #include "sim/runner.h"
 #include "sim/service.h"
+#include "test_util.h"
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
 
@@ -48,11 +49,6 @@ std::filesystem::path test_dir(const std::string& name) {
   return dir;
 }
 
-void expect_identical(const StreamRunRecord& a, const StreamRunRecord& b) {
-  EXPECT_EQ(RunCounters(a), RunCounters(b));
-  EXPECT_EQ(a.stats, b.stats);
-}
-
 TEST(ServiceRun, BitIdenticalToStreamingAndRotatesCheckpoints) {
   const auto dir = test_dir("rotate");
   const auto plain = make_source(1);
@@ -67,7 +63,7 @@ TEST(ServiceRun, BitIdenticalToStreamingAndRotatesCheckpoints) {
 
   EXPECT_TRUE(result.finished);
   EXPECT_EQ(result.recovered_from, -1);
-  expect_identical(reference, result.record);
+  testing::expect_same_run(reference, result.record, "service run");
   // Interior boundaries at 64, 128, ..., each written; only the last K
   // survive rotation.
   EXPECT_GT(result.checkpoints_written, 2);
@@ -96,7 +92,7 @@ TEST(ServiceRun, ResumesFromNewestCheckpoint) {
   const ServiceResult resumed = run_service(*again, "dlru-edf", 8, resume);
   EXPECT_TRUE(resumed.finished);
   EXPECT_EQ(resumed.recovered_from, files.front().round);
-  expect_identical(full.record, resumed.record);
+  testing::expect_same_run(full.record, resumed.record, "resumed");
   std::filesystem::remove_all(dir);
 }
 
@@ -134,7 +130,8 @@ TEST(ServiceRun, CorruptNewestCheckpointSkipsToOlder) {
   const ServiceResult resumed = run_service(*again, "dlru-edf", 8, resume);
   EXPECT_TRUE(resumed.finished);
   EXPECT_EQ(resumed.recovered_from, files[1].round);
-  expect_identical(full.record, resumed.record);
+  testing::expect_same_run(full.record, resumed.record,
+                           "resumed past corruption");
   std::filesystem::remove_all(dir);
 }
 
@@ -180,7 +177,7 @@ TEST(ServiceRun, StopFlagCheckpointsAndResumeCompletes) {
   const ServiceResult resumed = run_service(*again, "dlru-edf", 8, resume);
   EXPECT_TRUE(resumed.finished);
   EXPECT_EQ(resumed.recovered_from, 0);
-  expect_identical(reference, resumed.record);
+  testing::expect_same_run(reference, resumed.record, "stop and resume");
   std::filesystem::remove_all(dir);
 }
 
@@ -219,7 +216,7 @@ TEST(ServiceRun, FreshRunInReusedDirectoryKeepsItsOwnLineage) {
   const ServiceResult resumed = run_service(*again, "dlru-edf", 8, resume);
   EXPECT_TRUE(resumed.finished);
   EXPECT_EQ(resumed.recovered_from, 0);
-  expect_identical(reference, resumed.record);
+  testing::expect_same_run(reference, resumed.record, "reused directory");
   std::filesystem::remove_all(dir);
 }
 
@@ -338,7 +335,7 @@ TEST(ServiceKillAndResume, SigkillRecoversBitIdentical) {
   const ServiceResult recovered = run_service(*source, "dlru-edf", 8, resume);
   EXPECT_TRUE(recovered.finished);
   EXPECT_GE(recovered.recovered_from, 0);
-  expect_identical(reference, recovered.record);
+  testing::expect_same_run(reference, recovered.record, "SIGKILL recovery");
   std::filesystem::remove_all(dir);
 }
 #endif  // __unix__

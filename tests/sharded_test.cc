@@ -26,6 +26,7 @@
 #include "core/shard_plan.h"
 #include "obs/observer.h"
 #include "sim/runner.h"
+#include "test_util.h"
 #include "workload/datacenter.h"
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
@@ -348,15 +349,6 @@ TEST(ShardedSourceTest, SequentialPullEnforcedPerShard) {
 
 using Cell = std::tuple<std::string, std::string, std::uint64_t>;
 
-/// Everything a sharded run must reproduce: every counter plus the policy
-/// stats (seconds is wall clock and is deliberately excluded).
-using Reproducible =
-    std::pair<RunCounters, std::vector<std::pair<std::string, std::int64_t>>>;
-
-Reproducible reproducible(const StreamRunRecord& record) {
-  return {record, record.stats};
-}
-
 class SingleShardBitIdentity : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(SingleShardBitIdentity, MatchesRunStreaming) {
@@ -370,8 +362,8 @@ TEST_P(SingleShardBitIdentity, MatchesRunStreaming) {
   const ShardedRunRecord sharded =
       run_streaming_sharded(*sharded_source, algorithm, 8, 1);
 
-  EXPECT_EQ(reproducible(sharded.merged), reproducible(plain))
-      << family << " seed " << seed;
+  testing::expect_same_run(sharded.merged, plain,
+                           family + " seed " + std::to_string(seed));
   ASSERT_EQ(sharded.shards.size(), 1u);
   EXPECT_EQ(sharded.shards[0].cost, plain.cost);
   EXPECT_EQ(sharded.shards[0].n, 8);
@@ -403,20 +395,20 @@ INSTANTIATE_TEST_SUITE_P(Matrix, SingleShardBitIdentity,
 
 TEST(ShardedRunTest, FixedSeedAndShardCountIsDeterministic) {
   for (const int shards : {2, 3}) {
-    std::vector<std::vector<Reproducible>> runs;
+    const std::string label = std::to_string(shards) + " shards";
+    std::vector<ShardedRunRecord> runs;
     for (int repeat = 0; repeat < 3; ++repeat) {
       const auto source = make_source("random-batched", 7);
-      const ShardedRunRecord record =
-          run_streaming_sharded(*source, "dlru-edf", 16, shards);
-      std::vector<Reproducible> fields;
-      fields.push_back(reproducible(record.merged));
-      for (const StreamRunRecord& shard : record.shards) {
-        fields.push_back(reproducible(shard));
-      }
-      runs.push_back(std::move(fields));
+      runs.push_back(run_streaming_sharded(*source, "dlru-edf", 16, shards));
     }
-    EXPECT_EQ(runs[0], runs[1]) << shards << " shards";
-    EXPECT_EQ(runs[0], runs[2]) << shards << " shards";
+    for (std::size_t repeat = 1; repeat < runs.size(); ++repeat) {
+      const ShardedRunRecord& again = runs[repeat];
+      testing::expect_same_run(runs[0].merged, again.merged, label);
+      ASSERT_EQ(runs[0].shards.size(), again.shards.size()) << label;
+      for (std::size_t s = 0; s < again.shards.size(); ++s) {
+        testing::expect_same_run(runs[0].shards[s], again.shards[s], label);
+      }
+    }
   }
 }
 
@@ -574,11 +566,11 @@ TEST(ShardedRunTest, NativeVsFabricPin) {
   EXPECT_GT(fabric.splitter_chunks_produced, 0);
 
   EXPECT_EQ(native.plan.shard_of_color, fabric.plan.shard_of_color);
-  EXPECT_EQ(reproducible(native.merged), reproducible(fabric.merged));
+  testing::expect_same_run(native.merged, fabric.merged, "merged");
   ASSERT_EQ(native.shards.size(), fabric.shards.size());
   for (std::size_t s = 0; s < native.shards.size(); ++s) {
-    EXPECT_EQ(reproducible(native.shards[s]), reproducible(fabric.shards[s]))
-        << "shard " << s;
+    testing::expect_same_run(native.shards[s], fabric.shards[s],
+                             "shard " + std::to_string(s));
   }
   EXPECT_EQ(native.merged.executed + native.merged.cost.drops,
             native.merged.arrived);
@@ -746,7 +738,7 @@ TEST(ShardedNonUniform, SingleShardBitIdenticalWithLengthsAndMatrixDelta) {
     MaterializedSource sharded_source(instance);
     const ShardedRunRecord sharded =
         run_streaming_sharded(sharded_source, algorithm, 8, 1);
-    EXPECT_EQ(reproducible(sharded.merged), reproducible(plain));
+    testing::expect_same_run(sharded.merged, plain, algorithm);
     EXPECT_GT(plain.work_units, plain.executed)
         << "lengths > 1 must leave partial units behind";
   }

@@ -28,7 +28,7 @@ Instance small_instance() {
 TEST(Runner, RunsRegisteredAlgorithms) {
   const Instance inst = small_instance();
   for (const AlgorithmInfo& info : algorithm_registry()) {
-    const RunRecord record = run_algorithm(inst, info.name, 8);
+    const StreamRunRecord record = run_algorithm(inst, info.name, 8);
     EXPECT_EQ(record.algorithm, info.name);
     EXPECT_GE(record.cost.total(), 0);
     EXPECT_GE(record.seconds, 0.0);
@@ -38,7 +38,8 @@ TEST(Runner, RunsRegisteredAlgorithms) {
 TEST(Runner, UnknownAlgorithmThrows) {
   const Instance inst = small_instance();
   EXPECT_THROW((void)run_algorithm(inst, "nope", 8), InputError);
-  EXPECT_THROW((void)make_policy("nope"), InputError);
+  EngineOptions options;
+  EXPECT_THROW((void)make_stream_policy("nope", options), InputError);
 }
 
 TEST(Runner, RegistryHasAllAlgorithms) {

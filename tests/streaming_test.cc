@@ -80,7 +80,7 @@ TEST_P(StreamedVsMaterialized, IdenticalCostAndExecuted) {
   // on the MaterializedSource wrapper (the pre-refactor code path).
   const auto to_materialize = make_source(family, seed);
   const Instance instance = materialize(*to_materialize);
-  const RunRecord reference = run_algorithm(instance, algorithm, 8);
+  const StreamRunRecord reference = run_algorithm(instance, algorithm, 8);
 
   // Streamed path: a second identical source, pulled round by round.
   const auto source = make_source(family, seed);
@@ -186,10 +186,9 @@ TEST(StreamingContract, DrainPendingRunsPastArrivals) {
   const Instance instance = builder.build();
 
   MaterializedSource source(instance);
-  auto policy = make_policy("dlru-edf");
   EngineOptions options;
+  const auto policy = make_stream_policy("dlru-edf", options);
   options.num_resources = 4;
-  options.replication = 2;
   options.record_schedule = false;
   options.max_rounds = 1;  // stop pulling arrivals after round 0
   options.drain_pending = true;

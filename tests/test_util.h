@@ -1,8 +1,11 @@
 // Shared helpers for the RRS test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 
 #include "core/fault_plan.h"
@@ -30,6 +33,19 @@ namespace rrs::testing {
   }
   builder.min_horizon(instance.horizon());
   return builder.build();
+}
+
+/// The bit-identity pin every suite shares: two runs (StreamRunRecords or
+/// EngineResults) agree on every RunCounters field and on the policy
+/// stats.  A record's wall-clock seconds is deliberately excluded.
+template <typename Run>
+void expect_same_run(const Run& a, const Run& b, const std::string& label) {
+  EXPECT_EQ(RunCounters(a), RunCounters(b)) << label;
+  if constexpr (std::is_same_v<Run, EngineResult>) {
+    EXPECT_EQ(a.policy_stats, b.policy_stats) << label;
+  } else {
+    EXPECT_EQ(a.stats, b.stats) << label;
+  }
 }
 
 /// The snapshot_out bytes of one small observed dLRU-EDF run in which

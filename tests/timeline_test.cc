@@ -46,7 +46,8 @@ TEST(Timeline, TotalsMatchSchedule) {
   params.spike_end = 512;
   const FlashCrowdInstance fc = make_flash_crowd(params);
   Schedule schedule;
-  const RunRecord r = run_algorithm(fc.instance, "varbatch", 8, &schedule);
+  const StreamRunRecord r =
+      run_algorithm(fc.instance, "varbatch", 8, &schedule);
 
   const auto timeline = compute_timeline(fc.instance, schedule, 64);
   std::int64_t arrivals = 0, executions = 0, drops = 0, reconfigs = 0;

@@ -61,7 +61,7 @@ TEST(Weighted, EngineChargesWeightedDrops) {
   const ColorId gold = builder.add_color(4, 10);
   builder.add_jobs(gold, 0, 3);
   const Instance inst = builder.build();
-  const RunRecord r = run_algorithm(inst, "dlru-edf", 8);
+  const StreamRunRecord r = run_algorithm(inst, "dlru-edf", 8);
   EXPECT_EQ(r.cost.drops, 30);
   EXPECT_EQ(r.cost.reconfig_cost, 0);
 }
@@ -94,7 +94,7 @@ TEST(Weighted, EligibilityAcceleratedByWeight) {
   builder.add_jobs(gold, 0, 4);
   const Instance inst = builder.build();
 
-  const RunRecord r = run_algorithm(inst, "dlru-edf", 4);
+  const StreamRunRecord r = run_algorithm(inst, "dlru-edf", 4);
   // gold (weight 40) is eligible immediately and served; lead never
   // accumulates Delta worth of value in its first block but eventually
   // does (4 + 4 < 10 per epoch; total 4 jobs of weight 1 -> cnt 4 < 10,
@@ -194,7 +194,7 @@ TEST(Weighted, ReductionsPreserveWeights) {
   const Instance inst = make_random_batched(params);
 
   Schedule schedule;
-  const RunRecord r = run_algorithm(inst, "varbatch", 8, &schedule);
+  const StreamRunRecord r = run_algorithm(inst, "varbatch", 8, &schedule);
   const CostBreakdown validated = validate_or_throw(inst, schedule);
   EXPECT_EQ(validated, r.cost);
 }
