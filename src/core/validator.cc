@@ -28,7 +28,9 @@ class Validator {
 
   ValidationResult run() {
     check_shape();
-    if (!fatal_) replay();
+    // The replay indexes per-resource and per-job tables by the events'
+    // fields, so it runs only once every event is in range.
+    if (!fatal_ && result_.errors.empty()) replay();
     result_.ok = result_.errors.empty();
     if (result_.ok) {
       result_.cost = sched_.cost(inst_);

@@ -35,6 +35,9 @@ struct ValidationResult {
 
 /// Validates `schedule` against `instance`.  Collects up to `max_errors`
 /// problems (so tests can report several at once) and computes the cost.
+/// A schedule with a malformed event (out-of-range round, mini,
+/// resource, job or color, or events out of order) reports only those;
+/// the legality replay runs once every event is well formed.
 [[nodiscard]] ValidationResult validate(const Instance& instance,
                                         const Schedule& schedule,
                                         int max_errors = 8);
