@@ -316,19 +316,14 @@ bool run_streaming_section() {
 
   // Shard-count scaling sweep: the same random-batched dLRU-EDF config at
   // n = 16 (granularity 4 => four shardable blocks) through the sharded
-  // runner for K in {1, 2, 4, #workers}.  With fewer workers than shards
-  // the runner falls back to serial shard execution, which buffers the
-  // whole split stream; cap the round count there so the sweep stays in
-  // memory on single-core hosts.
+  // runner for K in {1, 2, 4, #workers}.
   const int workers = static_cast<int>(global_pool().size());
-  const Round shard_rounds =
-      workers >= 4 ? rounds : std::min<Round>(rounds, 1'000'000);
   std::vector<int> shard_counts = {1, 2, 4, std::clamp(workers, 1, 4)};
   std::sort(shard_counts.begin(), shard_counts.end());
   shard_counts.erase(std::unique(shard_counts.begin(), shard_counts.end()),
                      shard_counts.end());
   std::cout << "  shard sweep: " << workers << " pool worker(s), "
-            << shard_rounds << " rounds per K\n";
+            << rounds << " rounds per K\n";
   const std::size_t first_shard_cell = named.size();
   for (const int k : shard_counts) {
     RandomBatchedParams params;
@@ -337,11 +332,11 @@ bool run_streaming_section() {
     params.horizon = kInfiniteHorizon;
     RandomBatchedSource source(params);
     ShardedRunRecord sharded =
-        run_streaming_sharded(source, "dlru-edf", 16, k, shard_rounds);
+        run_streaming_sharded(source, "dlru-edf", 16, k, rounds);
     StreamingCell cell;
     cell.family = "random-batched-shards" + std::to_string(k);
     cell.record = std::move(sharded.merged);
-    cell.arrival_rounds = shard_rounds;
+    cell.arrival_rounds = rounds;
     cell.shards = k;
     named.push_back(std::move(cell));
   }
@@ -356,11 +351,11 @@ bool run_streaming_section() {
     params.horizon = kInfiniteHorizon;
     RandomBatchedSource source(params);
     ShardedRunRecord sharded =
-        run_streaming_sharded(source, "dlru-edf", 32, 8, shard_rounds);
+        run_streaming_sharded(source, "dlru-edf", 32, 8, rounds);
     StreamingCell cell;
     cell.family = "random-batched-shards8";
     cell.record = std::move(sharded.merged);
-    cell.arrival_rounds = shard_rounds;
+    cell.arrival_rounds = rounds;
     cell.shards = 8;
     named.push_back(std::move(cell));
   }

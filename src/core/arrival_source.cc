@@ -70,18 +70,22 @@ void MaterializedSource::restore(CheckpointReader& r) {
                                                     << horizon());
 }
 
-Instance materialize(ArrivalSource& source, Round rounds) {
-  Round end = rounds;
+Round resolve_arrival_end(const ArrivalSource& source, Round max_rounds) {
+  Round end = max_rounds;
   if (end == kInfiniteHorizon) {
     end = source.horizon();
     RRS_REQUIRE(end != kInfiniteHorizon,
-                "materializing an infinite source needs an explicit round "
-                "count; got "
+                "an infinite source needs an explicit round cap; got "
                     << source.summary());
   } else if (source.finite()) {
     end = std::min(end, source.horizon());
   }
-  RRS_REQUIRE(end >= 0, "materialize: negative round count " << end);
+  RRS_REQUIRE(end >= 0, "the round cap must be >= 0, resolved to " << end);
+  return end;
+}
+
+Instance materialize(ArrivalSource& source, Round rounds) {
+  const Round end = resolve_arrival_end(source, rounds);
 
   InstanceBuilder builder;
   builder.delta(source.delta());

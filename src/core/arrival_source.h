@@ -192,6 +192,13 @@ class MaterializedSource final : public ArrivalSource {
   const Instance* instance_;
 };
 
+/// The last arrival round a run of `source` capped at `max_rounds` pulls
+/// (exclusive): `max_rounds` clipped to a finite source's horizon, or the
+/// source's own horizon when `max_rounds` is kInfiniteHorizon.  Throws
+/// InputError for an uncapped infinite source or a negative cap.
+[[nodiscard]] Round resolve_arrival_end(const ArrivalSource& source,
+                                        Round max_rounds);
+
 /// Drains `source` into an Instance: pulls rounds [0, rounds) and rebuilds
 /// the sequence through InstanceBuilder (so classification flags, job ids,
 /// and horizon semantics match a directly built instance).  `rounds`

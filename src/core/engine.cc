@@ -210,18 +210,7 @@ Engine::Engine(ArrivalSource& source, Policy& policy,
       policy_(&policy),
       cache_(options_.num_resources, options_.replication) {
   // Rounds carrying arrivals: the source's horizon, clipped by max_rounds.
-  arrival_end_ = options_.max_rounds;
-  if (arrival_end_ == kInfiniteHorizon) {
-    arrival_end_ = source.horizon();
-    RRS_REQUIRE(arrival_end_ != kInfiniteHorizon,
-                "running an infinite source needs EngineOptions::max_rounds; "
-                "got " << source.summary());
-  } else if (source.finite()) {
-    arrival_end_ = std::min(arrival_end_, source.horizon());
-  }
-  RRS_REQUIRE(arrival_end_ >= 0,
-              "EngineOptions::max_rounds must be >= 0, resolved to "
-                  << arrival_end_);
+  arrival_end_ = resolve_arrival_end(source, options_.max_rounds);
 
   pending_.reset(source.num_colors());
   cache_.ensure_colors(source.num_colors());

@@ -17,7 +17,6 @@ enum class TraceKind : std::uint8_t {
   kEpochTurnover,  // detail = 0, value = new epoch count
   kAdaptation,     // detail = new cache-share percent, value = #adaptations
   kSnapshot,       // detail = 0, value = pending-job gauge
-  kFabricStall,    // detail = ring index, value = ring occupancy at stall
 };
 
 [[nodiscard]] const char* trace_kind_name(TraceKind kind);

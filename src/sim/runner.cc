@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -95,7 +97,9 @@ void merge_shard_observers(Observer& merged,
 /// to the next boundary; there the loop checkpoints or stops.  One engine
 /// runs on the calling thread over the caller's source and observer; K
 /// engines run on the pool over shard-native generator views or, for any
-/// other source, one demux fabric spanning the run.
+/// other source, one demux fabric spanning the run.  When the pool cannot
+/// run every fabric shard at once, the shards take turns on the calling
+/// thread one chunk at a time, so the fabric's queues stay bounded.
 class SegmentLoop {
  public:
   SegmentLoop(ArrivalSource& source, const std::string& name, int n,
@@ -119,19 +123,8 @@ class SegmentLoop {
     RRS_REQUIRE(!checkpoints || !options.checkpoint_dir.empty(),
                 "checkpoint_every, resume and stop_flag need checkpoint_dir");
 
-    // Resolve the arrival horizon up front (the engine's own resolution,
-    // hoisted): every engine and the fabric must agree on it.
-    arrival_end_ = max_rounds;
-    if (arrival_end_ == kInfiniteHorizon) {
-      arrival_end_ = source.horizon();
-      RRS_REQUIRE(arrival_end_ != kInfiniteHorizon,
-                  "running an infinite source needs max_rounds; got "
-                      << source.summary());
-    } else if (source.finite()) {
-      arrival_end_ = std::min(arrival_end_, source.horizon());
-    }
-    RRS_REQUIRE(arrival_end_ >= 0,
-                "max_rounds must be >= 0, resolved to " << arrival_end_);
+    // Resolved up front: every engine and the fabric must agree on it.
+    arrival_end_ = resolve_arrival_end(source, max_rounds);
 
     // The policy's resource granularity (e.g. 4 for dLRU-EDF's two
     // replicated halves) fixes the units the plan may split n into, and
@@ -199,14 +192,12 @@ class SegmentLoop {
       ShardedSourceOptions fabric_options;
       fabric_options.chunk_rounds = options_.chunk_rounds;
       fabric_options.max_buffered_chunks = options_.max_buffered_chunks;
-      // Backpressure only helps when every shard consumer actually runs
-      // concurrently; with fewer workers than shards (or when already
-      // inside a pool worker) the engines run serially and waiting on a
-      // consumer that has not started would only burn the timeout per
-      // chunk.
-      fabric_options.backpressure =
-          !ThreadPool::in_worker() && global_pool().size() >= shards_;
       fabric_.emplace(source_, record_.plan, arrival_end_, fabric_options);
+      // A worker runs a nested parallel_for inline, and a small pool
+      // queues the shards it cannot start: either way a shard would wait
+      // on a peer that has not started.
+      serial_fabric_ =
+          ThreadPool::in_worker() || global_pool().size() < shards_;
     }
     if (options_.resume) {
       recover();
@@ -222,7 +213,7 @@ class SegmentLoop {
         break;
       }
       const Round until = next_boundary(round);
-      run_segment(until);
+      run_segment(round, until);
       round = until;
       if (round < arrival_end_ && options_.checkpoint_every > 0 &&
           round % options_.checkpoint_every == 0) {
@@ -327,12 +318,41 @@ class SegmentLoop {
     }
   }
 
-  void run_segment(Round until) {
-    for_each_shard([&](std::size_t s) {
-      Stopwatch watch;
+  /// Runs every engine from `from` to `until`.  Serial fabric shards
+  /// take turns by chunk: each consumes fabric chunk c before any shard
+  /// needs chunk c + 1, so no queue outgrows max_buffered_chunks.
+  void run_segment(Round from, Round until) {
+    if (!serial_fabric_) {
+      for_each_shard([&](std::size_t s) { run_shard(s, until); });
+      return;
+    }
+    const Round chunk = options_.chunk_rounds;
+    for (Round step = from; step < until;) {
+      step = std::min(until, (step / chunk + 1) * chunk);
+      for (std::size_t s = 0; s < shards_; ++s) run_shard(s, step);
+    }
+  }
+
+  /// Runs engine `s` to `until`.  A shard that throws closes the fabric,
+  /// so the producer and the other shards stop at once instead of waiting
+  /// on its queue; the other shards then fail too, and the run reports
+  /// the first failure rather than theirs.
+  void run_shard(std::size_t s, Round until) {
+    Stopwatch watch;
+    try {
       guarded(s, [&] { engines_[s]->run_rounds(slot_source(s), until); });
-      record_.shards[s].seconds += watch.seconds();
-    });
+    } catch (...) {
+      if (!fabric_) throw;
+      std::exception_ptr first;
+      {
+        const std::scoped_lock lock(failure_mu_);
+        if (!failure_) failure_ = std::current_exception();
+        first = failure_;
+      }
+      fabric_->close();
+      std::rethrow_exception(first);
+    }
+    record_.shards[s].seconds += watch.seconds();
   }
 
   /// Finishes (drain + terminal sweep) every engine, or abandons them on
@@ -529,6 +549,10 @@ class SegmentLoop {
   ShardedRunRecord record_;
   std::vector<std::unique_ptr<GeneratorSource>> views_;
   std::optional<ShardedSource> fabric_;  ///< the run's fabric, if any
+  /// The pool cannot run every fabric shard at once (see run_segment).
+  bool serial_fabric_ = false;
+  std::mutex failure_mu_;
+  std::exception_ptr failure_;  ///< the shard failure that closed the fabric
   std::vector<Observer*> slot_observers_;  ///< one per slot (may be empty)
   std::vector<std::unique_ptr<Observer>> owned_observers_;
   std::vector<std::unique_ptr<Policy>> policies_;

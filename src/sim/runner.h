@@ -151,7 +151,11 @@ struct ShardedRunRecord : RunStatus {
 /// stops.  One engine runs on the calling thread over `source`; K engines
 /// run on global_pool() over restricted clones when `source` is a
 /// generator with its own shard-native clone(), otherwise over one demux
-/// fabric (ShardedSource) spanning the run.  Rejected with InputError:
+/// fabric (ShardedSource) spanning the run.  When the pool cannot run
+/// every fabric shard at once (fewer workers than shards, or a call from
+/// inside a pool worker) the shards take turns on the calling thread, one
+/// chunk at a time.  A shard that throws closes the fabric, so the run
+/// fails at once with that shard's error.  Rejected with InputError:
 /// K > 1 checkpoints or stop flag without shard-native clones (the
 /// fabric's run-ahead is not repositionable).
 [[nodiscard]] ShardedRunRecord run_streaming_sharded(

@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/arrival_source.h"
@@ -248,12 +249,28 @@ class GeneratorSource : public ArrivalSource {
     for (const ColorId c : active_) {
       RRS_REQUIRE(r.i64() == c, "checkpoint generator view colors differ");
     }
-    next_round_ = r.i64();
-    served_ = r.i64();
-    peek_round_ = r.i64();
-    next_id_ = r.i64();
+    // Everything is checked before any field is committed: a restore that
+    // breaks the pull contract must fail here, while recovery can still
+    // fall back to an older checkpoint, not at a later pull.
+    const Round next_round = r.i64();
+    const Round served = r.i64();
+    const Round peek = r.i64();
+    const JobId next_id = r.i64();
+    RRS_REQUIRE(served >= -1 && served < next_round && next_id >= 0,
+                "checkpoint generator cursors out of order: served "
+                    << served << ", next round " << next_round
+                    << ", next id " << next_id);
+    RRS_REQUIRE(peek == -1 || (peek == next_round - 1 && peek > served),
+                "checkpoint generator peek " << peek << " is not the last "
+                                             << "synthesized, unserved round");
     const std::uint64_t buffered = r.u64();
-    buffer_.clear();
+    RRS_REQUIRE(peek == -1 ||
+                    (buffered >= 1 &&
+                     buffered <= static_cast<std::uint64_t>(next_id)),
+                "checkpoint generator peeked round "
+                    << peek << " holds " << buffered << " jobs, not 1 to "
+                    << next_id);
+    std::vector<Job> buffer;
     for (std::uint64_t i = 0; i < buffered; ++i) {
       Job job;
       job.id = r.i64();
@@ -265,8 +282,25 @@ class GeneratorSource : public ArrivalSource {
       job.delay_bound = r.i64();
       job.drop_cost = r.i64();
       job.length = r.i64();
-      buffer_.push_back(job);
+      // Without a peek the buffer is never served (the next pull clears
+      // it); a peeked job is served as is, so it must be what emit() made.
+      RRS_REQUIRE(
+          peek == -1 ||
+              (job.arrival == peek &&
+               job.id == next_id - static_cast<JobId>(buffered - i) &&
+               job.delay_bound == delay_bound(job.color) &&
+               job.drop_cost == drop_cost(job.color) &&
+               job.length == length(job.color)),
+          "checkpoint generator peeked job " << i << " (id " << job.id
+                                             << ") is not what round " << peek
+                                             << " emitted");
+      buffer.push_back(job);
     }
+    next_round_ = next_round;
+    served_ = served;
+    peek_round_ = peek;
+    next_id_ = next_id;
+    buffer_ = std::move(buffer);
     restore_extra(r);
   }
 

@@ -1,17 +1,16 @@
 #include "workload/sharded_source.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <exception>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "obs/trace_ring.h"
 #include "util/check.h"
-#include "util/spsc_ring.h"
 
 namespace rrs {
 
@@ -29,7 +28,9 @@ struct Chunk {
 }  // namespace
 
 /// Owns the underlying source and the demux thread; pulls chunks off the
-/// source sequentially and fans them out into per-shard SPSC rings.
+/// source sequentially and queues one part per shard.  `mu_` guards the
+/// queues, the gauges and the flags; the producer waits on `space_`, the
+/// streams on `ready_`.
 class ShardedSource::Fabric {
  public:
   Fabric(ArrivalSource& source, const ShardPlan& plan, Round arrival_end,
@@ -39,33 +40,19 @@ class ShardedSource::Fabric {
         local_of_color_(plan.shard_of_color.size()),
         arrival_end_(arrival_end),
         chunk_rounds_(options.chunk_rounds),
+        max_buffered_(options.max_buffered_chunks),
         backpressure_(options.backpressure),
-        stall_limit_(options.stall_chunk_limit),
-        stall_trace_(options.stall_trace),
-        peaks_(static_cast<std::size_t>(plan.num_shards)) {
+        queues_(static_cast<std::size_t>(plan.num_shards)),
+        peaks_(queues_.size(), 0) {
     RRS_REQUIRE(chunk_rounds_ >= 1,
                 "chunk_rounds must be >= 1, got " << chunk_rounds_);
-    RRS_REQUIRE(options.max_buffered_chunks >= 1,
-                "max_buffered_chunks must be >= 1");
+    RRS_REQUIRE(max_buffered_ >= 1, "max_buffered_chunks must be >= 1");
     for (const auto& colors : plan.shard_colors) {
       for (std::size_t i = 0; i < colors.size(); ++i) {
         local_of_color_[static_cast<std::size_t>(colors[i])] =
             static_cast<ColorId>(i);
       }
     }
-    total_chunks_ = static_cast<std::size_t>(
-        (arrival_end_ + chunk_rounds_ - 1) / chunk_rounds_);
-    // Without backpressure the consumers run serially (one may drain its
-    // whole range before another starts), so the ring must hold the whole
-    // spread — exactly what the old deque-based splitter buffered.
-    const std::size_t capacity = backpressure_
-                                     ? options.max_buffered_chunks
-                                     : std::max<std::size_t>(total_chunks_, 1);
-    rings_.reserve(static_cast<std::size_t>(plan.num_shards));
-    for (int s = 0; s < plan.num_shards; ++s) {
-      rings_.push_back(std::make_unique<SpscRing<Chunk>>(capacity));
-    }
-    for (auto& peak : peaks_) peak.store(0, std::memory_order_relaxed);
   }
 
   /// Starts the demux thread.  Separate from the constructor so the
@@ -74,59 +61,66 @@ class ShardedSource::Fabric {
   void start() { demux_ = std::thread([this] { produce_all(); }); }
 
   ~Fabric() {
-    stop_.store(true, std::memory_order_release);
+    close();
     if (demux_.joinable()) demux_.join();
+  }
+
+  void close() {
+    {
+      const std::scoped_lock lock(mu_);
+      closed_ = true;
+    }
+    space_.notify_all();
+    ready_.notify_all();
   }
 
   /// Queue-depth gauge; see ShardedSource::peak_buffered_chunks.
   [[nodiscard]] std::int64_t peak_buffered(std::size_t shard) const {
-    return peaks_[shard].load(std::memory_order_relaxed);
+    const std::scoped_lock lock(mu_);
+    return peaks_[shard];
   }
 
   [[nodiscard]] std::int64_t chunks_produced() const {
-    return chunks_produced_.load(std::memory_order_relaxed);
+    const std::scoped_lock lock(mu_);
+    return chunks_produced_;
   }
 
-  /// Hands shard `shard` its next chunk, which must start at `first`.
-  /// Blocks (lock-free spin with short sleeps) until the demux thread has
-  /// pushed it; rethrows the producer's exception if the fabric failed.
+  /// Hands shard `shard` its next chunk, which must start at `first`,
+  /// waiting while the shard's queue is empty.  A stream that runs dry
+  /// rethrows the producer's exception if the producer failed, and throws
+  /// InvariantError once the fabric is closed or past its last chunk.
   Chunk take_chunk(int shard, Round first) {
-    SpscRing<Chunk>& ring = *rings_[static_cast<std::size_t>(shard)];
-    Chunk chunk;
-    std::chrono::microseconds nap(50);
-    constexpr std::chrono::microseconds kMaxNap(500);
-    for (;;) {
-      if (ring.try_pop(chunk)) {
-        RRS_CHECK(chunk.first_round == first);
-        return chunk;
-      }
-      if (failed_.load(std::memory_order_acquire)) {
-        std::rethrow_exception(error_);
-      }
-      if (done_.load(std::memory_order_acquire) && ring.size() == 0) {
-        // The producer pushed every chunk in [0, arrival_end); an empty
-        // ring here means this consumer pulled past the horizon.
-        RRS_CHECK_MSG(false, "shard " << shard << " pulled round " << first
-                                      << " past the produced range [0, "
-                                      << arrival_end_ << ")");
-      }
-      std::this_thread::yield();
-      std::this_thread::sleep_for(nap);
-      nap = std::min(nap * 2, kMaxNap);
+    std::deque<Chunk>& queue = queues_[static_cast<std::size_t>(shard)];
+    std::unique_lock lock(mu_);
+    ready_.wait(lock, [&] { return !queue.empty() || closed_ || done_; });
+    if (queue.empty()) {
+      if (error_) std::rethrow_exception(error_);
+      RRS_CHECK_MSG(!closed_, "shard " << shard << " needs round " << first
+                                       << " but the fabric is closed");
+      // The producer queued every chunk in [0, arrival_end); an empty
+      // queue here means this consumer pulled past the horizon.
+      RRS_CHECK_MSG(false, "shard " << shard << " pulled round " << first
+                                    << " past the produced range [0, "
+                                    << arrival_end_ << ")");
     }
+    Chunk chunk = std::move(queue.front());
+    queue.pop_front();
+    lock.unlock();
+    space_.notify_one();
+    RRS_CHECK(chunk.first_round == first);
+    return chunk;
   }
 
  private:
   /// Demux thread body: pull chunk_rounds_ rounds at a time from the
-  /// underlying source, stage one chunk per shard, push each into its
-  /// ring.  Any exception (including the stall watchdog's) is parked in
-  /// error_ for the consumers to rethrow.
+  /// underlying source, stage one chunk per shard, queue each.  An
+  /// exception is kept in error_ for the streams to rethrow.
   void produce_all() {
+    std::exception_ptr error;
     try {
       for (Round cursor = 0; cursor < arrival_end_;) {
-        if (stop_.load(std::memory_order_acquire)) return;
         const Round rounds = std::min(chunk_rounds_, arrival_end_ - cursor);
-        std::vector<Chunk> staged(rings_.size());
+        std::vector<Chunk> staged(queues_.size());
         for (auto& chunk : staged) {
           chunk.first_round = cursor;
           chunk.rounds = rounds;
@@ -147,65 +141,38 @@ class ShardedSource::Fabric {
           }
         }
         cursor += rounds;
-        for (std::size_t s = 0; s < rings_.size(); ++s) {
-          if (!push_blocking(s, std::move(staged[s]))) return;
-          chunks_produced_.fetch_add(1, std::memory_order_relaxed);
-          const auto occ = static_cast<std::int64_t>(
-              rings_[s]->produced() - rings_[s]->consumed());
-          std::int64_t peak = peaks_[s].load(std::memory_order_relaxed);
-          while (occ > peak && !peaks_[s].compare_exchange_weak(
-                                   peak, occ, std::memory_order_relaxed)) {
-          }
+        for (std::size_t s = 0; s < queues_.size(); ++s) {
+          if (!push(s, std::move(staged[s]))) return;
         }
       }
     } catch (...) {
-      error_ = std::current_exception();
-      failed_.store(true, std::memory_order_release);
-      return;
+      error = std::current_exception();
     }
-    done_.store(true, std::memory_order_release);
+    {
+      const std::scoped_lock lock(mu_);
+      error_ = error;
+      done_ = true;
+    }
+    ready_.notify_all();
   }
 
-  /// Pushes into ring `s`, blocking with capped exponential backoff while
-  /// it is full.  Counts consecutive waits during which the ring's
-  /// consumer popped nothing; at stall_limit_ such waits the consumer is
-  /// declared dead and the watchdog throws.  Returns false on shutdown.
-  bool push_blocking(std::size_t s, Chunk&& chunk) {
-    SpscRing<Chunk>& ring = *rings_[s];
-    if (ring.try_push(std::move(chunk))) return true;
-    std::chrono::microseconds backoff(100);
-    constexpr std::chrono::microseconds kMaxBackoff(2'000);
-    std::size_t fruitless = 0;
-    for (;;) {
-      const std::uint64_t consumed_before = ring.consumed();
-      std::this_thread::sleep_for(backoff);
-      backoff = std::min(backoff * 2, kMaxBackoff);
-      if (stop_.load(std::memory_order_acquire)) return false;
-      if (ring.try_push(std::move(chunk))) return true;
-      if (ring.consumed() != consumed_before) {
-        fruitless = 0;  // the consumer is alive, merely slower than us
-      } else if (stall_limit_ != 0 && ++fruitless >= stall_limit_) {
-        if (stall_trace_ != nullptr) {
-          stall_trace_->push({chunk.first_round, TraceKind::kFabricStall,
-                              static_cast<int>(s),
-                              static_cast<std::int64_t>(ring.size())});
-        }
-        std::ostringstream os;
-        os << "sharded-source stall watchdog: shard " << s
-           << " has not consumed across " << fruitless
-           << " producer waits (stall_chunk_limit " << stall_limit_
-           << "); its consumer looks stalled or dead.  Rings "
-              "(occupancy/capacity, produced/consumed):";
-        for (std::size_t q = 0; q < rings_.size(); ++q) {
-          os << " [" << q << "]=" << rings_[q]->size() << "/"
-             << rings_[q]->capacity() << ", " << rings_[q]->produced() << "/"
-             << rings_[q]->consumed();
-        }
-        os << "; produced " << chunks_produced() << "/"
-           << total_chunks_ * rings_.size() << " chunks";
-        throw InvariantError(os.str());
-      }
+  /// Queues `chunk` for shard `s`, first waiting (with backpressure on)
+  /// while that queue is full, then wakes the waiting streams.  Returns
+  /// false once the fabric is closed.
+  bool push(std::size_t s, Chunk&& chunk) {
+    {
+      std::unique_lock lock(mu_);
+      space_.wait(lock, [&] {
+        return closed_ || !backpressure_ || queues_[s].size() < max_buffered_;
+      });
+      if (closed_) return false;
+      queues_[s].push_back(std::move(chunk));
+      ++chunks_produced_;
+      peaks_[s] = std::max(peaks_[s],
+                           static_cast<std::int64_t>(queues_[s].size()));
     }
+    ready_.notify_all();
+    return true;
   }
 
   ArrivalSource* source_;
@@ -213,28 +180,28 @@ class ShardedSource::Fabric {
   std::vector<ColorId> local_of_color_;  // global color -> id in its shard
   Round arrival_end_;
   Round chunk_rounds_;
+  std::size_t max_buffered_;
   bool backpressure_;
-  std::size_t stall_limit_;
-  TraceRing* stall_trace_;
-  std::size_t total_chunks_ = 0;
 
-  std::vector<std::unique_ptr<SpscRing<Chunk>>> rings_;
-  std::vector<std::atomic<std::int64_t>> peaks_;
-  std::atomic<std::int64_t> chunks_produced_{0};
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> done_{false};
-  std::atomic<bool> failed_{false};
+  mutable std::mutex mu_;
+  std::condition_variable space_;  ///< a queue shrank, or closed
+  std::condition_variable ready_;  ///< a chunk was queued, or done/closed
+  std::vector<std::deque<Chunk>> queues_;
+  std::vector<std::int64_t> peaks_;
+  std::int64_t chunks_produced_ = 0;
+  bool closed_ = false;
+  bool done_ = false;  ///< the producer returned (error_ says how)
   std::exception_ptr error_;
   std::thread demux_;
 };
 
-/// The shard-s view: serves rounds out of its current chunk, refilling
-/// from its ring when the chunk runs out.
+/// The shard-s view: serves rounds out of its current chunk, taking the
+/// next one from its queue when the chunk runs out.
 class ShardedSource::Stream final : public ArrivalSource {
  public:
-  Stream(std::shared_ptr<Fabric> fabric, const ArrivalSource& parent,
-         const ShardPlan& plan, int shard, Round arrival_end)
-      : fabric_(std::move(fabric)),
+  Stream(Fabric& fabric, const ArrivalSource& parent, const ShardPlan& plan,
+         int shard, Round arrival_end)
+      : fabric_(&fabric),
         shard_(shard),
         arrival_end_(arrival_end),
         delta_(parent.delta()) {
@@ -333,7 +300,7 @@ class ShardedSource::Stream final : public ArrivalSource {
     return static_cast<std::size_t>(color);
   }
 
-  std::shared_ptr<Fabric> fabric_;
+  Fabric* fabric_;
   int shard_;
   Round arrival_end_;
   Round next_round_ = 0;
@@ -357,13 +324,13 @@ ShardedSource::ShardedSource(ArrivalSource& source, const ShardPlan& plan,
   RRS_REQUIRE(plan.num_colors() == source.num_colors(),
               "plan covers " << plan.num_colors() << " colors but the source "
                              << "has " << source.num_colors());
-  fabric_ = std::make_shared<Fabric>(source, plan, arrival_end, options);
+  fabric_ = std::make_unique<Fabric>(source, plan, arrival_end, options);
   // Streams snapshot the parent's metadata (delay bounds, cost model);
   // only after that does the demux thread start pulling the parent.
   streams_.reserve(static_cast<std::size_t>(plan.num_shards));
   for (int s = 0; s < plan.num_shards; ++s) {
     streams_.push_back(
-        std::make_unique<Stream>(fabric_, source, plan, s, arrival_end));
+        std::make_unique<Stream>(*fabric_, source, plan, s, arrival_end));
   }
   fabric_->start();
 }
@@ -391,5 +358,7 @@ std::int64_t ShardedSource::peak_buffered_chunks(int shard) const {
 std::int64_t ShardedSource::chunks_produced() const {
   return fabric_->chunks_produced();
 }
+
+void ShardedSource::close() { fabric_->close(); }
 
 }  // namespace rrs

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -557,6 +558,76 @@ TEST(CheckpointFuzz, AdaptiveSplitOutsideItsRangeRejects) {
                            std::numeric_limits<double>::infinity()}) {
     EXPECT_THROW(restore(bad), InputError) << "split " << bad;
   }
+}
+
+TEST(CheckpointFuzz, GeneratorCursorsAndPeekedJobsMustKeepThePullContract) {
+  // A well-framed generator section built by hand from a fresh source's
+  // fields: the cursors, the peeked round's jobs, then the per-color RNG
+  // streams.  One good peek restores and serves its jobs; seven states no
+  // run of the pull contract reaches must be rejected on restore.
+  RandomBatchedParams params;
+  params.num_colors = 4;
+  const RandomBatchedSource fresh(params);
+  struct Cursors {
+    Round next_round = 5, served = 2, peek = 4;
+    JobId next_id = 10;
+  };
+  const auto restore = [&](const Cursors& c, const std::vector<Job>& jobs) {
+    CheckpointWriter w;
+    w.begin_section(1);
+    w.str("generator");
+    const auto colors = static_cast<std::uint64_t>(fresh.num_colors());
+    for (const std::int64_t v : {fresh.delta(), fresh.horizon(),
+                                 static_cast<std::int64_t>(colors)}) {
+      w.i64(v);
+    }
+    w.boolean(false);  // not a restricted view
+    w.u64(0);
+    for (const std::int64_t v : {c.next_round, c.served, c.peek, c.next_id}) {
+      w.i64(v);
+    }
+    w.u64(jobs.size());
+    for (const Job& j : jobs) {
+      for (const std::int64_t v : {j.id, std::int64_t{j.color}, j.arrival,
+                                   j.delay_bound, j.drop_cost, j.length}) {
+        w.i64(v);
+      }
+    }
+    w.u64(colors);  // one RNG stream of four words per color
+    for (std::uint64_t word = 1; word <= 4 * colors; ++word) w.u64(word);
+    w.end_section();
+    std::stringstream bytes;
+    w.finish(bytes);
+    CheckpointReader r(bytes);
+    r.open_section(1);
+    auto source = std::make_unique<RandomBatchedSource>(params);
+    source->restore(r);
+    return source;
+  };
+  std::vector<Job> peeked(2, Job{8, 1, 4, fresh.delay_bound(1),
+                                 fresh.drop_cost(1), fresh.length(1)});
+  peeked[1].id = 9;
+  const auto restored = restore(Cursors{}, peeked);
+  EXPECT_TRUE(restored->arrivals_in_round(3).empty());
+  EXPECT_EQ(restored->arrivals_in_round(4).size(), 2u);
+
+  using Jobs = std::vector<Job>;
+  const auto rejects = [&](const char* label, auto edit) {
+    Cursors c;
+    Jobs jobs = peeked;
+    edit(c, jobs);
+    EXPECT_THROW((void)restore(c, jobs), InputError) << label;
+  };
+  rejects("zero length", [](Cursors&, Jobs& j) { j[1].length = 0; });
+  rejects("delay bound", [](Cursors&, Jobs& j) { j[0].delay_bound *= 2; });
+  rejects("arrival", [](Cursors&, Jobs& j) { j[0].arrival = 3; });
+  rejects("drop cost", [](Cursors&, Jobs& j) { j[1].drop_cost = -1; });
+  rejects("peek past cursor", [](Cursors& c, Jobs&) { c.peek = 5; });
+  rejects("negative cursor", [](Cursors& c, Jobs&) { c.served = -7; });
+  rejects("served >= next_round", [](Cursors& c, Jobs& j) {
+    c = {5, 5, -1, 10};
+    j.clear();
+  });
 }
 
 }  // namespace

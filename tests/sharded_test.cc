@@ -12,13 +12,16 @@
 // demux fabric agrees bit for bit with the shard-native generator views.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
+#include <exception>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -27,6 +30,7 @@
 #include "obs/observer.h"
 #include "sim/runner.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 #include "workload/datacenter.h"
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
@@ -345,6 +349,32 @@ TEST(ShardedSourceTest, SequentialPullEnforcedPerShard) {
   EXPECT_THROW((void)sharded.stream(0).arrivals_in_round(5), InputError);
 }
 
+TEST(ShardedSourceTest, CloseWakesABlockedStream) {
+  // Nobody reads shard 1, so with one chunk of room the producer stalls
+  // behind its queue and a walker of shard 0 runs dry.  close() must turn
+  // the walker's wait into an InvariantError instead of leaving it there.
+  const auto underlying = make_source("poisson", 4);
+  const Round rounds = underlying->horizon();
+  const ShardPlan plan = make_shard_plan(underlying->num_colors(), 2, 8, 2);
+  ShardedSourceOptions options;
+  options.chunk_rounds = 4;
+  options.max_buffered_chunks = 1;
+  ShardedSource sharded(*underlying, plan, rounds, options);
+  std::exception_ptr error;
+  std::thread walker([&sharded, &error, rounds] {
+    try {
+      ArrivalSource& stream = sharded.stream(0);
+      for (Round k = 0; k < rounds; ++k) (void)stream.arrivals_in_round(k);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  });
+  sharded.close();
+  walker.join();
+  ASSERT_NE(error, nullptr);
+  EXPECT_THROW(std::rethrow_exception(error), InvariantError);
+}
+
 // --- run_streaming_sharded -------------------------------------------------
 
 using Cell = std::tuple<std::string, std::string, std::uint64_t>;
@@ -530,7 +560,7 @@ class FabricFlashCrowd : public FlashCrowdSource {
 
 TEST(ShardedRunTest, NativeVsFabricPin) {
   // The demuxed fabric and the shard-native clone path are entirely
-  // different data paths (threads + rings vs per-shard RNG streams) and
+  // different data paths (threads + queues vs per-shard RNG streams) and
   // must agree bit-identically, shard by shard and in every snapshot byte:
   // the fabric's timing-dependent queue gauges stay out of the snapshots.
   FlashCrowdParams params;
@@ -577,6 +607,80 @@ TEST(ShardedRunTest, NativeVsFabricPin) {
   EXPECT_EQ(native_obs.final_snapshot, fabric_obs.final_snapshot);
   ASSERT_GE(native_obs.snapshots.size(), 4u);
   EXPECT_EQ(native_bytes.str(), fabric_bytes.str());
+}
+
+/// An opaque random-batched stream (no shard-native clone, so sharded runs
+/// take the fabric) whose color-0 jobs have zero length from round
+/// `from` on, which the engine rejects with an InvariantError.
+class ZeroLengthFrom final : public ArrivalSource {
+ public:
+  ZeroLengthFrom(const RandomBatchedParams& params, Round from)
+      : inner_(params), from_(from) {}
+  Cost delta() const override { return inner_.delta(); }
+  ColorId num_colors() const override { return inner_.num_colors(); }
+  Round delay_bound(ColorId c) const override { return inner_.delay_bound(c); }
+  Cost drop_cost(ColorId c) const override { return inner_.drop_cost(c); }
+  Round horizon() const override { return inner_.horizon(); }
+  std::span<const Job> arrivals_in_round(Round k) override {
+    const std::span<const Job> jobs = inner_.arrivals_in_round(k);
+    if (k < from_) return jobs;
+    jobs_.assign(jobs.begin(), jobs.end());
+    for (Job& job : jobs_) {
+      if (job.color == 0) job.length = 0;
+    }
+    return jobs_;
+  }
+
+ private:
+  RandomBatchedSource inner_;
+  Round from_;
+  std::vector<Job> jobs_;
+};
+
+TEST(ShardedRunTest, DeadShardFailsTheRunAtOnce) {
+  // Color 0's shard dies at round 20,000 of 2M.  Closing the fabric must
+  // stop the producer and the healthy shard at once instead of leaving
+  // them waiting on the dead shard's queue.
+  RandomBatchedParams params;
+  params.num_colors = 16;
+  params.horizon = kInfiniteHorizon;
+  params.seed = 3;
+  ZeroLengthFrom source(params, 20'000);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)run_streaming_sharded(source, "dlru-edf", 16, 2,
+                                           /*max_rounds=*/2'000'000),
+               InvariantError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(4));
+}
+
+TEST(ShardedRunTest, FabricStaysBoundedWhenShardsRunSerially) {
+  // Started inside a pool worker, a fabric run's shards take turns on
+  // that worker one chunk at a time: no queue holds more than
+  // max_buffered_chunks, and the result is the concurrent run's.
+  FlashCrowdParams params;  // horizon 4096: 256 chunks of 16 rounds
+  params.seed = 5;
+  ShardedRunOptions options;
+  options.chunk_rounds = 16;
+  options.max_buffered_chunks = 2;
+  const auto run = [&params, &options] {
+    FabricFlashCrowd source(params);
+    return run_streaming_sharded(source, "dlru-edf", 16, 2, kInfiniteHorizon,
+                                 options);
+  };
+  ShardedRunRecord serial;
+  global_pool().parallel_for(1, [&](std::size_t) { serial = run(); });
+  EXPECT_FALSE(serial.native_sources);
+  ASSERT_EQ(serial.splitter_peak_chunks.size(), 2u);
+  for (const std::int64_t peak : serial.splitter_peak_chunks) {
+    EXPECT_LE(peak, 2);
+  }
+  const ShardedRunRecord outside = run();
+  testing::expect_same_run(serial.merged, outside.merged, "merged");
+  ASSERT_EQ(serial.shards.size(), outside.shards.size());
+  for (std::size_t s = 0; s < serial.shards.size(); ++s) {
+    testing::expect_same_run(serial.shards[s], outside.shards[s],
+                             "shard " + std::to_string(s));
+  }
 }
 
 TEST(ShardedRunTest, InfiniteSourceNeedsMaxRounds) {
