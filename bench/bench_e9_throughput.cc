@@ -27,11 +27,17 @@
 #include "bench_common.h"
 
 #include "algs/registry.h"
+#include "core/cache.h"
+#include "core/color_state.h"
+#include "core/cost_model.h"
+#include "core/pending.h"
 #include "core/validator.h"
 #include "obs/observer.h"
 #include "offline/optimal.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
+#include "util/check.h"
+#include "util/env.h"
 #include "util/thread_pool.h"
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
@@ -125,6 +131,261 @@ void BM_ExactOfflineDp(benchmark::State& state) {
 BENCHMARK(BM_ExactOfflineDp)->Arg(2)->Arg(3)->Arg(4);
 
 // ---------------------------------------------------------------------------
+// ns/op cells: one hot-path operation each, on inputs shaped like
+// perfbench's dense-serial workload (32 colors, D in {4..64}, activity 0.7,
+// Delta 8, n = 8), so a speed change can be credited to one layer.  Each
+// cell reports "time/op" (printed as e.g. 12.3ns) for the operation its
+// comment names.
+// ---------------------------------------------------------------------------
+
+RandomBatchedParams dense_serial_params() {
+  RandomBatchedParams params;
+  params.seed = 99;
+  params.delta = 8;
+  params.num_colors = 32;
+  params.min_scale = 2;
+  params.max_scale = 6;
+  params.activity = 0.7;
+  params.horizon = kInfiniteHorizon;
+  return params;
+}
+
+void report_time_per_op(benchmark::State& state, double ops_per_iteration) {
+  state.counters["time/op"] = benchmark::Counter(
+      ops_per_iteration, benchmark::Counter::kIsIterationInvariantRate |
+                             benchmark::Counter::kInvert);
+}
+
+/// Op: synthesizing one round of the dense-serial source.
+void BM_OpSynthesizeRound(benchmark::State& state) {
+  RandomBatchedSource source(dense_serial_params());
+  Round k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(source.arrivals_in_round(k++).data());
+  }
+  report_time_per_op(state, 1);
+}
+BENCHMARK(BM_OpSynthesizeRound);
+
+constexpr Round kOpRounds = 1024;
+
+/// The dense-serial source's first kOpRounds rounds, replayed block after
+/// block into one pending store.  Each block's arrivals are shifted past
+/// the previous block's deadlines, so the store, its calendar ring and its
+/// bucket buffers are reused as in a long run.
+class PendingReplay {
+ public:
+  PendingReplay() {
+    RandomBatchedSource source(dense_serial_params());
+    for (Round k = 0; k < kOpRounds; ++k) {
+      const std::span<const Job> jobs = source.arrivals_in_round(k);
+      rounds_.emplace_back(jobs.begin(), jobs.end());
+      jobs_ += static_cast<std::int64_t>(jobs.size());
+    }
+    pending_.reset(32);
+  }
+
+  /// Empties the store and moves the recorded arrivals to the next block.
+  void next_block() {
+    pending_.drop_expired(last_deadline(), dropped_);
+    for (std::vector<Job>& jobs : rounds_) {
+      for (Job& job : jobs) job.arrival += kStride;
+    }
+    first_round_ += kStride;
+  }
+  void add_block() {
+    for (const std::vector<Job>& jobs : rounds_) pending_.add(jobs);
+  }
+  void sweep_block() {
+    for (Round k = first_round_; k <= last_deadline(); ++k) {
+      pending_.drop_expired(k, dropped_);
+    }
+  }
+  [[nodiscard]] Round sweeps() const { return kStride; }
+  [[nodiscard]] std::int64_t jobs() const { return jobs_; }
+  [[nodiscard]] PendingJobs& pending() { return pending_; }
+
+ private:
+  static constexpr Round kStride = kOpRounds + 64;  // past every deadline
+  [[nodiscard]] Round last_deadline() const {
+    return first_round_ + kStride - 1;
+  }
+
+  std::vector<std::vector<Job>> rounds_;
+  std::int64_t jobs_ = 0;
+  Round first_round_ = 0;
+  PendingJobs pending_;
+  PendingJobs::DropResult dropped_;
+};
+
+/// Op: adding one round's arrivals to the pending store (one call).
+void BM_OpPendingAddBatch(benchmark::State& state) {
+  PendingReplay replay;
+  for (auto _ : state) {
+    state.PauseTiming();
+    replay.next_block();
+    state.ResumeTiming();
+    replay.add_block();
+  }
+  report_time_per_op(state, static_cast<double>(kOpRounds));
+}
+BENCHMARK(BM_OpPendingAddBatch);
+
+/// Op: one round's expiry sweep, every recorded job expiring.
+void BM_OpPendingDropExpired(benchmark::State& state) {
+  PendingReplay replay;
+  for (auto _ : state) {
+    state.PauseTiming();
+    replay.next_block();
+    replay.add_block();
+    state.ResumeTiming();
+    replay.sweep_block();
+  }
+  report_time_per_op(state, static_cast<double>(replay.sweeps()));
+}
+BENCHMARK(BM_OpPendingDropExpired);
+
+/// Op: one execution unit, applied until every recorded job completes.
+void BM_OpPendingExecuteEarliest(benchmark::State& state) {
+  PendingReplay replay;
+  PendingJobs& pending = replay.pending();
+  for (auto _ : state) {
+    state.PauseTiming();
+    replay.next_block();
+    replay.add_block();
+    state.ResumeTiming();
+    for (ColorId c = 0; c < 32; ++c) {
+      while (!pending.idle(c)) {
+        benchmark::DoNotOptimize(pending.execute_earliest(c));
+      }
+    }
+  }
+  report_time_per_op(state, static_cast<double>(replay.jobs()));
+}
+BENCHMARK(BM_OpPendingExecuteEarliest);
+
+/// A tracker, pending store and cache driven through `rounds` rounds of
+/// the dense-serial source, caching the top n/2 colors by recency each
+/// round and executing one unit per location: the state a ranked policy
+/// queries.
+struct DenseRankState {
+  explicit DenseRankState(Round rounds)
+      : source(dense_serial_params()), cache(8, 2) {
+    cache.ensure_colors(source.num_colors());
+    pending.reset(source.num_colors());
+    tracker.begin(source);
+    PendingJobs::DropResult dropped;
+    for (Round k = 0; k < rounds; ++k) {
+      pending.drop_expired(k, dropped);
+      tracker.drop_phase(k, dropped, cache);
+      const std::span<const Job> arrivals = source.arrivals_in_round(k);
+      pending.add(arrivals);
+      tracker.arrival_phase(k, arrivals);
+      const std::vector<ColorId>& target =
+          tracker.lru_order(static_cast<std::size_t>(cache.max_distinct()));
+      cache.begin_phase();
+      const std::vector<ColorId> cached = cache.cached_colors();
+      for (const ColorId c : cached) {
+        if (std::find(target.begin(), target.end(), c) == target.end()) {
+          cache.erase(c);
+        }
+      }
+      for (const ColorId c : target) {
+        if (!cache.contains(c)) cache.insert(c);
+      }
+      (void)cache.finish_phase();
+      for (int r = 0; r < cache.num_resources(); ++r) {
+        const ColorId c = cache.color_at(r);
+        if (c != kBlack && !pending.idle(c)) {
+          (void)pending.execute_earliest(c);
+        }
+      }
+    }
+  }
+
+  RandomBatchedSource source;
+  CacheAssignment cache;
+  PendingJobs pending;
+  EligibilityTracker tracker;
+};
+
+/// Op: the top-k EDF walk at 32 colors, skipping the top two colors by
+/// recency (dLRU-EDF's query at n = 8 for k = 2).
+void BM_OpEdfTop(benchmark::State& state) {
+  DenseRankState s(4096);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const std::vector<ColorId> lru = s.tracker.lru_order(2);
+  const auto is_lru = [&lru](ColorId c) {
+    return std::find(lru.begin(), lru.end(), c) != lru.end();
+  };
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.tracker.edf_top(k, s.pending, is_lru).data());
+  }
+  report_time_per_op(state, 1);
+}
+BENCHMARK(BM_OpEdfTop)->Arg(2)->Arg(32);
+
+/// Op: reading the first `max` colors of the recency list at 32 colors.
+void BM_OpLruOrder(benchmark::State& state) {
+  DenseRankState s(4096);
+  const auto max = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.tracker.lru_order(max).data());
+  }
+  report_time_per_op(state, 1);
+}
+BENCHMARK(BM_OpLruOrder)->Arg(2)->Arg(32);
+
+/// Op: one phase that evicts a cached color and inserts an uncached one
+/// (n = 8, replication 2, 32 colors).
+void BM_OpCacheInsertErase(benchmark::State& state) {
+  CacheAssignment cache(8, 2);
+  cache.ensure_colors(32);
+  cache.begin_phase();
+  for (ColorId c = 0; c < 4; ++c) cache.insert(c);
+  (void)cache.finish_phase();
+  ColorId next = 4;
+  for (auto _ : state) {
+    cache.begin_phase();
+    cache.erase(cache.cached_colors()[static_cast<std::size_t>(next % 4)]);
+    cache.insert(next);
+    benchmark::DoNotOptimize(cache.finish_phase().data());
+    next = (next + 1) % 32;
+    while (cache.contains(next)) next = (next + 1) % 32;
+  }
+  report_time_per_op(state, 1);
+}
+BENCHMARK(BM_OpCacheInsertErase);
+
+/// Op: one CostModel::reconfig_cost lookup in the scalar (0), vector (1)
+/// or matrix (2) tier, over 32 colors.
+void BM_OpReconfigCost(benchmark::State& state) {
+  constexpr ColorId kColors = 32;
+  CostModel model = CostModel::scalar(8, kColors);
+  if (state.range(0) >= 1) {
+    for (ColorId c = 0; c < kColors; ++c) model.set_cold_cost(c, 8 + c % 4);
+  }
+  if (state.range(0) >= 2) {
+    for (ColorId c = 0; c < kColors; ++c) {
+      model.set_transition_cost(c, (c + 1) % kColors, 2);
+    }
+  }
+  Rng rng(7);
+  std::vector<std::pair<ColorId, ColorId>> pairs;
+  for (int i = 0; i < 1024; ++i) {
+    pairs.emplace_back(static_cast<ColorId>(rng.uniform(-1, kColors - 1)),
+                       static_cast<ColorId>(rng.uniform(0, kColors - 1)));
+  }
+  for (auto _ : state) {
+    Cost total = 0;
+    for (const auto& [from, to] : pairs) total += model.reconfig_cost(from, to);
+    benchmark::DoNotOptimize(total);
+  }
+  report_time_per_op(state, static_cast<double>(pairs.size()));
+}
+BENCHMARK(BM_OpReconfigCost)->Arg(0)->Arg(1)->Arg(2);
+
+// ---------------------------------------------------------------------------
 // Streaming baseline: 10M rounds through the lazy-source engine path.
 // ---------------------------------------------------------------------------
 
@@ -137,14 +398,12 @@ std::int64_t peak_rss_bytes() {
 }
 
 /// Round count for the streaming section: 10M by default, overridable via
-/// RRS_STREAMING_ROUNDS so smoke runs stay fast.
+/// RRS_STREAMING_ROUNDS so smoke runs stay fast.  A malformed value throws
+/// InputError (see parse_positive_env).
 Round streaming_rounds() {
-  const char* env = std::getenv("RRS_STREAMING_ROUNDS");
-  if (env != nullptr && *env != '\0') {
-    const long long parsed = std::atoll(env);
-    if (parsed > 0) return static_cast<Round>(parsed);
-  }
-  return 10'000'000;
+  const std::int64_t rounds = parse_positive_env(
+      "RRS_STREAMING_ROUNDS", std::getenv("RRS_STREAMING_ROUNDS"));
+  return rounds > 0 ? rounds : 10'000'000;
 }
 
 /// The generalized-model smoke cell: random-batched arrival shapes with
@@ -252,9 +511,9 @@ void append_json_record(std::string& json, const StreamingCell& cell) {
 
 /// Sweeps dLRU-EDF over infinite-horizon lazy sources for `rounds` rounds
 /// each, prints throughput + peak RSS, and writes BENCH_streaming.json.
-/// Returns false if any cell fell short of the requested rounds.
-bool run_streaming_section() {
-  const Round rounds = streaming_rounds();
+/// Returns false if any cell fell short of the requested rounds or the
+/// JSON file could not be written.
+bool run_streaming_section(Round rounds) {
   bench::banner("E9-streaming",
                 "lazy sources sustain " + std::to_string(rounds) +
                     "-round runs in O(pending + colors) memory");
@@ -496,6 +755,10 @@ bool run_streaming_section() {
   std::ofstream out(path);
   out << json;
   out.close();
+  if (!out) {
+    std::cerr << "error: could not write " << path << "\n";
+    return false;
+  }
   std::cout << "(json: " << path << ")\n";
 
   return bench::verdict(ok, "streaming engine sustained " +
@@ -506,9 +769,16 @@ bool run_streaming_section() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  Round rounds = 0;
+  try {
+    rounds = streaming_rounds();  // before the cells: fail fast on a typo
+  } catch (const InputError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return run_streaming_section() ? 0 : 1;
+  return run_streaming_section(rounds) ? 0 : 1;
 }

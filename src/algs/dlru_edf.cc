@@ -18,25 +18,6 @@ void DLruEdfPolicy::begin(const ArrivalSource& source, int num_resources,
   const auto colors = static_cast<std::size_t>(source.num_colors());
   is_lru_.ensure_size(colors);
   is_protected_.ensure_size(colors);
-  rank_pos_.ensure_size(colors);
-}
-
-void DLruEdfPolicy::evict_worst_non_lru(CacheAssignment& cache) {
-  ColorId victim = kBlack;
-  std::int32_t worst = -1;
-  for (const ColorId c : cache.cached_colors()) {
-    if (is_lru_.contains(c) || is_protected_.contains(c)) continue;
-    // Every cached non-LRU color is eligible and therefore ranked.
-    RRS_CHECK_MSG(rank_pos_.contains(c),
-                  "cached non-LRU color " << c << " missing from ranking");
-    const std::int32_t pos = rank_pos_.at(c);
-    if (pos > worst) {
-      worst = pos;
-      victim = c;
-    }
-  }
-  RRS_CHECK_MSG(victim != kBlack, "no evictable non-LRU color");
-  cache.erase(victim);
 }
 
 void DLruEdfPolicy::on_round(RoundContext& ctx) {
@@ -54,40 +35,34 @@ void DLruEdfPolicy::on_round(RoundContext& ctx) {
 
   // --- LRU half: the top lru_cap eligible colors by timestamp recency. ---
   // The tracker's two query buffers are distinct, so lru_target stays
-  // valid across the edf_order() call below.
+  // valid across the edf_top() call below.
   const std::vector<ColorId>& lru_target = tracker_.lru_order(lru_cap);
   is_lru_.clear();
   for (const ColorId c : lru_target) is_lru_.set(c, 1);
 
-  // --- EDF half: rank the eligible non-LRU colors.  Filtering the full
-  // EDF order (a strict total order) preserves the exact relative ranks
-  // of the surviving colors. ---
-  edf_ranked_.clear();
-  for (const ColorId c : tracker_.edf_order(pending)) {
-    if (!is_lru_.contains(c)) edf_ranked_.push_back(c);
-  }
-  rank_pos_.clear();
-  for (std::size_t i = 0; i < edf_ranked_.size(); ++i) {
-    rank_pos_.set(edf_ranked_[i], static_cast<std::int32_t>(i));
-  }
-
   is_protected_.clear();
+  // Evictions take the worst-EDF-ranked cached color that is neither an
+  // LRU color nor protected (just inserted by the EDF half this phase).
+  const auto lru_or_protected = [this](ColorId c) {
+    return is_lru_.contains(c) || is_protected_.contains(c);
+  };
 
   // Bring LRU-target colors in (eviction takes the worst non-LRU color;
   // one always exists because the LRU target holds at most half the
   // capacity).
   for (const ColorId c : lru_target) {
     if (cache.contains(c)) continue;
-    if (cache.full()) evict_worst_non_lru(cache);
+    if (cache.full()) evict_worst(cache, pending, lru_or_protected);
     cache.insert(c);
   }
 
-  // X = nonidle non-LRU colors in the top edf_cap EDF ranks not cached.
-  const auto top = std::min(edf_ranked_.size(), edf_cap);
-  for (std::size_t i = 0; i < top; ++i) {
-    const ColorId color = edf_ranked_[i];
-    if (pending.idle(color) || cache.contains(color)) continue;
-    if (cache.full()) evict_worst_non_lru(cache);
+  // --- EDF half: X = the nonidle colors among the top edf_cap EDF ranks
+  // of the non-LRU colors, not cached.  Nonidle colors rank first, so X
+  // is drawn from the first edf_cap nonidle non-LRU colors. ---
+  const auto is_lru = [this](ColorId c) { return is_lru_.contains(c); };
+  for (const ColorId color : tracker_.edf_top(edf_cap, pending, is_lru)) {
+    if (cache.contains(color)) continue;
+    if (cache.full()) evict_worst(cache, pending, lru_or_protected);
     cache.insert(color);
     is_protected_.set(color, 1);
   }

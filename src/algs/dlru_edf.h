@@ -62,15 +62,9 @@ class DLruEdfPolicy : public RankedCachePolicy {
   [[nodiscard]] double lru_fraction() const { return lru_fraction_; }
 
  private:
-  /// Evicts the worst-EDF-ranked cached color that is not an LRU color and
-  /// not protected (just inserted by the EDF half this phase).
-  void evict_worst_non_lru(CacheAssignment& cache);
-
   double lru_fraction_;
-  std::vector<ColorId> edf_ranked_;
   StampedMap<char> is_lru_;        // member of this round's LRU target set
   StampedMap<char> is_protected_;  // inserted by the EDF half this phase
-  StampedMap<std::int32_t> rank_pos_;
 };
 
 }  // namespace rrs

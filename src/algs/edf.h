@@ -14,7 +14,6 @@
 #pragma once
 
 #include "algs/ranked_cache.h"
-#include "util/stamped_map.h"
 
 namespace rrs {
 
@@ -25,12 +24,7 @@ class EdfPolicy : public RankedCachePolicy {
  public:
   [[nodiscard]] std::string_view name() const override { return "edf"; }
 
-  void begin(const ArrivalSource& source, int num_resources,
-             int speed) override;
   void on_round(RoundContext& ctx) override;
-
- private:
-  StampedMap<std::int32_t> rank_pos_;
 };
 
 }  // namespace rrs

@@ -10,10 +10,10 @@
 //     ties broken by the same consistent order.
 //
 // The policies read both orders from the tracker's incremental rank index
-// (EligibilityTracker::edf_order / lru_order); edf_sort and lru_sort below
-// rebuild them from scratch and are the reference the tests hold the index
-// to.  RankedCachePolicy is the Section 3.1 state machine the three schemes
-// share, so each supplies only its reconfiguration rule.
+// (EligibilityTracker::edf_top / edf_before / lru_order); edf_sort and
+// lru_sort below rebuild them from scratch and are the reference the tests
+// hold the index to.  RankedCachePolicy is the Section 3.1 state machine
+// the three schemes share, so each supplies only its reconfiguration rule.
 #pragma once
 
 #include <vector>
@@ -22,6 +22,7 @@
 #include "core/pending.h"
 #include "core/policy.h"
 #include "core/types.h"
+#include "util/check.h"
 
 namespace rrs {
 
@@ -121,6 +122,23 @@ class RankedCachePolicy : public Policy {
   /// and traces an epoch turnover.  Returns false on the final sweep,
   /// where the cache is read-only and no rule may run.
   bool ingest(RoundContext& ctx);
+
+  /// Erases and returns the worst-EDF-ranked cached color `skip` keeps
+  /// (cached colors are eligible, so ranked).
+  template <typename Skip>
+  ColorId evict_worst(CacheAssignment& cache, const PendingJobs& pending,
+                      Skip skip) const {
+    ColorId worst = kBlack;
+    for (const ColorId c : cache.cached_colors()) {
+      if (skip(c)) continue;
+      RRS_CHECK_MSG(tracker_.eligible(c),
+                    "cached color " << c << " missing from EDF ranking");
+      if (worst == kBlack || tracker_.edf_before(worst, c, pending)) worst = c;
+    }
+    RRS_CHECK_MSG(worst != kBlack, "no evictable cached color");
+    cache.erase(worst);
+    return worst;
+  }
 
   EligibilityTracker tracker_;
 

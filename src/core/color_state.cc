@@ -73,7 +73,7 @@ void EligibilityTracker::drop_phase(Round k,
   // Epoch ends: every eligible, uncached color at a multiple of its delay
   // bound becomes ineligible with cnt = 0.
   for (const auto& [delay, colors] : delay_classes_) {
-    if (k % delay != 0) continue;
+    if (!is_multiple(k, delay)) continue;
     for (const ColorId color : colors) {
       ColorState& s = state_[idx(color)];
       if (s.eligible && !cache.contains(color)) {
@@ -95,7 +95,7 @@ void EligibilityTracker::arrival_phase(Round k,
   // block boundaries are also where timestamps become visible, so detect
   // timestamp update events here.
   for (const auto& [delay, colors] : delay_classes_) {
-    if (k % delay != 0) continue;
+    if (!is_multiple(k, delay)) continue;
     for (const ColorId color : colors) {
       ColorState& s = state_[idx(color)];
       if (s.eligible) {
@@ -435,54 +435,33 @@ void EligibilityTracker::cal_remove(ColorId color) {
   }
 }
 
-void EligibilityTracker::scan_calendar(std::size_t lo, std::size_t hi,
-                                       const PendingJobs& pending) {
-  for (std::size_t w = lo / 64; w * 64 < hi; ++w) {
-    std::uint64_t bits = cal_nonempty_[w];
-    if (w == lo / 64) bits &= ~std::uint64_t{0} << (lo % 64);
-    if (hi - w * 64 < 64) bits &= (std::uint64_t{1} << (hi - w * 64)) - 1;
-    while (bits != 0) {
-      const std::size_t b =
-          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      std::vector<ColorId>& bucket = cal_buckets_[b];
-      if (cal_dirty_[b] != 0) {
-        std::sort(bucket.begin(), bucket.end(),
-                  [this](ColorId a, ColorId c) {
-                    return static_rank_[idx(a)] < static_rank_[idx(c)];
-                  });
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-          cal_pos_of_[idx(bucket[i])] = static_cast<std::int32_t>(i);
-        }
-        cal_dirty_[b] = 0;
-      }
-      for (const ColorId c : bucket) {
-        RRS_CHECK_MSG(state_[idx(c)].dd > now_,
-                      "stale deadline in rank calendar (color " << c << ")");
-        if (pending.idle(c)) {
-          idle_scratch_.push_back(c);
-        } else {
-          edf_scratch_.push_back(c);
-        }
-      }
+std::size_t EligibilityTracker::next_bucket(std::size_t from,
+                                            std::size_t hi) const {
+  while (from < hi) {
+    const std::size_t w = from / 64;
+    const std::uint64_t bits =
+        cal_nonempty_[w] & (~std::uint64_t{0} << (from % 64));
+    if (bits != 0) {
+      return std::min(
+          hi, w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
     }
+    from = (w + 1) * 64;
   }
+  return hi;
 }
 
-const std::vector<ColorId>& EligibilityTracker::edf_order(
-    const PendingJobs& pending) {
-  RRS_CHECK_MSG(now_ >= 0,
-                "edf_order needs a phase call before the first query");
-  edf_scratch_.clear();
-  idle_scratch_.clear();
-  // Walk buckets in deadline-ascending order: the window (now, now+ring]
-  // maps to bucket indices starting at (now+1) & mask, wrapping once.
-  const std::size_t start = static_cast<std::size_t>(now_ + 1) & cal_mask_;
-  scan_calendar(start, cal_buckets_.size(), pending);
-  scan_calendar(0, start, pending);
-  edf_scratch_.insert(edf_scratch_.end(), idle_scratch_.begin(),
-                      idle_scratch_.end());
-  return edf_scratch_;
+const std::vector<ColorId>& EligibilityTracker::sorted_bucket(std::size_t b) {
+  std::vector<ColorId>& bucket = cal_buckets_[b];
+  if (cal_dirty_[b] != 0) {
+    std::sort(bucket.begin(), bucket.end(), [this](ColorId a, ColorId c) {
+      return static_rank_[idx(a)] < static_rank_[idx(c)];
+    });
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      cal_pos_of_[idx(bucket[i])] = static_cast<std::int32_t>(i);
+    }
+    cal_dirty_[b] = 0;
+  }
+  return bucket;
 }
 
 void EligibilityTracker::lru_insert(ColorId color, Round ts) {

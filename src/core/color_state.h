@@ -26,6 +26,7 @@
 #pragma once
 
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "core/pending.h"
 #include "core/policy.h"
 #include "core/types.h"
+#include "util/check.h"
 
 namespace rrs {
 
@@ -108,10 +110,11 @@ class EligibilityTracker {
   //     same way PendingJobs' expiry calendar is).  Buckets keep their
   //     members sorted by a precomputed static tiebreak rank — exactly the
   //     EdfKey order after the idle and deadline fields — re-sorting
-  //     lazily at the next scan after a mutation.  The ordered scan walks
+  //     lazily when a walk reaches them after a mutation.  edf_top() walks
   //     buckets in rotated (deadline-ascending) order via a nonempty-bucket
-  //     bitmap and partitions live colors into nonidle-then-idle, which
-  //     reproduces the EdfKey sort exactly.
+  //     bitmap and stops at its k-th nonidle color; edf_before() compares
+  //     two colors on the same (idle, dd, static rank) key, so the two
+  //     together answer every EdfKey question without a full order.
   //   * dLRU: eligible colors live in an intrusive doubly-linked recency
   //     list ordered by (effective timestamp desc, color asc).  Effective
   //     timestamps change only at counter wraps and own-block boundaries,
@@ -121,18 +124,29 @@ class EligibilityTracker {
   // begin() builds the index; edf_sort / lru_sort (algs/ranked_cache.h)
   // are the from-scratch references the tests hold it to.
 
-  /// Eligible colors in exact EDF rank order (EdfKey in
-  /// algs/ranked_cache.h): nonidle before idle, then ascending color
-  /// deadline, then descending drop cost, ascending length, ascending
-  /// delay bound, ascending color.  The returned buffer is owned by the
-  /// tracker and valid until the next edf_order() or phase call.
-  [[nodiscard]] const std::vector<ColorId>& edf_order(
-      const PendingJobs& pending);
+  /// The first `k` eligible colors in exact EDF rank order (EdfKey in
+  /// algs/ranked_cache.h) that have pending work and that `reject(color)`
+  /// does not reject; the walk stops at the k-th.  The buffer is the
+  /// tracker's, valid until the next edf_top() or phase call.
+  template <typename Reject>
+  [[nodiscard]] const std::vector<ColorId>& edf_top(
+      std::size_t k, const PendingJobs& pending, Reject reject);
+
+  /// True iff eligible color `a` ranks strictly before eligible color `b`
+  /// in EDF order (the EdfKey comparison edf_top() walks by).
+  [[nodiscard]] bool edf_before(ColorId a, ColorId b,
+                                const PendingJobs& pending) const {
+    const auto key = [&](ColorId c) {
+      return std::tuple(pending.idle(c), state_[idx(c)].dd,
+                        static_rank_[idx(c)]);  // nonidle (false) first
+    };
+    return key(a) < key(b);
+  }
 
   /// Up to `max_count` eligible colors in exact dLRU rank order (LruKey:
   /// descending effective timestamp, ties ascending color) as of the last
   /// phase round.  The returned buffer is owned by the tracker, distinct
-  /// from edf_order()'s, and valid until the next lru_order() or phase
+  /// from edf_top()'s, and valid until the next lru_order() or phase
   /// call.
   [[nodiscard]] const std::vector<ColorId>& lru_order(std::size_t max_count);
 
@@ -258,8 +272,11 @@ class EligibilityTracker {
   void build_rank_index();
   void cal_insert(ColorId color);
   void cal_remove(ColorId color);
-  void scan_calendar(std::size_t lo, std::size_t hi,
-                     const PendingJobs& pending);
+  /// First nonempty calendar bucket in [from, hi), or hi if none.
+  [[nodiscard]] std::size_t next_bucket(std::size_t from,
+                                        std::size_t hi) const;
+  /// Bucket `b`, re-sorted by static rank if a mutation broke its order.
+  const std::vector<ColorId>& sorted_bucket(std::size_t b);
   void lru_insert(ColorId color, Round ts);
   void lru_remove(ColorId color);
   /// Removes + re-inserts `color` when its effective timestamp changed.
@@ -313,7 +330,6 @@ class EligibilityTracker {
   /// timestamp needs the first phase round, so the list link is deferred.
   std::vector<ColorId> dirty_imports_;
   std::vector<ColorId> edf_scratch_;
-  std::vector<ColorId> idle_scratch_;
   std::vector<ColorId> lru_scratch_;
   std::int64_t completed_epochs_ = 0;
   std::int64_t active_colors_ = 0;
@@ -323,5 +339,31 @@ class EligibilityTracker {
   Cost ineligible_drop_weight_ = 0;
   std::vector<JobId> ineligible_drop_ids_;
 };
+
+template <typename Reject>
+const std::vector<ColorId>& EligibilityTracker::edf_top(
+    std::size_t k, const PendingJobs& pending, Reject reject) {
+  RRS_CHECK_MSG(now_ >= 0,
+                "edf_top needs a phase call before the first query");
+  edf_scratch_.clear();
+  // Walk buckets in deadline-ascending order: the window (now, now+ring]
+  // maps to bucket indices starting at (now+1) & mask, wrapping once.
+  const std::size_t start = static_cast<std::size_t>(now_ + 1) & cal_mask_;
+  const std::size_t passes[2][2] = {{start, cal_buckets_.size()},
+                                    {0, start}};
+  for (const auto& [lo, hi] : passes) {
+    for (std::size_t b = next_bucket(lo, hi); b < hi && k > 0;
+         b = next_bucket(b + 1, hi)) {
+      for (const ColorId c : sorted_bucket(b)) {
+        RRS_CHECK_MSG(state_[idx(c)].dd > now_,
+                      "stale deadline in rank calendar (color " << c << ")");
+        if (pending.idle(c) || reject(c)) continue;
+        edf_scratch_.push_back(c);
+        if (edf_scratch_.size() == k) return edf_scratch_;
+      }
+    }
+  }
+  return edf_scratch_;
+}
 
 }  // namespace rrs

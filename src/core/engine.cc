@@ -277,8 +277,8 @@ void Engine::run_round(ArrivalSource* pull) {
           options_.pending_budget) {
     arrivals = admit_arrivals(arrivals, degraded_round);
   }
+  pending_.add(arrivals);
   for (const Job& job : arrivals) {
-    pending_.add(job);
     max_deadline_ = std::max(max_deadline_, job.deadline());
   }
   result_.arrived += static_cast<std::int64_t>(arrivals.size());
@@ -438,7 +438,7 @@ Round Engine::next_stop_round(Round until) const {
   // tracker's dd-advance / epoch-end logic, so it must be executed.  A
   // round already on a boundary cannot be skipped at all.
   for (const Round d : ff_delays_) {
-    if (k_ % d == 0) return k_;
+    if (is_multiple(k_, d)) return k_;
     stop = std::min(stop, ceil_multiple(k_, d));
   }
   // Fault events apply at the start of their round.

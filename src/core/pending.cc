@@ -21,10 +21,7 @@ namespace {
 
 void PendingJobs::reset(ColorId num_colors) {
   RRS_REQUIRE(num_colors >= 0, "negative color count");
-  slot_deadline_.clear();
-  slot_id_.clear();
-  slot_remaining_.clear();
-  slot_next_.clear();
+  runs_.clear();
   free_head_ = -1;
   queues_.assign(static_cast<std::size_t>(num_colors), {});
   ring_.clear();
@@ -37,63 +34,78 @@ void PendingJobs::reset(ColorId num_colors) {
 std::int32_t PendingJobs::acquire_slot() {
   if (free_head_ >= 0) {
     const std::int32_t slot = free_head_;
-    free_head_ = slot_next_[static_cast<std::size_t>(slot)];
+    free_head_ = run_at(slot).next;
     return slot;
   }
-  const auto slot = static_cast<std::int64_t>(slot_deadline_.size());
-  RRS_CHECK_MSG(slot <= INT32_MAX, "pending slot pool exceeds 2^31 jobs");
-  slot_deadline_.emplace_back();
-  slot_id_.emplace_back();
-  slot_remaining_.emplace_back();
-  slot_next_.emplace_back();
+  const auto slot = static_cast<std::int64_t>(runs_.size());
+  RRS_CHECK_MSG(slot <= INT32_MAX, "pending run pool exceeds 2^31 runs");
+  runs_.emplace_back();
   return static_cast<std::int32_t>(slot);
 }
 
 void PendingJobs::release_slot(std::int32_t slot) {
-  slot_next_[static_cast<std::size_t>(slot)] = free_head_;
+  run_at(slot).next = free_head_;
   free_head_ = slot;
 }
 
-void PendingJobs::add(const Job& job) {
-  push_back_job(job.color, job.id, job.deadline(), job.length);
+void PendingJobs::add(std::span<const Job> jobs) {
+  for (std::size_t i = 0; i < jobs.size();) {
+    const Job& first = jobs[i];
+    const Round deadline = first.deadline();
+    std::size_t j = i + 1;
+    while (j < jobs.size() && jobs[j].color == first.color &&
+           jobs[j].id == first.id + static_cast<JobId>(j - i) &&
+           jobs[j].deadline() == deadline && jobs[j].length == first.length) {
+      ++j;
+    }
+    push_back_run(first.color, first.id, static_cast<std::int64_t>(j - i),
+                  deadline, first.length);
+    i = j;
+  }
 }
 
 void PendingJobs::restore(ColorId color, const ExportedJob& job) {
-  push_back_job(color, job.id, job.deadline, job.remaining);
+  // A part-executed front job becomes a run as long as what is left of it.
+  push_back_run(color, job.id, 1, job.deadline, job.remaining);
 }
 
 void PendingJobs::export_color(ColorId color,
                                std::vector<ExportedJob>& out) const {
-  for (std::int32_t s = queues_[idx(color)].head; s >= 0;
-       s = slot_next_[static_cast<std::size_t>(s)]) {
-    const auto i = static_cast<std::size_t>(s);
-    out.push_back({slot_id_[i], slot_deadline_[i], slot_remaining_[i]});
+  for (std::int32_t s = queues_[idx(color)].head; s >= 0; s = run_at(s).next) {
+    const Run& run = run_at(s);
+    for (std::int64_t i = 0; i < run.count; ++i) {
+      out.push_back({run.first_id + i, run.deadline,
+                     i == 0 ? run.front_left : run.length});
+    }
   }
 }
 
-void PendingJobs::push_back_job(ColorId color, JobId id, Round deadline,
-                                Round remaining) {
+void PendingJobs::push_back_run(ColorId color, JobId first_id,
+                                std::int64_t count, Round deadline,
+                                Round length) {
   ColorQueue& q = queues_[idx(color)];
-  RRS_CHECK_MSG(
-      q.tail < 0 ||
-          slot_deadline_[static_cast<std::size_t>(q.tail)] <= deadline,
-      "per-color deadlines must be nondecreasing (color " << color << ")");
-  RRS_CHECK_MSG(remaining >= 1, "job length must be >= 1 (job " << id
-                                                                << ")");
-  const std::int32_t slot = acquire_slot();
-  const auto s = static_cast<std::size_t>(slot);
-  slot_deadline_[s] = deadline;
-  slot_id_[s] = id;
-  slot_remaining_[s] = remaining;
-  slot_next_[s] = -1;
-  if (q.tail >= 0) {
-    slot_next_[static_cast<std::size_t>(q.tail)] = slot;
+  Run* const tail = q.tail >= 0 ? &run_at(q.tail) : nullptr;
+  RRS_CHECK_MSG(tail == nullptr || tail->deadline <= deadline,
+                "per-color deadlines must be nondecreasing (color " << color
+                                                                    << ")");
+  RRS_CHECK_MSG(length >= 1, "job length must be >= 1 (job " << first_id
+                                                             << ")");
+  if (tail != nullptr && tail->deadline == deadline &&
+      tail->length == length && tail->first_id + tail->count == first_id) {
+    tail->count += count;
   } else {
-    q.head = slot;
+    // acquire_slot() may grow the pool, so link through indices only.
+    const std::int32_t slot = acquire_slot();
+    run_at(slot) = {deadline, first_id, count, length, length, -1};
+    if (q.tail >= 0) {
+      run_at(q.tail).next = slot;
+    } else {
+      q.head = slot;
+    }
+    q.tail = slot;
   }
-  q.tail = slot;
-  ++q.count;
-  ++total_;
+  q.count += count;
+  total_ += count;
   // Deadlines are nondecreasing per color, so one hint per distinct
   // deadline suffices; the latest hinted deadline is the largest.
   if (q.last_bucketed != deadline) {
@@ -105,38 +117,13 @@ void PendingJobs::push_back_job(ColorId color, JobId id, Round deadline,
 Round PendingJobs::earliest_deadline(ColorId color) const {
   const ColorQueue& q = queues_[idx(color)];
   RRS_CHECK(q.head >= 0);
-  return slot_deadline_[static_cast<std::size_t>(q.head)];
-}
-
-JobId PendingJobs::pop_earliest(ColorId color) {
-  ColorQueue& q = queues_[idx(color)];
-  RRS_CHECK(q.head >= 0);
-  const std::int32_t slot = q.head;
-  const auto s = static_cast<std::size_t>(slot);
-  const JobId id = slot_id_[s];
-  q.head = slot_next_[s];
-  if (q.head < 0) q.tail = -1;
-  --q.count;
-  --total_;
-  release_slot(slot);
-  return id;
-}
-
-PendingJobs::ExecResult PendingJobs::execute_earliest(ColorId color) {
-  ColorQueue& q = queues_[idx(color)];
-  RRS_CHECK(q.head >= 0);
-  const auto s = static_cast<std::size_t>(q.head);
-  if (slot_remaining_[s] > 1) {
-    --slot_remaining_[s];
-    return {slot_id_[s], false};
-  }
-  return {pop_earliest(color), true};
+  return run_at(q.head).deadline;
 }
 
 Round PendingJobs::earliest_remaining(ColorId color) const {
   const ColorQueue& q = queues_[idx(color)];
   RRS_CHECK(q.head >= 0);
-  return slot_remaining_[static_cast<std::size_t>(q.head)];
+  return run_at(q.head).front_left;
 }
 
 void PendingJobs::checkpoint(CheckpointWriter& w) const {
@@ -218,15 +205,16 @@ void PendingJobs::drain_expired(const CalendarEntry& entry, Round round,
   // only for past-deadline adds) must re-bucket.
   if (q.last_bucketed == entry.deadline) q.last_bucketed = -1;
   std::int64_t dropped_here = 0;
-  while (q.head >= 0 &&
-         slot_deadline_[static_cast<std::size_t>(q.head)] <= round) {
+  while (q.head >= 0 && run_at(q.head).deadline <= round) {
     const std::int32_t slot = q.head;
-    const auto s = static_cast<std::size_t>(slot);
-    out.job_ids.push_back(slot_id_[s]);
-    out.job_colors.push_back(entry.color);
-    q.head = slot_next_[s];
+    const Run& run = run_at(slot);
+    for (JobId id = run.first_id; id < run.first_id + run.count; ++id) {
+      out.job_ids.push_back(id);
+      out.job_colors.push_back(entry.color);
+    }
+    dropped_here += run.count;
+    q.head = run.next;
     release_slot(slot);
-    ++dropped_here;
   }
   if (dropped_here > 0) {
     if (q.head < 0) q.tail = -1;

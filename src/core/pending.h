@@ -4,25 +4,28 @@
 // deadline.  Within one color deadlines are nondecreasing in arrival order
 // (one fixed delay bound per color), so a FIFO per color suffices.
 //
-// Storage is structure-of-arrays: one flat slot pool holds every pending
-// job's deadline and id, colors thread intrusive FIFO index lists through
-// the pool, and expiry across colors is found through a bucketed calendar
-// ring keyed by deadline round.  Deadlines are bounded by `now + max D_l`,
-// so a ring of at least max D_l buckets holds every live deadline in a
-// distinct bucket and the per-round expiry sweep inspects exactly one
-// bucket.  The calendar stores *hints* ({color, deadline} pairs, one per
-// distinct deadline per color): a hint whose jobs were already executed
-// drains nothing, exactly like the lazy heap entries it replaces — but a
-// sweep touches only the buckets of the rounds it covers instead of paying
-// a log-factor pop per hint.
+// Storage is run-length: one flat pool holds *runs* — jobs of one color
+// with consecutive ids, one deadline and one length, which is what one
+// batch of arrivals is — colors thread intrusive FIFO index lists of runs
+// through the pool, and expiry across colors is found through a bucketed
+// calendar ring keyed by deadline round.  Deadlines are bounded by
+// `now + max D_l`, so a ring of at least max D_l buckets holds every live
+// deadline in a distinct bucket and the per-round expiry sweep inspects
+// exactly one bucket.  The calendar stores *hints* ({color, deadline}
+// pairs, one per distinct deadline per color, so one per batch): a hint
+// whose jobs were already executed drains nothing, exactly like the lazy
+// heap entries it replaces — but a sweep touches only the buckets of the
+// rounds it covers instead of paying a log-factor pop per hint.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/job.h"
 #include "core/types.h"
+#include "util/check.h"
 
 namespace rrs {
 
@@ -38,8 +41,11 @@ class PendingJobs {
   /// Prepares bookkeeping for colors [0, num_colors); discards any state.
   void reset(ColorId num_colors);
 
-  /// Adds a newly arrived job.  Amortized O(1).
-  void add(const Job& job);
+  /// Adds one round's arrivals in order (amortized O(1) per job).  Jobs of
+  /// one color with consecutive ids, one deadline and one length join one
+  /// run, so a batch costs one slot and at most one calendar hint.
+  void add(std::span<const Job> jobs);
+  void add(const Job& job) { add(std::span<const Job>(&job, 1)); }
 
   /// Number of pending jobs of `color`.
   [[nodiscard]] std::int64_t count(ColorId color) const {
@@ -62,7 +68,25 @@ class PendingJobs {
   /// (i.e. executes it).  Requires count(color) > 0.  Equivalent to
   /// execute_earliest() for unit-length jobs; multi-unit jobs must go
   /// through execute_earliest() so partial progress is tracked.
-  JobId pop_earliest(ColorId color);
+  JobId pop_earliest(ColorId color) {
+    ColorQueue& q = queues_[idx(color)];
+    RRS_CHECK(q.head >= 0);
+    Run& run = run_at(q.head);
+    const JobId id = run.first_id;
+    if (run.count > 1) {
+      ++run.first_id;
+      --run.count;
+      run.front_left = run.length;
+    } else {
+      const std::int32_t slot = q.head;
+      q.head = run.next;
+      if (q.head < 0) q.tail = -1;
+      release_slot(slot);
+    }
+    --q.count;
+    --total_;
+    return id;
+  }
 
   /// One execution unit applied to a job.
   struct ExecResult {
@@ -76,7 +100,16 @@ class PendingJobs {
   /// executed: progress always goes to the front (EDF within color), and a
   /// front job that expires is dropped at full weight, so partial progress
   /// never outlives the front position.
-  ExecResult execute_earliest(ColorId color);
+  ExecResult execute_earliest(ColorId color) {
+    const std::int32_t head = queues_[idx(color)].head;
+    RRS_CHECK(head >= 0);
+    Run& run = run_at(head);
+    if (run.front_left > 1) {
+      --run.front_left;
+      return {run.first_id, false};
+    }
+    return {pop_earliest(color), true};
+  }
 
   /// Remaining execution units of the earliest-deadline pending job of
   /// `color`.  Requires count(color) > 0.
@@ -125,14 +158,16 @@ class PendingJobs {
   void export_color(ColorId color, std::vector<ExportedJob>& out) const;
 
   /// Re-adds an exported job under `color` (the receiving store's local
-  /// id).  Restore jobs in their exported order so per-color deadlines
-  /// stay nondecreasing.
+  /// id), joining the color's last run when it continues it.  Restore
+  /// jobs in their exported order so per-color deadlines stay
+  /// nondecreasing.
   void restore(ColorId color, const ExportedJob& job);
 
   // --- checkpoint/restore (crash-safe service mode) ---
 
   /// Serializes the sweep cursor and every color's FIFO (ids, deadlines,
-  /// partial progress) into the writer's current section.
+  /// partial progress) job by job into the writer's current section, so
+  /// the format does not depend on how jobs are grouped into runs.
   void checkpoint(CheckpointWriter& w) const;
 
   /// Restores state written by checkpoint() into this store, which must
@@ -142,9 +177,21 @@ class PendingJobs {
   void restore_checkpoint(CheckpointReader& r);
 
  private:
+  /// `count` jobs of one color with ids from `first_id`, one deadline and
+  /// `length` units each, except that the first (the only job ever part
+  /// executed) has `front_left` units left.
+  struct Run {
+    Round deadline = 0;
+    JobId first_id = 0;
+    std::int64_t count = 0;
+    Round length = 1;
+    Round front_left = 1;
+    std::int32_t next = -1;  ///< next run of the color, or the free list
+  };
+
   struct ColorQueue {
-    std::int32_t head = -1;  ///< slot of the earliest-deadline job
-    std::int32_t tail = -1;  ///< slot of the latest-deadline job
+    std::int32_t head = -1;  ///< slot of the earliest-deadline run
+    std::int32_t tail = -1;  ///< slot of the latest-deadline run
     std::int64_t count = 0;
     /// Largest deadline with an outstanding calendar hint for this color
     /// (-1 if none): adds of an already-hinted deadline skip the calendar.
@@ -163,10 +210,17 @@ class PendingJobs {
 
   [[nodiscard]] std::int32_t acquire_slot();
   void release_slot(std::int32_t slot);
+  Run& run_at(std::int32_t slot) {
+    return runs_[static_cast<std::size_t>(slot)];
+  }
+  [[nodiscard]] const Run& run_at(std::int32_t slot) const {
+    return runs_[static_cast<std::size_t>(slot)];
+  }
 
-  /// Appends one job to `color`'s FIFO (shared by add() and restore()).
-  void push_back_job(ColorId color, JobId id, Round deadline,
-                     Round remaining);
+  /// Appends `count` jobs of `length` units with ids from `first_id` to
+  /// `color`'s FIFO, extending its last run when they continue it.
+  void push_back_run(ColorId color, JobId first_id, std::int64_t count,
+                     Round deadline, Round length);
 
   /// Records the hint {color, deadline} in the ring bucket of
   /// max(deadline, cursor_ + 1), growing the ring when the deadline lies
@@ -182,16 +236,12 @@ class PendingJobs {
   void drain_expired(const CalendarEntry& entry, Round round,
                      DropResult& out);
 
-  // Slot pool (structure-of-arrays): parallel per-job attributes plus an
-  // intrusive "next job of the same color" chain; freed slots reuse the
-  // next-chain as a free list.
-  std::vector<Round> slot_deadline_;
-  std::vector<JobId> slot_id_;
-  std::vector<Round> slot_remaining_;  ///< execution units left (>= 1)
-  std::vector<std::int32_t> slot_next_;
+  // Run pool: each run links to the next run of its color; freed slots
+  // reuse the link as a free list.
+  std::vector<Run> runs_;
   std::int32_t free_head_ = -1;
 
-  std::vector<ColorQueue> queues_;  // color -> FIFO through the slot pool
+  std::vector<ColorQueue> queues_;  // color -> FIFO of runs in the pool
 
   // Expiry calendar: power-of-two ring of hint buckets, indexed by
   // deadline & (ring size - 1).  cursor_ is the last swept round; hints

@@ -25,7 +25,7 @@ Schedule run_single_resource_plan(const Instance& instance,
 
   for (Round k = 0; k < instance.horizon(); ++k) {
     pending.drop_expired(k, expired);
-    for (const Job& job : instance.arrivals_in_round(k)) pending.add(job);
+    pending.add(instance.arrivals_in_round(k));
     while (next_segment < plan.size() && plan[next_segment].first == k) {
       const ColorId color = plan[next_segment].second;
       ++next_segment;

@@ -289,7 +289,7 @@ Schedule replay_configs(const Instance& instance, int m,
   std::vector<int> assign;          // matrix tier: target -> source slot
   for (Round k = 0; k < instance.horizon(); ++k) {
     pending.drop_expired(k, expired);
-    for (const Job& job : instance.arrivals_in_round(k)) pending.add(job);
+    pending.add(instance.arrivals_in_round(k));
 
     std::vector<ColorId> want = configs[static_cast<std::size_t>(k)];
     RRS_CHECK(static_cast<int>(want.size()) == m);

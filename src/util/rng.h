@@ -59,13 +59,17 @@ class Rng {
     const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
     if (span == 0) return static_cast<std::int64_t>((*this)());
     // Unbiased rejection sampling (Lemire's method without multiplication
-    // tricks; the rejection loop terminates quickly for all spans).
-    const std::uint64_t limit = max() - max() % span;
+    // tricks; the rejection loop terminates quickly for all spans).  For a
+    // power-of-two span both remainders are masks: same draws, no division.
+    const bool pow2 = (span & (span - 1)) == 0;
+    const std::uint64_t limit =
+        pow2 ? max() - (span - 1) : max() - max() % span;
     std::uint64_t draw;
     do {
       draw = (*this)();
     } while (draw >= limit);
-    return lo + static_cast<std::int64_t>(draw % span);
+    return lo + static_cast<std::int64_t>(pow2 ? draw & (span - 1)
+                                               : draw % span);
   }
 
   /// Uniform double in [0, 1).

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/env.h"
 
 namespace rrs {
 
@@ -20,14 +21,7 @@ thread_local bool t_in_worker = false;
 bool ThreadPool::in_worker() { return t_in_worker; }
 
 std::size_t parse_thread_count(const char* text) {
-  if (text == nullptr || *text == '\0') return 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(text, &end, 10);
-  RRS_REQUIRE(end != text && *end == '\0',
-              "RRS_THREADS must be a positive integer, got \"" << text
-                                                               << "\"");
-  RRS_REQUIRE(parsed > 0, "RRS_THREADS must be > 0, got " << parsed);
-  return static_cast<std::size_t>(parsed);
+  return static_cast<std::size_t>(parse_positive_env("RRS_THREADS", text));
 }
 
 std::size_t default_thread_count() {

@@ -66,11 +66,8 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
-/// Parses an RRS_THREADS-style value: a positive integer gives that many
-/// threads; null or empty means "unset" and returns 0 ("use the hardware
-/// default").  Anything else — zero, negative, non-numeric, or trailing
-/// garbage — throws InputError: a typo'd RRS_THREADS silently falling back
-/// to the hardware default would mask the misconfiguration.
+/// Parses an RRS_THREADS value with parse_positive_env (util/env.h); 0,
+/// for unset, means "use the hardware default".
 [[nodiscard]] std::size_t parse_thread_count(const char* text);
 
 /// Worker count for new pools: the RRS_THREADS environment variable when

@@ -20,10 +20,16 @@
 // being locally dense).  Subclasses opt in by implementing clone() and
 // synthesize_color(); the default synthesize() then iterates the active
 // colors in ascending global order.
+//
+// Batched contract: a subclass calling declare_batched() promises that
+// synthesize_color(c, k) draws nothing unless D_c divides k; synthesize()
+// then visits only the colors due at k, in the same order.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -32,6 +38,7 @@
 
 #include "core/arrival_source.h"
 #include "core/checkpoint.h"
+#include "util/bits.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -327,6 +334,9 @@ class GeneratorSource : public ArrivalSource {
     return static_cast<ColorId>(delay_bounds_.size() - 1);
   }
 
+  /// Opts into the batched contract (file comment); constructor-time only.
+  void declare_batched() { batched_ = true; }
+
   /// Appends `count` jobs of global color `color` arriving in round `k` to
   /// this round's buffer (relabeled to the local id on restricted views).
   /// Call in ascending color order within one synthesize().
@@ -350,7 +360,9 @@ class GeneratorSource : public ArrivalSource {
   /// generators that are not per-color decomposable override this
   /// wholesale (and then cannot serve shard-native views).
   virtual void synthesize(Round k) {
-    if (restricted_) {
+    if (batched_) {
+      for (const ColorId c : due_colors(k)) synthesize_color(c, k);
+    } else if (restricted_) {
       for (const ColorId c : active_) synthesize_color(c, k);
     } else {
       const auto n = static_cast<ColorId>(delay_bounds_.size());
@@ -361,7 +373,7 @@ class GeneratorSource : public ArrivalSource {
   /// Produces round `k`'s arrivals of global color `color` via emit().
   /// A color's draws must depend only on (color, k) and the color's own
   /// stream state — never on other colors — so restricted views replay
-  /// identical per-color sequences.
+  /// identical per-color sequences (batched: called only when D_c | k).
   virtual void synthesize_color(ColorId color, Round k) {
     (void)k;
     RRS_CHECK_MSG(false, "generator cannot synthesize color " << color
@@ -404,6 +416,35 @@ class GeneratorSource : public ArrivalSource {
     return static_cast<std::size_t>(color);
   }
 
+  /// Global ids of the view's colors due at round `k`, ascending.  Built
+  /// at the first call, which may be any round (a restore resumes
+  /// mid-cycle); later calls come in order, so each class keeps its next
+  /// due round and a round with no class due costs one compare.
+  std::span<const ColorId> due_colors(Round k) {
+    if (due_classes_.empty()) {
+      for (const auto& [delay, locals] : colors_by_delay()) {
+        DueClass& cls = due_classes_.emplace_back(
+            DueClass{delay, ceil_multiple(k, delay), {}});
+        for (const ColorId c : locals) {
+          cls.colors.push_back(static_cast<ColorId>(global_of(c)));
+        }
+        due_min_next_ = std::min(due_min_next_, cls.next);
+      }
+    }
+    if (k < due_min_next_) return {};
+    due_.clear();
+    due_min_next_ = kNever;
+    for (DueClass& cls : due_classes_) {
+      if (cls.next == k) {
+        cls.next += cls.delay;
+        due_.insert(due_.end(), cls.colors.begin(), cls.colors.end());
+      }
+      due_min_next_ = std::min(due_min_next_, cls.next);
+    }
+    std::sort(due_.begin(), due_.end());  // merges the due classes
+    return due_;
+  }
+
   /// Maps a caller-facing (local) id to the global metadata index.
   [[nodiscard]] std::size_t global_of(ColorId color) const {
     if (!restricted_) return checked_global(color);
@@ -433,6 +474,17 @@ class GeneratorSource : public ArrivalSource {
   Round served_ = -1;
   Round peek_round_ = -1;
   JobId next_id_ = 0;
+  // Batched contract: the view's colors by delay class (global ids).
+  struct DueClass {
+    Round delay;
+    Round next;  ///< next round this class is due
+    std::vector<ColorId> colors;
+  };
+  static constexpr Round kNever = std::numeric_limits<Round>::max();
+  bool batched_ = false;
+  std::vector<DueClass> due_classes_;
+  Round due_min_next_ = kNever;  ///< earliest `next` over the classes
+  std::vector<ColorId> due_;     ///< due_colors() result buffer
   // Caches (mirror ArrivalSource's lazy base caches, with invalidation).
   mutable CostModel model_;
   mutable bool model_ready_ = false;

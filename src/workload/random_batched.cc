@@ -30,13 +30,13 @@ RandomBatchedSource::RandomBatchedSource(const RandomBatchedParams& params)
     const Round delay = Round{1} << scale;
     add_color(delay, rng.uniform(params.min_drop_cost,
                                  params.max_drop_cost));
-    delays_.push_back(delay);
     max_batch_.push_back(std::max<std::int64_t>(
         1, static_cast<std::int64_t>(params.burst_factor *
                                      static_cast<double>(delay))));
     streams_.push_back(derive_rng(params.seed,
                                   static_cast<std::uint64_t>(c)));
   }
+  declare_batched();
 }
 
 std::unique_ptr<GeneratorSource> RandomBatchedSource::clone() const {
@@ -44,8 +44,8 @@ std::unique_ptr<GeneratorSource> RandomBatchedSource::clone() const {
 }
 
 void RandomBatchedSource::synthesize_color(ColorId color, Round k) {
+  // Batched: called only when D_color divides k.
   const auto c = static_cast<std::size_t>(color);
-  if (k % delays_[c] != 0) return;
   Rng& stream = streams_[c];
   if (!stream.bernoulli(activity_)) return;
   emit(color, k, stream.uniform(1, max_batch_[c]));

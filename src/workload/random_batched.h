@@ -39,7 +39,8 @@ struct RandomBatchedParams {
 
 /// Lazy streaming random batched workload (rate-limited iff
 /// burst_factor <= 1).  Per-color decomposable: supports shard-native
-/// views via clone()/restrict_to().
+/// views via clone()/restrict_to().  Batched: a color draws only on
+/// multiples of its delay bound, so a round visits only the due colors.
 class RandomBatchedSource final : public GeneratorSource {
  public:
   explicit RandomBatchedSource(const RandomBatchedParams& params);
@@ -63,8 +64,7 @@ class RandomBatchedSource final : public GeneratorSource {
 
   RandomBatchedParams params_;         // kept verbatim for clone()
   std::vector<Rng> streams_;           // one RNG stream per color
-  std::vector<Round> delays_;          // global-indexed (views relabel)
-  std::vector<std::int64_t> max_batch_;
+  std::vector<std::int64_t> max_batch_;  // global-indexed (views relabel)
   double activity_;
 };
 

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <sstream>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/pending.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -366,22 +368,32 @@ TEST(PendingJobs, EmptySetJumpResetsStaleHints) {
   EXPECT_TRUE(pending.idle(0));
 }
 
-/// Reference model: per-color deque of (deadline, id), linear-scan expiry.
+/// Reference model: per-color deque of jobs, one entry per job with its
+/// own remaining units, linear-scan expiry.
 class NaivePending {
  public:
   explicit NaivePending(ColorId num_colors)
       : queues_(static_cast<std::size_t>(num_colors)) {}
 
   void add(const Job& job) {
-    queues_[static_cast<std::size_t>(job.color)].emplace_back(job.deadline(),
-                                                              job.id);
+    queues_[static_cast<std::size_t>(job.color)].push_back(
+        {job.id, job.deadline(), job.length});
   }
 
   JobId pop_earliest(ColorId color) {
-    auto& q = queues_[static_cast<std::size_t>(color)];
-    const JobId id = q.front().second;
+    auto& q = queue(color);
+    const JobId id = q.front().id;
     q.pop_front();
     return id;
+  }
+
+  PendingJobs::ExecResult execute_earliest(ColorId color) {
+    auto& q = queue(color);
+    if (q.front().remaining > 1) {
+      --q.front().remaining;
+      return {q.front().id, false};
+    }
+    return {pop_earliest(color), true};
   }
 
   [[nodiscard]] std::int64_t count(ColorId color) const {
@@ -389,13 +401,18 @@ class NaivePending {
         queues_[static_cast<std::size_t>(color)].size());
   }
 
+  [[nodiscard]] const std::deque<PendingJobs::ExportedJob>& jobs(
+      ColorId color) const {
+    return queues_[static_cast<std::size_t>(color)];
+  }
+
   /// Returns (total dropped, ids dropped sorted) for deadline <= round.
   std::pair<std::int64_t, std::vector<JobId>> drop_expired(Round round) {
     std::int64_t total = 0;
     std::vector<JobId> ids;
     for (auto& q : queues_) {
-      while (!q.empty() && q.front().first <= round) {
-        ids.push_back(q.front().second);
+      while (!q.empty() && q.front().deadline <= round) {
+        ids.push_back(q.front().id);
         q.pop_front();
         ++total;
       }
@@ -404,8 +421,22 @@ class NaivePending {
     return {total, std::move(ids)};
   }
 
+  /// Color of pending job `id` (linear scan).
+  [[nodiscard]] ColorId color_of(JobId id) const {
+    for (std::size_t c = 0; c < queues_.size(); ++c) {
+      for (const PendingJobs::ExportedJob& job : queues_[c]) {
+        if (job.id == id) return static_cast<ColorId>(c);
+      }
+    }
+    return kBlack;
+  }
+
  private:
-  std::vector<std::deque<std::pair<Round, JobId>>> queues_;
+  std::deque<PendingJobs::ExportedJob>& queue(ColorId color) {
+    return queues_[static_cast<std::size_t>(color)];
+  }
+
+  std::vector<std::deque<PendingJobs::ExportedJob>> queues_;
 };
 
 class PendingDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -459,6 +490,122 @@ TEST_P(PendingDifferential, MatchesNaiveReferenceUnderRandomOps) {
     for (ColorId c = 0; c < kColors; ++c) {
       ASSERT_EQ(pending.count(c), naive.count(c)) << "step " << step;
     }
+  }
+}
+
+/// Per-color state of `pending` against the reference: counts, the front
+/// job's deadline and remaining units, and the exported FIFO job by job.
+void expect_same_state(const PendingJobs& pending, const NaivePending& naive,
+                       ColorId colors, Round now) {
+  std::int64_t total = 0;
+  for (ColorId c = 0; c < colors; ++c) {
+    ASSERT_EQ(pending.count(c), naive.count(c)) << "round " << now;
+    total += naive.count(c);
+    std::vector<PendingJobs::ExportedJob> got;
+    pending.export_color(c, got);
+    const auto& want = naive.jobs(c);
+    ASSERT_EQ(got.size(), want.size()) << "round " << now;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << "round " << now;
+      EXPECT_EQ(got[i].deadline, want[i].deadline) << "round " << now;
+      EXPECT_EQ(got[i].remaining, want[i].remaining) << "round " << now;
+    }
+    if (!want.empty()) {
+      EXPECT_EQ(pending.earliest_deadline(c), want.front().deadline);
+      EXPECT_EQ(pending.earliest_remaining(c), want.front().remaining);
+    }
+  }
+  EXPECT_EQ(pending.total(), total) << "round " << now;
+}
+
+TEST_P(PendingDifferential, BatchShapedArrivalsMatchNaiveReference) {
+  // Arrivals come the way generators emit them: per color and round one
+  // batch of consecutive ids sharing a deadline and a length (1-3), added
+  // as one span per round (the engine's call) or job by job, plus batches
+  // that continue or break the previous one's id run.  Executions leave
+  // partial progress on front jobs, sweeps drop runs whose front job is
+  // part-way through, and export -> restore round trips rebuild the store
+  // from its checkpoint.  Everything must match the per-job reference.
+  constexpr ColorId kColors = 6;
+  Rng rng(GetParam() * 7919 + 3);
+  std::vector<Round> delays;
+  std::vector<Round> lengths;
+  for (ColorId c = 0; c < kColors; ++c) {
+    delays.push_back(rng.uniform(1, 12));
+    lengths.push_back(rng.uniform(1, 3));
+  }
+  PendingJobs pending;
+  pending.reset(kColors);
+  NaivePending naive(kColors);
+  PendingJobs::DropResult out;
+  JobId next_id = 0;
+  for (Round now = 0; now < 400; ++now) {
+    pending.drop_expired(now, out);
+    for (std::size_t i = 0; i < out.job_ids.size(); ++i) {
+      EXPECT_EQ(out.job_colors[i], naive.color_of(out.job_ids[i]))
+          << "round " << now;
+    }
+    const auto [naive_total, naive_ids] = naive.drop_expired(now);
+    EXPECT_EQ(out.total, naive_total) << "round " << now;
+    std::vector<JobId> got = out.job_ids;
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, naive_ids) << "round " << now;
+
+    std::vector<Job> arrivals;
+    const auto batch = [&](ColorId c, std::int64_t count) {
+      const auto i = static_cast<std::size_t>(c);
+      for (std::int64_t j = 0; j < count; ++j) {
+        arrivals.push_back(
+            make_long_job(next_id++, c, now, delays[i], lengths[i]));
+      }
+    };
+    for (ColorId c = 0; c < kColors; ++c) {
+      if (!rng.bernoulli(0.5)) continue;
+      batch(c, rng.uniform(1, 5));
+      if (rng.bernoulli(0.15)) batch(c, rng.uniform(1, 2));  // continues
+      if (rng.bernoulli(0.15)) {
+        ++next_id;  // an id gap starts a new run at the same deadline
+        batch(c, 1);
+      }
+    }
+    if (rng.bernoulli(0.5)) {
+      pending.add(arrivals);
+    } else {
+      for (const Job& job : arrivals) pending.add(job);
+    }
+    for (const Job& job : arrivals) naive.add(job);
+
+    for (int unit = 0; unit < 5; ++unit) {
+      const auto c = static_cast<ColorId>(rng.uniform(0, kColors - 1));
+      if (pending.idle(c)) continue;
+      const PendingJobs::ExecResult want = naive.execute_earliest(c);
+      const PendingJobs::ExecResult got_exec = pending.execute_earliest(c);
+      EXPECT_EQ(got_exec.id, want.id) << "round " << now;
+      EXPECT_EQ(got_exec.completed, want.completed) << "round " << now;
+    }
+    if (rng.bernoulli(0.05)) {
+      const auto c = static_cast<ColorId>(rng.uniform(0, kColors - 1));
+      if (!pending.idle(c)) {
+        EXPECT_EQ(pending.pop_earliest(c), naive.pop_earliest(c));
+      }
+    }
+
+    if (rng.bernoulli(0.08)) {
+      CheckpointWriter w;
+      w.begin_section(1);
+      pending.checkpoint(w);
+      w.end_section();
+      std::stringstream bytes;
+      w.finish(bytes);
+      CheckpointReader r(bytes);
+      PendingJobs restored;
+      restored.reset(kColors);
+      r.open_section(1);
+      restored.restore_checkpoint(r);
+      r.close_section();
+      pending = std::move(restored);
+    }
+    expect_same_state(pending, naive, kColors, now);
   }
 }
 

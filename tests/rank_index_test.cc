@@ -1,11 +1,12 @@
-// The incremental rank index (EligibilityTracker::edf_order / lru_order)
-// must reproduce the sort-based reference rankings exactly, round for
-// round: the deadline-bucket calendar against edf_sort, the intrusive
-// recency list against lru_sort, both sorts run over the tracker's own
-// eligible set and per-color state.  Differential tests drive a tracker
-// through phase sequences — arrivals, drops, executions, cache churn,
-// counter wraps, ring wrap-around, migration handoff — and compare orders
-// after every round.
+// The incremental rank index (EligibilityTracker::edf_top / edf_before /
+// lru_order) must reproduce the sort-based reference rankings exactly,
+// round for round: the deadline-bucket calendar's top-k walk and pairwise
+// comparison against edf_sort and EdfKey, the intrusive recency list
+// against lru_sort, both sorts run over the tracker's own eligible set and
+// per-color state.  Differential tests drive a tracker through phase
+// sequences — arrivals, drops, executions, cache churn, counter wraps,
+// ring wrap-around, migration handoff — and compare orders after every
+// round.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,50 @@
 
 namespace rrs {
 namespace {
+
+/// The EDF queries against the edf_sort reference: edf_top for a random k
+/// in [0, |eligible|] and a random skip set must return the first k
+/// nonidle, unskipped colors of the reference, and edf_before must agree
+/// with the reference order and with EdfKey on every pair.
+void check_edf(EligibilityTracker& tracker, const PendingJobs& pending,
+               Rng& rng, Round now) {
+  std::vector<ColorId> ref = tracker.eligible_colors();
+  edf_sort(ref, tracker, pending);
+  std::vector<ColorId> skip;
+  for (const ColorId c : ref) {
+    if (rng.bernoulli(0.3)) skip.push_back(c);
+  }
+  const auto skipped = [&skip](ColorId c) {
+    return std::find(skip.begin(), skip.end(), c) != skip.end();
+  };
+  const auto k = static_cast<std::size_t>(
+      rng.uniform(0, static_cast<std::int64_t>(ref.size())));
+  for (const bool use_skip : {false, true}) {
+    std::vector<ColorId> want;
+    for (const ColorId c : ref) {
+      if (want.size() == k) break;
+      if (!pending.idle(c) && !(use_skip && skipped(c))) want.push_back(c);
+    }
+    const std::vector<ColorId> got =
+        use_skip ? tracker.edf_top(k, pending, skipped)
+                 : tracker.edf_top(k, pending, [](ColorId) { return false; });
+    EXPECT_EQ(got, want) << "round " << now << " k " << k << " skip "
+                         << use_skip;
+  }
+  const auto key = [&](ColorId c) {
+    return EdfKey{pending.idle(c),     tracker.color_deadline(c),
+                  tracker.drop_cost(c), tracker.length(c),
+                  tracker.delay_bound(c), c};
+  };
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    for (std::size_t j = 0; j < ref.size(); ++j) {
+      EXPECT_EQ(tracker.edf_before(ref[i], ref[j], pending), i < j)
+          << "round " << now << " colors " << ref[i] << ", " << ref[j];
+      EXPECT_EQ(tracker.edf_before(ref[i], ref[j], pending),
+                key(ref[i]) < key(ref[j]));
+    }
+  }
+}
 
 /// Drives a tracker through rounds against a PendingJobs /
 /// CacheAssignment, the way the engine would, and checks both rankings
@@ -46,13 +91,12 @@ class Harness {
     ++k_;
   }
 
-  /// Both orders against the sort-based reference, including truncated
-  /// lru_order prefixes (the capacity-capped walk a policy issues).
-  void check_orders() {
+  /// Both orders against the sort-based reference: the EDF queries (see
+  /// check_edf) and truncated lru_order prefixes (the capacity-capped walk
+  /// a policy issues).
+  void check_orders(Rng& rng) {
     const Round now = k_ - 1;
-    std::vector<ColorId> edf_ref = tracker_.eligible_colors();
-    edf_sort(edf_ref, tracker_, pending_);
-    EXPECT_EQ(tracker_.edf_order(pending_), edf_ref) << "round " << now;
+    check_edf(tracker_, pending_, rng, now);
 
     std::vector<ColorId> lru_ref = tracker_.eligible_colors();
     lru_sort(lru_ref, tracker_, now);
@@ -137,7 +181,7 @@ TEST(RankIndexDifferential, MatchesSortsEveryRoundPow2Delays) {
       if (k % 7 == 3) h.toggle_cache(rng);
       h.step();
       h.execute_some(rng);
-      h.check_orders();
+      h.check_orders(rng);
     }
   }
 }
@@ -151,7 +195,7 @@ TEST(RankIndexDifferential, MatchesSortsEveryRoundArbitraryDelays) {
       if (k % 5 == 2) h.toggle_cache(rng);
       h.step();
       h.execute_some(rng);
-      h.check_orders();
+      h.check_orders(rng);
     }
   }
 }
@@ -173,7 +217,7 @@ TEST(RankIndexCalendar, SurvivesManyRingWraps) {
   for (Round k = 0; k < 220; ++k) {
     h.step();
     h.execute_some(rng);
-    h.check_orders();
+    h.check_orders(rng);
   }
 }
 
@@ -187,9 +231,10 @@ TEST(RankIndexChurn, EpochEndEvictsFromBothOrders) {
   builder.add_jobs(c, 1, 1);
   builder.min_horizon(16);
   Harness h(builder.build());
+  Rng rng(19);
   for (Round k = 0; k < 16; ++k) {
     h.step();
-    h.check_orders();
+    h.check_orders(rng);
   }
   EXPECT_FALSE(h.tracker().eligible(c)) << "epoch must have ended";
   EXPECT_TRUE(h.tracker().lru_order(4).empty());
@@ -210,9 +255,10 @@ TEST(RankIndexWraps, SecondWrapInBlockReordersRecency) {
   builder.add_jobs(b, 9, 1);
   builder.min_horizon(32);
   Harness h(builder.build());
+  Rng rng(23);
   for (Round k = 0; k < 32; ++k) {
     h.step();
-    h.check_orders();
+    h.check_orders(rng);
   }
 }
 
@@ -246,6 +292,7 @@ TEST(RankIndexMigration, ImportHandoffPreservesOrders) {
     imported.import_color(c, original.export_color(c));
   }
 
+  Rng rng(31);
   for (Round k = handoff; k < instance.horizon() + 16; ++k) {
     pending.drop_expired(k, dropped);
     imported.drop_phase(k, dropped, cache);
@@ -253,9 +300,7 @@ TEST(RankIndexMigration, ImportHandoffPreservesOrders) {
     for (const Job& job : arrivals) pending.add(job);
     imported.arrival_phase(k, arrivals);
 
-    std::vector<ColorId> edf_ref = imported.eligible_colors();
-    edf_sort(edf_ref, imported, pending);
-    EXPECT_EQ(imported.edf_order(pending), edf_ref) << "round " << k;
+    check_edf(imported, pending, rng, k);
     std::vector<ColorId> lru_ref = imported.eligible_colors();
     lru_sort(lru_ref, imported, k);
     EXPECT_EQ(imported.lru_order(lru_ref.size()), lru_ref) << "round " << k;
@@ -269,9 +314,10 @@ TEST(RankIndexContract, EmptyEligibleSetYieldsEmptyOrders) {
   builder.add_jobs(c, 0, 1);
   builder.min_horizon(8);
   Harness h(builder.build());
+  Rng rng(29);
   for (Round k = 0; k < 8; ++k) {
     h.step();
-    h.check_orders();
+    h.check_orders(rng);
   }
   EXPECT_TRUE(h.tracker().lru_order(4).empty());
 }

@@ -4,11 +4,13 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/types.h"
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/env.h"
 #include "util/rng.h"
 #include "util/stamped_map.h"
 #include "util/stopwatch.h"
@@ -63,6 +65,11 @@ TEST(Bits, Multiples) {
   EXPECT_EQ(ceil_multiple(1, 8), 8);
   EXPECT_EQ(ceil_multiple(8, 8), 8);
   EXPECT_EQ(ceil_multiple(17, 8), 24);
+  for (std::int64_t m = 1; m <= 70; ++m) {  // masks and divisions agree
+    for (std::int64_t x = 0; x <= 300; ++x) {
+      EXPECT_EQ(is_multiple(x, m), x % m == 0) << x << " " << m;
+    }
+  }
 }
 
 TEST(Bits, InvalidInputsThrow) {
@@ -101,6 +108,24 @@ TEST(Rng, UniformSingleton) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.uniform(5, 5), 5);
 }
 
+TEST(Rng, PowerOfTwoSpansDrawLikeTheDivisionPath) {
+  // The mask shortcut for power-of-two spans must return exactly what
+  // rejection sampling with remainders returns, draw for draw.
+  for (const std::int64_t span : {1LL, 2LL, 8LL, 64LL, 1LL << 40}) {
+    const auto uspan = static_cast<std::uint64_t>(span);
+    Rng fast(11);
+    Rng raw(11);
+    for (int i = 0; i < 2000; ++i) {
+      const std::uint64_t limit = Rng::max() - Rng::max() % uspan;
+      std::uint64_t draw = raw();
+      while (draw >= limit) draw = raw();
+      ASSERT_EQ(fast.uniform(3, 3 + span - 1),
+                3 + static_cast<std::int64_t>(draw % uspan))
+          << "span " << span << " draw " << i;
+    }
+  }
+}
+
 TEST(Rng, Uniform01InRange) {
   Rng rng(9);
   for (int i = 0; i < 1000; ++i) {
@@ -130,6 +155,30 @@ TEST(Rng, BernoulliExtremes) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
+  }
+}
+
+TEST(Env, ParsePositiveAcceptsDigitsAndTreatsEmptyAsUnset) {
+  EXPECT_EQ(parse_positive_env("RRS_X", nullptr), 0);
+  EXPECT_EQ(parse_positive_env("RRS_X", ""), 0);
+  EXPECT_EQ(parse_positive_env("RRS_X", "1"), 1);
+  EXPECT_EQ(parse_positive_env("RRS_X", "200000"), 200000);
+}
+
+TEST(Env, ParsePositiveRejectsEverythingElseByName) {
+  // Each of these once ran some other round count without a word: atoll
+  // read "2e5" as 2 and "200k" as 200, and "abc" fell back to the default.
+  for (const char* text : {"2e5", "200k", "abc", "0", "-2", "+4", " 4", "4 ",
+                           "1.5", "99999999999999999999"}) {
+    try {
+      (void)parse_positive_env("RRS_STREAMING_ROUNDS", text);
+      ADD_FAILURE() << "accepted \"" << text << "\"";
+    } catch (const InputError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("RRS_STREAMING_ROUNDS"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + text + "\""), std::string::npos)
+          << what;
+    }
   }
 }
 

@@ -1,12 +1,17 @@
 // Tests for src/workload: generator classification, determinism, trace IO.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
 #include <sstream>
+#include <vector>
 
+#include "core/checkpoint.h"
 #include "util/check.h"
 #include "workload/adversary_dlru.h"
 #include "workload/adversary_edf.h"
 #include "workload/datacenter.h"
+#include "workload/generator_source.h"
 #include "workload/intro_scenario.h"
 #include "workload/poisson.h"
 #include "workload/random_batched.h"
@@ -89,6 +94,154 @@ TEST(RandomBatched, DelayScalesRespected) {
   for (ColorId c = 0; c < inst.num_colors(); ++c) {
     EXPECT_GE(inst.delay_bound(c), 8);
     EXPECT_LE(inst.delay_bound(c), 32);
+  }
+}
+
+/// FNV-1a over (id, color, arrival) of every job `source` emits in rounds
+/// [0, rounds).
+std::uint64_t stream_hash(ArrivalSource& source, Round rounds) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (static_cast<std::uint64_t>(value) >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (Round k = 0; k < rounds; ++k) {
+    for (const Job& job : source.arrivals_in_round(k)) {
+      mix(job.id);
+      mix(job.color);
+      mix(job.arrival);
+    }
+  }
+  return hash;
+}
+
+TEST(RandomBatched, BatchedStreamIsPinned) {
+  // The hashes were recorded while synthesize() still visited every color
+  // every round: visiting only the due colors must keep every draw, id and
+  // emission order, on the full stream and on a shard-native view.
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t full;
+    std::uint64_t view;
+  };
+  const Pin pins[] = {{1, 0xa7cde5f267cfba28ULL, 0xd201ff5ff6c99134ULL},
+                      {7, 0xbdd82ed8ccb078e1ULL, 0xa19bf14fcfb447cfULL},
+                      {99, 0x437c9c878672cf4eULL, 0x3e477b6ab65d7c03ULL}};
+  const std::vector<ColorId> view_colors = {1, 4, 9, 14, 22, 27, 31};
+  for (const Pin& pin : pins) {
+    RandomBatchedParams params;  // perfbench's dense-serial shape
+    params.seed = pin.seed;
+    params.delta = 8;
+    params.num_colors = 32;
+    params.min_scale = 2;
+    params.max_scale = 6;
+    params.activity = 0.7;
+    params.horizon = kInfiniteHorizon;
+    RandomBatchedSource full(params);
+    std::unique_ptr<GeneratorSource> view = full.clone();
+    view->restrict_to(view_colors);
+    std::set<Round> classes;
+    for (ColorId c = 0; c < view->num_colors(); ++c) {
+      classes.insert(view->delay_bound(c));
+    }
+    ASSERT_GE(classes.size(), 3u) << "seed " << pin.seed;
+    EXPECT_EQ(stream_hash(full, 4096), pin.full) << "seed " << pin.seed;
+    EXPECT_EQ(stream_hash(*view, 4096), pin.view) << "seed " << pin.seed;
+  }
+}
+
+/// Delays {3, 5, 6, 10} overlap without nesting: 30 | k makes all four
+/// classes due at once.  Each color checks its own due rounds, so the
+/// batched contract must not change what is emitted; `idle_visits` counts
+/// synthesize_color() calls on rounds the color is not due.
+class OddDelaySource final : public GeneratorSource {
+ public:
+  OddDelaySource(std::uint64_t seed, bool batched)
+      : GeneratorSource(/*delta=*/4, kInfiniteHorizon) {
+    for (const Round delay : {6, 3, 10, 5, 3, 6, 5, 10, 3}) {
+      add_color(delay);
+      delays_.push_back(delay);
+      streams_.push_back(derive_rng(seed, delays_.size()));
+    }
+    if (batched) declare_batched();
+  }
+
+  [[nodiscard]] std::int64_t idle_visits() const { return idle_visits_; }
+
+ private:
+  void synthesize_color(ColorId color, Round k) override {
+    const auto c = static_cast<std::size_t>(color);
+    if (k % delays_[c] != 0) {
+      ++idle_visits_;
+      return;
+    }
+    Rng& stream = streams_[c];
+    if (stream.bernoulli(0.6)) emit(color, k, stream.uniform(1, 3));
+  }
+  void checkpoint_extra(CheckpointWriter& w) const override {
+    for (const Rng& rng : streams_) checkpoint_rng(w, rng);
+  }
+  void restore_extra(CheckpointReader& r) override {
+    for (Rng& rng : streams_) restore_rng(r, rng);
+  }
+
+  std::vector<Round> delays_;
+  std::vector<Rng> streams_;
+  std::int64_t idle_visits_ = 0;
+};
+
+TEST(GeneratorSource, BatchedContractEmitsWhatTheFullVisitEmits) {
+  const std::vector<ColorId> view_colors = {0, 2, 3, 4, 7};
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    for (const bool view : {false, true}) {
+      OddDelaySource full_visit(seed, /*batched=*/false);
+      OddDelaySource batched(seed, /*batched=*/true);
+      if (view) {
+        full_visit.restrict_to(view_colors);
+        batched.restrict_to(view_colors);
+      }
+      int multi_class_rounds = 0;
+      for (Round k = 0; k < 400; ++k) {
+        const std::span<const Job> a = full_visit.arrivals_in_round(k);
+        const std::vector<Job> want(a.begin(), a.end());
+        const std::span<const Job> b = batched.arrivals_in_round(k);
+        ASSERT_EQ(std::vector<Job>(b.begin(), b.end()), want)
+            << "seed " << seed << " view " << view << " round " << k;
+        std::set<Round> classes;
+        for (const Job& job : want) classes.insert(job.delay_bound);
+        if (classes.size() >= 2) ++multi_class_rounds;
+      }
+      EXPECT_GT(multi_class_rounds, 10) << "seed " << seed;
+      EXPECT_EQ(batched.idle_visits(), 0) << "seed " << seed;
+      EXPECT_GT(full_visit.idle_visits(), 0) << "seed " << seed;
+    }
+  }
+}
+
+TEST(GeneratorSource, BatchedContractResumesFromACheckpoint) {
+  // A restore lands the batched visit mid-cycle (round 101 is due for no
+  // class); the due lists must re-align to it.
+  OddDelaySource reference(5, /*batched=*/true);
+  OddDelaySource first(5, /*batched=*/true);
+  for (Round k = 0; k <= 100; ++k) {
+    (void)reference.arrivals_in_round(k);
+    (void)first.arrivals_in_round(k);
+  }
+  CheckpointWriter w;
+  first.checkpoint(w);
+  std::stringstream bytes;
+  w.finish(bytes);
+  CheckpointReader r(bytes);
+  OddDelaySource resumed(5, /*batched=*/true);
+  resumed.restore(r);
+  for (Round k = 101; k < 400; ++k) {
+    const std::span<const Job> a = reference.arrivals_in_round(k);
+    const std::span<const Job> b = resumed.arrivals_in_round(k);
+    ASSERT_EQ(std::vector<Job>(b.begin(), b.end()),
+              std::vector<Job>(a.begin(), a.end()))
+        << "round " << k;
   }
 }
 
