@@ -264,12 +264,21 @@ void BM_OpPendingExecuteEarliest(benchmark::State& state) {
 }
 BENCHMARK(BM_OpPendingExecuteEarliest);
 
+/// One round's tracker inputs: the drop sweep, the cache the drop phase
+/// consults and the round's arrivals.
+struct TrackerRound {
+  PendingJobs::DropResult dropped;
+  CacheAssignment cache;
+  std::vector<Job> arrivals;
+};
+
 /// A tracker, pending store and cache driven through `rounds` rounds of
 /// the dense-serial source, caching the top n/2 colors by recency each
 /// round and executing one unit per location: the state a ranked policy
-/// queries.
+/// queries.  `record`, when given, receives every round's tracker inputs.
 struct DenseRankState {
-  explicit DenseRankState(Round rounds)
+  explicit DenseRankState(Round rounds,
+                          std::vector<TrackerRound>* record = nullptr)
       : source(dense_serial_params()), cache(8, 2) {
     cache.ensure_colors(source.num_colors());
     pending.reset(source.num_colors());
@@ -281,6 +290,9 @@ struct DenseRankState {
       const std::span<const Job> arrivals = source.arrivals_in_round(k);
       pending.add(arrivals);
       tracker.arrival_phase(k, arrivals);
+      if (record != nullptr) {
+        record->push_back({dropped, cache, {arrivals.begin(), arrivals.end()}});
+      }
       const std::vector<ColorId>& target =
           tracker.lru_order(static_cast<std::size_t>(cache.max_distinct()));
       cache.begin_phase();
@@ -308,6 +320,28 @@ struct DenseRankState {
   PendingJobs pending;
   EligibilityTracker tracker;
 };
+
+/// Op: one round's tracker phases (drop_phase + arrival_phase) at 32
+/// colors, replaying kOpRounds recorded dense-serial rounds into a freshly
+/// begun tracker.
+void BM_OpTrackerRound(benchmark::State& state) {
+  std::vector<TrackerRound> rounds;
+  const DenseRankState s(kOpRounds, &rounds);
+  EligibilityTracker tracker;
+  for (auto _ : state) {
+    state.PauseTiming();
+    tracker.begin(s.source);
+    state.ResumeTiming();
+    for (Round k = 0; k < kOpRounds; ++k) {
+      const TrackerRound& round = rounds[static_cast<std::size_t>(k)];
+      tracker.drop_phase(k, round.dropped, round.cache);
+      tracker.arrival_phase(k, round.arrivals);
+    }
+    benchmark::DoNotOptimize(tracker.num_epochs());
+  }
+  report_time_per_op(state, static_cast<double>(kOpRounds));
+}
+BENCHMARK(BM_OpTrackerRound);
 
 /// Op: the top-k EDF walk at 32 colors, skipping the top two colors by
 /// recency (dLRU-EDF's query at n = 8 for k = 2).

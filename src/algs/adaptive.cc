@@ -9,17 +9,6 @@
 
 namespace rrs {
 
-AdaptiveSplitPolicy::AdaptiveSplitPolicy(Options options)
-    : DLruEdfPolicy(options.initial_fraction), options_(options) {
-  RRS_REQUIRE(options_.window >= 1, "adaptation window must be >= 1");
-  RRS_REQUIRE(options_.min_fraction >= 0.0 &&
-                  options_.min_fraction <= options_.initial_fraction &&
-                  options_.initial_fraction <= options_.max_fraction &&
-                  options_.max_fraction < 1.0,
-              "need 0 <= min_fraction <= initial_fraction <= max_fraction "
-              "< 1");
-}
-
 void AdaptiveSplitPolicy::begin(const ArrivalSource& source, int num_resources,
                                 int speed) {
   DLruEdfPolicy::begin(source, num_resources, speed);
@@ -30,7 +19,7 @@ void AdaptiveSplitPolicy::begin(const ArrivalSource& source, int num_resources,
   }
   window_drop_cost_ = 0;
   window_reconfig_cost_ = 0;
-  window_end_ = options_.window;
+  window_end_ = kWindow;
   adaptations_ = 0;
   was_cached_.ensure_size(static_cast<std::size_t>(source.num_colors()));
 }
@@ -52,12 +41,11 @@ void AdaptiveSplitPolicy::on_round(RoundContext& ctx) {
       // -> utilize more (grow the EDF share).  Ties leave the split alone.
       double fraction = lru_fraction();
       if (window_reconfig_cost_ > window_drop_cost_) {
-        fraction += options_.step;
+        fraction += kStep;
       } else if (window_drop_cost_ > window_reconfig_cost_) {
-        fraction -= options_.step;
+        fraction -= kStep;
       }
-      fraction = std::clamp(fraction, options_.min_fraction,
-                            options_.max_fraction);
+      fraction = std::clamp(fraction, kMinFraction, kMaxFraction);
       if (fraction != lru_fraction()) {
         set_lru_fraction(fraction);
         ++adaptations_;
@@ -69,7 +57,7 @@ void AdaptiveSplitPolicy::on_round(RoundContext& ctx) {
       }
       window_drop_cost_ = 0;
       window_reconfig_cost_ = 0;
-      window_end_ = k + options_.window;
+      window_end_ = k + kWindow;
     }
   }
   if (ctx.final_sweep()) {
@@ -115,8 +103,8 @@ void AdaptiveSplitPolicy::restore_state(CheckpointReader& r) {
   // The split comes from outside the program: a non-finite or negative
   // value would reach an undefined float-to-size conversion.
   const double fraction = r.f64();
-  RRS_REQUIRE(std::isfinite(fraction) && fraction >= options_.min_fraction &&
-                  fraction <= options_.max_fraction,
+  RRS_REQUIRE(std::isfinite(fraction) && fraction >= kMinFraction &&
+                  fraction <= kMaxFraction,
               "checkpoint LRU fraction " << fraction << " out of range");
   set_lru_fraction(fraction);
   window_drop_cost_ = r.i64();

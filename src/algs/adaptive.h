@@ -6,11 +6,12 @@
 // the recency (LRU) half gets versus the deadline (EDF) half — fixed at
 // 50/50 by the paper.  This extension tunes it online:
 //
-//   every `window` rounds, compare the window's reconfiguration spend
+//   every kWindow rounds, compare the window's reconfiguration spend
 //   (thrashing pressure) against its drop spend (underutilization
-//   pressure); grow the LRU share when thrashing dominates (pinned colors
-//   stop the flapping) and shrink it when drops dominate (deadline-driven
-//   utilization needs room).
+//   pressure); grow the LRU share by kStep when thrashing dominates
+//   (pinned colors stop the flapping) and shrink it by kStep when drops
+//   dominate (deadline-driven utilization needs room), staying within
+//   [kMinFraction, kMaxFraction].
 //
 // The adaptation cannot break Theorem 1's machinery — every intermediate
 // split is a valid dLRU-EDF configuration — but it can (and measurably
@@ -24,16 +25,15 @@ namespace rrs {
 /// Self-tuning LRU/EDF capacity split.
 class AdaptiveSplitPolicy : public DLruEdfPolicy {
  public:
-  struct Options {
-    double initial_fraction = 0.5;
-    double min_fraction = 0.05;
-    double max_fraction = 0.9;
-    double step = 0.05;
-    Round window = 64;  ///< rounds between adaptation decisions
-  };
+  /// The split starts at the paper's even split and moves by kStep.
+  static constexpr double kInitialFraction = 0.5;
+  static constexpr double kMinFraction = 0.05;
+  /// Below 1, so the LRU half always leaves an eviction victim.
+  static constexpr double kMaxFraction = 0.9;
+  static constexpr double kStep = 0.05;
+  static constexpr Round kWindow = 64;  ///< rounds between decisions
 
-  AdaptiveSplitPolicy() : AdaptiveSplitPolicy(Options()) {}
-  explicit AdaptiveSplitPolicy(Options options);
+  AdaptiveSplitPolicy() : DLruEdfPolicy(kInitialFraction) {}
 
   [[nodiscard]] std::string_view name() const override { return "adaptive"; }
 
@@ -54,13 +54,12 @@ class AdaptiveSplitPolicy : public DLruEdfPolicy {
       const override;
 
   /// Base checkpoint plus the live LRU split and the adaptation-window
-  /// accumulators.  Restore rejects a split outside [min_fraction,
-  /// max_fraction] with InputError.
+  /// accumulators.  Restore rejects a split outside [kMinFraction,
+  /// kMaxFraction] with InputError.
   void checkpoint_state(CheckpointWriter& w) const override;
   void restore_state(CheckpointReader& r) override;
 
  private:
-  Options options_;
   Cost window_drop_cost_ = 0;
   Cost window_reconfig_cost_ = 0;
   Round window_end_ = 0;

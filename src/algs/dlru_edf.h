@@ -51,10 +51,6 @@ class DLruEdfPolicy : public RankedCachePolicy {
     tracker_.enable_super_epoch_analysis(m);
   }
 
-  /// Turns on ineligible-drop id recording (the Lemma 3.2 alpha
-  /// construction).  Off by default — the id list grows with the run.
-  void enable_drop_id_recording() { tracker_.enable_drop_id_recording(); }
-
  protected:
   /// For adaptive derivatives (see algs/adaptive.h): retune the capacity
   /// split between rounds.  Must stay in [0, 1).

@@ -34,12 +34,14 @@
 
 namespace rrs {
 
-/// Major 4 moves dLRU-EDF's LRU split out of the shared Section 3 policy
-/// fields into the adaptive policy's section, after them.  Since major 3
-/// the engine's counters follow RunCounters' field-list order (rounds
-/// included), and every checkpoint carries each color's delay bound, drop
-/// cost and length in the engine's options section.
-inline constexpr std::uint32_t kCheckpointMajor = 4;
+/// Major 5 drops the engine's hottest-failure FIFO and the tracker's
+/// eligible list and ineligible-drop ids (the per-color eligible flags
+/// carry the set).  Since major 4 dLRU-EDF's LRU split lives in the
+/// adaptive policy's section, after the shared Section 3 policy fields;
+/// since major 3 the engine's counters follow RunCounters' field-list
+/// order (rounds included), and every checkpoint carries each color's
+/// delay bound, drop cost and length in the engine's options section.
+inline constexpr std::uint32_t kCheckpointMajor = 5;
 inline constexpr std::uint32_t kCheckpointMinor = 0;
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) of `size` bytes.

@@ -29,7 +29,6 @@ void EligibilityTracker::begin(const ArrivalSource& source) {
   }
   delay_classes_.assign(source.colors_by_delay().begin(),
                         source.colors_by_delay().end());
-  eligible_colors_.clear();
   super_epochs_ = 0;
   super_generation_ = 1;
   updated_this_super_ = 0;
@@ -41,7 +40,6 @@ void EligibilityTracker::begin(const ArrivalSource& source) {
   ineligible_drops_ = 0;
   eligible_drop_weight_ = 0;
   ineligible_drop_weight_ = 0;
-  ineligible_drop_ids_.clear();
   build_rank_index();
 }
 
@@ -60,14 +58,6 @@ void EligibilityTracker::drop_phase(Round k,
     } else {
       ineligible_drops_ += count;
       ineligible_drop_weight_ += count * drop_costs_[idx(color)];
-    }
-  }
-  if (record_drop_ids_) {
-    for (std::size_t i = 0; i < dropped.job_ids.size(); ++i) {
-      const ColorId color = dropped.job_colors[i];
-      if (!state_[idx(color)].eligible) {
-        ineligible_drop_ids_.push_back(dropped.job_ids[i]);
-      }
     }
   }
   // Epoch ends: every eligible, uncached color at a multiple of its delay
@@ -148,6 +138,14 @@ void EligibilityTracker::arrival_phase(Round k,
   }
 }
 
+std::vector<ColorId> EligibilityTracker::eligible_colors() const {
+  std::vector<ColorId> colors;
+  for (std::size_t c = 0; c < state_.size(); ++c) {
+    if (state_[c].eligible) colors.push_back(static_cast<ColorId>(c));
+  }
+  return colors;
+}
+
 Round EligibilityTracker::timestamp(ColorId color, Round now) const {
   const ColorState& s = state_[idx(color)];
   const Round block_start = floor_multiple(now, delay_bounds_[idx(color)]);
@@ -217,10 +215,8 @@ void EligibilityTracker::import_color(ColorId color,
 
 void EligibilityTracker::make_eligible(ColorId color) {
   ColorState& s = state_[idx(color)];
-  RRS_CHECK(!s.eligible && s.eligible_pos < 0);
+  RRS_CHECK(!s.eligible);
   s.eligible = true;
-  s.eligible_pos = static_cast<std::int32_t>(eligible_colors_.size());
-  eligible_colors_.push_back(color);
   cal_insert(color);
   if (now_ >= 0) {
     lru_insert(color, timestamp(color, now_));
@@ -233,14 +229,8 @@ void EligibilityTracker::make_eligible(ColorId color) {
 
 void EligibilityTracker::make_ineligible(ColorId color) {
   ColorState& s = state_[idx(color)];
-  RRS_CHECK(s.eligible && s.eligible_pos >= 0);
-  const auto pos = static_cast<std::size_t>(s.eligible_pos);
-  const ColorId moved = eligible_colors_.back();
-  eligible_colors_[pos] = moved;
-  state_[idx(moved)].eligible_pos = static_cast<std::int32_t>(pos);
-  eligible_colors_.pop_back();
+  RRS_CHECK(s.eligible);
   s.eligible = false;
-  s.eligible_pos = -1;
   cal_remove(color);
   if (lru_linked_[idx(color)] != 0) lru_remove(color);
 }
@@ -271,19 +261,16 @@ void EligibilityTracker::checkpoint(CheckpointWriter& w) const {
     w.i64(s.endings_gen);
     w.i64(s.endings_in_super_);
   }
-  w.u64(eligible_colors_.size());
-  for (const ColorId c : eligible_colors_) w.i64(c);
-  w.u64(ineligible_drop_ids_.size());
-  for (const JobId id : ineligible_drop_ids_) w.i64(id);
 }
 
 void EligibilityTracker::restore_checkpoint(CheckpointReader& r) {
-  RRS_CHECK_MSG(eligible_colors_.empty() && active_colors_ == 0,
+  RRS_CHECK_MSG(active_colors_ == 0 && eligible_colors().empty(),
                 "checkpoint restore into a non-fresh tracker");
   // now_ first: make_eligible() keys its LRU-link-vs-defer decision on it,
   // and timestamp() evaluation during the rebuild must use the checkpoint
   // round's block.
   now_ = r.i64();
+  RRS_REQUIRE(now_ >= -1, "checkpoint tracker round " << now_ << " < -1");
   const std::int64_t super_epochs = r.i64();
   const std::int64_t super_generation = r.i64();
   const std::int64_t updated_this_super = r.i64();
@@ -299,14 +286,13 @@ void EligibilityTracker::restore_checkpoint(CheckpointReader& r) {
   RRS_REQUIRE(colors == static_cast<std::int64_t>(state_.size()),
               "checkpoint tracker color count " << colors << " != "
                                                 << state_.size());
-  std::vector<char> flagged(state_.size(), 0);
   for (std::size_t c = 0; c < state_.size(); ++c) {
     ColorState& s = state_[c];
     s.cnt = r.i64();
     s.dd = r.i64();
     s.last_wrap = r.i64();
     s.prev_wrap = r.i64();
-    flagged[c] = r.boolean() ? 1 : 0;
+    const bool eligible = r.boolean();
     s.seen_job = r.boolean();
     s.eff_ts = r.i64();
     s.updated_gen = r.i64();
@@ -314,29 +300,19 @@ void EligibilityTracker::restore_checkpoint(CheckpointReader& r) {
     s.endings_in_super_ = r.i64();
     RRS_REQUIRE(s.cnt >= 0 && s.prev_wrap <= s.last_wrap,
                 "checkpoint tracker color " << c << " malformed");
-  }
-  // Replay eligibility in the saved order so eligible_pos comes back
-  // identical; the rank index structures rebuild through their total
-  // orders (bucket sort ranks, LRU (timestamp desc, color asc)), so the
-  // queries they answer match the uninterrupted run bit for bit.
-  const std::uint64_t eligible = r.u64();
-  RRS_REQUIRE(eligible <= state_.size(),
-              "checkpoint tracker eligible count " << eligible);
-  for (std::uint64_t i = 0; i < eligible; ++i) {
-    const std::int64_t c = r.i64();
-    RRS_REQUIRE(c >= 0 && c < colors && flagged[static_cast<std::size_t>(c)],
-                "checkpoint tracker eligible color " << c);
-    flagged[static_cast<std::size_t>(c)] = 0;  // reject duplicates
-    make_eligible(static_cast<ColorId>(c));
-  }
-  RRS_REQUIRE(std::all_of(flagged.begin(), flagged.end(),
-                          [](char f) { return f == 0; }),
-              "checkpoint tracker: eligible flags disagree with the "
-              "eligible list");
-  const std::uint64_t drop_ids = r.u64();
-  ineligible_drop_ids_.clear();
-  for (std::uint64_t i = 0; i < drop_ids; ++i) {
-    ineligible_drop_ids_.push_back(r.i64());
+    // The arrival phase advances every deadline at every block boundary
+    // up to the phase round (round 0 included), and the rank calendar
+    // holds exactly the deadlines that follow now_.
+    const Round delay = delay_bounds_[c];
+    RRS_REQUIRE(now_ < 0 || (s.dd > now_ &&
+                             s.dd - floor_multiple(now_, delay) == delay),
+                "checkpoint tracker color " << c << " deadline " << s.dd
+                                            << " does not end the block of "
+                                            << "round " << now_);
+    // The rank index rebuilds through its total orders (calendar bits by
+    // static rank, LRU (timestamp desc, color asc)), so the queries it
+    // answers match the uninterrupted run bit for bit.
+    if (eligible) make_eligible(static_cast<ColorId>(c));
   }
   // Counters last: the make_eligible replay must not double-count.
   super_epochs_ = super_epochs;
@@ -376,6 +352,7 @@ void EligibilityTracker::build_rank_index() {
   for (std::size_t i = 0; i < num_colors; ++i) {
     static_rank_[idx(order[i])] = static_cast<std::int32_t>(i);
   }
+  rank_color_ = std::move(order);
   Round max_delay = 1;
   for (const auto& [delay, colors] : delay_classes_) {
     max_delay = std::max(max_delay, delay);
@@ -384,12 +361,10 @@ void EligibilityTracker::build_rank_index() {
   // a window of max D distinct rounds, so ceil_pow2(max D) buckets keyed
   // by (dd & mask) are collision-free across distinct deadlines.
   const auto buckets = static_cast<std::size_t>(ceil_pow2(max_delay));
-  cal_buckets_.assign(buckets, {});
+  cal_words_ = (num_colors + 63) / 64;
+  cal_bits_.assign(buckets * cal_words_, 0);
   cal_mask_ = buckets - 1;
   cal_nonempty_.assign((buckets + 63) / 64, 0);
-  cal_dirty_.assign(buckets, 0);
-  cal_bucket_of_.assign(num_colors, -1);
-  cal_pos_of_.assign(num_colors, -1);
   lru_prev_.assign(num_colors, kBlack);
   lru_next_.assign(num_colors, kBlack);
   lru_ts_.assign(num_colors, 0);
@@ -400,38 +375,25 @@ void EligibilityTracker::build_rank_index() {
 }
 
 void EligibilityTracker::cal_insert(ColorId color) {
-  const auto b =
-      static_cast<std::size_t>(state_[idx(color)].dd) & cal_mask_;
-  std::vector<ColorId>& bucket = cal_buckets_[b];
-  // Appending a color of worse static rank keeps the bucket sorted; any
-  // other append defers a re-sort to the next scan.
-  if (!bucket.empty() &&
-      static_rank_[idx(bucket.back())] > static_rank_[idx(color)]) {
-    cal_dirty_[b] = 1;
-  }
-  cal_bucket_of_[idx(color)] = static_cast<std::int32_t>(b);
-  cal_pos_of_[idx(color)] = static_cast<std::int32_t>(bucket.size());
-  bucket.push_back(color);
+  const auto b = static_cast<std::size_t>(state_[idx(color)].dd) & cal_mask_;
+  const auto rank = static_cast<std::size_t>(static_rank_[idx(color)]);
+  cal_bits_[b * cal_words_ + rank / 64] |= std::uint64_t{1} << (rank % 64);
   cal_nonempty_[b / 64] |= std::uint64_t{1} << (b % 64);
 }
 
 void EligibilityTracker::cal_remove(ColorId color) {
-  const auto b = static_cast<std::size_t>(cal_bucket_of_[idx(color)]);
-  const auto pos = static_cast<std::size_t>(cal_pos_of_[idx(color)]);
-  std::vector<ColorId>& bucket = cal_buckets_[b];
-  RRS_CHECK(pos < bucket.size() && bucket[pos] == color);
-  const ColorId moved = bucket.back();
-  bucket.pop_back();
-  if (moved != color) {
-    bucket[pos] = moved;
-    cal_pos_of_[idx(moved)] = static_cast<std::int32_t>(pos);
-    cal_dirty_[b] = 1;  // swap-remove broke the sorted order
-  }
-  cal_bucket_of_[idx(color)] = -1;
-  cal_pos_of_[idx(color)] = -1;
-  if (bucket.empty()) {
+  // Callers remove a color before changing its deadline, so dd still
+  // names the bucket it was inserted into.
+  const auto b = static_cast<std::size_t>(state_[idx(color)].dd) & cal_mask_;
+  const auto rank = static_cast<std::size_t>(static_rank_[idx(color)]);
+  std::uint64_t& word = cal_bits_[b * cal_words_ + rank / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (rank % 64);
+  RRS_CHECK((word & bit) != 0);
+  word &= ~bit;
+  const std::uint64_t* const first = cal_bits_.data() + b * cal_words_;
+  if (std::all_of(first, first + cal_words_,
+                  [](std::uint64_t w) { return w == 0; })) {
     cal_nonempty_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
-    cal_dirty_[b] = 0;
   }
 }
 
@@ -448,20 +410,6 @@ std::size_t EligibilityTracker::next_bucket(std::size_t from,
     from = (w + 1) * 64;
   }
   return hi;
-}
-
-const std::vector<ColorId>& EligibilityTracker::sorted_bucket(std::size_t b) {
-  std::vector<ColorId>& bucket = cal_buckets_[b];
-  if (cal_dirty_[b] != 0) {
-    std::sort(bucket.begin(), bucket.end(), [this](ColorId a, ColorId c) {
-      return static_rank_[idx(a)] < static_rank_[idx(c)];
-    });
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      cal_pos_of_[idx(bucket[i])] = static_cast<std::int32_t>(i);
-    }
-    cal_dirty_[b] = 0;
-  }
-  return bucket;
 }
 
 void EligibilityTracker::lru_insert(ColorId color, Round ts) {

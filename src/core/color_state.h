@@ -25,6 +25,7 @@
 // Lemmas 3.2-3.4 numerically.
 #pragma once
 
+#include <bit>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -90,10 +91,9 @@ class EligibilityTracker {
   /// dLRU timestamp of `color` as of round `now` (lazy evaluation).
   [[nodiscard]] Round timestamp(ColorId color, Round now) const;
 
-  /// Currently eligible colors, unspecified order.
-  [[nodiscard]] const std::vector<ColorId>& eligible_colors() const {
-    return eligible_colors_;
-  }
+  /// Currently eligible colors, ascending.  A scan over every color; the
+  /// policies read the rank index below instead.
+  [[nodiscard]] std::vector<ColorId> eligible_colors() const;
 
   // --- incremental rank index (ranked-cache hot path) ---
   //
@@ -107,14 +107,15 @@ class EligibilityTracker {
   //   * EDF: eligible colors live in a calendar ring of ceil_pow2(max D_l)
   //     buckets keyed by color deadline (at query time every eligible dd
   //     lies in (now, now + max D_l], so buckets are collision-free the
-  //     same way PendingJobs' expiry calendar is).  Buckets keep their
-  //     members sorted by a precomputed static tiebreak rank — exactly the
-  //     EdfKey order after the idle and deadline fields — re-sorting
-  //     lazily when a walk reaches them after a mutation.  edf_top() walks
-  //     buckets in rotated (deadline-ascending) order via a nonempty-bucket
-  //     bitmap and stops at its k-th nonidle color; edf_before() compares
-  //     two colors on the same (idle, dd, static rank) key, so the two
-  //     together answer every EdfKey question without a full order.
+  //     same way PendingJobs' expiry calendar is).  Each bucket is a
+  //     bitset of ceil(colors / 64) words over a precomputed static
+  //     tiebreak rank — exactly the EdfKey order after the idle and
+  //     deadline fields — so reading its set bits in ascending order yields
+  //     its members in rank order with no sort.  edf_top() walks buckets in
+  //     rotated (deadline-ascending) order via a nonempty-bucket bitmap and
+  //     stops at its k-th nonidle color; edf_before() compares two colors
+  //     on the same (idle, dd, static rank) key, so the two together answer
+  //     every EdfKey question without a full order.
   //   * dLRU: eligible colors live in an intrusive doubly-linked recency
   //     list ordered by (effective timestamp desc, color asc).  Effective
   //     timestamps change only at counter wraps and own-block boundaries,
@@ -163,15 +164,16 @@ class EligibilityTracker {
 
   // --- checkpoint/restore (crash-safe service mode) ---
 
-  /// Serializes the full per-color state, the eligible set (in its live
-  /// order, so eligible_pos survives), and every analysis counter.  The
+  /// Serializes the full per-color state and every analysis counter.  The
   /// rank index is NOT serialized: restore_checkpoint rebuilds it from
-  /// the flushed per-color state through the same total orders the live
+  /// the per-color state through the same total orders the live
   /// structures maintain, so queries are bit-identical.
   void checkpoint(CheckpointWriter& w) const;
 
   /// Restores checkpoint() state onto a freshly begun tracker (same
-  /// source metadata, same enable_* settings).
+  /// source metadata, same super-epoch setting).  Once a phase has run,
+  /// every color deadline ends the block holding the phase round; a
+  /// section that breaks this is rejected with InputError.
   void restore_checkpoint(CheckpointReader& r);
 
   // --- analysis counters (Section 3.2 definitions) ---
@@ -198,20 +200,6 @@ class EligibilityTracker {
   [[nodiscard]] Cost eligible_drop_weight() const {
     return eligible_drop_weight_;
   }
-
-  /// Ids of every job dropped while its color was ineligible — the jobs
-  /// removed from sigma to form the eligible subsequence alpha of the
-  /// Lemma 3.2 analysis.  Empty unless enable_drop_id_recording() was
-  /// called: the list grows with the run, so it is opt-in analysis state
-  /// (streamed runs must stay O(pending + colors)).
-  [[nodiscard]] const std::vector<JobId>& ineligible_drop_ids() const {
-    return ineligible_drop_ids_;
-  }
-
-  /// Records ineligible-drop job ids for the Lemma 3.2 subsequence
-  /// construction.  Call before the run starts (begin() keeps the
-  /// setting).
-  void enable_drop_id_recording() { record_drop_ids_ = true; }
 
   // --- super-epoch analysis (Section 3.4) ---
   //
@@ -250,7 +238,6 @@ class EligibilityTracker {
     Round prev_wrap = -1;         // the one before
     bool eligible = false;
     bool seen_job = false;        // has received any job
-    std::int32_t eligible_pos = -1;  // index in eligible_colors_, -1 if not
     // Super-epoch analysis state (valid when analysis_m_ > 0):
     Round eff_ts = 0;                 // last observed effective timestamp
     std::int64_t updated_gen = 0;     // super-epoch generation of last update
@@ -275,8 +262,6 @@ class EligibilityTracker {
   /// First nonempty calendar bucket in [from, hi), or hi if none.
   [[nodiscard]] std::size_t next_bucket(std::size_t from,
                                         std::size_t hi) const;
-  /// Bucket `b`, re-sorted by static rank if a mutation broke its order.
-  const std::vector<ColorId>& sorted_bucket(std::size_t b);
   void lru_insert(ColorId color, Round ts);
   void lru_remove(ColorId color);
   /// Removes + re-inserts `color` when its effective timestamp changed.
@@ -295,7 +280,6 @@ class EligibilityTracker {
   /// reconfiguration's worth of droppable value has accumulated.
   std::vector<Cost> thresholds_;
   std::vector<std::pair<Round, std::vector<ColorId>>> delay_classes_;
-  bool record_drop_ids_ = false;
   int analysis_m_ = 0;  // 0 = super-epoch analysis disabled
   std::int64_t super_epochs_ = 0;
   std::int64_t super_generation_ = 1;
@@ -303,22 +287,21 @@ class EligibilityTracker {
   std::int64_t max_endings_ = 0;
   std::int64_t timestamp_updates_ = 0;
   std::vector<ColorState> state_;
-  std::vector<ColorId> eligible_colors_;
 
   // --- incremental rank index state (built by begin()) ---
   Round now_ = -1;  ///< round of the most recent phase call (-1 = none)
   /// Color -> rank under the static EdfKey tiebreak (drop cost desc,
-  /// length asc, delay bound asc, color asc); constant per begin().
+  /// length asc, delay bound asc, color asc), and rank -> color; constant
+  /// per begin().
   std::vector<std::int32_t> static_rank_;
-  /// Deadline calendar: bucket (dd & cal_mask_) holds the eligible colors
-  /// with color deadline dd, sorted by static_rank_ (lazily: cal_dirty_
-  /// marks buckets whose order a mutation broke).
-  std::vector<std::vector<ColorId>> cal_buckets_;
+  std::vector<ColorId> rank_color_;
+  /// Deadline calendar: bucket b = (dd & cal_mask_) is the cal_words_
+  /// words from b * cal_words_, one bit per static rank, set for each
+  /// eligible color with color deadline dd.
+  std::vector<std::uint64_t> cal_bits_;
+  std::size_t cal_words_ = 0;
   std::vector<std::uint64_t> cal_nonempty_;  ///< bitmap over buckets
-  std::vector<std::uint8_t> cal_dirty_;
   std::size_t cal_mask_ = 0;
-  std::vector<std::int32_t> cal_bucket_of_;  ///< color -> bucket, -1 none
-  std::vector<std::int32_t> cal_pos_of_;     ///< color -> index in bucket
   /// Intrusive recency list over eligible colors, (timestamp desc, color
   /// asc); lru_ts_ caches each linked color's effective timestamp.
   std::vector<ColorId> lru_prev_;
@@ -337,7 +320,6 @@ class EligibilityTracker {
   std::int64_t ineligible_drops_ = 0;
   Cost eligible_drop_weight_ = 0;
   Cost ineligible_drop_weight_ = 0;
-  std::vector<JobId> ineligible_drop_ids_;
 };
 
 template <typename Reject>
@@ -349,17 +331,23 @@ const std::vector<ColorId>& EligibilityTracker::edf_top(
   // Walk buckets in deadline-ascending order: the window (now, now+ring]
   // maps to bucket indices starting at (now+1) & mask, wrapping once.
   const std::size_t start = static_cast<std::size_t>(now_ + 1) & cal_mask_;
-  const std::size_t passes[2][2] = {{start, cal_buckets_.size()},
-                                    {0, start}};
+  const std::size_t passes[2][2] = {{start, cal_mask_ + 1}, {0, start}};
   for (const auto& [lo, hi] : passes) {
     for (std::size_t b = next_bucket(lo, hi); b < hi && k > 0;
          b = next_bucket(b + 1, hi)) {
-      for (const ColorId c : sorted_bucket(b)) {
-        RRS_CHECK_MSG(state_[idx(c)].dd > now_,
-                      "stale deadline in rank calendar (color " << c << ")");
-        if (pending.idle(c) || reject(c)) continue;
-        edf_scratch_.push_back(c);
-        if (edf_scratch_.size() == k) return edf_scratch_;
+      // The bucket's set bits, ascending, are its colors in rank order.
+      for (std::size_t w = 0; w < cal_words_; ++w) {
+        for (std::uint64_t bits = cal_bits_[b * cal_words_ + w]; bits != 0;
+             bits &= bits - 1) {
+          const ColorId c = rank_color_[w * 64 + static_cast<std::size_t>(
+                                                     std::countr_zero(bits))];
+          RRS_CHECK_MSG(state_[idx(c)].dd > now_,
+                        "stale deadline in rank calendar (color " << c
+                                                                  << ")");
+          if (pending.idle(c) || reject(c)) continue;
+          edf_scratch_.push_back(c);
+          if (edf_scratch_.size() == k) return edf_scratch_;
+        }
       }
     }
   }

@@ -16,24 +16,6 @@ namespace rrs {
 
 namespace {
 
-/// Resolves kHottestResource: the up location whose configured color has
-/// the most pending jobs (black counts as zero; ties to the lowest
-/// location), or -1 when every location is already down.
-int pick_hottest(const CacheAssignment& cache, const PendingJobs& pending) {
-  int best = -1;
-  std::int64_t best_count = -1;
-  for (int r = 0; r < cache.num_resources(); ++r) {
-    if (cache.location_down(r)) continue;
-    const ColorId color = cache.color_at(r);
-    const std::int64_t count = color == kBlack ? 0 : pending.count(color);
-    if (count > best_count) {
-      best = r;
-      best_count = count;
-    }
-  }
-  return best;
-}
-
 /// Validates every option up front: a bad combination must fail loudly
 /// at construction, not as silent misbehavior rounds later.
 const EngineOptions& validate_options(const EngineOptions& options) {
@@ -136,29 +118,20 @@ struct Engine::FaultCursor {
   std::size_t next = 0;
   std::vector<ColorId> lost;        // location -> physical color at failure
   std::vector<ColorId> evicted;     // colors evicted by this round's events
-  std::vector<int> hottest_down;    // FIFO of kHottestResource failures
-  std::size_t hottest_head = 0;
 
-  /// Applies every event scheduled at or before round `k` and notifies
-  /// `policy` once if anything happened.
+  /// Applies every event scheduled at or before round `k`; when there was
+  /// one, notifies `policy` once.
   void apply(Round k, const EngineOptions& options, CacheAssignment& cache,
-             const PendingJobs& pending, Policy& policy,
-             EngineResult& result) {
+             Policy& policy, EngineResult& result) {
     if (plan == nullptr || next >= plan->events.size() ||
         plan->events[next].round > k) {
       return;
     }
     evicted.clear();
-    bool applied = false;
     while (next < plan->events.size() && plan->events[next].round <= k) {
       const FaultEvent& ev = plan->events[next++];
-      int r = ev.resource;
+      const int r = ev.resource;
       if (ev.fail) {
-        if (r == kHottestResource) {
-          r = pick_hottest(cache, pending);
-          if (r < 0) continue;  // nothing left up to fail
-          hottest_down.push_back(r);
-        }
         // What re-imaging the location will cost on repair depends on the
         // physical content lost, which may differ from the evicted cached
         // color (a stale physical color is not in the cached set).
@@ -173,11 +146,6 @@ struct Engine::FaultCursor {
           obs->trace.push({k, TraceKind::kChurnFail, r, evicted_color});
         }
       } else {
-        if (r == kHottestResource) {
-          // Repair the oldest adversarially failed location, if any.
-          if (hottest_head >= hottest_down.size()) continue;
-          r = hottest_down[hottest_head++];
-        }
         cache.repair_location(r);
         ++result.degraded.repair_events;
         if (options.charge_repair) {
@@ -195,12 +163,9 @@ struct Engine::FaultCursor {
           obs->trace.push({k, TraceKind::kChurnRepair, r, 0});
         }
       }
-      applied = true;
     }
-    if (applied) {
-      policy.on_capacity_change(k, options.num_resources - cache.num_down(),
-                                options.num_resources, evicted);
-    }
+    policy.on_capacity_change(k, options.num_resources - cache.num_down(),
+                              options.num_resources, evicted);
   }
 };
 
@@ -260,7 +225,7 @@ void Engine::run_round(ArrivalSource* pull) {
   // Phase 0: capacity churn — failures apply before this round's drop
   // and arrival phases.
   if (timers_ != nullptr) timers_->begin_segment();
-  faults_->apply(k_, options_, cache_, pending_, *policy_, result_);
+  faults_->apply(k_, options_, cache_, *policy_, result_);
   const bool degraded_round = cache_.num_down() > 0;
   if (degraded_round) ++result_.degraded.degraded_rounds;
   if (timers_ != nullptr) timers_->note(EnginePhase::kChurn);
@@ -553,9 +518,6 @@ void Engine::checkpoint(std::ostream& out, const ArrivalSource* source) const {
   w.i64(k_);
   w.i64(max_deadline_);
   w.u64(faults_->next);
-  w.u64(faults_->hottest_head);
-  w.u64(faults_->hottest_down.size());
-  for (const int r : faults_->hottest_down) w.i64(r);
   w.u64(faults_->lost.size());
   for (const ColorId c : faults_->lost) w.i64(c);
   for_each_field([&w](const auto&, std::int64_t v) { w.i64(v); },
@@ -654,18 +616,6 @@ void Engine::restore(std::istream& in, ArrivalSource* source) {
   RRS_REQUIRE(max_deadline >= 0, "checkpoint max_deadline out of range");
   const std::uint64_t fnext = r.u64();
   RRS_REQUIRE(fnext <= plan_events, "checkpoint fault cursor out of range");
-  const std::uint64_t hottest_head = r.u64();
-  const std::uint64_t hottest_size = r.u64();
-  RRS_REQUIRE(hottest_head <= hottest_size && hottest_size <= plan_events,
-              "checkpoint hottest-failure FIFO out of range");
-  std::vector<int> hottest_down;
-  hottest_down.reserve(static_cast<std::size_t>(hottest_size));
-  for (std::uint64_t i = 0; i < hottest_size; ++i) {
-    const std::int64_t loc = r.i64();
-    RRS_REQUIRE(loc >= 0 && loc < options_.num_resources,
-                "checkpoint hottest-failure location out of range");
-    hottest_down.push_back(static_cast<int>(loc));
-  }
   RRS_REQUIRE(r.u64() == faults_->lost.size(),
               "checkpoint fault-cursor size mismatch");
   std::vector<ColorId> lost;
@@ -763,8 +713,6 @@ void Engine::restore(std::istream& in, ArrivalSource* source) {
   k_ = k;
   max_deadline_ = max_deadline;
   faults_->next = fnext;
-  faults_->hottest_head = static_cast<std::size_t>(hottest_head);
-  faults_->hottest_down = std::move(hottest_down);
   faults_->lost = std::move(lost);
   static_cast<RunCounters&>(result_) = counters;
   result_.peak_pending = std::max(result_.peak_pending, pending_.total());

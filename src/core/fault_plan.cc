@@ -22,9 +22,6 @@ Round exp_interval(Rng& rng, double mean) {
 void validate_fault_plan(const FaultPlan& plan, int num_resources) {
   // state per resource: 0 = up, 1 = down.
   std::vector<char> down(static_cast<std::size_t>(num_resources), 0);
-  bool saw_explicit = false;
-  bool saw_hottest = false;
-  std::int64_t hottest_down = 0;
   Round prev_round = 0;
   for (std::size_t i = 0; i < plan.events.size(); ++i) {
     const FaultEvent& ev = plan.events[i];
@@ -35,32 +32,16 @@ void validate_fault_plan(const FaultPlan& plan, int num_resources) {
                     << i << " at round " << ev.round << " follows round "
                     << prev_round);
     prev_round = ev.round;
-    if (ev.resource == kHottestResource) {
-      saw_hottest = true;
-      if (ev.fail) {
-        ++hottest_down;
-      } else {
-        RRS_REQUIRE(hottest_down > 0,
-                    "fault event " << i << " repairs a hottest-mode resource "
-                                   << "but none is down");
-        --hottest_down;
-      }
-    } else {
-      saw_explicit = true;
-      RRS_REQUIRE(ev.resource >= 0 && ev.resource < num_resources,
-                  "fault event " << i << " targets resource " << ev.resource
-                                 << ", outside [0, " << num_resources << ")");
-      const auto r = static_cast<std::size_t>(ev.resource);
-      RRS_REQUIRE(down[r] != (ev.fail ? 1 : 0),
-                  "fault event " << i << (ev.fail ? " fails" : " repairs")
-                                 << " resource " << ev.resource
-                                 << ", which is already "
-                                 << (ev.fail ? "down" : "up"));
-      down[r] = ev.fail ? 1 : 0;
-    }
-    RRS_REQUIRE(!(saw_explicit && saw_hottest),
-                "fault plans may not mix explicit resource indices with "
-                "kHottestResource events");
+    RRS_REQUIRE(ev.resource >= 0 && ev.resource < num_resources,
+                "fault event " << i << " targets resource " << ev.resource
+                               << ", outside [0, " << num_resources << ")");
+    const auto r = static_cast<std::size_t>(ev.resource);
+    RRS_REQUIRE(down[r] != (ev.fail ? 1 : 0),
+                "fault event " << i << (ev.fail ? " fails" : " repairs")
+                               << " resource " << ev.resource
+                               << ", which is already "
+                               << (ev.fail ? "down" : "up"));
+    down[r] = ev.fail ? 1 : 0;
   }
 }
 
@@ -88,56 +69,6 @@ FaultPlan make_mtbf_plan(const MtbfParams& params) {
   return plan;
 }
 
-FaultPlan make_rack_burst_plan(const RackBurstParams& params) {
-  RRS_REQUIRE(params.num_resources >= 1, "need at least one resource");
-  RRS_REQUIRE(params.rack_size >= 1 &&
-                  params.num_resources % params.rack_size == 0,
-              "num_resources (" << params.num_resources
-                                << ") must be divisible by rack_size ("
-                                << params.rack_size << ")");
-  RRS_REQUIRE(params.first >= 0, "first burst round must be >= 0");
-  RRS_REQUIRE(params.outage >= 1, "outage must be >= 1 round");
-  RRS_REQUIRE(params.period > params.outage,
-              "period (" << params.period << ") must exceed outage ("
-                         << params.outage
-                         << ") so a rack repairs before the next burst");
-  FaultPlan plan;
-  Rng rng(params.seed);
-  const int num_racks = params.num_resources / params.rack_size;
-  // Emission order is already round-sorted: each burst's repairs land
-  // before the next burst's failures because outage < period.
-  for (Round t = params.first; t < params.horizon; t += params.period) {
-    const auto rack = static_cast<int>(rng.uniform(0, num_racks - 1));
-    const int base = rack * params.rack_size;
-    for (int i = 0; i < params.rack_size; ++i) {
-      plan.events.push_back({t, base + i, /*fail=*/true});
-    }
-    if (t + params.outage >= params.horizon) continue;  // down to the end
-    for (int i = 0; i < params.rack_size; ++i) {
-      plan.events.push_back({t + params.outage, base + i, /*fail=*/false});
-    }
-  }
-  return plan;
-}
-
-FaultPlan make_adversarial_plan(const AdversarialParams& params) {
-  RRS_REQUIRE(params.first >= 0, "first failure round must be >= 0");
-  RRS_REQUIRE(params.period >= 1, "period must be >= 1 round");
-  RRS_REQUIRE(params.outage >= 1, "outage must be >= 1 round");
-  FaultPlan plan;
-  for (Round t = params.first; t < params.horizon; t += params.period) {
-    plan.events.push_back({t, kHottestResource, /*fail=*/true});
-    if (t + params.outage < params.horizon) {
-      plan.events.push_back({t + params.outage, kHottestResource,
-                             /*fail=*/false});
-    }
-  }
-  std::stable_sort(
-      plan.events.begin(), plan.events.end(),
-      [](const FaultEvent& a, const FaultEvent& b) { return a.round < b.round; });
-  return plan;
-}
-
 std::vector<FaultPlan> split_fault_plan(const FaultPlan& plan,
                                         std::span<const int> shard_resources) {
   std::vector<Round> offsets(shard_resources.size() + 1, 0);
@@ -147,11 +78,6 @@ std::vector<FaultPlan> split_fault_plan(const FaultPlan& plan,
   }
   std::vector<FaultPlan> shards(shard_resources.size());
   for (const FaultEvent& ev : plan.events) {
-    if (ev.resource == kHottestResource) {
-      // Resource-agnostic: every shard fails/repairs its own hottest.
-      for (FaultPlan& shard : shards) shard.events.push_back(ev);
-      continue;
-    }
     RRS_REQUIRE(ev.resource >= 0 && ev.resource < offsets.back(),
                 "fault event resource " << ev.resource << " outside [0, "
                                         << offsets.back() << ")");

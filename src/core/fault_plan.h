@@ -10,17 +10,11 @@
 // back blank (physically black), so re-imaging it costs Delta like any
 // other recoloring.
 //
-// Three generators cover the standard fault models:
-//   * make_mtbf_plan       — independent per-resource up/down renewal
-//                            processes with exponential MTBF/MTTR;
-//   * make_rack_burst_plan — correlated bursts: a whole contiguous rack
-//                            fails at once and repairs together;
-//   * make_adversarial_plan — "fail the hottest resource": each failure
-//                            targets the up resource whose configured
-//                            color has the most pending jobs, resolved by
-//                            the engine at apply time (kHottestResource).
-// All three are pure functions of their parameter structs, so every fault
-// experiment is exactly reproducible from a seed.
+// make_mtbf_plan generates the standard model, independent per-resource
+// up/down renewal processes with exponential MTBF/MTTR, as a pure function
+// of its parameter struct, so every fault experiment is exactly
+// reproducible from a seed.  Any other schedule is written out by hand as
+// explicit events.
 #pragma once
 
 #include <cstdint>
@@ -31,19 +25,11 @@
 
 namespace rrs {
 
-/// Sentinel resource index: the engine resolves a failure of
-/// kHottestResource to the up location whose configured color has the most
-/// pending jobs (ties to the lowest location; black counts as zero), and a
-/// repair of kHottestResource to the oldest still-down location failed this
-/// way.  A plan uses either explicit indices or the sentinel, never both.
-inline constexpr int kHottestResource = -1;
-
 /// One capacity-churn event, applied at the start of `round` before that
 /// round's drop and arrival phases.
 struct FaultEvent {
   Round round = 0;
-  /// Location index in [0, num_resources), or kHottestResource.
-  int resource = 0;
+  int resource = 0;  ///< location index in [0, num_resources)
   bool fail = true;  ///< true = failure, false = repair
 
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
@@ -62,9 +48,8 @@ struct FaultPlan {
 
 /// Throws InputError unless `plan` is well-formed for a pool of
 /// `num_resources` locations: rounds nonnegative and nondecreasing,
-/// explicit resource indices in range, every explicit resource alternating
-/// failure/repair starting with a failure, and no mixing of explicit
-/// indices with kHottestResource events.
+/// resource indices in range, and every resource alternating
+/// failure/repair starting with a failure.
 void validate_fault_plan(const FaultPlan& plan, int num_resources);
 
 /// Parameters for make_mtbf_plan.
@@ -81,42 +66,11 @@ struct MtbfParams {
 /// one round).  A resource still down at the horizon stays down.
 [[nodiscard]] FaultPlan make_mtbf_plan(const MtbfParams& params);
 
-/// Parameters for make_rack_burst_plan.
-struct RackBurstParams {
-  int num_resources = 1;
-  int rack_size = 4;       ///< resources per contiguous rack
-  Round horizon = 0;       ///< bursts generated in rounds [0, horizon)
-  Round period = 1000;     ///< rounds between bursts; must exceed `outage`
-  Round first = 0;         ///< round of the first burst
-  Round outage = 50;       ///< rounds each burst lasts
-  std::uint64_t seed = 1;  ///< picks which rack each burst hits
-};
-
-/// Correlated rack failures: every `period` rounds one uniformly random
-/// rack (a contiguous block of `rack_size` locations) fails in full and
-/// repairs `outage` rounds later.  Requires outage < period so a rack is
-/// back up before the next burst can hit it.
-[[nodiscard]] FaultPlan make_rack_burst_plan(const RackBurstParams& params);
-
-/// Parameters for make_adversarial_plan.
-struct AdversarialParams {
-  Round horizon = 0;    ///< failures generated in rounds [0, horizon)
-  Round period = 100;   ///< rounds between hottest-resource failures
-  Round first = 1;      ///< round of the first failure
-  Round outage = 10;    ///< rounds until the failed resource repairs
-};
-
-/// The adversarial churn mode: every `period` rounds fail the hottest
-/// resource (resolved by the engine at apply time), repairing it `outage`
-/// rounds later.  Resource-agnostic, so it needs no seed.
-[[nodiscard]] FaultPlan make_adversarial_plan(const AdversarialParams& params);
-
 /// Splits a plan over global resource indices into one per-shard plan,
 /// where shard s owns the contiguous block of `shard_resources[s]`
 /// locations starting at sum(shard_resources[0..s)) — the layout
-/// run_streaming_sharded gives its shard engines.  Explicit events map to
-/// the owning shard with local indices; kHottestResource events are copied
-/// to every shard (each shard fails its own hottest resource).
+/// run_streaming_sharded gives its shard engines.  Each event maps to the
+/// owning shard with a local index.
 [[nodiscard]] std::vector<FaultPlan> split_fault_plan(
     const FaultPlan& plan, std::span<const int> shard_resources);
 

@@ -13,17 +13,15 @@
 // (n_s = O(m)): sharding trades augmentation for cores.
 //
 // Plans are pure data and deterministic: make_shard_plan is a function of
-// (num_colors, num_shards, num_resources, resource_unit, weights,
-// replication) only, so a fixed seed + fixed K reproduce the identical
-// sharded run.  With K = 1 the plan is the identity (all colors, all
-// resources, in order), which run_streaming_sharded relies on for
-// bit-identity with run_streaming.
+// (num_colors, num_shards, num_resources, resource_unit, replication)
+// only, so a fixed seed + fixed K reproduce the identical sharded run.
+// With K = 1 the plan is the identity (all colors, all resources, in
+// order), which run_streaming_sharded relies on for bit-identity with
+// run_streaming.
 #pragma once
 
-#include <span>
 #include <vector>
 
-#include "core/arrival_source.h"
 #include "core/types.h"
 
 namespace rrs {
@@ -52,33 +50,24 @@ struct ShardPlan {
   }
 };
 
-/// Builds a load-balanced plan: colors are assigned greedily (heaviest
-/// weight first, ties by lower ColorId) to the least-loaded shard, and the
-/// `num_resources` budget is split across shards proportionally to shard
-/// weight in blocks of `resource_unit` (largest-remainder rounding, every
-/// shard getting at least one block).
+/// Builds a count-balanced plan: colors are dealt in ascending order, each
+/// to the shard holding the fewest (ties toward the lower index), and the
+/// `num_resources` budget is split across shards proportionally to their
+/// color counts in blocks of `resource_unit` (largest-remainder rounding,
+/// every shard getting at least one block).
 ///
-/// `weights` holds one positive per-color rate (declared, or observed via
-/// observe_color_weights); empty means uniform.  `replication` is the
-/// policy's locations per cached color (a divisor of `resource_unit`).
-/// When the whole color set fits the budget (num_colors * replication <=
-/// num_resources) the plan also respects cache capacity: the greedy skips
-/// a shard once it holds as many colors as its share of an even block
-/// split can cache, and the split first gives each shard the blocks its
-/// colors need before spreading the rest by load, so no shard holds more
-/// than shard_resources[s] / replication colors.  0 (the default) plans by
-/// load alone, as does any shape where the colors cannot all fit.
-/// Requires 1 <= num_shards <= num_colors and num_shards resource blocks.
+/// `replication` is the policy's locations per cached color (a divisor of
+/// `resource_unit`).  When the whole color set fits the budget
+/// (num_colors * replication <= num_resources) the plan also respects
+/// cache capacity: the deal skips a shard once it holds as many colors as
+/// its share of an even block split can cache, and the split first gives
+/// each shard the blocks its colors need before spreading the rest by
+/// count, so no shard holds more than shard_resources[s] / replication
+/// colors.  0 (the default) plans by count alone, as does any shape where
+/// the colors cannot all fit.  Requires 1 <= num_shards <= num_colors and
+/// num_shards resource blocks.
 [[nodiscard]] ShardPlan make_shard_plan(ColorId num_colors, int num_shards,
                                         int num_resources, int resource_unit,
-                                        std::span<const double> weights = {},
                                         int replication = 0);
-
-/// Observes per-color arrival rates by pulling `sample_rounds` rounds from
-/// `probe` and counting jobs per color (plus one, so unseen colors keep a
-/// positive weight).  The probe is consumed: pass a fresh source built
-/// with the same seed as the one you will actually run.
-[[nodiscard]] std::vector<double> observe_color_weights(ArrivalSource& probe,
-                                                        Round sample_rounds);
 
 }  // namespace rrs

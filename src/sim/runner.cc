@@ -145,8 +145,7 @@ class SegmentLoop {
       plan.shard_resources = {n};
     } else {
       record_.plan = make_shard_plan(source.num_colors(), num_shards, n,
-                                     granularity, options.color_weights,
-                                     proto.replication);
+                                     granularity, proto.replication);
       // Shard-native views when the source is a generator whose clone()
       // is its own: the typeid guard rejects subclasses that inherit a
       // base clone(), which would synthesize the base arrival process.
@@ -165,7 +164,7 @@ class SegmentLoop {
                          "repositionable");
       // Map the global fault plan onto the shards' contiguous resource
       // blocks (validated against the global pool first, so errors name
-      // global indices).  Hottest-resource events reach every shard.
+      // global indices).
       if (options.fault_plan != nullptr && !options.fault_plan->empty()) {
         validate_fault_plan(*options.fault_plan, n);
         shard_faults_ = split_fault_plan(*options.fault_plan,

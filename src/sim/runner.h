@@ -105,13 +105,11 @@ struct RunStatus {
     Observer* observer = nullptr, bool fast_forward = true);
 
 /// Knobs for a sharded streaming run.
+///
+/// The plan (make_shard_plan) deals colors by count and is built with the
+/// policy's replication, so whenever every color fits in n no shard gets
+/// more colors than its slice can cache.
 struct ShardedRunOptions : RunOptions {
-  /// Per-color load weights for the plan (see make_shard_plan); empty
-  /// means uniform.  Use observe_color_weights on a probe source to
-  /// balance shards by observed rate.  The plan is built with the
-  /// policy's replication, so whenever every color fits in n no shard
-  /// gets more colors than its slice can cache.
-  std::vector<double> color_weights;
   /// Rounds demultiplexed per produced fabric chunk.
   Round chunk_rounds = 256;
   /// Buffered chunks per shard before the splitter applies backpressure.

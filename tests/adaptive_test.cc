@@ -4,7 +4,6 @@
 #include "algs/adaptive.h"
 #include "core/validator.h"
 #include "sim/runner.h"
-#include "util/check.h"
 #include "workload/adversary_dlru.h"
 #include "workload/adversary_edf.h"
 #include "workload/random_batched.h"
@@ -68,13 +67,13 @@ TEST(Adaptive, DropPressureShrinksLruShare) {
   InspectableAdaptive policy;
   (void)run_policy(inst, policy, section3_options(8));
   EXPECT_LT(policy.fraction(), 0.5);
-  EXPECT_NEAR(policy.fraction(), 0.05, 1e-9);  // options default floor
+  EXPECT_NEAR(policy.fraction(), AdaptiveSplitPolicy::kMinFraction, 1e-9);
 }
 
-TEST(Adaptive, ThrashPressureGrowsLruShare) {
-  // Pure reconfiguration pressure, zero drops: three always-eligible
-  // colors rotate through two cache slots, forcing one insertion per
-  // block while every job is served.  The rule must grow the fraction.
+/// Pure reconfiguration pressure, zero drops: three always-eligible colors
+/// rotate through two cache slots, forcing one insertion per block while
+/// every job is served, for 16 adaptation windows.
+Instance thrash_instance() {
   InstanceBuilder builder;
   builder.delta(1);
   const ColorId a = builder.add_color(4);
@@ -86,43 +85,25 @@ TEST(Adaptive, ThrashPressureGrowsLruShare) {
     builder.add_jobs(pair[0], t, 4);
     builder.add_jobs(pair[1], t, 4);
   }
-  const Instance inst = builder.build();
+  return builder.build();
+}
 
+TEST(Adaptive, ThrashPressureGrowsLruShare) {
+  // The rule must grow the fraction.
   InspectableAdaptive policy;
-  const EngineResult r = run_policy(inst, policy, section3_options(4));
+  const EngineResult r =
+      run_policy(thrash_instance(), policy, section3_options(4));
   EXPECT_EQ(r.cost.drops, 0) << "everything is servable by construction";
   EXPECT_GT(policy.fraction(), 0.5);
 }
 
 TEST(Adaptive, FractionStaysClamped) {
-  AdaptiveSplitPolicy::Options options;
-  options.min_fraction = 0.2;
-  options.max_fraction = 0.6;
-  options.step = 0.5;  // single step would overshoot without the clamp
-  const AdversaryAInstance adv = make_adversary_a({.n = 8, .delta = 2});
-  InspectableAdaptive policy(options);
-  (void)run_policy(adv.instance, policy, section3_options(adv.params.n));
-  EXPECT_GE(policy.fraction(), 0.2);
-  EXPECT_LE(policy.fraction(), 0.6);
-}
-
-TEST(Adaptive, InvalidOptionsRejected) {
-  {
-    AdaptiveSplitPolicy::Options options;
-    options.window = 0;
-    EXPECT_THROW(AdaptiveSplitPolicy{options}, InputError);
-  }
-  {
-    AdaptiveSplitPolicy::Options options;
-    options.min_fraction = 0.8;
-    options.max_fraction = 0.2;
-    EXPECT_THROW(AdaptiveSplitPolicy{options}, InputError);
-  }
-  {
-    AdaptiveSplitPolicy::Options options;
-    options.max_fraction = 1.0;  // 1.0 would leave no eviction victim
-    EXPECT_THROW(AdaptiveSplitPolicy{options}, InputError);
-  }
+  // Sustained thrash pressure steps the split up by 0.05 per window from
+  // 0.5; it must stop at the 0.9 ceiling, which leaves an eviction victim.
+  InspectableAdaptive policy;
+  (void)run_policy(thrash_instance(), policy, section3_options(4));
+  EXPECT_NEAR(policy.fraction(), AdaptiveSplitPolicy::kMaxFraction, 1e-9);
+  EXPECT_EQ(AdaptiveSplitPolicy::kMaxFraction, 0.9);
 }
 
 TEST(Adaptive, NoWorseThanFixedSplitOnBothAdversaries) {

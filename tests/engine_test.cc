@@ -228,8 +228,7 @@ TEST(Engine, MalformedFaultPlansRejectedUpFront) {
       {"resource out of range", {{{0, 2, true}}}},
       {"double failure", {{{0, 0, true}, {1, 0, true}}}},
       {"repair while up", {{{0, 1, false}}}},
-      {"mixed explicit and hottest",
-       {{{0, 0, true}, {1, kHottestResource, true}}}},
+      {"resource -1, once the hottest-resource sentinel", {{{0, -1, true}}}},
   };
   for (const auto& [label, plan] : kBad) {
     options.fault_plan = &plan;

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -90,55 +89,6 @@ TEST(FaultPlanTest, MtbfPlanIsDeterministicSortedAndValid) {
   EXPECT_NE(plan, make_mtbf_plan(other));
 }
 
-TEST(FaultPlanTest, RackBurstFailsWholeRacksTogether) {
-  RackBurstParams params;
-  params.num_resources = 12;
-  params.rack_size = 4;
-  params.horizon = 3000;
-  params.period = 1000;
-  params.first = 100;
-  params.outage = 50;
-  params.seed = 3;
-  const FaultPlan plan = make_rack_burst_plan(params);
-  validate_fault_plan(plan, params.num_resources);
-  // Bursts at 100, 1100, 2100: each is rack_size failures at one round on a
-  // contiguous rack-aligned block, repaired in full `outage` rounds later.
-  std::map<Round, std::vector<int>> fails, repairs;
-  for (const FaultEvent& ev : plan.events) {
-    (ev.fail ? fails : repairs)[ev.round].push_back(ev.resource);
-  }
-  ASSERT_EQ(fails.size(), 3u);
-  ASSERT_EQ(repairs.size(), 3u);
-  for (const auto& [round, resources] : fails) {
-    EXPECT_EQ((round - params.first) % params.period, 0);
-    ASSERT_EQ(resources.size(), 4u);
-    EXPECT_EQ(resources.front() % params.rack_size, 0);
-    for (std::size_t i = 0; i < resources.size(); ++i) {
-      EXPECT_EQ(resources[i], resources.front() + static_cast<int>(i));
-    }
-    const auto repaired = repairs.find(round + params.outage);
-    ASSERT_NE(repaired, repairs.end());
-    EXPECT_EQ(repaired->second, resources);
-  }
-}
-
-TEST(FaultPlanTest, AdversarialPlanUsesTheHottestSentinel) {
-  AdversarialParams params;
-  params.horizon = 500;
-  params.period = 100;
-  params.first = 1;
-  params.outage = 10;
-  const FaultPlan plan = make_adversarial_plan(params);
-  validate_fault_plan(plan, 4);
-  int fail_count = 0, repair_count = 0;
-  for (const FaultEvent& ev : plan.events) {
-    EXPECT_EQ(ev.resource, kHottestResource);
-    ++(ev.fail ? fail_count : repair_count);
-  }
-  EXPECT_EQ(fail_count, 5);    // rounds 1, 101, 201, 301, 401
-  EXPECT_EQ(repair_count, 5);  // each + 10 is still inside the horizon
-}
-
 TEST(FaultPlanTest, GeneratorsRejectBadParameters) {
   MtbfParams mtbf;
   mtbf.num_resources = 0;
@@ -146,19 +96,6 @@ TEST(FaultPlanTest, GeneratorsRejectBadParameters) {
   mtbf.num_resources = 4;
   mtbf.mean_up = 0;
   EXPECT_THROW((void)make_mtbf_plan(mtbf), InputError);
-
-  RackBurstParams rack;
-  rack.num_resources = 10;
-  rack.rack_size = 4;  // 10 % 4 != 0
-  EXPECT_THROW((void)make_rack_burst_plan(rack), InputError);
-  rack.num_resources = 8;
-  rack.period = 10;
-  rack.outage = 10;  // outage must be < period
-  EXPECT_THROW((void)make_rack_burst_plan(rack), InputError);
-
-  AdversarialParams adv;
-  adv.outage = 0;
-  EXPECT_THROW((void)make_adversarial_plan(adv), InputError);
 }
 
 TEST(FaultPlanTest, ValidateRejectsMalformedPlans) {
@@ -169,21 +106,16 @@ TEST(FaultPlanTest, ValidateRejectsMalformedPlans) {
       {"negative round", {{{-1, 0, true}}}},
       {"unsorted rounds", {{{5, 0, true}, {3, 1, true}}}},
       {"resource out of range", {{{0, 8, true}}}},
-      {"resource below sentinel", {{{0, -2, true}}}},
+      {"resource -1, once the hottest-resource sentinel", {{{0, -1, true}}}},
       {"double failure", {{{0, 0, true}, {1, 0, true}}}},
       {"repair while up", {{{0, 0, false}}}},
-      {"hottest repair with nothing down", {{{0, kHottestResource, false}}}},
-      {"mixed explicit and hottest",
-       {{{0, 0, true}, {1, kHottestResource, true}}}},
   };
   for (const auto& [label, plan] : kBad) {
     EXPECT_THROW(validate_fault_plan(plan, 8), InputError) << label;
   }
 
-  // Sanity: well-formed explicit and sentinel plans both pass.
+  // Sanity: a well-formed plan passes.
   validate_fault_plan({{{0, 0, true}, {4, 0, false}, {4, 1, true}}}, 8);
-  validate_fault_plan(
-      {{{0, kHottestResource, true}, {2, kHottestResource, false}}}, 8);
 }
 
 TEST(FaultPlanTest, SplitMapsExplicitEventsToOwningShards) {
@@ -196,16 +128,6 @@ TEST(FaultPlanTest, SplitMapsExplicitEventsToOwningShards) {
   const FaultPlan want1{{{2, 1, true}, {3, 3, true}}};
   EXPECT_EQ(shards[0], want0);
   EXPECT_EQ(shards[1], want1);
-}
-
-TEST(FaultPlanTest, SplitCopiesHottestEventsToEveryShard) {
-  AdversarialParams params;
-  params.horizon = 300;
-  const FaultPlan plan = make_adversarial_plan(params);
-  const int shard_resources[] = {4, 8, 4};
-  const std::vector<FaultPlan> shards = split_fault_plan(plan, shard_resources);
-  ASSERT_EQ(shards.size(), 3u);
-  for (const FaultPlan& shard : shards) EXPECT_EQ(shard, plan);
 }
 
 // --- CacheAssignment churn -------------------------------------------------
@@ -536,24 +458,6 @@ TEST(FaultRunTest, AllResourcesDownDropsEverythingAndTerminates) {
   EXPECT_EQ(r.degraded.drops_while_degraded, r.cost.drops);
 }
 
-TEST(FaultRunTest, AdversarialChurnRunsAreDeterministic) {
-  AdversarialParams params;
-  params.horizon = 256;
-  params.period = 32;
-  params.first = 8;
-  params.outage = 8;
-  const FaultPlan plan = make_adversarial_plan(params);
-  std::vector<StreamRunRecord> runs;
-  for (int repeat = 0; repeat < 2; ++repeat) {
-    const auto source = make_source("poisson", 6);
-    runs.push_back(
-        run_streaming(*source, "dlru-edf", 8, kInfiniteHorizon, &plan));
-  }
-  testing::expect_same_run(runs[0], runs[1], "repeat");
-  EXPECT_GT(runs[0].degraded.fault_events, 0);
-  EXPECT_EQ(runs[0].degraded.fault_events, runs[0].degraded.repair_events);
-}
-
 /// Policy that pins colors 0 and 1 and records every capacity notification.
 class ProbePolicy : public Policy {
  public:
@@ -584,8 +488,9 @@ class ProbePolicy : public Policy {
 };
 
 TEST(FaultRunTest, HottestFailureEvictsTheBusiestColor) {
-  // Color 1 has the larger backlog at round 2, so the kHottestResource
-  // failure must land on one of its locations and surface it as evicted.
+  // The probe caches color 0 on locations 0-1 and color 1, the one with
+  // the larger backlog, on locations 2-3.  Failing location 2 at round 2
+  // must evict color 1 and surface it in the capacity notification.
   InstanceBuilder builder;
   builder.delta(1);
   const ColorId a = builder.add_color(8);
@@ -594,7 +499,7 @@ TEST(FaultRunTest, HottestFailureEvictsTheBusiestColor) {
   const Instance inst = builder.build();
 
   FaultPlan plan;
-  plan.events = {{2, kHottestResource, true}, {4, kHottestResource, false}};
+  plan.events = {{2, 2, true}, {4, 2, false}};
 
   ProbePolicy probe;
   EngineOptions options;

@@ -18,11 +18,14 @@
 
 #include "algs/adaptive.h"
 #include "core/checkpoint.h"
+#include "core/color_state.h"
 #include "core/engine.h"
+#include "core/pending.h"
 #include "core/validator.h"
 #include "obs/observer.h"
 #include "sim/runner.h"
 #include "test_util.h"
+#include "util/bits.h"
 #include "util/rng.h"
 #include "workload/poisson.h"
 #include "workload/random_batched.h"
@@ -628,6 +631,64 @@ TEST(CheckpointFuzz, GeneratorCursorsAndPeekedJobsMustKeepThePullContract) {
     c = {5, 5, -1, 10};
     j.clear();
   });
+}
+
+TEST(CheckpointFuzz, TrackerDeadlinesMustEndTheCheckpointRoundsBlock) {
+  // A well-framed tracker section built by hand: the phase round, eleven
+  // analysis counters, then each color's state.  A checkpoint is written
+  // between rounds, after every block boundary up to the phase round, so
+  // each color deadline ends the block holding that round.  Restore must
+  // reject any other deadline: a stale one would stop the first EDF query
+  // with an InvariantError, which recovery cannot skip.
+  InstanceBuilder builder;
+  builder.delta(1);
+  builder.add_color(4);  // eligible: its block [4, 8) ends at 8
+  builder.add_color(2);  // ineligible: its block [4, 6) ends at 6
+  builder.add_jobs(0, 4, 1);
+  const Instance instance = builder.build();
+  const MaterializedSource source(instance);
+  const auto restore = [&source](Round now, Round dd0, Round dd1) {
+    CheckpointWriter w;
+    w.begin_section(1);
+    w.i64(now);
+    for (int counter = 0; counter < 11; ++counter) w.i64(0);
+    w.i64(2);  // colors
+    const struct {
+      Round dd, last_wrap;
+      bool eligible;
+    } colors[] = {{dd0, 4, true}, {dd1, -1, false}};
+    for (const auto& c : colors) {
+      for (const std::int64_t v : {Round{0}, c.dd, c.last_wrap, Round{-1}}) {
+        w.i64(v);  // cnt, dd, last_wrap, prev_wrap
+      }
+      w.boolean(c.eligible);
+      w.boolean(c.eligible);  // seen_job
+      for (int field = 0; field < 4; ++field) w.i64(0);  // super-epochs
+    }
+    w.end_section();
+    std::stringstream bytes;
+    w.finish(bytes);
+    CheckpointReader r(bytes);
+    r.open_section(1);
+    auto tracker = std::make_unique<EligibilityTracker>();
+    tracker->begin(source);
+    tracker->restore_checkpoint(r);
+    return tracker;
+  };
+  PendingJobs pending;
+  pending.reset(2);
+  const auto none = [](ColorId) { return false; };
+  for (const Round now : {4, 5, 7}) {
+    const auto restored = restore(now, 8, floor_multiple(now, 2) + 2);
+    EXPECT_TRUE(restored->eligible(0));
+    EXPECT_NO_THROW((void)restored->edf_top(2, pending, none)) << now;
+  }
+  // Before any phase every deadline still holds its start-of-time value.
+  EXPECT_NO_THROW((void)restore(-1, 0, 0));
+  EXPECT_THROW((void)restore(5, 5, 6), InputError) << "stale eligible";
+  EXPECT_THROW((void)restore(5, 12, 6), InputError) << "a block too far";
+  EXPECT_THROW((void)restore(5, 8, 4), InputError) << "stale ineligible";
+  EXPECT_THROW((void)restore(8, 8, 10), InputError) << "boundary not applied";
 }
 
 }  // namespace

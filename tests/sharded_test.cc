@@ -119,67 +119,41 @@ TEST(ShardPlanTest, SingleShardIsTheIdentity) {
   EXPECT_EQ(plan.shard_resources[0], 8);
 }
 
-TEST(ShardPlanTest, WeightedPlanGivesHeavyShardMoreResources) {
-  // Color 0 carries almost all load; its shard must get most resources.
-  std::vector<double> weights(8, 1.0);
-  weights[0] = 100.0;
-  const ShardPlan plan = make_shard_plan(8, 2, 16, 2, weights);
-  const int heavy = plan.shard_of_color[0];
-  const int light = 1 - heavy;
-  EXPECT_GT(plan.shard_resources[static_cast<std::size_t>(heavy)],
-            plan.shard_resources[static_cast<std::size_t>(light)]);
-  EXPECT_EQ(plan.total_resources(), 16);
-}
-
-TEST(ShardPlanTest, HeaviestColorsSpreadAcrossShards) {
-  // Two dominant colors must not land on the same shard under LPT.
-  std::vector<double> weights = {50.0, 50.0, 1.0, 1.0, 1.0, 1.0};
-  const ShardPlan plan = make_shard_plan(6, 2, 8, 2, weights);
-  EXPECT_NE(plan.shard_of_color[0], plan.shard_of_color[1]);
-}
-
 TEST(ShardPlanTest, DeterministicAcrossRepetitions) {
-  std::vector<double> weights;
-  {
-    const auto probe = make_source("poisson", 42);
-    weights = observe_color_weights(*probe, 128);
-  }
-  const ColorId colors = static_cast<ColorId>(weights.size());
-  const ShardPlan a = make_shard_plan(colors, 4, 16, 2, weights);
-  const ShardPlan b = make_shard_plan(colors, 4, 16, 2, weights);
+  const ColorId colors = make_source("poisson", 42)->num_colors();
+  const ShardPlan a = make_shard_plan(colors, 4, 16, 2);
+  const ShardPlan b = make_shard_plan(colors, 4, 16, 2);
   EXPECT_EQ(a.shard_of_color, b.shard_of_color);
   EXPECT_EQ(a.shard_resources, b.shard_resources);
   EXPECT_EQ(a.shard_colors, b.shard_colors);
 }
 
 TEST(ShardPlanOddGranularity, LargestRemainderSplitsIndivisibleUnits) {
-  // n = 20 with unit 4 gives 5 units over 3 shards: no proportional split
-  // is exact, so the largest-remainder rule decides who gets the extras.
-  const std::vector<double> weights = {5.0, 1.0, 1.0, 1.0, 1.0, 1.0};
-  const ShardPlan plan = make_shard_plan(6, 3, 20, 4, weights);
-  int total = 0;
-  for (const int r : plan.shard_resources) {
-    EXPECT_GE(r, 4);       // every shard keeps at least one unit
-    EXPECT_EQ(r % 4, 0);   // and only whole units
-    total += r;
-  }
-  EXPECT_EQ(total, 20);  // nothing lost, nothing invented
-  // The weight-5 color dominates its shard, which must get the most units.
-  const int heavy_shard = plan.shard_of_color[0];
-  for (int s = 0; s < 3; ++s) {
-    EXPECT_GE(plan.shard_resources[static_cast<std::size_t>(heavy_shard)],
-              plan.shard_resources[static_cast<std::size_t>(s)]);
-  }
+  // n = 24 with unit 4 gives 6 units over 3 shards holding 3, 3 and 2 of
+  // 8 colors.  After one unit each, the 3 spare units split 1.125, 1.125
+  // and 0.75: the floors give the first two shards one each, and the
+  // largest remainder gives the last unit to the third shard, not to the
+  // lowest index.
+  const ShardPlan plan = make_shard_plan(8, 3, 24, 4);
+  const std::vector<std::size_t> held = {plan.shard_colors[0].size(),
+                                         plan.shard_colors[1].size(),
+                                         plan.shard_colors[2].size()};
+  EXPECT_EQ(held, (std::vector<std::size_t>{3, 3, 2}));
+  EXPECT_EQ(plan.shard_resources, (std::vector<int>{8, 8, 8}));
+
+  // n = 20 gives 5 units: the 2 spare units split 0.75, 0.75, 0.5, and
+  // the tied largest remainders go to the lower indices.
+  const ShardPlan odd = make_shard_plan(8, 3, 20, 4);
+  EXPECT_EQ(odd.shard_resources, (std::vector<int>{8, 8, 4}));
 }
 
 TEST(ShardPlanOddGranularity, RebalanceIsDeterministic) {
-  // Observed rates are fractional; identical weights at an odd granularity
-  // (5 blocks of 4 over 3 shards) must always yield the identical plan, or
-  // a fixed seed would not reproduce its sharded run.
-  const std::vector<double> weights = {7.5, 3.25, 3.25, 1.0, 1.0, 0.5, 0.5};
-  const ShardPlan first = make_shard_plan(7, 3, 20, 4, weights);
+  // At an odd granularity (5 blocks of 4 over 3 shards) the same shape
+  // must always yield the identical plan, or a fixed seed would not
+  // reproduce its sharded run.
+  const ShardPlan first = make_shard_plan(7, 3, 20, 4);
   for (int repeat = 0; repeat < 5; ++repeat) {
-    const ShardPlan again = make_shard_plan(7, 3, 20, 4, weights);
+    const ShardPlan again = make_shard_plan(7, 3, 20, 4);
     EXPECT_EQ(again.shard_of_color, first.shard_of_color);
     EXPECT_EQ(again.shard_colors, first.shard_colors);
     EXPECT_EQ(again.shard_resources, first.shard_resources);
@@ -211,9 +185,7 @@ std::string shape_label(ColorId colors, int shards, int n, int unit, int r) {
 }
 
 TEST(ShardPlanTest, NoShardExceedsItsSliceWheneverAllColorsFit) {
-  // Every small shape with C * r <= n, under uniform weights and under
-  // one heavy color, which once left the light ones packed onto a shard
-  // too small to cache them.
+  // Every small shape with C * r <= n.
   const std::pair<int, int> unit_and_replication[] = {
       {1, 1}, {2, 1}, {2, 2}, {4, 2}, {4, 4}};
   for (const auto& [unit, replication] : unit_and_replication) {
@@ -221,40 +193,68 @@ TEST(ShardPlanTest, NoShardExceedsItsSliceWheneverAllColorsFit) {
       for (int n = shards * unit; n <= 8 * unit; n += unit) {
         for (ColorId colors = shards; colors * replication <= n; ++colors) {
           SCOPED_TRACE(shape_label(colors, shards, n, unit, replication));
-          std::vector<double> skewed(static_cast<std::size_t>(colors), 1.0);
-          skewed[0] = 100.0;
-          const ShardPlan uniform =
-              make_shard_plan(colors, shards, n, unit, {}, replication);
-          expect_plan_fits(uniform, n, replication);
-          const ShardPlan heavy =
-              make_shard_plan(colors, shards, n, unit, skewed, replication);
-          expect_plan_fits(heavy, n, replication);
+          expect_plan_fits(make_shard_plan(colors, shards, n, unit,
+                                           replication),
+                           n, replication);
         }
       }
     }
   }
   // Unit rounding alone overloaded a shard: 5 blocks of 4 over 3 shards
   // left one 4-resource shard with 3 colors.
-  expect_plan_fits(make_shard_plan(9, 3, 20, 4, {}, 2), 20, 2);
+  expect_plan_fits(make_shard_plan(9, 3, 20, 4, 2), 20, 2);
 }
 
 TEST(ShardPlanTest, ShapesThatCannotFitIgnoreReplication) {
   // When C * r > n no plan fits every cache, and the plan is the
-  // load-only one, byte for byte (matrix-sharded's 32 colors on 16, say).
-  std::vector<double> skewed(32, 1.0);
-  skewed[3] = 40.0;
-  for (const std::vector<double>& weights : {std::vector<double>{}, skewed}) {
-    const ShardPlan load_only = make_shard_plan(32, 2, 16, 4, weights);
-    const ShardPlan with_r = make_shard_plan(32, 2, 16, 4, weights, 2);
-    EXPECT_EQ(with_r.shard_of_color, load_only.shard_of_color);
-    EXPECT_EQ(with_r.shard_colors, load_only.shard_colors);
-    EXPECT_EQ(with_r.shard_resources, load_only.shard_resources);
+  // count-only one, byte for byte (matrix-sharded's 32 colors on 16, say).
+  for (const int shards : {2, 3, 4}) {
+    const ShardPlan count_only = make_shard_plan(32, shards, 16, 4);
+    const ShardPlan with_r = make_shard_plan(32, shards, 16, 4, 2);
+    EXPECT_EQ(with_r.shard_of_color, count_only.shard_of_color);
+    EXPECT_EQ(with_r.shard_colors, count_only.shard_colors);
+    EXPECT_EQ(with_r.shard_resources, count_only.shard_resources);
   }
 }
 
+TEST(ShardPlanTest, UniformPlansArePinned) {
+  // FNV-1a over every plan's shard_of_color and shard_resources on a grid
+  // of shapes: units from {1, 2, 4}, replications from {0, 1, 2, 4} that
+  // divide the unit (0 = no capacity rule), K <= 5, n <= 12 units and
+  // C <= 40.  The hash was recorded while the planner still took
+  // per-color weights, so dealing colors by count keeps every plan it
+  // built with uniform ones.
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (static_cast<std::uint64_t>(value) >> (8 * byte)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  int shapes = 0;
+  for (const int unit : {1, 2, 4}) {
+    for (const int replication : {0, 1, 2, 4}) {
+      if (replication > 0 && unit % replication != 0) continue;
+      for (int shards = 1; shards <= 5; ++shards) {
+        for (int units = shards; units <= 12; ++units) {
+          for (ColorId colors = shards; colors <= 40; ++colors) {
+            const ShardPlan plan = make_shard_plan(colors, shards, units * unit,
+                                                   unit, replication);
+            for (const int s : plan.shard_of_color) mix(s);
+            for (const int r : plan.shard_resources) mix(r);
+            ++shapes;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(shapes, 17190);
+  EXPECT_EQ(hash, 0x26ad2f08c3312900ULL);
+}
+
 TEST(ShardPlanTest, RejectsReplicationThatDoesNotDivideTheUnit) {
-  EXPECT_THROW((void)make_shard_plan(4, 2, 16, 4, {}, 3), InputError);
-  EXPECT_THROW((void)make_shard_plan(4, 2, 16, 2, {}, -1), InputError);
+  EXPECT_THROW((void)make_shard_plan(4, 2, 16, 4, 3), InputError);
+  EXPECT_THROW((void)make_shard_plan(4, 2, 16, 2, -1), InputError);
 }
 
 TEST(ShardPlanTest, RejectsInvalidShapes) {
@@ -262,22 +262,6 @@ TEST(ShardPlanTest, RejectsInvalidShapes) {
   EXPECT_THROW((void)make_shard_plan(8, 3, 4, 2), InputError);    // units < K
   EXPECT_THROW((void)make_shard_plan(8, 2, 7, 2), InputError);    // indivisible
   EXPECT_THROW((void)make_shard_plan(0, 1, 8, 2), InputError);    // no colors
-  const std::vector<double> bad = {1.0, 0.0};
-  EXPECT_THROW((void)make_shard_plan(2, 1, 8, 2, bad), InputError);
-}
-
-TEST(ShardPlanTest, ObservedWeightsCountArrivalsPlusOne) {
-  const auto probe = make_source("random-batched", 3);
-  const auto reference = make_source("random-batched", 3);
-  const std::vector<double> weights = observe_color_weights(*probe, 64);
-  std::vector<double> expected(
-      static_cast<std::size_t>(reference->num_colors()), 1.0);
-  for (Round k = 0; k < 64; ++k) {
-    for (const Job& job : reference->arrivals_in_round(k)) {
-      expected[static_cast<std::size_t>(job.color)] += 1.0;
-    }
-  }
-  EXPECT_EQ(weights, expected);
 }
 
 // --- ShardedSource ---------------------------------------------------------
@@ -488,66 +472,6 @@ TEST(ShardedRunTest, ShardCountsAgreeOnArrivals) {
   }
   EXPECT_EQ(arrived[0], arrived[1]);
   EXPECT_EQ(arrived[0], arrived[2]);
-}
-
-TEST(ShardedRunTest, WeightedPlanRunsAndConserves) {
-  std::vector<double> weights;
-  {
-    const auto probe = make_source("poisson", 13);
-    weights = observe_color_weights(*probe, 128);
-  }
-  const auto source = make_source("poisson", 13);
-  ShardedRunOptions options;
-  options.color_weights = weights;
-  const ShardedRunRecord record =
-      run_streaming_sharded(*source, "dlru-edf", 8, 2, kInfiniteHorizon,
-                            options);
-  EXPECT_EQ(record.merged.executed + record.merged.cost.drops,
-            record.merged.arrived);
-  EXPECT_GT(record.merged.arrived, 0);
-}
-
-/// The flash crowd whose observed rates once made the planner overload a
-/// shard's cache: 15 background colors plus the spike color, so dLRU-EDF
-/// on n = 32 (replication 2) holds every color exactly.
-FlashCrowdParams capacity_crowd_params() {
-  FlashCrowdParams params;
-  params.background_colors = 15;
-  params.spike_start = 30'000;
-  params.spike_end = 70'000;
-  params.horizon = 100'000;
-  params.seed = 1;
-  return params;
-}
-
-TEST(ShardedRunTest, ObservedRatePlanFitsEveryShardCache) {
-  // Balancing observed load alone packed the quiet background colors onto
-  // one shard (12 colors on a 16-resource shard that caches 8 at K = 2),
-  // and the run cost ~7x the uniform plan.  Each shard must keep its
-  // colors within its slice, and the run must cost at most 1.1x the
-  // uniform plan.
-  constexpr int kResources = 32;
-  constexpr int kReplication = 2;  // dLRU-EDF caches a color twice
-  std::vector<double> weights;
-  {
-    FlashCrowdSource probe(capacity_crowd_params());
-    weights = observe_color_weights(probe, probe.horizon());
-  }
-  for (const int shards : {2, 4}) {
-    SCOPED_TRACE(std::to_string(shards) + " shards");
-    FlashCrowdSource uniform_source(capacity_crowd_params());
-    const ShardedRunRecord uniform =
-        run_streaming_sharded(uniform_source, "dlru-edf", kResources, shards);
-
-    ShardedRunOptions options;
-    options.color_weights = weights;
-    FlashCrowdSource source(capacity_crowd_params());
-    const ShardedRunRecord observed = run_streaming_sharded(
-        source, "dlru-edf", kResources, shards, kInfiniteHorizon, options);
-    expect_plan_fits(observed.plan, kResources, kReplication);
-    EXPECT_LE(static_cast<double>(observed.merged.cost.total()),
-              1.1 * static_cast<double>(uniform.merged.cost.total()));
-  }
 }
 
 /// A flash crowd that inherits its clone(): the runner's typeid guard

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <string>
 #include <type_traits>
-#include <unordered_set>
 
 #include "core/fault_plan.h"
 #include "core/instance.h"
@@ -14,26 +13,6 @@
 #include "sim/runner.h"
 
 namespace rrs::testing {
-
-/// Rebuilds `instance` without the jobs in `removed_ids` (same colors,
-/// same Delta, same horizon) — the "subsequence" operation the Section 3
-/// analysis uses, e.g. forming the eligible subsequence alpha.
-[[nodiscard]] inline Instance remove_jobs(
-    const Instance& instance, const std::vector<JobId>& removed_ids) {
-  std::unordered_set<JobId> removed(removed_ids.begin(), removed_ids.end());
-  InstanceBuilder builder;
-  builder.delta(instance.delta());
-  for (ColorId c = 0; c < instance.num_colors(); ++c) {
-    builder.add_color(instance.delay_bound(c), instance.drop_cost(c));
-  }
-  for (const Job& job : instance.jobs()) {
-    if (!removed.contains(job.id)) {
-      builder.add_jobs(job.color, job.arrival, 1);
-    }
-  }
-  builder.min_horizon(instance.horizon());
-  return builder.build();
-}
 
 /// The bit-identity pin every suite shares: two runs (StreamRunRecords or
 /// EngineResults) agree on every RunCounters field and on the policy
