@@ -62,12 +62,9 @@ void MaterializedSource::checkpoint(CheckpointWriter& w) const {
 }
 
 void MaterializedSource::restore(CheckpointReader& r) {
-  RRS_REQUIRE(r.str() == "materialized",
-              "checkpoint source-type mismatch (this source is "
-              "materialized)");
-  const Round h = r.i64();
-  RRS_REQUIRE(h == horizon(), "checkpoint horizon " << h << " != "
-                                                    << horizon());
+  CheckpointWriter identity;
+  checkpoint(identity);
+  r.expect_bytes(identity.bytes(), "materialized-source header");
 }
 
 Round resolve_arrival_end(const ArrivalSource& source, Round max_rounds) {

@@ -19,38 +19,15 @@ CacheAssignment::CacheAssignment(int num_resources, int replication)
   phase_start_ = physical_;
   dirty_flag_.assign(static_cast<std::size_t>(num_resources), 0);
   down_flag_.assign(static_cast<std::size_t>(num_resources), 0);
-  rebuild_free_locations();
-}
-
-void CacheAssignment::rebuild_free_locations() {
-  const int n = num_resources();
-  free_locations_.resize(static_cast<std::size_t>(n));
   // Keep low-numbered locations on top of the stack so the layout matches
   // the paper's "first half of the cache" narration for fresh inserts.
-  for (int i = 0; i < n; ++i) {
-    free_locations_[static_cast<std::size_t>(n - 1 - i)] = i;
-  }
+  for (int i = num_resources; i-- > 0;) free_locations_.push_back(i);
 }
 
 void CacheAssignment::ensure_colors(ColorId num_colors) {
-  if (static_cast<std::size_t>(num_colors) > stamp_.size()) {
-    stamp_.resize(static_cast<std::size_t>(num_colors), 0);
+  if (static_cast<std::size_t>(num_colors) > slot_of_.size()) {
     slot_of_.resize(static_cast<std::size_t>(num_colors), -1);
   }
-}
-
-void CacheAssignment::reset() {
-  RRS_CHECK(!in_phase_);
-  ++epoch_;  // invalidates every color's stamp in O(1)
-  cached_.clear();
-  locations_.clear();
-  std::fill(physical_.begin(), physical_.end(), kBlack);
-  phase_start_ = physical_;
-  std::fill(dirty_flag_.begin(), dirty_flag_.end(), 0);
-  std::fill(down_flag_.begin(), down_flag_.end(), 0);
-  num_down_ = 0;
-  dirty_.clear();
-  rebuild_free_locations();
 }
 
 bool CacheAssignment::location_down(int location) const {
@@ -150,7 +127,6 @@ void CacheAssignment::insert(ColorId color) {
     }
     locations_.push_back(chosen);
   }
-  stamp_[idx(color)] = epoch_;
   slot_of_[idx(color)] = slot;
   cached_.push_back(color);
 }
@@ -178,7 +154,6 @@ void CacheAssignment::erase_from_set(ColorId color) {
   }
   cached_.pop_back();
   locations_.resize(last * rep);
-  stamp_[idx(color)] = 0;
   slot_of_[idx(color)] = -1;
 }
 
@@ -205,10 +180,12 @@ void CacheAssignment::restore_checkpoint(CheckpointReader& r) {
   RRS_REQUIRE(r.i64() == n && r.i64() == replication_,
               "checkpoint cache geometry mismatch (this engine has n="
                   << n << ", replication=" << replication_ << ")");
+  const auto colors = static_cast<std::int64_t>(slot_of_.size());
   for (auto& c : physical_) {
     const std::int64_t v = r.i64();
-    RRS_REQUIRE(v >= kBlack && v < (std::int64_t{1} << 31),
-                "checkpoint cache physical color " << v);
+    RRS_REQUIRE(v >= kBlack && v < colors,
+                "checkpoint cache physical color " << v << " outside [-1, "
+                                                   << colors << ")");
     c = static_cast<ColorId>(v);
   }
   phase_start_ = physical_;
@@ -243,13 +220,12 @@ void CacheAssignment::restore_checkpoint(CheckpointReader& r) {
   const auto rep = static_cast<std::size_t>(replication_);
   for (std::uint64_t slot = 0; slot < slots; ++slot) {
     const std::int64_t color = r.i64();
-    RRS_REQUIRE(color >= 0 && color < (std::int64_t{1} << 31),
-                "checkpoint cache cached color " << color);
+    RRS_REQUIRE(color >= 0 && color < colors,
+                "checkpoint cache cached color " << color << " outside [0, "
+                                                 << colors << ")");
     const auto c = static_cast<ColorId>(color);
-    ensure_colors(c + 1);
-    RRS_REQUIRE(stamp_[idx(c)] != epoch_,
-                "checkpoint cache: color " << c << " cached twice");
-    stamp_[idx(c)] = epoch_;
+    RRS_REQUIRE(!contains(c), "checkpoint cache: color " << c
+                                                         << " cached twice");
     slot_of_[idx(c)] = static_cast<std::int32_t>(slot);
     cached_.push_back(c);
     for (std::size_t i = 0; i < rep; ++i) {

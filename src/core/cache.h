@@ -9,12 +9,11 @@
 // recoloring them, and re-inserting a color whose old locations are still
 // free costs nothing.
 //
-// The logical set is an epoch-stamped color->slot table: membership is one
-// stamp comparison, and reset() invalidates every color by bumping the
-// epoch — O(1) in the number of colors, however large the color space.
-// Claimed locations live in one flat slot-major array (slot s owns the
-// `replication` entries starting at s * replication), so the whole logical
-// state is three flat arrays with no per-color heap nodes.
+// The logical set is a color->slot table: a color is cached iff its slot is
+// set, so membership is one load.  Claimed locations live in one flat
+// slot-major array (slot s owns the `replication` entries starting at
+// s * replication), so the whole logical state is three flat arrays with
+// no per-color heap nodes.
 #pragma once
 
 #include <cstdint>
@@ -57,10 +56,10 @@ class CacheAssignment {
   /// True iff `location` is currently failed.
   [[nodiscard]] bool location_down(int location) const;
 
-  /// True iff `color` is in the logical cached set.  One stamp compare.
+  /// True iff `color` is in the logical cached set.  One slot load.
   [[nodiscard]] bool contains(ColorId color) const {
-    return color >= 0 && idx(color) < stamp_.size() &&
-           stamp_[idx(color)] == epoch_;
+    return color >= 0 && idx(color) < slot_of_.size() &&
+           slot_of_[idx(color)] >= 0;
   }
 
   /// The logical cached set, in unspecified order.
@@ -109,9 +108,9 @@ class CacheAssignment {
   /// occupies it, that color is evicted — its sibling locations are freed
   /// without recoloring, exactly like erase() — and returned; otherwise
   /// returns kBlack.  The location's contents are lost (its physical color
-  /// becomes kBlack) and it leaves the free pool until repaired.  The
-  /// logical epoch is untouched, so surviving colors keep their membership.
-  /// Must be called outside a phase; requires !location_down(location).
+  /// becomes kBlack) and it leaves the free pool until repaired; surviving
+  /// colors keep their membership.  Must be called outside a phase;
+  /// requires !location_down(location).
   ColorId fail_location(int location);
 
   /// Returns a failed `location` to service: it rejoins the free pool,
@@ -120,12 +119,6 @@ class CacheAssignment {
   /// never free).  Must be called outside a phase; requires
   /// location_down(location).
   void repair_location(int location);
-
-  /// Empties the logical set and restores every location to kBlack, as if
-  /// freshly constructed.  Per-color state is invalidated by bumping the
-  /// epoch stamp — O(num_resources), not O(num_colors).  Must be called
-  /// outside a phase.
-  void reset();
 
   // --- checkpoint/restore (crash-safe service mode) ---
 
@@ -136,8 +129,10 @@ class CacheAssignment {
   void checkpoint(CheckpointWriter& w) const;
 
   /// Restores checkpoint() state into this assignment, which must be
-  /// freshly constructed with the same geometry.  Validates that the
-  /// free / claimed / down location sets partition [0, n) exactly.
+  /// freshly constructed with the same geometry and given the run's color
+  /// count by ensure_colors().  Validates that the free / claimed / down
+  /// location sets partition [0, n) exactly and that every cached and
+  /// physical color lies below that count.
   void restore_checkpoint(CheckpointReader& r);
 
  private:
@@ -145,7 +140,6 @@ class CacheAssignment {
     return static_cast<std::size_t>(c);
   }
 
-  void rebuild_free_locations();
   void erase_from_set(ColorId color);  // erase() minus the phase check
 
   int replication_;
@@ -159,13 +153,10 @@ class CacheAssignment {
 
   // Logical set: cached_[slot] holds the color occupying slot `slot`, and
   // its claimed locations are locations_[slot * replication_ ...].  A color
-  // is a member iff its stamp equals the current epoch; its slot is then
-  // slot_of_[color].
+  // is a member iff slot_of_[color] >= 0.
   std::vector<ColorId> cached_;
-  std::vector<int> locations_;             // slot-major claimed locations
-  std::vector<std::uint64_t> stamp_;       // color -> epoch stamp
-  std::vector<std::int32_t> slot_of_;      // color -> slot (when stamped)
-  std::uint64_t epoch_ = 1;
+  std::vector<int> locations_;         // slot-major claimed locations
+  std::vector<std::int32_t> slot_of_;  // color -> slot, or -1
 
   struct PhaseEvent {
     int location;

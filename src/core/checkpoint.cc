@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <istream>
@@ -236,6 +237,16 @@ std::string CheckpointReader::str() {
                   static_cast<std::size_t>(len));
   pos_ += static_cast<std::size_t>(len);
   return out;
+}
+
+void CheckpointReader::expect_bytes(std::span<const unsigned char> want,
+                                    std::string_view what) {
+  RRS_REQUIRE(want.size() <= remaining() &&
+                  std::equal(want.begin(), want.end(),
+                             payload_.begin() +
+                                 static_cast<std::ptrdiff_t>(pos_)),
+              "checkpoint " << what << " does not match this run");
+  pos_ += want.size();
 }
 
 std::uint64_t CheckpointReader::remaining() const {

@@ -28,20 +28,23 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace rrs {
 
-/// Major 5 drops the engine's hottest-failure FIFO and the tracker's
-/// eligible list and ineligible-drop ids (the per-color eligible flags
-/// carry the set).  Since major 4 dLRU-EDF's LRU split lives in the
-/// adaptive policy's section, after the shared Section 3 policy fields;
-/// since major 3 the engine's counters follow RunCounters' field-list
-/// order (rounds included), and every checkpoint carries each color's
-/// delay bound, drop cost and length in the engine's options section.
-inline constexpr std::uint32_t kCheckpointMajor = 5;
+/// Major 6 drops the engine's pending budget and admission-rejection
+/// counter.  Since major 5 the engine keeps no hottest-failure FIFO and
+/// the tracker no eligible list or ineligible-drop ids (the per-color
+/// eligible flags carry the set).  Since major 4 dLRU-EDF's LRU split
+/// lives in the adaptive policy's section, after the shared Section 3
+/// policy fields; since major 3 the engine's counters follow RunCounters'
+/// field-list order (rounds included), and every checkpoint carries each
+/// color's delay bound, drop cost and length in the engine's options
+/// section.
+inline constexpr std::uint32_t kCheckpointMajor = 6;
 inline constexpr std::uint32_t kCheckpointMinor = 0;
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) of `size` bytes.
@@ -64,6 +67,12 @@ class CheckpointWriter {
   void f64(double v);
   void boolean(bool v);
   void str(std::string_view v);
+
+  /// The payload written so far.  An owner writes its identity fields
+  /// into a scratch writer and hands these bytes to
+  /// CheckpointReader::expect_bytes, so one writer defines both the
+  /// layout and the restore check.
+  [[nodiscard]] std::span<const unsigned char> bytes() const { return buf_; }
 
   /// Writes header + payload + trailer to `out` and verifies the stream
   /// survived (throws InputError on short writes).  The writer may not
@@ -96,6 +105,12 @@ class CheckpointReader {
   [[nodiscard]] double f64();
   [[nodiscard]] bool boolean();
   [[nodiscard]] std::string str();
+
+  /// Consumes `want.size()` bytes, requiring them to equal `want`: the
+  /// restore check of identity fields a CheckpointWriter wrote (see
+  /// CheckpointWriter::bytes).  Throws InputError naming `what` otherwise.
+  void expect_bytes(std::span<const unsigned char> want,
+                    std::string_view what);
 
   /// Unread bytes left in the innermost open section (the payload when
   /// none is open).

@@ -1,8 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <map>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -29,8 +27,6 @@ const EngineOptions& validate_options(const EngineOptions& options) {
   if (options.fault_plan != nullptr) {
     validate_fault_plan(*options.fault_plan, options.num_resources);
   }
-  RRS_REQUIRE(options.pending_budget >= 0,
-              "pending_budget must be >= 0, got " << options.pending_budget);
   return options;
 }
 
@@ -56,59 +52,6 @@ void Policy::restore_state(CheckpointReader& r) {
   RRS_REQUIRE(false,
               "policy '" << name() << "' does not support checkpointing");
 }
-
-/// Owned snapshot of a source's problem metadata: the cost model by value
-/// plus per-color delay bounds.  Lets the engine outlive the sources that
-/// fed it — the final-sweep RoundContext and the FaultCursor's pricing
-/// reference this, never a dead fabric stream.
-class Engine::MetaSource final : public ArrivalSource {
- public:
-  explicit MetaSource(const ArrivalSource& source)
-      : model_(source.cost_model()),
-        by_delay_(source.colors_by_delay()),
-        num_colors_(source.num_colors()),
-        horizon_(source.horizon()),
-        summary_(source.summary()) {
-    delay_bounds_.reserve(static_cast<std::size_t>(num_colors_));
-    for (ColorId c = 0; c < num_colors_; ++c) {
-      delay_bounds_.push_back(source.delay_bound(c));
-    }
-  }
-
-  [[nodiscard]] Cost delta() const override { return model_.delta(); }
-  [[nodiscard]] ColorId num_colors() const override { return num_colors_; }
-  [[nodiscard]] Round delay_bound(ColorId color) const override {
-    return delay_bounds_[static_cast<std::size_t>(color)];
-  }
-  [[nodiscard]] Cost drop_cost(ColorId color) const override {
-    return model_.drop_cost(color);
-  }
-  [[nodiscard]] Round length(ColorId color) const override {
-    return model_.length(color);
-  }
-  [[nodiscard]] const CostModel& cost_model() const override {
-    return model_;
-  }
-  [[nodiscard]] const std::map<Round, std::vector<ColorId>>& colors_by_delay()
-      const override {
-    return by_delay_;
-  }
-  [[nodiscard]] Round horizon() const override { return horizon_; }
-  [[nodiscard]] std::span<const Job> arrivals_in_round(Round k) override {
-    RRS_CHECK_MSG(false, "metadata snapshot pulled for arrivals (round "
-                             << k << ")");
-    return {};
-  }
-  [[nodiscard]] std::string summary() const override { return summary_; }
-
- private:
-  CostModel model_;
-  std::map<Round, std::vector<ColorId>> by_delay_;
-  std::vector<Round> delay_bounds_;
-  ColorId num_colors_;
-  Round horizon_;
-  std::string summary_;
-};
 
 /// Cursor over a FaultPlan plus the state needed to apply its events.
 struct Engine::FaultCursor {
@@ -177,32 +120,30 @@ Engine::Engine(ArrivalSource& source, Policy& policy,
   // Rounds carrying arrivals: the source's horizon, clipped by max_rounds.
   arrival_end_ = resolve_arrival_end(source, options_.max_rounds);
 
+  // The cost model is copied once: every drop and reconfiguration charge
+  // routes through it, and it stays valid after the feeding source dies.
+  model_ = source.cost_model();
+  delay_bounds_.reserve(static_cast<std::size_t>(source.num_colors()));
+  for (ColorId c = 0; c < source.num_colors(); ++c) {
+    delay_bounds_.push_back(source.delay_bound(c));
+  }
   pending_.reset(source.num_colors());
   cache_.ensure_colors(source.num_colors());
-
-  // The cost model is snapshotted once (by value, inside the metadata
-  // copy): every drop and reconfiguration charge routes through it, and it
-  // stays valid after the feeding source dies.
-  meta_ = std::make_unique<MetaSource>(source);
-  const CostModel& model = meta_->cost_model();
-  unit_lengths_ = model.unit_lengths();
 
   result_.schedule.num_resources = options_.num_resources;
   result_.schedule.speed = options_.speed;
 
   policy_->begin(source, options_.num_resources, options_.speed);
 
-  // Observability setup: the metadata snapshot hands the hooks per-color
-  // data without calling back into the (virtual, possibly dead) source.
   Observer* const obs = options_.observer;
-  if (obs != nullptr) begin_observed_run(*obs, *meta_);
+  if (obs != nullptr) begin_observed_run(*obs, source);
   timers_ = obs != nullptr && obs->config.timers ? &obs->timers : nullptr;
   tracing_ = obs != nullptr && obs->config.trace;
 
   faults_ = std::make_unique<FaultCursor>();
   faults_->plan = options_.fault_plan;
   faults_->obs = obs;
-  faults_->model = &model;
+  faults_->model = &model_;
   faults_->lost.assign(static_cast<std::size_t>(options_.num_resources),
                        kBlack);
 
@@ -210,7 +151,7 @@ Engine::Engine(ArrivalSource& source, Policy& policy,
   // resolved once: the policy's declaration never changes mid-run and the
   // delay-class set is static metadata.
   ff_eligible_ = options_.fast_forward && policy_->supports_fast_forward();
-  for (const auto& [delay, colors] : meta_->colors_by_delay()) {
+  for (const auto& [delay, colors] : source.colors_by_delay()) {
     ff_delays_.push_back(delay);
   }
   ff_snapshot_every_ = obs != nullptr ? obs->config.snapshot_every : 0;
@@ -220,7 +161,6 @@ Engine::~Engine() = default;
 
 void Engine::run_round(ArrivalSource* pull) {
   Observer* const obs = options_.observer;
-  const CostModel& model = meta_->cost_model();
 
   // Phase 0: capacity churn — failures apply before this round's drop
   // and arrival phases.
@@ -237,11 +177,6 @@ void Engine::run_round(ArrivalSource* pull) {
   // Phase 2: arrival (none in drain rounds past the arrival horizon).
   std::span<const Job> arrivals;
   if (pull != nullptr) arrivals = pull->arrivals_in_round(k_);
-  if (options_.pending_budget > 0 &&
-      pending_.total() + static_cast<std::int64_t>(arrivals.size()) >
-          options_.pending_budget) {
-    arrivals = admit_arrivals(arrivals, degraded_round);
-  }
   pending_.add(arrivals);
   for (const Job& job : arrivals) {
     max_deadline_ = std::max(max_deadline_, job.deadline());
@@ -253,15 +188,13 @@ void Engine::run_round(ArrivalSource* pull) {
   }
   if (timers_ != nullptr) timers_->note(EnginePhase::kArrival);
 
-  const ArrivalSource& ctx_source =
-      pull != nullptr ? static_cast<const ArrivalSource&>(*pull) : *meta_;
   for (int mini = 0; mini < options_.speed; ++mini) {
     // Phases 3+4 fused into one policy call: the policy ingests drops and
     // arrivals (on mini 0) and mutates the cache, all in one dispatch.
     if (timers_ != nullptr) timers_->begin_segment();
     cache_.begin_phase();
     RoundContext ctx(k_, mini, /*final_sweep=*/false, dropped_, arrivals,
-                     ctx_source, pending_, cache_, obs);
+                     pending_, cache_, obs);
     policy_->on_round(ctx);
     const std::span<const std::pair<int, ColorId>> phase_events =
         cache_.finish_phase();
@@ -269,8 +202,7 @@ void Engine::run_round(ArrivalSource* pull) {
     for (std::size_t i = 0; i < phase_events.size(); ++i) {
       const auto& [location, color] = phase_events[i];
       ++result_.cost.reconfig_events;
-      result_.cost.reconfig_cost += model.reconfig_cost(phase_from[i],
-                                                        color);
+      result_.cost.reconfig_cost += model_.reconfig_cost(phase_from[i], color);
       if (options_.record_schedule) {
         result_.schedule.reconfigs.push_back({k_, mini, location, color});
       }
@@ -290,7 +222,7 @@ void Engine::run_round(ArrivalSource* pull) {
       const ColorId color = cache_.color_at(r);
       if (color == kBlack || pending_.idle(color)) continue;
       const bool completes =
-          unit_lengths_ || pending_.earliest_remaining(color) == 1;
+          model_.unit_lengths() || pending_.earliest_remaining(color) == 1;
       if (obs != nullptr) {
         // The job about to execute is the color's earliest deadline;
         // reading it before the pop derives wait and slack without
@@ -319,12 +251,11 @@ void Engine::run_round(ArrivalSource* pull) {
 }
 
 void Engine::drop_phase(Round through, bool degraded) {
-  const CostModel& model = meta_->cost_model();
   Observer* const obs = options_.observer;
   pending_.drop_expired(through, dropped_);
   Cost drop_cost = 0;
   for (const auto& [color, count] : dropped_.by_color) {
-    drop_cost += static_cast<Cost>(count) * model.drop_cost(color);
+    drop_cost += static_cast<Cost>(count) * model_.drop_cost(color);
   }
   result_.cost.drops += drop_cost;
   if (degraded) result_.degraded.drops_while_degraded += drop_cost;
@@ -338,50 +269,6 @@ void Engine::drop_phase(Round through, bool degraded) {
                        dropped_.total});
     }
   }
-}
-
-std::span<const Job> Engine::admit_arrivals(std::span<const Job> arrivals,
-                                            bool degraded_round) {
-  const CostModel& model = meta_->cost_model();
-  Observer* const obs = options_.observer;
-  const std::int64_t over = pending_.total() +
-                            static_cast<std::int64_t>(arrivals.size()) -
-                            options_.pending_budget;
-  const std::size_t shed =
-      std::min(static_cast<std::size_t>(over), arrivals.size());
-  shed_order_.resize(arrivals.size());
-  std::iota(shed_order_.begin(), shed_order_.end(), std::size_t{0});
-  // Cheapest weight sheds first; on ties the later arrival goes so the
-  // earlier submission survives.
-  std::sort(shed_order_.begin(), shed_order_.end(),
-            [&](std::size_t a, std::size_t b) {
-              const Cost ca = model.drop_cost(arrivals[a].color);
-              const Cost cb = model.drop_cost(arrivals[b].color);
-              return ca != cb ? ca < cb : a > b;
-            });
-  std::vector<char> is_shed(arrivals.size(), 0);
-  for (std::size_t i = 0; i < shed; ++i) is_shed[shed_order_[i]] = 1;
-  admitted_.clear();
-  Cost shed_cost = 0;
-  for (std::size_t i = 0; i < arrivals.size(); ++i) {
-    const Job& job = arrivals[i];
-    if (is_shed[i] == 0) {
-      admitted_.push_back(job);
-      continue;
-    }
-    // A shed job did arrive (it came off the wire) but never enters the
-    // pending set: it is charged as a drop right here, at full weight.
-    ++result_.arrived;
-    shed_cost += model.drop_cost(job.color);
-    if (obs != nullptr) {
-      obs->stats.on_arrival(job.color);
-      obs->stats.on_drop(job.color, 1);
-    }
-  }
-  result_.cost.drops += shed_cost;
-  if (degraded_round) result_.degraded.drops_while_degraded += shed_cost;
-  result_.admission_rejected += static_cast<std::int64_t>(shed);
-  return admitted_;
 }
 
 void Engine::run_rounds(ArrivalSource& source, Round until) {
@@ -459,8 +346,8 @@ EngineResult Engine::finish() {
   // matches the engine's.
   Observer* const obs = options_.observer;
   drop_phase(std::max(k_, max_deadline_), cache_.num_down() > 0);
-  RoundContext final_ctx(k_, 0, /*final_sweep=*/true, dropped_, {}, *meta_,
-                         pending_, cache_, obs);
+  RoundContext final_ctx(k_, 0, /*final_sweep=*/true, dropped_, {}, pending_,
+                         cache_, obs);
   policy_->on_round(final_ctx);
 
   result_.rounds = k_;
@@ -480,14 +367,10 @@ EngineResult Engine::abandon() {
   return std::move(result_);
 }
 
-void Engine::checkpoint(std::ostream& out, const ArrivalSource* source) const {
-  RRS_CHECK_MSG(!ended_, "checkpoint after finish/abandon");
-  CheckpointWriter w;
-
-  // Options fingerprint: everything that shapes the run's trajectory.  A
-  // restore under different options would silently diverge, so every field
-  // is validated, not absorbed.
-  w.begin_section(kTagOptions);
+void Engine::write_identity(CheckpointWriter& w) const {
+  // Everything that shapes the run's trajectory: a restore under different
+  // options would silently diverge, so every field is validated, not
+  // absorbed.
   w.i64(options_.num_resources);
   w.i64(options_.speed);
   w.i64(options_.replication);
@@ -495,23 +378,30 @@ void Engine::checkpoint(std::ostream& out, const ArrivalSource* source) const {
   w.boolean(options_.drain_pending);
   w.boolean(options_.charge_repair);
   w.boolean(options_.fast_forward);
-  w.i64(options_.pending_budget);
   w.str(policy_->name());
-  w.i64(meta_->num_colors());
-  w.i64(meta_->cost_model().delta());
+  w.i64(static_cast<std::int64_t>(delay_bounds_.size()));
+  w.i64(model_.delta());
   w.i64(arrival_end_);
   w.u64(options_.fault_plan == nullptr ? 0
                                        : options_.fault_plan->events.size());
   w.boolean(options_.observer != nullptr);
-  w.boolean(source != nullptr);
   // Per-color metadata: two sources with equal color counts may still
   // disagree on every bound, and resuming across them would corrupt the
   // pending calendar instead of failing.
-  for (ColorId c = 0; c < meta_->num_colors(); ++c) {
-    w.i64(meta_->delay_bound(c));
-    w.i64(meta_->drop_cost(c));
-    w.i64(meta_->length(c));
+  for (std::size_t c = 0; c < delay_bounds_.size(); ++c) {
+    w.i64(delay_bounds_[c]);
+    w.i64(model_.drop_cost(static_cast<ColorId>(c)));
+    w.i64(model_.length(static_cast<ColorId>(c)));
   }
+}
+
+void Engine::checkpoint(std::ostream& out, const ArrivalSource* source) const {
+  RRS_CHECK_MSG(!ended_, "checkpoint after finish/abandon");
+  CheckpointWriter w;
+
+  w.begin_section(kTagOptions);
+  write_identity(w);
+  w.boolean(source != nullptr);
   w.end_section();
 
   w.begin_section(kTagEngine);
@@ -570,42 +460,16 @@ void Engine::restore(std::istream& in, ArrivalSource* source) {
   CheckpointReader r(in);
 
   r.open_section(kTagOptions);
-  RRS_REQUIRE(r.i64() == options_.num_resources,
-              "checkpoint num_resources mismatch");
-  RRS_REQUIRE(r.i64() == options_.speed, "checkpoint speed mismatch");
-  RRS_REQUIRE(r.i64() == options_.replication,
-              "checkpoint replication mismatch");
-  RRS_REQUIRE(r.boolean() == options_.record_schedule,
-              "checkpoint record_schedule mismatch");
-  RRS_REQUIRE(r.boolean() == options_.drain_pending,
-              "checkpoint drain_pending mismatch");
-  RRS_REQUIRE(r.boolean() == options_.charge_repair,
-              "checkpoint charge_repair mismatch");
-  RRS_REQUIRE(r.boolean() == options_.fast_forward,
-              "checkpoint fast_forward mismatch");
-  RRS_REQUIRE(r.i64() == options_.pending_budget,
-              "checkpoint pending_budget mismatch");
-  RRS_REQUIRE(r.str() == policy_->name(), "checkpoint policy mismatch");
-  RRS_REQUIRE(r.i64() == meta_->num_colors(),
-              "checkpoint color-space mismatch");
-  RRS_REQUIRE(r.i64() == meta_->cost_model().delta(),
-              "checkpoint delta mismatch");
-  RRS_REQUIRE(r.i64() == arrival_end_, "checkpoint arrival_end mismatch");
-  const std::uint64_t plan_events =
-      options_.fault_plan == nullptr ? 0 : options_.fault_plan->events.size();
-  RRS_REQUIRE(r.u64() == plan_events, "checkpoint fault-plan mismatch");
-  RRS_REQUIRE(r.boolean() == (options_.observer != nullptr),
-              "checkpoint observer presence mismatch");
+  CheckpointWriter identity;
+  write_identity(identity);
+  r.expect_bytes(identity.bytes(), "engine options section");
   const bool has_source = r.boolean();
   RRS_REQUIRE(source == nullptr || has_source,
               "checkpoint carries no source state");
-  for (ColorId c = 0; c < meta_->num_colors(); ++c) {
-    RRS_REQUIRE(r.i64() == meta_->delay_bound(c) &&
-                    r.i64() == meta_->drop_cost(c) &&
-                    r.i64() == meta_->length(c),
-                "checkpoint per-color metadata mismatch at color " << c);
-  }
   r.close_section();
+  const std::uint64_t plan_events =
+      options_.fault_plan == nullptr ? 0 : options_.fault_plan->events.size();
+  const auto colors = static_cast<std::int64_t>(delay_bounds_.size());
 
   r.open_section(kTagEngine);
   const Round k = r.i64();
@@ -622,7 +486,7 @@ void Engine::restore(std::istream& in, ArrivalSource* source) {
   lost.reserve(faults_->lost.size());
   for (std::size_t i = 0; i < faults_->lost.size(); ++i) {
     const std::int64_t c = r.i64();
-    RRS_REQUIRE(c >= kBlack && c < meta_->num_colors(),
+    RRS_REQUIRE(c >= kBlack && c < colors,
                 "checkpoint lost-color out of range");
     lost.push_back(static_cast<ColorId>(c));
   }
@@ -652,7 +516,7 @@ void Engine::restore(std::istream& in, ArrivalSource* source) {
     const std::int64_t color = r.i64();
     RRS_REQUIRE(e.round >= 0 && mini >= 0 && mini < options_.speed &&
                     resource >= 0 && resource < options_.num_resources &&
-                    color >= kBlack && color < meta_->num_colors(),
+                    color >= kBlack && color < colors,
                 "checkpoint reconfig event out of range");
     e.mini = static_cast<std::int32_t>(mini);
     e.resource = static_cast<std::int32_t>(resource);
@@ -683,7 +547,7 @@ void Engine::restore(std::istream& in, ArrivalSource* source) {
   r.close_section();
 
   r.open_section(kTagPending);
-  pending_.restore_checkpoint(r);
+  pending_.restore_checkpoint(r, delay_bounds_);
   r.close_section();
 
   r.open_section(kTagCache);

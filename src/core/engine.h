@@ -86,16 +86,6 @@ struct EngineOptions {
   /// are bit-identical with the flag off; disable only to measure the
   /// skip itself.
   bool fast_forward = true;
-  /// Admission control: cap on the pending-set size (0 = unlimited).  When
-  /// a round's arrivals would push pending beyond the budget, the engine
-  /// sheds the cheapest-weight arrivals of that round at ingest — lowest
-  /// drop cost first, later arrivals shed before earlier ones on ties —
-  /// until the budget holds.  Shed jobs count as arrivals and are charged
-  /// as drops (RunCounters::admission_rejected isolates them from deadline
-  /// expiries) but never enter the pending set and are invisible to the
-  /// policy.  A budget the run never exceeds leaves every result
-  /// bit-identical to budget-off.
-  std::int64_t pending_budget = 0;
 };
 
 /// Result of one engine run: its counters plus what only the engine holds.
@@ -109,15 +99,11 @@ struct EngineResult : RunCounters {
 /// rounds, then finish (drain + terminal expiry sweep) or abandon
 /// (counters only — a stopped run resumes from its checkpoint).
 ///
-/// The constructor snapshots the problem metadata (cost model, per-color
-/// delay bounds / drop costs / lengths) out of `source`, so the drain and
-/// the terminal sweep never call back into a source: each run_rounds()
-/// call may use a different ArrivalSource object, as long as together
-/// they deliver the global round sequence in order.
-///
-/// `policy.begin` is called from the constructor with the REAL `source`
-/// (offline policies need source.materialized(); the internal metadata
-/// snapshot would hide it).
+/// The constructor copies the cost model and the per-color delay bounds
+/// out of `source`, so the drain and the terminal sweep never call back
+/// into a source: each run_rounds() call may use a different ArrivalSource
+/// object, as long as together they deliver the global round sequence in
+/// order.  `policy.begin` is called from the constructor with `source`.
 class Engine {
  public:
   /// Validates `options`, resolves the arrival horizon from `source`
@@ -169,7 +155,6 @@ class Engine {
   void restore(std::istream& in, ArrivalSource* source);
 
  private:
-  class MetaSource;
   struct FaultCursor;
 
   /// One full round at k_: churn, drop, arrival (from `pull`, or none),
@@ -181,12 +166,10 @@ class Engine {
   /// when `degraded`).
   void drop_phase(Round through, bool degraded);
 
-  /// Pending-budget admission: sheds the over-budget suffix of `arrivals`
-  /// (cheapest drop cost first, later index first on ties), charges the
-  /// shed jobs as drops, and returns the admitted jobs (a view into
-  /// member scratch, valid until the next call).
-  [[nodiscard]] std::span<const Job> admit_arrivals(
-      std::span<const Job> arrivals, bool degraded_round);
+  /// Writes what a checkpoint must share with the engine restoring it:
+  /// the options, the policy name, the arrival horizon and every color's
+  /// delay bound, drop cost and length.
+  void write_identity(CheckpointWriter& w) const;
 
   /// Latest round <= `until` that fast-forward may jump to from k_
   /// without crossing a deadline-block boundary, fault event, snapshot
@@ -201,15 +184,13 @@ class Engine {
 
   EngineOptions options_;
   Policy* policy_;
-  std::unique_ptr<MetaSource> meta_;  ///< owned metadata snapshot
+  CostModel model_;                 ///< prices every drop and recoloring
+  std::vector<Round> delay_bounds_;  ///< color -> D_c
   Round arrival_end_ = 0;
-  bool unit_lengths_ = true;
   PendingJobs pending_;
   CacheAssignment cache_;
   EngineResult result_;
   PendingJobs::DropResult dropped_;  // reused across rounds
-  std::vector<Job> admitted_;        // admission-control scratch
-  std::vector<std::size_t> shed_order_;
   std::unique_ptr<FaultCursor> faults_;
   PhaseTimers* timers_ = nullptr;
   bool tracing_ = false;

@@ -142,14 +142,14 @@ void PendingJobs::checkpoint(CheckpointWriter& w) const {
   }
 }
 
-void PendingJobs::restore_checkpoint(CheckpointReader& r) {
+void PendingJobs::restore_checkpoint(CheckpointReader& r,
+                                     std::span<const Round> delay_bounds) {
   RRS_CHECK_MSG(total_ == 0 && cursor_ == -1,
                 "checkpoint restore into a non-fresh pending store");
+  RRS_CHECK(delay_bounds.size() == queues_.size());
   const std::int64_t cursor = r.i64();
   RRS_REQUIRE(cursor >= -1, "checkpoint pending cursor " << cursor);
-  // The cursor must land before any restored job is re-added: past-
-  // deadline jobs bucket at cursor_ + 1, so the first sweep after restore
-  // finds them exactly where the original store would.
+  // Set before any job is re-added, so each hint buckets relative to it.
   cursor_ = cursor;
   const std::int64_t colors = r.i64();
   RRS_REQUIRE(colors == static_cast<std::int64_t>(queues_.size()),
@@ -163,8 +163,14 @@ void PendingJobs::restore_checkpoint(CheckpointReader& r) {
       job.id = r.i64();
       job.deadline = r.i64();
       job.remaining = r.i64();
-      RRS_REQUIRE(job.deadline >= prev && job.remaining >= 1,
-                  "checkpoint pending job " << job.id << " malformed");
+      // Written as differences so no corrupt value can overflow.
+      RRS_REQUIRE(job.deadline >= prev && job.deadline > cursor &&
+                      job.deadline - delay_bounds[c] <= cursor &&
+                      job.remaining >= 1,
+                  "checkpoint pending job " << job.id << " of color " << c
+                                            << " due at " << job.deadline
+                                            << " malformed at cursor "
+                                            << cursor);
       prev = job.deadline;
       restore(static_cast<ColorId>(c), job);
     }

@@ -171,10 +171,14 @@ class PendingJobs {
   void checkpoint(CheckpointWriter& w) const;
 
   /// Restores state written by checkpoint() into this store, which must
-  /// be freshly reset() with the same color count.  The calendar is
-  /// rebuilt from the restored jobs; hint-set differences against the
-  /// original store are unobservable (stale hints drain nothing).
-  void restore_checkpoint(CheckpointReader& r);
+  /// be freshly reset() with the same color count; `delay_bounds` holds
+  /// each color's D_c.  Checkpoints are taken after a round's drop phase,
+  /// so every job of color c must be due in (cursor, cursor + D_c].  The
+  /// calendar is rebuilt from the restored jobs; hint-set differences
+  /// against the original store are unobservable (stale hints drain
+  /// nothing).
+  void restore_checkpoint(CheckpointReader& r,
+                          std::span<const Round> delay_bounds);
 
  private:
   /// `count` jobs of one color with ids from `first_id`, one deadline and

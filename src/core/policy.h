@@ -51,15 +51,13 @@ class RoundContext {
  public:
   RoundContext(Round round, int mini, bool final_sweep,
                const PendingJobs::DropResult& dropped,
-               std::span<const Job> arrivals, const ArrivalSource& source,
-               const PendingJobs& pending, CacheAssignment& cache,
-               Observer* observer = nullptr)
+               std::span<const Job> arrivals, const PendingJobs& pending,
+               CacheAssignment& cache, Observer* observer = nullptr)
       : round_(round),
         mini_(mini),
         final_sweep_(final_sweep),
         dropped_(&dropped),
         arrivals_(arrivals),
-        source_(&source),
         pending_(&pending),
         cache_(&cache),
         observer_(observer) {}
@@ -87,7 +85,6 @@ class RoundContext {
   /// This round's arrivals (already added to pending()).
   [[nodiscard]] std::span<const Job> arrivals() const { return arrivals_; }
 
-  [[nodiscard]] const ArrivalSource& source() const { return *source_; }
   [[nodiscard]] const PendingJobs& pending() const { return *pending_; }
 
   /// The cache, open for mutation except when final_sweep() is true.
@@ -104,7 +101,6 @@ class RoundContext {
   bool final_sweep_;
   const PendingJobs::DropResult* dropped_;
   std::span<const Job> arrivals_;
-  const ArrivalSource* source_;
   const PendingJobs* pending_;
   CacheAssignment* cache_;
   Observer* observer_;

@@ -33,27 +33,18 @@ CostBreakdown Schedule::cost(const Instance& instance) const {
   // job completes after length(color) execution units; partial execution
   // earns nothing.
   Cost executed_weight = 0;
-  if (instance.unit_lengths()) {
-    RRS_REQUIRE(execs.size() <= instance.jobs().size(),
-                "schedule executes more jobs than exist");
-    for (const ExecEvent& e : execs) {
-      executed_weight +=
-          instance.jobs()[static_cast<std::size_t>(e.job)].drop_cost;
-    }
-  } else {
-    std::vector<Round> units(instance.jobs().size(), 0);
-    for (const ExecEvent& e : execs) {
-      RRS_REQUIRE(e.job >= 0 && static_cast<std::size_t>(e.job) <
-                                    instance.jobs().size(),
-                  "exec event job id out of range");
-      ++units[static_cast<std::size_t>(e.job)];
-    }
-    for (const Job& job : instance.jobs()) {
-      const Round got = units[static_cast<std::size_t>(job.id)];
-      RRS_REQUIRE(got <= job.length, "job " << job.id
-                                            << " executed past its length");
-      if (got == job.length) executed_weight += job.drop_cost;
-    }
+  std::vector<Round> units(instance.jobs().size(), 0);
+  for (const ExecEvent& e : execs) {
+    RRS_REQUIRE(e.job >= 0 &&
+                    static_cast<std::size_t>(e.job) < instance.jobs().size(),
+                "exec event job id out of range");
+    ++units[static_cast<std::size_t>(e.job)];
+  }
+  for (const Job& job : instance.jobs()) {
+    const Round got = units[static_cast<std::size_t>(job.id)];
+    RRS_REQUIRE(got <= job.length, "job " << job.id
+                                          << " executed past its length");
+    if (got == job.length) executed_weight += job.drop_cost;
   }
   c.drops = instance.total_weight() - executed_weight;
   return c;

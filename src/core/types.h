@@ -105,9 +105,6 @@ struct RunCounters {
   /// the per-shard peaks: shards run asynchronously, so the true global
   /// peak is unobservable and the sum is a deterministic upper bound.
   std::int64_t peak_pending = 0;
-  /// Arrivals shed by pending-budget admission control (already counted in
-  /// arrived and charged in cost.drops).
-  std::int64_t admission_rejected = 0;
   DegradedStats degraded;  ///< capacity-churn counters
 
   static constexpr std::tuple kFields{
@@ -117,7 +114,6 @@ struct RunCounters {
       Field{"arrived", &RunCounters::arrived},
       Field{"rounds", &RunCounters::rounds, Merge::kMax},
       Field{"peak_pending", &RunCounters::peak_pending},
-      Field{"admission_rejected", &RunCounters::admission_rejected},
       Field{"degraded", &RunCounters::degraded},
   };
 

@@ -167,7 +167,6 @@ Snapshot make_snapshot(const StreamStats& stats, const RunCounters& counters,
   s.churn_repairs = counters.degraded.repair_events;
   s.churn_evictions = counters.degraded.churn_evictions;
   s.pending = pending;
-  s.admission_rejected = counters.admission_rejected;
   s.wait = stats.wait();
   s.slack = stats.slack();
   s.service = stats.service();
@@ -220,8 +219,6 @@ Snapshot parse_snapshot_line(std::string_view line) {
 
   // Cross-field consistency: a well-formed snapshot cannot violate these,
   // so a violation means corrupt input.
-  RRS_REQUIRE(s.admission_rejected <= s.drop_count,
-              "snapshot: admission rejections exceed drop count");
   RRS_REQUIRE(s.executed == s.wait.count() && s.executed == s.slack.count(),
               "snapshot: executed disagrees with wait/slack sample counts");
   RRS_REQUIRE(s.executed == s.service.count(),

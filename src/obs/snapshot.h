@@ -40,9 +40,6 @@ struct Snapshot {
   std::int64_t churn_repairs = 0;
   std::int64_t churn_evictions = 0;
   std::int64_t pending = 0;  // live gauge at snapshot time
-  /// Arrivals shed by pending-budget admission control (cumulative; a
-  /// subset of drop_count — shed jobs are charged as drops).
-  std::int64_t admission_rejected = 0;
   double mean_wait = 0.0;
   double mean_slack = 0.0;
   Histogram wait;
@@ -64,7 +61,6 @@ struct Snapshot {
       Field{"churn_repairs", &Snapshot::churn_repairs},
       Field{"churn_evictions", &Snapshot::churn_evictions},
       Field{"pending", &Snapshot::pending},
-      Field{"admission_rejected", &Snapshot::admission_rejected},
       Field{"mean_wait", &Snapshot::mean_wait},
       Field{"mean_slack", &Snapshot::mean_slack},
       Field{"wait", &Snapshot::wait},

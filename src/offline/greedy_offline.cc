@@ -13,8 +13,10 @@ void DemandGreedyPolicy::begin(const ArrivalSource& source, int num_resources,
   threshold_ = params_.switch_threshold;  // 0 = per-candidate cold cost
   const CostModel& model = source.cost_model();
   cold_costs_.resize(static_cast<std::size_t>(source.num_colors()));
+  drop_costs_.resize(static_cast<std::size_t>(source.num_colors()));
   for (ColorId c = 0; c < source.num_colors(); ++c) {
     cold_costs_[static_cast<std::size_t>(c)] = model.cold_cost(c);
+    drop_costs_[static_cast<std::size_t>(c)] = source.drop_cost(c);
   }
   skip_color_.assign(static_cast<std::size_t>(source.num_colors()), 0);
   if (params_.skip_small_colors) {
@@ -39,19 +41,19 @@ void DemandGreedyPolicy::on_round(RoundContext& ctx) {
   if (ctx.final_sweep()) return;
   CacheAssignment& cache = ctx.cache();
   const PendingJobs& pending = ctx.pending();
-  const ArrivalSource& source = ctx.source();
 
   // Candidate colors: nonidle, not skipped; ranked by backlog descending,
   // then earliest front deadline, then color id.
   scratch_.clear();
-  for (ColorId c = 0; c < source.num_colors(); ++c) {
+  const auto colors = static_cast<ColorId>(drop_costs_.size());
+  for (ColorId c = 0; c < colors; ++c) {
     if (skip_color_[static_cast<std::size_t>(c)]) continue;
     if (!pending.idle(c)) scratch_.push_back(c);
   }
   // Backlogs are compared by droppable VALUE (count x per-job drop cost),
   // which reduces to plain counts in the unit-cost setting.
   const auto backlog = [&](ColorId c) {
-    return pending.count(c) * source.drop_cost(c);
+    return pending.count(c) * drop_costs_[static_cast<std::size_t>(c)];
   };
   std::sort(scratch_.begin(), scratch_.end(), [&](ColorId a, ColorId b) {
     const Cost ca = backlog(a);

@@ -54,6 +54,7 @@ class DemandGreedyPolicy : public Policy {
   DemandGreedyParams params_;
   Cost threshold_ = 0;  ///< 0 = per-candidate cold cost
   std::vector<Cost> cold_costs_;
+  std::vector<Cost> drop_costs_;
   std::vector<char> skip_color_;
   std::vector<ColorId> scratch_;
 };

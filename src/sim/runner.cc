@@ -10,7 +10,6 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
-#include <sstream>
 #include <typeinfo>
 #include <utility>
 
@@ -291,11 +290,10 @@ class SegmentLoop {
       }
     }
     for (std::size_t s = 0; s < shards_; ++s) {
-      const int resources = record_.plan.shard_resources[s];
       EngineOptions engine_options;
       engines_[s].reset();
       policies_[s] = make_stream_policy(name_, engine_options);
-      engine_options.num_resources = resources;
+      engine_options.num_resources = record_.plan.shard_resources[s];
       engine_options.record_schedule = false;
       engine_options.max_rounds = arrival_end_;
       // Let in-flight jobs execute or expire after arrivals end, matching
@@ -306,12 +304,6 @@ class SegmentLoop {
       engine_options.charge_repair = options_.charge_repair;
       engine_options.observer = slot_observer(s);
       engine_options.fast_forward = options_.fast_forward;
-      // 0 means unlimited, so a positive budget's share is at least 1.
-      engine_options.pending_budget =
-          options_.pending_budget <= 0
-              ? options_.pending_budget
-              : std::max<std::int64_t>(
-                    1, options_.pending_budget * resources / n_);
       engines_[s] = std::make_unique<Engine>(slot_source(s), *policies_[s],
                                              engine_options);
     }
@@ -450,10 +442,9 @@ class SegmentLoop {
                            << last_error);
   }
 
-  /// The manifest binds a checkpoint set to this run's identity and plan.
-  void write_manifest(std::ostream& out, Round round) const {
-    CheckpointWriter w;
-    w.begin_section(kTagManifest);
+  /// The manifest binds a checkpoint set to this run's identity, its
+  /// round and its plan.
+  void write_manifest_fields(CheckpointWriter& w, Round round) const {
     w.str(name_);
     w.i64(n_);
     w.i64(static_cast<std::int64_t>(shards_));
@@ -468,28 +459,27 @@ class SegmentLoop {
     for (const int shard : record_.plan.shard_of_color) w.i64(shard);
     w.u64(record_.plan.shard_resources.size());
     for (const int res : record_.plan.shard_resources) w.i64(res);
+  }
+
+  void write_manifest(std::ostream& out, Round round) const {
+    CheckpointWriter w;
+    w.begin_section(kTagManifest);
+    write_manifest_fields(w, round);
     w.end_section();
     w.finish(out);
   }
 
-  /// Accepts a manifest only when its section holds exactly what this run
-  /// would write at `round` (a newer writer may append tail fields): the
-  /// set must come from this algorithm, resource count, horizon, options
-  /// and plan.
+  /// Accepts a manifest only when its section starts with exactly what
+  /// this run would write at `round` (a newer writer may append tail
+  /// fields): the set must come from this algorithm, resource count,
+  /// horizon, options and plan.
   void check_manifest(std::istream& in, Round round) const {
-    std::stringstream bytes;
-    write_manifest(bytes, round);
-    CheckpointReader want(bytes);
+    CheckpointWriter want;
+    write_manifest_fields(want, round);
     CheckpointReader got(in);
-    want.open_section(kTagManifest);
     got.open_section(kTagManifest);
-    RRS_REQUIRE(got.remaining() >= want.remaining(),
-                "checkpoint manifest truncated");
-    while (want.remaining() > 0) {
-      RRS_REQUIRE(got.u8() == want.u8(), "checkpoint manifest of round "
-                                              << round
-                                              << " does not match this run");
-    }
+    got.expect_bytes(want.bytes(),
+                     "manifest of round " + std::to_string(round));
   }
 
   /// Commits a checkpoint at `round` (the run itself is unperturbed), then

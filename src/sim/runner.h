@@ -51,10 +51,6 @@ struct RunOptions {
   /// Sparse-round fast-forward (see EngineOptions::fast_forward).
   /// Bit-identical either way; disable only to measure the skip.
   bool fast_forward = true;
-  /// Pending-budget admission control (see EngineOptions::pending_budget);
-  /// 0 = unlimited.  Shard s of a sharded run gets
-  /// budget * shard_resources[s] / n, rounded down but at least 1.
-  std::int64_t pending_budget = 0;
   /// Checkpoint directory, required by checkpoint_every, resume and
   /// stop_flag.  One engine writes `ckpt-<round>.rrsckpt` (source
   /// embedded); K engines write a `ckpt-<round>.shard<s>` sidecar per

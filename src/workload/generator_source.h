@@ -209,17 +209,11 @@ class GeneratorSource : public ArrivalSource {
 
   // --- checkpoint/restore (crash-safe service mode) ---
 
-  /// Serializes the full stream position: cursors, the scanned-ahead
-  /// (peeked) buffer, restriction bookkeeping, and — via
+  /// Serializes the full stream position: the generator's identity and
+  /// view, cursors, the scanned-ahead (peeked) buffer, and — via
   /// checkpoint_extra() — the subclass's RNG streams.
   void checkpoint(CheckpointWriter& w) const final {
-    w.str("generator");
-    w.i64(delta_);
-    w.i64(horizon_);
-    w.i64(static_cast<std::int64_t>(delay_bounds_.size()));
-    w.boolean(restricted_);
-    w.u64(active_.size());
-    for (const ColorId c : active_) w.i64(c);
+    write_identity(w);
     w.i64(next_round_);
     w.i64(served_);
     w.i64(peek_round_);
@@ -241,21 +235,9 @@ class GeneratorSource : public ArrivalSource {
   void restore(CheckpointReader& r) final {
     RRS_CHECK_MSG(next_round_ == 0 && served_ == -1,
                   "checkpoint restore into an already-pulled generator");
-    RRS_REQUIRE(r.str() == "generator",
-                "checkpoint source-type mismatch (this source is a "
-                "generator)");
-    RRS_REQUIRE(r.i64() == delta_ && r.i64() == horizon_ &&
-                    r.i64() == static_cast<std::int64_t>(delay_bounds_.size()),
-                "checkpoint generator metadata mismatch: " << summary());
-    RRS_REQUIRE(r.boolean() == restricted_,
-                "checkpoint generator restriction mismatch");
-    const std::uint64_t actives = r.u64();
-    RRS_REQUIRE(actives == active_.size(),
-                "checkpoint generator view size " << actives << " != "
-                                                  << active_.size());
-    for (const ColorId c : active_) {
-      RRS_REQUIRE(r.i64() == c, "checkpoint generator view colors differ");
-    }
+    CheckpointWriter identity;
+    write_identity(identity);
+    r.expect_bytes(identity.bytes(), "generator header");
     // Everything is checked before any field is committed: a restore that
     // breaks the pull contract must fail here, while recovery can still
     // fall back to an older checkpoint, not at a later pull.
@@ -408,6 +390,18 @@ class GeneratorSource : public ArrivalSource {
   }
 
  private:
+  /// What a checkpoint must share with the generator restoring it: the
+  /// parameters every subclass shares and the view's colors.
+  void write_identity(CheckpointWriter& w) const {
+    w.str("generator");
+    w.i64(delta_);
+    w.i64(horizon_);
+    w.i64(static_cast<std::int64_t>(delay_bounds_.size()));
+    w.boolean(restricted_);
+    w.u64(active_.size());
+    for (const ColorId c : active_) w.i64(c);
+  }
+
   [[nodiscard]] std::size_t checked_global(ColorId color) const {
     RRS_REQUIRE(color >= 0 &&
                     static_cast<std::size_t>(color) < delay_bounds_.size(),

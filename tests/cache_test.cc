@@ -157,36 +157,6 @@ TEST(CacheAssignment, MisuseIsRejected) {
   EXPECT_THROW((void)cache.color_at(9), InputError);
 }
 
-TEST(CacheAssignment, ResetClearsMembershipWithoutPerColorWork) {
-  // reset() bumps the membership epoch: every color reads as uncached
-  // immediately, and the physical layer returns to all-black.
-  CacheAssignment cache(4, 2);
-  cache.ensure_colors(1000);
-  cache.begin_phase();
-  cache.insert(997);
-  cache.insert(3);
-  (void)cache.finish_phase();
-  ASSERT_TRUE(cache.contains(997));
-
-  cache.reset();
-  EXPECT_EQ(cache.num_cached(), 0);
-  EXPECT_FALSE(cache.contains(997));
-  EXPECT_FALSE(cache.contains(3));
-  for (int r = 0; r < 4; ++r) EXPECT_EQ(cache.color_at(r), kBlack);
-
-  // The cache is fully usable after reset, including re-inserting a color
-  // cached in the previous epoch (must recolor: locations were cleared).
-  cache.begin_phase();
-  cache.insert(997);
-  EXPECT_EQ(cache.finish_phase().size(), 2u);
-  EXPECT_TRUE(cache.contains(997));
-
-  // reset() inside an open phase is misuse.
-  cache.begin_phase();
-  EXPECT_THROW(cache.reset(), InvariantError);
-  (void)cache.finish_phase();
-}
-
 TEST(CacheAssignment, EventsSortedByLocation) {
   CacheAssignment cache(8, 2);
   cache.ensure_colors(8);

@@ -4,8 +4,7 @@
 // results bit-identical to the uninterrupted run — costs, schedules,
 // observer stats, snapshot series — serial and sharded (K=2), with and
 // without fast-forward, including a sharded stop-and-resume under the
-// checkpoint cadence.  Plus pending-budget admission-control semantics
-// on the flash-crowd family, serial and sharded.
+// checkpoint cadence.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -17,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/engine.h"
 #include "obs/observer.h"
 #include "sim/runner.h"
@@ -348,6 +348,19 @@ TEST(CheckpointObserver, StatsAndSnapshotSeriesRoundTrip) {
             to_json_line(restored.final_snapshot));
 }
 
+/// Expects `restore` to throw an InputError whose message names `section`.
+template <typename Restore>
+void expect_rejection_naming(const Restore& restore,
+                             const std::string& section) {
+  try {
+    restore();
+    ADD_FAILURE() << "a mismatched " << section << " restored";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find(section), std::string::npos)
+        << e.what();
+  }
+}
+
 // Restoring into an engine built with different options must reject, not
 // half-apply.
 TEST(CheckpointMismatch, RejectsDifferentOptionsOrPolicy) {
@@ -368,7 +381,8 @@ TEST(CheckpointMismatch, RejectsDifferentOptionsOrPolicy) {
     o2.num_resources = 4;
     Engine e2(*s2, *p2, o2);
     std::istringstream in(frame, std::ios::binary);
-    EXPECT_THROW(e2.restore(in, s2.get()), InputError);
+    expect_rejection_naming([&] { e2.restore(in, s2.get()); },
+                            "engine options section");
   }
   {
     // Different policy.
@@ -421,6 +435,36 @@ TEST(CheckpointMismatch, RejectsDifferentPerColorMetadata) {
   EXPECT_THROW(restored.restore(bytes, other.get()), InputError);
 }
 
+// A generator restores only onto one with the same parameters and view.
+TEST(CheckpointMismatch, RejectsDifferentGeneratorParametersOrView) {
+  const auto source = [](Cost delta, const std::vector<ColorId>& view) {
+    RandomBatchedParams params;
+    params.delta = delta;
+    params.num_colors = 4;
+    auto generator = std::make_unique<RandomBatchedSource>(params);
+    generator->restrict_to(view);
+    return generator;
+  };
+  CheckpointWriter w;
+  w.begin_section(1);
+  source(8, {0, 2})->checkpoint(w);
+  w.end_section();
+  std::stringstream written;
+  w.finish(written);
+  const std::string frame = written.str();
+  const auto restore_onto = [&frame](GeneratorSource& target) {
+    std::istringstream in(frame, std::ios::binary);
+    CheckpointReader r(in);
+    r.open_section(1);
+    target.restore(r);
+  };
+  restore_onto(*source(8, {0, 2}));
+  for (const auto& other : {source(4, {0, 2}), source(8, {0, 1})}) {
+    expect_rejection_naming([&] { restore_onto(*other); },
+                            "generator header");
+  }
+}
+
 // The manifest binds a set to its round: a set copied under a newer round
 // is skipped, although its sidecars alone would restore (to the older
 // round).
@@ -449,137 +493,15 @@ TEST(CheckpointMismatch, ShardedSetUnderAnotherRoundIsSkipped) {
   const ShardedRunRecord resumed = run_streaming_sharded(
       *again, "dlru-edf", 8, 2, kInfiniteHorizon, options);
   EXPECT_EQ(resumed.recovered_from, sets[0].round);
-  std::filesystem::remove_all(dir);
-}
 
-// --- pending-budget admission control --------------------------------------
-
-StreamRunRecord run_with_budget(std::int64_t budget, std::int64_t* peak,
-                                Observer* obs = nullptr) {
-  const auto source = make_source("flash-crowd", 7);
-  std::unique_ptr<Policy> policy;
-  EngineOptions options = stream_options("dlru-edf", true, policy);
-  options.num_resources = 4;  // starve the spike so pending piles up
-  options.record_schedule = false;
-  options.pending_budget = budget;
-  options.observer = obs;
-  Engine engine(*source, *policy, options);
-  engine.run_rounds(*source, engine.arrival_end());
-  EngineResult result = engine.finish();
-  if (peak != nullptr) *peak = result.peak_pending;
-  StreamRunRecord record;
-  static_cast<RunCounters&>(record) = result;
-  record.stats = std::move(result.policy_stats);
-  return record;
-}
-
-TEST(AdmissionControl, FlashCrowdHoldsBudgetAndCountsRejections) {
-  std::int64_t unbounded_peak = 0;
-  const StreamRunRecord off = run_with_budget(0, &unbounded_peak);
-  ASSERT_GT(unbounded_peak, 32) << "spike too small to exercise the budget";
-
-  Observer obs;
-  std::int64_t peak = 0;
-  const StreamRunRecord on = run_with_budget(32, &peak, &obs);
-  EXPECT_LE(peak, 32);
-  EXPECT_GT(on.admission_rejected, 0);
-  EXPECT_EQ(on.arrived, off.arrived) << "shed jobs still count as arrivals";
-  EXPECT_EQ(obs.final_snapshot.admission_rejected, on.admission_rejected);
-  EXPECT_LE(on.admission_rejected, obs.final_snapshot.drop_count)
-      << "admission rejections are a subset of drops";
-}
-
-TEST(AdmissionControl, UnhitBudgetIsBitIdenticalToOff) {
-  std::int64_t peak = 0;
-  const StreamRunRecord off = run_with_budget(0, &peak);
-  const StreamRunRecord unhit = run_with_budget(peak + 1, nullptr);
-  testing::expect_same_run(off, unhit, "unhit budget");
-  EXPECT_EQ(unhit.admission_rejected, 0);
-}
-
-TEST(AdmissionControl, BudgetStateSurvivesCheckpoint) {
-  // Checkpoint mid-spike with the budget active; the restored run's
-  // admission counters match the uninterrupted budgeted run exactly.
-  const auto run = [&](bool interrupt) {
-    const auto source = make_source("flash-crowd", 9);
-    std::unique_ptr<Policy> policy;
-    EngineOptions options = stream_options("dlru-edf", true, policy);
-    options.num_resources = 4;
-    options.record_schedule = false;
-    options.pending_budget = 24;
-    Engine engine(*source, *policy, options);
-    const Round end = engine.arrival_end();
-    if (!interrupt) {
-      engine.run_rounds(*source, end);
-      return engine.finish();
-    }
-    engine.run_rounds(*source, 160);  // inside the spike
-    std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
-    engine.checkpoint(bytes, source.get());
-    const auto s2 = make_source("flash-crowd", 9);
-    std::unique_ptr<Policy> p2;
-    EngineOptions o2 = stream_options("dlru-edf", true, p2);
-    o2.num_resources = 4;
-    o2.record_schedule = false;
-    o2.pending_budget = 24;
-    Engine resumed(*s2, *p2, o2);
-    resumed.restore(bytes, s2.get());
-    resumed.run_rounds(*s2, end);
-    return resumed.finish();
-  };
-  const EngineResult straight = run(false);
-  const EngineResult resumed = run(true);
-  ASSERT_GT(straight.admission_rejected, 0);
-  expect_identical(straight, resumed, "budgeted round trip");
-}
-
-TEST(AdmissionControl, ShardedBudgetSplitsByResourceShare) {
-  // K=2: shard s holds budget * shard_resources[s] / n, and the merged
-  // rejection count is the sum over shards.
-  constexpr std::int64_t kBudget = 32;
-  constexpr int kResources = 8;
-  const auto source = make_source("flash-crowd", 7);
-  ShardedRunOptions options;
-  options.pending_budget = kBudget;
-  const ShardedRunRecord record = run_streaming_sharded(
-      *source, "dlru-edf", kResources, 2, kInfiniteHorizon, options);
-  std::int64_t rejected = 0;
-  for (std::size_t s = 0; s < record.shards.size(); ++s) {
-    const std::int64_t share =
-        kBudget * record.plan.shard_resources[s] / kResources;
-    EXPECT_LE(record.shards[s].peak_pending, share) << "shard " << s;
-    rejected += record.shards[s].admission_rejected;
-  }
-  EXPECT_GT(rejected, 0) << "spike too small to exercise the budget";
-  EXPECT_EQ(record.merged.admission_rejected, rejected);
-}
-
-TEST(AdmissionControl, SingleShardBudgetMatchesServiceAndStreaming) {
-  // The budgeted engine run exactly as run_streaming builds it (which has
-  // no budget argument), K=1 sharded, and the service all agree.
-  constexpr std::int64_t kBudget = 32;
-  const StreamRunRecord streaming = run_with_budget(kBudget, nullptr);
-  ASSERT_GT(streaming.admission_rejected, 0);
-
-  ShardedRunOptions sharded_options;
-  sharded_options.pending_budget = kBudget;
-  const auto sharded_source = make_source("flash-crowd", 7);
-  const ShardedRunRecord sharded = run_streaming_sharded(
-      *sharded_source, "dlru-edf", 4, 1, kInfiniteHorizon, sharded_options);
-  testing::expect_same_run(streaming, sharded.merged, "K=1 sharded");
-
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "ckpt_budget_service";
-  std::filesystem::remove_all(dir);
-  ServiceOptions service_options;
-  service_options.checkpoint_dir = dir.string();
-  service_options.checkpoint_every = 64;
-  service_options.pending_budget = kBudget;
-  const auto service_source = make_source("flash-crowd", 7);
-  const ServiceResult served =
-      run_service(*service_source, "dlru-edf", 4, service_options);
-  EXPECT_TRUE(served.finished);
-  testing::expect_same_run(streaming, served.record, "service");
+  // A run with another resource count finds no matching manifest.
+  const auto other = make_source("random-batched", 4);
+  expect_rejection_naming(
+      [&] {
+        (void)run_streaming_sharded(*other, "dlru-edf", 16, 2,
+                                    kInfiniteHorizon, options);
+      },
+      "manifest of round");
   std::filesystem::remove_all(dir);
 }
 

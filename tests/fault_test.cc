@@ -225,12 +225,6 @@ TEST(CacheChurn, SurvivorsKeepMembershipAcrossChurn) {
   EXPECT_TRUE(cache.contains(0));
   EXPECT_TRUE(cache.contains(1));
   EXPECT_FALSE(cache.contains(2));
-
-  // reset() clears the down set along with everything else.
-  cache.reset();
-  EXPECT_EQ(cache.num_down(), 0);
-  EXPECT_EQ(cache.max_distinct(), 4);
-  EXPECT_EQ(cache.num_cached(), 0);
 }
 
 TEST(CacheChurn, ChurnCallsOutsidePhasesOnly) {

@@ -691,5 +691,83 @@ TEST(CheckpointFuzz, TrackerDeadlinesMustEndTheCheckpointRoundsBlock) {
   EXPECT_THROW((void)restore(8, 8, 10), InputError) << "boundary not applied";
 }
 
+/// Restores a hand-built cache section onto a 4-location, replication-2
+/// cache sized for three colors: the geometry, each location's physical
+/// color, the down flags, the free stack, then one cached slot.  `cached`
+/// holds locations 0 and 1; free location 2 still holds `stale`.
+std::unique_ptr<CacheAssignment> restore_cache(ColorId cached, ColorId stale) {
+  CheckpointWriter w;
+  w.begin_section(1);
+  w.i64(4);  // locations
+  w.i64(2);  // replication
+  for (const ColorId c : {cached, cached, stale, kBlack}) w.i64(c);
+  for (int loc = 0; loc < 4; ++loc) w.boolean(false);  // none down
+  w.u64(2);  // free stack
+  w.i64(3);
+  w.i64(2);
+  w.u64(1);  // cached slots
+  w.i64(cached);
+  w.i64(0);
+  w.i64(1);
+  w.end_section();
+  std::stringstream bytes;
+  w.finish(bytes);
+  CheckpointReader r(bytes);
+  r.open_section(1);
+  auto cache = std::make_unique<CacheAssignment>(4, 2);
+  cache->ensure_colors(3);
+  cache->restore_checkpoint(r);
+  return cache;
+}
+
+// A color at or above the cache's color count would let the next round
+// read per-color tables past their end.
+TEST(CheckpointFuzz, CachedColorOutsideTheColorSpaceRejects) {
+  EXPECT_TRUE(restore_cache(2, 1)->contains(2));
+  EXPECT_THROW((void)restore_cache(5, 1), InputError);
+}
+
+TEST(CheckpointFuzz, PhysicalColorOutsideTheColorSpaceRejects) {
+  EXPECT_EQ(restore_cache(0, 2)->color_at(2), 2);
+  EXPECT_THROW((void)restore_cache(0, 4), InputError);
+}
+
+/// Restores a hand-built pending section: the sweep cursor, the color
+/// count, then each color's jobs — one job of color 0 (D = 4) due at
+/// `deadline`, none of color 1 (D = 8).
+std::unique_ptr<PendingJobs> restore_pending(Round cursor, Round deadline) {
+  const std::vector<Round> delays = {4, 8};
+  CheckpointWriter w;
+  w.begin_section(1);
+  w.i64(cursor);
+  w.i64(2);  // colors
+  w.u64(1);
+  for (const std::int64_t v : {JobId{0}, deadline, Round{1}}) {
+    w.i64(v);  // id, deadline, remaining units
+  }
+  w.u64(0);
+  w.end_section();
+  std::stringstream bytes;
+  w.finish(bytes);
+  CheckpointReader r(bytes);
+  r.open_section(1);
+  auto pending = std::make_unique<PendingJobs>();
+  pending->reset(2);
+  pending->restore_checkpoint(r, delays);
+  return pending;
+}
+
+// Checkpoints follow a round's drop phase: a pending job arrived at or
+// before the cursor and is due after it, so within the cursor + D_c.
+TEST(CheckpointFuzz, PendingDeadlinePastCursorPlusDelayRejects) {
+  EXPECT_EQ(restore_pending(99, 103)->earliest_deadline(0), 103);
+  EXPECT_THROW((void)restore_pending(99, 104), InputError);
+}
+
+TEST(CheckpointFuzz, PendingDeadlineAtTheCursorRejects) {
+  EXPECT_EQ(restore_pending(99, 100)->count(0), 1);
+  EXPECT_THROW((void)restore_pending(99, 99), InputError);
+}
+
 }  // namespace
 }  // namespace rrs

@@ -414,59 +414,56 @@ TEST(SnapshotTest, ReaderSkipsBlankLinesAndNumbersErrors) {
 
 TEST(SnapshotGolden, ObservedRunWritesPinnedBytes) {
   // The snapshot_out bytes of a run that moves every key (churn with
-  // charged repairs, weights, lengths, a shedding budget), pinned
-  // literally: the export promises byte-identical reruns of a seed, and
-  // any change to the format, a key or a counter's source shows up here.
+  // charged repairs, weights, lengths), pinned literally: the export
+  // promises byte-identical reruns of a seed, and any change to the
+  // format, a key or a counter's source shows up here.
   // After an intended format change, re-capture the literal from
   // golden_snapshot_stream() and review the diff key by key.
   const std::string expected =
-      "{\"round\":31,\"arrived\":56,\"executed\":42,\"drop_count\":13"
-      ",\"drop_weight\":14,\"completed_weight\":103,\"work_units\":63"
-      ",\"reconfig_events\":27,\"churn_failures\":3,\"churn_repairs\":2"
-      ",\"churn_evictions\":2,\"pending\":1,\"admission_rejected\":10"
-      ",\"mean_wait\":1.9047619047619047,\"mean_slack\":3.3809523809523809"
-      ",\"wait\":{\"count\":42,\"sum\":80,\"min\":0,\"max\":10"
-      ",\"buckets\":[[0,15],[1,11],[2,9],[3,5],[4,2]]},\"slack\":{\"count\":42"
-      ",\"sum\":142,\"min\":0,\"max\":8,\"buckets\":[[0,1],[1,5],[2,22],[3,13]"
-      ",[4,1]]},\"service\":{\"count\":42,\"sum\":63,\"min\":1,\"max\":3"
-      ",\"buckets\":[[1,24],[2,18]]},\"reconfig_gap\":{\"count\":11,\"sum\":29"
-      ",\"min\":1,\"max\":6,\"buckets\":[[1,2],[2,6],[3,3]]}}\n"
-      "{\"round\":63,\"arrived\":115,\"executed\":81,\"drop_count\":32"
-      ",\"drop_weight\":39,\"completed_weight\":208,\"work_units\":130"
-      ",\"reconfig_events\":53,\"churn_failures\":6,\"churn_repairs\":5"
-      ",\"churn_evictions\":5,\"pending\":2,\"admission_rejected\":26"
-      ",\"mean_wait\":2.6419753086419755,\"mean_slack\":3.3209876543209877"
-      ",\"wait\":{\"count\":81,\"sum\":214,\"min\":0,\"max\":15"
-      ",\"buckets\":[[0,25],[1,20],[2,18],[3,10],[4,8]]}"
-      ",\"slack\":{\"count\":81,\"sum\":269,\"min\":0,\"max\":9"
-      ",\"buckets\":[[0,4],[1,8],[2,43],[3,22],[4,4]]}"
-      ",\"service\":{\"count\":81,\"sum\":129,\"min\":1,\"max\":3"
-      ",\"buckets\":[[1,45],[2,36]]},\"reconfig_gap\":{\"count\":24,\"sum\":59"
-      ",\"min\":1,\"max\":6,\"buckets\":[[1,8],[2,10],[3,6]]}}\n"
-      "{\"round\":95,\"arrived\":168,\"executed\":124,\"drop_count\":43"
-      ",\"drop_weight\":52,\"completed_weight\":314,\"work_units\":185"
-      ",\"reconfig_events\":81,\"churn_failures\":8,\"churn_repairs\":7"
-      ",\"churn_evictions\":7,\"pending\":1,\"admission_rejected\":32"
-      ",\"mean_wait\":2.2661290322580645,\"mean_slack\":3.153225806451613"
-      ",\"wait\":{\"count\":124,\"sum\":281,\"min\":0,\"max\":15"
-      ",\"buckets\":[[0,38],[1,33],[2,32],[3,12],[4,9]]}"
-      ",\"slack\":{\"count\":124,\"sum\":391,\"min\":0,\"max\":10"
-      ",\"buckets\":[[0,6],[1,16],[2,67],[3,29],[4,6]]}"
-      ",\"service\":{\"count\":124,\"sum\":184,\"min\":1,\"max\":3"
-      ",\"buckets\":[[1,79],[2,45]]},\"reconfig_gap\":{\"count\":39,\"sum\":93"
-      ",\"min\":1,\"max\":6,\"buckets\":[[1,13],[2,17],[3,9]]}}\n"
-      "{\"round\":112,\"arrived\":196,\"executed\":141,\"drop_count\":55"
-      ",\"drop_weight\":67,\"completed_weight\":364,\"work_units\":217"
-      ",\"reconfig_events\":97,\"churn_failures\":10,\"churn_repairs\":8"
-      ",\"churn_evictions\":8,\"pending\":0,\"admission_rejected\":41"
-      ",\"mean_wait\":2.4609929078014185,\"mean_slack\":3.2056737588652484"
-      ",\"wait\":{\"count\":141,\"sum\":347,\"min\":0,\"max\":15"
-      ",\"buckets\":[[0,44],[1,37],[2,34],[3,13],[4,13]]}"
-      ",\"slack\":{\"count\":141,\"sum\":452,\"min\":0,\"max\":10"
-      ",\"buckets\":[[0,7],[1,16],[2,77],[3,34],[4,7]]}"
-      ",\"service\":{\"count\":141,\"sum\":215,\"min\":1,\"max\":3"
-      ",\"buckets\":[[1,87],[2,54]]},\"reconfig_gap\":{\"count\":47,\"sum\":110"
-      ",\"min\":1,\"max\":6,\"buckets\":[[1,15],[2,22],[3,10]]}}\n";
+      "{\"round\":31,\"arrived\":56,\"executed\":45,\"drop_count\":10"
+      ",\"drop_weight\":15,\"completed_weight\":102,\"work_units\":63"
+      ",\"reconfig_events\":31,\"churn_failures\":3,\"churn_repairs\":2"
+      ",\"churn_evictions\":2,\"pending\":1,\"mean_wait\":1.9111111111111112"
+      ",\"mean_slack\":2.9555555555555557,\"wait\":{\"count\":45,\"sum\":86"
+      ",\"min\":0,\"max\":14,\"buckets\":[[0,16],[1,14],[2,10],[3,2],[4,3]]}"
+      ",\"slack\":{\"count\":45,\"sum\":133,\"min\":0,\"max\":7"
+      ",\"buckets\":[[0,1],[1,8],[2,25],[3,11]]},\"service\":{\"count\":45"
+      ",\"sum\":63,\"min\":1,\"max\":3,\"buckets\":[[1,30],[2,15]]}"
+      ",\"reconfig_gap\":{\"count\":13,\"sum\":29,\"min\":1,\"max\":6"
+      ",\"buckets\":[[1,5],[2,5],[3,3]]}}\n"
+      "{\"round\":63,\"arrived\":115,\"executed\":84,\"drop_count\":26"
+      ",\"drop_weight\":35,\"completed_weight\":207,\"work_units\":127"
+      ",\"reconfig_events\":59,\"churn_failures\":6,\"churn_repairs\":5"
+      ",\"churn_evictions\":5,\"pending\":5,\"mean_wait\":2.6904761904761907"
+      ",\"mean_slack\":2.7857142857142856,\"wait\":{\"count\":84,\"sum\":226"
+      ",\"min\":0,\"max\":15,\"buckets\":[[0,25],[1,24],[2,16],[3,10],[4,9]]}"
+      ",\"slack\":{\"count\":84,\"sum\":234,\"min\":0,\"max\":7"
+      ",\"buckets\":[[0,4],[1,13],[2,49],[3,18]]},\"service\":{\"count\":84"
+      ",\"sum\":127,\"min\":1,\"max\":3,\"buckets\":[[1,50],[2,34]]}"
+      ",\"reconfig_gap\":{\"count\":27,\"sum\":61,\"min\":1,\"max\":7"
+      ",\"buckets\":[[1,11],[2,11],[3,5]]}}\n"
+      "{\"round\":95,\"arrived\":168,\"executed\":127,\"drop_count\":36"
+      ",\"drop_weight\":49,\"completed_weight\":311,\"work_units\":185"
+      ",\"reconfig_events\":89,\"churn_failures\":8,\"churn_repairs\":7"
+      ",\"churn_evictions\":7,\"pending\":5,\"mean_wait\":2.4881889763779528"
+      ",\"mean_slack\":2.622047244094488,\"wait\":{\"count\":127,\"sum\":316"
+      ",\"min\":0,\"max\":15,\"buckets\":[[0,38],[1,35],[2,29],[3,14],[4,11]]}"
+      ",\"slack\":{\"count\":127,\"sum\":333,\"min\":0,\"max\":7"
+      ",\"buckets\":[[0,7],[1,23],[2,74],[3,23]]},\"service\":{\"count\":127"
+      ",\"sum\":183,\"min\":1,\"max\":3,\"buckets\":[[1,82],[2,45]]}"
+      ",\"reconfig_gap\":{\"count\":43,\"sum\":93,\"min\":1,\"max\":7"
+      ",\"buckets\":[[1,17],[2,20],[3,6]]}}\n"
+      "{\"round\":112,\"arrived\":196,\"executed\":147,\"drop_count\":49"
+      ",\"drop_weight\":66,\"completed_weight\":365,\"work_units\":220"
+      ",\"reconfig_events\":106,\"churn_failures\":10,\"churn_repairs\":8"
+      ",\"churn_evictions\":9,\"pending\":0,\"mean_wait\":2.5578231292517009"
+      ",\"mean_slack\":2.7823129251700682,\"wait\":{\"count\":147,\"sum\":376"
+      ",\"min\":0,\"max\":15,\"buckets\":[[0,43],[1,40],[2,35],[3,16],[4,13]]}"
+      ",\"slack\":{\"count\":147,\"sum\":409,\"min\":0,\"max\":13"
+      ",\"buckets\":[[0,10],[1,25],[2,82],[3,27],[4,3]]}"
+      ",\"service\":{\"count\":147,\"sum\":217,\"min\":1,\"max\":3"
+      ",\"buckets\":[[1,93],[2,54]]},\"reconfig_gap\":{\"count\":52"
+      ",\"sum\":110,\"min\":1,\"max\":7,\"buckets\":[[1,19],[2,27],[3,6]]}}\n";
   EXPECT_EQ(testing::golden_snapshot_stream(), expected);
 }
 

@@ -156,6 +156,22 @@ TEST(Validator, RejectsOutOfRangeEvents) {
   }
 }
 
+TEST(Validator, CostRejectsOutOfRangeExecJobIds) {
+  // Schedule::cost looks each execution's job up by id: an id past the
+  // job table must throw whatever the instance's job lengths.
+  for (const Round length : {Round{1}, Round{2}}) {
+    InstanceBuilder builder;
+    builder.delta(1);
+    builder.add_color(4, /*drop_cost=*/1, length);
+    builder.add_jobs(0, 0, 1);
+    const Instance inst = builder.build();
+    Schedule s;
+    s.num_resources = 1;
+    s.execs = {{0, 0, 0, 7}};
+    EXPECT_THROW((void)s.cost(inst), InputError) << "length " << length;
+  }
+}
+
 TEST(Validator, RejectsUnorderedEvents) {
   const Instance inst = small_instance();
   Schedule s = valid_schedule();

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -50,27 +51,38 @@ std::filesystem::path test_dir(const std::string& name) {
 }
 
 TEST(ServiceRun, BitIdenticalToStreamingAndRotatesCheckpoints) {
-  const auto dir = test_dir("rotate");
-  const auto plain = make_source(1);
-  const StreamRunRecord reference = run_streaming(*plain, "dlru-edf", 8);
+  FlashCrowdParams crowd;  // a spike that piles up pending work mid-run
+  crowd.spike_start = 128;
+  crowd.spike_end = 192;
+  crowd.horizon = 512;
+  crowd.seed = 7;
+  const std::function<std::unique_ptr<ArrivalSource>()> families[] = {
+      [] { return make_source(1); },
+      [&crowd] { return std::make_unique<FlashCrowdSource>(crowd); },
+  };
+  for (const auto& family : families) {
+    const auto dir = test_dir("rotate");
+    const auto plain = family();
+    const StreamRunRecord reference = run_streaming(*plain, "dlru-edf", 8);
 
-  const auto source = make_source(1);
-  ServiceOptions options;
-  options.checkpoint_dir = dir.string();
-  options.checkpoint_every = 64;
-  options.checkpoint_keep = 2;
-  const ServiceResult result = run_service(*source, "dlru-edf", 8, options);
+    const auto source = family();
+    ServiceOptions options;
+    options.checkpoint_dir = dir.string();
+    options.checkpoint_every = 64;
+    options.checkpoint_keep = 2;
+    const ServiceResult result = run_service(*source, "dlru-edf", 8, options);
 
-  EXPECT_TRUE(result.finished);
-  EXPECT_EQ(result.recovered_from, -1);
-  testing::expect_same_run(reference, result.record, "service run");
-  // Interior boundaries at 64, 128, ..., each written; only the last K
-  // survive rotation.
-  EXPECT_GT(result.checkpoints_written, 2);
-  const auto files = list_checkpoints(dir, ".rrsckpt");
-  EXPECT_EQ(files.size(), 2u);
-  EXPECT_EQ(files.front().path.string(), result.final_checkpoint);
-  std::filesystem::remove_all(dir);
+    EXPECT_TRUE(result.finished);
+    EXPECT_EQ(result.recovered_from, -1);
+    testing::expect_same_run(reference, result.record, source->summary());
+    // Interior boundaries at 64, 128, ..., each written; only the last K
+    // survive rotation.
+    EXPECT_GT(result.checkpoints_written, 2);
+    const auto files = list_checkpoints(dir, ".rrsckpt");
+    EXPECT_EQ(files.size(), 2u);
+    EXPECT_EQ(files.front().path.string(), result.final_checkpoint);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(ServiceRun, ResumesFromNewestCheckpoint) {

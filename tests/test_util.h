@@ -29,8 +29,8 @@ void expect_same_run(const Run& a, const Run& b, const std::string& label) {
 
 /// The snapshot_out bytes of one small observed dLRU-EDF run in which
 /// every snapshot key is non-trivial: MTBF churn with charged repairs,
-/// drop costs 1-4, job lengths 1-3 (so work_units != executed), and a
-/// pending budget that sheds.  Three periodic lines plus the final one.
+/// drop costs 1-4 and job lengths 1-3 (so work_units != executed).  Three
+/// periodic lines plus the final one.
 /// Everything is closed-form or seeded, so the bytes are fixed.
 [[nodiscard]] inline std::string golden_snapshot_stream() {
   constexpr ColorId kColors = 6;
@@ -69,7 +69,6 @@ void expect_same_run(const Run& a, const Run& b, const std::string& label) {
   options.fault_plan = &plan;
   options.charge_repair = true;
   options.observer = &observer;
-  options.pending_budget = 10;
   (void)run_streaming_sharded(source, "dlru-edf", 4, 1, kInfiniteHorizon,
                               options);
   return out.str();
