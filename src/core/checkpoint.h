@@ -35,7 +35,9 @@
 
 namespace rrs {
 
-/// Major 6 drops the engine's pending budget and admission-rejection
+/// Major 7 moves the recorded schedule out of the engine section into the
+/// schedule recorder's own section, which also carries churn events.
+/// Since major 6 the engine keeps no pending budget or admission-rejection
 /// counter.  Since major 5 the engine keeps no hottest-failure FIFO and
 /// the tracker no eligible list or ineligible-drop ids (the per-color
 /// eligible flags carry the set).  Since major 4 dLRU-EDF's LRU split
@@ -44,7 +46,7 @@ namespace rrs {
 /// field-list order (rounds included), and every checkpoint carries each
 /// color's delay bound, drop cost and length in the engine's options
 /// section.
-inline constexpr std::uint32_t kCheckpointMajor = 6;
+inline constexpr std::uint32_t kCheckpointMajor = 7;
 inline constexpr std::uint32_t kCheckpointMinor = 0;
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) of `size` bytes.

@@ -92,6 +92,8 @@ class CostModel {
   [[nodiscard]] Round length(ColorId color) const {
     return lengths_[checked(color)];
   }
+  /// Every color's length, indexed by color.
+  [[nodiscard]] std::span<const Round> lengths() const { return lengths_; }
 
   /// Delta(kBlack -> to): the cold re-image price of `to`.
   [[nodiscard]] Cost cold_cost(ColorId to) const {

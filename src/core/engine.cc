@@ -38,6 +38,7 @@ constexpr std::uint32_t kTagCache = 4;
 constexpr std::uint32_t kTagPolicy = 5;
 constexpr std::uint32_t kTagObserver = 6;
 constexpr std::uint32_t kTagSource = 7;
+constexpr std::uint32_t kTagSchedule = 8;
 
 }  // namespace
 
@@ -52,65 +53,6 @@ void Policy::restore_state(CheckpointReader& r) {
   RRS_REQUIRE(false,
               "policy '" << name() << "' does not support checkpointing");
 }
-
-/// Cursor over a FaultPlan plus the state needed to apply its events.
-struct Engine::FaultCursor {
-  const FaultPlan* plan = nullptr;
-  Observer* obs = nullptr;
-  const CostModel* model = nullptr;
-  std::size_t next = 0;
-  std::vector<ColorId> lost;        // location -> physical color at failure
-  std::vector<ColorId> evicted;     // colors evicted by this round's events
-
-  /// Applies every event scheduled at or before round `k`; when there was
-  /// one, notifies `policy` once.
-  void apply(Round k, const EngineOptions& options, CacheAssignment& cache,
-             Policy& policy, EngineResult& result) {
-    if (plan == nullptr || next >= plan->events.size() ||
-        plan->events[next].round > k) {
-      return;
-    }
-    evicted.clear();
-    while (next < plan->events.size() && plan->events[next].round <= k) {
-      const FaultEvent& ev = plan->events[next++];
-      const int r = ev.resource;
-      if (ev.fail) {
-        // What re-imaging the location will cost on repair depends on the
-        // physical content lost, which may differ from the evicted cached
-        // color (a stale physical color is not in the cached set).
-        lost[static_cast<std::size_t>(r)] = cache.color_at(r);
-        const ColorId evicted_color = cache.fail_location(r);
-        ++result.degraded.fault_events;
-        if (evicted_color != kBlack) {
-          ++result.degraded.churn_evictions;
-          evicted.push_back(evicted_color);
-        }
-        if (obs != nullptr && obs->config.trace) {
-          obs->trace.push({k, TraceKind::kChurnFail, r, evicted_color});
-        }
-      } else {
-        cache.repair_location(r);
-        ++result.degraded.repair_events;
-        if (options.charge_repair) {
-          ++result.cost.reconfig_events;
-          ++result.cost.churn_reconfigs;
-          // Re-imaging a repaired (blank) location prices via the cold
-          // column of the color it lost; a location that was blank at
-          // failure is charged the base Delta.  Scalar tier: both == Delta,
-          // bit-identical to the historical events * Delta accounting.
-          const ColorId was = lost[static_cast<std::size_t>(r)];
-          result.cost.reconfig_cost +=
-              was == kBlack ? model->delta() : model->cold_cost(was);
-        }
-        if (obs != nullptr && obs->config.trace) {
-          obs->trace.push({k, TraceKind::kChurnRepair, r, 0});
-        }
-      }
-    }
-    policy.on_capacity_change(k, options.num_resources - cache.num_down(),
-                              options.num_resources, evicted);
-  }
-};
 
 Engine::Engine(ArrivalSource& source, Policy& policy,
                const EngineOptions& options)
@@ -130,22 +72,19 @@ Engine::Engine(ArrivalSource& source, Policy& policy,
   pending_.reset(source.num_colors());
   cache_.ensure_colors(source.num_colors());
 
-  result_.schedule.num_resources = options_.num_resources;
-  result_.schedule.speed = options_.speed;
+  recorder_.schedule.num_resources = options_.num_resources;
+  recorder_.schedule.speed = options_.speed;
+  lost_.assign(static_cast<std::size_t>(options_.num_resources), kBlack);
 
   policy_->begin(source, options_.num_resources, options_.speed);
 
   Observer* const obs = options_.observer;
-  if (obs != nullptr) begin_observed_run(*obs, source);
+  if (options_.record_schedule) sinks_.push_back(&recorder_);
+  if (obs != nullptr) {
+    obs->begin_run(source.num_colors());
+    sinks_.push_back(obs);
+  }
   timers_ = obs != nullptr && obs->config.timers ? &obs->timers : nullptr;
-  tracing_ = obs != nullptr && obs->config.trace;
-
-  faults_ = std::make_unique<FaultCursor>();
-  faults_->plan = options_.fault_plan;
-  faults_->obs = obs;
-  faults_->model = &model_;
-  faults_->lost.assign(static_cast<std::size_t>(options_.num_resources),
-                       kBlack);
 
   // Sparse-round fast-forward eligibility and the stop-round inputs are
   // resolved once: the policy's declaration never changes mid-run and the
@@ -159,13 +98,56 @@ Engine::Engine(ArrivalSource& source, Policy& policy,
 
 Engine::~Engine() = default;
 
-void Engine::run_round(ArrivalSource* pull) {
-  Observer* const obs = options_.observer;
+void Engine::churn_phase() {
+  const FaultPlan* const plan = options_.fault_plan;
+  if (plan == nullptr || fault_next_ >= plan->events.size() ||
+      plan->events[fault_next_].round > k_) {
+    return;
+  }
+  evicted_.clear();
+  while (fault_next_ < plan->events.size() &&
+         plan->events[fault_next_].round <= k_) {
+    const FaultEvent& ev = plan->events[fault_next_++];
+    const int r = ev.resource;
+    ColorId& lost = lost_[static_cast<std::size_t>(r)];
+    Churn churn{k_, r, ev.fail};
+    if (ev.fail) {
+      // What re-imaging the location will cost on repair depends on the
+      // physical content lost, which may differ from the evicted cached
+      // color (a stale physical color is not in the cached set).
+      lost = cache_.color_at(r);
+      const ColorId evicted = cache_.fail_location(r);
+      ++result_.degraded.fault_events;
+      if (evicted != kBlack) {
+        ++result_.degraded.churn_evictions;
+        evicted_.push_back(evicted);
+      }
+    } else {
+      cache_.repair_location(r);
+      ++result_.degraded.repair_events;
+      if (options_.charge_repair) {
+        // Re-imaging a repaired (blank) location prices via the cold
+        // column of the color it lost; a location that was blank at
+        // failure is charged the base Delta.  Scalar tier: both == Delta.
+        churn.charged = true;
+        churn.price = lost == kBlack ? model_.delta() : model_.cold_cost(lost);
+        ++result_.cost.reconfig_events;
+        ++result_.cost.churn_reconfigs;
+        result_.cost.reconfig_cost += churn.price;
+      }
+    }
+    churn.lost = lost;
+    if (!sinks_.empty()) emit(&RunSink::on_churn, churn);
+  }
+  policy_->on_capacity_change(k_, options_.num_resources - cache_.num_down(),
+                              options_.num_resources, evicted_);
+}
 
+void Engine::run_round(ArrivalSource* pull) {
   // Phase 0: capacity churn — failures apply before this round's drop
   // and arrival phases.
   if (timers_ != nullptr) timers_->begin_segment();
-  faults_->apply(k_, options_, cache_, *policy_, result_);
+  churn_phase();
   const bool degraded_round = cache_.num_down() > 0;
   if (degraded_round) ++result_.degraded.degraded_rounds;
   if (timers_ != nullptr) timers_->note(EnginePhase::kChurn);
@@ -183,8 +165,8 @@ void Engine::run_round(ArrivalSource* pull) {
   }
   result_.arrived += static_cast<std::int64_t>(arrivals.size());
   result_.peak_pending = std::max(result_.peak_pending, pending_.total());
-  if (obs != nullptr) {
-    for (const Job& job : arrivals) obs->stats.on_arrival(job.color);
+  if (!sinks_.empty() && !arrivals.empty()) {
+    emit(&RunSink::on_arrivals, Arrivals{k_, arrivals});
   }
   if (timers_ != nullptr) timers_->note(EnginePhase::kArrival);
 
@@ -194,24 +176,20 @@ void Engine::run_round(ArrivalSource* pull) {
     if (timers_ != nullptr) timers_->begin_segment();
     cache_.begin_phase();
     RoundContext ctx(k_, mini, /*final_sweep=*/false, dropped_, arrivals,
-                     pending_, cache_, obs);
+                     pending_, cache_, options_.observer);
     policy_->on_round(ctx);
     const std::span<const std::pair<int, ColorId>> phase_events =
         cache_.finish_phase();
     const std::span<const ColorId> phase_from = cache_.phase_from_colors();
     for (std::size_t i = 0; i < phase_events.size(); ++i) {
       const auto& [location, color] = phase_events[i];
+      const Cost price = model_.reconfig_cost(phase_from[i], color);
       ++result_.cost.reconfig_events;
-      result_.cost.reconfig_cost += model_.reconfig_cost(phase_from[i], color);
-      if (options_.record_schedule) {
-        result_.schedule.reconfigs.push_back({k_, mini, location, color});
-      }
-    }
-    if (obs != nullptr && !phase_events.empty()) {
-      obs->stats.on_reconfigs(k_);
-      if (tracing_) {
-        obs->trace.push({k_, TraceKind::kReconfig, mini,
-                         static_cast<std::int64_t>(phase_events.size())});
+      result_.cost.reconfig_cost += price;
+      if (!sinks_.empty()) {
+        emit(&RunSink::on_reconfig, Reconfiguration{k_, mini, location,
+                                                     phase_from[i], color,
+                                                     price});
       }
     }
     if (timers_ != nullptr) timers_->note(EnginePhase::kPolicy);
@@ -221,54 +199,36 @@ void Engine::run_round(ArrivalSource* pull) {
     for (int r = 0; r < options_.num_resources; ++r) {
       const ColorId color = cache_.color_at(r);
       if (color == kBlack || pending_.idle(color)) continue;
-      const bool completes =
-          model_.unit_lengths() || pending_.earliest_remaining(color) == 1;
-      if (obs != nullptr) {
-        // The job about to execute is the color's earliest deadline;
-        // reading it before the pop derives wait and slack without
-        // materializing anything.  Completion stats fire only on a job's
-        // final unit; every unit counts as work.
-        obs->stats.on_work_unit(color);
-        if (completes) {
-          obs->stats.on_execution(color, k_,
-                                  pending_.earliest_deadline(color));
-        }
-      }
       const PendingJobs::ExecResult exec = pending_.execute_earliest(color);
       ++result_.work_units;
       if (exec.completed) ++result_.executed;
-      if (options_.record_schedule) {
-        result_.schedule.execs.push_back({k_, mini, r, exec.id});
+      if (!sinks_.empty()) {
+        const auto c = static_cast<std::size_t>(color);
+        emit(&RunSink::on_exec,
+             ExecUnit{k_, mini, r, exec.id, color, color,
+                      exec.deadline - delay_bounds_[c], exec.deadline,
+                      model_.length(color), model_.drop_cost(color),
+                      exec.left});
       }
     }
     if (timers_ != nullptr) timers_->note(EnginePhase::kExec);
   }
-  if (obs != nullptr && obs->config.snapshot_every > 0 &&
-      (k_ + 1) % obs->config.snapshot_every == 0) {
-    obs->emit_snapshot(result_, k_, pending_.total());
+  if (!sinks_.empty()) {
+    emit(&RunSink::on_round_end, RoundEnd{k_, &result_, pending_.total()});
   }
   ++k_;
 }
 
 void Engine::drop_phase(Round through, bool degraded) {
-  Observer* const obs = options_.observer;
   pending_.drop_expired(through, dropped_);
   Cost drop_cost = 0;
   for (const auto& [color, count] : dropped_.by_color) {
-    drop_cost += static_cast<Cost>(count) * model_.drop_cost(color);
+    const Cost weight = static_cast<Cost>(count) * model_.drop_cost(color);
+    drop_cost += weight;
+    if (!sinks_.empty()) emit(&RunSink::on_drop, Drop{k_, color, count, weight});
   }
   result_.cost.drops += drop_cost;
   if (degraded) result_.degraded.drops_while_degraded += drop_cost;
-  if (obs != nullptr && dropped_.total > 0) {
-    for (const auto& [color, count] : dropped_.by_color) {
-      obs->stats.on_drop(color, count);
-    }
-    if (tracing_) {
-      obs->trace.push({k_, TraceKind::kDropBurst,
-                       static_cast<std::int32_t>(dropped_.by_color.size()),
-                       dropped_.total});
-    }
-  }
 }
 
 void Engine::run_rounds(ArrivalSource& source, Round until) {
@@ -294,9 +254,9 @@ Round Engine::next_stop_round(Round until) const {
     stop = std::min(stop, ceil_multiple(k_, d));
   }
   // Fault events apply at the start of their round.
-  if (faults_->plan != nullptr &&
-      faults_->next < faults_->plan->events.size()) {
-    stop = std::min(stop, faults_->plan->events[faults_->next].round);
+  if (options_.fault_plan != nullptr &&
+      fault_next_ < options_.fault_plan->events.size()) {
+    stop = std::min(stop, options_.fault_plan->events[fault_next_].round);
   }
   // Snapshots fire after round k when (k + 1) % every == 0; the next such
   // round must run so the emission round (and its cumulative counters,
@@ -344,27 +304,28 @@ EngineResult Engine::finish() {
   // max_rounds clip, without draining).  Policies see this sweep
   // (final_sweep() == true, cache read-only) so their drop accounting
   // matches the engine's.
-  Observer* const obs = options_.observer;
   drop_phase(std::max(k_, max_deadline_), cache_.num_down() > 0);
   RoundContext final_ctx(k_, 0, /*final_sweep=*/true, dropped_, {}, pending_,
-                         cache_, obs);
+                         cache_, options_.observer);
   policy_->on_round(final_ctx);
 
+  return end_run();
+}
+
+EngineResult Engine::end_run() {
   result_.rounds = k_;
   result_.policy_stats = policy_->stats();
-  if (obs != nullptr) obs->finish_run(result_, k_, pending_.total());
+  result_.schedule = std::move(recorder_.schedule);
+  if (options_.observer != nullptr) {
+    options_.observer->finish_run(result_, k_, pending_.total());
+  }
   return std::move(result_);
 }
 
 EngineResult Engine::abandon() {
   RRS_REQUIRE(!ended_, "abandon after finish/abandon");
   ended_ = true;
-  result_.rounds = k_;
-  result_.policy_stats = policy_->stats();
-  if (options_.observer != nullptr) {
-    options_.observer->finish_run(result_, k_, pending_.total());
-  }
-  return std::move(result_);
+  return end_run();
 }
 
 void Engine::write_identity(CheckpointWriter& w) const {
@@ -407,26 +368,18 @@ void Engine::checkpoint(std::ostream& out, const ArrivalSource* source) const {
   w.begin_section(kTagEngine);
   w.i64(k_);
   w.i64(max_deadline_);
-  w.u64(faults_->next);
-  w.u64(faults_->lost.size());
-  for (const ColorId c : faults_->lost) w.i64(c);
+  w.u64(fault_next_);
+  w.u64(lost_.size());
+  for (const ColorId c : lost_) w.i64(c);
   for_each_field([&w](const auto&, std::int64_t v) { w.i64(v); },
                  static_cast<const RunCounters&>(result_));
-  w.u64(result_.schedule.reconfigs.size());
-  for (const ReconfigEvent& e : result_.schedule.reconfigs) {
-    w.i64(e.round);
-    w.i64(e.mini);
-    w.i64(e.resource);
-    w.i64(e.color);
-  }
-  w.u64(result_.schedule.execs.size());
-  for (const ExecEvent& e : result_.schedule.execs) {
-    w.i64(e.round);
-    w.i64(e.mini);
-    w.i64(e.resource);
-    w.i64(e.job);
-  }
   w.end_section();
+
+  if (options_.record_schedule) {
+    w.begin_section(kTagSchedule);
+    recorder_.checkpoint(w);
+    w.end_section();
+  }
 
   w.begin_section(kTagPending);
   pending_.checkpoint(w);
@@ -480,11 +433,10 @@ void Engine::restore(std::istream& in, ArrivalSource* source) {
   RRS_REQUIRE(max_deadline >= 0, "checkpoint max_deadline out of range");
   const std::uint64_t fnext = r.u64();
   RRS_REQUIRE(fnext <= plan_events, "checkpoint fault cursor out of range");
-  RRS_REQUIRE(r.u64() == faults_->lost.size(),
-              "checkpoint fault-cursor size mismatch");
+  RRS_REQUIRE(r.u64() == lost_.size(), "checkpoint fault-cursor size mismatch");
   std::vector<ColorId> lost;
-  lost.reserve(faults_->lost.size());
-  for (std::size_t i = 0; i < faults_->lost.size(); ++i) {
+  lost.reserve(lost_.size());
+  for (std::size_t i = 0; i < lost_.size(); ++i) {
     const std::int64_t c = r.i64();
     RRS_REQUIRE(c >= kBlack && c < colors,
                 "checkpoint lost-color out of range");
@@ -499,55 +451,16 @@ void Engine::restore(std::istream& in, ArrivalSource* source) {
       counters);
   RRS_REQUIRE(counters.work_units >= counters.executed,
               "checkpoint has fewer work units than completions");
-  const std::uint64_t num_reconfigs = r.u64();
-  // Four i64 fields per event bound the claimable count by the bytes
-  // actually present, so a corrupt length cannot trigger a huge reserve.
-  RRS_REQUIRE(num_reconfigs <= r.remaining() / 32,
-              "checkpoint schedule truncated");
-  RRS_REQUIRE(options_.record_schedule || num_reconfigs == 0,
-              "checkpoint carries a schedule but record_schedule is off");
-  std::vector<ReconfigEvent> reconfigs;
-  reconfigs.reserve(static_cast<std::size_t>(num_reconfigs));
-  for (std::uint64_t i = 0; i < num_reconfigs; ++i) {
-    ReconfigEvent e;
-    e.round = r.i64();
-    const std::int64_t mini = r.i64();
-    const std::int64_t resource = r.i64();
-    const std::int64_t color = r.i64();
-    RRS_REQUIRE(e.round >= 0 && mini >= 0 && mini < options_.speed &&
-                    resource >= 0 && resource < options_.num_resources &&
-                    color >= kBlack && color < colors,
-                "checkpoint reconfig event out of range");
-    e.mini = static_cast<std::int32_t>(mini);
-    e.resource = static_cast<std::int32_t>(resource);
-    e.color = static_cast<ColorId>(color);
-    reconfigs.push_back(e);
-  }
-  const std::uint64_t num_execs = r.u64();
-  RRS_REQUIRE(num_execs <= r.remaining() / 32,
-              "checkpoint schedule truncated");
-  RRS_REQUIRE(options_.record_schedule || num_execs == 0,
-              "checkpoint carries a schedule but record_schedule is off");
-  std::vector<ExecEvent> execs;
-  execs.reserve(static_cast<std::size_t>(num_execs));
-  for (std::uint64_t i = 0; i < num_execs; ++i) {
-    ExecEvent e;
-    e.round = r.i64();
-    const std::int64_t mini = r.i64();
-    const std::int64_t resource = r.i64();
-    e.job = r.i64();
-    RRS_REQUIRE(e.round >= 0 && mini >= 0 && mini < options_.speed &&
-                    resource >= 0 && resource < options_.num_resources &&
-                    e.job >= 0,
-                "checkpoint exec event out of range");
-    e.mini = static_cast<std::int32_t>(mini);
-    e.resource = static_cast<std::int32_t>(resource);
-    execs.push_back(e);
-  }
   r.close_section();
 
+  if (options_.record_schedule) {
+    r.open_section(kTagSchedule);
+    recorder_.restore_checkpoint(r, static_cast<ColorId>(colors));
+    r.close_section();
+  }
+
   r.open_section(kTagPending);
-  pending_.restore_checkpoint(r, delay_bounds_);
+  pending_.restore_checkpoint(r, delay_bounds_, model_.lengths());
   r.close_section();
 
   r.open_section(kTagCache);
@@ -576,25 +489,10 @@ void Engine::restore(std::istream& in, ArrivalSource* source) {
   // restores above, which themselves only commit on full validation.
   k_ = k;
   max_deadline_ = max_deadline;
-  faults_->next = fnext;
-  faults_->lost = std::move(lost);
+  fault_next_ = fnext;
+  lost_ = std::move(lost);
   static_cast<RunCounters&>(result_) = counters;
   result_.peak_pending = std::max(result_.peak_pending, pending_.total());
-  result_.schedule.reconfigs = std::move(reconfigs);
-  result_.schedule.execs = std::move(execs);
-}
-
-void begin_observed_run(Observer& observer, const ArrivalSource& source) {
-  const auto colors = static_cast<std::size_t>(source.num_colors());
-  std::vector<Round> delay_bounds(colors);
-  std::vector<Cost> drop_costs(colors);
-  std::vector<Round> lengths(colors);
-  for (std::size_t c = 0; c < colors; ++c) {
-    delay_bounds[c] = source.delay_bound(static_cast<ColorId>(c));
-    drop_costs[c] = source.drop_cost(static_cast<ColorId>(c));
-    lengths[c] = source.length(static_cast<ColorId>(c));
-  }
-  observer.begin_run(delay_bounds, drop_costs, lengths);
 }
 
 EngineResult run_policy(ArrivalSource& source, Policy& policy,

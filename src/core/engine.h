@@ -16,18 +16,20 @@
 // The engine consumes a pull-based ArrivalSource, so memory stays
 // O(pending jobs + colors) even on unbounded streams; run_policy on an
 // Instance is a thin MaterializedSource wrapper.  The engine is the single
-// place cost is accounted for online algorithms (incrementally, per drop
-// phase), and optionally records a full event Schedule for validation.
+// place cost is accounted for online algorithms (incrementally, per
+// phase).  It emits each run event once (core/run_events.h) to its sinks:
+// the schedule recorder (EngineOptions::record_schedule) and the Observer.
 #pragma once
 
 #include <iosfwd>
-#include <memory>
+#include <vector>
 
 #include "core/arrival_source.h"
 #include "core/fault_plan.h"
 #include "core/instance.h"
 #include "core/pending.h"
 #include "core/policy.h"
+#include "core/run_events.h"
 #include "core/schedule.h"
 #include "core/types.h"
 
@@ -45,7 +47,8 @@ struct EngineOptions {
   /// Locations each cached color occupies (2 for the Section 3 algorithms'
   /// replication invariant, 1 for Seq-EDF).
   int replication = 1;
-  bool record_schedule = true;  ///< disable for large benchmark runs
+  /// Attach the schedule recorder (disable for large benchmark runs).
+  bool record_schedule = true;
   /// Cap on rounds pulled from the source.  Required (finite) when the
   /// source is infinite; kInfiniteHorizon means "the source's horizon".
   Round max_rounds = kInfiniteHorizon;
@@ -64,18 +67,18 @@ struct EngineOptions {
   /// reconfiguration event (the repaired resource comes back blank and must
   /// be re-imaged); when false, churn itself is free and only the policy's
   /// recolorings cost Delta.  Charged repairs are counted in
-  /// CostBreakdown::churn_reconfigs but never recorded in the schedule —
-  /// the validator only prices policy-driven events.
+  /// CostBreakdown::churn_reconfigs; the recorded schedule marks them, so
+  /// the validator prices them exactly as the engine does.
   bool charge_repair = false;
   /// Optional observability sink (not owned; must outlive the run).
-  /// nullptr is the off mode: every hook site degrades to one branch on a
-  /// null pointer and the run's results are bit-identical to a build
-  /// without the obs subsystem.  With an observer the engine updates
-  /// StreamStats in every phase, feeds the TraceRing, attributes phase
-  /// time when ObsConfig::timers is set, takes periodic snapshots per
-  /// ObsConfig::snapshot_every, and dumps the trace ring to
-  /// Observer::trace_dump_out (default stderr) if the run dies on an
-  /// InvariantError.
+  /// nullptr is the off mode: with no schedule recorded either, every emit
+  /// site degrades to one branch on an empty sink list and the run's
+  /// results are bit-identical to a build without the obs subsystem.  With
+  /// an observer the engine feeds it every run event (StreamStats, the
+  /// TraceRing and periodic snapshots per ObsConfig::snapshot_every read
+  /// them), attributes phase time when ObsConfig::timers is set, and dumps
+  /// the trace ring to Observer::trace_dump_out (default stderr) if the run
+  /// dies on an InvariantError.
   Observer* observer = nullptr;
   /// Sparse-round fast-forward: when the pending set is empty and the
   /// policy declares supports_fast_forward(), run_rounds() jumps over
@@ -137,8 +140,9 @@ class Engine {
   [[nodiscard]] EngineResult abandon();
 
   /// Serializes the complete mutable run state — options fingerprint,
-  /// round cursor, accumulated result (schedule included when recorded),
-  /// fault cursor, pending set, cache, policy scratch, observer stats —
+  /// round cursor, accumulated counters, fault cursor, the recorder's
+  /// schedule when recorded, pending set, cache, policy scratch, observer
+  /// stats —
   /// as one framed checkpoint (see core/checkpoint.h).  When `source` is
   /// non-null its stream position is embedded too (pass the source driving
   /// run_rounds); pass nullptr when the caller checkpoints the source
@@ -155,7 +159,18 @@ class Engine {
   void restore(std::istream& in, ArrivalSource* source);
 
  private:
-  struct FaultCursor;
+  /// Delivers `event` to every attached sink, in attach order.
+  template <typename Event>
+  void emit(void (RunSink::*hook)(const Event&), const Event& event) const {
+    for (RunSink* const sink : sinks_) (sink->*hook)(event);
+  }
+
+  /// Churn phase at k_: applies every fault event due by k_ and, when
+  /// there was one, notifies the policy once.
+  void churn_phase();
+
+  /// The counters (and recorded schedule) at the end of a run.
+  [[nodiscard]] EngineResult end_run();
 
   /// One full round at k_: churn, drop, arrival (from `pull`, or none),
   /// speed mini-rounds of policy + execution, periodic snapshot.
@@ -191,9 +206,12 @@ class Engine {
   CacheAssignment cache_;
   EngineResult result_;
   PendingJobs::DropResult dropped_;  // reused across rounds
-  std::unique_ptr<FaultCursor> faults_;
+  ScheduleRecorder recorder_;
+  std::vector<RunSink*> sinks_;  ///< recorder and/or observer
+  std::size_t fault_next_ = 0;   ///< next FaultPlan event to apply
+  std::vector<ColorId> lost_;    ///< location -> physical color at failure
+  std::vector<ColorId> evicted_;  ///< colors evicted by this round's churn
   PhaseTimers* timers_ = nullptr;
-  bool tracing_ = false;
   Round max_deadline_ = 0;  ///< high-water mark over ingested deadlines
   Round k_ = 0;
   bool ended_ = false;  ///< finish() or abandon() already called
@@ -201,10 +219,6 @@ class Engine {
   std::vector<Round> ff_delays_;   ///< distinct delay bounds (stop rounds)
   Round ff_snapshot_every_ = 0;    ///< observer snapshot cadence (0 = none)
 };
-
-/// Resets `observer` for a run over `source`'s color space, caching each
-/// color's delay bound, drop cost and length for the hot-path hooks.
-void begin_observed_run(Observer& observer, const ArrivalSource& source);
 
 /// Runs `policy` against `source` under `options`, pulling rounds
 /// sequentially.  For infinite sources options.max_rounds must be set.

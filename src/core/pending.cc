@@ -143,10 +143,12 @@ void PendingJobs::checkpoint(CheckpointWriter& w) const {
 }
 
 void PendingJobs::restore_checkpoint(CheckpointReader& r,
-                                     std::span<const Round> delay_bounds) {
+                                     std::span<const Round> delay_bounds,
+                                     std::span<const Round> lengths) {
   RRS_CHECK_MSG(total_ == 0 && cursor_ == -1,
                 "checkpoint restore into a non-fresh pending store");
-  RRS_CHECK(delay_bounds.size() == queues_.size());
+  RRS_CHECK(delay_bounds.size() == queues_.size() &&
+            lengths.size() == queues_.size());
   const std::int64_t cursor = r.i64();
   RRS_REQUIRE(cursor >= -1, "checkpoint pending cursor " << cursor);
   // Set before any job is re-added, so each hint buckets relative to it.
@@ -171,6 +173,11 @@ void PendingJobs::restore_checkpoint(CheckpointReader& r,
                                             << " due at " << job.deadline
                                             << " malformed at cursor "
                                             << cursor);
+      RRS_REQUIRE(job.remaining <= lengths[c],
+                  "checkpoint pending job " << job.id << " of color " << c
+                                            << " has " << job.remaining
+                                            << " units left, past its length "
+                                            << lengths[c]);
       prev = job.deadline;
       restore(static_cast<ColorId>(c), job);
     }

@@ -92,6 +92,8 @@ class PendingJobs {
   struct ExecResult {
     JobId id = 0;
     bool completed = false;  ///< final unit: the job left the multiset
+    Round deadline = 0;
+    Round left = 0;  ///< units the job still needs (0 iff completed)
   };
 
   /// Applies one execution unit to the earliest-deadline pending job of
@@ -104,11 +106,12 @@ class PendingJobs {
     const std::int32_t head = queues_[idx(color)].head;
     RRS_CHECK(head >= 0);
     Run& run = run_at(head);
+    const Round deadline = run.deadline;
     if (run.front_left > 1) {
       --run.front_left;
-      return {run.first_id, false};
+      return {run.first_id, false, deadline, run.front_left};
     }
-    return {pop_earliest(color), true};
+    return {pop_earliest(color), true, deadline, 0};
   }
 
   /// Remaining execution units of the earliest-deadline pending job of
@@ -171,14 +174,16 @@ class PendingJobs {
   void checkpoint(CheckpointWriter& w) const;
 
   /// Restores state written by checkpoint() into this store, which must
-  /// be freshly reset() with the same color count; `delay_bounds` holds
-  /// each color's D_c.  Checkpoints are taken after a round's drop phase,
-  /// so every job of color c must be due in (cursor, cursor + D_c].  The
+  /// be freshly reset() with the same color count; `delay_bounds` and
+  /// `lengths` hold each color's D_c and length.  Checkpoints are taken
+  /// after a round's drop phase, so every job of color c must be due in
+  /// (cursor, cursor + D_c] with 1 to length(c) units left.  The
   /// calendar is rebuilt from the restored jobs; hint-set differences
   /// against the original store are unobservable (stale hints drain
   /// nothing).
   void restore_checkpoint(CheckpointReader& r,
-                          std::span<const Round> delay_bounds);
+                          std::span<const Round> delay_bounds,
+                          std::span<const Round> lengths);
 
  private:
   /// `count` jobs of one color with ids from `first_id`, one deadline and

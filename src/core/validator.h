@@ -1,21 +1,22 @@
 // Schedule validation: the ground truth for every experiment.
 //
-// Every algorithm in this repository — online policies run through the
-// engine, the offline DP, the appendix OFF constructions, the reduction
-// mappings — emits a Schedule.  The validator replays a Schedule against its
-// Instance and checks the Section 2 model rules:
+// Every algorithm in this repository emits a Schedule.  The validator is
+// a checker sink over replay() (core/replay.h), which first rejects
+// malformed events; on the replayed run it checks the Section 2 rules:
 //
-//   * events are ordered and in-range (rounds, mini-rounds, resources);
 //   * each job receives at most length(color) execution units (exactly "at
 //     most once" under the paper's unit lengths);
 //   * every execution unit of a job runs no earlier than its arrival round
 //     and strictly before its deadline round (jobs with deadline k are
 //     dropped in the drop phase of round k, which precedes execution);
-//   * the executing resource is configured to the job's color at that
-//     mini-round (reconfigurations in the same mini-round precede execution);
-//   * at most one execution per (resource, round, mini-round).
+//   * the executing resource is up and configured to the job's color at
+//     that mini-round (reconfigurations in the same mini-round precede
+//     execution);
+//   * at most one execution per (resource, round, mini-round);
+//   * churn fails only working resources and repairs only failed ones, and
+//     no failed resource is recolored.
 //
-// It also recomputes the cost so tests can cross-check CostBreakdowns.
+// Its cost is the one Schedule::cost sums over the same replay.
 #pragma once
 
 #include <string>
@@ -29,15 +30,14 @@ namespace rrs {
 /// Outcome of validating one Schedule against one Instance.
 struct ValidationResult {
   bool ok = false;
-  std::vector<std::string> errors;  ///< capped; empty iff ok
+  std::vector<std::string> errors;  ///< capped at max_errors; empty if ok
   CostBreakdown cost;               ///< valid only when ok
 };
 
 /// Validates `schedule` against `instance`.  Collects up to `max_errors`
 /// problems (so tests can report several at once) and computes the cost.
-/// A schedule with a malformed event (out-of-range round, mini,
-/// resource, job or color, or events out of order) reports only those;
-/// the legality replay runs once every event is well formed.
+/// A schedule with a malformed event reports only those; the legality
+/// checks run once every event is well formed.
 [[nodiscard]] ValidationResult validate(const Instance& instance,
                                         const Schedule& schedule,
                                         int max_errors = 8);

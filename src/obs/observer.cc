@@ -7,21 +7,53 @@
 
 namespace rrs {
 
-void Observer::begin_run(std::span<const Round> delay_bounds,
-                         std::span<const Cost> drop_costs,
-                         std::span<const Round> lengths) {
-  stats.begin(delay_bounds, drop_costs, lengths);
+void Observer::begin_run(ColorId num_colors) {
+  stats.begin(num_colors);
   trace.clear();
   timers.reset();
   snapshots.clear();
   final_snapshot = Snapshot{};
 }
 
-void Observer::emit_snapshot(const RunCounters& counters, Round round,
-                             std::int64_t pending) {
-  snapshots.push_back(make_snapshot(stats, counters, round, pending));
+void Observer::on_churn(const Churn& e) {
+  if (!config.trace) return;
+  trace.push({e.round, e.fail ? TraceKind::kChurnFail : TraceKind::kChurnRepair,
+              e.location, e.fail ? e.lost : 0});
+}
+
+void Observer::on_drop(const Drop& e) {
+  stats.on_drop(e);
+  if (!config.trace) return;
+  TraceEvent* last = trace.newest();
+  if (last != nullptr && last->kind == TraceKind::kDropBurst &&
+      last->round == e.round) {
+    ++last->detail;
+    last->value += e.count;
+  } else {
+    trace.push({e.round, TraceKind::kDropBurst, 1, e.count});
+  }
+}
+
+void Observer::on_reconfig(const Reconfiguration& e) {
+  stats.on_reconfigs(e.round);
+  if (!config.trace) return;
+  TraceEvent* last = trace.newest();
+  if (last != nullptr && last->kind == TraceKind::kReconfig &&
+      last->round == e.round && last->detail == e.mini) {
+    ++last->value;
+  } else {
+    trace.push({e.round, TraceKind::kReconfig, e.mini, 1});
+  }
+}
+
+void Observer::on_round_end(const RoundEnd& e) {
+  if (e.totals == nullptr || config.snapshot_every <= 0 ||
+      (e.round + 1) % config.snapshot_every != 0) {
+    return;
+  }
+  snapshots.push_back(make_snapshot(stats, *e.totals, e.round, e.pending));
   if (config.trace) {
-    trace.push({round, TraceKind::kSnapshot, 0, pending});
+    trace.push({e.round, TraceKind::kSnapshot, 0, e.pending});
   }
   if (snapshot_out != nullptr) {
     write_snapshots(*snapshot_out, {&snapshots.back(), 1});

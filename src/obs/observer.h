@@ -2,9 +2,9 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <vector>
 
+#include "core/run_events.h"
 #include "core/types.h"
 #include "obs/phase_timers.h"
 #include "obs/snapshot.h"
@@ -31,12 +31,14 @@ struct ObsConfig {
   Round snapshot_every = 0;
 };
 
-/// Per-engine observability bundle threaded through a run.  Not
-/// thread-safe: each engine (each shard) gets its own Observer; sharded
-/// runs merge them additively afterwards.  The run's totals are not
-/// counted here: the engine keeps them in RunCounters and hands them to
-/// each snapshot.
-struct Observer {
+/// Per-engine observability bundle threaded through a run: a sink on the
+/// engine's event stream (core/run_events.h) that feeds StreamStats, folds
+/// each phase's drops and reconfigurations into one trace entry, and takes
+/// the periodic snapshots at round ends.  Not thread-safe: each engine
+/// (each shard) gets its own Observer; sharded runs merge them additively
+/// afterwards.  The run's totals are not counted here: the engine keeps
+/// them in RunCounters and hands them to each snapshot.
+struct Observer final : RunSink {
   explicit Observer(const ObsConfig& c = {})
       : config(c), trace(c.trace_capacity) {}
 
@@ -52,16 +54,18 @@ struct Observer {
   /// Where dump_trace() writes when not given a stream; nullptr = stderr.
   std::ostream* trace_dump_out = nullptr;
 
-  /// Resets all state and caches per-color metadata for the hot-path hooks.
-  /// An empty `lengths` span means unit lengths (the paper's model).
-  void begin_run(std::span<const Round> delay_bounds,
-                 std::span<const Cost> drop_costs,
-                 std::span<const Round> lengths = {});
+  /// Resets all state for a run over colors [0, num_colors).
+  void begin_run(ColorId num_colors);
 
-  /// Takes a periodic snapshot of `counters` and stats (and writes it to
+  void on_churn(const Churn& e) override;
+  void on_drop(const Drop& e) override;
+  void on_arrivals(const Arrivals& e) override { stats.on_arrivals(e); }
+  void on_reconfig(const Reconfiguration& e) override;
+  void on_exec(const ExecUnit& e) override { stats.on_exec(e); }
+  /// Every config.snapshot_every rounds, appends a snapshot of the
+  /// engine's totals and stats to `snapshots` (and writes it to
   /// snapshot_out, if set).
-  void emit_snapshot(const RunCounters& counters, Round round,
-                     std::int64_t pending);
+  void on_round_end(const RoundEnd& e) override;
 
   /// Captures the final snapshot (and writes it to snapshot_out, if set).
   void finish_run(const RunCounters& counters, Round round,
@@ -76,7 +80,7 @@ struct Observer {
   /// phase timers are diagnostics — recent-event debris and wall-clock data —
   /// and are deliberately excluded: a restored run reproduces results, not
   /// the debug trace.  restore_checkpoint requires begin_run() to have been
-  /// called with the same color space; a snapshot_out sink attached to the
+  /// called with the same color count; a snapshot_out sink attached to the
   /// restored observer receives only post-restore snapshots (the in-memory
   /// series stays complete).
   void checkpoint(CheckpointWriter& w) const;

@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/run_events.h"
 #include "core/types.h"
 #include "obs/histogram.h"
 #include "util/check.h"
@@ -48,80 +49,60 @@ struct ColorObs {
 
 static_assert(only_listed_counters<ColorObs>());
 
-/// O(1)-per-event streaming statistics updated inside the engine phases:
-/// the distributions, the per-color table, and the two totals the engine
-/// does not count (drop_count, completed_weight).  Run totals such as
-/// arrivals, completions, drop weight and churn live once, in the engine's
+/// O(1)-per-event streaming statistics fed the engine's run events: the
+/// distributions, the per-color table, and the two totals the engine does
+/// not count (drop_count, completed_weight).  Run totals such as arrivals,
+/// completions, drop weight and churn live once, in the engine's
 /// RunCounters; snapshots combine the two.
 ///
-/// begin() caches the per-color delay bounds and drop costs so the hot-path
-/// hooks never call back into the arrival source and never allocate.  All
-/// aggregates are integers (or integer-backed histograms), so merge() /
-/// merge_mapped() are exact and order-independent — the foundation for the
-/// sharded additive-merge guarantee.
+/// Each event carries what its statistic needs (wait and slack from the
+/// unit's arrival and deadline, service and weight from the job), so the
+/// hooks keep no per-color metadata and never allocate.  All aggregates
+/// are integers (or integer-backed histograms), so merge_mapped() is exact
+/// and order-independent — the foundation for the sharded additive-merge
+/// guarantee.
 class StreamStats {
  public:
-  /// Resets and sizes per-color state.  Spans are copied.  An empty
-  /// `lengths` span means unit lengths (the paper's model).
-  void begin(std::span<const Round> delay_bounds,
-             std::span<const Cost> drop_costs,
-             std::span<const Round> lengths = {}) {
-    RRS_CHECK(delay_bounds.size() == drop_costs.size());
-    RRS_CHECK(lengths.empty() || lengths.size() == delay_bounds.size());
+  /// Resets and sizes the per-color table for colors [0, num_colors).
+  void begin(ColorId num_colors) {
     *this = StreamStats{};
-    delay_bounds_.assign(delay_bounds.begin(), delay_bounds.end());
-    drop_costs_.assign(drop_costs.begin(), drop_costs.end());
-    if (lengths.empty()) {
-      lengths_.assign(delay_bounds_.size(), 1);
-    } else {
-      lengths_.assign(lengths.begin(), lengths.end());
+    per_color_.assign(static_cast<std::size_t>(num_colors), ColorObs{});
+  }
+
+  // --- hot-path hooks (all O(1) per job or unit, allocation-free) ---------
+
+  void on_arrivals(const Arrivals& e) {
+    for (const Job& job : e.jobs) {
+      ++per_color_[static_cast<std::size_t>(job.color)].arrived;
     }
-    per_color_.assign(delay_bounds_.size(), ColorObs{});
   }
 
-  // --- hot-path hooks (all O(1), allocation-free) --------------------------
-
-  void on_arrival(ColorId color) {
-    ++per_color_[static_cast<std::size_t>(color)].arrived;
-  }
-
-  /// Called just before a job of `color` with the given deadline executes in
-  /// round `round`.  Derives wait and slack the same way compute_metrics
-  /// does from the materialized schedule:
-  ///   wait  = round - arrival = round - (deadline - delay_bound)
-  ///   slack = deadline - 1 - round
-  void on_execution(ColorId color, Round round, Round deadline) {
-    const std::size_t c = static_cast<std::size_t>(color);
-    const Round wait = round - (deadline - delay_bounds_[c]);
-    const Round slack = deadline - 1 - round;
+  /// Every unit counts as work; a completing unit also records the job's
+  /// wait (round - arrival), slack (deadline - 1 - round) and service
+  /// demand, as compute_metrics does from the recorded schedule.
+  void on_exec(const ExecUnit& e) {
+    ColorObs& obs = per_color_[static_cast<std::size_t>(e.color)];
+    ++obs.work_units;
+    if (!e.completes()) return;
+    const Round wait = e.round - e.arrival;
     wait_.record(wait);
-    slack_.record(slack);
-    service_.record(lengths_[c]);
-    completed_weight_ += drop_costs_[c];
-    ColorObs& obs = per_color_[c];
+    slack_.record(e.deadline - 1 - e.round);
+    service_.record(e.length);
+    completed_weight_ += e.weight;
     ++obs.executed;
     obs.wait_sum += wait;
   }
 
-  /// Called once per execution unit (including the completing one, which
-  /// additionally fires on_execution).
-  void on_work_unit(ColorId color) {
-    ++per_color_[static_cast<std::size_t>(color)].work_units;
+  void on_drop(const Drop& e) {
+    drop_count_ += e.count;
+    ColorObs& obs = per_color_[static_cast<std::size_t>(e.color)];
+    obs.dropped += e.count;
+    obs.dropped_weight += e.weight;
   }
 
-  void on_drop(ColorId color, std::int64_t count) {
-    const std::size_t c = static_cast<std::size_t>(color);
-    const Cost weight = count * drop_costs_[c];
-    drop_count_ += count;
-    ColorObs& obs = per_color_[c];
-    obs.dropped += count;
-    obs.dropped_weight += weight;
-  }
-
-  /// Called once per cache phase that commits at least one
-  /// reconfiguration.  The inter-arrival histogram records gaps between
-  /// distinct rounds with a reconfiguration (mini-rounds within a round
-  /// collapse).
+  /// Called for each reconfiguration.  The inter-arrival histogram records
+  /// gaps between distinct rounds with a reconfiguration (events within a
+  /// round, mini-rounds included, collapse).
   void on_reconfigs(Round round) {
     if (round != last_reconfig_round_) {
       if (last_reconfig_round_ >= 0) {
@@ -147,10 +128,8 @@ class StreamStats {
 
   /// Serializes every accumulator, including the reconfig-gap cursor
   /// (last_reconfig_round_) — it is live inter-round state, unlike
-  /// merge_mapped() which deliberately drops it.  The begin()-supplied
-  /// per-color metadata (delay bounds, drop costs, lengths) is NOT
-  /// serialized: restore requires begin() to have been called with the
-  /// same color space first.
+  /// merge_mapped() which deliberately drops it.  Restore requires begin()
+  /// to have been called with the same color count first.
   void checkpoint(CheckpointWriter& w) const;
   void restore_checkpoint(CheckpointReader& r);
 
@@ -178,9 +157,6 @@ class StreamStats {
   friend bool operator==(const StreamStats&, const StreamStats&) = default;
 
  private:
-  std::vector<Round> delay_bounds_;
-  std::vector<Cost> drop_costs_;
-  std::vector<Round> lengths_;
   std::vector<ColorObs> per_color_;
   Histogram wait_;
   Histogram slack_;

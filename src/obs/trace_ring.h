@@ -12,7 +12,7 @@ namespace rrs {
 enum class TraceKind : std::uint8_t {
   kDropBurst,      // detail = #colors affected, value = jobs dropped
   kReconfig,       // detail = mini-round, value = reconfig events committed
-  kChurnFail,      // detail = resource id, value = evicted color (or kBlack)
+  kChurnFail,      // detail = resource id, value = color lost (or kBlack)
   kChurnRepair,    // detail = resource id, value = 0
   kEpochTurnover,  // detail = 0, value = new epoch count
   kAdaptation,     // detail = new cache-share percent, value = #adaptations
@@ -48,6 +48,13 @@ class TraceRing {
   }
 
   void clear();
+
+  /// The newest retained event, or nullptr when empty: the observer folds
+  /// one phase's drops or reconfigurations into a single entry through it.
+  [[nodiscard]] TraceEvent* newest() {
+    return size_ == 0 ? nullptr
+                      : &ring_[(next_ + ring_.size() - 1) % ring_.size()];
+  }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/replay.h"
+#include "obs/stream_stats.h"
 #include "util/check.h"
 
 namespace rrs {
@@ -43,73 +45,69 @@ DistributionSummary summarize(std::vector<Round> samples) {
   return s;
 }
 
-ScheduleMetrics compute_metrics(const Instance& instance,
-                                const Schedule& schedule) {
-  ScheduleMetrics m;
-  m.per_color.resize(static_cast<std::size_t>(instance.num_colors()));
-  for (ColorId c = 0; c < instance.num_colors(); ++c) {
-    auto& pc = m.per_color[static_cast<std::size_t>(c)];
-    pc.color = c;
-    pc.jobs = instance.jobs_of_color(c);
-  }
+namespace {
 
-  std::vector<Round> waits, slacks;
-  waits.reserve(schedule.execs.size());
-  slacks.reserve(schedule.execs.size());
-  std::vector<double> wait_sum(
-      static_cast<std::size_t>(instance.num_colors()), 0.0);
+/// compute_metrics' sink: the per-color counts StreamStats keeps from the
+/// same events, plus the completed jobs' wait and slack samples (exact
+/// percentiles need them) and the span of rounds with an event.
+struct MetricsSink final : RunSink {
+  void on_arrivals(const Arrivals& e) override { stats.on_arrivals(e); }
+  void on_drop(const Drop& e) override { stats.on_drop(e); }
+  void on_reconfig(const Reconfiguration& e) override { span(e.round); }
 
-  // Each exec event applies one execution unit; a job completes — and
-  // contributes its wait/slack samples — at its length(color)-th unit.
-  // Under the paper's unit lengths every event is a completion.
-  std::vector<Round> units(instance.jobs().size(), 0);
-  Round first_round = -1, last_round = -1;
-  for (const ExecEvent& e : schedule.execs) {
-    const Job& job = instance.jobs()[static_cast<std::size_t>(e.job)];
-    const Round wait = e.round - job.arrival;
-    RRS_CHECK_MSG(wait >= 0 && e.round < job.deadline(),
+  /// Each unit fills a slot; a job contributes its samples at its
+  /// completing (length(color)-th) unit — every unit under unit lengths.
+  void on_exec(const ExecUnit& e) override {
+    RRS_CHECK_MSG(e.round >= e.arrival && e.round < e.deadline,
                   "compute_metrics on an invalid schedule (job " << e.job
                                                                  << ")");
-    if (++units[static_cast<std::size_t>(e.job)] == job.length) {
-      waits.push_back(wait);
-      slacks.push_back(job.deadline() - 1 - e.round);
-      auto& pc = m.per_color[static_cast<std::size_t>(job.color)];
-      ++pc.executed;
-      wait_sum[static_cast<std::size_t>(job.color)] +=
-          static_cast<double>(wait);
-    }
-    if (first_round < 0 || e.round < first_round) first_round = e.round;
-    if (e.round > last_round) last_round = e.round;
-  }
-  for (const ReconfigEvent& e : schedule.reconfigs) {
-    if (first_round < 0 || e.round < first_round) first_round = e.round;
-    if (e.round > last_round) last_round = e.round;
+    stats.on_exec(e);
+    ++units;
+    span(e.round);
+    if (!e.completes()) return;
+    waits.push_back(e.round - e.arrival);
+    slacks.push_back(e.deadline - 1 - e.round);
   }
 
-  for (auto& pc : m.per_color) {
-    pc.dropped = pc.jobs - pc.executed;
-    pc.dropped_weight = pc.dropped * instance.drop_cost(pc.color);
-    pc.mean_wait = pc.executed > 0
-                       ? wait_sum[static_cast<std::size_t>(pc.color)] /
-                             static_cast<double>(pc.executed)
-                       : 0.0;
+  void span(Round round) {
+    if (first_round < 0 || round < first_round) first_round = round;
+    last_round = std::max(last_round, round);
   }
 
+  StreamStats stats;
+  std::vector<Round> waits, slacks;
+  std::int64_t units = 0;
+  Round first_round = -1, last_round = -1;
+};
+
+}  // namespace
+
+ScheduleMetrics compute_metrics(const Instance& instance,
+                                const Schedule& schedule) {
+  MetricsSink sink;
+  sink.stats.begin(instance.num_colors());
+  replay(instance, schedule, sink);
+
+  ScheduleMetrics m;
   std::int64_t completed = 0;
-  for (const auto& pc : m.per_color) completed += pc.executed;
-  m.wait = summarize(std::move(waits));
-  m.slack = summarize(std::move(slacks));
+  for (ColorId c = 0; c < instance.num_colors(); ++c) {
+    const ColorObs& obs = sink.stats.per_color()[static_cast<std::size_t>(c)];
+    m.per_color.push_back({c, obs.arrived, obs.executed, obs.dropped,
+                           obs.dropped_weight, obs.mean_wait()});
+    completed += obs.executed;
+  }
+  m.wait = summarize(std::move(sink.waits));
+  m.slack = summarize(std::move(sink.slacks));
   m.service_rate = instance.jobs().empty()
                        ? 1.0
                        : static_cast<double>(completed) /
                              static_cast<double>(instance.jobs().size());
-  if (first_round >= 0 && schedule.num_resources > 0) {
+  if (sink.first_round >= 0 && schedule.num_resources > 0) {
     const double span =
-        static_cast<double>(last_round - first_round + 1) *
+        static_cast<double>(sink.last_round - sink.first_round + 1) *
         static_cast<double>(schedule.num_resources) *
         static_cast<double>(schedule.speed);
-    m.utilization =
-        span > 0 ? static_cast<double>(schedule.execs.size()) / span : 0.0;
+    m.utilization = static_cast<double>(sink.units) / span;
   }
   return m;
 }

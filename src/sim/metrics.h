@@ -6,7 +6,7 @@
 // the resources are, and how the damage distributes across colors.  This
 // module derives all of that from an (Instance, Schedule) pair, so every
 // algorithm — online, offline, reduction pipeline — is measured with the
-// same instrument.
+// same instrument: a sink over replay() (core/replay.h).
 #pragma once
 
 #include <vector>
@@ -61,8 +61,10 @@ struct ScheduleMetrics {
   std::vector<ColorMetrics> per_color;
 };
 
-/// Derives metrics from a recorded schedule.  The schedule is assumed
-/// valid (run the validator first if in doubt).
+/// Derives metrics from a recorded schedule, through replay().  The
+/// schedule is assumed valid (run the validator first if in doubt): a
+/// malformed one throws InputError, and an execution outside its job's
+/// window InvariantError.
 [[nodiscard]] ScheduleMetrics compute_metrics(const Instance& instance,
                                               const Schedule& schedule);
 

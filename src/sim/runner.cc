@@ -75,7 +75,7 @@ void merge_shard_observers(Observer& merged,
                            const std::vector<Observer*>& shard_observers,
                            const ArrivalSource& source,
                            const ShardPlan& plan) {
-  begin_observed_run(merged, source);
+  merged.begin_run(source.num_colors());
   std::vector<std::vector<Snapshot>> series;
   for (std::size_t s = 0; s < shard_observers.size(); ++s) {
     const Observer& shard = *shard_observers[s];

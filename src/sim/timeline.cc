@@ -1,66 +1,80 @@
 #include "sim/timeline.h"
 
 #include <algorithm>
-#include <map>
 
+#include "core/replay.h"
 #include "util/check.h"
 
 namespace rrs {
+
+namespace {
+
+/// compute_timeline's sink: per-bucket event counts, and how many
+/// locations hold each color, read at every round's end.  Drops due at
+/// the horizon land in the last bucket.
+class TimelineSink final : public RunSink {
+ public:
+  TimelineSink(const Instance& instance, Round width)
+      : horizon_(instance.horizon()),
+        width_(width),
+        holders_(static_cast<std::size_t>(instance.num_colors()), 0),
+        timeline(static_cast<std::size_t>((horizon_ + width - 1) / width)) {
+    for (std::size_t b = 0; b < timeline.size(); ++b) {
+      timeline[b].start = static_cast<Round>(b) * width_;
+    }
+  }
+
+  void on_churn(const Churn& e) override {
+    if (e.fail) release(e.lost);
+  }
+  void on_drop(const Drop& e) override {
+    at(e.round).drops += e.count;
+    at(e.round).drop_weight += e.weight;
+  }
+  void on_arrivals(const Arrivals& e) override {
+    at(e.round).arrivals += static_cast<std::int64_t>(e.jobs.size());
+  }
+  void on_reconfig(const Reconfiguration& e) override {
+    ++at(e.round).reconfigs;
+    release(e.from);
+    if (e.to != kBlack && holders_[static_cast<std::size_t>(e.to)]++ == 0) {
+      ++distinct_;
+    }
+  }
+  void on_exec(const ExecUnit& e) override { ++at(e.round).executions; }
+  void on_round_end(const RoundEnd& e) override {
+    at(e.round).distinct_colors = distinct_;
+  }
+
+ private:
+  TimelineBucket& at(Round round) {
+    return timeline[static_cast<std::size_t>(std::min(round, horizon_ - 1) /
+                                             width_)];
+  }
+  void release(ColorId color) {
+    if (color != kBlack && --holders_[static_cast<std::size_t>(color)] == 0) {
+      --distinct_;
+    }
+  }
+
+  Round horizon_;
+  Round width_;
+  std::vector<int> holders_;  // color -> locations configured to it
+  int distinct_ = 0;
+
+ public:
+  std::vector<TimelineBucket> timeline;
+};
+
+}  // namespace
 
 std::vector<TimelineBucket> compute_timeline(const Instance& instance,
                                              const Schedule& schedule,
                                              Round bucket_width) {
   RRS_REQUIRE(bucket_width >= 1, "bucket width must be >= 1");
-  const Round horizon = instance.horizon();
-  const auto num_buckets = static_cast<std::size_t>(
-      horizon == 0 ? 0 : (horizon + bucket_width - 1) / bucket_width);
-  std::vector<TimelineBucket> timeline(num_buckets);
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    timeline[b].start = static_cast<Round>(b) * bucket_width;
-  }
-  if (num_buckets == 0) return timeline;
-
-  const auto bucket_of = [&](Round round) {
-    return static_cast<std::size_t>(
-        std::min<Round>(round, horizon - 1) / bucket_width);
-  };
-
-  std::vector<char> executed(instance.jobs().size(), 0);
-  for (const ExecEvent& e : schedule.execs) {
-    executed[static_cast<std::size_t>(e.job)] = 1;
-    ++timeline[bucket_of(e.round)].executions;
-  }
-  for (const Job& job : instance.jobs()) {
-    ++timeline[bucket_of(job.arrival)].arrivals;
-    if (!executed[static_cast<std::size_t>(job.id)]) {
-      // The job is dropped in the drop phase of its deadline round (or at
-      // the horizon, whichever comes first).
-      auto& bucket = timeline[bucket_of(job.deadline())];
-      ++bucket.drops;
-      bucket.drop_weight += job.drop_cost;
-    }
-  }
-
-  // Reconfiguration counts and end-of-bucket distinct configured colors.
-  std::map<ColorId, int> configured;  // color -> #resources holding it
-  std::vector<ColorId> resource_color(
-      static_cast<std::size_t>(std::max(schedule.num_resources, 0)), kBlack);
-  std::size_t ri = 0;
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    const Round bucket_end = timeline[b].start + bucket_width;
-    for (; ri < schedule.reconfigs.size() &&
-           schedule.reconfigs[ri].round < bucket_end;
-         ++ri) {
-      const ReconfigEvent& e = schedule.reconfigs[ri];
-      ++timeline[b].reconfigs;
-      auto& slot = resource_color[static_cast<std::size_t>(e.resource)];
-      if (slot != kBlack && --configured[slot] == 0) configured.erase(slot);
-      slot = e.color;
-      if (e.color != kBlack) ++configured[e.color];
-    }
-    timeline[b].distinct_colors = static_cast<int>(configured.size());
-  }
-  return timeline;
+  TimelineSink sink(instance, bucket_width);
+  replay(instance, schedule, sink);
+  return std::move(sink.timeline);
 }
 
 CsvWriter timeline_csv(const std::vector<TimelineBucket>& timeline) {

@@ -18,6 +18,7 @@
 
 #include "core/checkpoint.h"
 #include "core/engine.h"
+#include "core/fault_plan.h"
 #include "obs/observer.h"
 #include "sim/runner.h"
 #include "sim/service.h"
@@ -89,6 +90,7 @@ void expect_identical(const EngineResult& a, const EngineResult& b,
   testing::expect_same_run(a, b, label);
   EXPECT_EQ(a.schedule.reconfigs, b.schedule.reconfigs) << label;
   EXPECT_EQ(a.schedule.execs, b.schedule.execs) << label;
+  EXPECT_EQ(a.schedule.churn, b.schedule.churn) << label;
 }
 
 using Cell = std::tuple<std::string, std::string, bool>;
@@ -304,6 +306,48 @@ TEST(CheckpointStop, ShardedStopResumesBitIdenticalAndKeepsKSets) {
 
 // Observer state rides inside the checkpoint: the restored run's stats and
 // snapshot series equal the uninterrupted run's.
+// The schedule recorder's section carries the churn it recorded: a run
+// under charged repairs, cut mid-stream and resumed, records the same
+// schedule, churn included.
+TEST(CheckpointRecorder, RecordedChurnSurvivesRestore) {
+  MtbfParams mtbf;
+  mtbf.num_resources = 8;
+  mtbf.horizon = 256;
+  mtbf.mean_up = 20;
+  mtbf.mean_down = 5;
+  mtbf.seed = 3;
+  const FaultPlan plan = make_mtbf_plan(mtbf);
+  const auto run = [&plan](Round cut) {
+    const auto source = make_source("random-batched", 2);
+    std::unique_ptr<Policy> policy;
+    EngineOptions options = stream_options("dlru-edf", true, policy);
+    options.fault_plan = &plan;
+    options.charge_repair = true;
+    Engine engine(*source, *policy, options);
+    if (cut > 0) {
+      engine.run_rounds(*source, cut);
+      std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
+      engine.checkpoint(bytes, source.get());
+      const auto resumed_source = make_source("random-batched", 2);
+      std::unique_ptr<Policy> resumed_policy;
+      EngineOptions resumed_options =
+          stream_options("dlru-edf", true, resumed_policy);
+      resumed_options.fault_plan = &plan;
+      resumed_options.charge_repair = true;
+      Engine resumed(*resumed_source, *resumed_policy, resumed_options);
+      resumed.restore(bytes, resumed_source.get());
+      resumed.run_rounds(*resumed_source, resumed.arrival_end());
+      return resumed.finish();
+    }
+    engine.run_rounds(*source, engine.arrival_end());
+    return engine.finish();
+  };
+  const EngineResult reference = run(0);
+  ASSERT_GT(reference.cost.churn_reconfigs, 0);
+  ASSERT_FALSE(reference.schedule.churn.empty());
+  expect_identical(reference, run(97), "cut at 97");
+}
+
 TEST(CheckpointObserver, StatsAndSnapshotSeriesRoundTrip) {
   ObsConfig config;
   config.snapshot_every = 32;

@@ -4,10 +4,11 @@
 // The two load-bearing guarantees are pinned here.  First, an absent or
 // empty FaultPlan leaves every run bit-identical to fault-free execution
 // (matrix over algorithms x families x seeds, streaming and sharded).
-// Second, churn events never enter the recorded Schedule, so the validator
-// replays only policy-driven reconfigurations: with free repairs the
-// validated cost equals the engine's exactly, and with charged repairs the
-// two differ by exactly churn_reconfigs * Delta.
+// Second, the recorded Schedule carries every churn event, charged repairs
+// marked, so the validator's replay blanks each failed location and prices
+// every reconfiguration and charged repair as the engine did: the
+// validated cost equals the engine's exactly on every cost tier, with free
+// or charged repairs, drained or not.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "core/validator.h"
 #include "sim/runner.h"
 #include "test_util.h"
+#include "util/rng.h"
 #include "workload/datacenter.h"
 #include "workload/poisson.h"
 #include "workload/random_batched.h"
@@ -365,8 +367,8 @@ TEST(FaultRunTest, ValidatorAcceptsFreeChurnScheduleExactly) {
   const EngineResult r = run_policy(inst, policy, options);
   ASSERT_GT(r.degraded.fault_events, 0);
 
-  // Churn is not recorded in the schedule; the validator replays only the
-  // policy's reconfigurations, and with free repairs that is the whole cost.
+  // The schedule records the churn; with free repairs it costs nothing
+  // itself, but the replay must blank each failed location.
   const CostBreakdown validated = validate_or_throw(inst, r.schedule);
   EXPECT_EQ(validated, r.cost);
 }
@@ -400,16 +402,15 @@ TEST(FaultRunTest, ChargedRepairAddsExactlyTheChurnReconfigs) {
   EXPECT_EQ(charged.cost.reconfig_events,
             free_run.cost.reconfig_events + charged.cost.churn_reconfigs);
   const CostBreakdown validated = validate_or_throw(inst, charged.schedule);
-  EXPECT_EQ(validated.total(),
-            charged.cost.total() - charged.cost.churn_reconfigs * inst.delta());
+  EXPECT_EQ(validated, charged.cost);
 }
 
 TEST(FaultRunTest, DrainWithChargedRepairMatchesValidatorAcrossSeeds) {
   // drain_pending, a non-empty FaultPlan, and charge_repair were only
   // exercised separately before; combined, the drain keeps executing under
   // churn while repairs accrue charged reconfigs.  Pin engine cost to the
-  // validator across seeds: the validator replays only policy-driven
-  // events, so it must reproduce total() minus the charged repairs exactly.
+  // validator across seeds: the replay prices the recorded charged repairs
+  // too, so it must reproduce the engine's cost exactly.
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     RandomBatchedParams params;
     params.horizon = 128;
@@ -430,10 +431,63 @@ TEST(FaultRunTest, DrainWithChargedRepairMatchesValidatorAcrossSeeds) {
     ASSERT_GT(r.cost.churn_reconfigs, 0) << "seed " << seed;
 
     const CostBreakdown validated = validate_or_throw(inst, r.schedule);
-    EXPECT_EQ(validated.total(),
-              r.cost.total() - r.cost.churn_reconfigs * inst.delta())
-        << "seed " << seed;
+    EXPECT_EQ(validated, r.cost) << "seed " << seed;
     EXPECT_EQ(validated.drops, r.cost.drops) << "seed " << seed;
+  }
+}
+
+TEST(FaultRunTest, MatrixTierValidationIsExactUnderChurn) {
+  // Warm transitions undercut the cold price, so pricing a recoloring of a
+  // repaired location from the color it held before failing would be too
+  // cheap: the replay must see the failure blank it, as the engine does.
+  constexpr ColorId kColors = 12;
+  constexpr Round kHorizon = 256;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    InstanceBuilder builder;
+    builder.delta(8);
+    for (ColorId c = 0; c < kColors; ++c) {
+      builder.add_color(Round{4} << (c % 3));
+    }
+    for (ColorId f = 0; f < kColors; ++f) {
+      for (ColorId t = 0; t < kColors; ++t) {
+        if (f != t) builder.transition_cost(f, t, 1 + (f + t) % 3);
+      }
+    }
+    Rng rng(seed);
+    for (ColorId c = 0; c < kColors; ++c) {
+      const Round delay = Round{4} << (c % 3);
+      for (Round k = 0; k < kHorizon; k += delay) {
+        const std::int64_t count = rng.uniform(0, 3);
+        if (count > 0) builder.add_jobs(c, k, count);
+      }
+    }
+    const Instance inst = builder.build();
+    ASSERT_EQ(inst.cost_model().tier(), CostModel::Tier::kMatrix);
+    MtbfParams mtbf;
+    mtbf.num_resources = 8;
+    mtbf.horizon = kHorizon;
+    mtbf.mean_up = 20;
+    mtbf.mean_down = 5;
+    mtbf.seed = seed;
+    const FaultPlan plan = make_mtbf_plan(mtbf);
+
+    for (const bool charge_repair : {false, true}) {
+      for (const bool drain : {false, true}) {
+        MaterializedSource source(inst);
+        DLruEdfPolicy policy;
+        EngineOptions options;
+        options.num_resources = 8;
+        options.replication = 2;
+        options.fault_plan = &plan;
+        options.charge_repair = charge_repair;
+        options.drain_pending = drain;
+        const EngineResult r = run_policy(source, policy, options);
+        ASSERT_GT(r.degraded.repair_events, 0) << "seed " << seed;
+        EXPECT_EQ(validate(inst, r.schedule).cost, r.cost)
+            << "seed " << seed << " charge_repair " << charge_repair
+            << " drain " << drain;
+      }
+    }
   }
 }
 

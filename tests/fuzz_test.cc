@@ -23,7 +23,9 @@
 #include "core/pending.h"
 #include "core/validator.h"
 #include "obs/observer.h"
+#include "sim/metrics.h"
 #include "sim/runner.h"
+#include "sim/timeline.h"
 #include "test_util.h"
 #include "util/bits.h"
 #include "util/rng.h"
@@ -358,11 +360,16 @@ TEST(SnapshotFuzz, RejectsInternallyInconsistentSnapshots) {
   // the reader must reject them rather than hand garbage to a merge.
   Snapshot s = [] {
     StreamStats stats;
-    const std::vector<Round> delays = {4};
-    const std::vector<Cost> costs = {2};
-    stats.begin(delays, costs);
-    for (int i = 0; i < 3; ++i) stats.on_execution(0, i, i + 4);
-    stats.on_drop(0, 2);
+    stats.begin(1);
+    for (Round i = 0; i < 3; ++i) {
+      // A unit job of color 0 (D = 4, drop cost 2) completing on arrival.
+      ExecUnit unit;
+      unit.round = unit.arrival = i;
+      unit.deadline = i + 4;
+      unit.weight = 2;
+      stats.on_exec(unit);
+    }
+    stats.on_drop({0, 0, 2, 4});
     RunCounters counters;
     counters.arrived = 6;
     counters.executed = counters.work_units = 3;
@@ -405,6 +412,182 @@ TEST(SnapshotFuzz, RejectsInternallyInconsistentSnapshots) {
   phantom_evictions.churn_evictions = 3;  // more than churn_failures
   EXPECT_THROW((void)parse_snapshot_line(to_json_line(phantom_evictions)),
                InputError);
+}
+
+// --- malformed schedules ---------------------------------------------------
+
+/// The corpus seed: a recorded dLRU-EDF run with lengths, weights and
+/// churn with charged repairs, so every event list is non-empty.
+struct RecordedRun {
+  Instance instance;
+  Schedule schedule;
+};
+
+RecordedRun faulted_recorded_run() {
+  constexpr ColorId kColors = 6;
+  constexpr Round kHorizon = 64;
+  InstanceBuilder builder;
+  builder.delta(3);
+  for (ColorId c = 0; c < kColors; ++c) {
+    builder.add_color(Round{4} << (c % 3), /*drop_cost=*/1 + c % 4,
+                      /*length=*/1 + c % 3);
+  }
+  for (Round k = 0; k < kHorizon; ++k) {
+    for (ColorId c = 0; c < kColors; ++c) {
+      if (k % (Round{4} << (c % 3)) == 0 && (k + c) % 3 != 0) {
+        builder.add_jobs(c, k, 1 + (k + c) % 4);
+      }
+    }
+  }
+  RecordedRun run{builder.build(), {}};
+  MtbfParams mtbf;
+  mtbf.num_resources = 4;
+  mtbf.horizon = kHorizon;
+  mtbf.mean_up = 16;
+  mtbf.mean_down = 6;
+  mtbf.seed = 3;
+  const FaultPlan plan = make_mtbf_plan(mtbf);
+  EngineOptions options;
+  const auto policy = make_stream_policy("dlru-edf", options);
+  options.num_resources = 4;
+  options.fault_plan = &plan;
+  options.charge_repair = true;
+  run.schedule = run_policy(run.instance, *policy, options).schedule;
+  return run;
+}
+
+/// Every post-hoc consumer on a mutated schedule: validate() reports
+/// errors or accepts it at the cost Schedule::cost replays; cost, metrics
+/// and timeline return or throw a typed error.  Anything else — another
+/// exception, or a read out of range under the sanitizers — fails.
+/// Returns true when validate() rejected the mutation.
+bool consumers_reject_or_accept(const Instance& inst, const Schedule& s,
+                                const std::string& what) {
+  const ValidationResult check = validate(inst, s);
+  if (check.ok) {
+    EXPECT_EQ(s.cost(inst), check.cost) << what;
+  }
+  const auto typed = [&what](const auto& call) {
+    try {
+      call();
+    } catch (const InputError&) {
+    } catch (const InvariantError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": untyped error " << e.what();
+    }
+  };
+  typed([&] { (void)s.cost(inst); });
+  typed([&] { (void)compute_metrics(inst, s); });
+  typed([&] { (void)compute_timeline(inst, s, 8); });
+  return !check.ok;
+}
+
+/// Replacement values for one integer field: just outside each bound, at
+/// each bound, a neighbor, and far outside.
+std::vector<std::int64_t> field_values(std::int64_t value,
+                                       std::int64_t bound) {
+  return {-1, bound, bound - 1, value + 1, value - 1,
+          std::int64_t{1} << 40};
+}
+
+TEST(ScheduleFuzz, SingleFieldMutationsRejectOrReplay) {
+  const RecordedRun run = faulted_recorded_run();
+  const Instance& inst = run.instance;
+  const Schedule& base = run.schedule;
+  ASSERT_TRUE(validate(inst, base).ok);
+  ASSERT_FALSE(base.churn.empty());
+  ASSERT_FALSE(base.reconfigs.empty());
+  const auto jobs = static_cast<std::int64_t>(inst.jobs().size());
+  int mutations = 0, rejected = 0;
+  const auto attempt = [&](const Schedule& s, const std::string& what) {
+    ++mutations;
+    if (consumers_reject_or_accept(inst, s, what)) ++rejected;
+  };
+  for (std::size_t i = 0; i < base.reconfigs.size(); ++i) {
+    const ReconfigEvent& e = base.reconfigs[i];
+    for (const std::int64_t v : field_values(e.round, inst.horizon())) {
+      Schedule s = base;
+      s.reconfigs[i].round = v;
+      attempt(s, "reconfig " + std::to_string(i) + " round");
+    }
+    for (const std::int64_t v : field_values(e.resource, base.num_resources)) {
+      Schedule s = base;
+      s.reconfigs[i].resource = static_cast<std::int32_t>(v);
+      attempt(s, "reconfig " + std::to_string(i) + " resource");
+    }
+    for (const std::int64_t v : field_values(e.mini, base.speed)) {
+      Schedule s = base;
+      s.reconfigs[i].mini = static_cast<std::int32_t>(v);
+      attempt(s, "reconfig " + std::to_string(i) + " mini");
+    }
+    for (const std::int64_t v : field_values(e.color, inst.num_colors())) {
+      Schedule s = base;
+      s.reconfigs[i].color = static_cast<ColorId>(v);
+      attempt(s, "reconfig " + std::to_string(i) + " color");
+    }
+  }
+  for (std::size_t i = 0; i < base.execs.size(); i += 3) {
+    const ExecEvent& e = base.execs[i];
+    for (const std::int64_t v : field_values(e.job, jobs)) {
+      Schedule s = base;
+      s.execs[i].job = v;
+      attempt(s, "exec " + std::to_string(i) + " job");
+    }
+    for (const std::int64_t v : field_values(e.round, inst.horizon())) {
+      Schedule s = base;
+      s.execs[i].round = v;
+      attempt(s, "exec " + std::to_string(i) + " round");
+    }
+    for (const std::int64_t v : field_values(e.resource, base.num_resources)) {
+      Schedule s = base;
+      s.execs[i].resource = static_cast<std::int32_t>(v);
+      attempt(s, "exec " + std::to_string(i) + " resource");
+    }
+    for (const std::int64_t v : field_values(e.mini, base.speed)) {
+      Schedule s = base;
+      s.execs[i].mini = static_cast<std::int32_t>(v);
+      attempt(s, "exec " + std::to_string(i) + " mini");
+    }
+  }
+  for (std::size_t i = 0; i < base.churn.size(); ++i) {
+    for (const std::int64_t v :
+         field_values(base.churn[i].resource, base.num_resources)) {
+      Schedule s = base;
+      s.churn[i].resource = static_cast<std::int32_t>(v);
+      attempt(s, "churn " + std::to_string(i) + " location");
+    }
+  }
+  // Most single-field changes must be caught; a few (a neighbor color no
+  // one executes, a job swapped for a twin) are legitimately valid.
+  EXPECT_GT(rejected, mutations * 3 / 4)
+      << rejected << " of " << mutations << " mutations rejected";
+}
+
+TEST(ScheduleFuzz, SwappedEventsRejectOrReplay) {
+  const RecordedRun run = faulted_recorded_run();
+  const Instance& inst = run.instance;
+  const Schedule& base = run.schedule;
+  int rejected = 0;
+  const auto swaps = [&](auto member, const char* kind) {
+    const std::size_t size = (base.*member).size();
+    for (std::size_t i = 0; i + 1 < size; ++i) {
+      for (const std::size_t j : {i + 1, size - 1}) {
+        if (j == i) continue;
+        Schedule s = base;
+        std::swap((s.*member)[i], (s.*member)[j]);
+        if (consumers_reject_or_accept(
+                inst, s,
+                std::string(kind) + " swap " + std::to_string(i) + "/" +
+                    std::to_string(j))) {
+          ++rejected;
+        }
+      }
+    }
+  };
+  swaps(&Schedule::reconfigs, "reconfig");
+  swaps(&Schedule::execs, "exec");
+  swaps(&Schedule::churn, "churn");
+  EXPECT_GT(rejected, 0);
 }
 
 // --- checkpoint corpus fuzzing ---------------------------------------------
@@ -733,16 +916,19 @@ TEST(CheckpointFuzz, PhysicalColorOutsideTheColorSpaceRejects) {
 }
 
 /// Restores a hand-built pending section: the sweep cursor, the color
-/// count, then each color's jobs — one job of color 0 (D = 4) due at
-/// `deadline`, none of color 1 (D = 8).
-std::unique_ptr<PendingJobs> restore_pending(Round cursor, Round deadline) {
+/// count, then each color's jobs — one job of color 0 (D = 4, unit
+/// length) due at `deadline` with `remaining` units left, none of color 1
+/// (D = 8).
+std::unique_ptr<PendingJobs> restore_pending(Round cursor, Round deadline,
+                                             Round remaining = 1) {
   const std::vector<Round> delays = {4, 8};
+  const std::vector<Round> lengths = {1, 1};
   CheckpointWriter w;
   w.begin_section(1);
   w.i64(cursor);
   w.i64(2);  // colors
   w.u64(1);
-  for (const std::int64_t v : {JobId{0}, deadline, Round{1}}) {
+  for (const std::int64_t v : {JobId{0}, deadline, remaining}) {
     w.i64(v);  // id, deadline, remaining units
   }
   w.u64(0);
@@ -753,7 +939,7 @@ std::unique_ptr<PendingJobs> restore_pending(Round cursor, Round deadline) {
   r.open_section(1);
   auto pending = std::make_unique<PendingJobs>();
   pending->reset(2);
-  pending->restore_checkpoint(r, delays);
+  pending->restore_checkpoint(r, delays, lengths);
   return pending;
 }
 
@@ -767,6 +953,19 @@ TEST(CheckpointFuzz, PendingDeadlinePastCursorPlusDelayRejects) {
 TEST(CheckpointFuzz, PendingDeadlineAtTheCursorRejects) {
   EXPECT_EQ(restore_pending(99, 100)->count(0), 1);
   EXPECT_THROW((void)restore_pending(99, 99), InputError);
+}
+
+// A job never has more units left than its color's length: a unit-length
+// color cannot hold a job with 3 units to go.
+TEST(CheckpointFuzz, PendingJobLongerThanItsColorRejects) {
+  EXPECT_EQ(restore_pending(99, 101, 1)->earliest_remaining(0), 1);
+  try {
+    (void)restore_pending(99, 101, 3);
+    ADD_FAILURE() << "a 3-unit job of a unit-length color restored";
+  } catch (const InputError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("job 0 of color 0"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

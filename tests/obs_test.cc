@@ -97,6 +97,63 @@ void expect_matches(const ColorObs& obs, const ColorMetrics& m) {
   EXPECT_EQ(obs.mean_wait(), m.mean_wait) << "color " << m.color;
 }
 
+/// A brute-force per-job loop over a recorded run, independent of replay()
+/// and every sink on it: each job's units from the recorded execs, its
+/// wait and slack at its completing unit, and the weight of every job left
+/// short.  Keeps the streaming-vs-post-hoc matrices from reducing to one
+/// sink agreeing with itself.
+struct PerJobReference {
+  std::vector<ColorObs> per_color;
+  DistributionSummary wait;
+  DistributionSummary slack;
+};
+
+PerJobReference per_job_reference(const Instance& instance,
+                                  const Schedule& schedule) {
+  const std::vector<Job>& jobs = instance.jobs();
+  std::vector<Round> units(jobs.size(), 0);
+  std::vector<Round> completed_at(jobs.size(), -1);
+  for (const ExecEvent& e : schedule.execs) {
+    const auto j = static_cast<std::size_t>(e.job);
+    if (++units[j] == jobs[j].length) completed_at[j] = e.round;
+  }
+  PerJobReference ref;
+  ref.per_color.resize(static_cast<std::size_t>(instance.num_colors()));
+  std::vector<Round> waits, slacks;
+  for (const Job& job : jobs) {
+    const auto j = static_cast<std::size_t>(job.id);
+    ColorObs& obs = ref.per_color[static_cast<std::size_t>(job.color)];
+    ++obs.arrived;
+    obs.work_units += units[j];
+    const Round at = completed_at[j];
+    if (at < 0) {
+      ++obs.dropped;
+      obs.dropped_weight += job.drop_cost;
+      continue;
+    }
+    ++obs.executed;
+    obs.wait_sum += at - job.arrival;
+    waits.push_back(at - job.arrival);
+    slacks.push_back(job.deadline() - 1 - at);
+  }
+  ref.wait = summarize(std::move(waits));
+  ref.slack = summarize(std::move(slacks));
+  return ref;
+}
+
+/// Streaming stats equal the per-job reference, every per-color counter
+/// included.
+void expect_matches(const StreamStats& stats, const PerJobReference& ref,
+                    const char* label) {
+  expect_matches(stats.wait(), ref.wait, label);
+  expect_matches(stats.slack(), ref.slack, label);
+  ASSERT_EQ(stats.per_color().size(), ref.per_color.size()) << label;
+  for (std::size_t c = 0; c < ref.per_color.size(); ++c) {
+    EXPECT_EQ(stats.per_color()[c], ref.per_color[c])
+        << label << " color " << c;
+  }
+}
+
 // --- Histogram -------------------------------------------------------------
 
 TEST(HistogramTest, BucketLayoutIsLog2) {
@@ -265,11 +322,25 @@ TEST(PhaseTimersTest, NotesChargeLapsAndMergeAdds) {
 
 // --- StreamStats -----------------------------------------------------------
 
+/// The completing unit of a unit-length job: `color`, `weight`, run in
+/// `round` within [arrival, deadline).
+ExecUnit completion(ColorId color, Round round, Round arrival, Round deadline,
+                    Cost weight) {
+  ExecUnit unit;
+  unit.round = round;
+  unit.color = unit.configured = color;
+  unit.arrival = arrival;
+  unit.deadline = deadline;
+  unit.weight = weight;
+  return unit;
+}
+
+/// One arrival of `color` (StreamStats counts arrivals per job color).
+Arrivals one_arrival(const Job& job) { return {job.arrival, {&job, 1}}; }
+
 TEST(StreamStatsTest, ReconfigGapCollapsesMiniRounds) {
   StreamStats stats;
-  const std::vector<Round> delays = {4};
-  const std::vector<Cost> costs = {1};
-  stats.begin(delays, costs);
+  stats.begin(1);
   stats.on_reconfigs(5);
   stats.on_reconfigs(5);  // second mini-round of round 5: same round
   EXPECT_TRUE(stats.reconfig_gap().empty());
@@ -279,28 +350,26 @@ TEST(StreamStatsTest, ReconfigGapCollapsesMiniRounds) {
 }
 
 TEST(StreamStatsTest, MergeMappedRelabelsLocalColors) {
-  // Global space: 3 colors.  Shard A owns {0, 2}, shard B owns {1}.
-  const std::vector<Round> global_delays = {4, 8, 16};
-  const std::vector<Cost> global_costs = {1, 2, 3};
-
+  // Global space: 3 colors with delays {4, 8, 16} and drop costs
+  // {1, 2, 3}.  Shard A owns {0, 2}, shard B owns {1}.
+  Job job;
   StreamStats shard_a;
-  const std::vector<Round> a_delays = {4, 16};
-  const std::vector<Cost> a_costs = {1, 3};
-  shard_a.begin(a_delays, a_costs);
-  shard_a.on_arrival(0);
-  shard_a.on_arrival(1);
-  shard_a.on_execution(1, 10, 20);  // wait 6, slack 9
-  shard_a.on_drop(0, 2);            // weight 2
+  shard_a.begin(2);
+  job.color = 0;
+  shard_a.on_arrivals(one_arrival(job));
+  job.color = 1;
+  shard_a.on_arrivals(one_arrival(job));
+  shard_a.on_exec(completion(1, 10, 4, 20, 3));  // wait 6, slack 9
+  shard_a.on_drop({0, 0, 2, 2});                 // weight 2
 
   StreamStats shard_b;
-  const std::vector<Round> b_delays = {8};
-  const std::vector<Cost> b_costs = {2};
-  shard_b.begin(b_delays, b_costs);
-  shard_b.on_arrival(0);
-  shard_b.on_execution(0, 3, 7);  // wait 4, slack 3
+  shard_b.begin(1);
+  job.color = 0;
+  shard_b.on_arrivals(one_arrival(job));
+  shard_b.on_exec(completion(0, 3, -1, 7, 2));  // wait 4, slack 3
 
   StreamStats merged;
-  merged.begin(global_delays, global_costs);
+  merged.begin(3);
   const std::vector<ColorId> a_map = {0, 2};
   const std::vector<ColorId> b_map = {1};
   merged.merge_mapped(shard_a, a_map);
@@ -320,7 +389,7 @@ TEST(StreamStatsTest, MergeMappedRelabelsLocalColors) {
   EXPECT_EQ(merged.per_color()[2].wait_sum, 6);
 
   StreamStats wrong;
-  wrong.begin(global_delays, global_costs);
+  wrong.begin(3);
   const std::vector<ColorId> bad_map = {0, 7};
   EXPECT_THROW(wrong.merge_mapped(shard_a, bad_map), InputError);
 }
@@ -330,13 +399,13 @@ TEST(StreamStatsTest, MergeMappedRelabelsLocalColors) {
 /// A consistent hand-built snapshot (executed == wait.count == slack.count,
 /// means derived) with `executed` samples.
 Snapshot test_snapshot(Round round, std::int64_t scale) {
+  // Colors {D = 4, drop cost 1} and {D = 8, drop cost 3}.
   StreamStats stats;
-  const std::vector<Round> delays = {4, 8};
-  const std::vector<Cost> costs = {1, 3};
-  stats.begin(delays, costs);
+  stats.begin(2);
   for (std::int64_t i = 0; i < scale; ++i) {
-    stats.on_execution(0, round - 1 + i, round + 2 + i);
-    stats.on_drop(1, 1);
+    stats.on_exec(completion(0, round - 1 + i, round - 2 + i, round + 2 + i,
+                             1));
+    stats.on_drop({round, 1, 1, 3});
     stats.on_reconfigs(i * 3);
   }
   RunCounters counters;  // what the engine counts alongside
@@ -672,6 +741,7 @@ TEST_P(StreamingVsPostHoc, StreamStatsEqualComputeMetricsBitForBit) {
   for (std::size_t c = 0; c < metrics.per_color.size(); ++c) {
     expect_matches(stats.per_color()[c], metrics.per_color[c]);
   }
+  expect_matches(stats, per_job_reference(instance, schedule), "per-job");
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, StreamingVsPostHoc,
@@ -706,6 +776,7 @@ TEST_P(ShardedVsPostHoc, MergedStatsEqualRelabeledPostHocSums) {
   DistributionSummary wait_sum, slack_sum;
   std::vector<ColorMetrics> global_colors(
       static_cast<std::size_t>(resplit_source->num_colors()));
+  std::vector<ColorObs> global_reference(global_colors.size());
   for (int s = 0; s < kShards; ++s) {
     const Instance sub = materialize(resplit.stream(s));
     const int resources =
@@ -723,6 +794,8 @@ TEST_P(ShardedVsPostHoc, MergedStatsEqualRelabeledPostHocSums) {
     const StreamStats& shard_stats = solo.stats;
     expect_matches(shard_stats.wait(), m.wait, "shard wait");
     expect_matches(shard_stats.slack(), m.slack, "shard slack");
+    const PerJobReference ref = per_job_reference(sub, schedule);
+    expect_matches(shard_stats, ref, "shard per-job");
     ASSERT_EQ(shard_stats.per_color().size(), m.per_color.size());
     for (std::size_t c = 0; c < m.per_color.size(); ++c) {
       expect_matches(shard_stats.per_color()[c], m.per_color[c]);
@@ -732,6 +805,7 @@ TEST_P(ShardedVsPostHoc, MergedStatsEqualRelabeledPostHocSums) {
           record.plan.shard_colors[static_cast<std::size_t>(s)][c]);
       global_colors[global] = m.per_color[c];
       global_colors[global].color = static_cast<ColorId>(global);
+      global_reference[global] = ref.per_color[c];
     }
 
     // Combine the post-hoc summaries the way an exact merge must.
@@ -767,6 +841,8 @@ TEST_P(ShardedVsPostHoc, MergedStatsEqualRelabeledPostHocSums) {
   ASSERT_EQ(merged.stats.per_color().size(), global_colors.size());
   for (std::size_t c = 0; c < global_colors.size(); ++c) {
     expect_matches(merged.stats.per_color()[c], global_colors[c]);
+    EXPECT_EQ(merged.stats.per_color()[c], global_reference[c])
+        << "merged per-job color " << c;
   }
 }
 
@@ -819,6 +895,8 @@ TEST_P(FaultedVsPostHoc, StreamStatsMatchRecordedScheduleUnderChurn) {
   for (std::size_t c = 0; c < metrics.per_color.size(); ++c) {
     expect_matches(stats.per_color()[c], metrics.per_color[c]);
   }
+  expect_matches(stats, per_job_reference(instance, reference.schedule),
+                 "per-job");
   // Churn totals match the recorded run's.
   EXPECT_EQ(totals.churn_failures, reference.degraded.fault_events);
   EXPECT_EQ(totals.churn_repairs, reference.degraded.repair_events);

@@ -601,7 +601,7 @@ TEST_P(PendingDifferential, BatchShapedArrivalsMatchNaiveReference) {
       PendingJobs restored;
       restored.reset(kColors);
       r.open_section(1);
-      restored.restore_checkpoint(r, delays);
+      restored.restore_checkpoint(r, delays, lengths);
       r.close_section();
       pending = std::move(restored);
     }

@@ -190,6 +190,40 @@ TEST(Validator, CollectsMultipleErrors) {
   EXPECT_GE(r.errors.size(), 2u);
 }
 
+TEST(Validator, RejectsExecutionOnAFailedResource) {
+  const Instance inst = small_instance();
+  Schedule s;
+  s.num_resources = 1;
+  s.reconfigs = {{0, 0, 0, 0}, {2, 0, 0, 0}};
+  s.execs = {{0, 0, 0, 0}, {3, 0, 0, 1}};
+  s.churn = {{1, 0, true, false}, {4, 0, false, false}};
+  // Failed in round 1, recolored while down in round 2, executes in round
+  // 3: both the recoloring and the execution are illegal.
+  const ValidationResult r = validate(inst, s);
+  ASSERT_FALSE(r.ok);
+  ASSERT_EQ(r.errors.size(), 2u);
+  EXPECT_NE(r.errors[0].find("reconfig of failed resource 0"),
+            std::string::npos) << r.errors[0];
+  EXPECT_NE(r.errors[1].find("resource 0 is failed"), std::string::npos)
+      << r.errors[1];
+
+  // Repaired before the recoloring, the same executions are legal.
+  s.churn[1].round = 2;
+  EXPECT_TRUE(validate(inst, s).ok);
+}
+
+TEST(Validator, ZeroErrorCapStillRejects) {
+  const Instance inst = small_instance();
+  Schedule s;
+  s.num_resources = 1;
+  s.execs = {{0, 0, 0, 0}};  // resource still black
+  const ValidationResult r = validate(inst, s, /*max_errors=*/0);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(r.errors.empty());
+  s.execs[0].job = 42;  // malformed
+  EXPECT_FALSE(validate(inst, s, /*max_errors=*/0).ok);
+}
+
 TEST(Validator, EmptyScheduleIsValidAllDropped) {
   const Instance inst = small_instance();
   Schedule s;

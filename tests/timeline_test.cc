@@ -3,9 +3,12 @@
 
 #include <sstream>
 
+#include "core/validator.h"
+#include "sim/metrics.h"
 #include "sim/runner.h"
 #include "sim/timeline.h"
 #include "util/check.h"
+#include "util/rng.h"
 #include "workload/flash_crowd.h"
 
 namespace rrs {
@@ -79,6 +82,64 @@ TEST(Timeline, SpikeVisibleInArrivals) {
   const auto spike_bucket = timeline[1024 / 256];
   const auto steady_bucket = timeline[0];
   EXPECT_GT(spike_bucket.arrivals, 3 * steady_bucket.arrivals);
+}
+
+TEST(Timeline, PartlyExecutedJobIsADrop) {
+  // A length-3, weight-7 job that gets 1 of its 3 units is dropped at its
+  // deadline at full weight, exactly as Schedule::cost charges it.
+  InstanceBuilder builder;
+  const ColorId c = builder.add_color(4, /*drop_cost=*/7, /*length=*/3);
+  builder.add_jobs(c, 0, 1);
+  const Instance inst = builder.build();
+  Schedule schedule;
+  schedule.num_resources = 1;
+  schedule.reconfigs = {{0, 0, 0, c}};
+  schedule.execs = {{0, 0, 0, 0}};
+
+  const auto timeline = compute_timeline(inst, schedule, 8);
+  ASSERT_EQ(timeline.size(), 1u);
+  EXPECT_EQ(timeline[0].executions, 1);
+  EXPECT_EQ(timeline[0].drops, 1);
+  EXPECT_EQ(timeline[0].drop_weight, 7);
+  EXPECT_EQ(schedule.cost(inst).drops, 7);
+}
+
+TEST(Timeline, DropSumsMatchValidatorAndMetrics) {
+  // Lengths 1-3 and weights 1-4: partial executions and weighted drops.
+  constexpr ColorId kColors = 8;
+  InstanceBuilder builder;
+  builder.delta(3);
+  for (ColorId c = 0; c < kColors; ++c) {
+    builder.add_color(Round{4} << (c % 3), /*drop_cost=*/1 + c % 4,
+                      /*length=*/1 + c % 3);
+  }
+  Rng rng(11);
+  for (Round k = 0; k < 512; ++k) {
+    for (ColorId c = 0; c < kColors; ++c) {
+      if (k % (Round{4} << (c % 3)) == 0 && rng.bernoulli(0.6)) {
+        builder.add_jobs(c, k, rng.uniform(1, 4));
+      }
+    }
+  }
+  const Instance inst = builder.build();
+  Schedule schedule;
+  (void)run_algorithm(inst, "dlru-edf", 8, &schedule);
+
+  const ValidationResult check = validate(inst, schedule);
+  ASSERT_TRUE(check.ok);
+  ASSERT_GT(check.cost.drops, 0);
+  std::int64_t drops = 0;
+  Cost drop_weight = 0;
+  for (const TimelineBucket& b : compute_timeline(inst, schedule, 32)) {
+    drops += b.drops;
+    drop_weight += b.drop_weight;
+  }
+  std::int64_t dropped = 0;
+  for (const ColorMetrics& pc : compute_metrics(inst, schedule).per_color) {
+    dropped += pc.dropped;
+  }
+  EXPECT_EQ(drop_weight, check.cost.drops);
+  EXPECT_EQ(drops, dropped);
 }
 
 TEST(Timeline, CsvHasOneRowPerBucket) {
