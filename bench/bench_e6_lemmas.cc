@@ -9,12 +9,25 @@
 //   Lemma 3.2 chain (Delta = 1, where the eligible subsequence equals the
 //   full input):  EligibleDropCost <= Drop(DS-Seq-EDF, m) <= Drop(Par-EDF, m)
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "algs/dlru_edf.h"
 #include "algs/par_edf.h"
 #include "algs/registry.h"
 #include "bench_common.h"
 #include "workload/random_batched.h"
+
+namespace {
+
+/// Writes `table`, header and rows as printed, via bench::maybe_write_csv.
+void write_csv(const rrs::TextTable& table, const std::string& name) {
+  rrs::CsvWriter csv(table.header());
+  for (const std::vector<std::string>& row : table.rows()) csv.add_row(row);
+  rrs::bench::maybe_write_csv(csv, name);
+}
+
+}  // namespace
 
 int main() {
   using namespace rrs;
@@ -58,6 +71,7 @@ int main() {
                      ok34 ? "yes" : "NO"});
   }
   lemma34.print(std::cout);
+  write_csv(lemma34, "e6_lemmas_3_3_and_3_4");
 
   std::cout << "\nLemma 3.2 drop chain (Delta = 1):\n";
   TextTable chain({"seed", "eligible drops", "DS-Seq-EDF drops",
@@ -89,6 +103,7 @@ int main() {
                    ok ? "yes" : "NO"});
   }
   chain.print(std::cout);
+  write_csv(chain, "e6_lemma_3_2_chain");
 
   std::cout << "\nSection 3.4 super-epoch accounting (Lemma 3.15):\n";
   TextTable supers({"seed", "epochs", "super-epochs", "ts updates",
@@ -122,6 +137,7 @@ int main() {
          ok315 ? "yes" : "NO"});
   }
   supers.print(std::cout);
+  write_csv(supers, "e6_lemma_3_15_super_epochs");
 
   std::cout << "\n";
   bool ok = true;

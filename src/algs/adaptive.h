@@ -18,6 +18,8 @@
 // does, see bench_a1_split) shave constant factors on skewed workloads.
 #pragma once
 
+#include <algorithm>
+
 #include "algs/dlru_edf.h"
 
 namespace rrs {
@@ -44,10 +46,11 @@ class AdaptiveSplitPolicy : public DLruEdfPolicy {
   /// Between window boundaries the policy is a plain dLRU-EDF plus
   /// counters that only move on drops/insertions — none of which occur
   /// in an event-free span — so skipping is exact as long as the engine
-  /// stops at the adaptation boundary, which next_policy_event() exposes.
+  /// stops at the adaptation boundary as well as at the next block start.
   [[nodiscard]] Round next_policy_event(Round k) const override {
-    (void)k;
-    return window_end_;
+    const Round start = DLruEdfPolicy::next_policy_event(k);
+    return start == kInfiniteHorizon ? window_end_
+                                     : std::min(start, window_end_);
   }
 
   [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> stats()

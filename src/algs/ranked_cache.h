@@ -92,6 +92,12 @@ class RankedCachePolicy : public Policy {
   /// may skip such spans wholesale.
   [[nodiscard]] bool supports_fast_forward() const override { return true; }
 
+  /// The tracker's next block start: its phases end epochs and advance
+  /// color deadlines there even with nothing pending.
+  [[nodiscard]] Round next_policy_event(Round k) const override {
+    return tracker_.next_block_start(k);
+  }
+
   [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> stats()
       const override;
 

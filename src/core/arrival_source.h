@@ -74,7 +74,7 @@ class ArrivalSource {
   [[nodiscard]] virtual const CostModel& cost_model() const;
 
   /// Distinct delay bounds, ascending, with the colors that carry each
-  /// (the index EligibilityTracker walks at block boundaries).  The base
+  /// (the classes of EligibilityTracker's BlockCalendar).  The base
   /// implementation derives it lazily from the metadata accessors.
   [[nodiscard]] virtual const std::map<Round, std::vector<ColorId>>&
   colors_by_delay() const;
@@ -160,10 +160,6 @@ class MaterializedSource final : public ArrivalSource {
   }
   [[nodiscard]] const CostModel& cost_model() const override {
     return instance_->cost_model();
-  }
-  [[nodiscard]] const std::map<Round, std::vector<ColorId>>& colors_by_delay()
-      const override {
-    return instance_->colors_by_delay();
   }
   [[nodiscard]] Round horizon() const override {
     return instance_->horizon();

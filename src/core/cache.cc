@@ -243,30 +243,23 @@ void CacheAssignment::restore_checkpoint(CheckpointReader& r) {
               "location");
 }
 
-std::span<const std::pair<int, ColorId>> CacheAssignment::finish_phase() {
+std::span<const Recoloring> CacheAssignment::finish_phase() {
   RRS_CHECK(in_phase_);
   in_phase_ = false;
-  event_scratch_.clear();
+  events_.clear();
   for (const int loc : dirty_) {
     const auto l = static_cast<std::size_t>(loc);
     dirty_flag_[l] = 0;
     if (physical_[l] != phase_start_[l]) {
-      event_scratch_.push_back({loc, physical_[l], phase_start_[l]});
+      events_.push_back({loc, phase_start_[l], physical_[l]});
     }
     phase_start_[l] = physical_[l];
   }
-  // Locations are unique within a phase, so sorting by location alone
-  // reproduces the old (location, color) pair order exactly.
-  std::sort(event_scratch_.begin(), event_scratch_.end(),
-            [](const PhaseEvent& a, const PhaseEvent& b) {
+  // Locations are unique within a phase, so this order is total.
+  std::sort(events_.begin(), events_.end(),
+            [](const Recoloring& a, const Recoloring& b) {
               return a.location < b.location;
             });
-  events_.clear();
-  events_from_.clear();
-  for (const PhaseEvent& e : event_scratch_) {
-    events_.emplace_back(e.location, e.to);
-    events_from_.push_back(e.from);
-  }
   return events_;
 }
 

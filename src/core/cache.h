@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/types.h"
@@ -27,6 +26,14 @@ namespace rrs {
 
 class CheckpointReader;
 class CheckpointWriter;
+
+/// One physical recoloring: `location` changed from `from` (kBlack when
+/// it was unconfigured) to `to`.
+struct Recoloring {
+  int location;
+  ColorId from;
+  ColorId to;
+};
 
 /// Mapping of cache locations (resources) to colors, with a logical
 /// cached-color set on top.  All mutations happen between begin_phase() and
@@ -87,19 +94,11 @@ class CacheAssignment {
   /// recoloring them.  Requires contains(color).
   void erase(ColorId color);
 
-  /// Ends the phase: returns (location, new_color) for every location whose
+  /// Ends the phase: returns a Recoloring for every location whose
   /// physical color changed since begin_phase(), sorted by location.  Each
-  /// entry is one reconfiguration costing Delta(from -> new_color); the
-  /// from-colors are exposed via phase_from_colors().  The span aliases an
-  /// internal buffer valid until the next finish_phase().
-  [[nodiscard]] std::span<const std::pair<int, ColorId>> finish_phase();
-
-  /// The previous physical occupant of each finish_phase() event's
-  /// location, parallel to the span finish_phase() returned (kBlack for a
-  /// location that was unconfigured).  Valid until the next finish_phase().
-  [[nodiscard]] std::span<const ColorId> phase_from_colors() const {
-    return events_from_;
-  }
+  /// entry is one reconfiguration costing Delta(from -> to).  The span
+  /// aliases an internal buffer valid until the next finish_phase().
+  [[nodiscard]] std::span<const Recoloring> finish_phase();
 
   /// Ensures per-color tables cover ColorIds < num_colors.
   void ensure_colors(ColorId num_colors);
@@ -158,15 +157,7 @@ class CacheAssignment {
   std::vector<int> locations_;         // slot-major claimed locations
   std::vector<std::int32_t> slot_of_;  // color -> slot, or -1
 
-  struct PhaseEvent {
-    int location;
-    ColorId to;
-    ColorId from;
-  };
-
-  std::vector<std::pair<int, ColorId>> events_;  // finish_phase() buffer
-  std::vector<ColorId> events_from_;       // parallel previous occupants
-  std::vector<PhaseEvent> event_scratch_;  // reused sort buffer
+  std::vector<Recoloring> events_;  // finish_phase() buffer
   bool in_phase_ = false;
 };
 

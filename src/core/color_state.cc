@@ -12,7 +12,6 @@ namespace rrs {
 void EligibilityTracker::begin(const ArrivalSource& source) {
   const auto num_colors = static_cast<std::size_t>(source.num_colors());
   state_.assign(num_colors, {});
-  delta_ = source.delta();
   const CostModel& model = source.cost_model();
   delay_bounds_.resize(num_colors);
   drop_costs_.resize(num_colors);
@@ -27,8 +26,7 @@ void EligibilityTracker::begin(const ArrivalSource& source) {
     // counter-wrapping rule there).
     thresholds_[idx(c)] = model.cold_cost(c);
   }
-  delay_classes_.assign(source.colors_by_delay().begin(),
-                        source.colors_by_delay().end());
+  blocks_ = BlockCalendar(source.colors_by_delay());
   super_epochs_ = 0;
   super_generation_ = 1;
   updated_this_super_ = 0;
@@ -62,16 +60,13 @@ void EligibilityTracker::drop_phase(Round k,
   }
   // Epoch ends: every eligible, uncached color at a multiple of its delay
   // bound becomes ineligible with cnt = 0.
-  for (const auto& [delay, colors] : delay_classes_) {
-    if (!is_multiple(k, delay)) continue;
-    for (const ColorId color : colors) {
-      ColorState& s = state_[idx(color)];
-      if (s.eligible && !cache.contains(color)) {
-        make_ineligible(color);
-        s.cnt = 0;
-        ++completed_epochs_;
-        if (analysis_m_ > 0) note_epoch_end(color);
-      }
+  for (const ColorId color : blocks_.due(k)) {
+    ColorState& s = state_[idx(color)];
+    if (s.eligible && !cache.contains(color)) {
+      make_ineligible(color);
+      s.cnt = 0;
+      ++completed_epochs_;
+      if (analysis_m_ > 0) note_epoch_end(color);
     }
   }
 }
@@ -84,27 +79,25 @@ void EligibilityTracker::arrival_phase(Round k,
   // empty — at every multiple of D_l).  With super-epoch analysis on,
   // block boundaries are also where timestamps become visible, so detect
   // timestamp update events here.
-  for (const auto& [delay, colors] : delay_classes_) {
-    if (!is_multiple(k, delay)) continue;
-    for (const ColorId color : colors) {
-      ColorState& s = state_[idx(color)];
-      if (s.eligible) {
-        // An eligible color changes calendar bucket at its own block
-        // boundary, and its effective timestamp may surface the block's
-        // wraps here.
-        cal_remove(color);
-        s.dd = k + delay;
-        cal_insert(color);
-        lru_refresh(color, k);
-      } else {
-        s.dd = k + delay;
-      }
-      if (analysis_m_ > 0) {
-        const Round now_ts = timestamp(color, k);
-        if (now_ts > s.eff_ts) {
-          s.eff_ts = now_ts;
-          note_timestamp_update(color);
-        }
+  for (const ColorId color : blocks_.due(k)) {
+    ColorState& s = state_[idx(color)];
+    const Round dd = k + delay_bounds_[idx(color)];
+    if (s.eligible) {
+      // An eligible color changes calendar bucket at its own block
+      // boundary, and its effective timestamp may surface the block's
+      // wraps here.
+      cal_remove(color);
+      s.dd = dd;
+      cal_insert(color);
+      lru_refresh(color, k);
+    } else {
+      s.dd = dd;
+    }
+    if (analysis_m_ > 0) {
+      const Round now_ts = timestamp(color, k);
+      if (now_ts > s.eff_ts) {
+        s.eff_ts = now_ts;
+        note_timestamp_update(color);
       }
     }
   }
@@ -354,7 +347,7 @@ void EligibilityTracker::build_rank_index() {
   }
   rank_color_ = std::move(order);
   Round max_delay = 1;
-  for (const auto& [delay, colors] : delay_classes_) {
+  for (const Round delay : delay_bounds_) {
     max_delay = std::max(max_delay, delay);
   }
   // At query time every eligible color deadline lies in (now, now+max D],

@@ -28,10 +28,10 @@
 #include <bit>
 #include <span>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "core/arrival_source.h"
+#include "core/block_calendar.h"
 #include "core/cache.h"
 #include "core/pending.h"
 #include "core/policy.h"
@@ -60,6 +60,8 @@ class EligibilityTracker {
   /// Arrival phase of round `k`: for every color with k a multiple of its
   /// delay bound, advances the color deadline and counts arrivals, firing
   /// counter wrapping events (and eligibility) when cnt reaches Delta.
+  /// Both phases visit only the colors that start a block at k, in
+  /// ascending delay and then ascending color order.
   void arrival_phase(Round k, std::span<const Job> arrivals);
 
   [[nodiscard]] bool eligible(ColorId color) const {
@@ -69,6 +71,12 @@ class EligibilityTracker {
   /// Color deadline l.dd (start-of-time value 0 before the first multiple).
   [[nodiscard]] Round color_deadline(ColorId color) const {
     return state_[idx(color)].dd;
+  }
+
+  /// The earliest round >= k at which some color starts a block: the
+  /// next round whose phases change state even with nothing pending.
+  [[nodiscard]] Round next_block_start(Round k) const {
+    return blocks_.next_start(k);
   }
 
   /// Delay bound D_l of `color`, cached flat at begin() so ranking loops
@@ -271,7 +279,6 @@ class EligibilityTracker {
   // Flat copies of the source's per-color metadata, filled at begin():
   // the drop/arrival/timestamp paths run every round and must not pay a
   // virtual call (or a std::map walk) per color.
-  Cost delta_ = 1;
   std::vector<Round> delay_bounds_;
   std::vector<Cost> drop_costs_;
   std::vector<Round> lengths_;
@@ -279,7 +286,8 @@ class EligibilityTracker {
   /// (== Delta in the scalar tier).  A color becomes eligible once one cold
   /// reconfiguration's worth of droppable value has accumulated.
   std::vector<Cost> thresholds_;
-  std::vector<std::pair<Round, std::vector<ColorId>>> delay_classes_;
+  /// Which colors start a block at each round.
+  BlockCalendar blocks_;
   int analysis_m_ = 0;  // 0 = super-epoch analysis disabled
   std::int64_t super_epochs_ = 0;
   std::int64_t super_generation_ = 1;

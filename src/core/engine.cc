@@ -86,13 +86,9 @@ Engine::Engine(ArrivalSource& source, Policy& policy,
   }
   timers_ = obs != nullptr && obs->config.timers ? &obs->timers : nullptr;
 
-  // Sparse-round fast-forward eligibility and the stop-round inputs are
-  // resolved once: the policy's declaration never changes mid-run and the
-  // delay-class set is static metadata.
+  // Sparse-round fast-forward eligibility and the snapshot cadence are
+  // resolved once: neither changes mid-run.
   ff_eligible_ = options_.fast_forward && policy_->supports_fast_forward();
-  for (const auto& [delay, colors] : source.colors_by_delay()) {
-    ff_delays_.push_back(delay);
-  }
   ff_snapshot_every_ = obs != nullptr ? obs->config.snapshot_every : 0;
 }
 
@@ -178,18 +174,13 @@ void Engine::run_round(ArrivalSource* pull) {
     RoundContext ctx(k_, mini, /*final_sweep=*/false, dropped_, arrivals,
                      pending_, cache_, options_.observer);
     policy_->on_round(ctx);
-    const std::span<const std::pair<int, ColorId>> phase_events =
-        cache_.finish_phase();
-    const std::span<const ColorId> phase_from = cache_.phase_from_colors();
-    for (std::size_t i = 0; i < phase_events.size(); ++i) {
-      const auto& [location, color] = phase_events[i];
-      const Cost price = model_.reconfig_cost(phase_from[i], color);
+    for (const Recoloring& e : cache_.finish_phase()) {
+      const Cost price = model_.reconfig_cost(e.from, e.to);
       ++result_.cost.reconfig_events;
       result_.cost.reconfig_cost += price;
       if (!sinks_.empty()) {
-        emit(&RunSink::on_reconfig, Reconfiguration{k_, mini, location,
-                                                     phase_from[i], color,
-                                                     price});
+        const Reconfiguration ev{k_, mini, e.location, e.from, e.to, price};
+        emit(&RunSink::on_reconfig, ev);
       }
     }
     if (timers_ != nullptr) timers_->note(EnginePhase::kPolicy);
@@ -244,15 +235,10 @@ void Engine::run_rounds(ArrivalSource& source, Round until) {
   }
 }
 
-Round Engine::next_stop_round(Round until) const {
+void Engine::fast_forward(ArrivalSource& source, Round until) {
+  // The latest round the skip may reach: no fault event, snapshot round or
+  // policy event in between.
   Round stop = until;
-  // Deadline-block boundaries: every multiple of a delay bound runs the
-  // tracker's dd-advance / epoch-end logic, so it must be executed.  A
-  // round already on a boundary cannot be skipped at all.
-  for (const Round d : ff_delays_) {
-    if (is_multiple(k_, d)) return k_;
-    stop = std::min(stop, ceil_multiple(k_, d));
-  }
   // Fault events apply at the start of their round.
   if (options_.fault_plan != nullptr &&
       fault_next_ < options_.fault_plan->events.size()) {
@@ -264,13 +250,9 @@ Round Engine::next_stop_round(Round until) const {
   if (ff_snapshot_every_ > 0) {
     stop = std::min(stop, ceil_multiple(k_ + 1, ff_snapshot_every_) - 1);
   }
+  // The policy's own events, such as the ranked policies' block starts.
   const Round pe = policy_->next_policy_event(k_);
   if (pe != kInfiniteHorizon) stop = std::min(stop, std::max(pe, k_));
-  return stop;
-}
-
-void Engine::fast_forward(ArrivalSource& source, Round until) {
-  const Round stop = next_stop_round(until);
   if (stop <= k_) return;
   const Round next = source.next_event_round(k_, stop);
   RRS_CHECK_MSG(next >= k_ && next <= stop,

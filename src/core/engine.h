@@ -83,8 +83,8 @@ struct EngineOptions {
   /// Sparse-round fast-forward: when the pending set is empty and the
   /// policy declares supports_fast_forward(), run_rounds() jumps over
   /// spans with no arrivals (per the source's next_event_round() hint),
-  /// no deadline-block boundary of any delay class, no fault event, no
-  /// snapshot round, and no policy event.  Every skipped round is a
+  /// no fault event, no snapshot round, and no policy event (the ranked
+  /// policies report their block starts).  Every skipped round is a
   /// provable no-op, so results — costs, schedules, stats, snapshots —
   /// are bit-identical with the flag off; disable only to measure the
   /// skip itself.
@@ -186,15 +186,10 @@ class Engine {
   /// delay bound, drop cost and length.
   void write_identity(CheckpointWriter& w) const;
 
-  /// Latest round <= `until` that fast-forward may jump to from k_
-  /// without crossing a deadline-block boundary, fault event, snapshot
-  /// round, or policy event (k_ itself when it sits on one).
-  [[nodiscard]] Round next_stop_round(Round until) const;
-
   /// With an empty pending set, jumps k_ to the next round in
-  /// (k_, until] that any party — source, delay classes, faults,
-  /// snapshots, policy — can observe, charging degraded-round accounting
-  /// for the skipped span.  No-op when the next event is k_ itself.
+  /// (k_, until] that any party — source, faults, snapshots, policy —
+  /// can observe, charging degraded-round accounting for the skipped
+  /// span.  No-op when the next event is k_ itself.
   void fast_forward(ArrivalSource& source, Round until);
 
   EngineOptions options_;
@@ -216,7 +211,6 @@ class Engine {
   Round k_ = 0;
   bool ended_ = false;  ///< finish() or abandon() already called
   bool ff_eligible_ = false;       ///< options + policy allow fast-forward
-  std::vector<Round> ff_delays_;   ///< distinct delay bounds (stop rounds)
   Round ff_snapshot_every_ = 0;    ///< observer snapshot cadence (0 = none)
 };
 

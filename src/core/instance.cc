@@ -1,6 +1,7 @@
 #include "core/instance.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "util/bits.h"
@@ -197,10 +198,6 @@ Instance InstanceBuilder::build() {
   // Classification: delay bounds and per-(color, batch-round) rate limits.
   for (const Round d : delay_bounds_) {
     if (!is_pow2(d)) inst.all_pow2_ = false;
-  }
-  for (std::size_t c = 0; c < delay_bounds_.size(); ++c) {
-    inst.colors_by_delay_[delay_bounds_[c]].push_back(
-        static_cast<ColorId>(c));
   }
   if (inst.batched_) {
     // Rate limited iff, per color, each batch round carries <= D_l jobs.

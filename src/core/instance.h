@@ -6,7 +6,6 @@
 // which round).  Instances are immutable once built; use InstanceBuilder.
 #pragma once
 
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -84,12 +83,6 @@ class Instance {
   /// Number of jobs of `color` in the whole sequence.
   [[nodiscard]] std::int64_t jobs_of_color(ColorId color) const;
 
-  /// Distinct delay bounds, ascending, with the colors that carry each.
-  [[nodiscard]] const std::map<Round, std::vector<ColorId>>& colors_by_delay()
-      const {
-    return colors_by_delay_;
-  }
-
   /// True iff every color-l job arrives at an integral multiple of D_l
   /// (the `[... | D_l]` batch field).
   [[nodiscard]] bool is_batched() const { return batched_; }
@@ -119,7 +112,6 @@ class Instance {
   std::vector<Job> jobs_;
   std::vector<std::int64_t> jobs_per_color_;
   std::vector<Cost> weight_per_color_;
-  std::map<Round, std::vector<ColorId>> colors_by_delay_;
   // Index: arrival rounds (ascending, unique) and the offset into jobs_ at
   // which each round's request starts; parallel arrays.
   std::vector<Round> request_rounds_;

@@ -168,20 +168,21 @@ class Policy {
   }
 
   /// True iff skipping a span of event-free rounds (no arrivals, no
-  /// pending jobs, no deadline-block boundary of any delay class, no
-  /// capacity churn, no snapshot round, no round from next_policy_event())
-  /// cannot change this policy's decisions or counters: across such a
-  /// span every on_round() call is a provable no-op (the tracker phases
-  /// see empty inputs off block boundaries and the cache already equals
-  /// the recomputed target).  Policies with per-round state that moves
+  /// pending jobs, no capacity churn, no snapshot round, no round from
+  /// next_policy_event()) cannot change this policy's decisions or
+  /// counters: across such a span every on_round() call is a provable
+  /// no-op.  The engine knows no delay classes, so a policy whose state
+  /// moves at block starts reports them through next_policy_event(), as
+  /// the ranked policies do.  Policies with per-round state that moves
   /// unconditionally must leave this false (the default), which disables
   /// Engine fast-forward for them.
   [[nodiscard]] virtual bool supports_fast_forward() const { return false; }
 
-  /// Earliest round >= the current one at which the policy itself has a
-  /// scheduled event (e.g. an adaptation-window boundary) that fast-
-  /// forward must not skip; kInfiniteHorizon when there is none (the
-  /// default).  Only consulted when supports_fast_forward() is true.
+  /// Earliest round >= k at which the policy itself has a scheduled event
+  /// that fast-forward must not skip (the ranked policies' next block
+  /// start, the adaptive split's window end); kInfiniteHorizon when there
+  /// is none (the default).  Only consulted when supports_fast_forward()
+  /// is true.
   [[nodiscard]] virtual Round next_policy_event(Round k) const {
     (void)k;
     return kInfiniteHorizon;

@@ -37,12 +37,6 @@ namespace rrs {
   return 63 - std::countl_zero(static_cast<std::uint64_t>(x));
 }
 
-/// True iff `x` is a multiple of `m` (m >= 1).  A power-of-two `m` costs
-/// a mask instead of a division, which per-round delay-class scans feel.
-[[nodiscard]] constexpr bool is_multiple(std::int64_t x, std::int64_t m) {
-  return (m & (m - 1)) == 0 ? (x & (m - 1)) == 0 : x % m == 0;
-}
-
 /// Round `x` down to the nearest multiple of `m`.  Requires m >= 1, x >= 0.
 [[nodiscard]] constexpr std::int64_t floor_multiple(std::int64_t x,
                                                     std::int64_t m) {

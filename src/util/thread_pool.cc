@@ -64,14 +64,6 @@ void ThreadPool::submit(std::function<void()> task) {
   task_ready_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  RRS_CHECK_MSG(!in_worker(),
-                "ThreadPool::wait_idle() called from a worker thread; the "
-                "worker would block on its own completion");
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   t_in_worker = true;
   for (;;) {
@@ -83,14 +75,8 @@ void ThreadPool::worker_loop() {
       if (tasks_.empty()) return;  // shutting down with an empty queue
       task = std::move(tasks_.front());
       tasks_.pop();
-      ++in_flight_;
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (tasks_.empty() && in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 
@@ -106,23 +92,31 @@ void ThreadPool::parallel_for(std::size_t count,
   }
   std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
-  std::mutex error_mu;
-  const std::size_t shard_count = std::min(count, size());
-  for (std::size_t shard = 0; shard < shard_count; ++shard) {
+  // Completion is counted per call: other callers' tasks may share the
+  // queue, and this call waits only for its own.
+  std::mutex done_mu;
+  std::condition_variable done;
+  std::size_t running = std::min(count, size());
+  for (std::size_t shard = running; shard > 0; --shard) {
     submit([&] {
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
+        if (i >= count) break;
         try {
           body(i);
         } catch (...) {
-          std::scoped_lock lock(error_mu);
+          std::scoped_lock lock(done_mu);
           if (!first_error) first_error = std::current_exception();
         }
       }
+      // Notify under the lock: the caller's frame, `done` included, may
+      // unwind as soon as it can observe running == 0.
+      std::scoped_lock lock(done_mu);
+      if (--running == 0) done.notify_one();
     });
   }
-  wait_idle();
+  std::unique_lock<std::mutex> lock(done_mu);
+  done.wait(lock, [&running] { return running == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -34,11 +34,6 @@ class ThreadPool {
   /// Enqueue one task.
   void submit(std::function<void()> task);
 
-  /// Block until every submitted task has completed.  Must not be called
-  /// from a worker thread (the worker would wait on its own completion);
-  /// doing so throws InvariantError instead of deadlocking.
-  void wait_idle();
-
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
   /// True when the calling thread is a worker of any ThreadPool.  Used to
@@ -46,7 +41,8 @@ class ThreadPool {
   [[nodiscard]] static bool in_worker();
 
   /// Runs body(i) for i in [0, count), distributing across the pool and
-  /// blocking until all iterations finish.  Exceptions from `body`
+  /// blocking until all iterations finish; tasks other callers submitted
+  /// are not waited for.  Exceptions from `body`
   /// propagate to the caller (the first one thrown, by index order being
   /// unspecified).  When called from a worker thread (re-entrant use) the
   /// iterations run inline on the caller, in index order — blocking a
@@ -61,8 +57,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable task_ready_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
   bool shutting_down_ = false;
 };
 

@@ -18,18 +18,18 @@
 // to its sequence in the full stream, so the per-shard arrivals are
 // bit-identical to what the demux fabric would deliver, modulo job ids
 // being locally dense).  Subclasses opt in by implementing clone() and
-// synthesize_color(); the default synthesize() then iterates the active
+// synthesize_color(); the default synthesize() then visits the view's
 // colors in ascending global order.
 //
 // Batched contract: a subclass calling declare_batched() promises that
 // synthesize_color(c, k) draws nothing unless D_c divides k; synthesize()
-// then visits only the colors due at k, in the same order.
+// then visits only the colors that start a block at k (BlockCalendar), in
+// the same order.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -37,8 +37,8 @@
 #include <vector>
 
 #include "core/arrival_source.h"
+#include "core/block_calendar.h"
 #include "core/checkpoint.h"
-#include "util/bits.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -93,20 +93,6 @@ class GeneratorSource : public ArrivalSource {
       model_ready_ = true;
     }
     return model_;
-  }
-
-  /// Delay index over the (possibly restricted) color set.
-  [[nodiscard]] const std::map<Round, std::vector<ColorId>>& colors_by_delay()
-      const override {
-    if (!delay_index_ready_) {
-      delay_index_.clear();
-      const ColorId n = num_colors();
-      for (ColorId c = 0; c < n; ++c) {
-        delay_index_[delay_bound(c)].push_back(c);
-      }
-      delay_index_ready_ = true;
-    }
-    return delay_index_;
   }
 
   [[nodiscard]] std::span<const Job> arrivals_in_round(Round k) override {
@@ -185,7 +171,8 @@ class GeneratorSource : public ArrivalSource {
   /// Turns a fresh clone into a view over `colors` (sorted, unique global
   /// ids): metadata accessors, the cost model, and emitted jobs all use
   /// the dense local id space (local i = colors[i]).  Must be called
-  /// before the first pull.
+  /// before the first pull and before colors_by_delay(), whose index the
+  /// base class builds once.
   void restrict_to(std::span<const ColorId> colors) {
     RRS_REQUIRE(next_round_ == 0,
                 "restrict_to must precede the first pull, not follow round "
@@ -204,7 +191,6 @@ class GeneratorSource : public ArrivalSource {
           static_cast<ColorId>(i);
     }
     model_ready_ = false;
-    delay_index_ready_ = false;
   }
 
   // --- checkpoint/restore (crash-safe service mode) ---
@@ -337,19 +323,33 @@ class GeneratorSource : public ArrivalSource {
   }
 
   /// Produces round `k`'s arrivals via emit().  Called once per round, in
-  /// order, only for rounds inside the horizon.  The default iterates the
-  /// active colors in ascending global order through synthesize_color();
-  /// generators that are not per-color decomposable override this
+  /// order, only for rounds inside the horizon.  The default visits the
+  /// view's colors in ascending global order through synthesize_color():
+  /// all of them when unbatched, else those that start a block at k.
+  /// Generators that are not per-color decomposable override this
   /// wholesale (and then cannot serve shard-native views).
   virtual void synthesize(Round k) {
-    if (batched_) {
-      for (const ColorId c : due_colors(k)) synthesize_color(c, k);
-    } else if (restricted_) {
-      for (const ColorId c : active_) synthesize_color(c, k);
-    } else {
-      const auto n = static_cast<ColorId>(delay_bounds_.size());
-      for (ColorId c = 0; c < n; ++c) synthesize_color(c, k);
+    if (colors_.empty()) {
+      // Built at the first synthesis, after the subclass registered its
+      // colors and any restrict_to(); a restore then resumes mid-cycle.
+      std::map<Round, std::vector<ColorId>> classes;
+      for (ColorId c = 0; c < num_colors(); ++c) {
+        colors_.push_back(static_cast<ColorId>(global_of(c)));
+        classes[delay_bound(c)].push_back(colors_.back());
+      }
+      blocks_ = BlockCalendar(classes);
     }
+    std::span<const ColorId> due = colors_;
+    if (batched_) {
+      due = blocks_.due(k);
+      if (!std::is_sorted(due.begin(), due.end())) {
+        // Several classes are due: emit() takes colors in ascending order.
+        due_.assign(due.begin(), due.end());
+        std::sort(due_.begin(), due_.end());
+        due = due_;
+      }
+    }
+    for (const ColorId c : due) synthesize_color(c, k);
   }
 
   /// Produces round `k`'s arrivals of global color `color` via emit().
@@ -410,35 +410,6 @@ class GeneratorSource : public ArrivalSource {
     return static_cast<std::size_t>(color);
   }
 
-  /// Global ids of the view's colors due at round `k`, ascending.  Built
-  /// at the first call, which may be any round (a restore resumes
-  /// mid-cycle); later calls come in order, so each class keeps its next
-  /// due round and a round with no class due costs one compare.
-  std::span<const ColorId> due_colors(Round k) {
-    if (due_classes_.empty()) {
-      for (const auto& [delay, locals] : colors_by_delay()) {
-        DueClass& cls = due_classes_.emplace_back(
-            DueClass{delay, ceil_multiple(k, delay), {}});
-        for (const ColorId c : locals) {
-          cls.colors.push_back(static_cast<ColorId>(global_of(c)));
-        }
-        due_min_next_ = std::min(due_min_next_, cls.next);
-      }
-    }
-    if (k < due_min_next_) return {};
-    due_.clear();
-    due_min_next_ = kNever;
-    for (DueClass& cls : due_classes_) {
-      if (cls.next == k) {
-        cls.next += cls.delay;
-        due_.insert(due_.end(), cls.colors.begin(), cls.colors.end());
-      }
-      due_min_next_ = std::min(due_min_next_, cls.next);
-    }
-    std::sort(due_.begin(), due_.end());  // merges the due classes
-    return due_;
-  }
-
   /// Maps a caller-facing (local) id to the global metadata index.
   [[nodiscard]] std::size_t global_of(ColorId color) const {
     if (!restricted_) return checked_global(color);
@@ -468,22 +439,14 @@ class GeneratorSource : public ArrivalSource {
   Round served_ = -1;
   Round peek_round_ = -1;
   JobId next_id_ = 0;
-  // Batched contract: the view's colors by delay class (global ids).
-  struct DueClass {
-    Round delay;
-    Round next;  ///< next round this class is due
-    std::vector<ColorId> colors;
-  };
-  static constexpr Round kNever = std::numeric_limits<Round>::max();
+  // The view's colors (global ids, ascending) and their block starts.
   bool batched_ = false;
-  std::vector<DueClass> due_classes_;
-  Round due_min_next_ = kNever;  ///< earliest `next` over the classes
-  std::vector<ColorId> due_;     ///< due_colors() result buffer
-  // Caches (mirror ArrivalSource's lazy base caches, with invalidation).
+  std::vector<ColorId> colors_;
+  BlockCalendar blocks_;
+  std::vector<ColorId> due_;  ///< merged due classes, ascending
+  // Cost model cache (restrict_to() invalidates it).
   mutable CostModel model_;
   mutable bool model_ready_ = false;
-  mutable std::map<Round, std::vector<ColorId>> delay_index_;
-  mutable bool delay_index_ready_ = false;
 };
 
 }  // namespace rrs

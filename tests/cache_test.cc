@@ -89,9 +89,9 @@ TEST(CacheAssignment, EvictAndReplaceCostsOnlyNewColor) {
   cache.insert(2);
   const auto events = cache.finish_phase();
   ASSERT_EQ(events.size(), 2u);
-  for (const auto& [loc, color] : events) {
-    (void)loc;
-    EXPECT_EQ(color, 2);
+  for (const Recoloring& e : events) {
+    EXPECT_EQ(e.from, 0);  // the evicted color's freed locations
+    EXPECT_EQ(e.to, 2);
   }
   EXPECT_TRUE(cache.contains(1));
   EXPECT_TRUE(cache.contains(2));
@@ -167,7 +167,7 @@ TEST(CacheAssignment, EventsSortedByLocation) {
   const auto events = cache.finish_phase();
   ASSERT_EQ(events.size(), 6u);
   for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LT(events[i - 1].first, events[i].first);
+    EXPECT_LT(events[i - 1].location, events[i].location);
   }
 }
 

@@ -2,10 +2,20 @@
 // (counters, wraps, eligibility, timestamps, epoch/drop accounting).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "core/arrival_source.h"
+#include "core/block_calendar.h"
 #include "core/cache.h"
 #include "core/color_state.h"
 #include "core/instance.h"
+#include "util/bits.h"
+#include "util/check.h"
+#include "util/rng.h"
 
 namespace rrs {
 namespace {
@@ -220,6 +230,72 @@ TEST(EligibilityTracker, MultipleDelayGroupsTouchOnlyAtOwnBoundaries) {
   EXPECT_TRUE(h.tracker().eligible(slow));
   h.advance_to(9);
   EXPECT_FALSE(h.tracker().eligible(slow));  // reset at round 8
+}
+
+/// Every color whose delay bound divides k, by ascending delay and then
+/// ascending color: what BlockCalendar::due(k) must return.
+std::vector<ColorId> brute_force_due(const std::vector<Round>& delays,
+                                     Round k) {
+  std::vector<std::pair<Round, ColorId>> due;
+  for (std::size_t c = 0; c < delays.size(); ++c) {
+    if (k % delays[c] == 0) {
+      due.emplace_back(delays[c], static_cast<ColorId>(c));
+    }
+  }
+  std::sort(due.begin(), due.end());
+  std::vector<ColorId> colors;
+  for (const auto& [delay, color] : due) colors.push_back(color);
+  return colors;
+}
+
+TEST(BlockCalendar, MatchesBruteForceOnRandomDelaySets) {
+  Rng rng(27);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Even trials draw powers of two, odd ones arbitrary bounds.
+    const bool pow2 = trial % 2 == 0;
+    std::vector<Round> delays;
+    std::map<Round, std::vector<ColorId>> classes;
+    const std::int64_t colors = rng.uniform(1, 12);
+    for (ColorId c = 0; c < colors; ++c) {
+      const Round delay =
+          pow2 ? Round{1} << rng.uniform(0, 6) : rng.uniform(1, 40);
+      delays.push_back(delay);
+      classes[delay].push_back(c);
+    }
+    BlockCalendar calendar(classes);
+    // The first query lands at an arbitrary round, as after a restore.
+    Round k = rng.uniform(0, 500);
+    for (int step = 0; step < 300; ++step) {
+      const std::vector<ColorId> want = brute_force_due(delays, k);
+      Round next = std::numeric_limits<Round>::max();
+      for (const Round delay : delays) {
+        next = std::min(next, k % delay == 0 ? k : ceil_multiple(k, delay));
+      }
+      ASSERT_EQ(calendar.next_start(k), next)
+          << "trial " << trial << " round " << k;
+      // Asked twice, as the tracker's drop and arrival phases do.
+      for (int query = 0; query < 2; ++query) {
+        const std::span<const ColorId> got = calendar.due(k);
+        ASSERT_EQ(std::vector<ColorId>(got.begin(), got.end()), want)
+            << "trial " << trial << " round " << k << " query " << query;
+      }
+      if (step == 150) {
+        // A restore starts a fresh calendar at an earlier round.
+        EXPECT_THROW((void)calendar.due(k - 1), InvariantError);
+        calendar = BlockCalendar(classes);
+        k = rng.uniform(0, k);
+      } else {
+        // Mostly the next round; sometimes a skip over several.
+        k += rng.bernoulli(0.8) ? 1 : rng.uniform(2, 50);
+      }
+    }
+  }
+}
+
+TEST(BlockCalendar, WithoutClassesNothingStarts) {
+  BlockCalendar calendar;
+  EXPECT_TRUE(calendar.due(0).empty());
+  EXPECT_EQ(calendar.next_start(5), kInfiniteHorizon);
 }
 
 }  // namespace

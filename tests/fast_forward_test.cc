@@ -6,17 +6,22 @@
 // and through the sharded runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "algs/adaptive.h"
+#include "algs/registry.h"
 #include "core/engine.h"
 #include "core/fault_plan.h"
 #include "obs/observer.h"
 #include "sim/runner.h"
 #include "test_util.h"
+#include "util/bits.h"
 #include "workload/datacenter.h"
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
@@ -201,6 +206,47 @@ TEST(FastForwardSkips, LongGapIsActuallyJumped) {
   testing::expect_same_run(on, off, "two-burst gap");
   EXPECT_EQ(on.arrived, 8);
   EXPECT_GT(on.rounds, 100000);
+}
+
+TEST(FastForwardContract, PolicyEventIsTheNextBlockStart) {
+  // Fast-forward must stop at every block start: k on a multiple of some
+  // delay bound, else the earliest multiple after k.  The ranked policies
+  // report that round, and adaptive the earlier of it and its window end
+  // (a window closes at each multiple of kWindow when every round runs).
+  for (const char* const family : {"random-batched", "poisson"}) {
+    for (const std::uint64_t seed : {1ULL, 2ULL}) {
+      for (const char* const name : kStreamingAlgorithms) {
+        const std::string algorithm = name;
+        const auto source = make_source(family, seed);
+        std::vector<Round> delays;
+        for (ColorId c = 0; c < source->num_colors(); ++c) {
+          delays.push_back(source->delay_bound(c));
+        }
+        EngineOptions options;
+        options.num_resources = 8;
+        options.record_schedule = false;
+        const std::unique_ptr<Policy> policy =
+            make_stream_policy(algorithm, options);
+        Engine engine(*source, *policy, options);
+        for (Round k = 0; k < engine.arrival_end(); ++k) {
+          engine.run_rounds(*source, k);
+          Round stop = std::numeric_limits<Round>::max();
+          for (const Round d : delays) {
+            stop = std::min(stop, k % d == 0 ? k : ceil_multiple(k, d));
+          }
+          if (algorithm == "adaptive") {
+            const Round window_end =
+                std::max(ceil_multiple(k, AdaptiveSplitPolicy::kWindow),
+                         AdaptiveSplitPolicy::kWindow);
+            stop = std::min(stop, window_end);
+          }
+          ASSERT_EQ(policy->next_policy_event(k), stop)
+              << algorithm << "/" << family << " seed " << seed << " round "
+              << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(FastForwardContract, DefaultSourceHintNeverSkips) {

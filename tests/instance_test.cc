@@ -1,6 +1,7 @@
 // Unit tests for core/instance: building, classification, indexing.
 #include <gtest/gtest.h>
 
+#include "core/arrival_source.h"
 #include "core/instance.h"
 #include "util/check.h"
 
@@ -121,7 +122,8 @@ TEST(InstanceBuilder, ColorsByDelayGroups) {
   const ColorId b = builder.add_color(8);
   const ColorId c = builder.add_color(4);
   const Instance inst = builder.build();
-  const auto& groups = inst.colors_by_delay();
+  const MaterializedSource source(inst);
+  const auto& groups = source.colors_by_delay();
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups.at(4), (std::vector<ColorId>{a, c}));
   EXPECT_EQ(groups.at(8), (std::vector<ColorId>{b}));

@@ -1,11 +1,13 @@
 // ThreadPool contract coverage: the shared pool underpins both the sweep
 // harness and the sharded streaming runner, so its blocking semantics
-// (wait_idle, destruction, re-entrancy) are tested directly here.
+// (per-call completion, destruction, re-entrancy) are tested directly here.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -31,12 +33,41 @@ TEST(ThreadPoolTest, ParallelForPropagatesBodyException) {
   EXPECT_EQ(hits.load(), 4);
 }
 
-TEST(ThreadPoolTest, WaitIdleWithZeroSubmittedTasksReturns) {
+TEST(ThreadPoolTest, ParallelForWaitsOnlyForItsOwnTasks) {
+  // Two outside callers share the pool.  A's only iteration holds a worker
+  // until B's parallel_for has returned, so B must return while A's task
+  // still runs.  A pool that waited for every caller's tasks would stall B
+  // until A's bounded wait gives up, and A would see B still running.
   ThreadPool pool(2);
-  pool.wait_idle();  // nothing submitted: must return immediately
-  pool.submit([] {});
-  pool.wait_idle();
-  pool.wait_idle();  // idempotent once drained
+  std::mutex mu;
+  std::condition_variable cv;
+  bool a_running = false;
+  bool b_returned = false;
+  bool a_saw_b_return = false;
+  std::thread a([&] {
+    pool.parallel_for(1, [&](std::size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      a_running = true;
+      cv.notify_all();
+      a_saw_b_return = cv.wait_for(lock, std::chrono::seconds(5),
+                                   [&] { return b_returned; });
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return a_running; });
+  }
+  std::thread b([&] {
+    std::atomic<int> hits{0};
+    pool.parallel_for(2, [&hits](std::size_t) { ++hits; });
+    EXPECT_EQ(hits.load(), 2);
+    std::scoped_lock lock(mu);
+    b_returned = true;
+    cv.notify_all();
+  });
+  b.join();
+  a.join();
+  EXPECT_TRUE(a_saw_b_return);
 }
 
 TEST(ThreadPoolTest, DestructionDrainsQueuedTasks) {
@@ -70,13 +101,6 @@ TEST(ThreadPoolTest, ReentrantParallelForRunsInline) {
   EXPECT_EQ(inner_hits.load(), 4 * 8);
   EXPECT_EQ(inline_calls.load(), 4 * 8);
   EXPECT_FALSE(ThreadPool::in_worker());
-}
-
-TEST(ThreadPoolTest, WaitIdleFromWorkerFailsLoudly) {
-  ThreadPool pool(2);
-  pool.parallel_for(1, [&pool](std::size_t) {
-    EXPECT_THROW(pool.wait_idle(), InvariantError);
-  });
 }
 
 TEST(ThreadPoolTest, ParseThreadCount) {

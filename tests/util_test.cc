@@ -65,9 +65,10 @@ TEST(Bits, Multiples) {
   EXPECT_EQ(ceil_multiple(1, 8), 8);
   EXPECT_EQ(ceil_multiple(8, 8), 8);
   EXPECT_EQ(ceil_multiple(17, 8), 24);
-  for (std::int64_t m = 1; m <= 70; ++m) {  // masks and divisions agree
+  for (std::int64_t m = 1; m <= 70; ++m) {
     for (std::int64_t x = 0; x <= 300; ++x) {
-      EXPECT_EQ(is_multiple(x, m), x % m == 0) << x << " " << m;
+      EXPECT_EQ(floor_multiple(x, m), x - x % m) << x << " " << m;
+      EXPECT_EQ(ceil_multiple(x, m), x + (m - x % m) % m) << x << " " << m;
     }
   }
 }
@@ -213,12 +214,13 @@ TEST(StampedMap, GrowsPreservingEntries) {
 }
 
 TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.submit([&count] { count.fetch_add(1); });
+    }
+  }  // destruction drains the queue
   EXPECT_EQ(count.load(), 100);
 }
 
