@@ -216,7 +216,9 @@ void Engine::drop_phase(Round through, bool degraded) {
   for (const auto& [color, count] : dropped_.by_color) {
     const Cost weight = static_cast<Cost>(count) * model_.drop_cost(color);
     drop_cost += weight;
-    if (!sinks_.empty()) emit(&RunSink::on_drop, Drop{k_, color, count, weight});
+    if (!sinks_.empty()) {
+      emit(&RunSink::on_drop, Drop{k_, color, count, weight});
+    }
   }
   result_.cost.drops += drop_cost;
   if (degraded) result_.degraded.drops_while_degraded += drop_cost;

@@ -63,9 +63,10 @@ FaultPlan make_mtbf_plan(const MtbfParams& params) {
       t = back_up + exp_interval(rng, params.mean_up);
     }
   }
-  std::stable_sort(
-      plan.events.begin(), plan.events.end(),
-      [](const FaultEvent& a, const FaultEvent& b) { return a.round < b.round; });
+  std::stable_sort(plan.events.begin(), plan.events.end(),
+                   [](const FaultEvent& a, const FaultEvent& b) {
+                     return a.round < b.round;
+                   });
   return plan;
 }
 

@@ -127,7 +127,8 @@ void replay(const Instance& instance, const Schedule& schedule,
                           model.reconfig_cost(at, e.color)});
         at = e.color;
       }
-      for (; ei < execs.size() && execs[ei].round == k && execs[ei].mini == mini;
+      for (; ei < execs.size() && execs[ei].round == k &&
+             execs[ei].mini == mini;
            ++ei) {
         const ExecEvent& e = execs[ei];
         const Job& job = jobs[static_cast<std::size_t>(e.job)];

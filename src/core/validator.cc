@@ -81,8 +81,9 @@ ValidationResult validate(const Instance& instance, const Schedule& schedule,
     if (result.ok) result.cost = checker.cost;
   } catch (const MalformedSchedule& e) {
     result.errors = e.errors();
-    result.errors.resize(std::min(
-        result.errors.size(), static_cast<std::size_t>(std::max(max_errors, 0))));
+    result.errors.resize(
+        std::min(result.errors.size(),
+                 static_cast<std::size_t>(std::max(max_errors, 0))));
   }
   return result;
 }

@@ -28,9 +28,8 @@ class Histogram {
 
   /// Bucket index for a nonnegative value.
   [[nodiscard]] static constexpr int bucket_of(Round v) {
-    return v <= 0
-               ? 0
-               : static_cast<int>(std::bit_width(static_cast<std::uint64_t>(v)));
+    if (v <= 0) return 0;
+    return static_cast<int>(std::bit_width(static_cast<std::uint64_t>(v)));
   }
 
   /// Inclusive upper bound of a bucket (bucket 0 -> 0, bucket i -> 2^i - 1).
@@ -68,8 +67,8 @@ class Histogram {
   [[nodiscard]] Round min() const { return count_ == 0 ? 0 : min_; }
   [[nodiscard]] Round max() const { return count_ == 0 ? 0 : max_; }
   [[nodiscard]] double mean() const {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) / static_cast<double>(count_);
+    if (count_ == 0) return 0.0;
+    return static_cast<double>(sum_) / static_cast<double>(count_);
   }
 
   [[nodiscard]] std::int64_t bucket(int i) const {

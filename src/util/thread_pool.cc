@@ -1,12 +1,13 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <exception>
 #include <utility>
 
 #include "util/check.h"
-#include "util/env.h"
 
 namespace rrs {
 
@@ -21,7 +22,14 @@ thread_local bool t_in_worker = false;
 bool ThreadPool::in_worker() { return t_in_worker; }
 
 std::size_t parse_thread_count(const char* text) {
-  return static_cast<std::size_t>(parse_positive_env("RRS_THREADS", text));
+  if (text == nullptr || *text == '\0') return 0;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(text, &end, 10);
+  RRS_REQUIRE(std::isdigit(static_cast<unsigned char>(*text)) != 0 &&
+                  *end == '\0' && errno == 0 && parsed > 0,
+              "RRS_THREADS must be a positive integer, got \"" << text << "\"");
+  return static_cast<std::size_t>(parsed);
 }
 
 std::size_t default_thread_count() {

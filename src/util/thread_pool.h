@@ -60,8 +60,10 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
-/// Parses an RRS_THREADS value with parse_positive_env (util/env.h); 0,
-/// for unset, means "use the hardware default".
+/// Parses an RRS_THREADS value strictly: null or empty text is unset and
+/// returns 0 ("use the hardware default"); any other text that is not all
+/// digits with a value in [1, INT64_MAX] throws InputError naming the
+/// variable and quoting its text, instead of parsing "2e5" as 2.
 [[nodiscard]] std::size_t parse_thread_count(const char* text);
 
 /// Worker count for new pools: the RRS_THREADS environment variable when

@@ -76,9 +76,10 @@ TEST(FaultPlanTest, MtbfPlanIsDeterministicSortedAndValid) {
   EXPECT_EQ(plan, make_mtbf_plan(params));
   ASSERT_FALSE(plan.empty());
   validate_fault_plan(plan, params.num_resources);
-  EXPECT_TRUE(std::is_sorted(
-      plan.events.begin(), plan.events.end(),
-      [](const FaultEvent& a, const FaultEvent& b) { return a.round < b.round; }));
+  EXPECT_TRUE(std::is_sorted(plan.events.begin(), plan.events.end(),
+                             [](const FaultEvent& a, const FaultEvent& b) {
+                               return a.round < b.round;
+                             }));
   for (const FaultEvent& ev : plan.events) {
     EXPECT_GE(ev.round, 0);
     EXPECT_LT(ev.round, params.horizon);

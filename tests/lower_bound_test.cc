@@ -150,7 +150,9 @@ TEST(LowerBound, SoundnessUnderMatrixDeltaAndLengths) {
     for (const ColorId c : ids) builder.reconfig_cost(c, 2 + rng.uniform(0, 3));
     for (const ColorId from : ids) {
       for (const ColorId to : ids) {
-        if (from != to) builder.transition_cost(from, to, 1 + rng.uniform(0, 4));
+        if (from != to) {
+          builder.transition_cost(from, to, 1 + rng.uniform(0, 4));
+        }
       }
     }
     for (int i = 0; i < 4; ++i) {

@@ -274,7 +274,9 @@ Instance offline_chain_instance(std::uint64_t seed, const OffVariant& v) {
   if (v.tier == CostModel::Tier::kMatrix) {
     for (const ColorId from : ids) {
       for (const ColorId to : ids) {
-        if (from != to) builder.transition_cost(from, to, 1 + rng.uniform(0, 5));
+        if (from != to) {
+          builder.transition_cost(from, to, 1 + rng.uniform(0, 5));
+        }
       }
     }
   }

@@ -9,6 +9,7 @@
 // costs.  Several seeds per family, property-style.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -174,6 +175,44 @@ TEST(StreamingContract, InfiniteSourceRunsWithMaxRounds) {
   EXPECT_GT(record.arrived, 0);
   EXPECT_EQ(record.cost.drops + record.executed, record.arrived)
       << "every unit-cost job either executes or drops by the final sweep";
+}
+
+TEST(StreamingMemory, PeakPendingIsAtMostOneBatchPerColor) {
+  // Rate-limited batched input (burst factor 1): a color's batch of at most
+  // D_c jobs expires in the drop phase of the round that brings its next
+  // batch, so the pending set never holds more than sum_c D_c jobs (852 for
+  // seed 99), however long the run.  The source is perfbench's
+  // dense-serial one.
+  RandomBatchedParams params;
+  params.seed = 99;
+  params.delta = 8;
+  params.num_colors = 32;
+  params.min_scale = 2;
+  params.max_scale = 6;
+  params.activity = 0.7;
+  params.burst_factor = 1.0;
+  params.horizon = kInfiniteHorizon;
+  constexpr Round kRounds = 200'000;
+
+  RandomBatchedSource serial_source(params);
+  std::int64_t bound = 0;
+  for (ColorId c = 0; c < serial_source.num_colors(); ++c) {
+    bound += serial_source.delay_bound(c);
+  }
+  const StreamRunRecord serial =
+      run_streaming(serial_source, "dlru-edf", 8, kRounds);
+  EXPECT_GT(serial.arrived, 100 * bound);
+  EXPECT_GT(serial.peak_pending, 0);
+  EXPECT_LE(serial.peak_pending, bound);
+
+  // The merged peak is the sum of the shards' peaks, and each shard's is
+  // bounded by its own colors' delay bounds.
+  RandomBatchedSource sharded_source(params);
+  const ShardedRunRecord sharded =
+      run_streaming_sharded(sharded_source, "dlru-edf", 16, 4, kRounds);
+  EXPECT_EQ(sharded.merged.arrived, serial.arrived);
+  EXPECT_GT(sharded.merged.peak_pending, 0);
+  EXPECT_LE(sharded.merged.peak_pending, bound);
 }
 
 TEST(StreamingContract, DrainPendingRunsPastArrivals) {

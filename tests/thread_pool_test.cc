@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -109,16 +110,25 @@ TEST(ThreadPoolTest, ParseThreadCount) {
   EXPECT_EQ(parse_thread_count(""), 0u);
   EXPECT_EQ(parse_thread_count("1"), 1u);
   EXPECT_EQ(parse_thread_count("12"), 12u);
+  EXPECT_EQ(parse_thread_count("200000"), 200000u);
 }
 
 TEST(ThreadPoolTest, ParseThreadCountRejectsMalformedValues) {
   // A set-but-broken RRS_THREADS must fail loudly, not silently fall back
-  // to the hardware default.
-  EXPECT_THROW((void)parse_thread_count("abc"), InputError);
-  EXPECT_THROW((void)parse_thread_count("4abc"), InputError);
-  EXPECT_THROW((void)parse_thread_count("4 "), InputError);
-  EXPECT_THROW((void)parse_thread_count("-2"), InputError);
-  EXPECT_THROW((void)parse_thread_count("0"), InputError);
+  // to the hardware default or read a prefix: atoll reads "2e5" as 2 and
+  // "200k" as 200.
+  for (const char* text : {"abc", "4abc", "2e5", "200k", "0", "-2", "+4",
+                           " 4", "4 ", "1.5", "99999999999999999999"}) {
+    try {
+      (void)parse_thread_count(text);
+      ADD_FAILURE() << "accepted \"" << text << "\"";
+    } catch (const InputError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("RRS_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + text + "\""), std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsSharedAndSized) {

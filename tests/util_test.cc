@@ -10,7 +10,6 @@
 #include "core/types.h"
 #include "util/bits.h"
 #include "util/check.h"
-#include "util/env.h"
 #include "util/rng.h"
 #include "util/stamped_map.h"
 #include "util/stopwatch.h"
@@ -156,30 +155,6 @@ TEST(Rng, BernoulliExtremes) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
-  }
-}
-
-TEST(Env, ParsePositiveAcceptsDigitsAndTreatsEmptyAsUnset) {
-  EXPECT_EQ(parse_positive_env("RRS_X", nullptr), 0);
-  EXPECT_EQ(parse_positive_env("RRS_X", ""), 0);
-  EXPECT_EQ(parse_positive_env("RRS_X", "1"), 1);
-  EXPECT_EQ(parse_positive_env("RRS_X", "200000"), 200000);
-}
-
-TEST(Env, ParsePositiveRejectsEverythingElseByName) {
-  // Each of these once ran some other round count without a word: atoll
-  // read "2e5" as 2 and "200k" as 200, and "abc" fell back to the default.
-  for (const char* text : {"2e5", "200k", "abc", "0", "-2", "+4", " 4", "4 ",
-                           "1.5", "99999999999999999999"}) {
-    try {
-      (void)parse_positive_env("RRS_STREAMING_ROUNDS", text);
-      ADD_FAILURE() << "accepted \"" << text << "\"";
-    } catch (const InputError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("RRS_STREAMING_ROUNDS"), std::string::npos) << what;
-      EXPECT_NE(what.find(std::string("\"") + text + "\""), std::string::npos)
-          << what;
-    }
   }
 }
 
