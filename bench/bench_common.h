@@ -1,4 +1,4 @@
-// Shared scaffolding for the experiment binaries (E1-E9).
+// Shared scaffolding for the experiment binaries (E1-E15, A1-A3).
 //
 // Each bench prints a header naming the paper claim it reproduces, one or
 // more aligned tables (the repository's stand-in for the paper's result
@@ -31,12 +31,14 @@ inline bool verdict(bool ok, const std::string& what) {
 }
 
 /// Writes `csv` to $RRS_BENCH_CSV_DIR/<name>.csv when the env var is set.
+/// Prints the file name, not the path, so stdout does not depend on where
+/// the CSVs go.
 inline void maybe_write_csv(const CsvWriter& csv, const std::string& name) {
   const char* dir = std::getenv("RRS_BENCH_CSV_DIR");
   if (dir == nullptr || *dir == '\0') return;
-  const std::string path = std::string(dir) + "/" + name + ".csv";
-  csv.write_file(path);
-  std::cout << "(csv: " << path << ")\n";
+  const std::string file = name + ".csv";
+  csv.write_file(std::string(dir) + "/" + file);
+  std::cout << "(csv: " << file << ")\n";
 }
 
 }  // namespace rrs::bench

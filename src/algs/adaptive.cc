@@ -49,7 +49,7 @@ void AdaptiveSplitPolicy::on_round(RoundContext& ctx) {
       if (fraction != lru_fraction()) {
         set_lru_fraction(fraction);
         ++adaptations_;
-        if (Observer* o = ctx.obs(); o != nullptr && o->config.trace) {
+        if (Observer* o = ctx.obs(); o != nullptr) {
           o->trace.push({k, TraceKind::kAdaptation,
                          static_cast<std::int32_t>(fraction * 100.0),
                          adaptations_});

@@ -48,7 +48,7 @@ bool RankedCachePolicy::ingest(RoundContext& ctx) {
   const Round k = ctx.round();
   tracker_.drop_phase(k, ctx.dropped(), ctx.cache());
   if (!ctx.final_sweep()) tracker_.arrival_phase(k, ctx.arrivals());
-  if (Observer* o = ctx.obs(); o != nullptr && o->config.trace) {
+  if (Observer* o = ctx.obs(); o != nullptr) {
     const std::int64_t epochs = tracker_.num_epochs();
     if (epochs != observed_epochs_) {
       o->trace.push({k, TraceKind::kEpochTurnover, 0, epochs});

@@ -169,7 +169,6 @@ void Engine::run_round(ArrivalSource* pull) {
   for (int mini = 0; mini < options_.speed; ++mini) {
     // Phases 3+4 fused into one policy call: the policy ingests drops and
     // arrivals (on mini 0) and mutates the cache, all in one dispatch.
-    if (timers_ != nullptr) timers_->begin_segment();
     cache_.begin_phase();
     RoundContext ctx(k_, mini, /*final_sweep=*/false, dropped_, arrivals,
                      pending_, cache_, options_.observer);

@@ -16,14 +16,12 @@ void Observer::begin_run(ColorId num_colors) {
 }
 
 void Observer::on_churn(const Churn& e) {
-  if (!config.trace) return;
   trace.push({e.round, e.fail ? TraceKind::kChurnFail : TraceKind::kChurnRepair,
               e.location, e.fail ? e.lost : 0});
 }
 
 void Observer::on_drop(const Drop& e) {
   stats.on_drop(e);
-  if (!config.trace) return;
   TraceEvent* last = trace.newest();
   if (last != nullptr && last->kind == TraceKind::kDropBurst &&
       last->round == e.round) {
@@ -36,7 +34,6 @@ void Observer::on_drop(const Drop& e) {
 
 void Observer::on_reconfig(const Reconfiguration& e) {
   stats.on_reconfigs(e.round);
-  if (!config.trace) return;
   TraceEvent* last = trace.newest();
   if (last != nullptr && last->kind == TraceKind::kReconfig &&
       last->round == e.round && last->detail == e.mini) {
@@ -52,9 +49,7 @@ void Observer::on_round_end(const RoundEnd& e) {
     return;
   }
   snapshots.push_back(make_snapshot(stats, *e.totals, e.round, e.pending));
-  if (config.trace) {
-    trace.push({e.round, TraceKind::kSnapshot, 0, e.pending});
-  }
+  trace.push({e.round, TraceKind::kSnapshot, 0, e.pending});
   if (snapshot_out != nullptr) {
     write_snapshots(*snapshot_out, {&snapshots.back(), 1});
   }

@@ -19,13 +19,11 @@ class CheckpointWriter;
 /// Observability knobs.  The true "off" mode is no Observer at all
 /// (EngineOptions::observer == nullptr): the engine hot path then pays a
 /// single null check per hook site and its results stay bit-identical to a
-/// build without the subsystem.  With an Observer attached, StreamStats is
-/// always on (it is the point); tracing, phase timers, and periodic
-/// snapshots toggle independently.
+/// build without the subsystem.  With an Observer attached, StreamStats and
+/// the trace ring are always on; phase timers and periodic snapshots toggle
+/// independently.
 struct ObsConfig {
-  bool trace = true;   ///< record recent events in the TraceRing
-  bool timers = false; ///< wall-clock phase attribution (2 clock reads/phase)
-  std::size_t trace_capacity = 256;
+  bool timers = false; ///< wall-clock phase attribution (1 clock read/phase)
   /// Emit a cumulative Snapshot every this many rounds (0 = only the final
   /// snapshot at end of run).
   Round snapshot_every = 0;
@@ -39,12 +37,11 @@ struct ObsConfig {
 /// afterwards.  The run's totals are not counted here: the engine keeps
 /// them in RunCounters and hands them to each snapshot.
 struct Observer final : RunSink {
-  explicit Observer(const ObsConfig& c = {})
-      : config(c), trace(c.trace_capacity) {}
+  explicit Observer(const ObsConfig& c = {}) : config(c) {}
 
   ObsConfig config;
   StreamStats stats;
-  TraceRing trace;
+  TraceRing trace;  ///< the last 256 events
   PhaseTimers timers;
   std::vector<Snapshot> snapshots;  ///< periodic exports, oldest first
   Snapshot final_snapshot;          ///< totals at end of run

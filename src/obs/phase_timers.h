@@ -1,9 +1,8 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstdint>
-
-#include "util/stopwatch.h"
 
 namespace rrs {
 
@@ -16,11 +15,11 @@ enum class EnginePhase : int {
   kExec = 4,     // execution mini-rounds
 };
 
-/// Wall-clock attribution of engine time to phases.  One Stopwatch is
-/// re-armed at segment boundaries; note(phase) charges the elapsed slice to
-/// that phase.  Off by default (ObsConfig::timers): two clock reads per
-/// phase per round are cheap but not free, so the bit-identical off mode
-/// never touches a clock.
+/// Wall-clock attribution of engine time to phases.  One time point is set
+/// at the start of each round; note(phase) charges the slice since the
+/// last boundary to that phase, reading the clock once.  Off by default
+/// (ObsConfig::timers): a clock read per phase per round is cheap but not
+/// free, so the bit-identical off mode never touches a clock.
 class PhaseTimers {
  public:
   static constexpr int kNumPhases = 5;
@@ -41,15 +40,16 @@ class PhaseTimers {
     return "unknown";
   }
 
-  /// Arms the stopwatch at the start of a round (or segment).
-  void begin_segment() { watch_.reset(); }
+  /// Marks the start of a round (or segment).
+  void begin_segment() { last_ = Clock::now(); }
 
   /// Charges time since the last begin_segment()/note() to `phase`.
   void note(EnginePhase phase) {
+    const Clock::time_point now = Clock::now();
     const auto i = static_cast<std::size_t>(phase);
-    seconds_[i] += watch_.seconds();
+    seconds_[i] += std::chrono::duration<double>(now - last_).count();
     ++laps_[i];
-    watch_.reset();
+    last_ = now;
   }
 
   [[nodiscard]] double seconds(EnginePhase phase) const {
@@ -78,7 +78,8 @@ class PhaseTimers {
   }
 
  private:
-  Stopwatch watch_;
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point last_ = Clock::now();
   std::array<double, kNumPhases> seconds_{};
   std::array<std::int64_t, kNumPhases> laps_{};
 };

@@ -1,7 +1,6 @@
 #include "offline/exact_bnb.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <queue>
 #include <unordered_map>
@@ -247,9 +246,8 @@ BnbResult exact_offline_bnb(const Instance& instance, int m,
     open.push({f, 0, 0});
   }
 
-  const auto started = std::chrono::steady_clock::now();
   bool closed = false;
-  bool exhausted = false;  // node/time budget stopped the search
+  bool exhausted = false;  // the node budget stopped the search
   Cost frontier_f = result.root_bound.best();  // min open f at exit
   while (!open.empty()) {
     const HeapEntry top = open.top();
@@ -268,15 +266,6 @@ BnbResult exact_offline_bnb(const Instance& instance, int m,
       if (it != trans.end() && it->second < top.g) continue;
     }
     if (result.nodes_expanded >= options.max_nodes) {
-      frontier_f = top.f;
-      exhausted = true;
-      break;
-    }
-    if (options.max_seconds > 0 &&
-        (result.nodes_expanded & 127) == 0 &&
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started)
-                .count() > options.max_seconds) {
       frontier_f = top.f;
       exhausted = true;
       break;

@@ -29,7 +29,7 @@
 //     bijection of state_space.h (bitmask DP for m <= 8, Hungarian beyond
 //     — past the DP solver's hard m <= 8 limit).
 //
-// Under a node/time budget the search returns a *certified interval*
+// Under a node budget the search returns a *certified interval*
 // [best_bound, incumbent]: best_bound is max(root LB1/LB2/LB3, the
 // smallest f still open), provably <= OPT; the incumbent is the cost of a
 // feasible schedule (or valid hint), provably >= OPT.  When the search
@@ -47,10 +47,9 @@ namespace rrs {
 
 /// Budget and seeding knobs for the branch-and-bound search.
 struct BnbOptions {
-  /// Maximum node expansions before returning an interval (>= 1).
+  /// Maximum node expansions before returning an interval (>= 1).  The
+  /// only budget: a search is a pure function of its inputs.
   std::int64_t max_nodes = 500'000;
-  /// Wall-clock budget in seconds; <= 0 disables the time check.
-  double max_seconds = 10.0;
   /// Caller-supplied upper bound on OPT (e.g. the best online policy cost
   /// with n == m and no faults); < 0 = none.  Must be the cost of a
   /// feasible schedule or otherwise certified >= OPT.

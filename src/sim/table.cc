@@ -33,11 +33,11 @@ void TextTable::print(std::ostream& out) const {
     }
   }
   const auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      out << std::left << std::setw(static_cast<int>(widths[c])) << row[c];
-      if (c + 1 < row.size()) out << "  ";
+    for (std::size_t c = 0; c + 1 < row.size(); ++c) {
+      out << std::left << std::setw(static_cast<int>(widths[c])) << row[c]
+          << "  ";
     }
-    out << "\n";
+    out << row.back() << "\n";  // no trailing padding
   };
   print_row(header_);
   std::size_t total = 0;

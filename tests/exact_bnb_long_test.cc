@@ -18,7 +18,6 @@ namespace {
 BnbOptions long_budget() {
   BnbOptions options;
   options.max_nodes = 5'000'000;
-  options.max_seconds = 120.0;
   return options;
 }
 

@@ -94,6 +94,7 @@ TEST(Table, PrintsAlignedColumns) {
   EXPECT_NE(text.find("-----"), std::string::npos);
   // All data lines equal widths: header/sep/rows each end aligned.
   EXPECT_EQ(table.num_rows(), 2u);
+  EXPECT_EQ(text.find(" \n"), std::string::npos) << "no trailing padding";
 }
 
 TEST(Table, RejectsMismatchedRow) {
