@@ -14,8 +14,8 @@
 
 #include "algs/dlru_edf.h"
 #include "algs/par_edf.h"
-#include "algs/registry.h"
 #include "bench_common.h"
+#include "sim/runner.h"
 #include "workload/random_batched.h"
 
 namespace {
@@ -92,7 +92,7 @@ int main() {
     options.record_schedule = false;
     (void)run_policy(inst, policy, options);
     const Cost ds =
-        find_algorithm("ds-seq-edf").run(inst, m, false).cost.drops;
+        run_algorithm(inst, "ds-seq-edf", m).cost.drops;
     const std::int64_t par = run_par_edf(inst, m).drops;
     const bool ok =
         policy.tracker().eligible_drops() <= ds && ds <= par;

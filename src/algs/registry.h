@@ -1,13 +1,12 @@
 // Name-based access to every runnable algorithm, for examples and benches.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/arrival_source.h"
 #include "core/engine.h"
-#include "core/instance.h"
 #include "core/policy.h"
 
 namespace rrs {
@@ -16,26 +15,26 @@ namespace rrs {
 struct AlgorithmInfo {
   std::string name;
   std::string description;
-  /// Runs the algorithm on an instance with n resources.  `record`
-  /// controls schedule recording.  A reduction pipeline returns its inner
-  /// dLRU-EDF run with `cost` and `schedule` replaced by the ones mapped
-  /// back onto the instance.
-  std::function<EngineResult(const Instance&, int n, bool record)> run;
 };
 
 /// All registered algorithms: dlru, edf, dlru-edf, adaptive, seq-edf,
 /// ds-seq-edf, distribute, varbatch.
 [[nodiscard]] const std::vector<AlgorithmInfo>& algorithm_registry();
 
-/// Looks up an algorithm by name; throws InputError if unknown.
-[[nodiscard]] const AlgorithmInfo& find_algorithm(const std::string& name);
-
-/// Creates a fresh policy for the engine-driven algorithm `name` ("dlru",
-/// "edf", "dlru-edf", "adaptive", "seq-edf", "ds-seq-edf") and sets the
+/// Creates a fresh policy for the registered algorithm `name` and sets the
 /// replication and speed it runs with in `options`: the Section 3 schemes
 /// replicate each color twice, Seq-EDF runs EDF unreplicated, and
-/// DS-Seq-EDF does so at speed 2.  Throws InputError on other names.
+/// DS-Seq-EDF does so at speed 2.  The reductions ("distribute",
+/// "varbatch") run dLRU-EDF over their adapters (make_reduction).  Throws
+/// InputError on other names.
 [[nodiscard]] std::unique_ptr<Policy> make_stream_policy(
     const std::string& name, EngineOptions& options);
+
+/// The adapters the algorithm `name` stacks over `input`, input side
+/// first, for its policy to pull the last: a DistributeSource for
+/// "distribute", a VarBatchSource under one for "varbatch", none for the
+/// others.  Throws InputError when `input` states no batch bound.
+[[nodiscard]] std::vector<std::unique_ptr<ArrivalSource>> make_reduction(
+    const std::string& name, ArrivalSource& input);
 
 }  // namespace rrs

@@ -13,84 +13,60 @@ Round varbatch_effective_delay(Round p) {
   return floor_pow2(p) / 2;  // == p/2 for power-of-two p
 }
 
-VarBatchTransform varbatch_transform(const Instance& instance) {
-  VarBatchTransform out;
-  InstanceBuilder builder;
-  builder.delta(instance.delta());
-
-  // Colors keep their identity (lengths, weights, and reconfiguration
-  // prices included); only their delay bounds shrink to the effective
-  // half-block length.
-  for (ColorId c = 0; c < instance.num_colors(); ++c) {
-    const ColorId mapped =
-        builder.add_color(varbatch_effective_delay(instance.delay_bound(c)),
-                          instance.drop_cost(c), instance.length(c));
-    RRS_CHECK(mapped == c);
+VarBatchSource::VarBatchSource(ArrivalSource& input)
+    : input_(&input),
+      horizon_(input.horizon()),
+      held_(static_cast<std::size_t>(input.num_colors())),
+      release_(held_.size()) {
+  // A job waits less than its delay bound for its release.
+  if (input.finite() && !held_.empty()) {
+    horizon_ += input.colors_by_delay().rbegin()->first;
   }
-  const CostModel& model = instance.cost_model();
-  if (model.tier() != CostModel::Tier::kScalar) {
-    for (ColorId c = 0; c < instance.num_colors(); ++c) {
-      builder.reconfig_cost(c, model.cold_cost(c));
-    }
-    if (model.tier() == CostModel::Tier::kMatrix) {
-      for (ColorId f = 0; f < instance.num_colors(); ++f) {
-        for (ColorId t = 0; t < instance.num_colors(); ++t) {
-          if (f == t) continue;
-          builder.transition_cost(f, t, model.reconfig_cost(f, t));
-        }
-      }
-    }
-  }
+}
 
-  // Delay each job to the start of its next half-block, then add jobs in
-  // (new arrival, original id) order so builder ids match our mapping
-  // table.
-  struct Delayed {
-    Round arrival;
-    JobId original;
-    ColorId color;
-  };
-  std::vector<Delayed> delayed;
-  delayed.reserve(instance.jobs().size());
-  for (const Job& job : instance.jobs()) {
+std::int64_t VarBatchSource::batch_bound(ColorId color) const {
+  const std::int64_t bound = input_->batch_bound(color);
+  const bool straddles = input_->delay_bound(color) % delay_bound(color) != 0;
+  return straddles ? 2 * bound : bound;
+}
+
+std::span<const Job> VarBatchSource::arrivals_in_round(Round k) {
+  out_.clear();
+  for (std::size_t c = 0; c < held_.size(); ++c) {
+    if (held_[c].empty() || release_[c] > k) continue;
+    RRS_REQUIRE(release_[c] == k, "VarBatch pulled at round "
+                                      << k << ", past color " << c
+                                      << "'s release at round "
+                                      << release_[c]);
+    out_.insert(out_.end(), held_[c].begin(), held_[c].end());
+    held_[c].clear();
+  }
+  // Half-blocks of several colors may end here: release in input order.
+  std::sort(out_.begin(), out_.end(),
+            [](const Job& a, const Job& b) { return a.id < b.id; });
+  for (const Job& job : input_->arrivals_in_round(k)) {
+    const auto c = static_cast<std::size_t>(job.color);
+    if (job.delay_bound == 1) {
+      out_.push_back(job);
+      continue;
+    }
     const Round e = varbatch_effective_delay(job.delay_bound);
-    const Round new_arrival =
-        job.delay_bound == 1 ? job.arrival
-                             : floor_multiple(job.arrival, e) + e;
-    delayed.push_back({new_arrival, job.id, job.color});
+    release_[c] = floor_multiple(k, e) + e;
+    held_[c].push_back(job);
   }
-  std::stable_sort(delayed.begin(), delayed.end(),
-                   [](const Delayed& a, const Delayed& b) {
-                     return a.arrival < b.arrival;
-                   });
-  out.job_to_original.reserve(delayed.size());
-  for (const Delayed& d : delayed) {
-    builder.add_jobs(d.color, d.arrival, 1);
-    out.job_to_original.push_back(d.original);
+  for (Job& job : out_) {
+    job.arrival = k;
+    job.delay_bound = varbatch_effective_delay(job.delay_bound);
   }
-  builder.min_horizon(instance.horizon());
-  out.batched = builder.build();
-  RRS_CHECK_MSG(out.batched.is_batched(), "VarBatch output is not batched");
-  return out;
+  return out_;
 }
 
-Schedule varbatch_map_back(const VarBatchTransform& transform,
-                           const Schedule& batched_schedule) {
-  Schedule mapped = batched_schedule;
-  for (ExecEvent& e : mapped.execs) {
-    e.job = transform.job_to_original[static_cast<std::size_t>(e.job)];
+Round VarBatchSource::next_event_round(Round k, Round limit) {
+  Round stop = limit;
+  for (std::size_t c = 0; c < held_.size(); ++c) {
+    if (!held_[c].empty()) stop = std::min(stop, release_[c]);
   }
-  return mapped;
-}
-
-VarBatchResult run_varbatch(const Instance& instance, int n) {
-  VarBatchResult result;
-  const VarBatchTransform vb = varbatch_transform(instance);
-  DistributeResult dist = run_distribute(vb.batched, n);
-  result.core_run = std::move(dist.virtual_run);
-  result.schedule = varbatch_map_back(vb, dist.schedule);
-  result.cost = result.schedule.cost(instance);
-  return result;
+  return input_->next_event_round(k, stop);
 }
 
 }  // namespace rrs

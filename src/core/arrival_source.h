@@ -37,10 +37,10 @@ inline constexpr Round kInfiniteHorizon = -1;
 ///
 /// Pull contract: the engine (and materialize()) call arrivals_in_round()
 /// with consecutive rounds k = 0, 1, 2, ...; the returned span is valid
-/// only until the next pull.  Jobs must carry dense ids in pull order,
-/// arrival == k, and per-color constant delay_bound/drop_cost matching the
-/// metadata accessors (exactly what InstanceBuilder would produce for the
-/// same sequence).
+/// only until the next pull.  Jobs must carry distinct ids (dense in pull
+/// order, as InstanceBuilder numbers them, except where VarBatchSource
+/// reorders its input's), arrival == k, and per-color constant
+/// delay_bound/drop_cost matching the metadata accessors.
 class ArrivalSource {
  public:
   virtual ~ArrivalSource() = default;
@@ -78,6 +78,19 @@ class ArrivalSource {
   /// implementation derives it lazily from the metadata accessors.
   [[nodiscard]] virtual const std::map<Round, std::vector<ColorId>>&
   colors_by_delay() const;
+
+  /// The most jobs of `color` that arrive within one block of
+  /// delay_bound(color) rounds (blocks start at its multiples): on batched
+  /// input, its largest batch.  Distribute sizes its virtual colors by it.
+  /// The base reads a materialized() instance; without one it throws
+  /// InputError (the source cannot state a bound).
+  [[nodiscard]] virtual std::int64_t batch_bound(ColorId color) const {
+    if (const Instance* instance = materialized()) {
+      return instance->batch_bound(color);
+    }
+    throw InputError(summary() + " states no batch bound for color " +
+                     std::to_string(color));
+  }
 
   // --- horizon contract ---
 

@@ -18,7 +18,8 @@
 // Instance is a thin MaterializedSource wrapper.  The engine is the single
 // place cost is accounted for online algorithms (incrementally, per
 // phase).  It emits each run event once (core/run_events.h) to its sinks:
-// the schedule recorder (EngineOptions::record_schedule) and the Observer.
+// the schedule recorder (EngineOptions::record_schedule), the Observer,
+// and any sink attached with Engine::attach().
 #pragma once
 
 #include <iosfwd>
@@ -116,6 +117,10 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
+  /// Attaches `sink` (not owned) to every later event, after the recorder
+  /// and the observer.  Call before the first run_rounds().
+  void attach(RunSink& sink) { sinks_.push_back(&sink); }
+
   /// Last round (exclusive) that may carry arrivals, resolved at
   /// construction.
   [[nodiscard]] Round arrival_end() const { return arrival_end_; }
@@ -202,7 +207,7 @@ class Engine {
   EngineResult result_;
   PendingJobs::DropResult dropped_;  // reused across rounds
   ScheduleRecorder recorder_;
-  std::vector<RunSink*> sinks_;  ///< recorder and/or observer
+  std::vector<RunSink*> sinks_;  ///< recorder, observer, then attached
   std::size_t fault_next_ = 0;   ///< next FaultPlan event to apply
   std::vector<ColorId> lost_;    ///< location -> physical color at failure
   std::vector<ColorId> evicted_;  ///< colors evicted by this round's churn

@@ -59,6 +59,12 @@ std::int64_t Instance::jobs_of_color(ColorId color) const {
   return jobs_per_color_[static_cast<std::size_t>(color)];
 }
 
+std::int64_t Instance::batch_bound(ColorId color) const {
+  RRS_REQUIRE(color >= 0 && color < num_colors(),
+              "color " << color << " out of range");
+  return batch_bounds_[static_cast<std::size_t>(color)];
+}
+
 std::string Instance::summary() const {
   std::ostringstream os;
   os << num_colors() << " colors, " << jobs_.size() << " jobs, " << horizon_
@@ -131,6 +137,7 @@ Instance InstanceBuilder::build() {
   inst.drop_costs_ = drop_costs_;
   inst.lengths_ = lengths_;
   inst.jobs_per_color_.assign(delay_bounds_.size(), 0);
+  inst.batch_bounds_.assign(delay_bounds_.size(), 0);
   inst.weight_per_color_.assign(delay_bounds_.size(), 0);
   for (const Cost w : drop_costs_) {
     if (w != 1) inst.unit_drop_costs_ = false;
@@ -164,8 +171,13 @@ Instance InstanceBuilder::build() {
   inst.jobs_.reserve(static_cast<std::size_t>(total_jobs));
 
   Round horizon = min_horizon_;
+  std::map<std::pair<ColorId, Round>, std::int64_t> per_block;
   for (const auto& a : arrivals_) {
-    const Round d = delay_bounds_[static_cast<std::size_t>(a.color)];
+    const auto c = static_cast<std::size_t>(a.color);
+    const Round d = delay_bounds_[c];
+    std::int64_t& in_block = per_block[{a.color, a.arrival / d}];
+    in_block += a.count;
+    inst.batch_bounds_[c] = std::max(inst.batch_bounds_[c], in_block);
     const Cost w = drop_costs_[static_cast<std::size_t>(a.color)];
     const Round len = lengths_[static_cast<std::size_t>(a.color)];
     for (std::int64_t i = 0; i < a.count; ++i) {
@@ -195,24 +207,11 @@ Instance InstanceBuilder::build() {
   }
   inst.request_offsets_.push_back(inst.jobs_.size());
 
-  // Classification: delay bounds and per-(color, batch-round) rate limits.
-  for (const Round d : delay_bounds_) {
-    if (!is_pow2(d)) inst.all_pow2_ = false;
-  }
-  if (inst.batched_) {
-    // Rate limited iff, per color, each batch round carries <= D_l jobs.
-    std::map<std::pair<ColorId, Round>, std::int64_t> batch_counts;
-    for (const auto& a : arrivals_) {
-      batch_counts[{a.color, a.arrival}] += a.count;
-    }
-    for (const auto& [key, count] : batch_counts) {
-      if (count > delay_bounds_[static_cast<std::size_t>(key.first)]) {
-        inst.rate_limited_ = false;
-        break;
-      }
-    }
-  } else {
-    inst.rate_limited_ = false;
+  // Classification: delay bounds, and batches of at most D_l jobs.
+  inst.rate_limited_ = inst.batched_;
+  for (std::size_t c = 0; c < delay_bounds_.size(); ++c) {
+    if (!is_pow2(delay_bounds_[c])) inst.all_pow2_ = false;
+    if (inst.batch_bounds_[c] > delay_bounds_[c]) inst.rate_limited_ = false;
   }
   return inst;
 }

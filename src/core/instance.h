@@ -91,6 +91,10 @@ class Instance {
   /// multiple of D_l (the "rate-limited" special case of Section 3).
   [[nodiscard]] bool is_rate_limited() const { return rate_limited_; }
 
+  /// The most jobs of `color` arriving within one block of D_l rounds
+  /// (blocks start at multiples of D_l): on batched input, its top batch.
+  [[nodiscard]] std::int64_t batch_bound(ColorId color) const;
+
   /// True iff every delay bound is a power of two.
   [[nodiscard]] bool all_delays_pow2() const { return all_pow2_; }
 
@@ -111,6 +115,7 @@ class Instance {
   std::vector<Round> lengths_;
   std::vector<Job> jobs_;
   std::vector<std::int64_t> jobs_per_color_;
+  std::vector<std::int64_t> batch_bounds_;
   std::vector<Cost> weight_per_color_;
   // Index: arrival rounds (ascending, unique) and the offset into jobs_ at
   // which each round's request starts; parallel arrays.

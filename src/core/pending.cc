@@ -221,10 +221,6 @@ void PendingJobs::drain_expired(const CalendarEntry& entry, Round round,
   while (q.head >= 0 && run_at(q.head).deadline <= round) {
     const std::int32_t slot = q.head;
     const Run& run = run_at(slot);
-    for (JobId id = run.first_id; id < run.first_id + run.count; ++id) {
-      out.job_ids.push_back(id);
-      out.job_colors.push_back(entry.color);
-    }
     dropped_here += run.count;
     q.head = run.next;
     release_slot(slot);

@@ -124,18 +124,11 @@ class PendingJobs {
     /// (color, count) pairs for colors that dropped >= 1 job, ascending
     /// color order not guaranteed.
     std::vector<std::pair<ColorId, std::int64_t>> by_color;
-    /// Ids of every dropped job, unordered.
-    std::vector<JobId> job_ids;
-    /// Color of each dropped job, parallel to `job_ids` (so consumers
-    /// never need the full job table — streaming runs have none).
-    std::vector<ColorId> job_colors;
 
     /// Empties the result, keeping allocated capacity for reuse.
     void clear() {
       total = 0;
       by_color.clear();
-      job_ids.clear();
-      job_colors.clear();
     }
   };
 

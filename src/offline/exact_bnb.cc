@@ -17,6 +17,9 @@ namespace {
 using offdp::Key;
 using offdp::Profile;
 
+/// Subgradient iterations for the root LB3 (see LagrangianOptions).
+constexpr int kRootLagrangianIterations = 200;
+
 struct KeyHash {
   std::size_t operator()(const Key& key) const {
     std::size_t h = 1469598103934665603ull;  // FNV-1a over the elements
@@ -153,7 +156,7 @@ BnbResult exact_offline_bnb(const Instance& instance, int m,
   }
 
   LagrangianOptions lag;
-  lag.iterations = std::max(1, options.lagrangian_iterations);
+  lag.iterations = kRootLagrangianIterations;
   lag.upper_bound_hint = incumbent;
   result.root_bound = offline_lower_bound_full(instance, m, lag);
 

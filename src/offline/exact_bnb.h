@@ -56,8 +56,6 @@ struct BnbOptions {
   Cost incumbent_hint = -1;
   /// Seed the incumbent with best_offline_heuristic_cost (recommended).
   bool seed_greedy = true;
-  /// Subgradient iterations for the root LB3 (see LagrangianOptions).
-  int lagrangian_iterations = 200;
   /// Enable dominance pruning between expanded profiles.
   bool use_dominance = true;
 };

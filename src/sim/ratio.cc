@@ -8,6 +8,16 @@
 #include "util/check.h"
 
 namespace rrs {
+namespace {
+
+/// cost / bound; infinity when the bound is 0 and the cost is not, and 1
+/// when both are 0.
+double ratio(Cost cost, Cost bound) {
+  if (bound > 0) return static_cast<double>(cost) / static_cast<double>(bound);
+  return cost > 0 ? std::numeric_limits<double>::infinity() : 1.0;
+}
+
+}  // namespace
 
 RatioReport measure_ratio(const Instance& instance,
                           const std::string& algorithm, int n, int m,
@@ -26,15 +36,9 @@ RatioReport measure_ratio(const Instance& instance,
                 "offline bracket inverted: UB " << report.heuristic_ub
                                                 << " < LB "
                                                 << report.lower_bound);
-  const auto online_cost = static_cast<double>(report.online.cost.total());
-  report.ratio_vs_lb =
-      report.lower_bound > 0
-          ? online_cost / static_cast<double>(report.lower_bound)
-          : (online_cost > 0 ? std::numeric_limits<double>::infinity() : 1.0);
-  report.ratio_vs_ub =
-      report.heuristic_ub > 0
-          ? online_cost / static_cast<double>(report.heuristic_ub)
-          : (online_cost > 0 ? std::numeric_limits<double>::infinity() : 1.0);
+  const Cost online_cost = report.online.cost.total();
+  report.ratio_vs_lb = ratio(online_cost, report.lower_bound);
+  report.ratio_vs_ub = ratio(online_cost, report.heuristic_ub);
   return report;
 }
 
@@ -63,15 +67,9 @@ RatioReport measure_ratio_certified(const Instance& instance,
   report.best_bound = bnb.best_bound;
   report.certified_ub = bnb.incumbent;
   report.opt_closed = bnb.closed;
-  const auto online_cost = static_cast<double>(report.online.cost.total());
-  report.ratio_upper =
-      report.best_bound > 0
-          ? online_cost / static_cast<double>(report.best_bound)
-          : (online_cost > 0 ? std::numeric_limits<double>::infinity() : 1.0);
-  report.ratio_lower =
-      report.certified_ub > 0
-          ? online_cost / static_cast<double>(report.certified_ub)
-          : (online_cost > 0 ? std::numeric_limits<double>::infinity() : 1.0);
+  const Cost online_cost = report.online.cost.total();
+  report.ratio_upper = ratio(online_cost, report.best_bound);
+  report.ratio_lower = ratio(online_cost, report.certified_ub);
   return report;
 }
 

@@ -13,6 +13,7 @@
 #include <typeinfo>
 #include <utility>
 
+#include "algs/distribute.h"
 #include "core/checkpoint.h"
 #include "sim/service.h"
 #include "util/check.h"
@@ -91,20 +92,26 @@ void merge_shard_observers(Observer& merged,
   }
 }
 
-/// The segment loop behind run_streaming, run_service and
-/// run_streaming_sharded.  K engines (one per shard, under one plan) run
-/// to the next boundary; there the loop checkpoints or stops.  One engine
-/// runs on the calling thread over the caller's source and observer; K
-/// engines run on the pool over shard-native generator views or, for any
-/// other source, one demux fabric spanning the run.  When the pool cannot
-/// run every fabric shard at once, the shards take turns on the calling
-/// thread one chunk at a time, so the fabric's queues stay bounded.
+/// The segment loop behind every run driver.  K engines (one per shard,
+/// under one plan) run to the next boundary; there the loop checkpoints or
+/// stops.  One engine runs on the calling thread over the caller's source
+/// and observer; K engines run on the pool over shard-native generator
+/// views or, for any other source, one demux fabric spanning the run.
+/// When the pool cannot run every fabric shard at once, the shards take
+/// turns on the calling thread one chunk at a time, so the fabric's queues
+/// stay bounded.  A reduction's engines pull its adapters; a MapBackSink
+/// per engine maps their run back and records `schedule_out` (one engine;
+/// the identity map for an engine algorithm).
 class SegmentLoop {
  public:
-  SegmentLoop(ArrivalSource& source, const std::string& name, int n,
+  SegmentLoop(ArrivalSource& input, const std::string& name, int n,
               int num_shards, Round max_rounds,
-              const ShardedRunOptions& options)
-      : source_(source),
+              const ShardedRunOptions& options,
+              Schedule* schedule_out = nullptr)
+      : input_(input),
+        stages_(make_reduction(name, input)),
+        source_(stages_.empty() ? input : *stages_.back()),
+        schedule_out_(schedule_out),
         name_(name),
         n_(n),
         shards_(static_cast<std::size_t>(std::max(num_shards, 1))),
@@ -121,9 +128,15 @@ class SegmentLoop {
                              options.resume || options.stop_flag != nullptr;
     RRS_REQUIRE(!checkpoints || !options.checkpoint_dir.empty(),
                 "checkpoint_every, resume and stop_flag need checkpoint_dir");
+    RRS_REQUIRE(stages_.empty() || !checkpoints,
+                "'" << name << "' with "
+                    << (options.checkpoint_every > 0 ? "checkpoint_every"
+                        : options.resume             ? "resume"
+                                                     : "the stop flag")
+                    << ": the reduction adapters do not checkpoint");
 
     // Resolved up front: every engine and the fabric must agree on it.
-    arrival_end_ = resolve_arrival_end(source, max_rounds);
+    arrival_end_ = resolve_arrival_end(source_, max_rounds);
 
     // The policy's resource granularity (e.g. 4 for dLRU-EDF's two
     // replicated halves) fixes the units the plan may split n into, and
@@ -137,18 +150,18 @@ class SegmentLoop {
       ShardPlan& plan = record_.plan;
       plan.resource_unit = granularity;
       plan.shard_of_color.assign(
-          static_cast<std::size_t>(source.num_colors()), 0);
+          static_cast<std::size_t>(source_.num_colors()), 0);
       plan.shard_colors.assign(
           1, std::vector<ColorId>(plan.shard_of_color.size()));
       std::iota(plan.shard_colors[0].begin(), plan.shard_colors[0].end(), 0);
       plan.shard_resources = {n};
     } else {
-      record_.plan = make_shard_plan(source.num_colors(), num_shards, n,
+      record_.plan = make_shard_plan(source_.num_colors(), num_shards, n,
                                      granularity, proto.replication);
       // Shard-native views when the source is a generator whose clone()
       // is its own: the typeid guard rejects subclasses that inherit a
       // base clone(), which would synthesize the base arrival process.
-      gen_ = dynamic_cast<GeneratorSource*>(&source);
+      gen_ = dynamic_cast<GeneratorSource*>(&source_);
       if (gen_ != nullptr) {
         const std::unique_ptr<GeneratorSource> probe = gen_->clone();
         if (probe == nullptr || typeid(*probe) != typeid(*gen_)) {
@@ -180,6 +193,7 @@ class SegmentLoop {
     record_.shards.resize(shards_);
     policies_.resize(shards_);
     engines_.resize(shards_);
+    map_sinks_.resize(shards_);
   }
 
   ShardedRunRecord run() {
@@ -306,6 +320,15 @@ class SegmentLoop {
       engine_options.fast_forward = options_.fast_forward;
       engines_[s] = std::make_unique<Engine>(slot_source(s), *policies_[s],
                                              engine_options);
+      if (!stages_.empty() || schedule_out_ != nullptr) {
+        map_sinks_[s] = std::make_unique<MapBackSink>(
+            input_.cost_model(), record_.plan.shard_colors[s]);
+        if (schedule_out_ != nullptr) {
+          map_sinks_[s]->record(engine_options.num_resources,
+                                engine_options.speed);
+        }
+        engines_[s]->attach(*map_sinks_[s]);
+      }
     }
   }
 
@@ -376,6 +399,10 @@ class SegmentLoop {
   }
 
   void fold_slot(std::size_t s, EngineResult&& result) {
+    if (MapBackSink* const sink = map_sinks_[s].get()) {
+      result.cost = sink->cost;
+      if (schedule_out_ != nullptr) *schedule_out_ = sink->take_schedule();
+    }
     StreamRunRecord& slot = record_.shards[s];
     slot.algorithm = name_;
     slot.n = record_.plan.shard_resources[s];
@@ -525,7 +552,10 @@ class SegmentLoop {
     }
   }
 
-  ArrivalSource& source_;
+  ArrivalSource& input_;  ///< the caller's source
+  std::vector<std::unique_ptr<ArrivalSource>> stages_;  ///< its adapters
+  ArrivalSource& source_;  ///< what the engines pull: the last stage
+  Schedule* schedule_out_;
   const std::string& name_;
   const int n_;
   const std::size_t shards_;
@@ -546,6 +576,8 @@ class SegmentLoop {
   std::vector<std::unique_ptr<Observer>> owned_observers_;
   std::vector<std::unique_ptr<Policy>> policies_;
   std::vector<std::unique_ptr<Engine>> engines_;
+  /// Each slot's map-back sink, for a reduction or a recorded schedule.
+  std::vector<std::unique_ptr<MapBackSink>> map_sinks_;
   /// Rounds of this run's own checkpoints, oldest first: the one it
   /// resumed from (and the older ones beside it), then each it wrote.
   std::vector<Round> lineage_;
@@ -556,16 +588,12 @@ class SegmentLoop {
 StreamRunRecord run_algorithm(const Instance& instance,
                               const std::string& name, int n,
                               Schedule* schedule_out) {
-  const AlgorithmInfo& info = find_algorithm(name);
-  Stopwatch watch;
-  EngineResult result = info.run(instance, n, schedule_out != nullptr);
-  StreamRunRecord record;
-  record.seconds = watch.seconds();
-  record.algorithm = name;
-  record.n = n;
-  fold(record, result, result.policy_stats);
-  if (schedule_out != nullptr) *schedule_out = std::move(result.schedule);
-  return record;
+  MaterializedSource source(instance);
+  const ShardedRunOptions options;
+  return std::move(SegmentLoop(source, name, n, 1, instance.horizon(),
+                               options, schedule_out)
+                       .run()
+                       .merged);
 }
 
 StreamRunRecord run_streaming(ArrivalSource& source, const std::string& name,

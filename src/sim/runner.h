@@ -23,8 +23,9 @@ struct StreamRunRecord : RunCounters {
   std::vector<std::pair<std::string, std::int64_t>> stats;
 };
 
-/// Runs the registered algorithm `name` with `n` resources on `instance`.
-/// If `schedule_out` is non-null the event schedule is recorded there.
+/// Runs the registered algorithm `name` with `n` resources on `instance`
+/// for exactly instance.horizon() rounds.  If `schedule_out` is non-null
+/// the event schedule (a reduction's mapped back) is recorded there.
 [[nodiscard]] StreamRunRecord run_algorithm(const Instance& instance,
                                             const std::string& name, int n,
                                             Schedule* schedule_out = nullptr);
@@ -87,13 +88,13 @@ struct RunStatus {
   std::string final_checkpoint;
 };
 
-/// Runs the engine-driven algorithm `name` ("dlru", "edf", "dlru-edf",
-/// "adaptive", "seq-edf", "ds-seq-edf") with `n` resources against
+/// Runs the registered algorithm `name` with `n` resources against
 /// `source`, pulling rounds lazily: no schedule recording, no
 /// materialization, memory O(pending + colors).  `max_rounds` caps the
-/// pull (required for infinite sources).  The reduction pipelines
-/// ("distribute", "varbatch") are whole-instance transforms and are not
-/// available here.  The one-engine case of run_streaming_sharded.
+/// pull (required for infinite sources).  A reduction ("distribute",
+/// "varbatch") runs dLRU-EDF over its adapters (make_reduction) and
+/// reports the mapped-back cost.  The one-engine case of
+/// run_streaming_sharded.
 [[nodiscard]] StreamRunRecord run_streaming(
     ArrivalSource& source, const std::string& name, int n,
     Round max_rounds = kInfiniteHorizon,
@@ -149,9 +150,11 @@ struct ShardedRunRecord : RunStatus {
 /// every fabric shard at once (fewer workers than shards, or a call from
 /// inside a pool worker) the shards take turns on the calling thread, one
 /// chunk at a time.  A shard that throws closes the fabric, so the run
-/// fails at once with that shard's error.  Rejected with InputError:
-/// K > 1 checkpoints or stop flag without shard-native clones (the
-/// fabric's run-ahead is not repositionable).
+/// fails at once with that shard's error.  A reduction's adapters are an
+/// opaque source: the fabric splits their virtual colors.  Rejected with
+/// InputError: K > 1 checkpoints or stop flag without shard-native clones
+/// (the fabric's run-ahead is not repositionable), and a reduction with
+/// checkpoints, resume or the stop flag (its adapters do not checkpoint).
 [[nodiscard]] ShardedRunRecord run_streaming_sharded(
     ArrivalSource& source, const std::string& name, int n, int num_shards,
     Round max_rounds = kInfiniteHorizon,

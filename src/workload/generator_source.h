@@ -389,6 +389,15 @@ class GeneratorSource : public ArrivalSource {
     rng.set_state_words(words);
   }
 
+  /// Maps a caller-facing (local) id to the global metadata index.
+  [[nodiscard]] std::size_t global_of(ColorId color) const {
+    if (!restricted_) return checked_global(color);
+    RRS_REQUIRE(color >= 0 && static_cast<std::size_t>(color) < active_.size(),
+                "local color " << color << " out of range [0, "
+                               << active_.size() << ")");
+    return static_cast<std::size_t>(active_[static_cast<std::size_t>(color)]);
+  }
+
  private:
   /// What a checkpoint must share with the generator restoring it: the
   /// parameters every subclass shares and the view's colors.
@@ -408,15 +417,6 @@ class GeneratorSource : public ArrivalSource {
                 "color " << color << " out of range [0, "
                          << delay_bounds_.size() << ")");
     return static_cast<std::size_t>(color);
-  }
-
-  /// Maps a caller-facing (local) id to the global metadata index.
-  [[nodiscard]] std::size_t global_of(ColorId color) const {
-    if (!restricted_) return checked_global(color);
-    RRS_REQUIRE(color >= 0 && static_cast<std::size_t>(color) < active_.size(),
-                "local color " << color << " out of range [0, "
-                               << active_.size() << ")");
-    return static_cast<std::size_t>(active_[static_cast<std::size_t>(color)]);
   }
 
   Cost delta_;

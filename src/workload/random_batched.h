@@ -47,6 +47,10 @@ class RandomBatchedSource final : public GeneratorSource {
 
   [[nodiscard]] std::unique_ptr<GeneratorSource> clone() const override;
 
+  [[nodiscard]] std::int64_t batch_bound(ColorId color) const override {
+    return max_batch_[global_of(color)];
+  }
+
  private:
   void synthesize_color(ColorId color, Round k) override;
 

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "algs/dlru_edf.h"
-#include "algs/registry.h"
 #include "core/validator.h"
 #include "offline/appendix_off.h"
 #include "offline/lower_bound.h"
@@ -56,7 +55,7 @@ TEST(DLruEdf, ServesSingleSteadyColor) {
   for (Round t = 0; t <= 64; t += 4) builder.add_jobs(c, t, 4);
   const Instance inst = builder.build();
 
-  const EngineResult r = find_algorithm("dlru-edf").run(inst, 4, false);
+  const StreamRunRecord r = run_algorithm(inst, "dlru-edf", 4);
   EXPECT_EQ(r.cost.drops, 0);
   EXPECT_EQ(r.cost.reconfig_events, 2);  // cached once in two locations
 }
@@ -66,8 +65,8 @@ TEST(DLruEdf, HandlesAppendixA) {
   // picks the (nonidle) long-term color up and drains it.
   const AdversaryAInstance adv =
       make_adversary_a({.n = 8, .delta = 2, .j = 5, .k = 7});
-  const EngineResult online =
-      find_algorithm("dlru-edf").run(adv.instance, adv.params.n, false);
+  const StreamRunRecord online =
+      run_algorithm(adv.instance, "dlru-edf", adv.params.n);
   const Schedule off = appendix_a_off_schedule(adv);
   const Cost off_cost = validate_or_throw(adv.instance, off).total();
   const double ratio = static_cast<double>(online.cost.total()) /
@@ -78,8 +77,8 @@ TEST(DLruEdf, HandlesAppendixA) {
 TEST(DLruEdf, HandlesAppendixB) {
   // Where EDF thrashes, dLRU-EDF's LRU half keeps the short color pinned.
   const AdversaryBInstance adv = make_adversary_b({.n = 8, .j = 4, .k = 7});
-  const EngineResult online =
-      find_algorithm("dlru-edf").run(adv.instance, adv.params.n, false);
+  const StreamRunRecord online =
+      run_algorithm(adv.instance, "dlru-edf", adv.params.n);
   const Schedule off = appendix_b_off_schedule(adv);
   const Cost off_cost = validate_or_throw(adv.instance, off).total();
   const double ratio = static_cast<double>(online.cost.total()) /
@@ -93,8 +92,8 @@ TEST(DLruEdf, RatioStaysFlatAsAppendixAScales) {
   for (int j = 5; j <= 7; ++j) {
     const AdversaryAInstance adv =
         make_adversary_a({.n = 8, .delta = 2, .j = j, .k = j + 2});
-    const EngineResult online =
-        find_algorithm("dlru-edf").run(adv.instance, adv.params.n, false);
+    const StreamRunRecord online =
+        run_algorithm(adv.instance, "dlru-edf", adv.params.n);
     const Schedule off = appendix_a_off_schedule(adv);
     const Cost off_cost = validate_or_throw(adv.instance, off).total();
     ratios.push_back(static_cast<double>(online.cost.total()) /
@@ -107,8 +106,8 @@ TEST(DLruEdf, RatioStaysFlatAsAppendixBScales) {
   for (int bump = 2; bump <= 4; ++bump) {
     const AdversaryBInstance adv =
         make_adversary_b({.n = 8, .j = 4, .k = 4 + bump});
-    const EngineResult online =
-        find_algorithm("dlru-edf").run(adv.instance, adv.params.n, false);
+    const StreamRunRecord online =
+        run_algorithm(adv.instance, "dlru-edf", adv.params.n);
     const Schedule off = appendix_b_off_schedule(adv);
     const Cost off_cost = validate_or_throw(adv.instance, off).total();
     const double ratio = static_cast<double>(online.cost.total()) /
@@ -143,7 +142,7 @@ TEST(DLruEdf, Lemma31_FewJobsPerColorCostsAtMostOff) {
   }
   const Instance inst = builder.build();
 
-  const EngineResult r = find_algorithm("dlru-edf").run(inst, 8, false);
+  const StreamRunRecord r = run_algorithm(inst, "dlru-edf", 8);
   EXPECT_EQ(r.cost.reconfig_cost, 0);
   EXPECT_EQ(r.cost.drops, 90);
   // OFF (m = 1) must pay at least min(Delta, J_l) per color = 15 each.

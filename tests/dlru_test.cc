@@ -1,7 +1,6 @@
 // Tests for algs/dlru: the pure-recency scheme and its Appendix A failure.
 #include <gtest/gtest.h>
 
-#include "algs/registry.h"
 #include "core/validator.h"
 #include "offline/appendix_off.h"
 #include "sim/runner.h"
@@ -28,7 +27,7 @@ TEST(DLru, IneligibleColorsNeverCached) {
   builder.add_jobs(c, 0, 3);
   const Instance inst = builder.build();
 
-  const EngineResult r = find_algorithm("dlru").run(inst, 4, false);
+  const StreamRunRecord r = run_algorithm(inst, "dlru", 4);
   EXPECT_EQ(r.cost.reconfig_cost, 0);
   EXPECT_EQ(r.cost.drops, 3);
 }
@@ -43,15 +42,14 @@ TEST(DLru, ServesSteadySingleColor) {
   for (Round t = 0; t <= 32; t += 4) builder.add_jobs(c, t, 4);
   const Instance inst = builder.build();
 
-  const EngineResult r = find_algorithm("dlru").run(inst, 4, false);
+  const StreamRunRecord r = run_algorithm(inst, "dlru", 4);
   EXPECT_EQ(r.cost.drops, 0);
   EXPECT_EQ(r.cost.reconfig_events, 2);  // cached once, in two locations
 }
 
 TEST(DLru, AppendixA_DropsLongTermBacklog) {
   const AdversaryAInstance adv = make_adversary_a({.n = 8, .delta = 2});
-  const EngineResult r =
-      find_algorithm("dlru").run(adv.instance, adv.params.n, false);
+  const StreamRunRecord r = run_algorithm(adv.instance, "dlru", adv.params.n);
 
   // dLRU keeps the n/2 short-term colors cached (their timestamps are
   // always at least as recent) and never serves the long-term color: all
@@ -76,8 +74,8 @@ TEST(DLru, AppendixA_RatioGrowsWithJ) {
     params.k = j + 2;
     const AdversaryAInstance adv = make_adversary_a(params);
 
-    const EngineResult online =
-        find_algorithm("dlru").run(adv.instance, params.n, false);
+    const StreamRunRecord online =
+        run_algorithm(adv.instance, "dlru", params.n);
     const Schedule off = appendix_a_off_schedule(adv);
     const Cost off_cost = validate_or_throw(adv.instance, off).total();
     const double ratio = static_cast<double>(online.cost.total()) /

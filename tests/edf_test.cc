@@ -1,7 +1,6 @@
 // Tests for algs/edf: the pure-deadline scheme and its Appendix B failure.
 #include <gtest/gtest.h>
 
-#include "algs/registry.h"
 #include "core/validator.h"
 #include "offline/appendix_off.h"
 #include "sim/runner.h"
@@ -30,10 +29,11 @@ TEST(Edf, PrefersEarlierColorDeadlines) {
   builder.add_jobs(urgent, 0, 2);
   const Instance inst = builder.build();
 
-  const EngineResult r = find_algorithm("edf").run(inst, 2, /*record=*/true);
-  ASSERT_FALSE(r.schedule.execs.empty());
+  Schedule schedule;
+  const StreamRunRecord r = run_algorithm(inst, "edf", 2, &schedule);
+  ASSERT_FALSE(schedule.execs.empty());
   // Round 0 executions are the urgent color's jobs.
-  for (const ExecEvent& e : r.schedule.execs) {
+  for (const ExecEvent& e : schedule.execs) {
     if (e.round == 0) {
       EXPECT_EQ(inst.jobs()[static_cast<std::size_t>(e.job)].color, urgent);
     }
@@ -53,15 +53,15 @@ TEST(Edf, IdleEligibleColorsRankLast) {
   for (Round t = 0; t <= 16; t += 4) builder.add_jobs(steady, t, 4);
   const Instance inst = builder.build();
 
-  const EngineResult r = find_algorithm("edf").run(inst, 2, false);
+  const StreamRunRecord r = run_algorithm(inst, "edf", 2);
   // Steady work never drops: once flash is idle, steady takes the slot.
   EXPECT_LE(r.cost.drops, 1);
 }
 
 TEST(Edf, AppendixB_Thrashes) {
   const AdversaryBInstance adv = make_adversary_b({.n = 4});
-  const EngineResult online =
-      find_algorithm("edf").run(adv.instance, adv.params.n, false);
+  const StreamRunRecord online =
+      run_algorithm(adv.instance, "edf", adv.params.n);
   const Schedule off = appendix_b_off_schedule(adv);
   const Cost off_cost = validate_or_throw(adv.instance, off).total();
   // OFF pays exactly (n/2 + 1) * Delta and drops nothing.
@@ -82,8 +82,7 @@ TEST(Edf, AppendixB_RatioGrowsWithKMinusJ) {
     params.k = params.j + bump;
     const AdversaryBInstance adv = make_adversary_b(params);
 
-    const EngineResult online =
-        find_algorithm("edf").run(adv.instance, params.n, false);
+    const StreamRunRecord online = run_algorithm(adv.instance, "edf", params.n);
     const Schedule off = appendix_b_off_schedule(adv);
     const Cost off_cost = validate_or_throw(adv.instance, off).total();
     const double ratio = static_cast<double>(online.cost.total()) /
@@ -98,8 +97,7 @@ TEST(Edf, ReconfigurationDominatesOnAppendixB) {
   // The damage EDF takes on Appendix B is thrashing (reconfigurations),
   // not drops.
   const AdversaryBInstance adv = make_adversary_b({.n = 4, .j = 3, .k = 6});
-  const EngineResult r =
-      find_algorithm("edf").run(adv.instance, adv.params.n, false);
+  const StreamRunRecord r = run_algorithm(adv.instance, "edf", adv.params.n);
   EXPECT_GT(r.cost.reconfig_cost, r.cost.drops);
 }
 

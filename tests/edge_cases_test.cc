@@ -145,11 +145,17 @@ TEST(EdgeCases, AdaptiveOnEmptyAndTinyInstances) {
 
 TEST(EdgeCases, TransformsOfEmptyInstances) {
   const Instance inst = empty_instance();
-  const DistributeTransform dt = distribute_transform(inst);
-  EXPECT_EQ(dt.rate_limited.jobs().size(), 0u);
-  const VarBatchTransform vt = varbatch_transform(inst);
-  EXPECT_EQ(vt.batched.jobs().size(), 0u);
-  EXPECT_EQ(vt.batched.num_colors(), 1);
+  MaterializedSource input(inst);
+  DistributeSource distribute(input);
+  const Instance split = materialize(distribute);
+  EXPECT_EQ(split.jobs().size(), 0u);
+  EXPECT_EQ(split.num_colors(), 1);  // no batch needs a second copy
+
+  MaterializedSource again(inst);
+  VarBatchSource varbatch(again);
+  const Instance delayed = materialize(varbatch);
+  EXPECT_EQ(delayed.jobs().size(), 0u);
+  EXPECT_EQ(delayed.num_colors(), 1);
 }
 
 TEST(EdgeCases, MetricsAndTimelineOnDoubleSpeedSchedules) {
@@ -159,14 +165,14 @@ TEST(EdgeCases, MetricsAndTimelineOnDoubleSpeedSchedules) {
   builder.add_jobs(c, 0, 4);
   const Instance inst = builder.build();
 
-  const EngineResult r =
-      find_algorithm("ds-seq-edf").run(inst, 1, /*record=*/true);
-  ASSERT_EQ(r.schedule.speed, 2);
-  const ScheduleMetrics m = compute_metrics(inst, r.schedule);
+  Schedule schedule;
+  const StreamRunRecord r = run_algorithm(inst, "ds-seq-edf", 1, &schedule);
+  ASSERT_EQ(schedule.speed, 2);
+  const ScheduleMetrics m = compute_metrics(inst, schedule);
   EXPECT_EQ(m.wait.count, r.executed);
   // 4 jobs in 2 rounds on one double-speed resource: full utilization.
   EXPECT_NEAR(m.utilization, 1.0, 1e-9);
-  const auto timeline = compute_timeline(inst, r.schedule, 4);
+  const auto timeline = compute_timeline(inst, schedule, 4);
   ASSERT_FALSE(timeline.empty());
   EXPECT_EQ(timeline[0].executions, 4);
 }
@@ -196,8 +202,9 @@ TEST(EdgeCases, SeqEdfWithOneResource) {
   const ColorId b = builder.add_color(4);
   builder.add_jobs(a, 0, 2).add_jobs(b, 0, 2);
   const Instance inst = builder.build();
-  const EngineResult r = find_algorithm("seq-edf").run(inst, 1, true);
-  EXPECT_TRUE(validate(inst, r.schedule).ok);
+  Schedule schedule;
+  const StreamRunRecord r = run_algorithm(inst, "seq-edf", 1, &schedule);
+  EXPECT_TRUE(validate(inst, schedule).ok);
   EXPECT_GE(r.executed, 2);  // at least one color fully served
 }
 

@@ -31,6 +31,18 @@ PendingJobs::DropResult drop_at(PendingJobs& pending, Round round) {
   return out;
 }
 
+/// (color, count) pairs, as DropResult::by_color reports a sweep.
+using ColorCounts = std::vector<std::pair<ColorId, std::int64_t>>;
+
+/// Ids of `color`'s pending jobs, in FIFO order.
+std::vector<JobId> pending_ids(const PendingJobs& pending, ColorId color) {
+  std::vector<PendingJobs::ExportedJob> jobs;
+  pending.export_color(color, jobs);
+  std::vector<JobId> ids;
+  for (const PendingJobs::ExportedJob& job : jobs) ids.push_back(job.id);
+  return ids;
+}
+
 TEST(PendingJobs, AddCountIdleTotal) {
   PendingJobs pending;
   pending.reset(2);
@@ -69,7 +81,7 @@ TEST(PendingJobs, DropExpiredByDeadline) {
   ASSERT_EQ(at2.by_color.size(), 1u);
   EXPECT_EQ(at2.by_color[0].first, 0);
   EXPECT_EQ(at2.by_color[0].second, 1);
-  EXPECT_EQ(at2.job_ids, std::vector<JobId>{0});
+  EXPECT_EQ(pending_ids(pending, 0), std::vector<JobId>{1});
   EXPECT_EQ(pending.total(), 2);
 
   const auto at10 = drop_at(pending, 10);
@@ -149,7 +161,8 @@ TEST(PendingJobs, SweepBufferIsClearedAndReused) {
   EXPECT_EQ(out.total, 1);
   pending.drop_expired(2, out);  // must clear the previous sweep's content
   EXPECT_EQ(out.total, 1);
-  EXPECT_EQ(out.job_ids, std::vector<JobId>{1});
+  EXPECT_EQ(out.by_color, (ColorCounts{{0, 1}}));
+  EXPECT_TRUE(pending.idle(0));
 }
 
 TEST(PendingJobs, StaleHintsAfterPopDrainNothing) {
@@ -171,7 +184,7 @@ TEST(PendingJobs, StaleHintsAfterPopDrainNothing) {
 
   const auto at6 = drop_at(pending, 6);
   EXPECT_EQ(at6.total, 1);
-  EXPECT_EQ(at6.job_ids, std::vector<JobId>{1});
+  EXPECT_EQ(at6.by_color, (ColorCounts{{0, 1}}));
   EXPECT_EQ(pending.total(), 0);
 }
 
@@ -189,8 +202,7 @@ TEST(PendingJobs, InterleavedPopAndDropAcrossSweeps) {
   EXPECT_EQ(pending.pop_earliest(0), 3);           // deadline 6 executed
   const auto at7 = drop_at(pending, 7);            // job 4 (deadline 7)
   EXPECT_EQ(at7.total, 1);
-  EXPECT_EQ(at7.job_ids, std::vector<JobId>{4});
-  EXPECT_EQ(pending.count(0), 1);
+  EXPECT_EQ(pending_ids(pending, 0), std::vector<JobId>{5});
   EXPECT_EQ(pending.earliest_deadline(0), 8);
 }
 
@@ -235,7 +247,7 @@ TEST(PendingJobs, FarFutureDeadlinesSurviveRingGrowth) {
   EXPECT_EQ(drop_at(pending, 99'999).total, 0);
   const auto at_far = drop_at(pending, 100'000);
   EXPECT_EQ(at_far.total, 1);
-  EXPECT_EQ(at_far.job_ids, std::vector<JobId>{1});
+  EXPECT_EQ(at_far.by_color, (ColorCounts{{1, 1}}));
   EXPECT_EQ(pending.total(), 0);
 }
 
@@ -250,8 +262,8 @@ TEST(PendingJobs, RingWraparoundKeepsLaterCycleEntries) {
 
   const auto at10 = drop_at(pending, 10);
   EXPECT_EQ(at10.total, 1);
-  EXPECT_EQ(at10.job_ids, std::vector<JobId>{0});
-  EXPECT_EQ(pending.count(1), 1);
+  EXPECT_EQ(at10.by_color, (ColorCounts{{0, 1}}));
+  EXPECT_EQ(pending_ids(pending, 1), std::vector<JobId>{1});
 
   EXPECT_EQ(drop_at(pending, 73).total, 0);
   EXPECT_EQ(drop_at(pending, 74).total, 1);
@@ -333,8 +345,7 @@ TEST(PendingJobs, PartiallyExecutedFrontJobStillExpires) {
   (void)pending.execute_earliest(0);  // 1 of 3 units applied
   const PendingJobs::DropResult dropped = drop_at(pending, 2);
   EXPECT_EQ(dropped.total, 1);  // expires as a whole job despite progress
-  ASSERT_EQ(dropped.job_ids.size(), 1u);
-  EXPECT_EQ(dropped.job_ids[0], 0);
+  EXPECT_EQ(dropped.by_color, (ColorCounts{{0, 1}}));
   EXPECT_TRUE(pending.idle(0));
 }
 
@@ -349,7 +360,7 @@ TEST(PendingJobs, EmptySetSweepJumpsInConstantTime) {
   pending.add(make_job(1, 0, 1'000'000'000, 4));
   const auto dropped = drop_at(pending, 1'000'000'004);
   EXPECT_EQ(dropped.total, 1);
-  EXPECT_EQ(dropped.job_ids, std::vector<JobId>{1});
+  EXPECT_EQ(dropped.by_color, (ColorCounts{{0, 1}}));
 }
 
 TEST(PendingJobs, EmptySetJumpResetsStaleHints) {
@@ -364,7 +375,7 @@ TEST(PendingJobs, EmptySetJumpResetsStaleHints) {
   pending.add(make_job(1, 0, 5, 3));      // deadline 8 again
   const auto dropped = drop_at(pending, 8);
   EXPECT_EQ(dropped.total, 1);
-  EXPECT_EQ(dropped.job_ids, std::vector<JobId>{1});
+  EXPECT_EQ(dropped.by_color, (ColorCounts{{0, 1}}));
   EXPECT_TRUE(pending.idle(0));
 }
 
@@ -406,29 +417,19 @@ class NaivePending {
     return queues_[static_cast<std::size_t>(color)];
   }
 
-  /// Returns (total dropped, ids dropped sorted) for deadline <= round.
-  std::pair<std::int64_t, std::vector<JobId>> drop_expired(Round round) {
-    std::int64_t total = 0;
-    std::vector<JobId> ids;
-    for (auto& q : queues_) {
-      while (!q.empty() && q.front().deadline <= round) {
-        ids.push_back(q.front().id);
-        q.pop_front();
-        ++total;
-      }
-    }
-    std::sort(ids.begin(), ids.end());
-    return {total, std::move(ids)};
-  }
-
-  /// Color of pending job `id` (linear scan).
-  [[nodiscard]] ColorId color_of(JobId id) const {
+  /// Drops every job with deadline <= round; returns the per-color
+  /// counts of colors that dropped any, ascending.
+  ColorCounts drop_expired(Round round) {
+    ColorCounts dropped;
     for (std::size_t c = 0; c < queues_.size(); ++c) {
-      for (const PendingJobs::ExportedJob& job : queues_[c]) {
-        if (job.id == id) return static_cast<ColorId>(c);
+      auto& q = queues_[c];
+      std::int64_t count = 0;
+      for (; !q.empty() && q.front().deadline <= round; ++count) {
+        q.pop_front();
       }
+      if (count > 0) dropped.emplace_back(static_cast<ColorId>(c), count);
     }
-    return kBlack;
+    return dropped;
   }
 
  private:
@@ -439,12 +440,51 @@ class NaivePending {
   std::vector<std::deque<PendingJobs::ExportedJob>> queues_;
 };
 
+/// Per-color state of `pending` against the reference: counts, the front
+/// job's deadline and remaining units, and the exported FIFO job by job.
+void expect_same_state(const PendingJobs& pending, const NaivePending& naive,
+                       ColorId colors, Round now) {
+  std::int64_t total = 0;
+  for (ColorId c = 0; c < colors; ++c) {
+    ASSERT_EQ(pending.count(c), naive.count(c)) << "round " << now;
+    total += naive.count(c);
+    std::vector<PendingJobs::ExportedJob> got;
+    pending.export_color(c, got);
+    const auto& want = naive.jobs(c);
+    ASSERT_EQ(got.size(), want.size()) << "round " << now;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << "round " << now;
+      EXPECT_EQ(got[i].deadline, want[i].deadline) << "round " << now;
+      EXPECT_EQ(got[i].remaining, want[i].remaining) << "round " << now;
+    }
+    if (!want.empty()) {
+      EXPECT_EQ(pending.earliest_deadline(c), want.front().deadline);
+      EXPECT_EQ(pending.earliest_remaining(c), want.front().remaining);
+    }
+  }
+  EXPECT_EQ(pending.total(), total) << "round " << now;
+}
+
+/// One sweep of `pending` against the reference: the same total and the
+/// same per-color counts.
+void expect_same_sweep(const PendingJobs::DropResult& out,
+                       NaivePending& naive, Round now) {
+  const ColorCounts want = naive.drop_expired(now);
+  ColorCounts got = out.by_color;
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want) << "round " << now;
+  std::int64_t total = 0;
+  for (const auto& [color, count] : want) total += count;
+  EXPECT_EQ(out.total, total) << "round " << now;
+}
+
 class PendingDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PendingDifferential, MatchesNaiveReferenceUnderRandomOps) {
   // Random interleaving of adds, pops, and monotone sweeps (with gaps that
   // exercise wraparound and growth) must match the linear-scan reference
-  // exactly: same drop totals, same dropped ids, same per-color counts.
+  // exactly: same drop totals and per-color drop counts, and the same jobs
+  // left in the store.
   constexpr ColorId kColors = 8;
   Rng rng(GetParam());
   PendingJobs pending;
@@ -478,44 +518,10 @@ TEST_P(PendingDifferential, MatchesNaiveReferenceUnderRandomOps) {
     } else {  // sweep, strictly forward; sometimes a large gap
       now += rng.bernoulli(0.1) ? rng.uniform(50, 400) : rng.uniform(1, 4);
       pending.drop_expired(now, out);
-      const auto [naive_total, naive_ids] = naive.drop_expired(now);
-      EXPECT_EQ(out.total, naive_total) << "round " << now;
-      std::vector<JobId> got = out.job_ids;
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, naive_ids) << "round " << now;
-      std::int64_t by_color_sum = 0;
-      for (const auto& [color, cnt] : out.by_color) by_color_sum += cnt;
-      EXPECT_EQ(by_color_sum, out.total);
+      expect_same_sweep(out, naive, now);
     }
-    for (ColorId c = 0; c < kColors; ++c) {
-      ASSERT_EQ(pending.count(c), naive.count(c)) << "step " << step;
-    }
+    expect_same_state(pending, naive, kColors, now);
   }
-}
-
-/// Per-color state of `pending` against the reference: counts, the front
-/// job's deadline and remaining units, and the exported FIFO job by job.
-void expect_same_state(const PendingJobs& pending, const NaivePending& naive,
-                       ColorId colors, Round now) {
-  std::int64_t total = 0;
-  for (ColorId c = 0; c < colors; ++c) {
-    ASSERT_EQ(pending.count(c), naive.count(c)) << "round " << now;
-    total += naive.count(c);
-    std::vector<PendingJobs::ExportedJob> got;
-    pending.export_color(c, got);
-    const auto& want = naive.jobs(c);
-    ASSERT_EQ(got.size(), want.size()) << "round " << now;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].id, want[i].id) << "round " << now;
-      EXPECT_EQ(got[i].deadline, want[i].deadline) << "round " << now;
-      EXPECT_EQ(got[i].remaining, want[i].remaining) << "round " << now;
-    }
-    if (!want.empty()) {
-      EXPECT_EQ(pending.earliest_deadline(c), want.front().deadline);
-      EXPECT_EQ(pending.earliest_remaining(c), want.front().remaining);
-    }
-  }
-  EXPECT_EQ(pending.total(), total) << "round " << now;
 }
 
 TEST_P(PendingDifferential, BatchShapedArrivalsMatchNaiveReference) {
@@ -541,15 +547,7 @@ TEST_P(PendingDifferential, BatchShapedArrivalsMatchNaiveReference) {
   JobId next_id = 0;
   for (Round now = 0; now < 400; ++now) {
     pending.drop_expired(now, out);
-    for (std::size_t i = 0; i < out.job_ids.size(); ++i) {
-      EXPECT_EQ(out.job_colors[i], naive.color_of(out.job_ids[i]))
-          << "round " << now;
-    }
-    const auto [naive_total, naive_ids] = naive.drop_expired(now);
-    EXPECT_EQ(out.total, naive_total) << "round " << now;
-    std::vector<JobId> got = out.job_ids;
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, naive_ids) << "round " << now;
+    expect_same_sweep(out, naive, now);
 
     std::vector<Job> arrivals;
     const auto batch = [&](ColorId c, std::int64_t count) {

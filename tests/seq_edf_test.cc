@@ -5,8 +5,8 @@
 
 #include "algs/dlru_edf.h"
 #include "algs/par_edf.h"
-#include "algs/registry.h"
 #include "core/validator.h"
+#include "sim/runner.h"
 #include "workload/random_batched.h"
 
 namespace rrs {
@@ -20,7 +20,7 @@ TEST(SeqEdf, UsesFullCapacityUnreplicated) {
     builder.add_jobs(builder.add_color(4), 0, 4);
   }
   const Instance inst = builder.build();
-  const EngineResult r = find_algorithm("seq-edf").run(inst, 3, false);
+  const StreamRunRecord r = run_algorithm(inst, "seq-edf", 3);
   EXPECT_EQ(r.cost.drops, 0);
   EXPECT_EQ(r.cost.reconfig_events, 3);
 }
@@ -30,9 +30,9 @@ TEST(SeqEdf, RecordedScheduleValidates) {
   params.seed = 21;
   params.horizon = 128;
   const Instance inst = make_random_batched(params);
-  const EngineResult r =
-      find_algorithm("seq-edf").run(inst, 4, /*record=*/true);
-  EXPECT_EQ(validate_or_throw(inst, r.schedule), r.cost);
+  Schedule schedule;
+  const StreamRunRecord r = run_algorithm(inst, "seq-edf", 4, &schedule);
+  EXPECT_EQ(validate_or_throw(inst, schedule), r.cost);
 }
 
 TEST(DsSeqEdf, DoubleSpeedScheduleValidates) {
@@ -40,10 +40,10 @@ TEST(DsSeqEdf, DoubleSpeedScheduleValidates) {
   params.seed = 22;
   params.horizon = 128;
   const Instance inst = make_random_batched(params);
-  const EngineResult r =
-      find_algorithm("ds-seq-edf").run(inst, 4, /*record=*/true);
-  EXPECT_EQ(r.schedule.speed, 2);
-  EXPECT_EQ(validate_or_throw(inst, r.schedule), r.cost);
+  Schedule schedule;
+  const StreamRunRecord r = run_algorithm(inst, "ds-seq-edf", 4, &schedule);
+  EXPECT_EQ(schedule.speed, 2);
+  EXPECT_EQ(validate_or_throw(inst, schedule), r.cost);
 }
 
 TEST(DsSeqEdf, NeverDropsMoreThanUniSpeed) {
@@ -52,9 +52,9 @@ TEST(DsSeqEdf, NeverDropsMoreThanUniSpeed) {
     params.seed = seed;
     params.horizon = 256;
     const Instance inst = make_random_batched(params);
-    const Cost uni = find_algorithm("seq-edf").run(inst, 4, false).cost.drops;
+    const Cost uni = run_algorithm(inst, "seq-edf", 4).cost.drops;
     const Cost twice =
-        find_algorithm("ds-seq-edf").run(inst, 4, false).cost.drops;
+        run_algorithm(inst, "ds-seq-edf", 4).cost.drops;
     EXPECT_LE(twice, uni) << "seed " << seed;
   }
 }
@@ -74,7 +74,7 @@ TEST(DropChain, Corollary31_DsSeqEdfAtMostParEdf) {
     const Instance inst = make_random_batched(params);
     for (const int m : {1, 2, 4}) {
       const Cost ds =
-          find_algorithm("ds-seq-edf").run(inst, m, false).cost.drops;
+          run_algorithm(inst, "ds-seq-edf", m).cost.drops;
       const std::int64_t par = run_par_edf(inst, m).drops;
       EXPECT_LE(ds, par) << "seed " << seed << " m " << m;
     }
@@ -110,7 +110,7 @@ TEST(DropChain, Lemma32_EligibleDropsAtMostParEdfOnAlpha) {
         << "Delta = 1 implies no ineligible drops";
 
     const Cost ds =
-        find_algorithm("ds-seq-edf").run(inst, m, false).cost.drops;
+        run_algorithm(inst, "ds-seq-edf", m).cost.drops;
     const std::int64_t par = run_par_edf(inst, m).drops;
     EXPECT_LE(policy.tracker().eligible_drops(), ds) << "seed " << seed;
     EXPECT_LE(ds, par) << "seed " << seed;

@@ -5,6 +5,8 @@
 #include <functional>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/csv.h"
 #include "sim/ratio.h"
@@ -35,6 +37,22 @@ TEST(Runner, RunsRegisteredAlgorithms) {
   }
 }
 
+TEST(Runner, StreamsRegisteredAlgorithms) {
+  // One run path: every registered name runs on a stream too.
+  RandomBatchedParams params;
+  params.seed = 1;
+  params.horizon = 64;
+  params.num_colors = 6;
+  for (const AlgorithmInfo& info : algorithm_registry()) {
+    RandomBatchedSource source(params);
+    const StreamRunRecord record = run_streaming(source, info.name, 8);
+    EXPECT_EQ(record.algorithm, info.name);
+    EXPECT_GT(record.arrived, 0) << info.name;
+    EXPECT_EQ(record.executed + record.cost.drops, record.arrived)
+        << info.name;
+  }
+}
+
 TEST(Runner, UnknownAlgorithmThrows) {
   const Instance inst = small_instance();
   EXPECT_THROW((void)run_algorithm(inst, "nope", 8), InputError);
@@ -43,11 +61,13 @@ TEST(Runner, UnknownAlgorithmThrows) {
 }
 
 TEST(Runner, RegistryHasAllAlgorithms) {
-  EXPECT_EQ(algorithm_registry().size(), 8u);
-  for (const char* name : {"dlru", "edf", "dlru-edf", "adaptive", "seq-edf",
-                           "ds-seq-edf", "distribute", "varbatch"}) {
-    EXPECT_EQ(find_algorithm(name).name, name);
-    EXPECT_FALSE(find_algorithm(name).description.empty());
+  const std::vector<std::string> names = {
+      "dlru",    "edf",        "dlru-edf",   "adaptive",
+      "seq-edf", "ds-seq-edf", "distribute", "varbatch"};
+  ASSERT_EQ(algorithm_registry().size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(algorithm_registry()[i].name, names[i]);
+    EXPECT_FALSE(algorithm_registry()[i].description.empty());
   }
 }
 

@@ -9,11 +9,13 @@
 // costs.  Several seeds per family, property-style.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "core/engine.h"
 #include "sim/runner.h"
@@ -26,8 +28,9 @@
 namespace rrs {
 namespace {
 
-// Engine-driven algorithms runnable on a stream.  ("distribute" and
-// "varbatch" are whole-instance transforms, covered by integration_test.)
+// Algorithms runnable on every family's stream.  The reductions need a
+// batch bound, which only random-batched streams state; StreamingReductions
+// below covers them.
 const char* const kStreamingAlgorithms[] = {
     "dlru", "edf", "dlru-edf", "adaptive", "seq-edf", "ds-seq-edf",
 };
@@ -235,6 +238,126 @@ TEST(StreamingContract, DrainPendingRunsPastArrivals) {
   EXPECT_EQ(result.executed + result.cost.drops, 4);
   EXPECT_GT(result.rounds, 1);
   EXPECT_LE(result.rounds, 16);
+}
+
+// --- the reductions on streams ---------------------------------------------
+
+/// An infinite random-batched stream whose bursts reach 4 D_l.
+RandomBatchedParams bursty_stream_params() {
+  RandomBatchedParams params;
+  params.seed = 17;
+  params.num_colors = 16;
+  params.burst_factor = 4.0;
+  params.horizon = kInfiniteHorizon;
+  return params;
+}
+
+TEST(StreamingReductions, LongRunsKeepABoundedPendingSet) {
+  // A color's (released) batch expires in the round its next one arrives,
+  // so the pending set never holds more than sum_l B_l jobs, B_l being
+  // the stream's batch bound, however long the run: serially and on two
+  // shards, at 100k and at 200k rounds.  (The peak itself is the running
+  // maximum of random batch sizes, so it may still creep up towards the
+  // bound as a run lengthens.)
+  RandomBatchedSource probe(bursty_stream_params());
+  std::int64_t bound = 0;
+  for (ColorId c = 0; c < probe.num_colors(); ++c) {
+    bound += probe.batch_bound(c);
+  }
+  for (const char* const name : {"distribute", "varbatch"}) {
+    for (const int shards : {1, 2}) {
+      for (const Round rounds : {Round{100'000}, Round{200'000}}) {
+        RandomBatchedSource source(bursty_stream_params());
+        const StreamRunRecord r =
+            run_streaming_sharded(source, name, 16, shards, rounds).merged;
+        const std::string label = std::string(name) + " K=" +
+                                  std::to_string(shards) + " at " +
+                                  std::to_string(rounds);
+        EXPECT_GE(r.rounds, rounds) << label;
+        EXPECT_GT(r.arrived, 10 * bound) << label;
+        EXPECT_EQ(r.executed + r.cost.drops, r.arrived) << label;
+        EXPECT_GT(r.peak_pending, 0) << label;
+        EXPECT_LE(r.peak_pending, bound) << label;
+      }
+    }
+  }
+}
+
+TEST(StreamingReductions, StreamedMatchesMaterialized) {
+  for (const char* const name : {"distribute", "varbatch"}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      RandomBatchedParams params;
+      params.seed = seed;
+      params.horizon = 512;
+      params.burst_factor = 2.5;
+      RandomBatchedSource source(params);
+      const StreamRunRecord streamed = run_streaming(source, name, 8);
+      const Instance instance = make_random_batched(params);
+      const StreamRunRecord reference = run_algorithm(instance, name, 8);
+      const std::string label =
+          std::string(name) + " seed " + std::to_string(seed);
+      EXPECT_EQ(streamed.cost, reference.cost) << label;
+      EXPECT_EQ(streamed.executed, reference.executed) << label;
+      EXPECT_EQ(streamed.arrived, reference.arrived) << label;
+    }
+  }
+}
+
+/// The InputError message `run` throws, or "" when it does not throw.
+template <typename Run>
+std::string input_error(const Run& run) {
+  try {
+    run();
+  } catch (const InputError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(StreamingReductions, UnboundedStreamsAreRejected) {
+  for (const char* const name : {"distribute", "varbatch"}) {
+    PoissonParams poisson;
+    poisson.horizon = kInfiniteHorizon;
+    PoissonSource trickle(poisson);
+    const std::string from_trickle =
+        input_error([&] { (void)run_streaming(trickle, name, 8, 512); });
+    EXPECT_NE(from_trickle.find("color 0"), std::string::npos) << name;
+
+    FlashCrowdParams crowd;
+    crowd.spike_start = 128;
+    crowd.spike_end = 192;
+    crowd.horizon = 512;
+    FlashCrowdSource spike(crowd);
+    const std::string from_spike =
+        input_error([&] { (void)run_streaming(spike, name, 8); });
+    EXPECT_NE(from_spike.find("batch bound"), std::string::npos) << name;
+  }
+}
+
+TEST(StreamingReductions, CheckpointsResumeAndStopFlagAreRejected) {
+  volatile std::sig_atomic_t stop = 0;
+  for (const char* const name : {"distribute", "varbatch"}) {
+    ShardedRunOptions checkpoints;
+    checkpoints.checkpoint_dir = ::testing::TempDir() + "rrs_reduction_ckpt";
+    ShardedRunOptions resume = checkpoints;
+    ShardedRunOptions stop_flag = checkpoints;
+    checkpoints.checkpoint_every = 64;
+    resume.resume = true;
+    stop_flag.stop_flag = &stop;
+    const std::pair<const ShardedRunOptions*, const char*> cases[] = {
+        {&checkpoints, "checkpoint_every"},
+        {&resume, "resume"},
+        {&stop_flag, "stop flag"},
+    };
+    for (const auto& [options, knob] : cases) {
+      RandomBatchedSource source(bursty_stream_params());
+      const std::string what = input_error([&] {
+        (void)run_streaming_sharded(source, name, 8, 1, 1024, *options);
+      });
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+      EXPECT_NE(what.find(knob), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace
