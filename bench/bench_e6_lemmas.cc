@@ -8,12 +8,18 @@
 //   Lemma 3.4:  IneligibleDropCost  <=     numEpochs * Delta
 //   Lemma 3.2 chain (Delta = 1, where the eligible subsequence equals the
 //   full input):  EligibleDropCost <= Drop(DS-Seq-EDF, m) <= Drop(Par-EDF, m)
+// plus Lemma 3.15's super-epoch bound.  Every quantity comes from a
+// Section3Shadow attached to the run, which recomputes Section 3.1's state
+// from the run's events and also checks each phase against the dLRU-EDF
+// rule.  The last section streams the Lemma 3.15 table's first cell for
+// 1M rounds.
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "algs/dlru_edf.h"
 #include "algs/par_edf.h"
+#include "algs/section3_shadow.h"
 #include "bench_common.h"
 #include "sim/runner.h"
 #include "workload/random_batched.h"
@@ -25,6 +31,23 @@ void write_csv(const rrs::TextTable& table, const std::string& name) {
   rrs::CsvWriter csv(table.header());
   for (const std::vector<std::string>& row : table.rows()) csv.add_row(row);
   rrs::bench::maybe_write_csv(csv, name);
+}
+
+/// Runs dLRU-EDF with n resources over `source` with a shadow attached
+/// (analysis m) and returns the shadow's report.
+rrs::Section3Report shadowed_run(rrs::ArrivalSource& source, int n, int m,
+                                 rrs::Round max_rounds =
+                                     rrs::kInfiniteHorizon) {
+  rrs::DLruEdfPolicy policy;
+  rrs::EngineOptions options;
+  options.num_resources = n;
+  options.replication = 2;
+  options.record_schedule = false;
+  options.max_rounds = max_rounds;
+  rrs::Section3Shadow shadow(source, options, rrs::Section3Rule::kDLruEdf,
+                             m);
+  (void)rrs::run_with_shadow(source, policy, options, shadow);
+  return shadow.report();
 }
 
 }  // namespace
@@ -47,28 +70,21 @@ int main() {
     params.num_colors = 16;
     params.horizon = 2048;
     const Instance inst = make_random_batched(params);
+    MaterializedSource source(inst);
+    const Section3Report report = shadowed_run(source, n, m);
 
-    DLruEdfPolicy policy;
-    EngineOptions options;
-    options.num_resources = n;
-    options.replication = 2;
-    options.record_schedule = false;
-    const EngineResult r = run_policy(inst, policy, options);
-
-    const std::int64_t epochs = policy.tracker().num_epochs();
-    const Cost bound33 = 4 * epochs * inst.delta();
-    const Cost bound34 = epochs * inst.delta();
-    const bool ok33 = r.cost.reconfig_cost <= bound33;
-    const bool ok34 = policy.tracker().ineligible_drops() <= bound34;
+    const std::int64_t epochs = report.epochs;
+    const bool ok33 = report.lemma_3_3 && !report.violation;
+    const bool ok34 = report.lemma_3_4 && !report.violation;
     l33 &= ok33;
     l34 &= ok34;
     lemma34.add_row({std::to_string(seed), std::to_string(inst.delta()),
                      std::to_string(epochs),
-                     std::to_string(r.cost.reconfig_cost),
-                     std::to_string(bound33),
-                     std::to_string(policy.tracker().ineligible_drops()),
-                     std::to_string(bound34), ok33 ? "yes" : "NO",
-                     ok34 ? "yes" : "NO"});
+                     std::to_string(report.reconfig_cost),
+                     std::to_string(4 * epochs * inst.delta()),
+                     std::to_string(report.dropped_ineligible.count),
+                     std::to_string(epochs * inst.delta()),
+                     ok33 ? "yes" : "NO", ok34 ? "yes" : "NO"});
   }
   lemma34.print(std::cout);
   write_csv(lemma34, "e6_lemmas_3_3_and_3_4");
@@ -84,21 +100,16 @@ int main() {
     params.num_colors = 16;
     params.horizon = 2048;
     const Instance inst = make_random_batched(params);
-
-    DLruEdfPolicy policy;
-    EngineOptions options;
-    options.num_resources = n;
-    options.replication = 2;
-    options.record_schedule = false;
-    (void)run_policy(inst, policy, options);
+    MaterializedSource source(inst);
+    const Section3Report report = shadowed_run(source, n, m);
     const Cost ds =
         run_algorithm(inst, "ds-seq-edf", m).cost.drops;
     const std::int64_t par = run_par_edf(inst, m).drops;
-    const bool ok =
-        policy.tracker().eligible_drops() <= ds && ds <= par;
+    const bool ok = report.dropped_eligible.count <= ds && ds <= par &&
+                    !report.violation;
     l32 &= ok;
     chain.add_row({std::to_string(seed),
-                   std::to_string(policy.tracker().eligible_drops()),
+                   std::to_string(report.dropped_eligible.count),
                    std::to_string(ds), std::to_string(par),
                    ok ? "yes" : "NO"});
   }
@@ -116,25 +127,15 @@ int main() {
     params.num_colors = 16;
     params.horizon = 2048;
     const Instance inst = make_random_batched(params);
-
-    DLruEdfPolicy policy;
-    policy.enable_super_epoch_analysis(m);
-    EngineOptions options;
-    options.num_resources = n;
-    options.replication = 2;
-    options.record_schedule = false;
-    (void)run_policy(inst, policy, options);
-    const bool ok315 =
-        policy.tracker().max_epoch_endings_per_super_epoch() <= 2;
+    MaterializedSource source(inst);
+    const Section3Report report = shadowed_run(source, n, m);
+    const bool ok315 = report.lemma_3_15 && !report.violation;
     l315 &= ok315;
-    supers.add_row(
-        {std::to_string(seed),
-         std::to_string(policy.tracker().num_epochs()),
-         std::to_string(policy.tracker().num_super_epochs()),
-         std::to_string(policy.tracker().timestamp_updates()),
-         std::to_string(
-             policy.tracker().max_epoch_endings_per_super_epoch()),
-         ok315 ? "yes" : "NO"});
+    supers.add_row({std::to_string(seed), std::to_string(report.epochs),
+                    std::to_string(report.super_epochs),
+                    std::to_string(report.timestamp_increases),
+                    std::to_string(report.max_epoch_endings),
+                    ok315 ? "yes" : "NO"});
   }
   supers.print(std::cout);
   write_csv(supers, "e6_lemma_3_15_super_epochs");
@@ -147,5 +148,42 @@ int main() {
       l32, "Lemma 3.2 chain: eligible <= DS-Seq-EDF <= Par-EDF drops");
   ok &= bench::verdict(
       l315, "Lemma 3.15: <= 2 epoch endings per color per super-epoch");
+
+  // The Lemma 3.15 table's first cell, streamed: the shadow checks every
+  // lemma at every round end (and every phase against the rule) in
+  // O(colors + n) memory.
+  std::cout << "\nStream scale: the seed-21 cell streamed for 1M rounds:\n";
+  constexpr Round kStreamRounds = 1'000'000;
+  RandomBatchedParams params;
+  params.seed = 21;
+  params.delta = 4;
+  params.num_colors = 16;
+  params.horizon = kStreamRounds;
+  RandomBatchedSource stream(params);
+  const Section3Report report = shadowed_run(stream, n, m, kStreamRounds);
+  const bool in_model = report.in_model;
+  const bool ok33 = report.lemma_3_3 && in_model;
+  const bool ok34 = report.lemma_3_4 && in_model;
+  const bool ok315 = report.lemma_3_15 && in_model;
+  TextTable scale({"rounds", "epochs", "reconfig", "4*ep*D", "inelig drops",
+                   "ep*D", "max endings/super", "L3.3 ok", "L3.4 ok",
+                   "L3.15 ok"});
+  scale.add_row({std::to_string(kStreamRounds), std::to_string(report.epochs),
+                 std::to_string(report.reconfig_cost),
+                 std::to_string(4 * report.epochs * params.delta),
+                 std::to_string(report.dropped_ineligible.count),
+                 std::to_string(report.epochs * params.delta),
+                 std::to_string(report.max_epoch_endings),
+                 ok33 ? "yes" : "NO", ok34 ? "yes" : "NO",
+                 ok315 ? "yes" : "NO"});
+  scale.print(std::cout);
+  write_csv(scale, "e6_stream_scale");
+  std::cout << "\n";
+  ok &= bench::verdict(ok33 && ok34 && ok315,
+                       "stream scale: Lemmas 3.3, 3.4 and 3.15 hold at "
+                       "every check of a 1M-round run");
+  ok &= bench::verdict(!report.violation,
+                       "stream scale: every phase follows the dLRU-EDF rule "
+                       "and the replication invariant");
   return ok ? 0 : 1;
 }

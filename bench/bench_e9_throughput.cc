@@ -261,10 +261,9 @@ void BM_OpPendingExecuteEarliest(benchmark::State& state) {
 }
 BENCHMARK(BM_OpPendingExecuteEarliest);
 
-/// One round's tracker inputs: the drop sweep, the cache the drop phase
-/// consults and the round's arrivals.
+/// One round's tracker inputs: the cache the drop phase consults and the
+/// round's arrivals.
 struct TrackerRound {
-  PendingJobs::DropResult dropped;
   CacheAssignment cache;
   std::vector<Job> arrivals;
 };
@@ -283,12 +282,12 @@ struct DenseRankState {
     PendingJobs::DropResult dropped;
     for (Round k = 0; k < rounds; ++k) {
       pending.drop_expired(k, dropped);
-      tracker.drop_phase(k, dropped, cache);
+      tracker.drop_phase(k, cache);
       const std::span<const Job> arrivals = source.arrivals_in_round(k);
       pending.add(arrivals);
       tracker.arrival_phase(k, arrivals);
       if (record != nullptr) {
-        record->push_back({dropped, cache, {arrivals.begin(), arrivals.end()}});
+        record->push_back({cache, {arrivals.begin(), arrivals.end()}});
       }
       const std::vector<ColorId>& target =
           tracker.lru_order(static_cast<std::size_t>(cache.max_distinct()));
@@ -331,10 +330,10 @@ void BM_OpTrackerRound(benchmark::State& state) {
     state.ResumeTiming();
     for (Round k = 0; k < kOpRounds; ++k) {
       const TrackerRound& round = rounds[static_cast<std::size_t>(k)];
-      tracker.drop_phase(k, round.dropped, round.cache);
+      tracker.drop_phase(k, round.cache);
       tracker.arrival_phase(k, round.arrivals);
     }
-    benchmark::DoNotOptimize(tracker.num_epochs());
+    benchmark::DoNotOptimize(tracker.eligible(0));
   }
   report_time_per_op(state, static_cast<double>(kOpRounds));
 }

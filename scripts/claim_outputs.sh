@@ -4,8 +4,10 @@
 #
 # Usage: scripts/claim_outputs.sh [--claims-only] BUILD_DIR OUT_DIR
 #
-# BUILD_DIR is a CMake build tree of this repository; use a Release build.
-# Every test labelled `claims` in it runs once, then bench_e15_certified,
+# BUILD_DIR is a CMake build tree of this repository; the Release and the
+# default RelWithDebInfo builds both reproduce the committed bytes.  Every
+# claim test in it (the ctest names starting `claim_`) runs once, then
+# bench_e15_certified,
 # each from an empty working directory with RRS_BENCH_CSV_DIR set to
 # OUT_DIR.  A binary's stdout goes to OUT_DIR/<name>.stdout, beside the
 # CSVs it writes, where <name> is its file name without `bench_`.  A
@@ -14,8 +16,8 @@
 # ~1 s in Release and E15's searches ~2.5 min; --claims-only skips E15.
 #
 # The outputs are checked one way: regenerate them into an empty directory
-# and `diff -r` it against bench/results/.  To refresh the committed files,
-# run
+# and `diff -r` it against bench/results/ (scripts/check_claim_outputs.sh
+# does so for all but E15).  To refresh the committed files, run
 #   rm -rf bench/results && scripts/claim_outputs.sh build bench/results
 #   scripts/update_experiments.py
 # Exits 1 naming every binary that failed, 2 on a usage error.
@@ -40,14 +42,16 @@ fi
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-binaries=$(cd "$build" && ctest --show-only=json-v1 -L claims |
+# By name, not by the `claims` label: ctest's -L takes a regex, which
+# would also match labels that merely contain the word.
+binaries=$(cd "$build" && ctest --show-only=json-v1 -R '^claim_' |
   python3 -c '
 import json, sys
 for test in json.load(sys.stdin)["tests"]:
     print(test["command"][0])
 ')
 if [[ -z "$binaries" ]]; then
-  echo "no tests labelled claims in $build" >&2
+  echo "no claim_ tests in $build" >&2
   exit 2
 fi
 if [[ $claims_only -eq 0 ]]; then

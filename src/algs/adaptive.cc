@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/checkpoint.h"
-#include "obs/observer.h"
 #include "util/check.h"
 
 namespace rrs {
@@ -21,19 +20,17 @@ void AdaptiveSplitPolicy::begin(const ArrivalSource& source, int num_resources,
   window_reconfig_cost_ = 0;
   window_end_ = kWindow;
   adaptations_ = 0;
-  was_cached_.ensure_size(static_cast<std::size_t>(source.num_colors()));
 }
 
 void AdaptiveSplitPolicy::on_round(RoundContext& ctx) {
   const Round k = ctx.round();
   if (ctx.first_mini()) {
-    // Window accounting rides the drop phase (independent of the base
-    // tracker's classification, so order against it does not matter).
-    // Drops are weighted by their per-color cost so the pressure
-    // comparison stays apples-to-apples with the reconfiguration spend
-    // (identical to the drop count under unit weights).
+    // Window accounting rides the drop phase.  Drops are weighted by
+    // their per-color cost so the pressure comparison stays
+    // apples-to-apples with the reconfiguration spend (identical to the
+    // drop count under unit weights).
     for (const auto& [color, count] : ctx.dropped().by_color) {
-      window_drop_cost_ += count * tracker().drop_cost(color);
+      window_drop_cost_ += count * tracker_.drop_cost(color);
     }
 
     if (k >= window_end_) {
@@ -49,33 +46,23 @@ void AdaptiveSplitPolicy::on_round(RoundContext& ctx) {
       if (fraction != lru_fraction()) {
         set_lru_fraction(fraction);
         ++adaptations_;
-        if (Observer* o = ctx.obs(); o != nullptr) {
-          o->trace.push({k, TraceKind::kAdaptation,
-                         static_cast<std::int32_t>(fraction * 100.0),
-                         adaptations_});
-        }
       }
       window_drop_cost_ = 0;
       window_reconfig_cost_ = 0;
       window_end_ = k + kWindow;
     }
   }
-  if (ctx.final_sweep()) {
-    DLruEdfPolicy::on_round(ctx);  // tracker classification only
-    return;
-  }
+  if (ctx.final_sweep()) return;
 
   // Count this phase's insertions (each costs replication * the inserted
   // color's cold re-image price; == replication * Delta under the scalar
-  // tier) by diffing the logical cached set around the base round (the
-  // base tracker updates never touch the cache).
-  was_cached_.clear();
-  for (const ColorId c : ctx.cache().cached_colors()) was_cached_.set(c, 1);
+  // tier).  The rule never evicts a color it inserts in the same phase,
+  // nor re-inserts one it evicts, so the inserts are the net new colors.
   DLruEdfPolicy::on_round(ctx);
-  for (const ColorId c : ctx.cache().cached_colors()) {
-    if (!was_cached_.contains(c)) {
+  for (const MembershipChange& m : ctx.cache().membership_changes()) {
+    if (m.inserted) {
       window_reconfig_cost_ += Cost{ctx.cache().replication()} *
-                               cold_costs_[static_cast<std::size_t>(c)];
+                               cold_costs_[static_cast<std::size_t>(m.color)];
     }
   }
 }

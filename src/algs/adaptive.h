@@ -71,7 +71,6 @@ class AdaptiveSplitPolicy : public DLruEdfPolicy {
   /// color c spends replication * cold_cost(c) (== replication * Delta
   /// under the scalar tier, matching the original accounting).
   std::vector<Cost> cold_costs_;
-  StampedMap<char> was_cached_;  // scratch: cached set before reconfigure
 };
 
 }  // namespace rrs

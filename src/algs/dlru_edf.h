@@ -44,13 +44,6 @@ class DLruEdfPolicy : public RankedCachePolicy {
     return 2 * replication;
   }
 
-  /// Turns on Section 3.4 super-epoch accounting (Lemma 3.15 /
-  /// Corollary 3.2 quantities) for offline resource count `m`.  Call
-  /// before the run starts.
-  void enable_super_epoch_analysis(int m) {
-    tracker_.enable_super_epoch_analysis(m);
-  }
-
  protected:
   /// For adaptive derivatives (see algs/adaptive.h): retune the capacity
   /// split between rounds.  Must stay in [0, 1).

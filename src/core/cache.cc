@@ -90,6 +90,7 @@ void CacheAssignment::begin_phase() {
   RRS_CHECK(!in_phase_);
   in_phase_ = true;
   dirty_.clear();
+  changes_.clear();
 }
 
 void CacheAssignment::insert(ColorId color) {
@@ -129,12 +130,14 @@ void CacheAssignment::insert(ColorId color) {
   }
   slot_of_[idx(color)] = slot;
   cached_.push_back(color);
+  changes_.push_back({color, true});
 }
 
 void CacheAssignment::erase(ColorId color) {
   RRS_CHECK(in_phase_);
   RRS_CHECK_MSG(contains(color), "erase of non-cached color " << color);
   erase_from_set(color);
+  changes_.push_back({color, false});
 }
 
 void CacheAssignment::erase_from_set(ColorId color) {

@@ -35,6 +35,12 @@ struct Recoloring {
   ColorId to;
 };
 
+/// One change to the logical cached set: `color` inserted, or erased.
+struct MembershipChange {
+  ColorId color;
+  bool inserted;
+};
+
 /// Mapping of cache locations (resources) to colors, with a logical
 /// cached-color set on top.  All mutations happen between begin_phase() and
 /// finish_phase(); finish_phase() reports the physical recolorings, each of
@@ -82,8 +88,14 @@ class CacheAssignment {
   /// Physical color currently configured at `location` (kBlack initially).
   [[nodiscard]] ColorId color_at(int location) const;
 
-  /// Marks the start of a reconfiguration phase (resets the dirty set).
+  /// Marks the start of a reconfiguration phase (resets the dirty set and
+  /// the membership log).
   void begin_phase();
+
+  /// The inserts and erases since the last begin_phase(), in call order.
+  [[nodiscard]] std::span<const MembershipChange> membership_changes() const {
+    return changes_;
+  }
 
   /// Adds `color` to the cached set, claiming `replication` free locations
   /// (preferring locations already physically colored `color`).
@@ -158,6 +170,7 @@ class CacheAssignment {
   std::vector<std::int32_t> slot_of_;  // color -> slot, or -1
 
   std::vector<Recoloring> events_;  // finish_phase() buffer
+  std::vector<MembershipChange> changes_;  // this phase's inserts/erases
   bool in_phase_ = false;
 };
 

@@ -35,7 +35,10 @@
 
 namespace rrs {
 
-/// Major 7 moves the recorded schedule out of the engine section into the
+/// Major 8 drops the proof counters from the policy section: the tracker
+/// keeps per color only cnt, dd, the last wrap, the timestamp recorded at
+/// the block start and the eligible flag, and the ranked policies no
+/// traced epoch count.  Since major 7 the recorded schedule lives in the
 /// schedule recorder's own section, which also carries churn events.
 /// Since major 6 the engine keeps no pending budget or admission-rejection
 /// counter.  Since major 5 the engine keeps no hottest-failure FIFO and
@@ -46,7 +49,7 @@ namespace rrs {
 /// field-list order (rounds included), and every checkpoint carries each
 /// color's delay bound, drop cost and length in the engine's options
 /// section.
-inline constexpr std::uint32_t kCheckpointMajor = 7;
+inline constexpr std::uint32_t kCheckpointMajor = 8;
 inline constexpr std::uint32_t kCheckpointMinor = 0;
 
 /// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) of `size` bytes.

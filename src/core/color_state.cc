@@ -27,37 +27,11 @@ void EligibilityTracker::begin(const ArrivalSource& source) {
     thresholds_[idx(c)] = model.cold_cost(c);
   }
   blocks_ = BlockCalendar(source.colors_by_delay());
-  super_epochs_ = 0;
-  super_generation_ = 1;
-  updated_this_super_ = 0;
-  max_endings_ = 0;
-  timestamp_updates_ = 0;
-  completed_epochs_ = 0;
-  active_colors_ = 0;
-  eligible_drops_ = 0;
-  ineligible_drops_ = 0;
-  eligible_drop_weight_ = 0;
-  ineligible_drop_weight_ = 0;
   build_rank_index();
 }
 
-void EligibilityTracker::drop_phase(Round k,
-                                    const PendingJobs::DropResult& dropped,
-                                    const CacheAssignment& cache) {
+void EligibilityTracker::drop_phase(Round k, const CacheAssignment& cache) {
   now_ = k;
-  if (!dirty_imports_.empty()) flush_dirty_imports(k);
-  // Classify drops with the pre-reset eligibility status: the algorithm
-  // drops jobs first, then flips eligibility, so boundary drops of a
-  // still-eligible color count as eligible drops (Section 3.2).
-  for (const auto& [color, count] : dropped.by_color) {
-    if (state_[idx(color)].eligible) {
-      eligible_drops_ += count;
-      eligible_drop_weight_ += count * drop_costs_[idx(color)];
-    } else {
-      ineligible_drops_ += count;
-      ineligible_drop_weight_ += count * drop_costs_[idx(color)];
-    }
-  }
   // Epoch ends: every eligible, uncached color at a multiple of its delay
   // bound becomes ineligible with cnt = 0.
   for (const ColorId color : blocks_.due(k)) {
@@ -65,8 +39,6 @@ void EligibilityTracker::drop_phase(Round k,
     if (s.eligible && !cache.contains(color)) {
       make_ineligible(color);
       s.cnt = 0;
-      ++completed_epochs_;
-      if (analysis_m_ > 0) note_epoch_end(color);
     }
   }
 }
@@ -74,31 +46,27 @@ void EligibilityTracker::drop_phase(Round k,
 void EligibilityTracker::arrival_phase(Round k,
                                        std::span<const Job> arrivals) {
   now_ = k;
-  if (!dirty_imports_.empty()) flush_dirty_imports(k);
-  // Advance color deadlines at block boundaries (requests exist — possibly
-  // empty — at every multiple of D_l).  With super-epoch analysis on,
-  // block boundaries are also where timestamps become visible, so detect
-  // timestamp update events here.
+  // Block starts (requests exist — possibly empty — at every multiple of
+  // D_l) advance the color deadline and record the timestamp: the latest
+  // wrap before this round's arrivals are counted, 0 when there is none.
   for (const ColorId color : blocks_.due(k)) {
     ColorState& s = state_[idx(color)];
     const Round dd = k + delay_bounds_[idx(color)];
+    const Round timestamp = std::max<Round>(s.last_wrap, 0);
     if (s.eligible) {
       // An eligible color changes calendar bucket at its own block
-      // boundary, and its effective timestamp may surface the block's
-      // wraps here.
+      // boundary, and moves in the recency list when its timestamp does.
       cal_remove(color);
       s.dd = dd;
       cal_insert(color);
-      lru_refresh(color, k);
+      if (timestamp != s.timestamp) {
+        lru_remove(color);
+        s.timestamp = timestamp;
+        lru_insert(color);
+      }
     } else {
       s.dd = dd;
-    }
-    if (analysis_m_ > 0) {
-      const Round now_ts = timestamp(color, k);
-      if (now_ts > s.eff_ts) {
-        s.eff_ts = now_ts;
-        note_timestamp_update(color);
-      }
+      s.timestamp = timestamp;
     }
   }
   // Count this round's arrivals per color and fire wrap events.
@@ -110,23 +78,12 @@ void EligibilityTracker::arrival_phase(Round k,
     i = j;
 
     ColorState& s = state_[idx(color)];
-    if (!s.seen_job) {
-      s.seen_job = true;
-      ++active_colors_;
-    }
     s.cnt += count * drop_costs_[idx(color)];
     const Cost threshold = thresholds_[idx(color)];
     if (s.cnt >= threshold) {
       s.cnt %= threshold;  // counter wrapping event
-      s.prev_wrap = s.last_wrap;
       s.last_wrap = k;
-      if (!s.eligible) {
-        make_eligible(color);
-      } else {
-        // A second wrap within one block surfaces the first wrap as the
-        // new effective timestamp.
-        lru_refresh(color, k);
-      }
+      if (!s.eligible) make_eligible(color);
     }
   }
 }
@@ -139,70 +96,26 @@ std::vector<ColorId> EligibilityTracker::eligible_colors() const {
   return colors;
 }
 
-Round EligibilityTracker::timestamp(ColorId color, Round now) const {
-  const ColorState& s = state_[idx(color)];
-  const Round block_start = floor_multiple(now, delay_bounds_[idx(color)]);
-  // Wraps happen only at multiples of D_l, so the latest wrap strictly
-  // before the current block start is last_wrap unless last_wrap is the
-  // current boundary itself, in which case it is prev_wrap.
-  const Round wrap = s.last_wrap < block_start ? s.last_wrap : s.prev_wrap;
-  return wrap < 0 ? 0 : wrap;
-}
-
-void EligibilityTracker::enable_super_epoch_analysis(int m) {
-  RRS_REQUIRE(m >= 1, "super-epoch analysis needs m >= 1");
-  analysis_m_ = m;
-}
-
-void EligibilityTracker::note_timestamp_update(ColorId color) {
-  ++timestamp_updates_;
-  ColorState& s = state_[idx(color)];
-  if (s.updated_gen == super_generation_) return;  // already counted
-  s.updated_gen = super_generation_;
-  ++updated_this_super_;
-  if (updated_this_super_ >= 2 * analysis_m_) {
-    // Super-epoch ends the moment 2m distinct colors have updated.
-    ++super_epochs_;
-    ++super_generation_;
-    updated_this_super_ = 0;
-  }
-}
-
-void EligibilityTracker::note_epoch_end(ColorId color) {
-  ColorState& s = state_[idx(color)];
-  if (s.endings_gen != super_generation_) {
-    s.endings_gen = super_generation_;
-    s.endings_in_super_ = 0;
-  }
-  ++s.endings_in_super_;
-  max_endings_ = std::max(max_endings_, s.endings_in_super_);
-}
-
 PolicyColorState EligibilityTracker::export_color(ColorId color) const {
   const ColorState& s = state_[idx(color)];
   return {.cnt = s.cnt,
           .dd = s.dd,
           .last_wrap = s.last_wrap,
-          .prev_wrap = s.prev_wrap,
-          .eligible = s.eligible,
-          .seen_job = s.seen_job};
+          .timestamp = s.timestamp,
+          .eligible = s.eligible};
 }
 
 void EligibilityTracker::import_color(ColorId color,
                                       const PolicyColorState& in) {
   RRS_CHECK(idx(color) < state_.size());
   ColorState& s = state_[idx(color)];
-  RRS_CHECK_MSG(!s.eligible && s.cnt == 0 && !s.seen_job,
+  RRS_CHECK_MSG(!s.eligible && s.cnt == 0 && s.last_wrap < 0,
                 "import_color targets freshly begun trackers only (color "
                     << color << ")");
   s.cnt = in.cnt;
   s.dd = in.dd;
   s.last_wrap = in.last_wrap;
-  s.prev_wrap = in.prev_wrap;
-  if (in.seen_job) {
-    s.seen_job = true;
-    ++active_colors_;
-  }
+  s.timestamp = in.timestamp;
   if (in.eligible) make_eligible(color);
 }
 
@@ -211,13 +124,7 @@ void EligibilityTracker::make_eligible(ColorId color) {
   RRS_CHECK(!s.eligible);
   s.eligible = true;
   cal_insert(color);
-  if (now_ >= 0) {
-    lru_insert(color, timestamp(color, now_));
-  } else {
-    // Imported before any phase: the effective timestamp needs a round, so
-    // defer the list link to the first phase call.
-    dirty_imports_.push_back(color);
-  }
+  lru_insert(color);
 }
 
 void EligibilityTracker::make_ineligible(ColorId color) {
@@ -230,51 +137,21 @@ void EligibilityTracker::make_ineligible(ColorId color) {
 
 void EligibilityTracker::checkpoint(CheckpointWriter& w) const {
   w.i64(now_);
-  w.i64(super_epochs_);
-  w.i64(super_generation_);
-  w.i64(updated_this_super_);
-  w.i64(max_endings_);
-  w.i64(timestamp_updates_);
-  w.i64(completed_epochs_);
-  w.i64(active_colors_);
-  w.i64(eligible_drops_);
-  w.i64(ineligible_drops_);
-  w.i64(eligible_drop_weight_);
-  w.i64(ineligible_drop_weight_);
   w.i64(static_cast<std::int64_t>(state_.size()));
   for (const ColorState& s : state_) {
     w.i64(s.cnt);
     w.i64(s.dd);
     w.i64(s.last_wrap);
-    w.i64(s.prev_wrap);
+    w.i64(s.timestamp);
     w.boolean(s.eligible);
-    w.boolean(s.seen_job);
-    w.i64(s.eff_ts);
-    w.i64(s.updated_gen);
-    w.i64(s.endings_gen);
-    w.i64(s.endings_in_super_);
   }
 }
 
 void EligibilityTracker::restore_checkpoint(CheckpointReader& r) {
-  RRS_CHECK_MSG(active_colors_ == 0 && eligible_colors().empty(),
+  RRS_CHECK_MSG(now_ == -1 && eligible_colors().empty(),
                 "checkpoint restore into a non-fresh tracker");
-  // now_ first: make_eligible() keys its LRU-link-vs-defer decision on it,
-  // and timestamp() evaluation during the rebuild must use the checkpoint
-  // round's block.
   now_ = r.i64();
   RRS_REQUIRE(now_ >= -1, "checkpoint tracker round " << now_ << " < -1");
-  const std::int64_t super_epochs = r.i64();
-  const std::int64_t super_generation = r.i64();
-  const std::int64_t updated_this_super = r.i64();
-  const std::int64_t max_endings = r.i64();
-  const std::int64_t timestamp_updates = r.i64();
-  const std::int64_t completed_epochs = r.i64();
-  const std::int64_t active_colors = r.i64();
-  const std::int64_t eligible_drops = r.i64();
-  const std::int64_t ineligible_drops = r.i64();
-  const Cost eligible_drop_weight = r.i64();
-  const Cost ineligible_drop_weight = r.i64();
   const std::int64_t colors = r.i64();
   RRS_REQUIRE(colors == static_cast<std::int64_t>(state_.size()),
               "checkpoint tracker color count " << colors << " != "
@@ -284,14 +161,10 @@ void EligibilityTracker::restore_checkpoint(CheckpointReader& r) {
     s.cnt = r.i64();
     s.dd = r.i64();
     s.last_wrap = r.i64();
-    s.prev_wrap = r.i64();
+    s.timestamp = r.i64();
     const bool eligible = r.boolean();
-    s.seen_job = r.boolean();
-    s.eff_ts = r.i64();
-    s.updated_gen = r.i64();
-    s.endings_gen = r.i64();
-    s.endings_in_super_ = r.i64();
-    RRS_REQUIRE(s.cnt >= 0 && s.prev_wrap <= s.last_wrap,
+    RRS_REQUIRE(s.cnt >= 0 && s.last_wrap >= -1 && s.timestamp >= 0 &&
+                    s.timestamp <= std::max<Round>(s.last_wrap, 0),
                 "checkpoint tracker color " << c << " malformed");
     // The arrival phase advances every deadline at every block boundary
     // up to the phase round (round 0 included), and the rank calendar
@@ -307,18 +180,6 @@ void EligibilityTracker::restore_checkpoint(CheckpointReader& r) {
     // answers match the uninterrupted run bit for bit.
     if (eligible) make_eligible(static_cast<ColorId>(c));
   }
-  // Counters last: the make_eligible replay must not double-count.
-  super_epochs_ = super_epochs;
-  super_generation_ = super_generation;
-  updated_this_super_ = updated_this_super;
-  max_endings_ = max_endings;
-  timestamp_updates_ = timestamp_updates;
-  completed_epochs_ = completed_epochs;
-  active_colors_ = active_colors;
-  eligible_drops_ = eligible_drops;
-  ineligible_drops_ = ineligible_drops;
-  eligible_drop_weight_ = eligible_drop_weight;
-  ineligible_drop_weight_ = ineligible_drop_weight;
 }
 
 // --- incremental rank index ---
@@ -360,10 +221,8 @@ void EligibilityTracker::build_rank_index() {
   cal_nonempty_.assign((buckets + 63) / 64, 0);
   lru_prev_.assign(num_colors, kBlack);
   lru_next_.assign(num_colors, kBlack);
-  lru_ts_.assign(num_colors, 0);
   lru_linked_.assign(num_colors, 0);
   lru_head_ = kBlack;
-  dirty_imports_.clear();
   now_ = -1;
 }
 
@@ -405,13 +264,12 @@ std::size_t EligibilityTracker::next_bucket(std::size_t from,
   return hi;
 }
 
-void EligibilityTracker::lru_insert(ColorId color, Round ts) {
-  lru_ts_[idx(color)] = ts;
+void EligibilityTracker::lru_insert(ColorId color) {
+  const Round ts = state_[idx(color)].timestamp;
   ColorId prev = kBlack;
   ColorId cur = lru_head_;
-  while (cur != kBlack &&
-         (lru_ts_[idx(cur)] > ts ||
-          (lru_ts_[idx(cur)] == ts && cur < color))) {
+  while (cur != kBlack && (state_[idx(cur)].timestamp > ts ||
+                           (state_[idx(cur)].timestamp == ts && cur < color))) {
     prev = cur;
     cur = lru_next_[idx(cur)];
   }
@@ -441,29 +299,10 @@ void EligibilityTracker::lru_remove(ColorId color) {
   lru_linked_[idx(color)] = 0;
 }
 
-void EligibilityTracker::lru_refresh(ColorId color, Round k) {
-  const Round ts = timestamp(color, k);
-  if (ts == lru_ts_[idx(color)]) return;
-  lru_remove(color);
-  lru_insert(color, ts);
-}
-
-void EligibilityTracker::flush_dirty_imports(Round k) {
-  for (const ColorId color : dirty_imports_) {
-    // A color can have flipped ineligible (or been re-linked) since the
-    // import; only link colors still waiting for a timestamp.
-    if (state_[idx(color)].eligible && lru_linked_[idx(color)] == 0) {
-      lru_insert(color, timestamp(color, k));
-    }
-  }
-  dirty_imports_.clear();
-}
-
 const std::vector<ColorId>& EligibilityTracker::lru_order(
     std::size_t max_count) {
   RRS_CHECK_MSG(now_ >= 0,
                 "lru_order needs a phase call before the first query");
-  RRS_CHECK(dirty_imports_.empty());
   lru_scratch_.clear();
   for (ColorId c = lru_head_;
        c != kBlack && lru_scratch_.size() < max_count;

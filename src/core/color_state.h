@@ -16,13 +16,16 @@
 //               phase of a multiple of D_l while it is not cached;
 //   * the dLRU *timestamp* — the latest round before the most recent
 //               multiple of D_l in which a counter wrapping event occurred
-//               (0 if none).  Timestamps are evaluated lazily from the last
-//               two wrap rounds, which is equivalent because wraps happen
-//               only at multiples of D_l.
+//               (0 if none).  It is recorded at each block start, before
+//               that round's arrivals are counted, so it holds on any
+//               input: unbatched arrivals, and a color whose jobs reach the
+//               arrival phase in several runs, may wrap anywhere in a
+//               block.
 //
-// It also tallies the quantities the paper's analysis is stated in terms of
-// (epochs, eligible vs. ineligible drops), so experiments E6 can check
-// Lemmas 3.2-3.4 numerically.
+// The tracker holds only what the rules read.  The quantities the paper's
+// proofs count (epochs, eligible and ineligible drops, super-epochs) are
+// recomputed from the run's events by Section3Shadow
+// (algs/section3_shadow.h).
 #pragma once
 
 #include <bit>
@@ -50,18 +53,17 @@ class EligibilityTracker {
   /// so streaming sources work — the tracker never touches the job table).
   void begin(const ArrivalSource& source);
 
-  /// Drop phase of round `k`: classifies this round's drops as eligible or
-  /// ineligible (Section 3.2), then, for every color l with k a multiple of
-  /// D_l that is eligible and not cached, ends its epoch (set ineligible,
+  /// Drop phase of round `k`: for every color l with k a multiple of D_l
+  /// that is eligible and not cached, ends its epoch (set ineligible,
   /// cnt = 0).
-  void drop_phase(Round k, const PendingJobs::DropResult& dropped,
-                  const CacheAssignment& cache);
+  void drop_phase(Round k, const CacheAssignment& cache);
 
   /// Arrival phase of round `k`: for every color with k a multiple of its
-  /// delay bound, advances the color deadline and counts arrivals, firing
-  /// counter wrapping events (and eligibility) when cnt reaches Delta.
-  /// Both phases visit only the colors that start a block at k, in
-  /// ascending delay and then ascending color order.
+  /// delay bound, advances the color deadline and records the timestamp;
+  /// then counts arrivals, firing counter wrapping events (and
+  /// eligibility) when cnt reaches Delta.  Both phases visit only the
+  /// colors that start a block at k, in ascending delay and then ascending
+  /// color order.
   void arrival_phase(Round k, std::span<const Job> arrivals);
 
   [[nodiscard]] bool eligible(ColorId color) const {
@@ -96,8 +98,11 @@ class EligibilityTracker {
     return lengths_[idx(color)];
   }
 
-  /// dLRU timestamp of `color` as of round `now` (lazy evaluation).
-  [[nodiscard]] Round timestamp(ColorId color, Round now) const;
+  /// dLRU timestamp of `color`: the latest wrap before its most recent
+  /// block start, 0 if none.
+  [[nodiscard]] Round timestamp(ColorId color) const {
+    return state_[idx(color)].timestamp;
+  }
 
   /// Currently eligible colors, ascending.  A scan over every color; the
   /// policies read the rank index below instead.
@@ -125,17 +130,17 @@ class EligibilityTracker {
   //     on the same (idle, dd, static rank) key, so the two together answer
   //     every EdfKey question without a full order.
   //   * dLRU: eligible colors live in an intrusive doubly-linked recency
-  //     list ordered by (effective timestamp desc, color asc).  Effective
-  //     timestamps change only at counter wraps and own-block boundaries,
-  //     both of which pass through arrival_phase, so repositions are
-  //     charged to churn.
+  //     list ordered by (timestamp desc, color asc).  Timestamps change
+  //     only at own-block boundaries, which pass through arrival_phase, so
+  //     repositions are charged to churn.
   //
-  // begin() builds the index; edf_sort / lru_sort (algs/ranked_cache.h)
-  // are the from-scratch references the tests hold it to.
+  // begin() builds the index.  The tests hold it to from-scratch sorts,
+  // and Section3Shadow (algs/section3_shadow.h) holds the policies that
+  // read it to the paper's rules.
 
   /// The first `k` eligible colors in exact EDF rank order (EdfKey in
-  /// algs/ranked_cache.h) that have pending work and that `reject(color)`
-  /// does not reject; the walk stops at the k-th.  The buffer is the
+  /// algs/section3_shadow.h) that have pending work and that
+  /// `reject(color)` does not reject; the walk stops at the k-th.  The buffer is the
   /// tracker's, valid until the next edf_top() or phase call.
   template <typename Reject>
   [[nodiscard]] const std::vector<ColorId>& edf_top(
@@ -153,8 +158,8 @@ class EligibilityTracker {
   }
 
   /// Up to `max_count` eligible colors in exact dLRU rank order (LruKey:
-  /// descending effective timestamp, ties ascending color) as of the last
-  /// phase round.  The returned buffer is owned by the tracker, distinct
+  /// descending timestamp, ties ascending color) as of the last phase
+  /// round.  The returned buffer is owned by the tracker, distinct
   /// from edf_top()'s, and valid until the next lru_order() or phase
   /// call.
   [[nodiscard]] const std::vector<ColorId>& lru_order(std::size_t max_count);
@@ -165,92 +170,31 @@ class EligibilityTracker {
   [[nodiscard]] PolicyColorState export_color(ColorId color) const;
 
   /// Restores an exported snapshot onto a freshly begun tracker (call
-  /// after begin(), before any phase).  Eligibility and the active-color
-  /// tally are replayed so ranking and num_epochs() continue exactly
-  /// where the exporting tracker left off.
+  /// after begin(), before any phase).  Eligibility is replayed so ranking
+  /// continues exactly where the exporting tracker left off.
   void import_color(ColorId color, const PolicyColorState& state);
 
   // --- checkpoint/restore (crash-safe service mode) ---
 
-  /// Serializes the full per-color state and every analysis counter.  The
-  /// rank index is NOT serialized: restore_checkpoint rebuilds it from
-  /// the per-color state through the same total orders the live
-  /// structures maintain, so queries are bit-identical.
+  /// Serializes the phase round and the full per-color state.  The rank
+  /// index is NOT serialized: restore_checkpoint rebuilds it from the
+  /// per-color state through the same total orders the live structures
+  /// maintain, so queries are bit-identical.
   void checkpoint(CheckpointWriter& w) const;
 
   /// Restores checkpoint() state onto a freshly begun tracker (same
-  /// source metadata, same super-epoch setting).  Once a phase has run,
-  /// every color deadline ends the block holding the phase round; a
-  /// section that breaks this is rejected with InputError.
+  /// source metadata).  Once a phase has run, every color deadline ends
+  /// the block holding the phase round; a section that breaks this is
+  /// rejected with InputError.
   void restore_checkpoint(CheckpointReader& r);
-
-  // --- analysis counters (Section 3.2 definitions) ---
-
-  /// Completed epochs (eligible -> ineligible transitions) plus one
-  /// incomplete epoch per color that received at least one job.
-  [[nodiscard]] std::int64_t num_epochs() const {
-    return completed_epochs_ + active_colors_;
-  }
-
-  /// Jobs dropped while their color was ineligible / eligible (counts).
-  [[nodiscard]] std::int64_t ineligible_drops() const {
-    return ineligible_drops_;
-  }
-  [[nodiscard]] std::int64_t eligible_drops() const {
-    return eligible_drops_;
-  }
-
-  /// Weighted variants: summed drop costs (equal to the counts for unit
-  /// drop costs).
-  [[nodiscard]] Cost ineligible_drop_weight() const {
-    return ineligible_drop_weight_;
-  }
-  [[nodiscard]] Cost eligible_drop_weight() const {
-    return eligible_drop_weight_;
-  }
-
-  // --- super-epoch analysis (Section 3.4) ---
-  //
-  // A super-epoch ends the moment at least 2m distinct colors have
-  // increased their timestamps since it started (m = the offline resource
-  // count of the analysis).  Lemma 3.15 implies no color completes more
-  // than two epochs inside one super-epoch (Corollary 3.2: at most three
-  // epochs overlap it).  Enable with the analysis m; counters then track
-  // the quantities the Lemma 3.5 proof charges.
-
-  /// Enables super-epoch tracking for offline resource count `m` (>= 1).
-  /// Call before the run starts (begin() keeps the setting).
-  void enable_super_epoch_analysis(int m);
-
-  /// Completed super-epochs so far (the current one is in progress).
-  [[nodiscard]] std::int64_t num_super_epochs() const {
-    return super_epochs_;
-  }
-
-  /// Largest number of epoch endings any color accumulated within one
-  /// super-epoch (Lemma 3.15 predicts <= 2).
-  [[nodiscard]] std::int64_t max_epoch_endings_per_super_epoch() const {
-    return max_endings_;
-  }
-
-  /// Total timestamp update events observed (analysis enabled only).
-  [[nodiscard]] std::int64_t timestamp_updates() const {
-    return timestamp_updates_;
-  }
 
  private:
   struct ColorState {
     Cost cnt = 0;
     Round dd = 0;
-    Round last_wrap = -1;         // most recent counter-wrap round
-    Round prev_wrap = -1;         // the one before
+    Round last_wrap = -1;  // most recent counter-wrap round (-1 = none)
+    Round timestamp = 0;   // recorded at the most recent block start
     bool eligible = false;
-    bool seen_job = false;        // has received any job
-    // Super-epoch analysis state (valid when analysis_m_ > 0):
-    Round eff_ts = 0;                 // last observed effective timestamp
-    std::int64_t updated_gen = 0;     // super-epoch generation of last update
-    std::int64_t endings_gen = 0;     // generation of endings_in_super_
-    std::int64_t endings_in_super_ = 0;
   };
 
   [[nodiscard]] static std::size_t idx(ColorId c) {
@@ -260,9 +204,6 @@ class EligibilityTracker {
   void make_eligible(ColorId color);
   void make_ineligible(ColorId color);
 
-  void note_timestamp_update(ColorId color);
-  void note_epoch_end(ColorId color);
-
   // Rank-index internals.
   void build_rank_index();
   void cal_insert(ColorId color);
@@ -270,11 +211,9 @@ class EligibilityTracker {
   /// First nonempty calendar bucket in [from, hi), or hi if none.
   [[nodiscard]] std::size_t next_bucket(std::size_t from,
                                         std::size_t hi) const;
-  void lru_insert(ColorId color, Round ts);
+  /// Links `color` into the recency list at its current timestamp.
+  void lru_insert(ColorId color);
   void lru_remove(ColorId color);
-  /// Removes + re-inserts `color` when its effective timestamp changed.
-  void lru_refresh(ColorId color, Round k);
-  void flush_dirty_imports(Round k);
 
   // Flat copies of the source's per-color metadata, filled at begin():
   // the drop/arrival/timestamp paths run every round and must not pay a
@@ -288,12 +227,6 @@ class EligibilityTracker {
   std::vector<Cost> thresholds_;
   /// Which colors start a block at each round.
   BlockCalendar blocks_;
-  int analysis_m_ = 0;  // 0 = super-epoch analysis disabled
-  std::int64_t super_epochs_ = 0;
-  std::int64_t super_generation_ = 1;
-  std::int64_t updated_this_super_ = 0;
-  std::int64_t max_endings_ = 0;
-  std::int64_t timestamp_updates_ = 0;
   std::vector<ColorState> state_;
 
   // --- incremental rank index state (built by begin()) ---
@@ -311,23 +244,13 @@ class EligibilityTracker {
   std::vector<std::uint64_t> cal_nonempty_;  ///< bitmap over buckets
   std::size_t cal_mask_ = 0;
   /// Intrusive recency list over eligible colors, (timestamp desc, color
-  /// asc); lru_ts_ caches each linked color's effective timestamp.
+  /// asc).
   std::vector<ColorId> lru_prev_;
   std::vector<ColorId> lru_next_;
-  std::vector<Round> lru_ts_;
   std::vector<std::uint8_t> lru_linked_;
   ColorId lru_head_ = kBlack;
-  /// Colors imported eligible before any phase ran: their effective
-  /// timestamp needs the first phase round, so the list link is deferred.
-  std::vector<ColorId> dirty_imports_;
   std::vector<ColorId> edf_scratch_;
   std::vector<ColorId> lru_scratch_;
-  std::int64_t completed_epochs_ = 0;
-  std::int64_t active_colors_ = 0;
-  std::int64_t eligible_drops_ = 0;
-  std::int64_t ineligible_drops_ = 0;
-  Cost eligible_drop_weight_ = 0;
-  Cost ineligible_drop_weight_ = 0;
 };
 
 template <typename Reject>

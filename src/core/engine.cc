@@ -107,12 +107,13 @@ void Engine::churn_phase() {
     const int r = ev.resource;
     ColorId& lost = lost_[static_cast<std::size_t>(r)];
     Churn churn{k_, r, ev.fail};
+    ColorId evicted = kBlack;
     if (ev.fail) {
       // What re-imaging the location will cost on repair depends on the
       // physical content lost, which may differ from the evicted cached
       // color (a stale physical color is not in the cached set).
       lost = cache_.color_at(r);
-      const ColorId evicted = cache_.fail_location(r);
+      evicted = cache_.fail_location(r);
       ++result_.degraded.fault_events;
       if (evicted != kBlack) {
         ++result_.degraded.churn_evictions;
@@ -133,7 +134,12 @@ void Engine::churn_phase() {
       }
     }
     churn.lost = lost;
-    if (!sinks_.empty()) emit(&RunSink::on_churn, churn);
+    if (!sinks_.empty()) {
+      emit(&RunSink::on_churn, churn);
+      if (evicted != kBlack) {
+        emit(&RunSink::on_membership, Membership{k_, -1, evicted, false});
+      }
+    }
   }
   policy_->on_capacity_change(k_, options_.num_resources - cache_.num_down(),
                               options_.num_resources, evicted_);
@@ -171,8 +177,14 @@ void Engine::run_round(ArrivalSource* pull) {
     // arrivals (on mini 0) and mutates the cache, all in one dispatch.
     cache_.begin_phase();
     RoundContext ctx(k_, mini, /*final_sweep=*/false, dropped_, arrivals,
-                     pending_, cache_, options_.observer);
+                     pending_, cache_);
     policy_->on_round(ctx);
+    if (!sinks_.empty()) {
+      for (const MembershipChange& m : cache_.membership_changes()) {
+        emit(&RunSink::on_membership,
+             Membership{k_, mini, m.color, m.inserted});
+      }
+    }
     for (const Recoloring& e : cache_.finish_phase()) {
       const Cost price = model_.reconfig_cost(e.from, e.to);
       ++result_.cost.reconfig_events;
@@ -289,7 +301,7 @@ EngineResult Engine::finish() {
   // matches the engine's.
   drop_phase(std::max(k_, max_deadline_), cache_.num_down() > 0);
   RoundContext final_ctx(k_, 0, /*final_sweep=*/true, dropped_, {}, pending_,
-                         cache_, options_.observer);
+                         cache_);
   policy_->on_round(final_ctx);
 
   return end_run();

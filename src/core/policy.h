@@ -42,7 +42,6 @@
 
 namespace rrs {
 
-struct Observer;
 class CheckpointReader;
 class CheckpointWriter;
 
@@ -52,15 +51,14 @@ class RoundContext {
   RoundContext(Round round, int mini, bool final_sweep,
                const PendingJobs::DropResult& dropped,
                std::span<const Job> arrivals, const PendingJobs& pending,
-               CacheAssignment& cache, Observer* observer = nullptr)
+               CacheAssignment& cache)
       : round_(round),
         mini_(mini),
         final_sweep_(final_sweep),
         dropped_(&dropped),
         arrivals_(arrivals),
         pending_(&pending),
-        cache_(&cache),
-        observer_(observer) {}
+        cache_(&cache) {}
 
   /// Current round k.
   [[nodiscard]] Round round() const { return round_; }
@@ -90,11 +88,6 @@ class RoundContext {
   /// The cache, open for mutation except when final_sweep() is true.
   [[nodiscard]] CacheAssignment& cache() const { return *cache_; }
 
-  /// The run's event sink, or nullptr when observability is off.  Policies
-  /// may push policy-level TraceEvents (epoch turnovers, adaptations)
-  /// through it; they must treat it as optional.
-  [[nodiscard]] Observer* obs() const { return observer_; }
-
  private:
   Round round_;
   int mini_;
@@ -103,7 +96,6 @@ class RoundContext {
   std::span<const Job> arrivals_;
   const PendingJobs* pending_;
   CacheAssignment* cache_;
-  Observer* observer_;
 };
 
 /// Portable per-color policy scratch: the Section 3.1 state machine fields
@@ -116,9 +108,8 @@ struct PolicyColorState {
   Cost cnt = 0;            ///< arrivals counted modulo the threshold
   Round dd = 0;            ///< color deadline l.dd
   Round last_wrap = -1;    ///< most recent counter-wrap round
-  Round prev_wrap = -1;    ///< the wrap before that (dLRU timestamp basis)
+  Round timestamp = 0;     ///< dLRU timestamp recorded at the block start
   bool eligible = false;
-  bool seen_job = false;   ///< color has received at least one job
 };
 
 /// Base class for online reconfiguration policies.
@@ -207,8 +198,8 @@ class Policy {
     (void)state;
   }
 
-  /// Optional policy-specific counters (epochs, classified drops, ...)
-  /// surfaced to experiments.
+  /// Optional policy-specific counters (capacity changes, adaptations,
+  /// ...) surfaced to experiments.
   [[nodiscard]] virtual std::vector<std::pair<std::string, std::int64_t>>
   stats() const {
     return {};

@@ -5,9 +5,12 @@
 // phase; a run's cost is the priced reconfigurations (charged repairs
 // included) plus the dropped weight.  The engine emits each event once to
 // its sinks (the schedule recorder and the Observer); replay()
-// (core/replay.h) re-derives the same stream from a recorded Schedule.
-// Within a round the order is churn, drops, arrivals, then per mini-round
-// its reconfigurations and execution units by location, then the end.
+// (core/replay.h) re-derives the same stream from a recorded Schedule,
+// except the membership changes: a Schedule records no logical cached set,
+// so a replay emits none.  Within a round the order is churn (each
+// failure's eviction after its Churn), drops, arrivals, then per mini-round
+// its membership changes, reconfigurations and execution units by
+// location, then the end.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +78,17 @@ struct Churn {
   Cost price = 0;        ///< its charge (0 unless charged)
 };
 
+/// One change to the logical cached set (Section 3.1's cache of colors,
+/// which a physical recoloring does not show): an insert or an eviction
+/// made by the policy's reconfiguration phase, in the order the policy
+/// made them, or the eviction of a color whose location failed.
+struct Membership {
+  Round round = 0;
+  std::int32_t mini = 0;  ///< the phase's mini-round; -1 in the churn phase
+  ColorId color = 0;
+  bool inserted = false;  ///< an insert, or else an eviction
+};
+
 /// The end of a round.  An engine attaches its running totals and the
 /// pending-set size; a replay has neither (`totals` is nullptr).
 struct RoundEnd {
@@ -90,6 +104,7 @@ class RunSink {
   virtual void on_churn(const Churn&) {}
   virtual void on_drop(const Drop&) {}
   virtual void on_arrivals(const Arrivals&) {}
+  virtual void on_membership(const Membership&) {}
   virtual void on_reconfig(const Reconfiguration&) {}
   virtual void on_exec(const ExecUnit&) {}
   virtual void on_round_end(const RoundEnd&) {}

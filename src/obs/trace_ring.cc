@@ -16,10 +16,6 @@ const char* trace_kind_name(TraceKind kind) {
       return "churn-fail";
     case TraceKind::kChurnRepair:
       return "churn-repair";
-    case TraceKind::kEpochTurnover:
-      return "epoch-turnover";
-    case TraceKind::kAdaptation:
-      return "adaptation";
     case TraceKind::kSnapshot:
       return "snapshot";
   }

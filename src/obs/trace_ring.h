@@ -14,8 +14,6 @@ enum class TraceKind : std::uint8_t {
   kReconfig,       // detail = mini-round, value = reconfig events committed
   kChurnFail,      // detail = resource id, value = color lost (or kBlack)
   kChurnRepair,    // detail = resource id, value = 0
-  kEpochTurnover,  // detail = 0, value = new epoch count
-  kAdaptation,     // detail = new cache-share percent, value = #adaptations
   kSnapshot,       // detail = 0, value = pending-job gauge
 };
 

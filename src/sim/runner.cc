@@ -134,6 +134,9 @@ class SegmentLoop {
                         : options.resume             ? "resume"
                                                      : "the stop flag")
                     << ": the reduction adapters do not checkpoint");
+    RRS_REQUIRE(stages_.empty() || options.observer == nullptr,
+                "'" << name << "' with an observer: the observer would see "
+                    << "the reduction's virtual colors, not the mapped run");
 
     // Resolved up front: every engine and the fabric must agree on it.
     arrival_end_ = resolve_arrival_end(source_, max_rounds);

@@ -47,7 +47,9 @@ struct RunOptions {
   /// snapshot series merged point-wise with carry-forward (then written to
   /// snapshot_out), final snapshots merged.  The merge holds only
   /// deterministic data, so the snapshot bytes do not depend on whether
-  /// the shards ran over shard-native views or the demux fabric.
+  /// the shards ran over shard-native views or the demux fabric.  A
+  /// reduction ("distribute", "varbatch") rejects an observer with
+  /// InputError: it would count the adapters' virtual colors.
   Observer* observer = nullptr;
   /// Sparse-round fast-forward (see EngineOptions::fast_forward).
   /// Bit-identical either way; disable only to measure the skip.

@@ -1,5 +1,6 @@
 // Unit tests for core/color_state: the Section 3.1 per-color state machine
-// (counters, wraps, eligibility, timestamps, epoch/drop accounting).
+// (counters, wraps, eligibility, timestamps), and the epoch and drop
+// accounting Section3Shadow recomputes from an engine run's events.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,10 +9,12 @@
 #include <utility>
 #include <vector>
 
+#include "algs/section3_shadow.h"
 #include "core/arrival_source.h"
 #include "core/block_calendar.h"
 #include "core/cache.h"
 #include "core/color_state.h"
+#include "core/engine.h"
 #include "core/instance.h"
 #include "util/bits.h"
 #include "util/check.h"
@@ -32,7 +35,7 @@ class TrackerHarness {
   /// Runs rounds [next_, until) with no cache changes and no drops.
   void advance_to(Round until) {
     for (; next_ < until; ++next_) {
-      tracker_.drop_phase(next_, PendingJobs::DropResult{}, cache_);
+      tracker_.drop_phase(next_, cache_);
       tracker_.arrival_phase(next_, instance_.arrivals_in_round(next_));
     }
   }
@@ -59,6 +62,30 @@ class TrackerHarness {
   EligibilityTracker tracker_;
   Round next_ = 0;
 };
+
+/// A policy that never caches a color.
+class NeverCache : public Policy {
+ public:
+  [[nodiscard]] std::string_view name() const override {
+    return "never-cache";
+  }
+  void on_round(RoundContext& ctx) override { (void)ctx; }
+};
+
+/// What Section3Shadow counts over an engine run of `instance` in which
+/// no color is ever cached, so every eligible color ends its epoch at its
+/// next block start.
+Section3Report never_cached_report(const Instance& instance) {
+  MaterializedSource source(instance);
+  NeverCache policy;
+  EngineOptions options;
+  options.num_resources = 4;
+  options.replication = 2;
+  options.record_schedule = false;
+  Section3Shadow shadow(source, options, Section3Rule::kNone);
+  (void)run_with_shadow(source, policy, options, shadow);
+  return shadow.report();
+}
 
 /// One color, delay 4, Delta 3; batches of `batch` jobs at given rounds.
 Instance one_color_instance(Cost delta, Round delay,
@@ -101,12 +128,14 @@ TEST(EligibilityTracker, CounterAccumulatesAcrossBatches) {
 }
 
 TEST(EligibilityTracker, UncachedEligibleColorResetsAtBoundary) {
-  TrackerHarness h(one_color_instance(3, 4, {{0, 3}}));
+  const Instance instance = one_color_instance(3, 4, {{0, 3}});
+  TrackerHarness h(instance);
   h.advance_to(4);  // rounds 0..3: eligible since the round-0 wrap
   ASSERT_TRUE(h.tracker().eligible(0));
   h.advance_to(5);  // boundary at round 4: not cached -> ineligible
   EXPECT_FALSE(h.tracker().eligible(0));
-  EXPECT_EQ(h.tracker().num_epochs(), 2);  // 1 completed + 1 incomplete
+  // 1 completed + 1 incomplete, and no later wrap.
+  EXPECT_EQ(never_cached_report(instance).epochs, 2);
 }
 
 TEST(EligibilityTracker, CachedColorStaysEligibleAtBoundary) {
@@ -126,14 +155,14 @@ TEST(EligibilityTracker, TimestampLagsWrapByOneBoundary) {
   // "no such round" default); from round 4 the wrap at 0 becomes visible.
   TrackerHarness h(one_color_instance(3, 4, {{0, 3}, {8, 3}}));
   h.advance_to(1);
-  EXPECT_EQ(h.tracker().timestamp(0, 1), 0);
+  EXPECT_EQ(h.tracker().timestamp(0), 0);
   h.cache_color(0);  // keep it eligible across boundaries
   h.advance_to(5);
-  EXPECT_EQ(h.tracker().timestamp(0, 5), 0);  // wrap at 0 now < boundary 4
+  EXPECT_EQ(h.tracker().timestamp(0), 0);  // wrap at 0 now < boundary 4
   h.advance_to(9);  // wrap at 8 happened; within [8,12) it is not visible
-  EXPECT_EQ(h.tracker().timestamp(0, 9), 0);  // still the round-0 wrap
+  EXPECT_EQ(h.tracker().timestamp(0), 0);  // still the round-0 wrap
   h.advance_to(13);
-  EXPECT_EQ(h.tracker().timestamp(0, 13), 8);  // now the round-8 wrap shows
+  EXPECT_EQ(h.tracker().timestamp(0), 8);  // now the round-8 wrap shows
 }
 
 TEST(EligibilityTracker, ColorDeadlineAdvancesAtBoundaries) {
@@ -151,43 +180,37 @@ TEST(EligibilityTracker, DropClassificationUsesPreResetStatus) {
   builder.delta(2);
   const ColorId c = builder.add_color(4);
   builder.add_jobs(c, 0, 3);  // wraps (3 >= 2), 1 leftover counted
+  builder.add_jobs(c, 4, 1);  // counted after the epoch end: no wrap
   builder.min_horizon(16);
   const Instance inst = builder.build();
 
-  CacheAssignment cache(4, 2);
-  cache.ensure_colors(1);
-  const MaterializedSource source(inst);
-  EligibilityTracker tracker;
-  tracker.begin(source);
-  tracker.drop_phase(0, {}, cache);
-  tracker.arrival_phase(0, inst.arrivals_in_round(0));
-  ASSERT_TRUE(tracker.eligible(c));
+  TrackerHarness h(inst);
+  h.advance_to(1);
+  ASSERT_TRUE(h.tracker().eligible(c));
+  h.advance_to(5);
+  EXPECT_FALSE(h.tracker().eligible(c));
 
   // Boundary at round 4: the 3 jobs expire while the color is STILL
-  // eligible, so they are eligible drops; the color then goes ineligible.
-  PendingJobs::DropResult dropped;
-  dropped.total = 3;
-  dropped.by_color = {{c, 3}};
-  tracker.drop_phase(4, dropped, cache);
-  EXPECT_EQ(tracker.eligible_drops(), 3);
-  EXPECT_EQ(tracker.ineligible_drops(), 0);
-  EXPECT_FALSE(tracker.eligible(c));
-
-  // A later drop while ineligible classifies the other way.
-  PendingJobs::DropResult dropped2;
-  dropped2.total = 1;
-  dropped2.by_color = {{c, 1}};
-  tracker.drop_phase(8, dropped2, cache);
-  EXPECT_EQ(tracker.ineligible_drops(), 1);
+  // eligible, so they are eligible drops; the color then goes ineligible,
+  // and the round-4 job expires at round 8 as an ineligible drop.
+  const Section3Report report = never_cached_report(inst);
+  EXPECT_EQ(report.dropped_eligible.count, 3);
+  EXPECT_EQ(report.dropped_ineligible.count, 1);
 }
 
 TEST(EligibilityTracker, EpochCountingMultipleCycles) {
   // Delta 2, delay 4; 2 jobs at rounds 0, 8, 16 -> three eligibility
   // cycles, each ending at the next boundary (uncached throughout).
-  TrackerHarness h(one_color_instance(2, 4, {{0, 2}, {8, 2}, {16, 2}}));
-  h.advance_to(21);
+  const Instance instance = one_color_instance(2, 4, {{0, 2}, {8, 2}, {16, 2}});
+  TrackerHarness h(instance);
+  for (const Round wrap : {0, 8, 16}) {
+    h.advance_to(wrap + 1);
+    EXPECT_TRUE(h.tracker().eligible(0)) << "round " << wrap;
+    h.advance_to(wrap + 5);
+    EXPECT_FALSE(h.tracker().eligible(0)) << "round " << wrap + 4;
+  }
   // 3 completed epochs + the current incomplete one.
-  EXPECT_EQ(h.tracker().num_epochs(), 4);
+  EXPECT_EQ(never_cached_report(instance).epochs, 4);
 }
 
 TEST(EligibilityTracker, ActiveColorsCountedOnce) {
@@ -196,10 +219,12 @@ TEST(EligibilityTracker, ActiveColorsCountedOnce) {
   const ColorId c = builder.add_color(4);
   builder.add_jobs(c, 0, 1).add_jobs(c, 4, 1).add_jobs(c, 8, 1);
   builder.min_horizon(32);
-  TrackerHarness h(builder.build());
+  const Instance instance = builder.build();
+  TrackerHarness h(instance);
   h.advance_to(12);
-  EXPECT_EQ(h.tracker().num_epochs(), 1);  // one incomplete epoch only
   EXPECT_FALSE(h.tracker().eligible(c));
+  // One incomplete epoch only.
+  EXPECT_EQ(never_cached_report(instance).epochs, 1);
 }
 
 TEST(EligibilityTracker, CounterWrapsModuloDelta) {
@@ -213,7 +238,7 @@ TEST(EligibilityTracker, CounterWrapsModuloDelta) {
   // Second wrap at round 4 is recorded: from round 8 both wraps are past
   // boundaries and timestamp shows round 4.
   h.advance_to(9);
-  EXPECT_EQ(h.tracker().timestamp(0, 9), 4);
+  EXPECT_EQ(h.tracker().timestamp(0), 4);
 }
 
 TEST(EligibilityTracker, MultipleDelayGroupsTouchOnlyAtOwnBoundaries) {

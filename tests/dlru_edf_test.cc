@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "algs/dlru_edf.h"
+#include "algs/section3_shadow.h"
 #include "core/validator.h"
 #include "offline/appendix_off.h"
 #include "offline/lower_bound.h"
@@ -122,12 +123,15 @@ TEST(DLruEdf, TrackerStatsAreConsistent) {
   params.horizon = 512;
   const Instance inst = make_random_batched(params);
 
+  MaterializedSource source(inst);
   DLruEdfPolicy policy;
-  const EngineResult r = run_policy(inst, policy, section3_options(8));
-  const EligibilityTracker& tracker = policy.tracker();
-  EXPECT_EQ(tracker.eligible_drops() + tracker.ineligible_drops(),
-            r.cost.drops);
-  EXPECT_GT(tracker.num_epochs(), 0);
+  const EngineOptions options = section3_options(8);
+  Section3Shadow shadow(source, options, Section3Rule::kDLruEdf);
+  const EngineResult r = run_with_shadow(source, policy, options, shadow);
+  const Section3Report& report = shadow.report();
+  EXPECT_EQ(report.dropped_eligible.count + report.dropped_ineligible.count, r.cost.drops);
+  EXPECT_GT(report.epochs, 0);
+  EXPECT_FALSE(report.violation) << report.violation->describe();
 }
 
 TEST(DLruEdf, Lemma31_FewJobsPerColorCostsAtMostOff) {

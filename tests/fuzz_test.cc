@@ -817,8 +817,8 @@ TEST(CheckpointFuzz, GeneratorCursorsAndPeekedJobsMustKeepThePullContract) {
 }
 
 TEST(CheckpointFuzz, TrackerDeadlinesMustEndTheCheckpointRoundsBlock) {
-  // A well-framed tracker section built by hand: the phase round, eleven
-  // analysis counters, then each color's state.  A checkpoint is written
+  // A well-framed tracker section built by hand: the phase round, then
+  // each color's state.  A checkpoint is written
   // between rounds, after every block boundary up to the phase round, so
   // each color deadline ends the block holding that round.  Restore must
   // reject any other deadline: a stale one would stop the first EDF query
@@ -834,19 +834,16 @@ TEST(CheckpointFuzz, TrackerDeadlinesMustEndTheCheckpointRoundsBlock) {
     CheckpointWriter w;
     w.begin_section(1);
     w.i64(now);
-    for (int counter = 0; counter < 11; ++counter) w.i64(0);
     w.i64(2);  // colors
     const struct {
       Round dd, last_wrap;
       bool eligible;
     } colors[] = {{dd0, 4, true}, {dd1, -1, false}};
     for (const auto& c : colors) {
-      for (const std::int64_t v : {Round{0}, c.dd, c.last_wrap, Round{-1}}) {
-        w.i64(v);  // cnt, dd, last_wrap, prev_wrap
+      for (const std::int64_t v : {Round{0}, c.dd, c.last_wrap, Round{0}}) {
+        w.i64(v);  // cnt, dd, last_wrap, timestamp
       }
       w.boolean(c.eligible);
-      w.boolean(c.eligible);  // seen_job
-      for (int field = 0; field < 4; ++field) w.i64(0);  // super-epochs
     }
     w.end_section();
     std::stringstream bytes;

@@ -280,13 +280,13 @@ TEST(TraceRingTest, DumpNamesEveryKind) {
   TraceRing ring(16);
   ring.push({1, TraceKind::kDropBurst, 2, 5});
   ring.push({2, TraceKind::kChurnFail, 0, kBlack});
-  ring.push({3, TraceKind::kEpochTurnover, 0, 7});
+  ring.push({3, TraceKind::kSnapshot, 0, 7});
   std::ostringstream os;
   ring.dump(os);
   const std::string text = os.str();
   EXPECT_NE(text.find("drop-burst"), std::string::npos);
   EXPECT_NE(text.find("churn-fail"), std::string::npos);
-  EXPECT_NE(text.find("epoch-turnover"), std::string::npos);
+  EXPECT_NE(text.find("snapshot"), std::string::npos);
   EXPECT_NE(text.find("3 of 3 events"), std::string::npos);
 }
 

@@ -8,7 +8,7 @@
 
 #include "algs/dlru_edf.h"
 #include "algs/edf.h"
-#include "algs/ranked_cache.h"
+#include "algs/section3_shadow.h"
 #include "core/fault_plan.h"
 #include "core/validator.h"
 #include "offline/exact_bnb.h"
@@ -36,94 +36,80 @@ class SeededProperty : public ::testing::TestWithParam<std::uint64_t> {
   }
 };
 
-TEST_P(SeededProperty, Lemma33_ReconfigCostBoundedByEpochs) {
-  // Lemma 3.3: ReconfigCost(dLRU-EDF) <= 4 * numEpochs * Delta.
-  const Instance inst = rate_limited_instance();
+/// Runs dLRU-EDF (n = 8m, replication 2) over `inst` with a shadow
+/// attached and returns the shadow's report.
+Section3Report shadowed_dlru_edf(const Instance& inst, int m = 1) {
+  MaterializedSource source(inst);
   DLruEdfPolicy policy;
   EngineOptions options;
-  options.num_resources = 8;
+  options.num_resources = 8 * m;
   options.replication = 2;
   options.record_schedule = false;
-  const EngineResult r = run_policy(inst, policy, options);
-  EXPECT_LE(r.cost.reconfig_cost,
-            4 * policy.tracker().num_epochs() * inst.delta());
+  Section3Shadow shadow(source, options, Section3Rule::kDLruEdf, m);
+  const EngineResult r = run_with_shadow(source, policy, options, shadow);
+  EXPECT_EQ(shadow.report().reconfig_cost, r.cost.reconfig_cost);
+  return shadow.report();
+}
+
+TEST_P(SeededProperty, Lemma33_ReconfigCostBoundedByEpochs) {
+  // Lemma 3.3: ReconfigCost(dLRU-EDF) <= 4 * numEpochs * Delta, at every
+  // round end of a rate-limited run.
+  const Section3Report report = shadowed_dlru_edf(rate_limited_instance());
+  ASSERT_TRUE(report.in_model);
+  EXPECT_TRUE(report.lemma_3_3);
+  EXPECT_FALSE(report.violation) << report.violation->describe();
 }
 
 TEST_P(SeededProperty, Lemma34_IneligibleDropsBoundedByEpochs) {
   // Lemma 3.4: IneligibleDropCost(dLRU-EDF) <= numEpochs * Delta.
   const Instance inst = rate_limited_instance();
+  const Section3Report report = shadowed_dlru_edf(inst);
+  EXPECT_TRUE(report.lemma_3_4);
+  EXPECT_LE(report.dropped_ineligible.count, report.epochs * inst.delta());
+}
+
+TEST_P(SeededProperty, LruHalfAlwaysCached) {
+  // Section 3.1.3: after every reconfiguration phase the cache holds the
+  // set dLRU-EDF's rule picks, the top-(n/4) eligible colors by timestamp
+  // recency among them.  The shadow recomputes the rule from the run's
+  // events alone.
+  const Section3Report report =
+      shadowed_dlru_edf(rate_limited_instance(256));
+  EXPECT_GT(report.phases_checked, 0);
+  EXPECT_FALSE(report.violation) << report.violation->describe();
+}
+
+TEST_P(SeededProperty, ReplicationInvariantInRecordedSchedules) {
+  // After every reconfiguration phase each logically cached color holds
+  // exactly two up locations configured to it (the shadow sees the
+  // logical set through the membership events), and the recorded
+  // schedule never configures a color on more than two.
+  const Instance inst = rate_limited_instance(256);
+  MaterializedSource source(inst);
   DLruEdfPolicy policy;
   EngineOptions options;
   options.num_resources = 8;
   options.replication = 2;
-  const EngineResult r = run_policy(inst, policy, options);
-  (void)r;
-  EXPECT_LE(policy.tracker().ineligible_drops(),
-            policy.tracker().num_epochs() * inst.delta());
-}
+  Section3Shadow shadow(source, options, Section3Rule::kDLruEdf);
+  const EngineResult r = run_with_shadow(source, policy, options, shadow);
+  EXPECT_GT(shadow.report().phases_checked, 0);
+  EXPECT_FALSE(shadow.report().violation)
+      << shadow.report().violation->describe();
 
-/// dLRU-EDF wrapper that asserts, after every reconfiguration phase, that
-/// the top-(n/4) eligible colors by timestamp recency are all cached (the
-/// Section 3.1.3 LRU invariant).
-class LruInvariantPolicy : public DLruEdfPolicy {
- public:
-  void on_round(RoundContext& ctx) override {
-    DLruEdfPolicy::on_round(ctx);
-    if (ctx.final_sweep()) return;
-    const Round k = ctx.round();
-    std::vector<ColorId> eligible = tracker().eligible_colors();
-    lru_sort(eligible, tracker(), k);
-    const auto lru_size =
-        std::min(eligible.size(),
-                 static_cast<std::size_t>(ctx.cache().max_distinct() / 2));
-    for (std::size_t i = 0; i < lru_size; ++i) {
-      ASSERT_TRUE(ctx.cache().contains(eligible[i]))
-          << "LRU color " << eligible[i] << " not cached at round " << k;
-    }
-    violations_checked_ = true;
-  }
-  [[nodiscard]] bool checked() const { return violations_checked_; }
-
- private:
-  bool violations_checked_ = false;
-};
-
-TEST_P(SeededProperty, LruHalfAlwaysCached) {
-  const Instance inst = rate_limited_instance(256);
-  LruInvariantPolicy policy;
-  EngineOptions options;
-  options.num_resources = 8;
-  options.replication = 2;
-  options.record_schedule = false;
-  (void)run_policy(inst, policy, options);
-  EXPECT_TRUE(policy.checked());
-}
-
-TEST_P(SeededProperty, ReplicationInvariantInRecordedSchedules) {
-  // Replaying a Section 3 algorithm's schedule, every non-black color is
-  // configured on exactly 0 or 2 resources at any time.
-  const Instance inst = rate_limited_instance(256);
-  Schedule schedule;
-  (void)run_algorithm(inst, "dlru-edf", 8, &schedule);
-
+  const std::vector<ReconfigEvent>& reconfigs = r.schedule.reconfigs;
   std::vector<ColorId> config(8, kBlack);
   std::size_t i = 0;
-  while (i < schedule.reconfigs.size()) {
-    const Round round = schedule.reconfigs[i].round;
-    for (; i < schedule.reconfigs.size() &&
-           schedule.reconfigs[i].round == round;
-         ++i) {
-      config[static_cast<std::size_t>(schedule.reconfigs[i].resource)] =
-          schedule.reconfigs[i].color;
+  while (i < reconfigs.size()) {
+    const Round round = reconfigs[i].round;
+    for (; i < reconfigs.size() && reconfigs[i].round == round; ++i) {
+      config[static_cast<std::size_t>(reconfigs[i].resource)] =
+          reconfigs[i].color;
     }
     std::map<ColorId, int> counts;
     for (const ColorId c : config) {
       if (c != kBlack) ++counts[c];
     }
     for (const auto& [color, count] : counts) {
-      // A location may keep a stale (evicted) color, so counts of 1 can
-      // appear only for colors no longer logically cached; the invariant
-      // we can check from events alone is count <= 2.
       EXPECT_LE(count, 2) << "color " << color << " at round " << round;
     }
   }
@@ -171,15 +157,10 @@ TEST_P(SeededProperty, Lemma35_EpochsChargeToOfflineCost) {
   params.delta = 4;  // small Delta: every active color exceeds it
   const Instance inst = make_random_batched(params);
 
-  DLruEdfPolicy policy;
-  EngineOptions options;
-  options.num_resources = 8;
-  options.replication = 2;
-  options.record_schedule = false;
-  (void)run_policy(inst, policy, options);
+  const Section3Report report = shadowed_dlru_edf(inst);
 
   const Cost ub = best_offline_heuristic_cost(inst, 1);
-  const Cost epoch_charge = policy.tracker().num_epochs() * inst.delta();
+  const Cost epoch_charge = report.epochs * inst.delta();
   EXPECT_LE(epoch_charge, 24 * ub) << "epochs must be chargeable to OFF";
 }
 
@@ -187,17 +168,11 @@ TEST_P(SeededProperty, Lemma315_AtMostTwoEpochEndingsPerSuperEpoch) {
   // Lemma 3.15 / Corollary 3.2: once a color completes two epochs inside
   // one super-epoch, the super-epoch ends — so no color accumulates more
   // than two epoch endings within a single super-epoch.
-  const Instance inst = rate_limited_instance(1024, /*delta=*/4);
-  const int m = 1;
-  DLruEdfPolicy policy;
-  policy.enable_super_epoch_analysis(m);
-  EngineOptions options;
-  options.num_resources = 8 * m;
-  options.replication = 2;
-  options.record_schedule = false;
-  (void)run_policy(inst, policy, options);
-  EXPECT_LE(policy.tracker().max_epoch_endings_per_super_epoch(), 2)
-      << "super epochs: " << policy.tracker().num_super_epochs();
+  const Section3Report report =
+      shadowed_dlru_edf(rate_limited_instance(1024, /*delta=*/4), /*m=*/1);
+  EXPECT_TRUE(report.lemma_3_15);
+  EXPECT_LE(report.max_epoch_endings, 2)
+      << "super epochs: " << report.super_epochs;
 }
 
 TEST_P(SeededProperty, EngineDeterminism) {

@@ -2,26 +2,29 @@
 // lru_order) must reproduce the sort-based reference rankings exactly,
 // round for round: the deadline-bucket calendar's top-k walk and pairwise
 // comparison against edf_sort and EdfKey, the intrusive recency list
-// against lru_sort, both sorts run over the tracker's own eligible set and
-// per-color state.  Differential tests drive a tracker through phase
-// sequences — arrivals, drops, executions, cache churn, counter wraps,
-// ring wrap-around, migration handoff — and compare orders after every
-// round.
+// against lru_sort (tests/rank_reference.h), both sorts run over the
+// tracker's own eligible set and per-color state.  Differential tests
+// drive a tracker through phase sequences — arrivals, drops, executions,
+// cache churn, counter wraps, ring wrap-around, migration handoff — and
+// compare orders after every round.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <utility>
 #include <vector>
 
-#include "algs/ranked_cache.h"
 #include "core/cache.h"
 #include "core/color_state.h"
 #include "core/instance.h"
 #include "core/pending.h"
+#include "rank_reference.h"
 #include "util/rng.h"
 
 namespace rrs {
 namespace {
+
+using testing::edf_sort;
+using testing::lru_sort;
 
 /// The EDF queries against the edf_sort reference: edf_top for a random k
 /// in [0, |eligible|] and a random skip set must return the first k
@@ -84,7 +87,7 @@ class Harness {
   /// One engine round: expiry sweep, drop phase, arrivals, arrival phase.
   void step() {
     pending_.drop_expired(k_, dropped_);
-    tracker_.drop_phase(k_, dropped_, cache_);
+    tracker_.drop_phase(k_, cache_);
     const auto arrivals = instance_.arrivals_in_round(k_);
     for (const Job& job : arrivals) pending_.add(job);
     tracker_.arrival_phase(k_, arrivals);
@@ -99,7 +102,7 @@ class Harness {
     check_edf(tracker_, pending_, rng, now);
 
     std::vector<ColorId> lru_ref = tracker_.eligible_colors();
-    lru_sort(lru_ref, tracker_, now);
+    lru_sort(lru_ref, tracker_);
     for (const std::size_t cap :
          {std::size_t{0}, std::size_t{1}, std::size_t{2}, lru_ref.size()}) {
       const auto take = std::min(cap, lru_ref.size());
@@ -241,9 +244,10 @@ TEST(RankIndexChurn, EpochEndEvictsFromBothOrders) {
 }
 
 TEST(RankIndexWraps, SecondWrapInBlockReordersRecency) {
-  // Two colors with D = 8, Delta 2.  Color a wraps twice inside one block
-  // (timestamp moves mid-block), color b once; the recency list must
-  // track the same effective timestamps lru_sort computes lazily.
+  // Two colors with D = 8, Delta 2.  Color a wraps twice inside one block,
+  // color b once.  Timestamps move only at block starts: through round 7
+  // both read 0, and from round 8 a's reads 3 and b's 5.  The recency
+  // list must follow the same recorded timestamps.
   InstanceBuilder builder;
   builder.delta(2);
   const ColorId a = builder.add_color(8);
@@ -259,14 +263,15 @@ TEST(RankIndexWraps, SecondWrapInBlockReordersRecency) {
   for (Round k = 0; k < 32; ++k) {
     h.step();
     h.check_orders(rng);
+    EXPECT_EQ(h.tracker().timestamp(a), k < 8 ? 0 : 3) << "round " << k;
+    EXPECT_EQ(h.tracker().timestamp(b), k < 8 ? 0 : 5) << "round " << k;
   }
 }
 
 TEST(RankIndexMigration, ImportHandoffPreservesOrders) {
   // Export every color from a mid-run tracker into a fresh one, then keep
-  // driving: the dirty-import protocol must link the imported colors with
-  // the timestamps lru_sort computes, and every later round must still
-  // match the sorts.
+  // driving: the imported colors must link at their exported timestamps,
+  // and every later round must still match the sorts.
   const Instance instance = random_instance(42, /*pow2_only=*/true);
   MaterializedSource source(instance);
   CacheAssignment cache(4, 2);
@@ -280,7 +285,7 @@ TEST(RankIndexMigration, ImportHandoffPreservesOrders) {
   const Round handoff = 48;
   for (Round k = 0; k < handoff; ++k) {
     pending.drop_expired(k, dropped);
-    original.drop_phase(k, dropped, cache);
+    original.drop_phase(k, cache);
     const auto arrivals = instance.arrivals_in_round(k);
     for (const Job& job : arrivals) pending.add(job);
     original.arrival_phase(k, arrivals);
@@ -295,14 +300,14 @@ TEST(RankIndexMigration, ImportHandoffPreservesOrders) {
   Rng rng(31);
   for (Round k = handoff; k < instance.horizon() + 16; ++k) {
     pending.drop_expired(k, dropped);
-    imported.drop_phase(k, dropped, cache);
+    imported.drop_phase(k, cache);
     const auto arrivals = instance.arrivals_in_round(k);
     for (const Job& job : arrivals) pending.add(job);
     imported.arrival_phase(k, arrivals);
 
     check_edf(imported, pending, rng, k);
     std::vector<ColorId> lru_ref = imported.eligible_colors();
-    lru_sort(lru_ref, imported, k);
+    lru_sort(lru_ref, imported);
     EXPECT_EQ(imported.lru_order(lru_ref.size()), lru_ref) << "round " << k;
   }
 }

@@ -1,17 +1,22 @@
-// Tests for algs/ranked_cache: the shared EDF and dLRU orderings.
+// The shared EDF and dLRU orderings: EdfKey's field precedence and the
+// reference sorts (tests/rank_reference.h) over a tracker's state.
 #include <gtest/gtest.h>
 
 #include <optional>
 
-#include "algs/ranked_cache.h"
+#include "algs/section3_shadow.h"
 #include "core/arrival_source.h"
 #include "core/cache.h"
 #include "core/color_state.h"
 #include "core/instance.h"
 #include "core/pending.h"
+#include "rank_reference.h"
 
 namespace rrs {
 namespace {
+
+using testing::edf_sort;
+using testing::lru_sort;
 
 TEST(EdfKey, OrderingPrecedence) {
   // Field order: {idle, color_deadline, weight, length, delay_bound, color}.
@@ -41,9 +46,10 @@ class RankingFixture : public ::testing::Test {
  protected:
   RankingFixture() : cache_(8, 2) {}
 
-  /// Builds a 3-color instance and drives the tracker to a state where
-  /// all colors are eligible with distinct deadlines/timestamps.
-  void drive() {
+  /// Builds a 3-color instance and drives the tracker through rounds
+  /// [0, until) to a state where all colors are eligible with distinct
+  /// deadlines/timestamps.
+  void drive(Round until = 3) {
     InstanceBuilder builder;
     builder.delta(1);
     fast_ = builder.add_color(2);
@@ -67,9 +73,9 @@ class RankingFixture : public ::testing::Test {
     cache_.insert(slow_);
     (void)cache_.finish_phase();
     PendingJobs::DropResult dropped;
-    for (Round k = 0; k < 3; ++k) {
+    for (Round k = 0; k < until; ++k) {
       pending_.drop_expired(k, dropped);
-      tracker_.drop_phase(k, dropped, cache_);
+      tracker_.drop_phase(k, cache_);
       for (const Job& job : inst_.arrivals_in_round(k)) pending_.add(job);
       tracker_.arrival_phase(k, inst_.arrivals_in_round(k));
     }
@@ -106,16 +112,20 @@ TEST_F(RankingFixture, IdleColorsSinkToTheBottom) {
 
 TEST_F(RankingFixture, LruSortPrefersRecentTimestamps) {
   drive();
-  // At round 2: fast wrapped at rounds 0 and 2; its visible timestamp
-  // (wraps before block start 2) is 0.  All colors tie at timestamp 0, so
+  // At round 2: fast wrapped at rounds 0 and 2; its timestamp (the last
+  // wrap before block start 2) is 0.  All colors tie at timestamp 0, so
   // the order falls back to ascending ids.
   std::vector<ColorId> colors{slow_, fast_, medium_};
-  lru_sort(colors, tracker_, 2);
+  lru_sort(colors, tracker_);
   EXPECT_EQ(colors, (std::vector<ColorId>{fast_, medium_, slow_}));
+}
 
-  // At round 4 fast's round-2 wrap becomes visible and beats the others.
+TEST_F(RankingFixture, LruSortSeesAWrapFromTheNextBlockStart) {
+  // At block start 4 fast's round-2 wrap becomes its timestamp and beats
+  // the others.
+  drive(5);
   std::vector<ColorId> later{slow_, medium_, fast_};
-  lru_sort(later, tracker_, 4);
+  lru_sort(later, tracker_);
   EXPECT_EQ(later.front(), fast_);
 }
 

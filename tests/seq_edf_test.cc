@@ -5,6 +5,7 @@
 
 #include "algs/dlru_edf.h"
 #include "algs/par_edf.h"
+#include "algs/section3_shadow.h"
 #include "core/validator.h"
 #include "sim/runner.h"
 #include "workload/random_batched.h"
@@ -100,19 +101,21 @@ TEST(DropChain, Lemma32_EligibleDropsAtMostParEdfOnAlpha) {
     const Instance inst = make_random_batched(params);
 
     const int m = 1;
+    MaterializedSource source(inst);
     DLruEdfPolicy policy;
     EngineOptions options;
     options.num_resources = 8 * m;
     options.replication = 2;
     options.record_schedule = false;
-    (void)run_policy(inst, policy, options);
-    EXPECT_EQ(policy.tracker().ineligible_drops(), 0)
+    Section3Shadow shadow(source, options, Section3Rule::kDLruEdf, m);
+    (void)run_with_shadow(source, policy, options, shadow);
+    EXPECT_EQ(shadow.report().dropped_ineligible.count, 0)
         << "Delta = 1 implies no ineligible drops";
 
     const Cost ds =
         run_algorithm(inst, "ds-seq-edf", m).cost.drops;
     const std::int64_t par = run_par_edf(inst, m).drops;
-    EXPECT_LE(policy.tracker().eligible_drops(), ds) << "seed " << seed;
+    EXPECT_LE(shadow.report().dropped_eligible.count, ds) << "seed " << seed;
     EXPECT_LE(ds, par) << "seed " << seed;
   }
 }

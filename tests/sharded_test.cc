@@ -40,46 +40,9 @@
 namespace rrs {
 namespace {
 
-const char* const kStreamingAlgorithms[] = {
-    "dlru", "edf", "dlru-edf", "adaptive", "seq-edf", "ds-seq-edf",
-};
-
-const char* const kFamilies[] = {
-    "random-batched", "poisson", "flash-crowd", "datacenter",
-};
-
-/// Fresh streaming source for (family, seed); mirrors streaming_test.
-std::unique_ptr<ArrivalSource> make_source(const std::string& family,
-                                           std::uint64_t seed) {
-  if (family == "random-batched") {
-    RandomBatchedParams params;
-    params.horizon = 256;
-    params.seed = seed;
-    return std::make_unique<RandomBatchedSource>(params);
-  }
-  if (family == "poisson") {
-    PoissonParams params;
-    params.horizon = 256;
-    params.seed = seed;
-    return std::make_unique<PoissonSource>(params);
-  }
-  if (family == "flash-crowd") {
-    FlashCrowdParams params;
-    params.spike_start = 128;
-    params.spike_end = 192;
-    params.horizon = 512;
-    params.seed = seed;
-    return std::make_unique<FlashCrowdSource>(params);
-  }
-  if (family == "datacenter") {
-    DatacenterParams params;
-    params.horizon = 1024;
-    params.seed = seed;
-    return std::make_unique<DatacenterSource>(params);
-  }
-  ADD_FAILURE() << "unknown family " << family;
-  return nullptr;
-}
+using testing::kFamilies;
+using testing::kStreamingAlgorithms;
+using testing::make_source;
 
 // --- ShardPlan -------------------------------------------------------------
 

@@ -19,6 +19,7 @@
 
 #include "core/engine.h"
 #include "sim/runner.h"
+#include "test_util.h"
 #include "workload/datacenter.h"
 #include "workload/flash_crowd.h"
 #include "workload/generator_source.h"
@@ -28,50 +29,9 @@
 namespace rrs {
 namespace {
 
-// Algorithms runnable on every family's stream.  The reductions need a
-// batch bound, which only random-batched streams state; StreamingReductions
-// below covers them.
-const char* const kStreamingAlgorithms[] = {
-    "dlru", "edf", "dlru-edf", "adaptive", "seq-edf", "ds-seq-edf",
-};
-
-const char* const kFamilies[] = {
-    "random-batched", "poisson", "flash-crowd", "datacenter",
-};
-
-/// Fresh streaming source for (family, seed).  Horizons are kept small so
-/// the full matrix stays fast.
-std::unique_ptr<ArrivalSource> make_source(const std::string& family,
-                                           std::uint64_t seed) {
-  if (family == "random-batched") {
-    RandomBatchedParams params;
-    params.horizon = 256;
-    params.seed = seed;
-    return std::make_unique<RandomBatchedSource>(params);
-  }
-  if (family == "poisson") {
-    PoissonParams params;
-    params.horizon = 256;
-    params.seed = seed;
-    return std::make_unique<PoissonSource>(params);
-  }
-  if (family == "flash-crowd") {
-    FlashCrowdParams params;
-    params.spike_start = 128;
-    params.spike_end = 192;
-    params.horizon = 512;
-    params.seed = seed;
-    return std::make_unique<FlashCrowdSource>(params);
-  }
-  if (family == "datacenter") {
-    DatacenterParams params;
-    params.horizon = 1024;
-    params.seed = seed;
-    return std::make_unique<DatacenterSource>(params);
-  }
-  ADD_FAILURE() << "unknown family " << family;
-  return nullptr;
-}
+using testing::kFamilies;
+using testing::kStreamingAlgorithms;
+using testing::make_source;
 
 using Cell = std::tuple<std::string, std::string, std::uint64_t>;
 
@@ -356,6 +316,29 @@ TEST(StreamingReductions, CheckpointsResumeAndStopFlagAreRejected) {
       });
       EXPECT_NE(what.find(name), std::string::npos) << what;
       EXPECT_NE(what.find(knob), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(StreamingReductions, AnObserverIsRejected) {
+  // The observer would count the adapters' virtual colors, not the mapped
+  // run, so a reduction rejects one, serially and sharded.
+  for (const char* const name : {"distribute", "varbatch"}) {
+    for (const int shards : {1, 2}) {
+      RandomBatchedSource source(bursty_stream_params());
+      Observer observer;
+      ShardedRunOptions options;
+      options.observer = &observer;
+      const std::string what = input_error([&] {
+        if (shards == 1) {
+          (void)run_streaming(source, name, 8, 1024, nullptr, false,
+                              &observer);
+        } else {
+          (void)run_streaming_sharded(source, name, 8, shards, 1024, options);
+        }
+      });
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+      EXPECT_NE(what.find("observer"), std::string::npos) << what;
     }
   }
 }

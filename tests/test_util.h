@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -11,8 +13,56 @@
 #include "core/instance.h"
 #include "obs/observer.h"
 #include "sim/runner.h"
+#include "workload/datacenter.h"
+#include "workload/flash_crowd.h"
+#include "workload/poisson.h"
+#include "workload/random_batched.h"
 
 namespace rrs::testing {
+
+/// Runnable on every family's stream (the reductions need a batch bound,
+/// which only random-batched streams state).
+inline const char* const kStreamingAlgorithms[] = {
+    "dlru", "edf", "dlru-edf", "adaptive", "seq-edf", "ds-seq-edf",
+};
+
+inline const char* const kFamilies[] = {
+    "random-batched", "poisson", "flash-crowd", "datacenter",
+};
+
+/// Fresh streaming source for (family, seed).  Horizons are kept small so
+/// the suites' matrices stay fast.
+inline std::unique_ptr<ArrivalSource> make_source(const std::string& family,
+                                           std::uint64_t seed) {
+  if (family == "random-batched") {
+    RandomBatchedParams params;
+    params.horizon = 256;
+    params.seed = seed;
+    return std::make_unique<RandomBatchedSource>(params);
+  }
+  if (family == "poisson") {
+    PoissonParams params;
+    params.horizon = 256;
+    params.seed = seed;
+    return std::make_unique<PoissonSource>(params);
+  }
+  if (family == "flash-crowd") {
+    FlashCrowdParams params;
+    params.spike_start = 128;
+    params.spike_end = 192;
+    params.horizon = 512;
+    params.seed = seed;
+    return std::make_unique<FlashCrowdSource>(params);
+  }
+  if (family == "datacenter") {
+    DatacenterParams params;
+    params.horizon = 1024;
+    params.seed = seed;
+    return std::make_unique<DatacenterSource>(params);
+  }
+  ADD_FAILURE() << "unknown family " << family;
+  return nullptr;
+}
 
 /// The bit-identity pin every suite shares: two runs (StreamRunRecords or
 /// EngineResults) agree on every RunCounters field and on the policy

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "algs/dlru_edf.h"
+#include "algs/section3_shadow.h"
 #include "core/validator.h"
 #include "offline/greedy_offline.h"
 #include "offline/lower_bound.h"
@@ -207,17 +208,20 @@ TEST(Weighted, TrackerSplitsDropWeight) {
   params.max_drop_cost = 6;
   const Instance inst = make_random_batched(params);
 
+  MaterializedSource source(inst);
   DLruEdfPolicy policy;
   EngineOptions options;
   options.num_resources = 8;
   options.replication = 2;
   options.record_schedule = false;
-  const EngineResult r = run_policy(inst, policy, options);
-  EXPECT_EQ(policy.tracker().eligible_drop_weight() +
-                policy.tracker().ineligible_drop_weight(),
+  Section3Shadow shadow(source, options, Section3Rule::kDLruEdf);
+  const EngineResult r = run_with_shadow(source, policy, options, shadow);
+  const Section3Report& report = shadow.report();
+  EXPECT_EQ(report.dropped_eligible.weight + report.dropped_ineligible.weight,
             r.cost.drops);
-  EXPECT_GE(policy.tracker().eligible_drop_weight(),
-            policy.tracker().eligible_drops());
+  EXPECT_GE(report.dropped_eligible.weight, report.dropped_eligible.count);
+  EXPECT_FALSE(report.in_model) << "weighted drops leave Theorem 1's model";
+  EXPECT_FALSE(report.violation) << report.violation->describe();
 }
 
 }  // namespace
