@@ -46,7 +46,7 @@ class AdaptiveSplitPolicy : public DLruEdfPolicy {
   /// Between window boundaries the policy is a plain dLRU-EDF plus
   /// counters that only move on drops/insertions — none of which occur
   /// in an event-free span — so skipping is exact as long as the engine
-  /// stops at the adaptation boundary as well as at the next block start.
+  /// stops at the adaptation boundary as well as at dLRU-EDF's events.
   [[nodiscard]] Round next_policy_event(Round k) const override {
     const Round start = DLruEdfPolicy::next_policy_event(k);
     return start == kInfiniteHorizon ? window_end_

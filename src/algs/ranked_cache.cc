@@ -9,10 +9,12 @@ void RankedCachePolicy::begin(const ArrivalSource& source, int num_resources,
   (void)num_resources;
   (void)speed;
   tracker_.begin(source);
+  cache_ = nullptr;
 }
 
 bool RankedCachePolicy::ingest(RoundContext& ctx) {
   if (ctx.final_sweep()) return false;
+  cache_ = &ctx.cache();
   if (ctx.first_mini()) {
     tracker_.drop_phase(ctx.round(), ctx.cache());
     tracker_.arrival_phase(ctx.round(), ctx.arrivals());

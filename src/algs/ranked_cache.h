@@ -37,15 +37,21 @@ class RankedCachePolicy : public Policy {
   void on_capacity_change(Round round, int up, int total,
                           std::span<const ColorId> evicted) override;
 
-  /// Each rule is a pure function of tracker/pending/cache state, all of
-  /// which are provably frozen across an event-free span, so the engine
-  /// may skip such spans wholesale.
+  /// Each rule is a pure function of tracker/pending/cache state.  Across
+  /// an event-free span the cache and pending set are frozen and the
+  /// tracker moves only quiescent colors' deadlines, on which no rule's
+  /// pick depends while every color is idle and the recency order stands;
+  /// so the engine may skip such spans wholesale.
   [[nodiscard]] bool supports_fast_forward() const override { return true; }
 
-  /// The tracker's next block start: its phases end epochs and advance
-  /// color deadlines there even with nothing pending.
+  /// The earliest block start >= k of an active color: one whose epoch
+  /// ends there (eligible, not cached) or whose timestamp moves (it
+  /// wrapped since the last one was recorded).  kInfiniteHorizon when no
+  /// color is active.  The cache is the one the last round left: fault
+  /// events, the only other thing that changes it, are stop rounds.
+  /// Before its first round the policy has seen no cache and reports k.
   [[nodiscard]] Round next_policy_event(Round k) const override {
-    return tracker_.next_block_start(k);
+    return cache_ == nullptr ? k : tracker_.next_active_start(k, *cache_);
   }
 
   [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> stats()
@@ -96,6 +102,8 @@ class RankedCachePolicy : public Policy {
 
  private:
   std::int64_t capacity_changes_ = 0;
+  /// The engine's cache as of the last round (nullptr before the first).
+  const CacheAssignment* cache_ = nullptr;
 };
 
 }  // namespace rrs

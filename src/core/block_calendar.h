@@ -3,9 +3,11 @@
 // At each multiple k of a delay bound D_l, every color of that class gets
 // the color deadline k + D_l, an uncached eligible color's epoch ends, and
 // batched inputs arrive.  BlockCalendar is the one place that works out
-// which colors start a block at round k: EligibilityTracker's phases and
-// GeneratorSource's synthesis walk due(k), and the ranked policies report
-// next_start() as the round fast-forward must not skip.
+// which classes start a block between two rounds.  GeneratorSource's
+// batched synthesis asks about every round; EligibilityTracker's phases
+// ask only about the rounds the engine visits, so a class whose block
+// starts fast-forward skipped is reported at the next visited round, and
+// the tracker catches it up to its latest start.
 #pragma once
 
 #include <algorithm>
@@ -25,7 +27,8 @@ class BlockCalendar {
   BlockCalendar() = default;
 
   /// One class per key of `classes` (its period, a delay bound), holding
-  /// its colors in the given order.
+  /// its colors in the given order.  The first due() reports every class,
+  /// as round 0 starts a block of each.
   explicit BlockCalendar(const std::map<Round, std::vector<ColorId>>& classes) {
     for (const auto& [period, colors] : classes) {
       RRS_CHECK(period >= 1);
@@ -33,12 +36,26 @@ class BlockCalendar {
     }
   }
 
-  /// The colors whose period divides k: classes by ascending period, each
-  /// in its own order.  Rounds are asked in nondecreasing order, and each
-  /// class keeps its next block start, so a round where no class is due
-  /// costs O(1).  A query repeated at one round returns the same list.
-  /// The first query may come at any round (after a restore); it sets
-  /// every cursor from k.
+  /// Resumes the calendar at `round`, as if every earlier round had been
+  /// asked about: the next due() reports only block starts from `round`
+  /// on.  A restore resumes there.
+  void start_at(Round round) {
+    RRS_CHECK(round >= 0);
+    last_ = round - 1;
+    due_.clear();
+    min_next_ = kNever;
+    for (Class& cls : classes_) {
+      cls.next = ceil_multiple(round, cls.period);
+      min_next_ = std::min(min_next_, cls.next);
+    }
+  }
+
+  /// The colors of every class with a block start in (previous query, k]:
+  /// the classes whose period divides k when no round between was
+  /// skipped.  Classes come by ascending period, each in its own order.
+  /// Rounds are asked in increasing order (a repeat of the last returns
+  /// the same list), and each class keeps its next block start, so a
+  /// round where no class is due costs O(1).
   [[nodiscard]] std::span<const ColorId> due(Round k) {
     if (k == last_) return due_;
     RRS_CHECK_MSG(k > last_, "block calendar asked for round "
@@ -48,10 +65,9 @@ class BlockCalendar {
     if (k < min_next_) return due_;
     min_next_ = kNever;
     for (Class& cls : classes_) {
-      // An unknown cursor, or one behind a round nobody asked about,
-      // catches up to k in one step.
-      if (cls.next < k) cls.next = ceil_multiple(k, cls.period);
-      if (cls.next == k) {
+      if (cls.next <= k) {
+        // A skip may have passed several starts: move to the latest.
+        if (cls.next < k) cls.next = floor_multiple(k, cls.period);
         cls.next += cls.period;
         due_.insert(due_.end(), cls.colors.begin(), cls.colors.end());
       }
@@ -60,25 +76,10 @@ class BlockCalendar {
     return due_;
   }
 
-  /// The earliest round >= k at which some class starts a block, or
-  /// kInfiniteHorizon without classes.  Allocation-free and O(classes)
-  /// at worst.
-  [[nodiscard]] Round next_start(Round k) const {
-    if (classes_.empty()) return kInfiniteHorizon;
-    // Every cursor holds its class's first start after last_, so the
-    // round after the last query, which fast-forward asks about, is O(1).
-    if (k == last_ + 1) return min_next_;
-    Round next = kNever;
-    for (const Class& cls : classes_) {
-      next = std::min(next, ceil_multiple(k, cls.period));
-    }
-    return next;
-  }
-
  private:
   struct Class {
     Round period;
-    Round next;  ///< next start due() has not reported (0 until known)
+    Round next;  ///< first start after the last round asked about
     std::vector<ColorId> colors;
   };
   static constexpr Round kNever = std::numeric_limits<Round>::max();

@@ -33,10 +33,12 @@ void EligibilityTracker::begin(const ArrivalSource& source) {
 void EligibilityTracker::drop_phase(Round k, const CacheAssignment& cache) {
   now_ = k;
   // Epoch ends: every eligible, uncached color at a multiple of its delay
-  // bound becomes ineligible with cnt = 0.
+  // bound becomes ineligible with cnt = 0.  A start that fast-forward
+  // skipped found its color cached or ineligible, so it ends no epoch.
   for (const ColorId color : blocks_.due(k)) {
     ColorState& s = state_[idx(color)];
-    if (s.eligible && !cache.contains(color)) {
+    if (latest_start(color, k) == k && s.eligible &&
+        !cache.contains(color)) {
       make_ineligible(color);
       s.cnt = 0;
     }
@@ -49,9 +51,11 @@ void EligibilityTracker::arrival_phase(Round k,
   // Block starts (requests exist — possibly empty — at every multiple of
   // D_l) advance the color deadline and record the timestamp: the latest
   // wrap before this round's arrivals are counted, 0 when there is none.
+  // Skipped rounds carry no arrivals, so no wrap, and a skipped start
+  // records the timestamp this round would.
   for (const ColorId color : blocks_.due(k)) {
     ColorState& s = state_[idx(color)];
-    const Round dd = k + delay_bounds_[idx(color)];
+    const Round dd = latest_start(color, k) + delay_bounds_[idx(color)];
     const Round timestamp = std::max<Round>(s.last_wrap, 0);
     if (s.eligible) {
       // An eligible color changes calendar bucket at its own block
@@ -86,6 +90,23 @@ void EligibilityTracker::arrival_phase(Round k,
       if (!s.eligible) make_eligible(color);
     }
   }
+}
+
+Round EligibilityTracker::next_active_start(
+    Round k, const CacheAssignment& cache) const {
+  Round next = kInfiniteHorizon;
+  // A wrap makes its color eligible, and the block start that records its
+  // timestamp comes no later than the one that can end that epoch, so
+  // every active color is eligible: the recency list holds them all.
+  for (ColorId c = lru_head_; c != kBlack; c = lru_next_[idx(c)]) {
+    const ColorState& s = state_[idx(c)];
+    if (cache.contains(c) && s.last_wrap <= s.timestamp) continue;
+    // Every deadline is the first block start after the phase round.
+    const Round start =
+        s.dd >= k ? s.dd : ceil_multiple(k, delay_bounds_[idx(c)]);
+    if (next == kInfiniteHorizon || start < next) next = start;
+  }
+  return next;
 }
 
 std::vector<ColorId> EligibilityTracker::eligible_colors() const {
@@ -163,8 +184,11 @@ void EligibilityTracker::restore_checkpoint(CheckpointReader& r) {
     s.last_wrap = r.i64();
     s.timestamp = r.i64();
     const bool eligible = r.boolean();
+    // An ineligible color has no wrap its timestamp lacks: a wrap makes
+    // its color eligible until a block start, which records it.
     RRS_REQUIRE(s.cnt >= 0 && s.last_wrap >= -1 && s.timestamp >= 0 &&
-                    s.timestamp <= std::max<Round>(s.last_wrap, 0),
+                    s.timestamp <= std::max<Round>(s.last_wrap, 0) &&
+                    (eligible || s.last_wrap <= s.timestamp),
                 "checkpoint tracker color " << c << " malformed");
     // The arrival phase advances every deadline at every block boundary
     // up to the phase round (round 0 included), and the rank calendar
@@ -180,6 +204,8 @@ void EligibilityTracker::restore_checkpoint(CheckpointReader& r) {
     // answers match the uninterrupted run bit for bit.
     if (eligible) make_eligible(static_cast<ColorId>(c));
   }
+  // The next phase applies the block starts after now_.
+  blocks_.start_at(now_ + 1);
 }
 
 // --- incremental rank index ---

@@ -11,7 +11,8 @@
 //               cost, so a color becomes eligible once one cold re-image's
 //               worth of droppable value has accumulated (identical to the
 //               paper's rule for unit costs and scalar Delta);
-//   * l.dd    — the color deadline, set to k + D_l at each multiple k of D_l;
+//   * l.dd    — the color deadline, set to k + D_l at each multiple k of D_l
+//               (the start of the color's next block);
 //   * eligible/ineligible — a color becomes ineligible again in the drop
 //               phase of a multiple of D_l while it is not cached;
 //   * the dLRU *timestamp* — the latest round before the most recent
@@ -26,6 +27,15 @@
 // proofs count (epochs, eligible and ineligible drops, super-epochs) are
 // recomputed from the run's events by Section3Shadow
 // (algs/section3_shadow.h).
+//
+// Quiescent block starts.  With nothing pending, a block start does more
+// than move a color's deadline only for an *active* color: one that is
+// eligible and not cached (its epoch ends), or one that wrapped after its
+// timestamp was recorded (the timestamp moves).  next_active_start()
+// reports the earliest such start, so fast-forward may skip the others.
+// A phase after a skip applies each class's latest block start since the
+// previous phase round: the skipped starts found their colors quiescent,
+// so they only move deadlines.
 #pragma once
 
 #include <bit>
@@ -39,6 +49,7 @@
 #include "core/pending.h"
 #include "core/policy.h"
 #include "core/types.h"
+#include "util/bits.h"
 #include "util/check.h"
 
 namespace rrs {
@@ -58,12 +69,13 @@ class EligibilityTracker {
   /// cnt = 0).
   void drop_phase(Round k, const CacheAssignment& cache);
 
-  /// Arrival phase of round `k`: for every color with k a multiple of its
-  /// delay bound, advances the color deadline and records the timestamp;
-  /// then counts arrivals, firing counter wrapping events (and
-  /// eligibility) when cnt reaches Delta.  Both phases visit only the
-  /// colors that start a block at k, in ascending delay and then ascending
-  /// color order.
+  /// Arrival phase of round `k`: for every color with a block start since
+  /// the previous phase round, advances the color deadline to the end of
+  /// its latest block and records the timestamp; then counts arrivals,
+  /// firing counter wrapping events (and eligibility) when cnt reaches
+  /// Delta.  Both phases visit only the colors with a block start since
+  /// the previous phase round (those that start one at k unless rounds
+  /// were skipped), in ascending delay and then ascending color order.
   void arrival_phase(Round k, std::span<const Job> arrivals);
 
   [[nodiscard]] bool eligible(ColorId color) const {
@@ -75,11 +87,12 @@ class EligibilityTracker {
     return state_[idx(color)].dd;
   }
 
-  /// The earliest round >= k at which some color starts a block: the
-  /// next round whose phases change state even with nothing pending.
-  [[nodiscard]] Round next_block_start(Round k) const {
-    return blocks_.next_start(k);
-  }
+  /// The earliest block start >= k of a color that is active given the
+  /// cached set `cache` (file comment), or kInfiniteHorizon when none is:
+  /// with nothing pending, the next round whose phases change more than
+  /// deadlines.  Walks the eligible colors.
+  [[nodiscard]] Round next_active_start(Round k,
+                                        const CacheAssignment& cache) const;
 
   /// Delay bound D_l of `color`, cached flat at begin() so ranking loops
   /// skip the source's virtual dispatch.
@@ -201,6 +214,14 @@ class EligibilityTracker {
     return static_cast<std::size_t>(c);
   }
 
+  /// The latest block start in (previous phase round, k] of a color that
+  /// due(k) reports.  Its deadline is the first such start, and k itself
+  /// unless rounds were skipped.
+  [[nodiscard]] Round latest_start(ColorId color, Round k) const {
+    const Round first = state_[idx(color)].dd;
+    return first == k ? k : floor_multiple(k, delay_bounds_[idx(color)]);
+  }
+
   void make_eligible(ColorId color);
   void make_ineligible(ColorId color);
 
@@ -225,7 +246,7 @@ class EligibilityTracker {
   /// (== Delta in the scalar tier).  A color becomes eligible once one cold
   /// reconfiguration's worth of droppable value has accumulated.
   std::vector<Cost> thresholds_;
-  /// Which colors start a block at each round.
+  /// Which colors start a block between two phase rounds.
   BlockCalendar blocks_;
   std::vector<ColorState> state_;
 

@@ -85,10 +85,11 @@ struct EngineOptions {
   /// policy declares supports_fast_forward(), run_rounds() jumps over
   /// spans with no arrivals (per the source's next_event_round() hint),
   /// no fault event, no snapshot round, and no policy event (the ranked
-  /// policies report their block starts).  Every skipped round is a
-  /// provable no-op, so results — costs, schedules, stats, snapshots —
-  /// are bit-identical with the flag off; disable only to measure the
-  /// skip itself.
+  /// policies report the block starts where an epoch ends or a timestamp
+  /// moves, and catch deadlines up at their next round).  A skipped round
+  /// changes nothing the policy decides by, so results — costs,
+  /// schedules, stats, snapshots — are bit-identical with the flag off;
+  /// disable only to measure the skip itself.
   bool fast_forward = true;
 };
 

@@ -161,19 +161,21 @@ class Policy {
   /// True iff skipping a span of event-free rounds (no arrivals, no
   /// pending jobs, no capacity churn, no snapshot round, no round from
   /// next_policy_event()) cannot change this policy's decisions or
-  /// counters: across such a span every on_round() call is a provable
-  /// no-op.  The engine knows no delay classes, so a policy whose state
-  /// moves at block starts reports them through next_policy_event(), as
-  /// the ranked policies do.  Policies with per-round state that moves
-  /// unconditionally must leave this false (the default), which disables
-  /// Engine fast-forward for them.
+  /// counters: the policy's next on_round() after the span decides as it
+  /// would had every skipped round run.  The engine knows no delay
+  /// classes, so a policy whose state moves at block starts reports the
+  /// ones that matter through next_policy_event(), and catches up on the
+  /// rest at its next round, as the ranked policies do.  Policies with
+  /// per-round state that moves unconditionally must leave this false
+  /// (the default), which disables Engine fast-forward for them.
   [[nodiscard]] virtual bool supports_fast_forward() const { return false; }
 
   /// Earliest round >= k at which the policy itself has a scheduled event
   /// that fast-forward must not skip (the ranked policies' next block
-  /// start, the adaptive split's window end); kInfiniteHorizon when there
-  /// is none (the default).  Only consulted when supports_fast_forward()
-  /// is true.
+  /// start of a color whose epoch ends or whose timestamp moves there,
+  /// the adaptive split's window end); kInfiniteHorizon when there is
+  /// none (the default).  The engine asks right after a round with
+  /// nothing pending, and only when supports_fast_forward() is true.
   [[nodiscard]] virtual Round next_policy_event(Round k) const {
     (void)k;
     return kInfiniteHorizon;

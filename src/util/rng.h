@@ -26,6 +26,19 @@ namespace rrs {
   return z ^ (z >> 31);
 }
 
+/// A Poisson mean and the bound exp(-mean) that Rng::poisson's sampler
+/// draws against, computed once: a generator that draws one mean every
+/// round pays no exp() per draw.
+struct PoissonMean {
+  PoissonMean() = default;
+  explicit PoissonMean(double m) : mean(m), bound(std::exp(-m)) {
+    RRS_CHECK(m >= 0.0);
+  }
+
+  double mean = 0.0;
+  double bound = 1.0;  ///< exp(-mean)
+};
+
 /// xoshiro256** PRNG.  Satisfies std::uniform_random_bit_generator.
 class Rng {
  public:
@@ -80,19 +93,24 @@ class Rng {
   /// Bernoulli draw with success probability p.
   [[nodiscard]] bool bernoulli(double p) { return uniform01() < p; }
 
-  /// Geometric-ish Poisson sampler (Knuth's algorithm), adequate for the
-  /// small means (< 64) used by workload generators.
-  [[nodiscard]] std::int64_t poisson(double mean) {
-    RRS_CHECK(mean >= 0.0);
-    if (mean == 0.0) return 0;
+  /// Poisson draw by Knuth's algorithm, adequate for the small means
+  /// (< 64) used by workload generators: multiplies uniform draws until
+  /// the product falls to m.bound, taking count + 1 draws for a result of
+  /// count.  A mean of 0 takes none.
+  [[nodiscard]] std::int64_t poisson(const PoissonMean& m) {
+    if (m.mean == 0.0) return 0;
     double threshold = 1.0;
-    const double bound = std::exp(-mean);
     std::int64_t count = -1;
     do {
       ++count;
       threshold *= uniform01();
-    } while (threshold > bound);
+    } while (threshold > m.bound);
     return count;
+  }
+
+  /// The same draw for a mean drawn once (one exp() per call).
+  [[nodiscard]] std::int64_t poisson(double mean) {
+    return poisson(PoissonMean(mean));
   }
 
   /// The full generator state, for checkpointing.  Restoring the exact

@@ -52,6 +52,7 @@ DatacenterSource::DatacenterSource(const DatacenterParams& params)
   for (std::size_t c = 0; c < services_.size(); ++c) {
     const ServiceSpec& s = services_[c];
     add_color(s.delay_bound, s.drop_cost);
+    rates_.push_back({PoissonMean(s.hot_rate), PoissonMean(s.cold_rate)});
     ServiceState st{derive_rng(params.seed, c), false, 0};
     st.hot = st.stream.bernoulli(0.5);
     st.phase_left = geometric(st.stream, st.hot ? s.mean_hot_length
@@ -74,8 +75,8 @@ void DatacenterSource::synthesize_color(ColorId color, Round k) {
                                                 : s.mean_cold_length);
   }
   --st.phase_left;
-  const double rate = st.hot ? s.hot_rate : s.cold_rate;
-  const std::int64_t count = st.stream.poisson(rate);
+  const std::int64_t count =
+      st.stream.poisson(st.hot ? rates_[c].hot : rates_[c].cold);
   if (count > 0) emit(color, k, count);
 }
 

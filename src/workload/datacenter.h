@@ -59,6 +59,11 @@ class DatacenterSource final : public GeneratorSource {
     bool hot = false;
     Round phase_left = 0;
   };
+  /// A service's two arrival rates.
+  struct Rates {
+    PoissonMean hot;
+    PoissonMean cold;
+  };
 
   void synthesize_color(ColorId color, Round k) override;
   [[nodiscard]] static Round geometric(Rng& rng, Round mean);
@@ -85,6 +90,7 @@ class DatacenterSource final : public GeneratorSource {
 
   DatacenterParams params_;  // kept verbatim for clone()
   std::vector<ServiceSpec> services_;
+  std::vector<Rates> rates_;
   std::vector<ServiceState> state_;
 };
 

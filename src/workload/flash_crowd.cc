@@ -6,7 +6,11 @@
 namespace rrs {
 
 FlashCrowdSource::FlashCrowdSource(const FlashCrowdParams& params)
-    : GeneratorSource(params.delta, params.horizon), params_(params) {
+    : GeneratorSource(params.delta, params.horizon),
+      params_(params),
+      background_(params.background_rate),
+      base_(params.base_rate),
+      spike_(params.base_rate * params.spike_factor) {
   RRS_REQUIRE(params.background_colors >= 0, "negative color count");
   RRS_REQUIRE(params.spike_factor >= 1.0, "spike_factor must be >= 1");
   RRS_REQUIRE(0 <= params.spike_start &&
@@ -31,13 +35,13 @@ std::unique_ptr<GeneratorSource> FlashCrowdSource::clone() const {
 void FlashCrowdSource::synthesize_color(ColorId color, Round k) {
   // The per-color rate is a pure function of (color, k), so a view that
   // only ever draws this color replays exactly the full stream's draws.
-  double rate = params_.background_rate;
+  const PoissonMean* rate = &background_;
   if (color == spike_color_) {
     const bool in_spike = k >= params_.spike_start && k < params_.spike_end;
-    rate = params_.base_rate * (in_spike ? params_.spike_factor : 1.0);
+    rate = in_spike ? &spike_ : &base_;
   }
   const std::int64_t count =
-      streams_[static_cast<std::size_t>(color)].poisson(rate);
+      streams_[static_cast<std::size_t>(color)].poisson(*rate);
   if (count > 0) emit(color, k, count);
 }
 

@@ -64,6 +64,10 @@ class FlashCrowdSource : public GeneratorSource {
   std::vector<Rng> streams_;  // one RNG stream per color
   FlashCrowdParams params_;
   ColorId spike_color_ = 0;
+  // The three rates a color draws at.
+  PoissonMean background_;
+  PoissonMean base_;
+  PoissonMean spike_;
 };
 
 /// The generated instance plus the spiking color.

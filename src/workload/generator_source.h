@@ -338,6 +338,7 @@ class GeneratorSource : public ArrivalSource {
         classes[delay_bound(c)].push_back(colors_.back());
       }
       blocks_ = BlockCalendar(classes);
+      blocks_.start_at(k);
     }
     std::span<const ColorId> due = colors_;
     if (batched_) {

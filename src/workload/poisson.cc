@@ -7,13 +7,12 @@
 namespace rrs {
 
 PoissonSource::PoissonSource(const PoissonParams& params)
-    : GeneratorSource(params.delta, params.horizon),
-      params_(params),
-      mean_rate_(params.mean_rate) {
+    : GeneratorSource(params.delta, params.horizon), params_(params) {
   RRS_REQUIRE(params.num_colors >= 1, "need >= 1 color");
   RRS_REQUIRE(params.min_delay >= 1 && params.min_delay <= params.max_delay,
               "need 1 <= min_delay <= max_delay");
   RRS_REQUIRE(params.mean_rate >= 0.0, "mean_rate must be >= 0");
+  mean_rate_ = PoissonMean(params.mean_rate);
 
   // Static per-color delay bounds come from the base seed; job streams use
   // one derived RNG per color so round-major synthesis is deterministic.

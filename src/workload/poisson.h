@@ -55,7 +55,7 @@ class PoissonSource final : public GeneratorSource {
 
   PoissonParams params_;      // kept verbatim for clone()
   std::vector<Rng> streams_;  // one RNG stream per color
-  double mean_rate_;
+  PoissonMean mean_rate_;
 };
 
 /// Builds a random unbatched instance (materializes the streaming source;

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -257,13 +256,14 @@ TEST(EligibilityTracker, MultipleDelayGroupsTouchOnlyAtOwnBoundaries) {
   EXPECT_FALSE(h.tracker().eligible(slow));  // reset at round 8
 }
 
-/// Every color whose delay bound divides k, by ascending delay and then
-/// ascending color: what BlockCalendar::due(k) must return.
+/// Every color with a block start in (after, k], by ascending delay and
+/// then ascending color: what BlockCalendar::due(k) must return when the
+/// round asked before k was `after`.
 std::vector<ColorId> brute_force_due(const std::vector<Round>& delays,
-                                     Round k) {
+                                     Round after, Round k) {
   std::vector<std::pair<Round, ColorId>> due;
   for (std::size_t c = 0; c < delays.size(); ++c) {
-    if (k % delays[c] == 0) {
+    if (floor_multiple(k, delays[c]) > after) {
       due.emplace_back(delays[c], static_cast<ColorId>(c));
     }
   }
@@ -288,27 +288,27 @@ TEST(BlockCalendar, MatchesBruteForceOnRandomDelaySets) {
       classes[delay].push_back(c);
     }
     BlockCalendar calendar(classes);
-    // The first query lands at an arbitrary round, as after a restore.
+    // A fresh calendar reports round 0's starts at its first query,
+    // wherever that lands.
+    Round after = -1;
     Round k = rng.uniform(0, 500);
     for (int step = 0; step < 300; ++step) {
-      const std::vector<ColorId> want = brute_force_due(delays, k);
-      Round next = std::numeric_limits<Round>::max();
-      for (const Round delay : delays) {
-        next = std::min(next, k % delay == 0 ? k : ceil_multiple(k, delay));
-      }
-      ASSERT_EQ(calendar.next_start(k), next)
-          << "trial " << trial << " round " << k;
+      const std::vector<ColorId> want = brute_force_due(delays, after, k);
       // Asked twice, as the tracker's drop and arrival phases do.
       for (int query = 0; query < 2; ++query) {
         const std::span<const ColorId> got = calendar.due(k);
         ASSERT_EQ(std::vector<ColorId>(got.begin(), got.end()), want)
-            << "trial " << trial << " round " << k << " query " << query;
+            << "trial " << trial << " round " << k << " after " << after
+            << " query " << query;
       }
+      after = k;
       if (step == 150) {
-        // A restore starts a fresh calendar at an earlier round.
+        // A restore resumes a fresh calendar at an earlier round.
         EXPECT_THROW((void)calendar.due(k - 1), InvariantError);
         calendar = BlockCalendar(classes);
         k = rng.uniform(0, k);
+        calendar.start_at(k);
+        after = k - 1;
       } else {
         // Mostly the next round; sometimes a skip over several.
         k += rng.bernoulli(0.8) ? 1 : rng.uniform(2, 50);
@@ -320,7 +320,8 @@ TEST(BlockCalendar, MatchesBruteForceOnRandomDelaySets) {
 TEST(BlockCalendar, WithoutClassesNothingStarts) {
   BlockCalendar calendar;
   EXPECT_TRUE(calendar.due(0).empty());
-  EXPECT_EQ(calendar.next_start(5), kInfiniteHorizon);
+  calendar.start_at(7);
+  EXPECT_TRUE(calendar.due(9).empty());
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 // reconfigurations, rounds, degraded accounting, policy stats, snapshot
 // series — to the same run with it off, across every engine-driven
 // algorithm, workload family, and seed, with and without fault plans,
-// and through the sharded runner.
+// and through the sharded runner.  Two of the families have arbitrary
+// delay bounds, one of them weighted: there a deadline caught up to the
+// wrong block can reorder EDF ranks, which nested power-of-two bounds
+// hide.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,6 +25,7 @@
 #include "sim/runner.h"
 #include "test_util.h"
 #include "util/bits.h"
+#include "util/rng.h"
 #include "workload/datacenter.h"
 #include "workload/flash_crowd.h"
 #include "workload/poisson.h"
@@ -35,8 +39,34 @@ const char* const kStreamingAlgorithms[] = {
 };
 
 const char* const kFamilies[] = {
-    "random-batched", "poisson", "flash-crowd", "datacenter",
+    "random-batched", "poisson",           "flash-crowd",
+    "datacenter",     "poisson-arbitrary", "weighted-trickle",
 };
+
+/// A materialized weighted trickle over 1024 rounds: eight colors with
+/// arbitrary delay bounds 3-40, drop costs 1-4 and lengths 1-3, each
+/// starting a burst of 1-3 jobs in about one round in 250.  Built once
+/// per seed (a MaterializedSource only points at its instance).
+const Instance& weighted_trickle(std::uint64_t seed) {
+  static std::map<std::uint64_t, Instance> built;
+  if (const auto it = built.find(seed); it != built.end()) return it->second;
+  constexpr ColorId kColors = 8;
+  constexpr Round kHorizon = 1024;
+  Rng rng(seed);
+  InstanceBuilder builder;
+  builder.delta(6);
+  for (ColorId c = 0; c < kColors; ++c) {
+    builder.add_color(rng.uniform(3, 40), /*drop_cost=*/1 + c % 4,
+                      /*length=*/1 + c % 3);
+  }
+  for (Round k = 0; k < kHorizon; ++k) {
+    for (ColorId c = 0; c < kColors; ++c) {
+      if (rng.bernoulli(0.004)) builder.add_jobs(c, k, rng.uniform(1, 3));
+    }
+  }
+  builder.min_horizon(kHorizon);
+  return built.emplace(seed, builder.build()).first->second;
+}
 
 /// Fresh streaming source for (family, seed).  Rates are kept low (sparse
 /// streams) so the fast-forward path actually fires.
@@ -68,6 +98,19 @@ std::unique_ptr<ArrivalSource> make_source(const std::string& family,
     params.horizon = 1024;
     params.seed = seed;
     return std::make_unique<DatacenterSource>(params);
+  }
+  if (family == "poisson-arbitrary") {
+    PoissonParams params;
+    params.horizon = 512;
+    params.mean_rate = 0.002;
+    params.arbitrary_delays = true;
+    params.min_delay = 3;
+    params.max_delay = 40;
+    params.seed = seed;
+    return std::make_unique<PoissonSource>(params);
+  }
+  if (family == "weighted-trickle") {
+    return std::make_unique<MaterializedSource>(weighted_trickle(seed));
   }
   ADD_FAILURE() << "unknown family " << family;
   return nullptr;
@@ -208,37 +251,104 @@ TEST(FastForwardSkips, LongGapIsActuallyJumped) {
   EXPECT_GT(on.rounds, 100000);
 }
 
-TEST(FastForwardContract, PolicyEventIsTheNextBlockStart) {
-  // Fast-forward must stop at every block start: k on a multiple of some
-  // delay bound, else the earliest multiple after k.  The ranked policies
-  // report that round, and adaptive the earlier of it and its window end
-  // (a window closes at each multiple of kWindow when every round runs).
-  for (const char* const family : {"random-batched", "poisson"}) {
+TEST(FastForwardSkips, FlashGapVisitsFewRounds) {
+  // E9's flash-gap stream: a trickle with one dense spike in 1M rounds.
+  // Quiescent block starts are skipped, so the engine visits the rounds
+  // around arrivals, wraps and epoch ends, not every block start of the
+  // D = 8 color (which alone is 12.5% of rounds).
+  FlashCrowdParams params;
+  params.seed = 99;
+  params.base_rate = 0.0005;
+  params.spike_factor = 4000.0;
+  params.spike_start = 500'000;
+  params.spike_end = 501'024;
+  params.background_colors = 3;
+  params.background_rate = 0.0002;
+  params.background_delay = 64;
+  params.horizon = kInfiniteHorizon;
+  FlashCrowdSource source(params);
+  EngineOptions options;
+  options.num_resources = 8;
+  options.record_schedule = false;
+  options.max_rounds = 1'000'000;
+  options.drain_pending = true;
+  const std::unique_ptr<Policy> policy = make_stream_policy("dlru-edf", options);
+  struct VisitCounter final : RunSink {
+    std::int64_t visited = 0;
+    void on_round_end(const RoundEnd&) override { ++visited; }
+  } counter;
+  Engine engine(source, *policy, options);
+  engine.attach(counter);
+  engine.run_rounds(source, engine.arrival_end());
+  const EngineResult result = engine.finish();
+  EXPECT_GE(result.rounds, 1'000'000);
+  EXPECT_GT(counter.visited, 0);
+  EXPECT_LT(static_cast<double>(counter.visited),
+            0.025 * static_cast<double>(result.rounds))
+      << counter.visited << " of " << result.rounds << " rounds visited";
+}
+
+/// The logical cached set, rebuilt from the engine's membership events.
+class CachedSet final : public RunSink {
+ public:
+  explicit CachedSet(ColorId colors)
+      : cached_(static_cast<std::size_t>(colors), false) {}
+  void on_membership(const Membership& e) override {
+    cached_[static_cast<std::size_t>(e.color)] = e.inserted;
+  }
+  [[nodiscard]] bool contains(ColorId color) const {
+    return cached_[static_cast<std::size_t>(color)];
+  }
+
+ private:
+  std::vector<bool> cached_;
+};
+
+TEST(FastForwardContract, PolicyEventIsTheNextActiveBlockStart) {
+  // Fast-forward must stop at each block start that changes more than a
+  // deadline.  The reference applies Section 3.1's block-start rule to
+  // each color's exported state and the cached set the membership events
+  // left: at its next block start a color ends its epoch if it is
+  // eligible and not cached, and records max(last wrap, 0) as its
+  // timestamp.  The policy must report the earliest start where either
+  // changes the color, or none; adaptive also stops at its window end (a
+  // window closes at each multiple of kWindow when every round runs).
+  std::int64_t quiescent = 0;
+  std::int64_t active = 0;
+  for (const char* const family :
+       {"random-batched", "poisson", "poisson-arbitrary", "weighted-trickle"}) {
     for (const std::uint64_t seed : {1ULL, 2ULL}) {
       for (const char* const name : kStreamingAlgorithms) {
         const std::string algorithm = name;
         const auto source = make_source(family, seed);
-        std::vector<Round> delays;
-        for (ColorId c = 0; c < source->num_colors(); ++c) {
-          delays.push_back(source->delay_bound(c));
-        }
         EngineOptions options;
         options.num_resources = 8;
         options.record_schedule = false;
         const std::unique_ptr<Policy> policy =
             make_stream_policy(algorithm, options);
         Engine engine(*source, *policy, options);
-        for (Round k = 0; k < engine.arrival_end(); ++k) {
+        CachedSet cached(source->num_colors());
+        engine.attach(cached);
+        // Before its first round the policy has seen no cache.
+        ASSERT_EQ(policy->next_policy_event(0), 0) << algorithm;
+        for (Round k = 1; k < engine.arrival_end(); ++k) {
           engine.run_rounds(*source, k);
-          Round stop = std::numeric_limits<Round>::max();
-          for (const Round d : delays) {
-            stop = std::min(stop, k % d == 0 ? k : ceil_multiple(k, d));
+          Round stop = kInfiniteHorizon;
+          for (ColorId c = 0; c < source->num_colors(); ++c) {
+            PolicyColorState state;
+            ASSERT_TRUE(policy->export_color_state(c, state));
+            const bool ends_epoch = state.eligible && !cached.contains(c);
+            const Round timestamp = std::max<Round>(state.last_wrap, 0);
+            if (!ends_epoch && timestamp == state.timestamp) continue;
+            const Round start = ceil_multiple(k, source->delay_bound(c));
+            if (stop == kInfiniteHorizon || start < stop) stop = start;
           }
+          (stop == kInfiniteHorizon ? quiescent : active) += 1;
           if (algorithm == "adaptive") {
             const Round window_end =
-                std::max(ceil_multiple(k, AdaptiveSplitPolicy::kWindow),
-                         AdaptiveSplitPolicy::kWindow);
-            stop = std::min(stop, window_end);
+                ceil_multiple(k, AdaptiveSplitPolicy::kWindow);
+            stop = stop == kInfiniteHorizon ? window_end
+                                            : std::min(stop, window_end);
           }
           ASSERT_EQ(policy->next_policy_event(k), stop)
               << algorithm << "/" << family << " seed " << seed << " round "
@@ -247,6 +357,9 @@ TEST(FastForwardContract, PolicyEventIsTheNextBlockStart) {
       }
     }
   }
+  // Both answers occur, so neither half of the contract goes unchecked.
+  EXPECT_GT(quiescent, 0);
+  EXPECT_GT(active, 0);
 }
 
 TEST(FastForwardContract, DefaultSourceHintNeverSkips) {

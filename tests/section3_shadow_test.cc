@@ -3,7 +3,8 @@
 // invariant, and inside Theorem 1's model Lemmas 3.3, 3.4 and 3.15 must
 // hold at every check.  The matrix covers the streaming matrix's
 // algorithms, families and seeds (plus Poisson input with arbitrary delay
-// bounds) with fast-forward on and off and under an MTBF fault plan, each
+// bounds and a sparse trickle whose runs skip long quiescent spans) with
+// fast-forward on and off and under an MTBF fault plan, each
 // shard's relabeled sub-workload of a K = 2 split, and dLRU-EDF over the
 // Distribute and VarBatch adapters.  Hand-fed event streams pin what the shadow reports when a check
 // fails.
@@ -70,11 +71,27 @@ Section3Report expect_shadow_agrees(ArrivalSource& source,
   return report;
 }
 
-/// The streaming families plus Poisson input with arbitrary delay bounds:
-/// there the EDF order of colors with different bounds depends on their
-/// deadlines, not only on the bounds, as it does when bounds nest.
+/// The streaming families plus two more.  Poisson input with arbitrary
+/// delay bounds: there the EDF order of colors with different bounds
+/// depends on their deadlines, not only on the bounds, as it does when
+/// bounds nest.  A trickle shaped like the benchmark's sparse-service
+/// stream over 32k rounds, with one spike: fast-forward skips quiescent
+/// block starts by the thousand, and the shadow processes each of them.
 std::unique_ptr<ArrivalSource> shadow_source(const std::string& family,
                                              std::uint64_t seed) {
+  if (family == "sparse-trickle") {
+    FlashCrowdParams params;
+    params.base_rate = 0.0005;
+    params.spike_factor = 4000.0;
+    params.spike_start = 16'384;
+    params.spike_end = 16'384 + 512;
+    params.background_colors = 3;
+    params.background_rate = 0.0002;
+    params.background_delay = 64;
+    params.horizon = 32'768;
+    params.seed = seed;
+    return std::make_unique<FlashCrowdSource>(params);
+  }
   if (family != "poisson-arbitrary") return make_source(family, seed);
   PoissonParams params;
   params.horizon = 256;
@@ -125,6 +142,7 @@ std::vector<Cell> all_cells() {
   std::vector<std::string> families(std::begin(kFamilies),
                                     std::end(kFamilies));
   families.emplace_back("poisson-arbitrary");
+  families.emplace_back("sparse-trickle");
   for (const char* const algorithm : kStreamingAlgorithms) {
     for (const std::string& family : families) {
       for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {

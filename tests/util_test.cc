@@ -147,7 +147,9 @@ TEST(Rng, PoissonMeanRoughlyCorrect) {
 
 TEST(Rng, PoissonZeroMean) {
   Rng rng(1);
+  const auto before = rng.state_words();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.poisson(0.0), 0);
+  EXPECT_EQ(rng.state_words(), before);  // a zero mean draws nothing
 }
 
 TEST(Rng, BernoulliExtremes) {
