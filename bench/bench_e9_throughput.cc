@@ -494,8 +494,8 @@ bool same_results(const std::vector<std::vector<StreamRunRecord>>& runs) {
 // share of rounds the fast-forward run visits (a round the engine runs
 // rather than skips), counted in one more run.
 constexpr Round kFastForwardRounds = 1'000'000;
-constexpr double kPoissonSparseFloor = 1.6;
-constexpr double kFlashGapFloor = 3.8;
+constexpr double kPoissonSparseFloor = 3.1;
+constexpr double kFlashGapFloor = 12.6;
 
 std::unique_ptr<ArrivalSource> poisson_sparse() {
   PoissonParams params;
@@ -521,6 +521,31 @@ std::unique_ptr<ArrivalSource> flash_gap() {
   params.horizon = kInfiniteHorizon;
   return std::make_unique<FlashCrowdSource>(params);
 }
+
+/// Op: one round of next_event_round()'s scan over a trickle source, with
+/// no engine.  Each iteration scans at most 4096 rounds ahead and pulls the
+/// round the scan reports, as the engine's fast-forward does; the cell
+/// reports time per round scanned.
+void BM_OpTrickleScan(benchmark::State& state,
+                      std::unique_ptr<ArrivalSource> (*make)()) {
+  constexpr Round kWindow = 4096;
+  const std::unique_ptr<ArrivalSource> source = make();
+  Round k = 0;
+  for (auto _ : state) {
+    const Round next = source->next_event_round(k, k + kWindow);
+    if (next < k + kWindow) {
+      benchmark::DoNotOptimize(source->arrivals_in_round(next).data());
+      k = next + 1;
+    } else {
+      k = next;
+    }
+  }
+  const double rounds_per_iteration =
+      static_cast<double>(k) / static_cast<double>(state.iterations());
+  report_time_per_op(state, rounds_per_iteration);
+}
+BENCHMARK_CAPTURE(BM_OpTrickleScan, poisson_sparse, poisson_sparse);
+BENCHMARK_CAPTURE(BM_OpTrickleScan, flash_gap, flash_gap);
 
 /// Rounds the engine ran, counted at their ends.
 struct VisitCounter final : RunSink {

@@ -32,11 +32,23 @@ namespace rrs {
 struct PoissonMean {
   PoissonMean() = default;
   explicit PoissonMean(double m) : mean(m), bound(std::exp(-m)) {
-    RRS_CHECK(m >= 0.0);
+    RRS_CHECK_MSG(drawable(m), "Poisson mean " << m);
+    zero_max = static_cast<std::uint64_t>(std::ldexp(bound, 53));
+  }
+
+  /// True when Rng::poisson draws mean `m` exactly: exp(-m) is a normal
+  /// double, so 0 <= m <= 708.39.  Past that, the bound is subnormal or 0
+  /// and Knuth's product stops only when it underflows (a mean of 800
+  /// samples about 745).
+  [[nodiscard]] static bool drawable(double m) {
+    return m >= 0.0 && std::isnormal(std::exp(-m));
   }
 
   double mean = 0.0;
   double bound = 1.0;  ///< exp(-mean)
+  /// floor(bound * 2^53): poisson() returns 0 exactly when its first
+  /// uniform's 53 bits, (output >> 11), are at most this.
+  std::uint64_t zero_max = std::uint64_t{1} << 53;
 };
 
 /// xoshiro256** PRNG.  Satisfies std::uniform_random_bit_generator.
@@ -55,7 +67,7 @@ class Rng {
   }
 
   constexpr result_type operator()() {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t result = peek();
     const std::uint64_t t = state_[1] << 17;
     state_[2] ^= state_[0];
     state_[3] ^= state_[1];
@@ -64,6 +76,11 @@ class Rng {
     state_[2] ^= t;
     state_[3] = rotl(state_[3], 45);
     return result;
+  }
+
+  /// The output the next operator()() returns, without stepping.
+  [[nodiscard]] constexpr result_type peek() const {
+    return rotl(state_[1] * 5, 7) * 9;
   }
 
   /// Uniform integer in [lo, hi] inclusive.  Requires lo <= hi.
@@ -96,7 +113,9 @@ class Rng {
   /// Poisson draw by Knuth's algorithm, adequate for the small means
   /// (< 64) used by workload generators: multiplies uniform draws until
   /// the product falls to m.bound, taking count + 1 draws for a result of
-  /// count.  A mean of 0 takes none.
+  /// count.  A mean of 0 takes none.  The first product is 1.0 times the
+  /// first uniform, so the result is 0 exactly when
+  /// `(peek() >> 11) <= m.zero_max`.
   [[nodiscard]] std::int64_t poisson(const PoissonMean& m) {
     if (m.mean == 0.0) return 0;
     double threshold = 1.0;

@@ -1,5 +1,7 @@
 #include "workload/datacenter.h"
 
+#include <string>
+
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -52,7 +54,9 @@ DatacenterSource::DatacenterSource(const DatacenterParams& params)
   for (std::size_t c = 0; c < services_.size(); ++c) {
     const ServiceSpec& s = services_[c];
     add_color(s.delay_bound, s.drop_cost);
-    rates_.push_back({PoissonMean(s.hot_rate), PoissonMean(s.cold_rate)});
+    const std::string name = "services[" + std::to_string(c) + "]";
+    rates_.push_back({poisson_mean(s.hot_rate, name + ".hot_rate"),
+                      poisson_mean(s.cold_rate, name + ".cold_rate")});
     ServiceState st{derive_rng(params.seed, c), false, 0};
     st.hot = st.stream.bernoulli(0.5);
     st.phase_left = geometric(st.stream, st.hot ? s.mean_hot_length

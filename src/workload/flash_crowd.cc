@@ -8,9 +8,10 @@ namespace rrs {
 FlashCrowdSource::FlashCrowdSource(const FlashCrowdParams& params)
     : GeneratorSource(params.delta, params.horizon),
       params_(params),
-      background_(params.background_rate),
-      base_(params.base_rate),
-      spike_(params.base_rate * params.spike_factor) {
+      background_(poisson_mean(params.background_rate, "background_rate")),
+      base_(poisson_mean(params.base_rate, "base_rate")),
+      spike_(poisson_mean(params.base_rate * params.spike_factor,
+                          "base_rate * spike_factor")) {
   RRS_REQUIRE(params.background_colors >= 0, "negative color count");
   RRS_REQUIRE(params.spike_factor >= 1.0, "spike_factor must be >= 1");
   RRS_REQUIRE(0 <= params.spike_start &&
@@ -33,16 +34,30 @@ std::unique_ptr<GeneratorSource> FlashCrowdSource::clone() const {
 }
 
 void FlashCrowdSource::synthesize_color(ColorId color, Round k) {
+  Lane lane;
+  (void)poisson_lane(color, k, lane);
+  const std::int64_t count = lane.stream->poisson(*lane.mean);
+  if (count > 0) emit(color, k, count);
+}
+
+Round FlashCrowdSource::poisson_lane(ColorId color, Round k, Lane& lane) {
   // The per-color rate is a pure function of (color, k), so a view that
   // only ever draws this color replays exactly the full stream's draws.
-  const PoissonMean* rate = &background_;
-  if (color == spike_color_) {
-    const bool in_spike = k >= params_.spike_start && k < params_.spike_end;
-    rate = in_spike ? &spike_ : &base_;
+  lane.stream = &streams_[static_cast<std::size_t>(color)];
+  if (color != spike_color_) {
+    lane.mean = &background_;
+    return kInfiniteHorizon;
   }
-  const std::int64_t count =
-      streams_[static_cast<std::size_t>(color)].poisson(*rate);
-  if (count > 0) emit(color, k, count);
+  if (k < params_.spike_start) {
+    lane.mean = &base_;
+    return params_.spike_start;
+  }
+  if (k < params_.spike_end) {
+    lane.mean = &spike_;
+    return params_.spike_end;
+  }
+  lane.mean = &base_;
+  return kInfiniteHorizon;
 }
 
 FlashCrowdInstance make_flash_crowd(const FlashCrowdParams& params) {

@@ -49,6 +49,8 @@ class FlashCrowdSource : public GeneratorSource {
 
  private:
   void synthesize_color(ColorId color, Round k) override;
+  /// Every color is a lane: the spike color's ends at the spike edges.
+  Round poisson_lane(ColorId color, Round k, Lane& lane) final;
 
   /// The only mutable generation state is the per-color RNG streams.
   void checkpoint_extra(CheckpointWriter& w) const override {

@@ -25,6 +25,17 @@
 // synthesize_color(c, k) draws nothing unless D_c divides k; synthesize()
 // then visits only the colors that start a block at k (BlockCalendar), in
 // the same order.
+//
+// Quiet-round skip: in a trickle almost every (color, round) draw is a
+// Poisson zero.  A generator whose round is one `Rng::poisson(PoissonMean)`
+// draw per color, on the color's own stream, reports those *lanes*
+// (poisson_lane()), and next_event_round() steps every lane over the
+// rounds where all of their next draws are zero — a test on the next
+// output word (PoissonMean::zero_max) that draws no count — and hands the
+// first other round to synthesize().  Each lane's stream moves one word
+// per skipped round, as the zero draws would have moved it, so the
+// streams, emitted jobs and checkpoint bytes are those of the per-round
+// path.
 #pragma once
 
 #include <algorithm>
@@ -33,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -124,11 +136,12 @@ class GeneratorSource : public ArrivalSource {
   }
 
   /// Scans ahead for the first arrival-carrying round in [k, limit),
-  /// synthesizing (and remembering) rounds as it goes: scanned-and-empty
-  /// rounds serve empty pulls without re-synthesizing, and a found round's
-  /// jobs are held ("peeked") until that round is pulled.  The RNG
-  /// position only ever moves forward, once per round, so a run with
-  /// fast-forward is draw-for-draw identical to one without.
+  /// synthesizing (and remembering) rounds as it goes, or stepping over
+  /// quiet ones (file comment): scanned-and-empty rounds serve empty
+  /// pulls without re-synthesizing, and a found round's jobs are held
+  /// ("peeked") until that round is pulled.  The RNG position only ever
+  /// moves forward, once per round, so a run with fast-forward is
+  /// draw-for-draw identical to one without.
   [[nodiscard]] Round next_event_round(Round k, Round limit) override {
     RRS_REQUIRE(limit >= k && k > served_,
                 "next_event_round(" << k << ", " << limit
@@ -138,14 +151,18 @@ class GeneratorSource : public ArrivalSource {
       return std::min(peek_round_, limit);
     }
     Round j = std::max(k, next_round_);
+    const Round end = finite() ? std::min(limit, horizon_) : limit;
     while (j < limit) {
-      if (finite() && j >= horizon_) {
+      if (j >= end) {
         // Rounds at or past the horizon carry no arrivals and are never
         // synthesized, so the whole tail can be declared empty at once.
         j = limit;
         break;
       }
+      // Cleared as synthesizing round j would: a checkpoint writes it.
       buffer_.clear();
+      j = skip_quiet_rounds(j, end);
+      if (j == end) continue;
       synthesize(j);
       ++j;
       if (!buffer_.empty()) {
@@ -329,17 +346,7 @@ class GeneratorSource : public ArrivalSource {
   /// Generators that are not per-color decomposable override this
   /// wholesale (and then cannot serve shard-native views).
   virtual void synthesize(Round k) {
-    if (colors_.empty()) {
-      // Built at the first synthesis, after the subclass registered its
-      // colors and any restrict_to(); a restore then resumes mid-cycle.
-      std::map<Round, std::vector<ColorId>> classes;
-      for (ColorId c = 0; c < num_colors(); ++c) {
-        colors_.push_back(static_cast<ColorId>(global_of(c)));
-        classes[delay_bound(c)].push_back(colors_.back());
-      }
-      blocks_ = BlockCalendar(classes);
-      blocks_.start_at(k);
-    }
+    init_view(k);
     std::span<const ColorId> due = colors_;
     if (batched_) {
       due = blocks_.due(k);
@@ -362,6 +369,34 @@ class GeneratorSource : public ArrivalSource {
     RRS_CHECK_MSG(false, "generator cannot synthesize color " << color
                              << " independently (no synthesize_color "
                                 "override)");
+  }
+
+  /// One color's whole draw in a round: `stream->poisson(*mean)`.
+  struct Lane {
+    Rng* stream = nullptr;
+    const PoissonMean* mean = nullptr;
+  };
+
+  /// The quiet-round skip's hook (file comment).  When round k's
+  /// synthesis of global color `color` is exactly one `poisson` draw on
+  /// the color's own stream, emitted when nonzero, sets `lane` to that
+  /// stream and mean and returns the first round after k where this stops
+  /// describing the color's rounds (kInfiniteHorizon: never).  Otherwise
+  /// returns k, and next_event_round() synthesizes the round.  Unbatched
+  /// generators only.
+  virtual Round poisson_lane(ColorId color, Round k, Lane& lane) {
+    (void)color;
+    (void)lane;
+    return k;
+  }
+
+  /// A generator parameter as a Poisson mean, rejected (naming `name`)
+  /// unless Rng::poisson draws it exactly.
+  static PoissonMean poisson_mean(double mean, const std::string& name) {
+    RRS_REQUIRE(PoissonMean::drawable(mean),
+                name << " = " << mean
+                     << " is outside [0, 708.39], where exp(-mean) is normal");
+    return PoissonMean(mean);
   }
 
   /// Serializes the subclass's stream state (RNG words, phase machines)
@@ -412,6 +447,70 @@ class GeneratorSource : public ArrivalSource {
     for (const ColorId c : active_) w.i64(c);
   }
 
+  /// Builds the view's color list and block calendar at the first
+  /// synthesis or skip, after the subclass registered its colors and any
+  /// restrict_to(); a restore then resumes mid-cycle at k.
+  void init_view(Round k) {
+    if (!colors_.empty()) return;
+    std::map<Round, std::vector<ColorId>> classes;
+    for (ColorId c = 0; c < num_colors(); ++c) {
+      colors_.push_back(static_cast<ColorId>(global_of(c)));
+      classes[delay_bound(c)].push_back(colors_.back());
+    }
+    blocks_ = BlockCalendar(classes);
+    blocks_.start_at(k);
+  }
+
+  /// Steps every lane over the rounds in [j, end) whose draws are all
+  /// zero; returns the first round that is not (or `end`).  Returns j
+  /// when a view color has no lane at j.  Lanes are scanned one at a time
+  /// on a copy, kQuietBlock rounds at a time: each lane counts its
+  /// leading zero draws up to the shortest count so far, and then every
+  /// stream moves exactly that many words.  A lane that counted further
+  /// steps its stream again; the loss is at most one block per nonzero
+  /// draw, and a lone stream's scan keeps its state in registers.
+  Round skip_quiet_rounds(Round j, Round end) {
+    if (batched_) return j;
+    init_view(j);
+    lanes_.clear();
+    for (const ColorId c : colors_) {
+      Lane lane;
+      const Round until = poisson_lane(c, j, lane);
+      if (until != kInfiniteHorizon) {
+        if (until <= j) return j;
+        end = std::min(end, until);
+      }
+      // A mean-0 lane draws nothing, so it neither stops nor steps.
+      if (lane.mean->mean > 0.0) lanes_.push_back(ScanLane{lane});
+    }
+    while (j < end) {
+      const Round block = std::min(kQuietBlock, end - j);
+      Round quiet = block;
+      for (ScanLane& scan : lanes_) {
+        Rng ahead = *scan.lane.stream;
+        const std::uint64_t zero_max = scan.lane.mean->zero_max;
+        Round run = 0;
+        while (run < quiet && (ahead.peek() >> 11) <= zero_max) {
+          (void)ahead();
+          ++run;
+        }
+        scan.ahead = ahead;
+        scan.run = run;
+        quiet = run;
+      }
+      for (ScanLane& scan : lanes_) {
+        if (scan.run == quiet) {
+          *scan.lane.stream = scan.ahead;
+        } else {
+          for (Round r = 0; r < quiet; ++r) (void)(*scan.lane.stream)();
+        }
+      }
+      j += quiet;
+      if (quiet < block) break;
+    }
+    return j;
+  }
+
   [[nodiscard]] std::size_t checked_global(ColorId color) const {
     RRS_REQUIRE(color >= 0 &&
                     static_cast<std::size_t>(color) < delay_bounds_.size(),
@@ -445,6 +544,15 @@ class GeneratorSource : public ArrivalSource {
   std::vector<ColorId> colors_;
   BlockCalendar blocks_;
   std::vector<ColorId> due_;  ///< merged due classes, ascending
+  // The quiet-round skip's lanes, gathered at each skip, and the scan's
+  // per-lane copy and count of leading zero draws.
+  struct ScanLane {
+    Lane lane;
+    Rng ahead{};
+    Round run = 0;
+  };
+  static constexpr Round kQuietBlock = 64;
+  std::vector<ScanLane> lanes_;
   // Cost model cache (restrict_to() invalidates it).
   mutable CostModel model_;
   mutable bool model_ready_ = false;

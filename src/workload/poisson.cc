@@ -11,8 +11,7 @@ PoissonSource::PoissonSource(const PoissonParams& params)
   RRS_REQUIRE(params.num_colors >= 1, "need >= 1 color");
   RRS_REQUIRE(params.min_delay >= 1 && params.min_delay <= params.max_delay,
               "need 1 <= min_delay <= max_delay");
-  RRS_REQUIRE(params.mean_rate >= 0.0, "mean_rate must be >= 0");
-  mean_rate_ = PoissonMean(params.mean_rate);
+  mean_rate_ = poisson_mean(params.mean_rate, "mean_rate");
 
   // Static per-color delay bounds come from the base seed; job streams use
   // one derived RNG per color so round-major synthesis is deterministic.
@@ -38,9 +37,17 @@ std::unique_ptr<GeneratorSource> PoissonSource::clone() const {
 }
 
 void PoissonSource::synthesize_color(ColorId color, Round k) {
-  const std::int64_t count =
-      streams_[static_cast<std::size_t>(color)].poisson(mean_rate_);
+  Lane lane;
+  (void)poisson_lane(color, k, lane);
+  const std::int64_t count = lane.stream->poisson(*lane.mean);
   if (count > 0) emit(color, k, count);
+}
+
+Round PoissonSource::poisson_lane(ColorId color, Round k, Lane& lane) {
+  (void)k;
+  lane.stream = &streams_[static_cast<std::size_t>(color)];
+  lane.mean = &mean_rate_;
+  return kInfiniteHorizon;
 }
 
 Instance make_poisson(const PoissonParams& params) {

@@ -41,6 +41,8 @@ class PoissonSource final : public GeneratorSource {
 
  private:
   void synthesize_color(ColorId color, Round k) override;
+  /// Every color is a lane at the one mean rate, for the whole stream.
+  Round poisson_lane(ColorId color, Round k, Lane& lane) override;
 
   /// The only mutable generation state is the per-color RNG streams.
   void checkpoint_extra(CheckpointWriter& w) const override {

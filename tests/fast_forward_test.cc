@@ -6,7 +6,9 @@
 // and through the sharded runner.  Two of the families have arbitrary
 // delay bounds, one of them weighted: there a deadline caught up to the
 // wrong block can reorder EDF ranks, which nested power-of-two bounds
-// hide.
+// hide.  The flash-trickle family's spike starts and ends inside quiet
+// stretches, so skips cross both edges of the source's quiet-round
+// lanes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,8 +41,8 @@ const char* const kStreamingAlgorithms[] = {
 };
 
 const char* const kFamilies[] = {
-    "random-batched", "poisson",           "flash-crowd",
-    "datacenter",     "poisson-arbitrary", "weighted-trickle",
+    "random-batched",    "poisson",          "flash-crowd",   "datacenter",
+    "poisson-arbitrary", "weighted-trickle", "flash-trickle",
 };
 
 /// A materialized weighted trickle over 1024 rounds: eight colors with
@@ -111,6 +113,22 @@ std::unique_ptr<ArrivalSource> make_source(const std::string& family,
   }
   if (family == "weighted-trickle") {
     return std::make_unique<MaterializedSource>(weighted_trickle(seed));
+  }
+  if (family == "flash-trickle") {
+    // A trickle with a spike of 0.5 jobs per round: quiet rounds inside
+    // the spike let the engine skip across its end as well as into it.
+    FlashCrowdParams params;
+    params.base_rate = 0.002;
+    params.spike_factor = 250.0;
+    params.spike_start = 300;
+    params.spike_end = 400;
+    params.spike_delay = 8;
+    params.background_colors = 3;
+    params.background_rate = 0.001;
+    params.background_delay = 64;
+    params.horizon = 1024;
+    params.seed = seed;
+    return std::make_unique<FlashCrowdSource>(params);
   }
   ADD_FAILURE() << "unknown family " << family;
   return nullptr;
@@ -255,7 +273,8 @@ TEST(FastForwardSkips, FlashGapVisitsFewRounds) {
   // E9's flash-gap stream: a trickle with one dense spike in 1M rounds.
   // Quiescent block starts are skipped, so the engine visits the rounds
   // around arrivals, wraps and epoch ends, not every block start of the
-  // D = 8 color (which alone is 12.5% of rounds).
+  // D = 8 color (which alone is 12.5% of rounds).  The run must also
+  // equal the one that visits every round.
   FlashCrowdParams params;
   params.seed = 99;
   params.base_rate = 0.0005;
@@ -266,22 +285,33 @@ TEST(FastForwardSkips, FlashGapVisitsFewRounds) {
   params.background_rate = 0.0002;
   params.background_delay = 64;
   params.horizon = kInfiniteHorizon;
-  FlashCrowdSource source(params);
-  EngineOptions options;
-  options.num_resources = 8;
-  options.record_schedule = false;
-  options.max_rounds = 1'000'000;
-  options.drain_pending = true;
-  const std::unique_ptr<Policy> policy = make_stream_policy("dlru-edf", options);
   struct VisitCounter final : RunSink {
     std::int64_t visited = 0;
     void on_round_end(const RoundEnd&) override { ++visited; }
-  } counter;
-  Engine engine(source, *policy, options);
-  engine.attach(counter);
-  engine.run_rounds(source, engine.arrival_end());
-  const EngineResult result = engine.finish();
+  };
+  const auto run = [&params](bool fast_forward, VisitCounter& counter) {
+    FlashCrowdSource source(params);
+    EngineOptions options;
+    options.num_resources = 8;
+    options.record_schedule = false;
+    options.max_rounds = 1'000'000;
+    options.drain_pending = true;
+    options.fast_forward = fast_forward;
+    const std::unique_ptr<Policy> policy =
+        make_stream_policy("dlru-edf", options);
+    Engine engine(source, *policy, options);
+    engine.attach(counter);
+    engine.run_rounds(source, engine.arrival_end());
+    return engine.finish();
+  };
+  VisitCounter counter;
+  const EngineResult result = run(true, counter);
+  VisitCounter every_round;
+  const EngineResult sequential = run(false, every_round);
+  testing::expect_same_run(result, sequential, "flash-gap");
+  EXPECT_EQ(every_round.visited, sequential.rounds);
   EXPECT_GE(result.rounds, 1'000'000);
+  EXPECT_GT(result.arrived, 2'500) << "the spike must arrive";
   EXPECT_GT(counter.visited, 0);
   EXPECT_LT(static_cast<double>(counter.visited),
             0.025 * static_cast<double>(result.rounds))

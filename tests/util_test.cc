@@ -2,7 +2,10 @@
 // check macros.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -150,6 +153,102 @@ TEST(Rng, PoissonZeroMean) {
   const auto before = rng.state_words();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.poisson(0.0), 0);
   EXPECT_EQ(rng.state_words(), before);  // a zero mean draws nothing
+}
+
+TEST(Rng, PeekIsTheNextOutputAndKeepsTheState) {
+  for (const std::uint64_t seed : {1ULL, 42ULL, 0xdeadbeefULL}) {
+    Rng rng(seed);
+    for (int i = 0; i < 1000; ++i) {
+      const auto before = rng.state_words();
+      const std::uint64_t next = rng.peek();
+      ASSERT_EQ(rng.state_words(), before) << "seed " << seed;
+      ASSERT_EQ(rng(), next) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+/// The inverse of an odd `a` modulo 2^64 (Newton's iteration doubles the
+/// correct low bits each step, from 3).
+constexpr std::uint64_t inverse_mod_2_64(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+static_assert(inverse_mod_2_64(9) * 9 == 1 && inverse_mod_2_64(5) * 5 == 1);
+
+/// A generator whose next output is exactly `out`: xoshiro256**'s output
+/// rotl(s1 * 5, 7) * 9 is invertible modulo 2^64, so s1 follows from it;
+/// the other three words are those of Rng(seed).
+Rng rng_with_next_output(std::uint64_t out, std::uint64_t seed) {
+  const std::uint64_t r = out * inverse_mod_2_64(9);
+  std::array<std::uint64_t, 4> words = Rng(seed).state_words();
+  words[1] = ((r >> 7) | (r << 57)) * inverse_mod_2_64(5);
+  Rng rng;
+  rng.set_state_words(words);
+  return rng;
+}
+
+const double kPoissonTestMeans[] = {
+    1e-6, 1e-4, 0.0002, 0.0005, 0.01, 0.2, 1.0, 2.0, 8.0, 37.0, 100.0, 700.0,
+};
+
+TEST(Rng, PoissonZeroMaxIsTheExactZeroBoundary) {
+  // Random states land in the one-value window around zero_max with
+  // probability 2^-53, so only constructed states can catch an off-by-one.
+  for (const double mean : kPoissonTestMeans) {
+    const PoissonMean m(mean);
+    const double scaled = std::ldexp(std::exp(-mean), 53);
+    EXPECT_EQ(m.zero_max, static_cast<std::uint64_t>(std::floor(scaled)))
+        << "mean " << mean;
+    for (const std::uint64_t low : {std::uint64_t{0}, std::uint64_t{0x7ff}}) {
+      for (const std::uint64_t seed : {3ULL, 4ULL}) {
+        Rng at = rng_with_next_output((m.zero_max << 11) | low, seed);
+        ASSERT_EQ(at.peek() >> 11, m.zero_max);
+        EXPECT_EQ(at.poisson(m), 0) << "mean " << mean << " at zero_max";
+        Rng past = rng_with_next_output(((m.zero_max + 1) << 11) | low, seed);
+        ASSERT_EQ(past.peek() >> 11, m.zero_max + 1);
+        EXPECT_GE(past.poisson(m), 1) << "mean " << mean << " at zero_max + 1";
+      }
+    }
+  }
+}
+
+TEST(Rng, PoissonIsZeroExactlyWhenThePeekIsAtMostZeroMax) {
+  for (const double mean : kPoissonTestMeans) {
+    const PoissonMean m(mean);
+    Rng rng(static_cast<std::uint64_t>(mean * 1e6) + 17);
+    int zeros = 0;
+    for (int i = 0; i < 4000; ++i) {
+      const bool zero_next = (rng.peek() >> 11) <= m.zero_max;
+      const std::int64_t count = rng.poisson(m);
+      ASSERT_EQ(count == 0, zero_next) << "mean " << mean << " draw " << i;
+      zeros += zero_next ? 1 : 0;
+    }
+    if (mean <= 0.01) {
+      EXPECT_GT(zeros, 3900) << "mean " << mean;
+    }
+    if (mean >= 8.0) {
+      EXPECT_LT(zeros, 10) << "mean " << mean;
+    }
+  }
+}
+
+TEST(PoissonMean, DrawableMeansHaveANormalBound) {
+  EXPECT_TRUE(PoissonMean::drawable(0.0));
+  EXPECT_TRUE(PoissonMean::drawable(1e-300));
+  EXPECT_TRUE(PoissonMean::drawable(708.39));
+  EXPECT_FALSE(PoissonMean::drawable(708.4));  // exp(-mean) is subnormal
+  EXPECT_FALSE(PoissonMean::drawable(745.2));  // exp(-mean) is 0
+  EXPECT_FALSE(PoissonMean::drawable(2000.0));
+  EXPECT_FALSE(PoissonMean::drawable(-1e-9));
+  EXPECT_FALSE(PoissonMean::drawable(std::numeric_limits<double>::infinity()));
+  EXPECT_FALSE(PoissonMean::drawable(std::nan("")));
+  EXPECT_THROW(PoissonMean(800.0), InvariantError);
+  // A mean whose bound rounds to 1 draws one word and returns 0.
+  const PoissonMean tiny(1e-300);
+  EXPECT_EQ(tiny.zero_max, std::uint64_t{1} << 53);
+  Rng rng(5);
+  EXPECT_EQ(rng.poisson(tiny), 0);
 }
 
 TEST(Rng, BernoulliExtremes) {

@@ -1,9 +1,14 @@
 // Tests for src/workload: generator classification, determinism, trace IO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -11,6 +16,7 @@
 #include "workload/adversary_dlru.h"
 #include "workload/adversary_edf.h"
 #include "workload/datacenter.h"
+#include "workload/flash_crowd.h"
 #include "workload/generator_source.h"
 #include "workload/intro_scenario.h"
 #include "workload/poisson.h"
@@ -243,6 +249,204 @@ TEST(GeneratorSource, BatchedContractResumesFromACheckpoint) {
               std::vector<Job>(a.begin(), a.end()))
         << "round " << k;
   }
+}
+
+std::vector<unsigned char> checkpoint_bytes(const GeneratorSource& source) {
+  CheckpointWriter w;
+  source.checkpoint(w);
+  const std::span<const unsigned char> bytes = w.bytes();
+  return {bytes.begin(), bytes.end()};
+}
+
+/// A fresh copy of `proto`, restricted to `view` unless it is empty.
+std::unique_ptr<GeneratorSource> fresh_copy(const GeneratorSource& proto,
+                                            const std::vector<ColorId>& view) {
+  std::unique_ptr<GeneratorSource> copy = proto.clone();
+  if (!view.empty()) copy->restrict_to(view);
+  return copy;
+}
+
+/// Drives one copy of `proto` by next_event_round() under seeded random
+/// limits, pulling each round it reports, and one by a pull every round.
+/// Both must emit the same jobs and, at seeded rounds, write the same
+/// checkpoint bytes.  A copy restored from a checkpoint taken mid-gap (a
+/// scan that reached its limit, so the pull cursor lags the synthesis)
+/// must continue as the plain pulls do.
+void expect_skip_matches_pulls(const GeneratorSource& proto,
+                               const std::vector<ColorId>& view,
+                               std::uint64_t seed, const std::string& what) {
+  constexpr Round kRounds = 24'000;
+  Rng rng(seed);
+  std::set<Round> stops;
+  for (int i = 0; i < 12; ++i) stops.insert(rng.uniform(1, kRounds - 1));
+
+  const std::unique_ptr<GeneratorSource> plain = fresh_copy(proto, view);
+  std::vector<Job> want;
+  std::map<Round, std::vector<unsigned char>> want_bytes;
+  for (Round k = 0; k < kRounds; ++k) {
+    if (stops.count(k) > 0) want_bytes[k] = checkpoint_bytes(*plain);
+    for (const Job& job : plain->arrivals_in_round(k)) want.push_back(job);
+  }
+
+  const std::unique_ptr<GeneratorSource> skipping = fresh_copy(proto, view);
+  std::vector<Job> got;
+  Round k = 0;        // the next round a run would pull
+  Round served = -1;  // the last round pulled
+  auto stop = stops.begin();
+  int restores = 0;
+  while (k < kRounds) {
+    if (stop != stops.end() && k == *stop) {
+      // Pull the last scanned round, as the plain copy did.
+      if (served < k - 1) (void)skipping->arrivals_in_round(k - 1);
+      served = k - 1;
+      ASSERT_EQ(checkpoint_bytes(*skipping), want_bytes[k])
+          << what << ": checkpoint at round " << k;
+      ++stop;
+    }
+    Round limit = std::min<Round>(kRounds, k + rng.uniform(0, 3000));
+    if (stop != stops.end()) limit = std::min(limit, *stop);
+    const Round next = skipping->next_event_round(k, limit);
+    ASSERT_GE(next, k) << what;
+    ASSERT_LE(next, limit) << what;
+    if (next == limit) {
+      if (limit > k && restores < 3) {
+        ++restores;
+        CheckpointWriter w;
+        skipping->checkpoint(w);
+        std::stringstream bytes;
+        w.finish(bytes);
+        CheckpointReader r(bytes);
+        const std::unique_ptr<GeneratorSource> resumed =
+            fresh_copy(proto, view);
+        resumed->restore(r);
+        std::vector<Job> rest;
+        for (Round j = k; j < kRounds; ++j) {
+          for (const Job& job : resumed->arrivals_in_round(j)) {
+            rest.push_back(job);
+          }
+        }
+        std::vector<Job> tail;
+        for (const Job& job : want) {
+          if (job.arrival >= k) tail.push_back(job);
+        }
+        ASSERT_EQ(rest, tail)
+            << what << ": resumed at round " << k << ", scanned to " << limit;
+      }
+      k = limit;
+      continue;
+    }
+    const std::span<const Job> jobs = skipping->arrivals_in_round(next);
+    EXPECT_FALSE(jobs.empty()) << what << ": reported round " << next;
+    got.insert(got.end(), jobs.begin(), jobs.end());
+    served = next;
+    k = next + 1;
+  }
+  EXPECT_EQ(got, want) << what;
+  EXPECT_EQ(restores, 3) << what;
+}
+
+TEST(GeneratorSource, QuietSkipMatchesPlainPulls) {
+  // perfbench's sparse-service rates, a spike whose edges fall inside
+  // quiet stretches, and the same with silent background colors.
+  FlashCrowdParams flash;
+  flash.base_rate = 0.0005;
+  flash.spike_factor = 4000.0;
+  flash.spike_start = 9'001;
+  flash.spike_end = 9'097;
+  flash.spike_delay = 8;
+  flash.background_colors = 3;
+  flash.background_rate = 0.0002;
+  flash.background_delay = 64;
+  flash.horizon = kInfiniteHorizon;
+  FlashCrowdParams silent = flash;
+  silent.background_rate = 0.0;
+  // E9's poisson-sparse shape, a silent stream, and a finite horizon that
+  // ends inside a gap.
+  PoissonParams poisson;
+  poisson.num_colors = 8;
+  poisson.min_delay = 64;
+  poisson.max_delay = 128;
+  poisson.mean_rate = 0.0005;
+  poisson.horizon = kInfiniteHorizon;
+  PoissonParams zero = poisson;
+  zero.mean_rate = 0.0;
+  PoissonParams finite = poisson;
+  finite.horizon = 15'013;
+  for (const std::uint64_t seed : {1ULL, 2ULL, 99ULL}) {
+    flash.seed = silent.seed = seed;
+    poisson.seed = zero.seed = finite.seed = seed;
+    const FlashCrowdSource flash_source(flash);
+    const FlashCrowdSource silent_source(silent);
+    const PoissonSource poisson_source(poisson);
+    const PoissonSource zero_source(zero);
+    const PoissonSource finite_source(finite);
+    const std::string s = " seed " + std::to_string(seed);
+    for (const std::vector<ColorId>& view :
+         {std::vector<ColorId>{}, std::vector<ColorId>{0, 2}}) {
+      const std::string v = view.empty() ? " whole" : " view";
+      expect_skip_matches_pulls(flash_source, view, seed, "flash" + v + s);
+      expect_skip_matches_pulls(silent_source, view, seed, "silent" + v + s);
+    }
+    for (const std::vector<ColorId>& view :
+         {std::vector<ColorId>{}, std::vector<ColorId>{1, 3, 4, 6}}) {
+      const std::string v = view.empty() ? " whole" : " view";
+      expect_skip_matches_pulls(poisson_source, view, seed, "poisson" + v + s);
+      expect_skip_matches_pulls(zero_source, view, seed, "zero" + v + s);
+      expect_skip_matches_pulls(finite_source, view, seed, "finite" + v + s);
+    }
+  }
+}
+
+/// Expects `make` to throw an InputError whose message names `parameter`.
+template <typename Make>
+void expect_rejects_mean(Make make, const std::string& parameter) {
+  try {
+    make();
+    ADD_FAILURE() << parameter << " was accepted";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find(parameter), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FlashCrowd, RejectsMeansPoissonCannotDraw) {
+  // From about 745, exp(-mean) is 0 and Knuth's product stops only when
+  // it underflows: every such mean samples about 745.
+  FlashCrowdParams params;
+  params.spike_factor = 4000.0;  // 0.2 * 4000 = 800
+  expect_rejects_mean([&] { FlashCrowdSource source(params); },
+                      "base_rate * spike_factor");
+  params.spike_factor = 20.0;
+  params.background_rate = 710.0;  // exp(-mean) is subnormal
+  expect_rejects_mean([&] { FlashCrowdSource source(params); },
+                      "background_rate");
+  params.background_rate = 0.2;
+  params.base_rate = -0.5;
+  expect_rejects_mean([&] { FlashCrowdSource source(params); }, "base_rate");
+  params.base_rate = 700.0 / 20.0;  // a spike mean of 700 still draws
+  EXPECT_NO_THROW(FlashCrowdSource source(params));
+}
+
+TEST(Poisson, RejectsMeansPoissonCannotDraw) {
+  PoissonParams params;
+  for (const double mean : {800.0, 2000.0, -1.0, std::nan("")}) {
+    params.mean_rate = mean;
+    expect_rejects_mean([&] { PoissonSource source(params); }, "mean_rate");
+  }
+  params.mean_rate = 0.0;
+  EXPECT_NO_THROW(PoissonSource source(params));
+}
+
+TEST(Datacenter, RejectsMeansPoissonCannotDraw) {
+  DatacenterParams params;
+  params.services = default_service_mix();
+  params.services[2].hot_rate = 800.0;
+  expect_rejects_mean([&] { DatacenterSource source(params); },
+                      "services[2].hot_rate");
+  params.services[2].hot_rate = 0.8;
+  params.services[5].cold_rate = -0.1;
+  expect_rejects_mean([&] { DatacenterSource source(params); },
+                      "services[5].cold_rate");
 }
 
 TEST(Poisson, UnbatchedWithRequestedDelays) {
