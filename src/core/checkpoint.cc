@@ -20,19 +20,28 @@ constexpr char kTrailer[8] = {'R', 'R', 'S', 'E', 'N', 'D', '\n', '\0'};
 /// corrupt length field can trigger.
 constexpr std::uint64_t kMaxPayload = 1ULL << 30;
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+/// table 0 advances the CRC over one byte, and table k over a byte
+/// followed by k zero bytes, so eight lookups advance it over eight bytes.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFU] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-constexpr auto kCrcTable = make_crc_table();
+constexpr auto kCrcTables = make_crc_tables();
 
 void put_u32(std::vector<unsigned char>& buf, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -61,10 +70,17 @@ std::uint64_t get_u64(const unsigned char* p) {
 }  // namespace
 
 std::uint32_t crc32(const unsigned char* data, std::size_t size) {
+  const auto& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFU;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = kCrcTable[(c ^ data[i]) & 0xFFU] ^ (c >> 8);
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const std::uint32_t lo = c ^ get_u32(data + i);
+    const std::uint32_t hi = get_u32(data + i + 4);
+    c = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^ t[5][(lo >> 16) & 0xFFU] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFU] ^ t[2][(hi >> 8) & 0xFFU] ^
+        t[1][(hi >> 16) & 0xFFU] ^ t[0][hi >> 24];
   }
+  for (; i < size; ++i) c = t[0][(c ^ data[i]) & 0xFFU] ^ (c >> 8);
   return c ^ 0xFFFFFFFFU;
 }
 

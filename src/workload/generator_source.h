@@ -35,7 +35,8 @@
 // first other round to synthesize().  Each lane's stream moves one word
 // per skipped round, as the zero draws would have moved it, so the
 // streams, emitted jobs and checkpoint bytes are those of the per-round
-// path.
+// path.  The lanes are stepped together, four to a SIMD register
+// (util/lockstep_scan.h).
 #pragma once
 
 #include <algorithm>
@@ -52,6 +53,7 @@
 #include "core/block_calendar.h"
 #include "core/checkpoint.h"
 #include "util/check.h"
+#include "util/lockstep_scan.h"
 #include "util/rng.h"
 
 namespace rrs {
@@ -463,16 +465,11 @@ class GeneratorSource : public ArrivalSource {
 
   /// Steps every lane over the rounds in [j, end) whose draws are all
   /// zero; returns the first round that is not (or `end`).  Returns j
-  /// when a view color has no lane at j.  Lanes are scanned one at a time
-  /// on a copy, kQuietBlock rounds at a time: each lane counts its
-  /// leading zero draws up to the shortest count so far, and then every
-  /// stream moves exactly that many words.  A lane that counted further
-  /// steps its stream again; the loss is at most one block per nonzero
-  /// draw, and a lone stream's scan keeps its state in registers.
+  /// when a view color has no lane at j.
   Round skip_quiet_rounds(Round j, Round end) {
     if (batched_) return j;
     init_view(j);
-    lanes_.clear();
+    scan_.clear();
     for (const ColorId c : colors_) {
       Lane lane;
       const Round until = poisson_lane(c, j, lane);
@@ -481,34 +478,9 @@ class GeneratorSource : public ArrivalSource {
         end = std::min(end, until);
       }
       // A mean-0 lane draws nothing, so it neither stops nor steps.
-      if (lane.mean->mean > 0.0) lanes_.push_back(ScanLane{lane});
+      if (lane.mean->mean > 0.0) scan_.add(*lane.stream, lane.mean->zero_max);
     }
-    while (j < end) {
-      const Round block = std::min(kQuietBlock, end - j);
-      Round quiet = block;
-      for (ScanLane& scan : lanes_) {
-        Rng ahead = *scan.lane.stream;
-        const std::uint64_t zero_max = scan.lane.mean->zero_max;
-        Round run = 0;
-        while (run < quiet && (ahead.peek() >> 11) <= zero_max) {
-          (void)ahead();
-          ++run;
-        }
-        scan.ahead = ahead;
-        scan.run = run;
-        quiet = run;
-      }
-      for (ScanLane& scan : lanes_) {
-        if (scan.run == quiet) {
-          *scan.lane.stream = scan.ahead;
-        } else {
-          for (Round r = 0; r < quiet; ++r) (void)(*scan.lane.stream)();
-        }
-      }
-      j += quiet;
-      if (quiet < block) break;
-    }
-    return j;
+    return j + scan_.run(end - j);
   }
 
   [[nodiscard]] std::size_t checked_global(ColorId color) const {
@@ -544,15 +516,8 @@ class GeneratorSource : public ArrivalSource {
   std::vector<ColorId> colors_;
   BlockCalendar blocks_;
   std::vector<ColorId> due_;  ///< merged due classes, ascending
-  // The quiet-round skip's lanes, gathered at each skip, and the scan's
-  // per-lane copy and count of leading zero draws.
-  struct ScanLane {
-    Lane lane;
-    Rng ahead{};
-    Round run = 0;
-  };
-  static constexpr Round kQuietBlock = 64;
-  std::vector<ScanLane> lanes_;
+  // The quiet-round skip's lanes, gathered at each skip.
+  LockstepScan scan_;
   // Cost model cache (restrict_to() invalidates it).
   mutable CostModel model_;
   mutable bool model_ready_ = false;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -23,6 +24,7 @@
 #include "sim/runner.h"
 #include "sim/service.h"
 #include "test_util.h"
+#include "util/rng.h"
 #include "workload/datacenter.h"
 #include "workload/flash_crowd.h"
 #include "workload/generator_source.h"
@@ -31,6 +33,38 @@
 
 namespace rrs {
 namespace {
+
+/// CRC-32 one bit at a time: the definition the table-driven crc32 must
+/// reproduce.
+std::uint32_t bitwise_crc32(const unsigned char* data, std::size_t size) {
+  std::uint32_t c = 0xFFFFFFFFU;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+TEST(CheckpointCrc, MatchesTheBitwiseDefinition) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const unsigned char*>(check.data()),
+                  check.size()),
+            0xCBF43926U);
+  // Every length to 257 at offsets 0-7: each eight-byte step meets every
+  // alignment, and the byte loop every tail length.
+  Rng rng(5);
+  std::vector<unsigned char> bytes(257 + 8);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng() >> 56);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; size <= 257; ++size) {
+      ASSERT_EQ(crc32(bytes.data() + offset, size),
+                bitwise_crc32(bytes.data() + offset, size))
+          << "offset " << offset << ", " << size << " bytes";
+    }
+  }
+}
 
 const char* const kStreamingAlgorithms[] = {
     "dlru", "edf", "dlru-edf", "adaptive", "seq-edf", "ds-seq-edf",

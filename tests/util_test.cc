@@ -2,9 +2,11 @@
 // check macros.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <iostream>
 #include <limits>
 #include <set>
 #include <string>
@@ -13,6 +15,7 @@
 #include "core/types.h"
 #include "util/bits.h"
 #include "util/check.h"
+#include "util/lockstep_scan.h"
 #include "util/rng.h"
 #include "util/stamped_map.h"
 #include "util/stopwatch.h"
@@ -256,6 +259,212 @@ TEST(Rng, BernoulliExtremes) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
+  }
+}
+
+// --- LockstepScan: every kernel form against a per-round scalar scan. ---
+
+struct TestLane {
+  Rng stream;
+  std::uint64_t zero_max = 0;
+};
+
+constexpr std::uint64_t kNeverLoud = (std::uint64_t{1} << 53) - 1;
+const int kLaneCounts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16};
+
+/// The scan each form must reproduce: test every lane's next output, and
+/// step every lane when all of them are quiet.
+std::int64_t reference_scan(std::vector<TestLane>& lanes, std::int64_t limit) {
+  std::int64_t r = 0;
+  for (; r < limit; ++r) {
+    const bool quiet = std::all_of(
+        lanes.begin(), lanes.end(), [](const TestLane& lane) {
+          return (lane.stream.peek() >> 11) <= lane.zero_max;
+        });
+    if (!quiet) break;
+    for (TestLane& lane : lanes) (void)lane.stream();
+  }
+  return r;
+}
+
+/// The forms this host can run; names the ones it skips.
+std::vector<const LockstepScan::Variant*> runnable_forms() {
+  std::vector<const LockstepScan::Variant*> forms;
+  for (const LockstepScan::Variant& form : LockstepScan::variants()) {
+    if (form.supported) {
+      forms.push_back(&form);
+    } else {
+      std::cout << "[ SKIPPED  ] scan form " << form.name
+                << ": this host cannot run it\n";
+    }
+  }
+  return forms;
+}
+
+/// Runs each form on a copy of `lanes` and expects the reference's count
+/// and all four state words of every lane; returns the reference count.
+std::int64_t expect_forms_match(
+    const std::vector<const LockstepScan::Variant*>& forms,
+    const std::vector<TestLane>& lanes, std::int64_t limit,
+    const std::string& what) {
+  std::vector<TestLane> want = lanes;
+  const std::int64_t steps = reference_scan(want, limit);
+  for (const LockstepScan::Variant* form : forms) {
+    std::vector<TestLane> got = lanes;
+    LockstepScan scan;
+    for (TestLane& lane : got) scan.add(lane.stream, lane.zero_max);
+    EXPECT_EQ(scan.run(*form, limit), steps) << form->name << ", " << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].stream.state_words(), want[i].stream.state_words())
+          << form->name << ", " << what << ": lane " << i;
+    }
+  }
+  return steps;
+}
+
+/// The xoshiro256** state one step before `next`.  The step is invertible:
+/// word 3 gives s3 ^ s1, word 0 then gives s0, and words 1 and 2 give
+/// s1 ^ (s1 << 17), which the sum of its shifts by 17, 34 and 51 undoes.
+std::array<std::uint64_t, 4> unstep(const std::array<std::uint64_t, 4>& next) {
+  const std::uint64_t s3_s1 = (next[3] >> 45) | (next[3] << 19);
+  const std::uint64_t s0 = next[0] ^ s3_s1;
+  const std::uint64_t y = next[1] ^ next[2];
+  const std::uint64_t s1 = y ^ (y << 17) ^ (y << 34) ^ (y << 51);
+  return {s0, s1, next[1] ^ s1 ^ s0, s3_s1 ^ s1};
+}
+
+/// A stream whose output in round `q` is exactly `out` and whose outputs
+/// before it are quiet under `zero_max`.
+Rng stream_with_output_at(std::uint64_t out, std::int64_t q,
+                          std::uint64_t zero_max) {
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    std::array<std::uint64_t, 4> words =
+        rng_with_next_output(out, seed).state_words();
+    for (std::int64_t r = 0; r < q; ++r) words = unstep(words);
+    Rng stream;
+    stream.set_state_words(words);
+    Rng ahead = stream;
+    bool quiet = true;
+    for (std::int64_t r = 0; r < q; ++r) {
+      quiet = quiet && (ahead.peek() >> 11) <= zero_max;
+      (void)ahead();
+    }
+    EXPECT_EQ(ahead.peek(), out) << "unstep is not the inverse step";
+    if (quiet) return stream;
+  }
+  ADD_FAILURE() << "no stream quiet before round " << q;
+  return Rng();
+}
+
+TEST(LockstepScan, PortableFormComesFirstAndAlwaysRuns) {
+  const std::span<const LockstepScan::Variant> forms =
+      LockstepScan::variants();
+  ASSERT_FALSE(forms.empty());
+  EXPECT_STREQ(forms[0].name, "portable");
+  EXPECT_TRUE(forms[0].supported);
+#if defined(__x86_64__)
+  EXPECT_EQ(forms.size(), 3U);
+#else
+  EXPECT_EQ(forms.size(), 1U);
+#endif
+}
+
+TEST(LockstepScan, NoLanesAreQuietEveryRound) {
+  LockstepScan scan;
+  EXPECT_EQ(scan.run(0), 0);
+  EXPECT_EQ(scan.run(1'000'000), 1'000'000);
+  Rng stream(3);
+  const auto before = stream.state_words();
+  scan.add(stream, 0);
+  scan.clear();
+  EXPECT_EQ(scan.run(77), 77);
+  EXPECT_EQ(stream.state_words(), before);
+  EXPECT_THROW(scan.add(stream, (std::uint64_t{1} << 53) + 1),
+               InvariantError);
+}
+
+TEST(LockstepScan, EveryFormMatchesAPerRoundScan) {
+  const auto forms = runnable_forms();
+  // Lane i's bound is cycle[i % 3]: trickle means stop the scan within a
+  // few hundred rounds, the others never or at once.
+  struct Bounds {
+    const char* name;
+    std::array<std::uint64_t, 3> cycle;
+  };
+  const Bounds kBounds[] = {
+      {"trickle",
+       {PoissonMean(0.0005).zero_max, PoissonMean(0.0002).zero_max,
+        PoissonMean(0.01).zero_max}},
+      {"never loud", {kNeverLoud, kNeverLoud, kNeverLoud}},
+      {"zero", {0, 0, 0}},
+  };
+  for (const int n : kLaneCounts) {
+    for (const std::int64_t limit : {0, 1, 63, 64, 65, 100'000}) {
+      for (const Bounds& bounds : kBounds) {
+        std::vector<TestLane> lanes;
+        for (int i = 0; i < n; ++i) {
+          lanes.push_back({Rng(static_cast<std::uint64_t>(1000 * n + i)),
+                           bounds.cycle[static_cast<std::size_t>(i % 3)]});
+        }
+        const std::int64_t steps = expect_forms_match(
+            forms, lanes, limit,
+            std::to_string(n) + " lanes, limit " + std::to_string(limit) +
+                ", bounds " + bounds.name);
+        if (bounds.cycle[0] == kNeverLoud) {
+          EXPECT_EQ(steps, limit);
+        }
+      }
+    }
+  }
+}
+
+TEST(LockstepScan, EveryFormStopsAtTheExactZeroBoundary) {
+  // One lane's output in round q sits exactly at its bound (quiet) or one
+  // past it (loud), in every position among lanes that are never loud.
+  const auto forms = runnable_forms();
+  const std::uint64_t kLowBits[] = {0, 0x7ff};
+  struct Boundary {
+    std::uint64_t zero_max;
+    std::vector<std::int64_t> rounds;
+  };
+  const std::vector<Boundary> boundaries = {
+      {0, {0}},
+      {PoissonMean(0.0005).zero_max, {0, 1, 63, 64, 65}},
+      {kNeverLoud - 1, {0, 1, 63, 64, 65}},
+  };
+  for (const Boundary& boundary : boundaries) {
+    for (const int n : kLaneCounts) {
+      for (int p = 0; p < n; ++p) {
+        for (const std::int64_t q : boundary.rounds) {
+          for (const std::uint64_t low : kLowBits) {
+            for (const bool loud : {false, true}) {
+              std::vector<TestLane> lanes;
+              for (int i = 0; i < n; ++i) {
+                lanes.push_back(
+                    {Rng(static_cast<std::uint64_t>(100 + i)), kNeverLoud});
+              }
+              const std::uint64_t out =
+                  ((boundary.zero_max + (loud ? 1 : 0)) << 11) | low;
+              lanes[static_cast<std::size_t>(p)] = {
+                  stream_with_output_at(out, q, boundary.zero_max),
+                  boundary.zero_max};
+              const std::string what =
+                  std::to_string(n) + " lanes, lane " + std::to_string(p) +
+                  (loud ? " loud" : " quiet") + " in round " +
+                  std::to_string(q) + " at bound " +
+                  std::to_string(boundary.zero_max);
+              const std::int64_t steps =
+                  expect_forms_match(forms, lanes, q + 3, what);
+              if (loud) {
+                EXPECT_EQ(steps, q) << what;
+              } else {
+                EXPECT_GT(steps, q) << what;
+              }
+            }
+          }
+        }
+      }
+    }
   }
 }
 

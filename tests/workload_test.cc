@@ -372,14 +372,19 @@ TEST(GeneratorSource, QuietSkipMatchesPlainPulls) {
   zero.mean_rate = 0.0;
   PoissonParams finite = poisson;
   finite.horizon = 15'013;
+  // Twelve lanes: three groups of four, more than the SIMD scan keeps in
+  // registers.
+  PoissonParams wide = poisson;
+  wide.num_colors = 12;
   for (const std::uint64_t seed : {1ULL, 2ULL, 99ULL}) {
     flash.seed = silent.seed = seed;
-    poisson.seed = zero.seed = finite.seed = seed;
+    poisson.seed = zero.seed = finite.seed = wide.seed = seed;
     const FlashCrowdSource flash_source(flash);
     const FlashCrowdSource silent_source(silent);
     const PoissonSource poisson_source(poisson);
     const PoissonSource zero_source(zero);
     const PoissonSource finite_source(finite);
+    const PoissonSource wide_source(wide);
     const std::string s = " seed " + std::to_string(seed);
     for (const std::vector<ColorId>& view :
          {std::vector<ColorId>{}, std::vector<ColorId>{0, 2}}) {
@@ -387,12 +392,23 @@ TEST(GeneratorSource, QuietSkipMatchesPlainPulls) {
       expect_skip_matches_pulls(flash_source, view, seed, "flash" + v + s);
       expect_skip_matches_pulls(silent_source, view, seed, "silent" + v + s);
     }
+    // 8 lanes in two groups, 4 in one, and 5 in two with three padding
+    // lanes.
     for (const std::vector<ColorId>& view :
-         {std::vector<ColorId>{}, std::vector<ColorId>{1, 3, 4, 6}}) {
-      const std::string v = view.empty() ? " whole" : " view";
+         {std::vector<ColorId>{}, std::vector<ColorId>{1, 3, 4, 6},
+          std::vector<ColorId>{0, 2, 3, 5, 7}}) {
+      const std::string v =
+          view.empty() ? " whole" : " view of " + std::to_string(view.size());
       expect_skip_matches_pulls(poisson_source, view, seed, "poisson" + v + s);
       expect_skip_matches_pulls(zero_source, view, seed, "zero" + v + s);
       expect_skip_matches_pulls(finite_source, view, seed, "finite" + v + s);
+    }
+    for (const std::vector<ColorId>& view :
+         {std::vector<ColorId>{},
+          std::vector<ColorId>{0, 1, 2, 4, 5, 7, 8, 10, 11}}) {
+      const std::string v =
+          view.empty() ? " whole" : " view of " + std::to_string(view.size());
+      expect_skip_matches_pulls(wide_source, view, seed, "wide" + v + s);
     }
   }
 }
